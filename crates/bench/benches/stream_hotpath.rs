@@ -1,17 +1,21 @@
 //! Hot-path comparison: the legacy copy-out/copy-back `RwLock` execution core
-//! (reconstructed inline) vs the zero-copy partitioned engine, the
-//! spawn-per-run dispatch vs the persistent epoch-barrier pool at small array
-//! sizes (where per-invocation overhead dominates), plus the naive vs
-//! memoised analytical sweep. Results land in `BENCH_stream.json` at the
-//! repository root so regressions are diffable.
+//! (reconstructed inline) vs the zero-copy partitioned engine, STREAM-PMem
+//! (App-Direct, block-staged through a pool on the CXL expander) as a
+//! fraction of the same STREAM in place, the spawn-per-run dispatch vs the
+//! persistent epoch-barrier pool at small array sizes (where per-invocation
+//! overhead dominates), plus the naive vs memoised analytical sweep. Results
+//! land in `BENCH_stream.json` at the repository root, with the host they
+//! were measured on, so regressions are diffable.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use cxl_pmem::{AccessMode, CxlPmemRuntime, RuntimeBuilder};
+use cxl_pmem::{AccessMode, CxlPmemRuntime, RuntimeBuilder, TierPolicy};
 use numa::{AffinityPolicy, PinnedPool, ThreadPlacement, WorkerCtx};
 use parking_lot::RwLock;
 use std::hint::black_box;
 use std::time::Instant;
-use stream_bench::{ChunkedArrays, Kernel, SimulatedStream, StreamConfig, VolatileStream};
+use stream_bench::{
+    ChunkedArrays, Kernel, PmemStream, SimulatedStream, StreamConfig, VolatileStream,
+};
 
 const ELEMENTS: usize = 1_000_000;
 const THREADS: usize = 8;
@@ -217,6 +221,30 @@ fn walk_grid(stream: &SimulatedStream<'_>, placements: &[ThreadPlacement], cache
     start.elapsed().as_secs_f64()
 }
 
+/// The measuring host as a JSON object: worker threads available, compiler
+/// and source revision (`"unknown"` where a tool is missing).
+fn host_fingerprint() -> String {
+    let nproc = std::thread::available_parallelism().map_or(0, |n| n.get());
+    let output = |program: &str, args: &[&str]| {
+        std::process::Command::new(program)
+            .args(args)
+            .output()
+            .ok()
+            .filter(|out| out.status.success())
+            .map(|out| {
+                String::from_utf8_lossy(&out.stdout)
+                    .trim()
+                    .replace('"', "'")
+            })
+            .unwrap_or_else(|| "unknown".to_string())
+    };
+    format!(
+        "{{\"nproc\": {nproc}, \"rustc\": \"{}\", \"git_rev\": \"{}\"}}",
+        output("rustc", &["-V"]),
+        output("git", &["rev-parse", "--short", "HEAD"])
+    )
+}
+
 fn json_number(value: f64) -> String {
     if value.is_finite() {
         format!("{value:.6}")
@@ -253,6 +281,40 @@ fn stream_hotpath(c: &mut Criterion) {
             json_number(legacy),
             json_number(fast),
             json_number(speedup)
+        ));
+    }
+
+    // --- App-Direct: STREAM-PMem on the expander vs the same STREAM in place
+    let expander = RuntimeBuilder::setup1().build();
+    let pmem_pool = expander
+        .provision_pool(
+            &TierPolicy::CxlExpander,
+            "bench-stream",
+            3 * ELEMENTS as u64 * 8 + (16 << 20),
+        )
+        .expect("pool on the expander");
+    let mut app_direct = PmemStream::initiate(pmem_pool.pool(), config).expect("arrays");
+    let app_direct_report = app_direct.run(&pool).expect("App-Direct run");
+    assert!(app_direct.validate().expect("validate") < 1e-12);
+    let mut app_direct_rows = Vec::new();
+    for kernel in Kernel::ALL {
+        let in_place = zero_copy_report
+            .best_bandwidth_gbs(kernel)
+            .expect("measured");
+        let staged = app_direct_report
+            .best_bandwidth_gbs(kernel)
+            .expect("measured");
+        let fraction = staged / in_place;
+        println!(
+            "{:<6} {THREADS}t {ELEMENTS}e  in place {in_place:7.2} GB/s  App-Direct {staged:7.2} GB/s  fraction {fraction:.2}",
+            kernel.name()
+        );
+        app_direct_rows.push(format!(
+            "    \"{}\": {{\"in_place_gbs\": {}, \"app_direct_gbs\": {}, \"fraction\": {}}}",
+            kernel.name(),
+            json_number(in_place),
+            json_number(staged),
+            json_number(fraction)
         ));
     }
 
@@ -316,13 +378,16 @@ fn stream_hotpath(c: &mut Criterion) {
     );
 
     let json = format!(
-        "{{\n  \"elements\": {ELEMENTS},\n  \"threads\": {THREADS},\n  \"ntimes\": {NTIMES},\n  \
-         \"kernels\": {{\n{}\n  }},\n  \"small_array_pool\": {{\n{}\n  }},\n  \
+        "{{\n  \"host\": {},\n  \"elements\": {ELEMENTS},\n  \"threads\": {THREADS},\n  \
+         \"ntimes\": {NTIMES},\n  \"kernels\": {{\n{}\n  }},\n  \"app_direct\": {{\n{}\n  }},\n  \
+         \"small_array_pool\": {{\n{}\n  }},\n  \
          \"sweep_grid\": {{\n    \"points\": 240,\n    \
          \"naive_seconds\": {},\n    \"cached_cold_seconds\": {},\n    \
          \"cached_warm_seconds\": {},\n    \"warm_speedup\": {},\n    \
          \"cold_cache_hits\": {cold_hits},\n    \"cold_cache_misses\": {cold_misses}\n  }}\n}}\n",
+        host_fingerprint(),
         kernel_rows.join(",\n"),
+        app_direct_rows.join(",\n"),
         small_rows.join(",\n"),
         json_number(naive_s),
         json_number(cached_cold_s),
@@ -343,6 +408,9 @@ fn stream_hotpath(c: &mut Criterion) {
     group.bench_function("zero_copy_sequence", |b| {
         let mut stream = VolatileStream::new(config);
         b.iter(|| black_box(stream.run(&pool)))
+    });
+    group.bench_function("app_direct_sequence", |b| {
+        b.iter(|| black_box(app_direct.run(&pool).expect("App-Direct run")))
     });
     for kernel in [Kernel::Copy, Kernel::Triad] {
         group.bench_function(format!("copy_path_{}", kernel.name()), |b| {

@@ -16,6 +16,7 @@ use crate::transaction::{
 };
 use crate::Result;
 use parking_lot::{Mutex, RwLock};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
 /// Well-known CXL.io register offsets implemented by the model.
 pub mod registers {
@@ -49,7 +50,80 @@ pub struct DeviceStats {
     pub rejected: u64,
 }
 
+/// Shards of the statistics counters; threads are spread over them
+/// round-robin.
+const STAT_SHARDS: usize = 16;
+
+/// The shard the calling thread counts into: threads take successive
+/// shards in the order they first count, so the workers of one pool land on
+/// distinct shards.
+fn stat_shard() -> usize {
+    static NEXT: AtomicUsize = AtomicUsize::new(0);
+    thread_local! {
+        static SHARD: usize = NEXT.fetch_add(1, Ordering::Relaxed) % STAT_SHARDS;
+    }
+    SHARD.with(|shard| *shard)
+}
+
+/// One shard of [`DeviceStats`] as relaxed atomic counters, alone on its
+/// cache lines.
+#[derive(Debug, Default)]
+#[repr(align(128))]
+struct StatShard {
+    lines_read: AtomicU64,
+    lines_written: AtomicU64,
+    bytes_read: AtomicU64,
+    bytes_written: AtomicU64,
+    gpf_flushes: AtomicU64,
+    rejected: AtomicU64,
+}
+
+/// [`DeviceStats`], sharded by thread, so that recording an access takes no
+/// lock and threads transferring in parallel never write the same cache
+/// line: a single shared counter would bounce between their cores on every
+/// transfer, costing more than a small transfer itself and varying with
+/// where the scheduler places the threads. A snapshot sums the shards; it
+/// publishes no other data, and one taken while transfers are in flight may
+/// count some of them in one field and not yet in another.
+#[derive(Debug, Default)]
+struct StatCounters {
+    shards: [StatShard; STAT_SHARDS],
+}
+
+impl StatCounters {
+    /// The calling thread's shard.
+    fn local(&self) -> &StatShard {
+        &self.shards[stat_shard()]
+    }
+
+    fn add(counter: &AtomicU64, n: u64) {
+        counter.fetch_add(n, Ordering::Relaxed);
+    }
+
+    fn snapshot(&self) -> DeviceStats {
+        let sum = |counter: fn(&StatShard) -> &AtomicU64| {
+            self.shards
+                .iter()
+                .map(|shard| counter(shard).load(Ordering::Relaxed))
+                .sum()
+        };
+        DeviceStats {
+            lines_read: sum(|s| &s.lines_read),
+            lines_written: sum(|s| &s.lines_written),
+            bytes_read: sum(|s| &s.bytes_read),
+            bytes_written: sum(|s| &s.bytes_written),
+            gpf_flushes: sum(|s| &s.gpf_flushes),
+            rejected: sum(|s| &s.rejected),
+        }
+    }
+}
+
 /// A CXL Type-3 (memory expander) endpoint with a functional backing store.
+///
+/// The data path takes no device-wide lock and writes no shared cache line:
+/// the backing store is lock-striped per 64 KiB chunk and the statistics are
+/// atomic counters sharded by thread, so hosts and workers transferring
+/// disjoint ranges proceed in parallel.
 #[derive(Debug)]
 pub struct Type3Device {
     name: String,
@@ -57,10 +131,10 @@ pub struct Type3Device {
     vendor_id: u16,
     device_id: u16,
     hdm: RwLock<HdmDecoder>,
-    memory: RwLock<SparseMemory>,
+    memory: SparseMemory,
     mem_enabled: RwLock<bool>,
     counters: Mutex<FlitCounters>,
-    stats: Mutex<DeviceStats>,
+    stats: StatCounters,
 }
 
 impl Type3Device {
@@ -72,10 +146,10 @@ impl Type3Device {
             vendor_id: 0x8086,
             device_id: 0x0CF1,
             hdm: RwLock::new(HdmDecoder::new()),
-            memory: RwLock::new(SparseMemory::new(capacity_bytes)),
+            memory: SparseMemory::new(capacity_bytes),
             mem_enabled: RwLock::new(false),
             counters: Mutex::new(FlitCounters::default()),
-            stats: Mutex::new(DeviceStats::default()),
+            stats: StatCounters::default(),
         }
     }
 
@@ -96,7 +170,7 @@ impl Type3Device {
 
     /// Capacity of the backing memory in bytes.
     pub fn capacity_bytes(&self) -> u64 {
-        self.memory.read().capacity()
+        self.memory.capacity()
     }
 
     /// Whether CXL.mem accesses are currently allowed.
@@ -162,7 +236,7 @@ impl Type3Device {
                         }
                     }
                     REG_GPF_DOORBELL => {
-                        self.stats.lock().gpf_flushes += 1;
+                        self.global_persistent_flush();
                         IoResponse {
                             value: *value,
                             success: true,
@@ -180,22 +254,21 @@ impl Type3Device {
     /// Handles one CXL.mem request against the backing store.
     pub fn handle_mem(&self, request: &MemRequest) -> Result<MemResponse> {
         if !self.memory_enabled() {
-            self.stats.lock().rejected += 1;
+            StatCounters::add(&self.stats.local().rejected, 1);
             return Err(CxlError::NotReady("memory enable bit is clear"));
         }
         let dpa = match self.hdm.read().translate(request.hpa) {
             Ok(dpa) => dpa,
             Err(e) => {
-                self.stats.lock().rejected += 1;
+                StatCounters::add(&self.stats.local().rejected, 1);
                 return Err(e);
             }
         };
         let response = match request.opcode {
             MemOpcode::MemRd => {
                 let data = self.read_line_dpa(dpa)?;
-                let mut stats = self.stats.lock();
-                stats.lines_read += 1;
-                stats.bytes_read += CACHE_LINE_BYTES as u64;
+                StatCounters::add(&self.stats.local().lines_read, 1);
+                StatCounters::add(&self.stats.local().bytes_read, CACHE_LINE_BYTES as u64);
                 MemResponse {
                     tag: request.tag,
                     data: Some(data),
@@ -217,9 +290,11 @@ impl Type3Device {
                     request.byte_enable
                 };
                 self.write_line_dpa(dpa, &data, enable)?;
-                let mut stats = self.stats.lock();
-                stats.lines_written += 1;
-                stats.bytes_written += enable.count_ones() as u64;
+                StatCounters::add(&self.stats.local().lines_written, 1);
+                StatCounters::add(
+                    &self.stats.local().bytes_written,
+                    enable.count_ones() as u64,
+                );
                 MemResponse {
                     tag: request.tag,
                     data: None,
@@ -231,17 +306,23 @@ impl Type3Device {
         Ok(response)
     }
 
-    fn read_line_dpa(&self, dpa: u64) -> Result<[u8; CACHE_LINE_BYTES]> {
-        let memory = self.memory.read();
-        if !memory.in_bounds(dpa, CACHE_LINE_BYTES) {
-            return Err(CxlError::OutOfBounds {
+    /// Rejects `[dpa, dpa + len)` unless it lies inside the backing store.
+    fn check_dpa(&self, dpa: u64, len: usize) -> Result<()> {
+        if self.memory.in_bounds(dpa, len) {
+            Ok(())
+        } else {
+            Err(CxlError::OutOfBounds {
                 dpa,
-                len: CACHE_LINE_BYTES,
-                capacity: memory.capacity(),
-            });
+                len,
+                capacity: self.memory.capacity(),
+            })
         }
+    }
+
+    fn read_line_dpa(&self, dpa: u64) -> Result<[u8; CACHE_LINE_BYTES]> {
+        self.check_dpa(dpa, CACHE_LINE_BYTES)?;
         let mut line = [0u8; CACHE_LINE_BYTES];
-        memory.read(dpa, &mut line);
+        self.memory.read(dpa, &mut line);
         Ok(line)
     }
 
@@ -251,23 +332,9 @@ impl Type3Device {
         data: &[u8; CACHE_LINE_BYTES],
         byte_enable: u64,
     ) -> Result<()> {
-        let mut memory = self.memory.write();
-        if !memory.in_bounds(dpa, CACHE_LINE_BYTES) {
-            return Err(CxlError::OutOfBounds {
-                dpa,
-                len: CACHE_LINE_BYTES,
-                capacity: memory.capacity(),
-            });
-        }
+        self.check_dpa(dpa, CACHE_LINE_BYTES)?;
         // Merge with the existing line so partial writes honour byte enables.
-        let mut line = [0u8; CACHE_LINE_BYTES];
-        memory.read(dpa, &mut line);
-        for (i, byte) in data.iter().enumerate() {
-            if byte_enable & (1 << i) != 0 {
-                line[i] = *byte;
-            }
-        }
-        memory.write(dpa, &line);
+        self.memory.write_masked(dpa, data, byte_enable);
         Ok(())
     }
 
@@ -277,47 +344,39 @@ impl Type3Device {
     /// device directly in DPA space (the pool owns its region) and lets the
     /// analytical simulator account the time.
     pub fn read_bulk(&self, dpa: u64, buf: &mut [u8]) -> Result<()> {
-        let memory = self.memory.read();
-        if !memory.in_bounds(dpa, buf.len()) {
-            return Err(CxlError::OutOfBounds {
-                dpa,
-                len: buf.len(),
-                capacity: memory.capacity(),
-            });
-        }
-        memory.read(dpa, buf);
-        let mut stats = self.stats.lock();
-        stats.bytes_read += buf.len() as u64;
-        stats.lines_read += (buf.len() as u64).div_ceil(CACHE_LINE_BYTES as u64);
+        self.check_dpa(dpa, buf.len())?;
+        self.memory.read(dpa, buf);
+        let len = buf.len() as u64;
+        StatCounters::add(&self.stats.local().bytes_read, len);
+        StatCounters::add(
+            &self.stats.local().lines_read,
+            len.div_ceil(CACHE_LINE_BYTES as u64),
+        );
         Ok(())
     }
 
     /// Bulk write of `buf` starting at device-local address `dpa`.
     pub fn write_bulk(&self, dpa: u64, buf: &[u8]) -> Result<()> {
-        let mut memory = self.memory.write();
-        if !memory.in_bounds(dpa, buf.len()) {
-            return Err(CxlError::OutOfBounds {
-                dpa,
-                len: buf.len(),
-                capacity: memory.capacity(),
-            });
-        }
-        memory.write(dpa, buf);
-        let mut stats = self.stats.lock();
-        stats.bytes_written += buf.len() as u64;
-        stats.lines_written += (buf.len() as u64).div_ceil(CACHE_LINE_BYTES as u64);
+        self.check_dpa(dpa, buf.len())?;
+        self.memory.write(dpa, buf);
+        let len = buf.len() as u64;
+        StatCounters::add(&self.stats.local().bytes_written, len);
+        StatCounters::add(
+            &self.stats.local().lines_written,
+            len.div_ceil(CACHE_LINE_BYTES as u64),
+        );
         Ok(())
     }
 
     /// Global Persistent Flush: on a battery-backed or persistent device this
     /// guarantees all accepted writes reach the persistence domain.
     pub fn global_persistent_flush(&self) {
-        self.stats.lock().gpf_flushes += 1;
+        StatCounters::add(&self.stats.local().gpf_flushes, 1);
     }
 
     /// Activity statistics.
     pub fn stats(&self) -> DeviceStats {
-        *self.stats.lock()
+        self.stats.snapshot()
     }
 
     /// Link-level flit counters.
@@ -331,7 +390,7 @@ impl Type3Device {
     /// HDM decoders must be reprogrammed, as after a real reboot.
     pub fn power_cycle(&self, persistent: bool) {
         if !persistent {
-            self.memory.write().clear();
+            self.memory.clear();
         }
         *self.mem_enabled.write() = false;
         self.hdm.write().clear();
@@ -503,5 +562,32 @@ mod tests {
             dev.read_bulk(t as u64 * 4096, &mut buf).unwrap();
             assert!(buf.iter().all(|&b| b == t + 1));
         }
+    }
+
+    #[test]
+    fn concurrent_traffic_is_counted_exactly() {
+        let dev = std::sync::Arc::new(enabled_device());
+        // More threads than counter shards, so some threads share one.
+        let threads = STAT_SHARDS as u64 + 4;
+        std::thread::scope(|scope| {
+            for t in 0..threads {
+                let dev = dev.clone();
+                scope.spawn(move || {
+                    let mut buf = vec![t as u8; 1000];
+                    for i in 0..100u64 {
+                        // Each thread owns a 512 KiB window; transfers cross chunks.
+                        let dpa = t * MIB / 2 + i * 1000;
+                        dev.write_bulk(dpa, &buf).unwrap();
+                        dev.read_bulk(dpa, &mut buf).unwrap();
+                        dev.global_persistent_flush();
+                    }
+                });
+            }
+        });
+        let stats = dev.stats();
+        assert_eq!(stats.bytes_written, threads * 100 * 1000);
+        assert_eq!(stats.bytes_read, threads * 100 * 1000);
+        assert_eq!(stats.lines_written, threads * 100 * 16);
+        assert_eq!(stats.gpf_flushes, threads * 100);
     }
 }

@@ -18,8 +18,9 @@
 use crate::endpoint::Type3Device;
 use crate::error::CxlError;
 use crate::Result;
-use parking_lot::Mutex;
+use parking_lot::RwLock;
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// How coherence across hosts is maintained for a shared region.
@@ -45,30 +46,35 @@ pub struct HostShareStats {
     pub acquires: u64,
 }
 
+/// One attached host's protocol state and traffic counters. Every field is
+/// an atomic, so data accesses update it under the host table's shared
+/// lock; the counters are relaxed, the protocol fields acquire/release.
 #[derive(Debug, Default)]
 struct HostState {
-    stats: HostShareStats,
+    bytes_written: AtomicU64,
+    bytes_read: AtomicU64,
+    publishes: AtomicU64,
+    acquires: AtomicU64,
     /// Version of the region this host last acquired.
-    acquired_version: u64,
+    acquired_version: AtomicU64,
     /// Whether the host has unpublished writes.
-    dirty: bool,
+    dirty: AtomicBool,
 }
 
 /// A window of a Type-3 device shared by multiple hosts.
+///
+/// Reads and writes take no exclusive lock: the host table is only locked
+/// exclusively to attach a host, and the device store is lock-striped per
+/// chunk, so hosts (and one host's parallel workers) transfer concurrently.
 #[derive(Debug)]
 pub struct SharedRegion {
     device: Arc<Type3Device>,
     dpa_base: u64,
     len: u64,
     mode: CoherenceMode,
-    state: Mutex<SharedState>,
-}
-
-#[derive(Debug, Default)]
-struct SharedState {
-    hosts: HashMap<usize, HostState>,
+    hosts: RwLock<HashMap<usize, HostState>>,
     /// Monotonic version, bumped by every publish.
-    version: u64,
+    version: AtomicU64,
 }
 
 impl SharedRegion {
@@ -98,7 +104,8 @@ impl SharedRegion {
             dpa_base,
             len,
             mode,
-            state: Mutex::new(SharedState::default()),
+            hosts: RwLock::new(HashMap::new()),
+            version: AtomicU64::new(0),
         })
     }
 
@@ -119,20 +126,24 @@ impl SharedRegion {
 
     /// Attaches a host (maps the region into its address space).
     pub fn attach(&self, host: usize) {
-        self.state.lock().hosts.entry(host).or_default();
+        self.hosts.write().entry(host).or_default();
     }
 
     /// Number of attached hosts.
     pub fn attached_hosts(&self) -> usize {
-        self.state.lock().hosts.len()
+        self.hosts.read().len()
     }
 
-    fn check_attached(&self, host: usize) -> Result<()> {
-        if self.state.lock().hosts.contains_key(&host) {
-            Ok(())
-        } else {
-            Err(CxlError::NotAttached { host })
-        }
+    /// Runs `f` on `host`'s state, or fails if the host is not attached.
+    fn with_host<R>(&self, host: usize, f: impl FnOnce(&HostState) -> Result<R>) -> Result<R> {
+        let hosts = self.hosts.read();
+        let state = hosts.get(&host).ok_or(CxlError::NotAttached { host })?;
+        f(state)
+    }
+
+    /// Bumps the region version and returns the new one.
+    fn bump_version(&self) -> u64 {
+        self.version.fetch_add(1, Ordering::AcqRel) + 1
     }
 
     /// Validates `[offset, offset + len)` against the window, with overflow-
@@ -153,47 +164,47 @@ impl SharedRegion {
 
     /// Writes `data` at `offset` within the region on behalf of `host`.
     pub fn write(&self, host: usize, offset: u64, data: &[u8]) -> Result<()> {
-        self.check_attached(host)?;
-        self.check_window(offset, data.len())?;
-        self.device.write_bulk(self.dpa_base + offset, data)?;
-        let mut state = self.state.lock();
-        let version = state.version;
-        let host_state = state.hosts.get_mut(&host).expect("attached");
-        host_state.stats.bytes_written += data.len() as u64;
-        host_state.dirty = true;
-        // Hardware coherence publishes implicitly.
-        if self.mode == CoherenceMode::HardwareBackInvalidate {
-            host_state.dirty = false;
-            host_state.acquired_version = version + 1;
-            state.version = version + 1;
-        }
-        Ok(())
+        self.with_host(host, |state| {
+            self.check_window(offset, data.len())?;
+            self.device.write_bulk(self.dpa_base + offset, data)?;
+            state
+                .bytes_written
+                .fetch_add(data.len() as u64, Ordering::Relaxed);
+            // Hardware coherence publishes implicitly.
+            if self.mode == CoherenceMode::HardwareBackInvalidate {
+                state
+                    .acquired_version
+                    .store(self.bump_version(), Ordering::Release);
+            } else {
+                state.dirty.store(true, Ordering::Release);
+            }
+            Ok(())
+        })
     }
 
     /// Reads `buf.len()` bytes at `offset` on behalf of `host`.
     pub fn read(&self, host: usize, offset: u64, buf: &mut [u8]) -> Result<()> {
-        self.check_attached(host)?;
-        self.check_window(offset, buf.len())?;
-        self.device.read_bulk(self.dpa_base + offset, buf)?;
-        let mut state = self.state.lock();
-        let host_state = state.hosts.get_mut(&host).expect("attached");
-        host_state.stats.bytes_read += buf.len() as u64;
-        Ok(())
+        self.with_host(host, |state| {
+            self.check_window(offset, buf.len())?;
+            self.device.read_bulk(self.dpa_base + offset, buf)?;
+            state
+                .bytes_read
+                .fetch_add(buf.len() as u64, Ordering::Relaxed);
+            Ok(())
+        })
     }
 
     /// Publishes the host's writes: flush its caches to the device and bump the
     /// region version so other hosts can acquire it.
     pub fn publish(&self, host: usize) -> Result<u64> {
-        self.check_attached(host)?;
-        self.device.global_persistent_flush();
-        let mut state = self.state.lock();
-        state.version += 1;
-        let version = state.version;
-        let host_state = state.hosts.get_mut(&host).expect("attached");
-        host_state.dirty = false;
-        host_state.stats.publishes += 1;
-        host_state.acquired_version = version;
-        Ok(version)
+        self.with_host(host, |state| {
+            self.device.global_persistent_flush();
+            let version = self.bump_version();
+            state.dirty.store(false, Ordering::Release);
+            state.publishes.fetch_add(1, Ordering::Relaxed);
+            state.acquired_version.store(version, Ordering::Release);
+            Ok(version)
+        })
     }
 
     /// Flushes the host's accepted writes into the device's persistence
@@ -202,58 +213,63 @@ impl SharedRegion {
     /// cross-host visibility, which still requires [`publish`](Self::publish)
     /// under [`CoherenceMode::SoftwareManaged`].
     pub fn persist(&self, host: usize) -> Result<()> {
-        self.check_attached(host)?;
-        self.device.global_persistent_flush();
-        Ok(())
+        self.with_host(host, |_| {
+            self.device.global_persistent_flush();
+            Ok(())
+        })
     }
 
     /// The current publication version (0 = nothing ever published). Every
     /// [`publish`](Self::publish) — and, under hardware coherence, every
     /// write — bumps it.
     pub fn version(&self) -> u64 {
-        self.state.lock().version
+        self.version.load(Ordering::Acquire)
     }
 
     /// Acquires the latest published version: invalidate the host's stale
     /// cached copies so subsequent reads observe other hosts' publications.
     pub fn acquire(&self, host: usize) -> Result<u64> {
-        self.check_attached(host)?;
-        let mut state = self.state.lock();
-        let version = state.version;
-        let host_state = state.hosts.get_mut(&host).expect("attached");
-        host_state.acquired_version = version;
-        host_state.stats.acquires += 1;
-        Ok(version)
+        self.with_host(host, |state| {
+            let version = self.version();
+            state.acquired_version.store(version, Ordering::Release);
+            state.acquires.fetch_add(1, Ordering::Relaxed);
+            Ok(version)
+        })
     }
 
     /// Whether `host` is guaranteed (under the software protocol) to observe
     /// every publication made so far. With hardware coherence this is always
     /// `true` once attached.
     pub fn is_up_to_date(&self, host: usize) -> bool {
-        let state = self.state.lock();
-        match self.mode {
-            CoherenceMode::HardwareBackInvalidate => state.hosts.contains_key(&host),
-            CoherenceMode::SoftwareManaged => state
-                .hosts
-                .get(&host)
-                .map(|h| h.acquired_version == state.version)
-                .unwrap_or(false),
-        }
+        self.with_host(host, |state| {
+            Ok(match self.mode {
+                CoherenceMode::HardwareBackInvalidate => true,
+                CoherenceMode::SoftwareManaged => {
+                    state.acquired_version.load(Ordering::Acquire) == self.version()
+                }
+            })
+        })
+        .unwrap_or(false)
     }
 
     /// Whether `host` has written data it has not yet published.
     pub fn has_unpublished_writes(&self, host: usize) -> bool {
-        self.state
-            .lock()
-            .hosts
-            .get(&host)
-            .map(|h| h.dirty)
+        self.with_host(host, |state| Ok(state.dirty.load(Ordering::Acquire)))
             .unwrap_or(false)
     }
 
     /// Per-host statistics.
     pub fn stats(&self, host: usize) -> Option<HostShareStats> {
-        self.state.lock().hosts.get(&host).map(|h| h.stats)
+        self.with_host(host, |state| {
+            let load = |counter: &AtomicU64| counter.load(Ordering::Relaxed);
+            Ok(HostShareStats {
+                bytes_written: load(&state.bytes_written),
+                bytes_read: load(&state.bytes_read),
+                publishes: load(&state.publishes),
+                acquires: load(&state.acquires),
+            })
+        })
+        .ok()
     }
 }
 
@@ -396,6 +412,41 @@ mod tests {
         assert_eq!(stats.publishes, 1);
         assert_eq!(stats.acquires, 1);
         assert!(r.stats(9).is_none());
+    }
+
+    #[test]
+    fn hosts_transfer_concurrently_and_count_exactly() {
+        let r = region(CoherenceMode::SoftwareManaged);
+        std::thread::scope(|s| {
+            for host in 0..4usize {
+                let r = &r;
+                s.spawn(move || {
+                    r.attach(host);
+                    let base = host as u64 * 2 * MIB;
+                    let mut buf = vec![host as u8 + 1; 10_000];
+                    for i in 0..50u64 {
+                        r.write(host, base + i * 10_000, &buf).unwrap();
+                        r.read(host, base + i * 10_000, &mut buf).unwrap();
+                        assert!(buf.iter().all(|&b| b == host as u8 + 1));
+                    }
+                    r.publish(host).unwrap();
+                });
+            }
+        });
+        assert_eq!(r.attached_hosts(), 4);
+        assert_eq!(r.version(), 4, "every publish bumps the version once");
+        for host in 0..4 {
+            let stats = r.stats(host).unwrap();
+            assert_eq!(stats.bytes_written, 500_000);
+            assert_eq!(stats.bytes_read, 500_000);
+            assert_eq!(stats.publishes, 1);
+            assert!(!r.has_unpublished_writes(host));
+        }
+        // Only the last publisher saw every publication; the rest must acquire.
+        assert_eq!((0..4).filter(|&h| r.is_up_to_date(h)).count(), 1);
+        r.acquire(2).unwrap();
+        assert!(r.is_up_to_date(2));
+        assert!(!r.is_up_to_date(9), "unattached hosts are never up to date");
     }
 
     #[test]

@@ -3,17 +3,28 @@
 //! Listing 2 of the paper replaces STREAM's three static arrays with
 //! `POBJ_ALLOC`ed arrays of `double`. [`PersistentArray`] provides the same
 //! facility: an array of a fixed-width scalar type living entirely inside a
-//! pool, with element accessors, bulk slice transfers (what the kernels use)
-//! and explicit persist calls.
+//! pool, with element accessors, bulk slice transfers and explicit persist
+//! calls.
+//!
+//! Bulk transfers never allocate. Typed slices are staged through a fixed
+//! 4 KiB stack block and decoded block by block. The raw
+//! transfers ([`PersistentArray::load_le_bytes`] /
+//! [`PersistentArray::store_le_bytes`]) move the elements' stored
+//! little-endian bytes in one backend call with no staging at all; they are
+//! what the block-staged STREAM-PMem kernels use.
 
 use crate::error::PmemError;
 use crate::oid::TypedOid;
 use crate::pool::PmemPool;
 use crate::Result;
 
+/// Bytes of the stack block typed slice transfers stage through.
+const STAGE_BYTES: usize = 4096;
+
 /// Scalar element types that can live in a persistent array.
 ///
-/// The trait is deliberately small: fixed size, little-endian byte conversion.
+/// The trait is deliberately small: fixed size (at most 4096 bytes, one
+/// staging block), little-endian byte conversion.
 pub trait PmemScalar: Copy + Default + PartialEq + std::fmt::Debug + Send + Sync + 'static {
     /// Size of the scalar in bytes.
     const SIZE: usize;
@@ -134,18 +145,31 @@ impl<'p, T: PmemScalar> PersistentArray<'p, T> {
         Ok(())
     }
 
-    /// Reads elements `[start, start + out.len())` into `out`.
+    /// Byte offset of element `start`, after checking that the `count`
+    /// elements from `start` lie inside the array (`count > 0`).
+    fn range_offset(&self, start: u64, count: u64) -> Result<u64> {
+        let last = start
+            .checked_add(count - 1)
+            .ok_or(PmemError::SizeOverflow)?;
+        self.offset_of(last)?; // bounds check
+        self.offset_of(start)
+    }
+
+    /// Reads elements `[start, start + out.len())` into `out`, staged
+    /// through a stack block.
     pub fn load_slice(&self, start: u64, out: &mut [T]) -> Result<()> {
         if out.is_empty() {
             return Ok(());
         }
-        let last = start + out.len() as u64 - 1;
-        self.offset_of(last)?; // bounds check
-        let offset = self.offset_of(start)?;
-        let mut buf = vec![0u8; out.len() * T::SIZE];
-        self.pool.read(offset, &mut buf)?;
-        for (i, slot) in out.iter_mut().enumerate() {
-            *slot = T::read_le(&buf[i * T::SIZE..]);
+        let mut offset = self.range_offset(start, out.len() as u64)?;
+        let mut stage = [0u8; STAGE_BYTES];
+        for block in out.chunks_mut(STAGE_BYTES / T::SIZE) {
+            let bytes = &mut stage[..block.len() * T::SIZE];
+            self.pool.read(offset, bytes)?;
+            for (slot, encoded) in block.iter_mut().zip(bytes.chunks_exact(T::SIZE)) {
+                *slot = T::read_le(encoded);
+            }
+            offset += bytes.len() as u64;
         }
         Ok(())
     }
@@ -157,19 +181,47 @@ impl<'p, T: PmemScalar> PersistentArray<'p, T> {
         Ok(out)
     }
 
-    /// Writes `values` starting at element `start`.
+    /// Writes `values` starting at element `start`, staged through a stack
+    /// block.
     pub fn store_slice(&self, start: u64, values: &[T]) -> Result<()> {
         if values.is_empty() {
             return Ok(());
         }
-        let last = start + values.len() as u64 - 1;
-        self.offset_of(last)?; // bounds check
-        let offset = self.offset_of(start)?;
-        let mut buf = vec![0u8; values.len() * T::SIZE];
-        for (i, value) in values.iter().enumerate() {
-            value.write_le(&mut buf[i * T::SIZE..]);
+        let mut offset = self.range_offset(start, values.len() as u64)?;
+        let mut stage = [0u8; STAGE_BYTES];
+        for block in values.chunks(STAGE_BYTES / T::SIZE) {
+            let bytes = &mut stage[..block.len() * T::SIZE];
+            for (value, encoded) in block.iter().zip(bytes.chunks_exact_mut(T::SIZE)) {
+                value.write_le(encoded);
+            }
+            self.pool.write(offset, bytes)?;
+            offset += bytes.len() as u64;
         }
-        self.pool.write(offset, &buf)
+        Ok(())
+    }
+
+    /// Reads the stored little-endian bytes of the array, starting at
+    /// element `start`, into `out` with one backend call. `out` may end
+    /// inside an element; it must not run past the array.
+    pub fn load_le_bytes(&self, start: u64, out: &mut [u8]) -> Result<()> {
+        if out.is_empty() {
+            return Ok(());
+        }
+        let count = (out.len() as u64).div_ceil(T::SIZE as u64);
+        let offset = self.range_offset(start, count)?;
+        self.pool.read(offset, out)
+    }
+
+    /// Writes `bytes` over the stored little-endian bytes of the array,
+    /// starting at element `start`, with one backend call. `bytes` may end
+    /// inside an element; it must not run past the array.
+    pub fn store_le_bytes(&self, start: u64, bytes: &[u8]) -> Result<()> {
+        if bytes.is_empty() {
+            return Ok(());
+        }
+        let count = (bytes.len() as u64).div_ceil(T::SIZE as u64);
+        let offset = self.range_offset(start, count)?;
+        self.pool.write(offset, bytes)
     }
 
     /// Makes the element range `[start, start+len)` durable.
@@ -203,9 +255,7 @@ impl<'p, T: PmemScalar> PersistentArray<'p, T> {
         if values.is_empty() {
             return Ok(());
         }
-        let last = start + values.len() as u64 - 1;
-        self.offset_of(last)?;
-        let offset = self.offset_of(start)?;
+        let offset = self.range_offset(start, values.len() as u64)?;
         let mut buf = vec![0u8; values.len() * T::SIZE];
         for (i, value) in values.iter().enumerate() {
             value.write_le(&mut buf[i * T::SIZE..]);
@@ -275,6 +325,49 @@ mod tests {
         // Empty slices are no-ops.
         array.store_slice(0, &[]).unwrap();
         array.load_slice(0, &mut []).unwrap();
+    }
+
+    #[test]
+    fn slices_spanning_many_stage_blocks_round_trip() {
+        let pool = pool();
+        let len = 3 * STAGE_BYTES / 8 + 5;
+        let array = PersistentArray::<u64>::allocate(&pool, len as u64 + 7).unwrap();
+        let values: Vec<u64> = (0..len as u64).map(|i| i * 0x9E37_79B9).collect();
+        array.store_slice(7, &values).unwrap();
+        let mut back = vec![0u64; len];
+        array.load_slice(7, &mut back).unwrap();
+        assert_eq!(back, values);
+        let before = pool.persist_stats();
+        array.load_slice(7, &mut back).unwrap();
+        assert_eq!(pool.persist_stats(), before, "loads never flush");
+    }
+
+    #[test]
+    fn le_bytes_are_the_stored_encoding() {
+        let pool = pool();
+        let array = PersistentArray::<f64>::allocate(&pool, 64).unwrap();
+        let values: Vec<f64> = (0..64).map(|i| i as f64 * 1.5).collect();
+        array.store_slice(0, &values).unwrap();
+        let mut raw = vec![0u8; 10 * 8];
+        array.load_le_bytes(4, &mut raw).unwrap();
+        for (i, encoded) in raw.chunks_exact(8).enumerate() {
+            assert_eq!(f64::read_le(encoded), values[4 + i]);
+        }
+        // Raw stores land as typed values.
+        let mut encoded = [0u8; 16];
+        (-2.0f64).write_le(&mut encoded[..8]);
+        (7.25f64).write_le(&mut encoded[8..]);
+        array.store_le_bytes(62, &encoded).unwrap();
+        assert_eq!(array.get(62).unwrap(), -2.0);
+        assert_eq!(array.get(63).unwrap(), 7.25);
+        // A partial trailing element is fine; running past the array is not.
+        let mut partial = [0u8; 12];
+        array.load_le_bytes(62, &mut partial).unwrap();
+        assert_eq!(&partial[..8], &encoded[..8]);
+        assert!(array.load_le_bytes(63, &mut partial).is_err());
+        assert!(array.store_le_bytes(63, &encoded).is_err());
+        assert!(array.store_le_bytes(u64::MAX, &encoded).is_err());
+        array.load_le_bytes(64, &mut []).unwrap();
     }
 
     #[test]

@@ -130,6 +130,44 @@ impl Kernel {
             }
         }
     }
+
+    /// Applies the kernel to a block of the arrays' stored form: `a`, `b`,
+    /// `c` are same-length byte slices holding little-endian `f64`s, as
+    /// persistent arrays keep them. The App-Direct path computes on its
+    /// staged bytes directly instead of decoding them into `f64` scratch
+    /// and encoding the result back. Results are bit-identical to
+    /// [`apply`](Self::apply).
+    pub(crate) fn apply_le(&self, a: &mut [u8], b: &mut [u8], c: &mut [u8], scalar: f64) {
+        debug_assert_eq!(a.len(), b.len());
+        debug_assert_eq!(a.len(), c.len());
+        debug_assert_eq!(a.len() % 8, 0);
+        fn lanes(bytes: &[u8]) -> impl Iterator<Item = f64> + '_ {
+            bytes
+                .chunks_exact(8)
+                .map(|lane| f64::from_le_bytes(lane.try_into().expect("8-byte lane")))
+        }
+        fn store(out: &mut [u8], value: f64) {
+            out.copy_from_slice(&value.to_le_bytes());
+        }
+        match self {
+            Kernel::Copy => c.copy_from_slice(a),
+            Kernel::Scale => {
+                for (b, c) in b.chunks_exact_mut(8).zip(lanes(c)) {
+                    store(b, scalar * c);
+                }
+            }
+            Kernel::Add => {
+                for ((c, a), b) in c.chunks_exact_mut(8).zip(lanes(a)).zip(lanes(b)) {
+                    store(c, a + b);
+                }
+            }
+            Kernel::Triad => {
+                for ((a, b), c) in a.chunks_exact_mut(8).zip(lanes(b)).zip(lanes(c)) {
+                    store(a, b + scalar * c);
+                }
+            }
+        }
+    }
 }
 
 /// Identifies one of the three STREAM arrays.
@@ -279,7 +317,29 @@ mod tests {
         assert_eq!(StreamConfig::default().scalar, 3.0);
     }
 
+    fn encode(values: &[f64]) -> Vec<u8> {
+        values.iter().flat_map(|v| v.to_le_bytes()).collect()
+    }
+
     proptest! {
+        #[test]
+        fn prop_le_kernels_match_typed_kernels_bit_for_bit(
+            values in proptest::collection::vec(-1e6f64..1e6, 3..300),
+            scalar in 0.5f64..4.0,
+        ) {
+            let len = values.len() / 3;
+            let (a0, b0, c0) = (&values[..len], &values[len..2 * len], &values[2 * len..3 * len]);
+            for kernel in Kernel::ALL {
+                let (mut a1, mut b1, mut c1) = (a0.to_vec(), b0.to_vec(), c0.to_vec());
+                kernel.apply(&mut a1, &mut b1, &mut c1, scalar);
+                let (mut a2, mut b2, mut c2) = (encode(a0), encode(b0), encode(c0));
+                kernel.apply_le(&mut a2, &mut b2, &mut c2, scalar);
+                prop_assert_eq!(encode(&a1), a2);
+                prop_assert_eq!(encode(&b1), b2);
+                prop_assert_eq!(encode(&c1), c2);
+            }
+        }
+
         #[test]
         fn prop_kernels_are_elementwise(len in 1usize..100, scalar in 0.5f64..4.0) {
             // Applying a kernel to the whole array equals applying it chunk by chunk.
