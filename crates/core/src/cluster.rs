@@ -32,17 +32,21 @@
 //! Under [`CoherenceMode::SoftwareManaged`] the device media is a single
 //! store, but nothing guarantees another host's caches observe it. The
 //! cluster therefore enforces the publish/acquire protocol the paper expects
-//! applications to follow:
+//! applications to follow, once, in [`HostHandle`] — the one handle type
+//! behind both [`HostSegment`] and [`HostStore`]:
 //!
-//! * a **checkpoint commit ends in `publish`** — [`HostSegment::checkpoint`]
-//!   publishes exactly once, after the commit record is durable; a commit
-//!   that crashes (injected or real) publishes nothing;
-//! * a **restore on another host requires `acquire`** — restoring while the
-//!   host's acquired version is stale is [`ClusterError::NotAcquired`], a
+//! * a **commit ends in `publish`** — [`HostSegment::checkpoint`] and the
+//!   object store's `commit`/`delete` publish exactly once, after the commit
+//!   record is durable; a mutation that fails (an injected crash or a real
+//!   error) publishes nothing and drops the handle's cached layout, so the
+//!   next use reopens the pool and recovers;
+//! * a **read or write on another host requires `acquire`** — using a handle
+//!   whose acquired version is stale is [`ClusterError::NotAcquired`], a
 //!   typed error instead of silently stale data;
 //! * reading a segment whose writer **never published** is
 //!   [`ClusterError::NeverPublished`] — even when bytes already landed on the
-//!   media, the reader has no right to them until the writer signals.
+//!   media, the reader has no right to them until the writer signals. Writing
+//!   one is allowed: the creator is the one establishing publication.
 //!
 //! Media durability is separate: the pool backend's `persist` maps to the
 //! region's Global-Persistent-Flush path, so a torn commit is still
@@ -55,10 +59,9 @@
 //! put a [`pmem::ObjectStore`] inside the shared window instead — millions of
 //! small epoch-versioned objects with per-object commit records over the same
 //! undo log. [`ClusterHost::create_store`] / [`ClusterHost::open_store`]
-//! return a [`HostStore`] whose `get`/`put`/`commit`/`delete` enforce exactly
-//! the discipline above (a directory mutation ends in `publish`; a read on a
-//! stale or never-published host is a typed refusal), and whose `*_classed`
-//! variants route each op through the fleet's QoS admission front door.
+//! return a [`HostStore`] whose `get`/`put`/`commit`/`delete` obey exactly
+//! the discipline above, and whose `*_classed` variants route each op
+//! through the fleet's QoS admission front door.
 
 // Re-exported so harnesses driving the cluster (the streamer scenarios, the
 // examples) need only a `cxl-pmem` dependency.
@@ -71,8 +74,9 @@ pub use pmem::{
 use crate::admission::{AdmissionController, QosClass};
 use cxl::{CxlError, CxlSwitch, HostId, PoolAllocation, PortId, SharedRegion, Type3Device};
 use pmem::{
-    CheckpointRegion, ChunkExecutor, ObjectStore, PmemError, PmemPool, SharedRegionBackend,
+    CheckpointRegion, ChunkExecutor, ObjectStore, PmemError, PmemOid, PmemPool, SharedRegionBackend,
 };
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::{Arc, Mutex, PoisonError};
@@ -84,12 +88,13 @@ pub enum ClusterError {
     UnknownSegment(String),
     /// A segment with this name already exists.
     SegmentExists(String),
-    /// Software-managed coherence: the host tried to restore without having
-    /// acquired the latest publication (stale view — refused, not returned).
+    /// Software-managed coherence: the host tried to use the segment without
+    /// having acquired the latest publication (stale view — refused, not
+    /// returned).
     NotAcquired {
         /// The offending host.
         host: HostId,
-        /// The segment it read.
+        /// The segment it used.
         segment: String,
     },
     /// Software-managed coherence: the segment's writer never published, so
@@ -116,7 +121,7 @@ impl fmt::Display for ClusterError {
             }
             ClusterError::NotAcquired { host, segment } => write!(
                 f,
-                "host {host} must acquire segment '{segment}' before restoring \
+                "host {host} must acquire segment '{segment}' before using it \
                  (software-managed coherence)"
             ),
             ClusterError::NeverPublished { segment } => write!(
@@ -159,7 +164,8 @@ impl ClusterError {
 pub type ClusterResult<T> = std::result::Result<T, ClusterError>;
 
 /// One named shared segment: the allocation it was carved from, the shared
-/// window over it, and the checkpoint layout living inside.
+/// window over it, and the length its pool root records (a checkpoint's
+/// snapshot size, an object store's layout size).
 struct Segment {
     name: String,
     allocation: PoolAllocation,
@@ -198,7 +204,6 @@ impl fmt::Debug for DisaggregatedCluster {
             .finish()
     }
 }
-
 impl DisaggregatedCluster {
     /// Creates an empty cluster (no pooled devices yet) whose shared segments
     /// use `mode` for cross-host coherence.
@@ -322,81 +327,17 @@ impl ClusterHost {
         data_len: u64,
         chunk_len: u64,
     ) -> ClusterResult<HostSegment> {
-        let name = name.into();
         let size = CheckpointRegion::required_pool_size(data_len, chunk_len);
-        // Carve first, publish the name last: the segment only enters the
-        // shared map once it is fully formatted, so a concurrent
-        // attach_segment can never see (and keep using) a window whose
-        // capacity a failure rollback is about to release.
-        let segment = {
-            let segments = self.shared.segments();
-            if segments.contains_key(&name) {
-                return Err(ClusterError::SegmentExists(name));
-            }
-            let switch = &self.shared.switch;
-            let allocation = switch.allocate(self.host, size)?;
-            let region = Arc::new(switch.shared_region(&allocation, self.shared.mode)?);
-            Arc::new(Segment {
-                name: name.clone(),
-                allocation,
-                region,
-                data_len,
-            })
-        };
-        let formatted = (|| -> ClusterResult<CheckpointRegion<'static>> {
-            let backend = SharedRegionBackend::new(Arc::clone(&segment.region), self.host);
-            let pool = Arc::new(PmemPool::create_with_backend(
-                Arc::new(backend),
-                &segment.name,
-            )?);
-            let ckpt = CheckpointRegion::format(&pool, data_len, chunk_len)?;
-            pool.set_root(ckpt.oid(), data_len)?;
-            drop(ckpt);
-            Ok(CheckpointRegion::open_root_shared(pool)?)
-        })();
-        let error = match formatted {
-            Ok(region) => {
-                let mut segments = self.shared.segments();
-                match segments.entry(name) {
-                    std::collections::hash_map::Entry::Occupied(taken) => {
-                        // Another creator raced us to the name while we were
-                        // formatting off-lock; theirs won.
-                        ClusterError::SegmentExists(taken.key().clone())
-                    }
-                    std::collections::hash_map::Entry::Vacant(slot) => {
-                        slot.insert(Arc::clone(&segment));
-                        drop(segments);
-                        return Ok(HostSegment {
-                            host: self.host,
-                            segment,
-                            region: Some(region),
-                        });
-                    }
-                }
-            }
-            Err(e) => e,
-        };
-        // A failed (or name-raced) format must not leak the carved capacity.
-        let _ = self.shared.switch.release(segment.allocation.id);
-        Err(error)
+        self.create(name.into(), size, data_len, |pool| {
+            Ok(CheckpointRegion::format(pool, data_len, chunk_len)?.oid())
+        })
     }
 
     /// Attaches this host to an existing segment (maps the shared window).
     /// The pool inside is opened lazily — on the first `checkpoint`/`restore`
     /// — so undo-log recovery runs on the host that actually takes over.
     pub fn attach_segment(&self, name: &str) -> ClusterResult<HostSegment> {
-        let segment = self
-            .shared
-            .segments()
-            .get(name)
-            .cloned()
-            .ok_or_else(|| ClusterError::UnknownSegment(name.to_string()))?;
-        segment.region.attach(self.host);
-        Ok(HostSegment {
-            host: self.host,
-            segment,
-            region: None,
-        })
+        self.attach(name)
     }
 
     /// Carves a new shared segment holding a versioned [`pmem::ObjectStore`]
@@ -408,66 +349,73 @@ impl ClusterHost {
         capacity: u64,
         value_len: u64,
     ) -> ClusterResult<HostStore> {
-        let name = name.into();
         let size = ObjectStore::required_pool_size(capacity, value_len);
-        // Same carve-first / publish-the-name-last dance as `create_segment`:
-        // the map only learns the name once the store is fully formatted.
-        let segment = {
-            let segments = self.shared.segments();
-            if segments.contains_key(&name) {
-                return Err(ClusterError::SegmentExists(name));
-            }
-            let switch = &self.shared.switch;
-            let allocation = switch.allocate(self.host, size)?;
-            let region = Arc::new(switch.shared_region(&allocation, self.shared.mode)?);
-            Arc::new(Segment {
-                name: name.clone(),
-                allocation,
-                region,
-                data_len: ObjectStore::region_size(capacity, value_len),
-            })
-        };
-        let formatted = (|| -> ClusterResult<ObjectStore<'static>> {
-            let backend = SharedRegionBackend::new(Arc::clone(&segment.region), self.host);
-            let pool = Arc::new(PmemPool::create_with_backend(
-                Arc::new(backend),
-                &segment.name,
-            )?);
-            let store = ObjectStore::format(&pool, capacity, value_len)?;
-            pool.set_root(store.oid(), segment.data_len)?;
-            drop(store);
-            Ok(ObjectStore::open_root_shared(pool)?)
-        })();
-        let error = match formatted {
-            Ok(store) => {
-                let mut segments = self.shared.segments();
-                match segments.entry(name) {
-                    std::collections::hash_map::Entry::Occupied(taken) => {
-                        ClusterError::SegmentExists(taken.key().clone())
-                    }
-                    std::collections::hash_map::Entry::Vacant(slot) => {
-                        slot.insert(Arc::clone(&segment));
-                        drop(segments);
-                        return Ok(HostStore {
-                            host: self.host,
-                            segment,
-                            store: Some(store),
-                            front_door: None,
-                        });
-                    }
-                }
-            }
-            Err(e) => e,
-        };
-        // A failed (or name-raced) format must not leak the carved capacity.
-        let _ = self.shared.switch.release(segment.allocation.id);
-        Err(error)
+        let region_len = ObjectStore::region_size(capacity, value_len);
+        self.create(name.into(), size, region_len, |pool| {
+            Ok(ObjectStore::format(pool, capacity, value_len)?.oid())
+        })
     }
 
     /// Attaches this host to an existing object segment. The pool inside is
     /// opened lazily — on the first object op — so undo-log recovery runs on
     /// the host that actually takes over.
     pub fn open_store(&self, name: &str) -> ClusterResult<HostStore> {
+        self.attach(name)
+    }
+
+    /// Carves `pool_size` bytes, formats a pool inside the shared window,
+    /// lays out the payload with `format`, registers it as the pool root
+    /// (`data_len` bytes), and only then registers the segment name: a
+    /// concurrent attach can never see (and keep using) a window whose
+    /// capacity a failure rollback is about to release.
+    fn create<P: SegmentPayload>(
+        &self,
+        name: String,
+        pool_size: u64,
+        data_len: u64,
+        format: impl FnOnce(&PmemPool) -> pmem::Result<PmemOid>,
+    ) -> ClusterResult<HostHandle<P>> {
+        let switch = &self.shared.switch;
+        let allocation = {
+            let segments = self.shared.segments();
+            if segments.contains_key(&name) {
+                return Err(ClusterError::SegmentExists(name));
+            }
+            switch.allocate(self.host, pool_size)?
+        };
+        let allocation_id = allocation.id;
+        let created = (|| {
+            let region = Arc::new(switch.shared_region(&allocation, self.shared.mode)?);
+            let backend = SharedRegionBackend::new(Arc::clone(&region), self.host);
+            let pool = Arc::new(PmemPool::create_with_backend(Arc::new(backend), &name)?);
+            pool.set_root(format(&pool)?, data_len)?;
+            let payload = P::open_payload(pool)?;
+            let segment = Arc::new(Segment {
+                name: name.clone(),
+                allocation,
+                region,
+                data_len,
+            });
+            match self.shared.segments().entry(name) {
+                // Another creator raced us to the name while we were
+                // formatting off-lock; theirs won.
+                Entry::Occupied(taken) => Err(ClusterError::SegmentExists(taken.key().clone())),
+                Entry::Vacant(slot) => {
+                    slot.insert(Arc::clone(&segment));
+                    Ok(HostHandle::new(self.host, segment, Some(payload)))
+                }
+            }
+        })();
+        if created.is_err() {
+            // A failed (or name-raced) create must not leak the carved capacity.
+            let _ = switch.release(allocation_id);
+        }
+        created
+    }
+
+    /// Maps an existing segment's window for this host; the payload opens
+    /// on first use.
+    fn attach<P: SegmentPayload>(&self, name: &str) -> ClusterResult<HostHandle<P>> {
         let segment = self
             .shared
             .segments()
@@ -475,42 +423,81 @@ impl ClusterHost {
             .cloned()
             .ok_or_else(|| ClusterError::UnknownSegment(name.to_string()))?;
         segment.region.attach(self.host);
-        Ok(HostStore {
-            host: self.host,
-            segment,
-            store: None,
-            front_door: None,
-        })
+        Ok(HostHandle::new(self.host, segment, None))
     }
 }
 
-/// One host's attachment to one shared segment: checkpoint in, restore out,
-/// with the coherence discipline enforced (see the [module docs](self)).
+/// The layout a [`HostHandle`] keeps open inside its shared segment: the
+/// checkpoint region of a [`HostSegment`] or the object store of a
+/// [`HostStore`].
+pub trait SegmentPayload: Sized {
+    /// Opens the layout registered as the pool's root object, sharing
+    /// ownership of the pool so the layout can live in the handle.
+    fn open_payload(pool: Arc<PmemPool>) -> pmem::Result<Self>;
+}
+
+impl SegmentPayload for CheckpointRegion<'static> {
+    fn open_payload(pool: Arc<PmemPool>) -> pmem::Result<Self> {
+        CheckpointRegion::open_root_shared(pool)
+    }
+}
+
+impl SegmentPayload for ObjectStore<'static> {
+    fn open_payload(pool: Arc<PmemPool>) -> pmem::Result<Self> {
+        ObjectStore::open_root_shared(pool)
+    }
+}
+
+/// One host's attachment to one shared segment, with the coherence
+/// discipline of the [module docs](self) enforced once for every payload
+/// kind: [`HostSegment`] checkpoints in and restores out, [`HostStore`]
+/// serves KV-style get/put/commit/delete with optional QoS admission classing
+/// per op.
 ///
 /// Dropping the handle models the host being torn down — the segment's bytes
 /// stay on the pooled (battery-backed) devices, and any other host can
-/// attach and take over.
-pub struct HostSegment {
+/// attach and take over (undo-log recovery rolls back a commit the dead host
+/// tore).
+pub struct HostHandle<P> {
     host: HostId,
     segment: Arc<Segment>,
-    /// The opened checkpoint region (shared ownership of its pool). Kept
-    /// across calls so the incremental chunk-hash cache survives — an
-    /// unchanged checkpoint stays a zero-chunk-flush no-op on the cluster
-    /// path too. `None` until first use, and reset when a commit dies.
-    region: Option<CheckpointRegion<'static>>,
+    /// The opened layout (shared ownership of its pool). Kept across calls
+    /// so its caches survive — an unchanged checkpoint stays a
+    /// zero-chunk-flush no-op on the cluster path too. `None` until first
+    /// use; dropped by an acquire that advances the view and by any failed
+    /// mutation, so the next use reopens the pool and recovers.
+    payload: Option<P>,
+    /// Optional QoS front door the `*_classed` ops submit through.
+    front_door: Option<Arc<AdmissionController>>,
 }
 
-impl fmt::Debug for HostSegment {
+/// A host's handle on a checkpoint segment.
+pub type HostSegment = HostHandle<CheckpointRegion<'static>>;
+
+/// A host's handle on an object segment.
+pub type HostStore = HostHandle<ObjectStore<'static>>;
+
+impl<P> fmt::Debug for HostHandle<P> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("HostSegment")
+        f.debug_struct("HostHandle")
             .field("host", &self.host)
             .field("segment", &self.segment.name)
-            .field("pool_open", &self.region.is_some())
+            .field("pool_open", &self.payload.is_some())
+            .field("front_door", &self.front_door.is_some())
             .finish()
     }
 }
 
-impl HostSegment {
+impl<P: SegmentPayload> HostHandle<P> {
+    fn new(host: HostId, segment: Arc<Segment>, payload: Option<P>) -> Self {
+        HostHandle {
+            host,
+            segment,
+            payload,
+            front_door: None,
+        }
+    }
+
     /// The segment's name.
     pub fn name(&self) -> &str {
         &self.segment.name
@@ -521,28 +508,114 @@ impl HostSegment {
         self.host
     }
 
-    /// Snapshot payload size the segment was created for (bytes).
-    pub fn data_len(&self) -> u64 {
-        self.segment.data_len
-    }
-
     /// The shared window the segment lives in (stats, protocol state).
     pub fn region(&self) -> Arc<SharedRegion> {
         Arc::clone(&self.segment.region)
     }
 
-    fn ensure_region(&mut self) -> pmem::Result<&mut CheckpointRegion<'static>> {
-        if self.region.is_none() {
-            let backend = SharedRegionBackend::new(Arc::clone(&self.segment.region), self.host);
-            // Opening runs pool recovery: a commit record torn by the
-            // previous owner's crash is rolled back before any restore.
-            let pool = Arc::new(PmemPool::open_with_backend(
-                Arc::new(backend),
-                &self.segment.name,
-            )?);
-            self.region = Some(CheckpointRegion::open_root_shared(pool)?);
+    /// Acquires the latest publication of the segment — the reader half of
+    /// the software-coherence protocol, required before a host that did not
+    /// write the data may read or extend it.
+    ///
+    /// If the acquire advances this host's view (another host published
+    /// since), the cached layout is dropped: its snapshot of the committed
+    /// state — the checkpoint region's epoch and chunk-hash cache, the
+    /// store's descriptor counters and staged puts — described the
+    /// superseded publication, so the next op reopens the pool and re-reads
+    /// it. A staged put discarded this way surfaces as a typed `commit
+    /// without a staged put` error; stage it again against the refreshed
+    /// view. Under hardware coherence every view counts as current, so the
+    /// handle cannot tell whether another host's writes superseded its
+    /// layout, and an acquire always drops it.
+    pub fn acquire(&mut self) -> ClusterResult<u64> {
+        let region = &self.segment.region;
+        let current =
+            region.mode() == CoherenceMode::SoftwareManaged && region.is_up_to_date(self.host);
+        let version = region.acquire(self.host)?;
+        if !current {
+            self.payload = None;
         }
-        Ok(self.region.as_mut().expect("region just ensured"))
+        Ok(version)
+    }
+
+    /// The coherence check. Under software-managed coherence a read needs a
+    /// published segment and a current view; a write needs a current view
+    /// only once the segment was published, because the creator is the one
+    /// establishing publication. Hardware coherence refuses nothing.
+    fn check_view(&self, write: bool) -> ClusterResult<()> {
+        let region = &self.segment.region;
+        if region.mode() != CoherenceMode::SoftwareManaged {
+            return Ok(());
+        }
+        if region.version() == 0 {
+            if write {
+                return Ok(());
+            }
+            return Err(ClusterError::NeverPublished {
+                segment: self.segment.name.clone(),
+            });
+        }
+        if !region.is_up_to_date(self.host) {
+            return Err(ClusterError::NotAcquired {
+                host: self.host,
+                segment: self.segment.name.clone(),
+            });
+        }
+        Ok(())
+    }
+
+    /// The cached layout, opened on first use. Opening runs pool recovery:
+    /// a commit record torn by the previous owner's crash is rolled back
+    /// before any op sees the layout.
+    fn payload(&mut self) -> pmem::Result<&mut P> {
+        match &mut self.payload {
+            Some(payload) => Ok(payload),
+            slot @ None => {
+                let backend = SharedRegionBackend::new(Arc::clone(&self.segment.region), self.host);
+                let pool = PmemPool::open_with_backend(Arc::new(backend), &self.segment.name)?;
+                Ok(slot.insert(P::open_payload(Arc::new(pool))?))
+            }
+        }
+    }
+
+    /// The layout for a read. Discipline first: a stale or never-published
+    /// view is refused before the pool opens, so such a host never runs
+    /// recovery on shared state.
+    fn reader(&mut self) -> ClusterResult<&mut P> {
+        self.check_view(false)?;
+        Ok(self.payload()?)
+    }
+
+    /// Runs `op` as a mutation of the layout. Success publishes when
+    /// `publish` is set — a commit ends in a publish, so other hosts become
+    /// entitled to acquire it. Any failure (an injected crash or a real
+    /// error) publishes nothing and drops the cached layout, so the next
+    /// use, on this host or any other, reopens the pool and recovers.
+    fn mutate<T>(
+        &mut self,
+        publish: bool,
+        op: impl FnOnce(&mut P) -> pmem::Result<T>,
+    ) -> ClusterResult<T> {
+        self.check_view(true)?;
+        match self.payload().and_then(op) {
+            Ok(value) => {
+                if publish {
+                    self.segment.region.publish(self.host)?;
+                }
+                Ok(value)
+            }
+            Err(e) => {
+                self.payload = None;
+                Err(e.into())
+            }
+        }
+    }
+}
+
+impl HostSegment {
+    /// Snapshot payload size the segment was created for (bytes).
+    pub fn data_len(&self) -> u64 {
+        self.segment.data_len
     }
 
     /// Commits `data` as the next epoch and **publishes** it — the
@@ -550,7 +623,7 @@ impl HostSegment {
     /// publish. Serial persist path; see
     /// [`checkpoint_with`](Self::checkpoint_with) for the fan-out variant.
     pub fn checkpoint(&mut self, data: &[u8]) -> ClusterResult<CheckpointStats> {
-        self.commit(data, &SerialExecutor, None)
+        self.commit_epoch(data, &SerialExecutor, None)
     }
 
     /// Like [`checkpoint`](Self::checkpoint), with chunk flushes fanned out
@@ -561,7 +634,7 @@ impl HostSegment {
         data: &[u8],
         exec: &impl ChunkExecutor,
     ) -> ClusterResult<CheckpointStats> {
-        self.commit(data, exec, None)
+        self.commit_epoch(data, exec, None)
     }
 
     /// A checkpoint attempt with a crash armed at `crash` — the cross-host
@@ -575,87 +648,19 @@ impl HostSegment {
         crash: CheckpointCrash,
         exec: &impl ChunkExecutor,
     ) -> ClusterResult<CheckpointStats> {
-        self.commit(data, exec, Some(crash))
+        self.commit_epoch(data, exec, Some(crash))
     }
 
-    fn commit(
+    fn commit_epoch(
         &mut self,
         data: &[u8],
         exec: &impl ChunkExecutor,
         crash: Option<CheckpointCrash>,
     ) -> ClusterResult<CheckpointStats> {
-        // Writers are bound by the discipline too: extending the epoch chain
-        // means reading the committed descriptor/slot state, so a host whose
-        // view is stale must acquire first. (A segment nobody ever published
-        // is fine to write — the creator is the one establishing
-        // publication.)
-        if self.segment.region.mode() == CoherenceMode::SoftwareManaged
-            && self.segment.region.version() > 0
-            && !self.segment.region.is_up_to_date(self.host)
-        {
-            return Err(ClusterError::NotAcquired {
-                host: self.host,
-                segment: self.segment.name.clone(),
-            });
-        }
-        let outcome = {
-            let ckpt = self.ensure_region()?;
+        self.mutate(true, |ckpt| {
             ckpt.set_crash(crash);
             ckpt.checkpoint_with(data, exec)
-        };
-        match outcome {
-            Ok(stats) => {
-                // The commit record is durable; end the commit by publishing
-                // so other hosts become entitled to acquire the new epoch.
-                self.segment.region.publish(self.host)?;
-                Ok(stats)
-            }
-            Err(e) => {
-                // The attempt died mid-commit (injected crash or a real
-                // failure): drop the region + pool handle so the next use —
-                // on this host or any other — reopens and recovers. No
-                // publish.
-                self.region = None;
-                Err(e.into())
-            }
-        }
-    }
-
-    /// Acquires the latest publication of the segment — the reader half of
-    /// the software-coherence protocol, required before a restore on a host
-    /// that did not write the data.
-    ///
-    /// If the acquire advances this host's view (another host published
-    /// since), the cached region handle is dropped: its committed-epoch
-    /// snapshot and incremental chunk-hash cache described the superseded
-    /// publication, so the next op reopens the pool and re-reads the
-    /// descriptor.
-    pub fn acquire(&mut self) -> ClusterResult<u64> {
-        let fresh = self.segment.region.is_up_to_date(self.host);
-        let version = self.segment.region.acquire(self.host)?;
-        if !fresh {
-            self.region = None;
-        }
-        Ok(version)
-    }
-
-    /// Enforces the read-side coherence discipline.
-    fn check_coherence(&self) -> ClusterResult<()> {
-        if self.segment.region.mode() != CoherenceMode::SoftwareManaged {
-            return Ok(());
-        }
-        if self.segment.region.version() == 0 {
-            return Err(ClusterError::NeverPublished {
-                segment: self.segment.name.clone(),
-            });
-        }
-        if !self.segment.region.is_up_to_date(self.host) {
-            return Err(ClusterError::NotAcquired {
-                host: self.host,
-                segment: self.segment.name.clone(),
-            });
-        }
-        Ok(())
+        })
     }
 
     /// Restores the last committed epoch into `out` and returns its number.
@@ -666,65 +671,17 @@ impl HostSegment {
     /// publication. Only then is the pool opened (running crash recovery if
     /// the writer died mid-commit) and the committed slot read back.
     pub fn restore(&mut self, out: &mut [u8]) -> ClusterResult<u64> {
-        self.check_coherence()?;
-        let ckpt = self.ensure_region()?;
-        Ok(ckpt.restore(out)?)
+        Ok(self.reader()?.restore(out)?)
     }
 
     /// The last committed epoch recorded in the segment (0 = none), subject
     /// to the same coherence discipline as [`restore`](Self::restore).
     pub fn committed_epoch(&mut self) -> ClusterResult<u64> {
-        self.check_coherence()?;
-        let ckpt = self.ensure_region()?;
-        Ok(ckpt.committed_epoch())
-    }
-}
-
-/// One host's attachment to one shared **object segment**: KV-style
-/// get/put/commit/delete over a [`pmem::ObjectStore`] in the shared window,
-/// with the module's coherence discipline enforced per directory mutation and
-/// optional QoS admission classing per op (see the [module docs](self)).
-///
-/// Dropping the handle models the host being torn down — the store's bytes
-/// stay on the pooled devices, and any other host can `open_store` and take
-/// over (undo-log recovery rolls back a commit the dead host tore).
-pub struct HostStore {
-    host: HostId,
-    segment: Arc<Segment>,
-    /// The opened store (shared ownership of its pool). `None` until first
-    /// use, and reset when a commit dies so the next use reopens + recovers.
-    store: Option<ObjectStore<'static>>,
-    /// Optional QoS front door the `*_classed` ops submit through.
-    front_door: Option<Arc<AdmissionController>>,
-}
-
-impl fmt::Debug for HostStore {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("HostStore")
-            .field("host", &self.host)
-            .field("segment", &self.segment.name)
-            .field("pool_open", &self.store.is_some())
-            .field("front_door", &self.front_door.is_some())
-            .finish()
+        Ok(self.reader()?.committed_epoch())
     }
 }
 
 impl HostStore {
-    /// The segment's name.
-    pub fn name(&self) -> &str {
-        &self.segment.name
-    }
-
-    /// The host this handle acts as.
-    pub fn host(&self) -> HostId {
-        self.host
-    }
-
-    /// The shared window the store lives in (stats, protocol state).
-    pub fn region(&self) -> Arc<SharedRegion> {
-        Arc::clone(&self.segment.region)
-    }
-
     /// Routes this handle's `*_classed` ops through a QoS admission front
     /// door (typically the fleet's shared [`AdmissionController`]).
     pub fn set_front_door(&mut self, controller: Arc<AdmissionController>) {
@@ -734,56 +691,6 @@ impl HostStore {
     /// The attached front door, if any.
     pub fn front_door(&self) -> Option<&Arc<AdmissionController>> {
         self.front_door.as_ref()
-    }
-
-    fn ensure_store(&mut self) -> pmem::Result<&mut ObjectStore<'static>> {
-        if self.store.is_none() {
-            let backend = SharedRegionBackend::new(Arc::clone(&self.segment.region), self.host);
-            // Opening runs pool recovery: a commit record torn by the
-            // previous owner's crash is rolled back before any read.
-            let pool = Arc::new(PmemPool::open_with_backend(
-                Arc::new(backend),
-                &self.segment.name,
-            )?);
-            self.store = Some(ObjectStore::open_root_shared(pool)?);
-        }
-        Ok(self.store.as_mut().expect("store just ensured"))
-    }
-
-    /// Enforces the write-side coherence discipline: extending an object's
-    /// version chain means reading the committed directory state, so a host
-    /// whose view is stale must acquire first.
-    fn check_writer(&self) -> ClusterResult<()> {
-        if self.segment.region.mode() == CoherenceMode::SoftwareManaged
-            && self.segment.region.version() > 0
-            && !self.segment.region.is_up_to_date(self.host)
-        {
-            return Err(ClusterError::NotAcquired {
-                host: self.host,
-                segment: self.segment.name.clone(),
-            });
-        }
-        Ok(())
-    }
-
-    /// Enforces the read-side coherence discipline (same rules as
-    /// checkpoint segments).
-    fn check_coherence(&self) -> ClusterResult<()> {
-        if self.segment.region.mode() != CoherenceMode::SoftwareManaged {
-            return Ok(());
-        }
-        if self.segment.region.version() == 0 {
-            return Err(ClusterError::NeverPublished {
-                segment: self.segment.name.clone(),
-            });
-        }
-        if !self.segment.region.is_up_to_date(self.host) {
-            return Err(ClusterError::NotAcquired {
-                host: self.host,
-                segment: self.segment.name.clone(),
-            });
-        }
-        Ok(())
     }
 
     /// Submits `bytes` of `class` traffic to the front door (when one is
@@ -806,9 +713,7 @@ impl HostStore {
     /// [`commit`](Self::commit)). Writers are bound by the coherence
     /// discipline: a stale view is a typed refusal.
     pub fn put(&mut self, id: u64, value: &[u8]) -> ClusterResult<()> {
-        self.check_writer()?;
-        let store = self.ensure_store()?;
-        Ok(store.put(id, value)?)
+        self.mutate(false, |store| store.put(id, value))
     }
 
     /// A staging write with a crash armed at `crash` — the torn-payload half
@@ -816,26 +721,17 @@ impl HostStore {
     /// committed or published, and the handle forgets its pool (the host
     /// "died"); the committed version stays untouched for every other host.
     pub fn put_crashing(&mut self, id: u64, value: &[u8], crash: ObjectCrash) -> ClusterResult<()> {
-        self.check_writer()?;
-        let outcome = {
-            let store = self.ensure_store()?;
+        self.mutate(false, |store| {
             store.set_crash(Some(crash));
             store.put(id, value)
-        };
-        match outcome {
-            Ok(()) => Ok(()),
-            Err(e) => {
-                self.store = None;
-                Err(e.into())
-            }
-        }
+        })
     }
 
     /// Commits the staged version of object `id`, **publishes** the segment
     /// (the coherence contract: a directory mutation ends in a publish), and
     /// returns the object's new epoch.
     pub fn commit(&mut self, id: u64) -> ClusterResult<u64> {
-        self.commit_inner(id, None)
+        self.commit_armed(id, None)
     }
 
     /// A commit attempt with a crash armed at `crash` — the object
@@ -843,29 +739,14 @@ impl HostStore {
     /// injected-crash error, nothing is published, and the handle forgets
     /// its pool (the host "died").
     pub fn commit_crashing(&mut self, id: u64, crash: ObjectCrash) -> ClusterResult<u64> {
-        self.commit_inner(id, Some(crash))
+        self.commit_armed(id, Some(crash))
     }
 
-    fn commit_inner(&mut self, id: u64, crash: Option<ObjectCrash>) -> ClusterResult<u64> {
-        self.check_writer()?;
-        let outcome = {
-            let store = self.ensure_store()?;
+    fn commit_armed(&mut self, id: u64, crash: Option<ObjectCrash>) -> ClusterResult<u64> {
+        self.mutate(true, |store| {
             store.set_crash(crash);
             store.commit(id)
-        };
-        match outcome {
-            Ok(epoch) => {
-                self.segment.region.publish(self.host)?;
-                Ok(epoch)
-            }
-            Err(e) => {
-                // The attempt died mid-commit: drop the store + pool handle
-                // so the next use — on this host or any other — reopens and
-                // recovers. No publish.
-                self.store = None;
-                Err(e.into())
-            }
-        }
+        })
     }
 
     /// Stages and commits `value` as the next version of object `id`.
@@ -876,69 +757,32 @@ impl HostStore {
 
     /// Deletes object `id` (undo-logged) and publishes the segment.
     pub fn delete(&mut self, id: u64) -> ClusterResult<()> {
-        self.check_writer()?;
-        let outcome = {
-            let store = self.ensure_store()?;
-            store.delete(id)
-        };
-        match outcome {
-            Ok(()) => {
-                self.segment.region.publish(self.host)?;
-                Ok(())
-            }
-            Err(e) => Err(e.into()),
-        }
+        self.mutate(true, |store| store.delete(id))
     }
 
     // ------------------------------------------------------------- read side
-
-    /// Acquires the latest publication of the segment — the reader half of
-    /// the software-coherence protocol.
-    ///
-    /// If the acquire advances this host's view (another host published
-    /// since), the cached store handle is dropped: its descriptor-counter
-    /// snapshot and staged puts described the superseded publication, so the
-    /// next op reopens the pool and re-reads the directory. A staged put
-    /// discarded this way surfaces as a typed `commit without a staged put`
-    /// error — stage it again against the refreshed view.
-    pub fn acquire(&mut self) -> ClusterResult<u64> {
-        let fresh = self.segment.region.is_up_to_date(self.host);
-        let version = self.segment.region.acquire(self.host)?;
-        if !fresh {
-            self.store = None;
-        }
-        Ok(version)
-    }
 
     /// Reads the committed version of object `id`. Discipline first: a
     /// never-published store or a stale view is a typed refusal, and the
     /// store itself validates the entry checksum + payload hash — the caller
     /// gets the exact committed bytes or an error, never a torn mix.
     pub fn get(&mut self, id: u64) -> ClusterResult<Vec<u8>> {
-        self.check_coherence()?;
-        let store = self.ensure_store()?;
-        Ok(store.get(id)?)
+        Ok(self.reader()?.get(id)?)
     }
 
     /// The committed epoch of object `id` (discipline enforced).
     pub fn committed_version(&mut self, id: u64) -> ClusterResult<u64> {
-        self.check_coherence()?;
-        let store = self.ensure_store()?;
-        Ok(store.committed_version(id)?)
+        Ok(self.reader()?.committed_version(id)?)
     }
 
     /// Number of objects currently holding a committed version.
     pub fn live(&mut self) -> ClusterResult<u64> {
-        self.check_coherence()?;
-        let store = self.ensure_store()?;
-        Ok(store.live())
+        Ok(self.reader()?.live())
     }
 
     /// Full-directory audit (see [`pmem::ObjectStore::verify`]).
     pub fn verify(&mut self) -> ClusterResult<StoreCheck> {
-        self.check_coherence()?;
-        let store = self.ensure_store()?;
-        Ok(store.verify()?)
+        Ok(self.reader()?.verify()?)
     }
 
     // --------------------------------------------------------- classed traffic
@@ -960,14 +804,7 @@ impl HostStore {
     /// [`get`](Self::get) through the QoS front door: one slot's worth of
     /// [`QosClass::Restore`] (read-class) traffic at virtual time `now`.
     pub fn get_classed(&mut self, id: u64, now: f64) -> ClusterResult<Vec<u8>> {
-        // Discipline before the store is opened: opening runs undo-log
-        // recovery, which a stale or never-acquired host has no right to
-        // trigger just to size an admission request.
-        self.check_coherence()?;
-        let bytes = {
-            let store = self.ensure_store()?;
-            store.value_len()
-        };
+        let bytes = self.reader()?.value_len();
         self.admit(QosClass::Restore, bytes, now)?;
         self.get(id)
     }
@@ -1414,5 +1251,161 @@ mod tests {
         seg.acquire().unwrap();
         assert_eq!(seg.restore(&mut out).unwrap(), 1);
         assert_eq!(out, image(9));
+    }
+
+    /// The one coherence script both handle kinds run: commit `image(tag)`
+    /// (which publishes) and read the committed image back.
+    trait Scripted {
+        fn write(&mut self, tag: u8) -> ClusterResult<()>;
+        fn read(&mut self) -> ClusterResult<Vec<u8>>;
+    }
+
+    impl Scripted for HostSegment {
+        fn write(&mut self, tag: u8) -> ClusterResult<()> {
+            self.checkpoint(&image(tag)).map(drop)
+        }
+        fn read(&mut self) -> ClusterResult<Vec<u8>> {
+            let mut out = vec![0u8; DATA as usize];
+            self.restore(&mut out)?;
+            Ok(out)
+        }
+    }
+
+    impl Scripted for HostStore {
+        fn write(&mut self, tag: u8) -> ClusterResult<()> {
+            self.put_commit(0, &image(tag)).map(drop)
+        }
+        fn read(&mut self) -> ClusterResult<Vec<u8>> {
+            self.get(0)
+        }
+    }
+
+    /// Creator host 0 and reader host 1 walk the discipline: a read before
+    /// the first publish, the creator's first write, a stale reader and
+    /// writer, then an acquire on each side of a role swap.
+    fn coherence_script<P: SegmentPayload>(
+        mode: CoherenceMode,
+        create: impl FnOnce(&ClusterHost) -> ClusterResult<HostHandle<P>>,
+        attach: impl FnOnce(&ClusterHost) -> ClusterResult<HostHandle<P>>,
+    ) where
+        HostHandle<P>: Scripted,
+    {
+        let software = mode == CoherenceMode::SoftwareManaged;
+        let cluster = two_card_cluster(mode);
+        let mut creator = create(&cluster.host(0)).unwrap();
+        let mut reader = attach(&cluster.host(1)).unwrap();
+        let stale = |r: ClusterResult<()>, host: HostId| matches!(r, Err(ClusterError::NotAcquired { host: h, .. }) if h == host);
+
+        // Never published: software coherence refuses the read before the
+        // pool opens; hardware coherence lets the layout answer (nothing is
+        // committed yet), which caches a layout the acquire below must drop.
+        match reader.read() {
+            Err(ClusterError::NeverPublished { .. }) if software => {
+                assert!(format!("{reader:?}").contains("pool_open: false"));
+            }
+            Err(ClusterError::Pmem(_)) if !software => {}
+            other => panic!("{mode:?} {reader:?}: never-published read gave {other:?}"),
+        }
+        // The creator may write the never-published segment.
+        creator.write(1).unwrap();
+        if software {
+            assert!(stale(reader.read().map(drop), 1), "{reader:?}");
+            assert!(stale(reader.write(2), 1), "{reader:?}");
+        }
+        reader.acquire().unwrap();
+        assert_eq!(reader.read().unwrap(), image(1), "{mode:?} {reader:?}");
+
+        // Roles swap: the reader extends the chain, the creator goes stale.
+        reader.write(2).unwrap();
+        if software {
+            assert!(stale(creator.read().map(drop), 0), "{creator:?}");
+            assert!(stale(creator.write(3), 0), "{creator:?}");
+        }
+        creator.acquire().unwrap();
+        assert_eq!(creator.read().unwrap(), image(2), "{mode:?} {creator:?}");
+    }
+
+    #[test]
+    fn one_discipline_for_both_handle_kinds_and_both_modes() {
+        for mode in [
+            CoherenceMode::SoftwareManaged,
+            CoherenceMode::HardwareBackInvalidate,
+        ] {
+            coherence_script(
+                mode,
+                |host| host.create_segment("seg", DATA, CHUNK),
+                |host| host.attach_segment("seg"),
+            );
+            coherence_script(
+                mode,
+                |host| host.create_store("seg", 4, DATA),
+                |host| host.open_store("seg"),
+            );
+        }
+    }
+
+    #[test]
+    fn failed_mutations_publish_nothing_and_drop_the_cached_layout() {
+        let cluster = two_card_cluster(CoherenceMode::SoftwareManaged);
+        let mut store = cluster.host(0).create_store("kv", 16, 64).unwrap();
+        store.put_commit(1, b"v1").unwrap();
+        let version = store.region().version();
+        assert!(matches!(
+            store.delete(9),
+            Err(ClusterError::Pmem(PmemError::NoSuchObject(9)))
+        ));
+        assert_eq!(store.region().version(), version, "nothing published");
+        assert!(format!("{store:?}").contains("pool_open: false"));
+        store.get(1).unwrap();
+        assert!(matches!(
+            store.put(2, &[0u8; 65]),
+            Err(ClusterError::Pmem(PmemError::ObjectStore(
+                "value exceeds the store's slot length"
+            )))
+        ));
+        assert_eq!(store.region().version(), version, "nothing published");
+        assert!(format!("{store:?}").contains("pool_open: false"));
+        assert_eq!(store.put_commit(2, b"v2").unwrap(), 1);
+        assert_eq!(store.verify().unwrap().live, 2);
+
+        // The checkpoint kind follows the same path.
+        let mut seg = cluster.host(0).create_segment("ckpt", DATA, CHUNK).unwrap();
+        seg.checkpoint(&image(1)).unwrap();
+        let version = seg.region().version();
+        assert!(matches!(
+            seg.checkpoint(&image(2)[1..]),
+            Err(ClusterError::Pmem(PmemError::Checkpoint(_)))
+        ));
+        assert_eq!(seg.region().version(), version, "nothing published");
+        assert!(format!("{seg:?}").contains("pool_open: false"));
+        assert_eq!(seg.checkpoint(&image(2)).unwrap().epoch, 2);
+    }
+
+    #[test]
+    fn failed_store_create_releases_the_name_and_the_capacity() {
+        let cluster = two_card_cluster(CoherenceMode::SoftwareManaged);
+        let host = cluster.host(0);
+        // capacity = 0 is rejected by the object store after the carve.
+        assert!(matches!(
+            host.create_store("kv", 0, 64),
+            Err(ClusterError::Pmem(PmemError::ObjectStore(_)))
+        ));
+        assert_eq!(cluster.assigned_to(0), 0, "carved capacity leaked");
+        assert!(cluster.segment_names().is_empty(), "name leaked");
+        host.create_store("kv", 16, 64).unwrap();
+    }
+
+    #[test]
+    fn opening_a_segment_as_the_wrong_kind_is_a_typed_error() {
+        let cluster = two_card_cluster(CoherenceMode::SoftwareManaged);
+        let mut a = cluster.host(0).create_segment("ckpt", DATA, CHUNK).unwrap();
+        a.checkpoint(&image(1)).unwrap();
+        let mut b = cluster.host(1).open_store("ckpt").unwrap();
+        b.acquire().unwrap();
+        assert!(matches!(
+            b.get(0),
+            Err(ClusterError::Pmem(PmemError::ObjectStore(_)))
+        ));
+        assert!(format!("{b:?}").contains("pool_open: false"));
     }
 }

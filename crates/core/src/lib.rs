@@ -95,7 +95,10 @@ pub use admission::{
     AdmissionController, AdmissionError, ClassConfig, Decision, Permit, QosClass, Ticket,
 };
 pub use backend::CxlDeviceBackend;
-pub use cluster::{ClusterError, ClusterHost, DisaggregatedCluster, HostSegment, HostStore};
+pub use cluster::{
+    ClusterError, ClusterHost, DisaggregatedCluster, HostHandle, HostSegment, HostStore,
+    SegmentPayload,
+};
 pub use modes::{AccessMode, ModeProperties};
 pub use placement::{ExpansionPlan, TierPolicy};
 pub use runtime::{

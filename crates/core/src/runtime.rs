@@ -379,7 +379,11 @@ impl RuntimeBuilder {
     }
 
     /// Topology knob: parses + compiles a plain-text topology description —
-    /// the CEDT/SRAT-shaped ingest format of [`memsim::topology`]. Malformed
+    /// the CEDT/SRAT-shaped ingest format of [`memsim::topology`]. If the
+    /// machine has a CPU-less memory node, a functional Type-3 expander sized
+    /// from the ingested device specification backs it (so pools on the CXL
+    /// tier really store bytes), and every declared `[window.*]` becomes an
+    /// [`InterleavedWindow`] with one endpoint per interleave way. Malformed
     /// descriptions surface as [`RuntimeError::Topology`] *here*, keeping
     /// [`build`](Self::build) infallible.
     pub fn from_description(text: &str) -> crate::Result<Self> {
@@ -514,67 +518,6 @@ impl CxlPmemRuntime {
         }
     }
 
-    /// Builds the paper's Setup #1: dual Sapphire Rapids with a CXL-attached
-    /// DDR4-1333 expander (an [`FpgaPrototype`]) exposed as NUMA node 2.
-    #[deprecated(since = "0.1.0", note = "use `RuntimeBuilder::setup1().build()`")]
-    pub fn setup1() -> Self {
-        RuntimeBuilder::setup1().build()
-    }
-
-    /// Builds the paper's Setup #2: dual Xeon Gold 5215 with DDR4-2666 only.
-    #[deprecated(since = "0.1.0", note = "use `RuntimeBuilder::setup2().build()`")]
-    pub fn setup2() -> Self {
-        RuntimeBuilder::setup2().build()
-    }
-
-    /// Builds the DCPMM baseline machine (published Optane numbers on node 2).
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `RuntimeBuilder::dcpmm_baseline().build()`"
-    )]
-    pub fn dcpmm_baseline() -> Self {
-        RuntimeBuilder::dcpmm_baseline().build()
-    }
-
-    /// Wraps a caller-provided machine (ablations, upgraded prototypes...).
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `RuntimeBuilder::new().machine(machine)` (plus `.fpga(...)`) and `.build()`"
-    )]
-    pub fn custom(machine: Machine, fpga: Option<FpgaPrototype>) -> Self {
-        let mut builder = RuntimeBuilder::new().machine(machine);
-        if let Some(fpga) = fpga {
-            builder = builder.fpga(fpga);
-        }
-        builder.build()
-    }
-
-    /// Builds a runtime from a plain-text topology description — the
-    /// CEDT/SRAT-shaped ingest format of [`memsim::topology`]. The text is
-    /// parsed and compiled into the machine model; if the machine has a
-    /// CPU-less memory node, a functional Type-3 expander sized from the
-    /// ingested device specification backs it (so pools on the CXL tier
-    /// really store bytes), and every declared `[window.*]` becomes an
-    /// [`InterleavedWindow`] with one endpoint per interleave way.
-    ///
-    /// Malformed descriptions surface as [`RuntimeError::Topology`].
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `RuntimeBuilder::from_description(text)?.build()`"
-    )]
-    pub fn from_description(text: &str) -> crate::Result<Self> {
-        Ok(RuntimeBuilder::from_description(text)?.build())
-    }
-
-    /// Builds a runtime from an already-compiled [`memsim::IngestedTopology`].
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `RuntimeBuilder::from_ingested(ingested).build()`"
-    )]
-    pub fn from_ingested(ingested: memsim::IngestedTopology) -> Self {
-        RuntimeBuilder::from_ingested(ingested).build()
-    }
-
     /// A functional expander mirroring an ingested [`memsim::DeviceSpec`]:
     /// same name, capacity and channel count; soft-IP bandwidth set to the
     /// spec's read ceiling; pipeline latency set so link + pipeline add up to
@@ -608,7 +551,8 @@ impl CxlPmemRuntime {
     }
 
     /// Interleave windows realised from an ingested topology description
-    /// (empty for the hand-built presets and [`custom`](Self::custom)).
+    /// (empty for the hand-built presets and a caller-provided
+    /// [`machine`](RuntimeBuilder::machine)).
     pub fn interleaved_windows(&self) -> &[InterleavedWindow] {
         &self.interleaves
     }
@@ -1341,37 +1285,5 @@ mod tests {
             .simulate_stream_phase("base", &placement, 2, GB, GB / 2, AccessMode::MemoryMode)
             .unwrap();
         assert!(upgraded.bandwidth_gbs > baseline.bandwidth_gbs);
-    }
-
-    /// The deprecated constructor shims must stay exact drop-ins for the
-    /// builder until they are removed.
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_constructor_shims_delegate_to_the_builder() {
-        assert_eq!(
-            CxlPmemRuntime::setup1().setup(),
-            SetupKind::SapphireRapidsCxl
-        );
-        assert_eq!(CxlPmemRuntime::setup2().setup(), SetupKind::XeonGoldDdr4);
-        assert_eq!(
-            CxlPmemRuntime::dcpmm_baseline().setup(),
-            SetupKind::SapphireRapidsDcpmm
-        );
-        let machine = memsim::machines::sapphire_rapids_cxl_upgraded(2.4, 4);
-        assert_eq!(
-            CxlPmemRuntime::custom(machine, None).setup(),
-            SetupKind::Custom
-        );
-        let rt = CxlPmemRuntime::from_description(memsim::topology::reference::SPR_FPGA_CXL)
-            .expect("reference description ingests");
-        assert_eq!(rt.setup(), SetupKind::Ingested);
-        let ingested =
-            memsim::TopologyDescription::parse(memsim::topology::reference::SPR_FPGA_CXL)
-                .and_then(|d| d.compile())
-                .expect("reference description compiles");
-        assert_eq!(
-            CxlPmemRuntime::from_ingested(ingested).setup(),
-            SetupKind::Ingested
-        );
     }
 }

@@ -59,7 +59,6 @@ pub mod link;
 pub mod machine;
 pub mod machines;
 pub mod topology;
-pub mod trace;
 pub mod units;
 
 pub use access::{AccessPattern, ThreadTraffic, TrafficPhase};
@@ -70,7 +69,6 @@ pub use error::SimError;
 pub use link::{LinkKind, LinkSpec, Path};
 pub use machine::{Machine, MachineBuilder};
 pub use topology::{IngestedTopology, TopologyDescription, TopologyError};
-pub use trace::TrafficTrace;
 
 /// Result alias for simulator operations.
 pub type Result<T> = std::result::Result<T, SimError>;

@@ -75,6 +75,7 @@ use crate::error::PmemError;
 use crate::oid::PmemOid;
 use crate::pool::{fnv1a, PmemPool, MIN_POOL_SIZE};
 use crate::tx::CrashPoint;
+use crate::versioned::{commit_record, point_ordinal, torn_write, PoolRef, RecordCrash};
 use crate::Result;
 use std::sync::Arc;
 
@@ -141,17 +142,6 @@ pub struct CheckpointCrash {
     pub phase: CheckpointPhase,
     /// Sub-position within the stage (see [`CheckpointPhase`]).
     pub point: CrashPoint,
-}
-
-/// Ordinal of a crash point, used as the deterministic sub-position inside
-/// the chunk-flush and header-write phases.
-pub(crate) fn point_ordinal(point: CrashPoint) -> usize {
-    match point {
-        CrashPoint::AfterLogAppend => 0,
-        CrashPoint::BeforeCommit => 1,
-        CrashPoint::AfterCommit => 2,
-        CrashPoint::DuringRecovery => 3,
-    }
 }
 
 /// Outcome counters of one committed checkpoint.
@@ -257,27 +247,6 @@ impl SlotHeader {
             epoch: read(8),
             data_hash: read(16),
         })
-    }
-}
-
-/// How a region addresses its pool: borrowed for the classic in-stack use,
-/// or shared ownership for long-lived handles (the disaggregated cluster
-/// keeps one region per host segment, preserving the incremental chunk-hash
-/// cache across checkpoint calls instead of re-validating both slots each
-/// time).
-#[derive(Debug)]
-pub(crate) enum PoolRef<'p> {
-    Borrowed(&'p PmemPool),
-    Shared(Arc<PmemPool>),
-}
-
-impl std::ops::Deref for PoolRef<'_> {
-    type Target = PmemPool;
-    fn deref(&self) -> &PmemPool {
-        match self {
-            PoolRef::Borrowed(pool) => pool,
-            PoolRef::Shared(pool) => pool,
-        }
     }
 }
 
@@ -641,62 +610,32 @@ impl<'p> CheckpointRegion<'p> {
         }
         .to_bytes();
         let header_off = self.header_off(slot);
-        if let Some(c) = crash {
-            if c.phase == CheckpointPhase::HeaderWrite {
-                match point_ordinal(c.point) {
-                    0 => {}
-                    1 => self
-                        .pool
-                        .write(header_off, &header[..SLOT_HEADER_LEN / 2])?,
-                    2 => self.pool.write(header_off, &header)?,
-                    _ => {
-                        self.pool.write(header_off, &header)?;
-                        self.pool.persist(header_off, SLOT_HEADER_LEN as u64)?;
-                    }
-                }
-                return Err(PmemError::InjectedCrash("checkpoint-header-write"));
-            }
+        if let Some(c) = crash.filter(|c| c.phase == CheckpointPhase::HeaderWrite) {
+            let site = "checkpoint-header-write";
+            return torn_write(&self.pool, header_off, &header, c.point, site);
         }
         self.pool.write(header_off, &header)?;
         self.pool.persist(header_off, SLOT_HEADER_LEN as u64)?;
 
         // Phase 3: the commit record — descriptor update under the undo log.
-        match crash {
-            Some(c) if c.phase == CheckpointPhase::Commit => {
-                self.pool.set_crash_point(Some(c.point));
-            }
-            Some(c) if c.phase == CheckpointPhase::Recovery => {
-                // Strand the log mid-commit; the caller's next recover() run
-                // then hits the armed point (re-armed below).
-                self.pool.set_crash_point(Some(CrashPoint::BeforeCommit));
-            }
-            _ => {}
-        }
+        let record_crash = crash.and_then(|c| match c.phase {
+            CheckpointPhase::Commit => Some(RecordCrash::Commit(c.point)),
+            CheckpointPhase::Recovery => Some(RecordCrash::Recovery(c.point)),
+            CheckpointPhase::ChunkFlush | CheckpointPhase::HeaderWrite => None,
+        });
         let committed_at = self.base + COMMITTED_AT;
-        let result = self
-            .pool
-            .run_tx(|tx| tx.write(committed_at, &epoch.to_le_bytes()));
-        match result {
-            Ok(()) => {
-                self.committed = epoch;
-                // in-bounds: slot_for keeps slot ∈ {0, 1}.
-                self.hashes[slot] = new_hashes.into_iter().map(Some).collect();
-                Ok(CheckpointStats {
-                    epoch,
-                    chunks_total: self.chunk_count,
-                    chunks_written: dirty.len(),
-                    bytes_written,
-                })
-            }
-            Err(e) => {
-                if let Some(c) = crash {
-                    if c.phase == CheckpointPhase::Recovery && e.is_injected_crash() {
-                        self.pool.set_crash_point(Some(c.point));
-                    }
-                }
-                Err(e)
-            }
-        }
+        commit_record(&self.pool, record_crash, |tx| {
+            tx.write(committed_at, &epoch.to_le_bytes())
+        })?;
+        self.committed = epoch;
+        // in-bounds: slot_for keeps slot ∈ {0, 1}.
+        self.hashes[slot] = new_hashes.into_iter().map(Some).collect();
+        Ok(CheckpointStats {
+            epoch,
+            chunks_total: self.chunk_count,
+            chunks_written: dirty.len(),
+            bytes_written,
+        })
     }
 
     // ---------------------------------------------------------------- read

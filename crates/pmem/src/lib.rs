@@ -75,6 +75,7 @@ pub mod persist;
 pub mod pool;
 pub mod residency;
 pub mod tx;
+mod versioned;
 
 pub use alloc::AllocStats;
 pub use array::{PersistentArray, PmemScalar};

@@ -46,11 +46,11 @@
 //! commit stage, [`CrashPoint`] the sub-position, and the exhaustive product
 //! is exercised by the `object_crash_matrix` integration suite.
 
-use crate::checkpoint::{point_ordinal, PoolRef};
 use crate::error::PmemError;
 use crate::oid::PmemOid;
 use crate::pool::{fnv1a, PmemPool, MIN_POOL_SIZE};
 use crate::tx::CrashPoint;
+use crate::versioned::{commit_record, torn_write, PoolRef, RecordCrash};
 use crate::Result;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -427,21 +427,8 @@ impl<'p> ObjectStore<'p> {
         }
         let epoch = self.read_entry(id)?.map_or(0, |e| e.epoch);
         let off = self.slot_off(id, Self::slot_for(epoch + 1));
-        if let Some(c) = self.crash {
-            if c.phase == ObjectPhase::SlotWrite {
-                self.crash = None;
-                match point_ordinal(c.point) {
-                    0 => {}
-                    // in-bounds: value.len() / 2 ≤ value.len().
-                    1 => self.pool.write(off, &value[..value.len() / 2])?,
-                    2 => self.pool.write(off, value)?,
-                    _ => {
-                        self.pool.write(off, value)?;
-                        self.pool.persist(off, value.len() as u64)?;
-                    }
-                }
-                return Err(PmemError::InjectedCrash("object-slot-write"));
-            }
+        if let Some(c) = self.crash.take_if(|c| c.phase == ObjectPhase::SlotWrite) {
+            return torn_write(&self.pool, off, value, c.point, "object-slot-write");
         }
         self.pool.write(off, value)?;
         self.pool.flush(off, value.len() as u64)?;
@@ -502,41 +489,23 @@ impl<'p> ObjectStore<'p> {
             value_hash: staged.hash,
         }
         .to_bytes(id);
-        match crash {
-            Some(c) if c.phase == ObjectPhase::EntryCommit => {
-                self.pool.set_crash_point(Some(c.point));
-            }
-            Some(c) if c.phase == ObjectPhase::Recovery => {
-                // Strand the log mid-commit; the caller's next recover() run
-                // then hits the armed point (re-armed below).
-                self.pool.set_crash_point(Some(CrashPoint::BeforeCommit));
-            }
-            _ => {}
-        }
+        let record_crash = crash.and_then(|c| match c.phase {
+            ObjectPhase::EntryCommit => Some(RecordCrash::Commit(c.point)),
+            ObjectPhase::Recovery => Some(RecordCrash::Recovery(c.point)),
+            ObjectPhase::SlotWrite => None,
+        });
         let entry_off = self.entry_off(id);
         let seq = self.desc_counter(COMMIT_SEQ_AT)? + 1;
         let live = self.desc_counter(LIVE_AT)? + u64::from(previous.is_none());
-        let result = self.pool.run_tx(|tx| {
+        commit_record(&self.pool, record_crash, |tx| {
             tx.write(entry_off, &entry)?;
             tx.write(self.base + COMMIT_SEQ_AT, &seq.to_le_bytes())?;
             tx.write(self.base + LIVE_AT, &live.to_le_bytes())
-        });
-        match result {
-            Ok(()) => {
-                self.commit_seq = seq;
-                self.live = live;
-                self.staged.remove(&id);
-                Ok(epoch)
-            }
-            Err(e) => {
-                if let Some(c) = crash {
-                    if c.phase == ObjectPhase::Recovery && e.is_injected_crash() {
-                        self.pool.set_crash_point(Some(c.point));
-                    }
-                }
-                Err(e)
-            }
-        }
+        })?;
+        self.commit_seq = seq;
+        self.live = live;
+        self.staged.remove(&id);
+        Ok(epoch)
     }
 
     /// Stages and commits `value` as the next version of object `id`.
