@@ -26,7 +26,7 @@ fn object_store(c: &mut Criterion) {
         println!(
             "{:<10} {:>4} submitted  {:>4} served  {:>4} rejected  \
              p50 {:8.2} ms  p99 {:8.2} ms",
-            class.op, class.submitted, class.served, class.rejected, class.p50_ms, class.p99_ms,
+            class.name, class.submitted, class.served, class.rejected, class.p50_ms, class.p99_ms,
         );
     }
     println!(

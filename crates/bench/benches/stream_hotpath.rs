@@ -16,6 +16,7 @@ use std::time::Instant;
 use stream_bench::{
     ChunkedArrays, Kernel, PmemStream, SimulatedStream, StreamConfig, VolatileStream,
 };
+use streamer::tables::json_number;
 
 const ELEMENTS: usize = 1_000_000;
 const THREADS: usize = 8;
@@ -243,14 +244,6 @@ fn host_fingerprint() -> String {
         output("rustc", &["-V"]),
         output("git", &["rev-parse", "--short", "HEAD"])
     )
-}
-
-fn json_number(value: f64) -> String {
-    if value.is_finite() {
-        format!("{value:.6}")
-    } else {
-        "null".to_string()
-    }
 }
 
 fn stream_hotpath(c: &mut Criterion) {

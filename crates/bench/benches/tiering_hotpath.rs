@@ -24,6 +24,7 @@ use std::hint::black_box;
 use std::sync::Arc;
 use std::time::Instant;
 use stream_bench::{Kernel, StreamConfig, VolatileStream};
+use streamer::tables::json_number;
 
 const ELEMENTS: usize = 1_000_000;
 const THREADS: usize = 8;
@@ -51,14 +52,6 @@ fn sequence_seconds(stream: &mut VolatileStream, pool: &PinnedPool) -> f64 {
     let start = Instant::now();
     black_box(stream.run(pool));
     start.elapsed().as_secs_f64()
-}
-
-fn json_number(value: f64) -> String {
-    if value.is_finite() {
-        format!("{value:.6}")
-    } else {
-        "null".to_string()
-    }
 }
 
 /// Builds the functional region used for migration throughput: every chunk

@@ -100,7 +100,7 @@ pub use cluster::{
     SegmentPayload,
 };
 pub use modes::{AccessMode, ModeProperties};
-pub use placement::{ExpansionPlan, TierPolicy};
+pub use placement::TierPolicy;
 pub use runtime::{
     CxlPmemRuntime, InterleavedWindow, ManagedPool, PooledChunkExecutor, RuntimeBuilder,
     RuntimeError, RuntimePreset, SetupKind,

@@ -1,13 +1,10 @@
-//! Data placement across memory tiers.
+//! Data placement across memory tiers: which tier does a pool live on —
+//! local DDR5 (`/mnt/pmem0`), the remote socket's DDR5 (`/mnt/pmem1`), or
+//! the CXL expander (`/mnt/pmem2`)? [`TierPolicy`] captures that decision.
 //!
-//! Two placement questions matter to the paper's use cases:
-//!
-//! 1. **Which tier does a pool live on?** — local DDR5 (`/mnt/pmem0`), the
-//!    remote socket's DDR5 (`/mnt/pmem1`), or the CXL expander (`/mnt/pmem2`).
-//!    [`TierPolicy`] captures that decision.
-//! 2. **How does a Memory-Mode data set that exceeds local DRAM spread across
-//!    tiers?** — the classic memory-expansion use case. [`ExpansionPlan`]
-//!    splits a byte count over the nodes in preference order.
+//! How a data set larger than local DRAM spreads across tiers — the
+//! memory-expansion use case — is the tiering engine's job
+//! ([`crate::tiering`]).
 
 use memsim::Machine;
 use memsim::SimError;
@@ -70,69 +67,43 @@ impl TierPolicy {
     }
 }
 
-/// How a Memory-Mode data set is distributed across tiers.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ExpansionPlan {
-    /// `(node, bytes)` in placement order.
-    pub parts: Vec<(NodeId, u64)>,
-}
-
-impl ExpansionPlan {
-    /// Splits `bytes` over `preference` (in order), never exceeding each
-    /// node's capacity. Fails if the total capacity is insufficient.
-    pub fn spill(machine: &Machine, bytes: u64, preference: &[NodeId]) -> Result<Self, SimError> {
-        let mut remaining = bytes;
-        let mut parts = Vec::new();
-        for &node in preference {
-            if remaining == 0 {
-                break;
-            }
-            let capacity = machine
-                .topology()
-                .node(node)
-                .map_err(SimError::from)?
-                .mem_bytes;
-            let take = remaining.min(capacity);
-            if take > 0 {
-                parts.push((node, take));
-                remaining -= take;
-            }
-        }
-        if remaining > 0 {
-            return Err(SimError::CapacityExceeded {
-                node: preference.last().copied().unwrap_or_default(),
-                requested: bytes,
-                available: bytes - remaining,
-            });
-        }
-        Ok(ExpansionPlan { parts })
-    }
-
-    /// Total bytes placed.
-    pub fn total_bytes(&self) -> u64 {
-        self.parts.iter().map(|(_, b)| b).sum()
-    }
-
-    /// Fraction of the data set that landed on `node`.
-    pub fn fraction_on(&self, node: NodeId) -> f64 {
-        let total = self.total_bytes();
-        if total == 0 {
-            return 0.0;
-        }
-        self.parts
-            .iter()
-            .filter(|(n, _)| *n == node)
-            .map(|(_, b)| *b as f64)
-            .sum::<f64>()
-            / total as f64
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runtime::RuntimeBuilder;
+    use crate::tiering::{ChunkHeat, PlanContext, StaticSpillPolicy, TierPlanner, TierShape};
     use memsim::machines::{sapphire_rapids_cxl_machine, xeon_gold_ddr4_machine};
     use memsim::units::GIB;
+
+    /// The memory-expansion placement of a `gib` GiB data set: a static
+    /// spill over the local DIMM (node 0), then the expander (node 2), each
+    /// budgeted at its node's capacity. Returns the chunk fraction on the
+    /// expander and the bytes placed on each node.
+    fn expansion(gib: usize) -> crate::Result<(f64, Vec<(NodeId, u64)>)> {
+        let rt = RuntimeBuilder::setup1().build();
+        let tiers: Vec<TierShape> = [0, 2]
+            .into_iter()
+            .map(|node| TierShape {
+                node,
+                capacity_bytes: rt.topology().node(node).unwrap().mem_bytes,
+            })
+            .collect();
+        let heat = vec![ChunkHeat::default(); gib];
+        let ctx = PlanContext {
+            data_len: gib as u64 * GIB,
+            chunk_bytes: GIB,
+            heat: &heat,
+            tiers: &tiers,
+            engine: rt.engine(),
+            cpus: &[0],
+            current: None,
+        };
+        let plan = StaticSpillPolicy.plan(&ctx)?;
+        plan.validate(ctx.data_len, GIB, &tiers)?;
+        // Before any traffic the planning weight of a chunk is its size.
+        let parts = plan.traffic_parts(&tiers, &ctx.effective_heat());
+        Ok((plan.fraction_on(1), parts))
+    }
 
     #[test]
     fn tier_policies_resolve_to_paper_nodes() {
@@ -156,36 +127,30 @@ mod tests {
 
     #[test]
     fn expansion_spills_to_the_expander() {
-        let m = sapphire_rapids_cxl_machine();
         // 70 GiB: 64 on the local DIMM, 6 spill onto the CXL node.
-        let plan = ExpansionPlan::spill(&m, 70 * GIB, &[0, 2]).unwrap();
-        assert_eq!(plan.parts.len(), 2);
-        assert_eq!(plan.parts[0], (0, 64 * GIB));
-        assert_eq!(plan.parts[1], (2, 6 * GIB));
-        assert_eq!(plan.total_bytes(), 70 * GIB);
-        assert!((plan.fraction_on(2) - 6.0 / 70.0).abs() < 1e-9);
-        assert_eq!(plan.fraction_on(1), 0.0);
+        let (on_expander, parts) = expansion(70).unwrap();
+        assert_eq!(parts, vec![(0, 64 * GIB), (2, 6 * GIB)]);
+        assert_eq!(parts.iter().map(|&(_, b)| b).sum::<u64>(), 70 * GIB);
+        assert!((on_expander - 6.0 / 70.0).abs() < 1e-9);
     }
 
     #[test]
     fn small_datasets_stay_local() {
-        let m = sapphire_rapids_cxl_machine();
-        let plan = ExpansionPlan::spill(&m, GIB, &[0, 2]).unwrap();
-        assert_eq!(plan.parts, vec![(0, GIB)]);
+        let (on_expander, parts) = expansion(1).unwrap();
+        assert_eq!(parts, vec![(0, GIB), (2, 0)]);
+        assert_eq!(on_expander, 0.0);
     }
 
     #[test]
     fn overcommit_is_rejected() {
-        let m = sapphire_rapids_cxl_machine();
-        let err = ExpansionPlan::spill(&m, 1000 * GIB, &[0, 2]).unwrap_err();
-        assert!(matches!(err, SimError::CapacityExceeded { .. }));
+        let err = expansion(1000).unwrap_err();
+        assert!(matches!(err, crate::RuntimeError::Tiering(_)), "{err}");
     }
 
     #[test]
     fn empty_plan_fraction_is_zero() {
-        let m = sapphire_rapids_cxl_machine();
-        let plan = ExpansionPlan::spill(&m, 0, &[0]).unwrap();
-        assert_eq!(plan.total_bytes(), 0);
-        assert_eq!(plan.fraction_on(0), 0.0);
+        let (on_expander, parts) = expansion(0).unwrap();
+        assert_eq!(parts, vec![(0, 0), (2, 0)]);
+        assert_eq!(on_expander, 0.0);
     }
 }

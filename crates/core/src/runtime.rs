@@ -771,7 +771,7 @@ impl CxlPmemRuntime {
     /// residency map (in the *last* tier's pool — the spill tier, the CXL
     /// expander in the canonical setup). Initial placement is static spill:
     /// chunks fill the tiers in order, exactly like
-    /// [`ExpansionPlan::spill`](crate::placement::ExpansionPlan::spill).
+    /// [`StaticSpillPolicy`](crate::tiering::StaticSpillPolicy).
     pub fn tiered_region(
         &self,
         tiers: &[(TierPolicy, u64)],
@@ -869,33 +869,6 @@ impl CxlPmemRuntime {
             mode,
         );
         self.engine.simulate_cached(&phase).map_err(Into::into)
-    }
-
-    /// Simulates a phase whose data is spread over several nodes (Memory-Mode
-    /// expansion): each thread's traffic is split proportionally to the plan.
-    pub fn simulate_expansion_phase(
-        &self,
-        label: &str,
-        placement: &ThreadPlacement,
-        plan: &crate::placement::ExpansionPlan,
-        read_bytes_per_thread: u64,
-        write_bytes_per_thread: u64,
-    ) -> crate::Result<PhaseReport> {
-        let total = plan.total_bytes().max(1);
-        let mut traffic = Vec::new();
-        for &cpu in placement.cpus() {
-            for &(node, bytes) in &plan.parts {
-                let frac = bytes as f64 / total as f64;
-                traffic.push(ThreadTraffic::sequential(
-                    cpu,
-                    node,
-                    (read_bytes_per_thread as f64 * frac) as u64,
-                    (write_bytes_per_thread as f64 * frac) as u64,
-                ));
-            }
-        }
-        let phase = TrafficPhase::from_threads(label, traffic);
-        self.engine.simulate(&phase).map_err(Into::into)
     }
 
     /// The saturated (many-thread) bandwidth a socket can extract from a node
@@ -1110,10 +1083,10 @@ mod tests {
     fn expansion_phase_spreads_traffic() {
         let rt = RuntimeBuilder::setup1().build();
         let placement = rt.place(&AffinityPolicy::SingleSocket(0), 8).unwrap();
-        let plan = crate::placement::ExpansionPlan::spill(rt.machine(), 80 * GIB, &[0, 2]).unwrap();
-        let report = rt
-            .simulate_expansion_phase("expansion", &placement, &plan, GB, GB / 2)
-            .unwrap();
+        // 80 GiB spilled over the 64 GiB DIMM and the 16 GiB expander.
+        let parts = [(0, 64 * GIB), (2, 16 * GIB)];
+        let report =
+            crate::tiering::assignment_bandwidth(rt.engine(), placement.cpus(), &parts).unwrap();
         assert!(report.bandwidth_gbs > 0.0);
         // Two devices show up in the resource breakdown.
         assert!(report.resources.len() >= 2);

@@ -11,15 +11,13 @@
 //!    restores and releases, while pool accounting must conserve
 //!    (`unassigned + Σ assigned == total`) in every mid-flight snapshot.
 //!    This leans on the lock-striped `CxlSwitch`.
-//! 2. **Performance** — a deterministic tick-driven simulation of ≥ 200
-//!    streams across ≥ 16 hosts sharing a handful of expander cards. Every
-//!    stream passes the [`AdmissionController`] front door (token buckets
-//!    per [`QosClass`], bounded queues, typed rejection), granted streams
-//!    are steered to the least-loaded pooled card, and service is
-//!    priced by the [`PortContention`] model —
-//!    processor sharing of each port's read/write ceilings with the
-//!    calibrated arbitration shave. Latency = admission wait + service;
-//!    the report carries p50/p99/p999 per class.
+//! 2. **Performance** — ≥ 200 streams across ≥ 16 hosts sharing a handful
+//!    of expander cards, run through the [`sim`] kernel: every stream passes
+//!    the [`AdmissionController`] front door (token buckets per
+//!    [`QosClass`], bounded queues, typed rejection), granted streams are
+//!    steered to the least-loaded pooled card, and service is priced by the
+//!    [`PortContention`](memsim::PortContention) model. Latency = admission
+//!    wait + service; the report carries p50/p99/p999 per class.
 //!
 //! The verdict the CI gate enforces ([`FleetReport::all_hold`]): under
 //! deliberate Background overload, **Checkpoint p99 stays within 2× its
@@ -31,17 +29,19 @@
 //! reproduces bit-identically; [`report_json`] serialises the distribution
 //! into `BENCH_fleet.json`.
 
-use crate::tables::Table;
-use cxl_pmem::admission::{AdmissionController, AdmissionError, ClassConfig, Decision, QosClass};
+use crate::sim::{self, ClassStats, Load, Shape};
+use crate::tables::{json_number, Table};
+use cxl_pmem::admission::{AdmissionController, ClassConfig, QosClass};
 use cxl_pmem::cluster::CoherenceMode;
 use cxl_pmem::{ClusterError, RuntimeBuilder};
-use memsim::PortContention;
 
 const MIB: u64 = 1024 * 1024;
 
 /// Pooled expander cards behind the switch (simulation ports).
 pub const CARDS: usize = 4;
-/// Simulated hosts multiplexed onto the cards.
+/// Simulated hosts submitting the streams. Pooling steers every granted
+/// stream to the least-loaded card, so the sending host does not enter the
+/// simulation.
 pub const HOSTS: usize = 24;
 /// Checkpoint streams (writes) driven through the fleet.
 pub const CHECKPOINT_STREAMS: usize = 140;
@@ -53,34 +53,36 @@ pub const BACKGROUND_STREAMS: usize = 56;
 const PAYLOAD: u64 = 64 * MIB;
 /// Background scrub payload (bytes).
 const SCRUB_PAYLOAD: u64 = 128 * MIB;
-/// Arrival window all streams land in (virtual seconds).
-const WINDOW_S: f64 = 2.0;
-/// Simulation tick (virtual seconds).
-const DT: f64 = 0.0005;
-/// Hard ceiling on simulated time — reaching it means streams wedged.
-const DEADLINE_S: f64 = 120.0;
 
-/// Latency distribution of one QoS class through the fleet.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ClassStats {
-    /// The class.
-    pub class: QosClass,
-    /// Streams submitted.
-    pub submitted: usize,
-    /// Streams admitted (immediately or from the queue) and served.
-    pub served: usize,
-    /// Streams rejected with a typed [`AdmissionError`].
-    pub rejected: usize,
-    /// Median end-to-end latency (ms; admission wait + service).
-    pub p50_ms: f64,
-    /// 99th-percentile latency (ms).
-    pub p99_ms: f64,
-    /// 99.9th-percentile latency (ms).
-    pub p999_ms: f64,
-    /// The class's uncontended latency: one stream alone on an idle port,
-    /// no queueing (ms).
-    pub uncontended_ms: f64,
-}
+/// The simulation's shape: four cards, a 2 s arrival window, 0.5 ms ticks.
+const SHAPE: Shape = Shape {
+    seed: 0x5eed_f1ee_7ca5_0001,
+    cards: CARDS,
+    window_s: 2.0,
+    tick_s: 0.0005,
+};
+
+/// The stream population, one load per class in [`QosClass::ALL`] order.
+const LOADS: [Load; 3] = [
+    Load {
+        name: "checkpoint",
+        class: QosClass::Checkpoint,
+        count: CHECKPOINT_STREAMS,
+        bytes: PAYLOAD,
+    },
+    Load {
+        name: "restore",
+        class: QosClass::Restore,
+        count: RESTORE_STREAMS,
+        bytes: PAYLOAD,
+    },
+    Load {
+        name: "background",
+        class: QosClass::Background,
+        count: BACKGROUND_STREAMS,
+        bytes: SCRUB_PAYLOAD,
+    },
+];
 
 /// Aggregate report of the fleet scenario.
 #[derive(Debug, Clone, PartialEq)]
@@ -141,67 +143,6 @@ impl FleetReport {
     }
 }
 
-/// Deterministic split-mix style generator for arrival jitter.
-struct Lcg(u64);
-
-impl Lcg {
-    fn next(&mut self) -> u64 {
-        self.0 = self
-            .0
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1442695040888963407);
-        self.0 >> 16
-    }
-
-    /// Uniform f64 in [0, 1).
-    fn unit(&mut self) -> f64 {
-        (self.next() % (1 << 24)) as f64 / (1 << 24) as f64
-    }
-}
-
-#[derive(Debug, Clone, Copy, PartialEq)]
-enum StreamState {
-    /// Not yet arrived.
-    Pending,
-    /// Queued at admission (holds the granted-ticket id).
-    Queued(u64),
-    /// In service; remaining payload bytes.
-    Active(f64),
-    /// Served; completion time (virtual seconds).
-    Done(f64),
-    /// Typed admission rejection.
-    Rejected,
-}
-
-struct SimStream {
-    class: QosClass,
-    /// Serving card. Seeded with the host's home port by [`population`];
-    /// re-steered to the least-loaded card when admission grants service.
-    port: usize,
-    bytes: u64,
-    arrival: f64,
-    state: StreamState,
-}
-
-/// Least-loaded placement across the pooled cards: a granted stream is
-/// steered to the card with the fewest same-direction sharers (ties broken
-/// by total requesters, then card index). Pooling makes this legal — a new
-/// allocation can land behind any port — and it is what keeps simultaneous
-/// checkpoint admissions from stacking onto one expander's write ceiling.
-fn place(class: QosClass, readers: &[usize; CARDS], writers: &[usize; CARDS]) -> usize {
-    let same = if is_write(class) { writers } else { readers };
-    (0..CARDS)
-        .min_by_key(|&p| (same[p], readers[p] + writers[p], p))
-        .expect("at least one card")
-}
-
-/// Whether a class's traffic spends the port's write ceiling (checkpoints
-/// stream state *into* the pool) or the read ceiling (restores and scrubs
-/// stream it back out).
-fn is_write(class: QosClass) -> bool {
-    class == QosClass::Checkpoint
-}
-
 /// The scenario's admission configuration: Checkpoint and Restore sized for
 /// their offered load; Background deliberately throttled far below its
 /// demand so the overload surfaces as typed rejections.
@@ -227,58 +168,6 @@ fn admission() -> AdmissionController {
             queue_depth: 4,
         },
     ])
-}
-
-/// Builds the stream population: arrival-jittered checkpoints, restores and
-/// scrubs round-robined across hosts (and thereby ports).
-fn population() -> Vec<SimStream> {
-    let mut rng = Lcg(0x5eed_f1ee_7ca5_0001);
-    let mut streams = Vec::new();
-    let mut host = 0usize;
-    let mut push = |class: QosClass, count: usize, bytes: u64, rng: &mut Lcg, host: &mut usize| {
-        for _ in 0..count {
-            streams.push(SimStream {
-                class,
-                port: *host % CARDS,
-                bytes,
-                arrival: rng.unit() * WINDOW_S,
-                state: StreamState::Pending,
-            });
-            *host = (*host + 1) % HOSTS;
-        }
-    };
-    push(
-        QosClass::Checkpoint,
-        CHECKPOINT_STREAMS,
-        PAYLOAD,
-        &mut rng,
-        &mut host,
-    );
-    push(
-        QosClass::Restore,
-        RESTORE_STREAMS,
-        PAYLOAD,
-        &mut rng,
-        &mut host,
-    );
-    push(
-        QosClass::Background,
-        BACKGROUND_STREAMS,
-        SCRUB_PAYLOAD,
-        &mut rng,
-        &mut host,
-    );
-    streams.sort_by(|a, b| a.arrival.total_cmp(&b.arrival));
-    streams
-}
-
-/// Nearest-rank percentile of an ascending-sorted slice.
-fn percentile(sorted: &[f64], q: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    let rank = ((q * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
-    sorted[rank - 1]
 }
 
 /// The functional leg: many OS threads serve a real cluster concurrently;
@@ -354,166 +243,26 @@ fn concurrent_serving_conserves() -> Result<bool, ClusterError> {
 }
 
 /// Runs the whole fleet scenario on the paper's Setup #1 model: the
-/// functional concurrent-serving leg, then the deterministic tick simulation
-/// of the stream population through admission control and port contention.
+/// functional concurrent-serving leg, then the stream population through
+/// the [`sim`] kernel.
 pub fn run_fleet() -> Result<FleetReport, ClusterError> {
-    let runtime = RuntimeBuilder::setup1().build();
-    let port: PortContention = runtime
-        .engine()
-        .port_contention(2)
-        .map_err(|e| ClusterError::UnknownSegment(format!("contention model: {e}")))?;
-
+    let port = sim::expander_port()?;
     let pool_conserved = concurrent_serving_conserves()?;
-
-    let controller = admission();
-    let mut streams = population();
-    let mut next_arrival = 0usize;
-    // Ticket grant id -> stream index, for queued admissions.
-    let mut by_grant: std::collections::HashMap<u64, usize> = std::collections::HashMap::new();
-    let mut rejections: Vec<String> = Vec::new();
-
-    let mut now = 0.0f64;
-    let mut open = streams.len();
-    // Live per-card requester counts, maintained across ticks: incremented
-    // when a granted stream is steered onto a card, decremented when it
-    // finishes.
-    let mut readers = [0usize; CARDS];
-    let mut writers = [0usize; CARDS];
-    let activate = |idx: usize,
-                    streams: &mut [SimStream],
-                    readers: &mut [usize; CARDS],
-                    writers: &mut [usize; CARDS]| {
-        let card = place(streams[idx].class, readers, writers);
-        let s = &mut streams[idx];
-        s.port = card;
-        if is_write(s.class) {
-            writers[card] += 1;
-        } else {
-            readers[card] += 1;
-        }
-        s.state = StreamState::Active(s.bytes as f64);
-    };
-    while open > 0 {
-        // Arrivals: submit to the admission front door.
-        while next_arrival < streams.len() && streams[next_arrival].arrival <= now {
-            let idx = next_arrival;
-            next_arrival += 1;
-            match controller.submit(streams[idx].class, streams[idx].bytes, now) {
-                Ok(Decision::Admitted(_)) => {
-                    activate(idx, &mut streams, &mut readers, &mut writers)
-                }
-                Ok(Decision::Queued(t)) => {
-                    streams[idx].state = StreamState::Queued(t.grant);
-                    by_grant.insert(t.grant, idx);
-                }
-                Err(e) => {
-                    streams[idx].state = StreamState::Rejected;
-                    open -= 1;
-                    let rendered = e.to_string();
-                    if !rejections.contains(&rendered) {
-                        rejections.push(rendered);
-                    }
-                    debug_assert!(matches!(
-                        e,
-                        AdmissionError::QueueFull { .. }
-                            | AdmissionError::RequestTooLarge { .. }
-                            | AdmissionError::ClassClosed { .. }
-                    ));
-                }
-            }
-        }
-        // Grants: queued work whose bucket refilled goes to service.
-        for permit in controller.poll(now) {
-            if let Some(idx) = by_grant.remove(&permit.grant) {
-                activate(idx, &mut streams, &mut readers, &mut writers);
-            }
-        }
-        // Service: processor sharing per port against this tick's snapshot.
-        // Readers share the read ceiling, writers the write ceiling; the
-        // arbitration shave applies to the total requester count on the port.
-        let readers_now = readers;
-        let writers_now = writers;
-        for s in streams.iter_mut() {
-            let StreamState::Active(remaining) = s.state else {
-                continue;
-            };
-            let total_active = readers_now[s.port] + writers_now[s.port];
-            let efficiency = port.efficiency(total_active);
-            let gbs = if is_write(s.class) {
-                port.write_ceiling_gbs * efficiency / writers_now[s.port] as f64
-            } else {
-                port.read_ceiling_gbs * efficiency / readers_now[s.port] as f64
-            };
-            let needed = remaining / (gbs * 1e9);
-            if needed <= DT {
-                s.state = StreamState::Done(now + needed);
-                open -= 1;
-                if is_write(s.class) {
-                    writers[s.port] -= 1;
-                } else {
-                    readers[s.port] -= 1;
-                }
-            } else {
-                s.state = StreamState::Active(remaining - DT * gbs * 1e9);
-            }
-        }
-        now += DT;
-        if now > DEADLINE_S {
-            break; // wedged streams surface as served < submitted
-        }
-    }
-
-    // Distributions.
-    let mut classes = Vec::new();
-    for class in QosClass::ALL {
-        let mut latencies: Vec<f64> = streams
-            .iter()
-            .filter(|s| s.class == class)
-            .filter_map(|s| match s.state {
-                StreamState::Done(finish) => Some((finish - s.arrival) * 1e3),
-                _ => None,
-            })
-            .collect();
-        latencies.sort_by(f64::total_cmp);
-        let submitted = streams.iter().filter(|s| s.class == class).count();
-        let rejected = streams
-            .iter()
-            .filter(|s| s.class == class && s.state == StreamState::Rejected)
-            .count();
-        let bytes = if class == QosClass::Background {
-            SCRUB_PAYLOAD
-        } else {
-            PAYLOAD
-        };
-        let uncontended_ms = if is_write(class) {
-            port.write_seconds(bytes, 1) * 1e3
-        } else {
-            port.read_seconds(bytes, 1) * 1e3
-        };
-        classes.push(ClassStats {
-            class,
-            submitted,
-            served: latencies.len(),
-            rejected,
-            p50_ms: percentile(&latencies, 0.50),
-            p99_ms: percentile(&latencies, 0.99),
-            p999_ms: percentile(&latencies, 0.999),
-            uncontended_ms,
-        });
-    }
-    let ckpt = classes
+    let outcome = sim::run(SHAPE, &admission(), &port, &LOADS);
+    let ckpt = outcome
+        .classes
         .iter()
         .find(|c| c.class == QosClass::Checkpoint)
-        .expect("checkpoint class present");
+        .expect("checkpoint load present");
     let checkpoint_p99_ratio = ckpt.p99_ms / ckpt.uncontended_ms;
 
     Ok(FleetReport {
         hosts: HOSTS,
         cards: CARDS,
         pool_conserved,
-        classes,
+        classes: outcome.classes,
         checkpoint_p99_ratio,
-        sample_rejections: rejections,
+        sample_rejections: outcome.rejections,
     })
 }
 
@@ -587,14 +336,6 @@ pub fn fleet_table() -> Result<Table, ClusterError> {
     Ok(render_table(&run_fleet()?))
 }
 
-fn json_number(value: f64) -> String {
-    if value.is_finite() {
-        format!("{value:.6}")
-    } else {
-        "null".to_string()
-    }
-}
-
 /// Serialises a report as the `BENCH_fleet.json` document the CI perf gate
 /// reads: per-class latency distributions plus the gated ratio.
 pub fn report_json(report: &FleetReport) -> String {
@@ -610,7 +351,7 @@ pub fn report_json(report: &FleetReport) -> String {
     for (i, c) in report.classes.iter().enumerate() {
         out.push_str(&format!(
             "    \"{}\": {{\n      \"submitted\": {},\n      \"served\": {},\n      \"rejected\": {},\n      \"p50_ms\": {},\n      \"p99_ms\": {},\n      \"p999_ms\": {},\n      \"uncontended_ms\": {}\n    }}{}\n",
-            c.class.name().to_lowercase(),
+            c.name,
             c.submitted,
             c.served,
             c.rejected,
@@ -709,9 +450,9 @@ mod tests {
     #[test]
     fn percentile_is_nearest_rank() {
         let data = [1.0, 2.0, 3.0, 4.0, 5.0];
-        assert_eq!(percentile(&data, 0.5), 3.0);
-        assert_eq!(percentile(&data, 0.99), 5.0);
-        assert_eq!(percentile(&data, 0.001), 1.0);
-        assert_eq!(percentile(&[], 0.5), 0.0);
+        assert_eq!(sim::percentile(&data, 0.5), 3.0);
+        assert_eq!(sim::percentile(&data, 0.99), 5.0);
+        assert_eq!(sim::percentile(&data, 0.001), 1.0);
+        assert_eq!(sim::percentile(&[], 0.5), 0.0);
     }
 }

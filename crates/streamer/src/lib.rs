@@ -30,6 +30,9 @@
 //!   objects, cross-host tear matrix, publish/acquire coherence discipline,
 //!   and per-op-class p50/p99 through QoS admission into
 //!   `BENCH_objects.json`.
+//! * [`sim`] — the one scenario tick-simulation kernel under `fleet` and
+//!   `objects`: seeded class-tagged transfers through QoS admission onto
+//!   least-loaded pooled cards, processor-shared under port contention.
 //! * [`topo`] — the topology-ingestion scenario group: every reference
 //!   `.topo` description ingested end-to-end (text → device graph → runtime →
 //!   traffic), plus the silicon-validated calibration table CI gates through
@@ -62,16 +65,18 @@ pub mod fleet;
 pub mod groups;
 pub mod objects;
 pub mod scenarios;
+pub mod sim;
 pub mod tables;
 pub mod tiering;
 pub mod topo;
 
 pub use analysis::Analysis;
 pub use figures::{FigureData, TrendSeries};
-pub use fleet::{fleet_table, ClassStats, FleetReport};
+pub use fleet::{fleet_table, FleetReport};
 pub use groups::{TestGroup, Trend};
-pub use objects::{objects_table, ObjectsConfig, ObjectsReport, OpClassStats};
+pub use objects::{objects_table, ObjectsConfig, ObjectsReport};
 pub use scenarios::{disaggregation_table, RestartReport, RestartScenario};
+pub use sim::ClassStats;
 pub use tables::{headline_table, table1, table2};
 pub use tiering::{tiering_table, TieringPoint, TieringReport};
 pub use topo::{topology_table, TopologyPoint, TopologyReport};

@@ -19,8 +19,8 @@
 //!    recovery and must read the old-or-new committed version bit-exact,
 //!    with the directory conserving (`live + free == capacity`) in every
 //!    cell.
-//! 2. **Performance** — a deterministic tick simulation of batched KV ops
-//!    through the [`AdmissionController`] front door: `put_commit` batches
+//! 2. **Performance** — batched KV ops through the [`sim`] kernel and its
+//!    [`AdmissionController`] front door: `put_commit` batches
 //!    spend the write ceiling as [`QosClass::Checkpoint`] traffic, `get`
 //!    batches the read ceiling as [`QosClass::Restore`], and whole-store
 //!    `scan`s arrive as deliberately-throttled [`QosClass::Background`]
@@ -32,22 +32,23 @@
 //! bit-identically; [`report_json`] serialises the verdict into
 //! `BENCH_objects.json` for the CI perf gate.
 
-use crate::tables::Table;
-use cxl_pmem::admission::{AdmissionController, AdmissionError, ClassConfig, Decision, QosClass};
+use crate::sim::{self, ClassStats, Load, Shape};
+use crate::tables::{json_number, Table};
+use cxl_pmem::admission::{AdmissionController, ClassConfig, QosClass};
 use cxl_pmem::cluster::{CoherenceMode, CrashPoint, ObjectCrash, ObjectPhase};
 use cxl_pmem::{ClusterError, HostStore, RuntimeBuilder};
-use memsim::PortContention;
 use std::sync::Arc;
 
 const MIB: u64 = 1024 * 1024;
 /// Pooled expander cards behind the switch.
 const CARDS: usize = 2;
-/// Arrival window the simulated ops land in (virtual seconds).
-const WINDOW_S: f64 = 0.05;
-/// Simulation tick (virtual seconds).
-const DT: f64 = 0.0002;
-/// Hard ceiling on simulated time — reaching it means ops wedged.
-const DEADLINE_S: f64 = 30.0;
+/// The simulation's shape: two cards, a 50 ms arrival window, 0.2 ms ticks.
+const SHAPE: Shape = Shape {
+    seed: 0x000b_1ec7_5eed_0001,
+    cards: CARDS,
+    window_s: 0.05,
+    tick_s: 0.0002,
+};
 /// Bytes a commit record spends at admission (directory-entry sized).
 const COMMIT_BYTES: u64 = 64;
 
@@ -110,25 +111,6 @@ impl ObjectsConfig {
     }
 }
 
-/// Latency distribution of one KV op class through the front door.
-#[derive(Debug, Clone, PartialEq)]
-pub struct OpClassStats {
-    /// The QoS class the op class travels as.
-    pub class: QosClass,
-    /// The KV operation (`put_commit`, `get`, `scan`).
-    pub op: &'static str,
-    /// Batch ops submitted.
-    pub submitted: usize,
-    /// Batch ops admitted (immediately or from the queue) and served.
-    pub served: usize,
-    /// Batch ops rejected with a typed [`AdmissionError`].
-    pub rejected: usize,
-    /// Median end-to-end latency (ms; admission wait + service).
-    pub p50_ms: f64,
-    /// 99th-percentile latency (ms).
-    pub p99_ms: f64,
-}
-
 /// Aggregate report of the objects scenario.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ObjectsReport {
@@ -153,7 +135,7 @@ pub struct ObjectsReport {
     /// Every reader spot check returned the exact committed bytes.
     pub reads_exact: bool,
     /// Per-op-class stats, `put_commit` / `get` / `scan` order.
-    pub classes: Vec<OpClassStats>,
+    pub classes: Vec<ClassStats>,
 }
 
 impl ObjectsReport {
@@ -163,7 +145,7 @@ impl ObjectsReport {
     }
 
     /// Stats of one op class.
-    pub fn class(&self, class: QosClass) -> &OpClassStats {
+    pub fn class(&self, class: QosClass) -> &ClassStats {
         self.classes
             .iter()
             .find(|c| c.class == class)
@@ -424,48 +406,6 @@ fn functional_leg(cfg: &ObjectsConfig) -> Result<Functional, ClusterError> {
     })
 }
 
-/// Deterministic split-mix style generator for arrival jitter.
-struct Lcg(u64);
-
-impl Lcg {
-    fn next(&mut self) -> u64 {
-        self.0 = self
-            .0
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1442695040888963407);
-        self.0 >> 16
-    }
-
-    /// Uniform f64 in [0, 1).
-    fn unit(&mut self) -> f64 {
-        (self.next() % (1 << 24)) as f64 / (1 << 24) as f64
-    }
-}
-
-#[derive(Debug, Clone, Copy, PartialEq)]
-enum OpState {
-    Pending,
-    Queued(u64),
-    Active(f64),
-    Done(f64),
-    Rejected,
-}
-
-struct SimOp {
-    class: QosClass,
-    port: usize,
-    bytes: u64,
-    arrival: f64,
-    state: OpState,
-}
-
-/// Whether an op class spends the port's write ceiling (`put_commit` streams
-/// versions *into* the pool) or the read ceiling (`get`/`scan` stream them
-/// back out).
-fn is_write(class: QosClass) -> bool {
-    class == QosClass::Checkpoint
-}
-
 /// The simulation's admission shape: the KV classes sized for their offered
 /// load; Background scans throttled far below demand so the overload
 /// surfaces as typed rejections.
@@ -493,195 +433,38 @@ fn sim_admission() -> AdmissionController {
     ])
 }
 
-/// Builds the op population: arrival-jittered put_commit/get/scan batches
-/// round-robined across the pooled cards.
-fn population(cfg: &ObjectsConfig) -> Vec<SimOp> {
-    let mut rng = Lcg(0x000b_1ec7_5eed_0001);
-    let mut ops = Vec::new();
-    let mut port = 0usize;
-    let mut push = |class: QosClass, count: usize, bytes: u64, rng: &mut Lcg, port: &mut usize| {
-        for _ in 0..count {
-            ops.push(SimOp {
-                class,
-                port: *port % CARDS,
-                bytes,
-                arrival: rng.unit() * WINDOW_S,
-                state: OpState::Pending,
-            });
-            *port += 1;
-        }
-    };
-    push(
-        QosClass::Checkpoint,
-        cfg.writer_ops,
-        cfg.batch * (cfg.value_len + COMMIT_BYTES),
-        &mut rng,
-        &mut port,
-    );
-    push(
-        QosClass::Restore,
-        cfg.reader_ops,
-        cfg.batch * cfg.value_len,
-        &mut rng,
-        &mut port,
-    );
-    push(
-        QosClass::Background,
-        cfg.scan_ops,
-        cfg.scan_batch * cfg.value_len,
-        &mut rng,
-        &mut port,
-    );
-    ops.sort_by(|a, b| a.arrival.total_cmp(&b.arrival));
-    ops
-}
-
-/// Nearest-rank percentile of an ascending-sorted slice.
-fn percentile(sorted: &[f64], q: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    let rank = ((q * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
-    sorted[rank - 1]
-}
-
-/// The performance leg: the batched-op population through admission control
-/// and port contention, deterministic virtual time.
-fn simulate(cfg: &ObjectsConfig, port: &PortContention) -> Vec<OpClassStats> {
-    let controller = sim_admission();
-    let mut ops = population(cfg);
-    let mut next_arrival = 0usize;
-    let mut by_grant: std::collections::HashMap<u64, usize> = std::collections::HashMap::new();
-
-    let mut now = 0.0f64;
-    let mut open = ops.len();
-    let mut readers = [0usize; CARDS];
-    let mut writers = [0usize; CARDS];
-    let activate = |idx: usize,
-                    ops: &mut [SimOp],
-                    readers: &mut [usize; CARDS],
-                    writers: &mut [usize; CARDS]| {
-        // Least-loaded placement among the pooled cards.
-        let same: &[usize; CARDS] = if is_write(ops[idx].class) {
-            writers
-        } else {
-            readers
-        };
-        let card = (0..CARDS)
-            .min_by_key(|&p| (same[p], readers[p] + writers[p], p))
-            .expect("at least one card");
-        let op = &mut ops[idx];
-        op.port = card;
-        if is_write(op.class) {
-            writers[card] += 1;
-        } else {
-            readers[card] += 1;
-        }
-        op.state = OpState::Active(op.bytes as f64);
-    };
-    while open > 0 {
-        while next_arrival < ops.len() && ops[next_arrival].arrival <= now {
-            let idx = next_arrival;
-            next_arrival += 1;
-            match controller.submit(ops[idx].class, ops[idx].bytes, now) {
-                Ok(Decision::Admitted(_)) => activate(idx, &mut ops, &mut readers, &mut writers),
-                Ok(Decision::Queued(t)) => {
-                    ops[idx].state = OpState::Queued(t.grant);
-                    by_grant.insert(t.grant, idx);
-                }
-                Err(e) => {
-                    ops[idx].state = OpState::Rejected;
-                    open -= 1;
-                    debug_assert!(matches!(
-                        e,
-                        AdmissionError::QueueFull { .. }
-                            | AdmissionError::RequestTooLarge { .. }
-                            | AdmissionError::ClassClosed { .. }
-                    ));
-                }
-            }
-        }
-        for permit in controller.poll(now) {
-            if let Some(idx) = by_grant.remove(&permit.grant) {
-                activate(idx, &mut ops, &mut readers, &mut writers);
-            }
-        }
-        let readers_now = readers;
-        let writers_now = writers;
-        for op in ops.iter_mut() {
-            let OpState::Active(remaining) = op.state else {
-                continue;
-            };
-            let total_active = readers_now[op.port] + writers_now[op.port];
-            let efficiency = port.efficiency(total_active);
-            let gbs = if is_write(op.class) {
-                port.write_ceiling_gbs * efficiency / writers_now[op.port] as f64
-            } else {
-                port.read_ceiling_gbs * efficiency / readers_now[op.port] as f64
-            };
-            let needed = remaining / (gbs * 1e9);
-            if needed <= DT {
-                op.state = OpState::Done(now + needed);
-                open -= 1;
-                if is_write(op.class) {
-                    writers[op.port] -= 1;
-                } else {
-                    readers[op.port] -= 1;
-                }
-            } else {
-                op.state = OpState::Active(remaining - DT * gbs * 1e9);
-            }
-        }
-        now += DT;
-        if now > DEADLINE_S {
-            break; // wedged ops surface as served < submitted
-        }
-    }
-
-    let mut classes = Vec::new();
-    for (class, op_name) in [
-        (QosClass::Checkpoint, "put_commit"),
-        (QosClass::Restore, "get"),
-        (QosClass::Background, "scan"),
-    ] {
-        let mut latencies: Vec<f64> = ops
-            .iter()
-            .filter(|o| o.class == class)
-            .filter_map(|o| match o.state {
-                OpState::Done(finish) => Some((finish - o.arrival) * 1e3),
-                _ => None,
-            })
-            .collect();
-        latencies.sort_by(f64::total_cmp);
-        let submitted = ops.iter().filter(|o| o.class == class).count();
-        let rejected = ops
-            .iter()
-            .filter(|o| o.class == class && o.state == OpState::Rejected)
-            .count();
-        classes.push(OpClassStats {
-            class,
-            op: op_name,
-            submitted,
-            served: latencies.len(),
-            rejected,
-            p50_ms: percentile(&latencies, 0.50),
-            p99_ms: percentile(&latencies, 0.99),
-        });
-    }
-    classes
+/// The batched-op population: `put_commit` batches spend the write ceiling
+/// as Checkpoint traffic, `get` batches and whole-store `scan`s the read
+/// ceiling as Restore and Background traffic.
+fn loads(cfg: &ObjectsConfig) -> [Load; 3] {
+    [
+        Load {
+            name: "put_commit",
+            class: QosClass::Checkpoint,
+            count: cfg.writer_ops,
+            bytes: cfg.batch * (cfg.value_len + COMMIT_BYTES),
+        },
+        Load {
+            name: "get",
+            class: QosClass::Restore,
+            count: cfg.reader_ops,
+            bytes: cfg.batch * cfg.value_len,
+        },
+        Load {
+            name: "scan",
+            class: QosClass::Background,
+            count: cfg.scan_ops,
+            bytes: cfg.scan_batch * cfg.value_len,
+        },
+    ]
 }
 
 /// Runs the whole objects scenario: the functional cluster leg, then the
 /// deterministic performance simulation.
 pub fn run_objects(cfg: &ObjectsConfig) -> Result<ObjectsReport, ClusterError> {
-    let runtime = RuntimeBuilder::setup1().build();
-    let port: PortContention = runtime
-        .engine()
-        .port_contention(2)
-        .map_err(|e| ClusterError::UnknownSegment(format!("contention model: {e}")))?;
-
+    let port = sim::expander_port()?;
     let functional = functional_leg(cfg)?;
-    let classes = simulate(cfg, &port);
+    let classes = sim::run(SHAPE, &sim_admission(), &port, &loads(cfg)).classes;
 
     Ok(ObjectsReport {
         hosts: cfg.hosts,
@@ -741,7 +524,7 @@ pub fn render_table(report: &ObjectsReport) -> Table {
     ];
     for c in &report.classes {
         rows.push(vec![
-            format!("{} ({} ops)", c.op, c.submitted),
+            format!("{} ({} ops)", c.name, c.submitted),
             format!("{} served · {} rejected", c.served, c.rejected),
             format!("p50 {:.3} ms · p99 {:.3} ms", c.p50_ms, c.p99_ms),
         ]);
@@ -763,14 +546,6 @@ pub fn objects_table() -> Result<Table, ClusterError> {
     Ok(render_table(&run_objects(&ObjectsConfig::full())?))
 }
 
-fn json_number(value: f64) -> String {
-    if value.is_finite() {
-        format!("{value:.6}")
-    } else {
-        "null".to_string()
-    }
-}
-
 /// Serialises a report as the `BENCH_objects.json` document the CI perf gate
 /// reads: the functional verdicts plus per-op-class p50/p99.
 pub fn report_json(report: &ObjectsReport) -> String {
@@ -790,7 +565,7 @@ pub fn report_json(report: &ObjectsReport) -> String {
     for (i, c) in report.classes.iter().enumerate() {
         out.push_str(&format!(
             "    \"{}\": {{\n      \"submitted\": {},\n      \"served\": {},\n      \"rejected\": {},\n      \"p50_ms\": {},\n      \"p99_ms\": {}\n    }}{}\n",
-            c.op,
+            c.name,
             c.submitted,
             c.served,
             c.rejected,
@@ -817,7 +592,7 @@ mod tests {
         assert_eq!(report.crash_cells, 8);
         assert!(report.hosts >= 2);
         for c in &report.classes {
-            assert_eq!(c.served + c.rejected, c.submitted, "{} lost work", c.op);
+            assert_eq!(c.served + c.rejected, c.submitted, "{} lost work", c.name);
         }
         assert_eq!(report.class(QosClass::Checkpoint).rejected, 0);
         assert_eq!(report.class(QosClass::Restore).rejected, 0);
@@ -832,8 +607,8 @@ mod tests {
         assert_eq!(a, b, "the scenario must reproduce bit-identically");
         for c in &a.classes {
             if c.served > 0 {
-                assert!(c.p50_ms > 0.0, "{}", c.op);
-                assert!(c.p99_ms >= c.p50_ms, "{}", c.op);
+                assert!(c.p50_ms > 0.0, "{}", c.name);
+                assert!(c.p99_ms >= c.p50_ms, "{}", c.name);
             }
         }
     }
@@ -867,8 +642,8 @@ mod tests {
     #[test]
     fn percentile_is_nearest_rank() {
         let data = [1.0, 2.0, 3.0, 4.0, 5.0];
-        assert_eq!(percentile(&data, 0.5), 3.0);
-        assert_eq!(percentile(&data, 0.99), 5.0);
-        assert_eq!(percentile(&[], 0.5), 0.0);
+        assert_eq!(sim::percentile(&data, 0.5), 3.0);
+        assert_eq!(sim::percentile(&data, 0.99), 5.0);
+        assert_eq!(sim::percentile(&[], 0.5), 0.0);
     }
 }

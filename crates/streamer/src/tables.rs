@@ -39,6 +39,16 @@ impl Table {
     }
 }
 
+/// Renders a float for the hand-written `BENCH_*.json` documents: six
+/// decimals, or `null` for a value JSON cannot carry (NaN, ±∞).
+pub fn json_number(value: f64) -> String {
+    if value.is_finite() {
+        format!("{value:.6}")
+    } else {
+        "null".to_string()
+    }
+}
+
 fn gib(bytes: u64) -> String {
     format!("{:.0} GiB", bytes as f64 / (1u64 << 30) as f64)
 }

@@ -8,8 +8,8 @@
 //! hotter than the rest, a strided hot working set — and asks each
 //! [`TierPlanner`] policy where the chunks should live:
 //!
-//! * **static-spill** reproduces the old `ExpansionPlan` curve exactly
-//!   (chunks fill tiers in index order, heat ignored);
+//! * **static-spill** is the one-shot expansion placement: chunks fill
+//!   tiers in index order, heat ignored;
 //! * **hot-greedy** promotes the hottest chunks onto DDR5 under the capacity
 //!   budget — the latency-blind adaptive baseline;
 //! * **bandwidth-aware** interleaves traffic across both tiers in proportion

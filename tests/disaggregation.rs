@@ -4,7 +4,10 @@
 
 use std::sync::Arc;
 use streamer_repro::cxl::{CoherenceMode, CxlSwitch, FpgaPrototype, SharedRegion};
-use streamer_repro::cxl_pmem::{ExpansionPlan, RuntimeBuilder};
+use streamer_repro::cxl_pmem::{
+    assignment_bandwidth, ChunkHeat, PlanContext, RuntimeBuilder, StaticSpillPolicy, TierPlanner,
+    TierShape,
+};
 use streamer_repro::numa::AffinityPolicy;
 
 const GIB: u64 = 1024 * 1024 * 1024;
@@ -128,48 +131,52 @@ fn two_hosts_coordinate_through_the_shared_far_memory_segment() {
 fn memory_mode_expansion_trades_bandwidth_for_capacity() {
     let runtime = RuntimeBuilder::setup1().build();
     let placement = runtime.place(&AffinityPolicy::SingleSocket(0), 10).unwrap();
-    let fits_locally = ExpansionPlan::spill(runtime.machine(), 32 * GIB, &[0, 2]).unwrap();
-    let spills = ExpansionPlan::spill(runtime.machine(), 76 * GIB, &[0, 2]).unwrap();
-    assert_eq!(fits_locally.fraction_on(2), 0.0);
-    assert!(spills.fraction_on(2) > 0.1);
+    let cpus = placement.cpus();
+    // The budgets are the nodes' capacities: the local DIMM, then the expander.
+    let tiers: Vec<TierShape> = [0, 2]
+        .into_iter()
+        .map(|node| TierShape {
+            node,
+            capacity_bytes: runtime.topology().node(node).unwrap().mem_bytes,
+        })
+        .collect();
+    // Static spill of a `gib` data set: (fraction on the expander, traffic split).
+    let spill = |gib: u64| {
+        let heat = vec![ChunkHeat::default(); gib as usize];
+        let ctx = PlanContext {
+            data_len: gib * GIB,
+            chunk_bytes: GIB,
+            heat: &heat,
+            tiers: &tiers,
+            engine: runtime.engine(),
+            cpus,
+            current: None,
+        };
+        StaticSpillPolicy.plan(&ctx).map(|plan| {
+            (
+                plan.fraction_on(1),
+                plan.traffic_parts(&tiers, &ctx.effective_heat()),
+            )
+        })
+    };
+    let (fits_fraction, fits_locally) = spill(32).unwrap();
+    let (spill_fraction, spills) = spill(76).unwrap();
+    assert_eq!(fits_fraction, 0.0);
+    assert!(spill_fraction > 0.1);
 
-    let bytes_per_thread = 2 * GIB;
-    let local_only = runtime
-        .simulate_expansion_phase(
-            "fits",
-            &placement,
-            &fits_locally,
-            bytes_per_thread,
-            bytes_per_thread / 2,
-        )
-        .unwrap();
-    let expanded = runtime
-        .simulate_expansion_phase(
-            "spills",
-            &placement,
-            &spills,
-            bytes_per_thread,
-            bytes_per_thread / 2,
-        )
-        .unwrap();
+    let bandwidth = |parts: &[(usize, u64)]| {
+        assignment_bandwidth(runtime.engine(), cpus, parts)
+            .unwrap()
+            .bandwidth_gbs
+    };
     // A sweep that places *everything* on the expander (the naive membind=2
     // configuration) is much slower than both the local run and the spill plan
     // that only sends the overflow there.
-    let all_on_cxl = runtime
-        .simulate_stream_phase(
-            "cxl-only",
-            &placement,
-            2,
-            bytes_per_thread,
-            bytes_per_thread / 2,
-            streamer_repro::cxl_pmem::AccessMode::MemoryMode,
-        )
-        .unwrap();
-    assert!(local_only.bandwidth_gbs > all_on_cxl.bandwidth_gbs);
-    assert!(expanded.bandwidth_gbs > all_on_cxl.bandwidth_gbs);
-    assert!(expanded.bandwidth_gbs > 0.0);
+    let all_on_cxl = bandwidth(&[(2, 1)]);
+    assert!(bandwidth(&fits_locally) > all_on_cxl);
+    assert!(bandwidth(&spills) > all_on_cxl);
     // And a dataset that exceeds DRAM+CXL is correctly rejected.
-    assert!(ExpansionPlan::spill(runtime.machine(), 1000 * GIB, &[0, 2]).is_err());
+    assert!(spill(1000).is_err());
 }
 
 #[test]
