@@ -1396,6 +1396,32 @@ mod tests {
     }
 
     #[test]
+    fn overflowing_segment_shape_is_a_typed_error_and_leaks_nothing() {
+        let cluster = two_card_cluster(CoherenceMode::SoftwareManaged);
+        let host = cluster.host(0);
+        assert!(matches!(
+            host.create_segment("x", u64::MAX - 10, 1 << 20),
+            Err(ClusterError::Cxl(CxlError::InsufficientCapacity { .. }))
+        ));
+        assert_eq!(cluster.assigned_to(0), 0, "carved capacity leaked");
+        assert!(cluster.segment_names().is_empty(), "name leaked");
+        host.create_segment("x", DATA, CHUNK).unwrap();
+    }
+
+    #[test]
+    fn overflowing_store_shape_is_a_typed_error_and_leaks_nothing() {
+        let cluster = two_card_cluster(CoherenceMode::SoftwareManaged);
+        let host = cluster.host(0);
+        assert!(matches!(
+            host.create_store("x", u64::MAX / 8, 64),
+            Err(ClusterError::Cxl(CxlError::InsufficientCapacity { .. }))
+        ));
+        assert_eq!(cluster.assigned_to(0), 0, "carved capacity leaked");
+        assert!(cluster.segment_names().is_empty(), "name leaked");
+        host.create_store("x", 16, 64).unwrap();
+    }
+
+    #[test]
     fn opening_a_segment_as_the_wrong_kind_is_a_typed_error() {
         let cluster = two_card_cluster(CoherenceMode::SoftwareManaged);
         let mut a = cluster.host(0).create_segment("ckpt", DATA, CHUNK).unwrap();

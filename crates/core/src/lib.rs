@@ -103,7 +103,7 @@ pub use modes::{AccessMode, ModeProperties};
 pub use placement::TierPolicy;
 pub use runtime::{
     CxlPmemRuntime, InterleavedWindow, ManagedPool, PooledChunkExecutor, RuntimeBuilder,
-    RuntimeError, RuntimePreset, SetupKind,
+    RuntimeError, SetupKind,
 };
 pub use tiering::{
     assignment_bandwidth, AccessTracker, BandwidthAwarePolicy, ChunkHeat, HotGreedyPolicy,

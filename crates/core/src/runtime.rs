@@ -272,45 +272,31 @@ impl ChunkExecutor for PooledChunkExecutor<'_> {
     }
 }
 
-/// Which evaluation platform a [`RuntimeBuilder`] preset realises.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RuntimePreset {
-    /// Setup #1: Sapphire Rapids + DDR5 + CXL expander (Figure 2).
-    SapphireRapidsCxl,
-    /// Setup #2: Xeon Gold + DDR4, no CXL (Figure 3).
-    XeonGoldDdr4,
-    /// The DCPMM baseline machine used for the headline comparison.
-    SapphireRapidsDcpmm,
-}
-
 /// What topology a [`RuntimeBuilder`] realises at build time.
 enum BuilderTopology {
-    Preset(RuntimePreset),
+    Setup1,
+    Setup2,
+    DcpmmBaseline,
     Machine(Machine),
     Ingested(memsim::IngestedTopology),
 }
 
-/// The one front door for constructing a [`CxlPmemRuntime`] — this builder
-/// collapses the three historical constructor families (the hard-wired
-/// `setup1`/`setup2`/`dcpmm_baseline` presets, `from_description`, and
-/// `from_ingested`) behind explicit knobs:
+/// The one front door for constructing a [`CxlPmemRuntime`]. The topology is
+/// picked by the constructor:
 ///
-/// * **setup** — [`preset`](Self::preset) picks one of the paper's
-///   evaluation platforms (shorthands: [`RuntimeBuilder::setup1`],
-///   [`RuntimeBuilder::setup2`], [`RuntimeBuilder::dcpmm_baseline`]);
-/// * **topology** — [`machine`](Self::machine) wraps a caller-built machine
-///   model, [`from_description`](Self::from_description) parses + compiles a
-///   CEDT/SRAT-shaped plain-text description (validated *in the setter*, so
-///   [`build`](Self::build) stays infallible), and
+/// * **paper setups** — [`setup1`](Self::setup1), [`setup2`](Self::setup2)
+///   and [`dcpmm_baseline`](Self::dcpmm_baseline) compile the committed
+///   reference descriptions of [`memsim::machines`]; Setup #1's CXL node is
+///   backed by the paper's functional FPGA prototype;
+/// * **caller machines** — [`machine`](Self::machine) wraps a caller-built
+///   machine model (no functional card);
+/// * **ingested descriptions** — [`from_description`](Self::from_description)
+///   parses + compiles a CEDT/SRAT-shaped plain-text description (validated
+///   *in the constructor*, so [`build`](Self::build) stays infallible), and
 ///   [`from_ingested`](Self::from_ingested) takes an already-compiled
-///   [`memsim::IngestedTopology`];
-/// * **pool** — [`fpga`](Self::fpga) supplies (or overrides) the Type-3
-///   expander card backing the far-memory tier, [`hpa_base`](Self::hpa_base)
-///   sets the host physical address its HDM decodes at, and
-///   [`functional_expander`](Self::functional_expander) controls whether a
-///   CPU-less memory node in an ingested topology gets a functional card
-///   derived from its device spec (so pools on that tier really store
-///   bytes).
+///   [`memsim::IngestedTopology`]. A CPU-less memory node gets a functional
+///   card derived from its device spec, so pools on that tier really store
+///   bytes.
 ///
 /// ```
 /// use cxl_pmem::RuntimeBuilder;
@@ -320,9 +306,6 @@ enum BuilderTopology {
 /// ```
 pub struct RuntimeBuilder {
     topology: BuilderTopology,
-    fpga: Option<FpgaPrototype>,
-    hpa_base: u64,
-    functional_expander: bool,
 }
 
 impl Default for RuntimeBuilder {
@@ -332,47 +315,42 @@ impl Default for RuntimeBuilder {
 }
 
 impl RuntimeBuilder {
-    /// Default HPA base the expander's HDM decodes at (arbitrary in the
-    /// model; 128 GiB keeps it clear of the DRAM nodes).
+    /// HPA base the expander's HDM decodes at (arbitrary in the model;
+    /// 128 GiB keeps it clear of the DRAM nodes). An ingested `[window.*]`
+    /// keeps its own base.
     const DEFAULT_HPA_BASE: u64 = 0x20_0000_0000;
 
-    /// A builder for the paper's Setup #1 (the default preset).
+    /// A builder for the paper's Setup #1 (same as [`setup1`](Self::setup1)).
     pub fn new() -> Self {
-        RuntimeBuilder {
-            topology: BuilderTopology::Preset(RuntimePreset::SapphireRapidsCxl),
-            fpga: None,
-            hpa_base: Self::DEFAULT_HPA_BASE,
-            functional_expander: true,
-        }
+        Self::setup1()
     }
 
     /// Shorthand: a builder preconfigured for the paper's Setup #1 (dual
     /// Sapphire Rapids with a CXL-attached DDR4-1333 expander on node 2).
     pub fn setup1() -> Self {
-        Self::new().preset(RuntimePreset::SapphireRapidsCxl)
+        RuntimeBuilder {
+            topology: BuilderTopology::Setup1,
+        }
     }
 
     /// Shorthand: a builder preconfigured for the paper's Setup #2 (dual
     /// Xeon Gold 5215 with DDR4-2666 only).
     pub fn setup2() -> Self {
-        Self::new().preset(RuntimePreset::XeonGoldDdr4)
+        RuntimeBuilder {
+            topology: BuilderTopology::Setup2,
+        }
     }
 
     /// Shorthand: a builder preconfigured for the DCPMM baseline machine
     /// (published Optane numbers on node 2).
     pub fn dcpmm_baseline() -> Self {
-        Self::new().preset(RuntimePreset::SapphireRapidsDcpmm)
-    }
-
-    /// Setup knob: picks one of the paper's evaluation platforms.
-    pub fn preset(mut self, preset: RuntimePreset) -> Self {
-        self.topology = BuilderTopology::Preset(preset);
-        self
+        RuntimeBuilder {
+            topology: BuilderTopology::DcpmmBaseline,
+        }
     }
 
     /// Topology knob: wraps a caller-provided machine model (ablations,
-    /// upgraded prototypes, ...). Pair with [`fpga`](Self::fpga) when the
-    /// machine has a far-memory node a card should back.
+    /// upgraded prototypes, ...).
     pub fn machine(mut self, machine: Machine) -> Self {
         self.topology = BuilderTopology::Machine(machine);
         self
@@ -393,45 +371,20 @@ impl RuntimeBuilder {
 
     /// Topology knob: an already-compiled [`memsim::IngestedTopology`].
     pub fn from_ingested(ingested: memsim::IngestedTopology) -> Self {
-        let mut builder = Self::new();
-        builder.topology = BuilderTopology::Ingested(ingested);
-        builder
-    }
-
-    /// Pool knob: the Type-3 expander card backing the far-memory tier. For
-    /// the Setup #1 preset this replaces the paper prototype; for a custom
-    /// machine it attaches the card; for an ingested topology it overrides
-    /// the derived functional expander. Presets without a far-memory node
-    /// (Setup #2, the DCPMM baseline) ignore it.
-    pub fn fpga(mut self, fpga: FpgaPrototype) -> Self {
-        self.fpga = Some(fpga);
-        self
-    }
-
-    /// Pool knob: the host physical address the expander's HDM decodes at
-    /// (ingested topologies with an explicit `[window.*]` base keep theirs).
-    pub fn hpa_base(mut self, hpa_base: u64) -> Self {
-        self.hpa_base = hpa_base;
-        self
-    }
-
-    /// Pool knob: whether an ingested topology's CPU-less memory node gets a
-    /// functional expander derived from its device spec (default `true`;
-    /// switch off to model a topology whose far tier holds no real bytes).
-    pub fn functional_expander(mut self, enabled: bool) -> Self {
-        self.functional_expander = enabled;
-        self
+        RuntimeBuilder {
+            topology: BuilderTopology::Ingested(ingested),
+        }
     }
 
     /// Realises the runtime. Infallible: every fallible input was validated
-    /// by its setter.
+    /// by its constructor.
     pub fn build(self) -> CxlPmemRuntime {
         match self.topology {
-            BuilderTopology::Preset(RuntimePreset::SapphireRapidsCxl) => {
-                let fpga = self.fpga.unwrap_or_else(FpgaPrototype::paper_prototype);
+            BuilderTopology::Setup1 => {
+                let fpga = FpgaPrototype::paper_prototype();
                 // Enumerate the card so its HDM is accessible; the HPA base
                 // is arbitrary in the model.
-                let _ = fpga.enumerate(self.hpa_base);
+                let _ = fpga.enumerate(Self::DEFAULT_HPA_BASE);
                 // Keep the machine description consistent with the card.
                 let machine = memsim::machines::sapphire_rapids_cxl_machine()
                     .with_device(2, fpga.to_memsim_device())
@@ -444,42 +397,34 @@ impl RuntimeBuilder {
                     Some(fpga),
                 )
             }
-            BuilderTopology::Preset(RuntimePreset::XeonGoldDdr4) => CxlPmemRuntime::from_parts(
+            BuilderTopology::Setup2 => CxlPmemRuntime::from_parts(
                 SetupKind::XeonGoldDdr4,
                 Engine::new(memsim::machines::xeon_gold_ddr4_machine()),
                 None,
             ),
-            BuilderTopology::Preset(RuntimePreset::SapphireRapidsDcpmm) => {
-                CxlPmemRuntime::from_parts(
-                    SetupKind::SapphireRapidsDcpmm,
-                    Engine::new(memsim::machines::sapphire_rapids_dcpmm_machine()),
-                    None,
-                )
-            }
+            BuilderTopology::DcpmmBaseline => CxlPmemRuntime::from_parts(
+                SetupKind::SapphireRapidsDcpmm,
+                Engine::new(memsim::machines::sapphire_rapids_dcpmm_machine()),
+                None,
+            ),
             BuilderTopology::Machine(machine) => {
-                CxlPmemRuntime::from_parts(SetupKind::Custom, Engine::new(machine), self.fpga)
+                CxlPmemRuntime::from_parts(SetupKind::Custom, Engine::new(machine), None)
             }
             BuilderTopology::Ingested(ingested) => {
                 let memsim::IngestedTopology { machine, windows } = ingested;
                 let node = machine.topology().memory_only_nodes().next().map(|n| n.id);
-                let fpga = node.and_then(|node| {
+                let fpga = node.map(|node| {
                     let hpa_base = windows
                         .iter()
                         .find(|w| w.node == node)
                         .map(|w| w.hpa_base)
-                        .unwrap_or(self.hpa_base);
-                    let fpga = match self.fpga {
-                        Some(fpga) => fpga,
-                        None if self.functional_expander => {
-                            let device = machine
-                                .device(node)
-                                .expect("compiled topologies back every memory node with a device");
-                            CxlPmemRuntime::functional_expander(device)
-                        }
-                        None => return None,
-                    };
+                        .unwrap_or(Self::DEFAULT_HPA_BASE);
+                    let device = machine
+                        .device(node)
+                        .expect("compiled topologies back every memory node with a device");
+                    let fpga = CxlPmemRuntime::functional_expander(device);
                     let _ = fpga.enumerate(hpa_base);
-                    Some(fpga)
+                    fpga
                 });
                 let mut runtime =
                     CxlPmemRuntime::from_parts(SetupKind::Ingested, Engine::new(machine), fpga);

@@ -89,19 +89,6 @@ impl DeviceSpec {
         }
     }
 
-    /// Six channels of DDR4-2666 as installed per socket in Setup #2.
-    pub fn ddr4_2666_six_channels(name: impl Into<String>) -> Self {
-        DeviceSpec {
-            name: name.into(),
-            kind: DeviceKind::Ddr4,
-            read_bw_gbs: 6.0 * cal::DDR4_2666_CHANNEL_PEAK_GBS * cal::DDR_STREAM_EFFICIENCY,
-            write_bw_gbs: 6.0 * cal::DDR4_2666_CHANNEL_PEAK_GBS * cal::DDR_STREAM_EFFICIENCY,
-            idle_latency_ns: cal::DDR4_LOCAL_LATENCY_NS,
-            capacity_bytes: 96 * GIB,
-            channels: 6,
-        }
-    }
-
     /// The two DDR4-1333 modules on the Agilex-7 FPGA card, as seen *behind*
     /// the CXL endpoint (i.e. already constrained by the prototype's soft-IP
     /// implementation ceiling, §2.2).

@@ -61,16 +61,6 @@ impl LinkSpec {
         }
     }
 
-    /// UPI between two Xeon Gold 5215 sockets.
-    pub fn upi_xeon_gold() -> Self {
-        LinkSpec {
-            name: "UPI (Xeon Gold 5215)".to_string(),
-            kind: LinkKind::Upi,
-            bandwidth_gbs: cal::UPI_XEON_GOLD_EFFECTIVE_GBS,
-            latency_ns: cal::UPI_HOP_LATENCY_NS + 5.0,
-        }
-    }
-
     /// The PCIe Gen5 x16 link carrying CXL to the FPGA card (§2.2: "delivering
     /// a theoretical bandwidth of up to 64GB/s").
     pub fn pcie_gen5_x16_cxl() -> Self {

@@ -1,254 +1,45 @@
-//! The paper's two physical setups as ready-made machine models, plus variants
-//! used by baselines and ablations.
+//! The paper's two physical setups and the DCPMM baseline as ready-made
+//! machine models, plus the upgraded-card ablation.
 //!
-//! Since the topology-ingest path landed, every preset is expressed as a
-//! [`TopologyDescription`] — the same CEDT/SRAT-shaped declaration the
-//! plain-text format parses into — and compiled through
-//! [`TopologyDescription::compile`], so the hand-wired and ingested paths
-//! produce machines by exactly one code path. The descriptions are built
-//! programmatically from [`crate::calibration`] constants (not re-parsed from
-//! text) so the compiled machines stay bit-exact with the calibration table.
+//! Each preset compiles one committed description from
+//! [`crate::topology::reference`] (the `.topo` files under
+//! `crates/memsim/topologies/`). Those texts are the only source of the
+//! reference machines: the runtime's presets start from the same machines the
+//! calibration gate checks, and a test pins every bandwidth, latency, channel
+//! count and MLP in them to the [`crate::calibration`] constants.
 
 use crate::calibration as cal;
 use crate::device::DeviceSpec;
-use crate::link::{LinkSpec, Path};
+use crate::link::LinkKind;
 use crate::machine::Machine;
-use crate::topology::{
-    DeviceDecl, LinkDecl, MemoryDecl, PathDecl, ProcessorDecl, TopologyDescription,
-};
-use crate::units::GIB;
+use crate::topology::{reference, TopologyDescription};
 
-fn spr_processors() -> Vec<ProcessorDecl> {
-    (0..2)
-        .map(|socket| ProcessorDecl {
-            model: "Intel Xeon 4th Gen (Sapphire Rapids)".into(),
-            base_ghz: 2.1,
-            cores: 10,
-            node: socket,
-        })
-        .collect()
-}
-
-fn cxl_path_links() -> Vec<String> {
-    vec![
-        LinkSpec::pcie_gen5_x16_cxl().name,
-        LinkSpec::fpga_cxl_controller().name,
-    ]
-}
-
-/// The [`TopologyDescription`] behind [`sapphire_rapids_cxl_machine`].
-pub fn sapphire_rapids_cxl_description() -> TopologyDescription {
-    let upi = LinkSpec::upi_sapphire_rapids().name;
-    let mut d = TopologyDescription::new("sapphire-rapids-cxl");
-    d.smt = 2;
-    d.core_mlp = cal::SPR_CORE_MLP;
-    d.processors = spr_processors();
-    d.memories = vec![
-        MemoryDecl {
-            node: 0,
-            bytes: 64 * GIB,
-            label: "DDR5-4800 socket0".into(),
-        },
-        MemoryDecl {
-            node: 1,
-            bytes: 64 * GIB,
-            label: "DDR5-4800 socket1".into(),
-        },
-        MemoryDecl {
-            node: 2,
-            bytes: 16 * GIB,
-            label: "CXL DDR4-1333 expander (Agilex-7 FPGA)".into(),
-        },
-    ];
-    d.devices = vec![
-        DeviceDecl::from_spec(
-            Some(0),
-            DeviceSpec::ddr5_4800_single_dimm("DDR5-4800 64GB socket0"),
-        ),
-        DeviceDecl::from_spec(
-            Some(1),
-            DeviceSpec::ddr5_4800_single_dimm("DDR5-4800 64GB socket1"),
-        ),
-        DeviceDecl::from_spec(
-            Some(2),
-            DeviceSpec::cxl_prototype_ddr4_1333("CXL DDR4-1333 16GB (Agilex-7)"),
-        ),
-    ];
-    d.links = vec![
-        LinkDecl::from_spec(LinkSpec::upi_sapphire_rapids()),
-        LinkDecl::from_spec(LinkSpec::pcie_gen5_x16_cxl()),
-        LinkDecl::from_spec(LinkSpec::fpga_cxl_controller()),
-    ];
-    d.paths = vec![
-        PathDecl {
-            socket: 0,
-            node: 1,
-            links: vec![upi.clone()],
-        },
-        PathDecl {
-            socket: 0,
-            node: 2,
-            links: cxl_path_links(),
-        },
-        PathDecl {
-            socket: 1,
-            node: 0,
-            links: vec![upi],
-        },
-        PathDecl {
-            socket: 1,
-            node: 2,
-            links: cxl_path_links(),
-        },
-    ];
-    d
+/// Parses and compiles a committed reference description.
+fn compile(text: &str) -> Machine {
+    TopologyDescription::parse(text)
+        .and_then(|description| description.compile())
+        .expect("committed reference descriptions parse and compile")
+        .machine
 }
 
 /// **Setup #1** (paper §2.1, Figure 2): dual Sapphire Rapids, one DDR5-4800
 /// DIMM per socket, CXL-attached DDR4-1333 expander on an Agilex-7 FPGA behind
 /// PCIe Gen5 x16, exposed as CPU-less NUMA node 2.
 pub fn sapphire_rapids_cxl_machine() -> Machine {
-    sapphire_rapids_cxl_description()
-        .compile()
-        .expect("setup #1 machine description is complete")
-        .machine
-}
-
-/// The [`TopologyDescription`] behind [`xeon_gold_ddr4_machine`].
-pub fn xeon_gold_ddr4_description() -> TopologyDescription {
-    let upi = LinkSpec::upi_xeon_gold().name;
-    let mut d = TopologyDescription::new("xeon-gold-ddr4");
-    d.smt = 2;
-    d.core_mlp = cal::XEON_GOLD_CORE_MLP;
-    d.processors = (0..2)
-        .map(|socket| ProcessorDecl {
-            model: "Intel Xeon Gold 5215".into(),
-            base_ghz: 2.5,
-            cores: 10,
-            node: socket,
-        })
-        .collect();
-    d.memories = vec![
-        MemoryDecl {
-            node: 0,
-            bytes: 96 * GIB,
-            label: "DDR4-2666 x6 socket0".into(),
-        },
-        MemoryDecl {
-            node: 1,
-            bytes: 96 * GIB,
-            label: "DDR4-2666 x6 socket1".into(),
-        },
-    ];
-    d.devices = vec![
-        DeviceDecl::from_spec(
-            Some(0),
-            DeviceSpec::ddr4_2666_six_channels("DDR4-2666 6ch 96GB socket0"),
-        ),
-        DeviceDecl::from_spec(
-            Some(1),
-            DeviceSpec::ddr4_2666_six_channels("DDR4-2666 6ch 96GB socket1"),
-        ),
-    ];
-    d.links = vec![LinkDecl::from_spec(LinkSpec::upi_xeon_gold())];
-    d.paths = vec![
-        PathDecl {
-            socket: 0,
-            node: 1,
-            links: vec![upi.clone()],
-        },
-        PathDecl {
-            socket: 1,
-            node: 0,
-            links: vec![upi],
-        },
-    ];
-    d
+    compile(reference::SPR_FPGA_CXL)
 }
 
 /// **Setup #2** (paper §2.1, Figure 3): dual Xeon Gold 5215 with six DDR4-2666
 /// channels per socket and no CXL device.
 pub fn xeon_gold_ddr4_machine() -> Machine {
-    xeon_gold_ddr4_description()
-        .compile()
-        .expect("setup #2 machine description is complete")
-        .machine
-}
-
-/// The [`TopologyDescription`] behind [`sapphire_rapids_dcpmm_machine`].
-pub fn sapphire_rapids_dcpmm_description() -> TopologyDescription {
-    let upi = LinkSpec::upi_sapphire_rapids().name;
-    let mut d = TopologyDescription::new("sapphire-rapids-dcpmm");
-    d.smt = 2;
-    d.core_mlp = cal::SPR_CORE_MLP;
-    d.processors = spr_processors();
-    d.memories = vec![
-        MemoryDecl {
-            node: 0,
-            bytes: 64 * GIB,
-            label: "DDR5-4800 socket0".into(),
-        },
-        MemoryDecl {
-            node: 1,
-            bytes: 64 * GIB,
-            label: "DDR5-4800 socket1".into(),
-        },
-        MemoryDecl {
-            node: 2,
-            bytes: 128 * GIB,
-            label: "Optane DCPMM 128GB (App-Direct region)".into(),
-        },
-    ];
-    d.devices = vec![
-        DeviceDecl::from_spec(
-            Some(0),
-            DeviceSpec::ddr5_4800_single_dimm("DDR5-4800 64GB socket0"),
-        ),
-        DeviceDecl::from_spec(
-            Some(1),
-            DeviceSpec::ddr5_4800_single_dimm("DDR5-4800 64GB socket1"),
-        ),
-        DeviceDecl::from_spec(
-            Some(2),
-            DeviceSpec::dcpmm_single_module("Optane DCPMM 128GB"),
-        ),
-    ];
-    d.links = vec![LinkDecl::from_spec(LinkSpec::upi_sapphire_rapids())];
-    // DCPMM sits on socket 0's memory bus: direct from socket 0, one UPI hop
-    // from socket 1.
-    d.paths = vec![
-        PathDecl {
-            socket: 0,
-            node: 1,
-            links: vec![upi.clone()],
-        },
-        PathDecl {
-            socket: 0,
-            node: 2,
-            links: Vec::new(),
-        },
-        PathDecl {
-            socket: 1,
-            node: 0,
-            links: vec![upi.clone()],
-        },
-        PathDecl {
-            socket: 1,
-            node: 2,
-            links: vec![upi],
-        },
-    ];
-    d
+    compile(reference::XEON_GOLD_DDR4)
 }
 
 /// A DCPMM-equipped variant of Setup #1 used for the headline comparison
 /// against published Optane numbers: node 2 is a single Optane DCPMM module on
 /// the local DDR-T bus of socket 0 instead of the CXL expander.
 pub fn sapphire_rapids_dcpmm_machine() -> Machine {
-    sapphire_rapids_dcpmm_description()
-        .compile()
-        .expect("dcpmm machine description is complete")
-        .machine
+    compile(reference::SPR_DCPMM)
 }
 
 /// An ablation variant of Setup #1 where the FPGA card is upgraded per the
@@ -257,18 +48,27 @@ pub fn sapphire_rapids_dcpmm_machine() -> Machine {
 /// DDR5-5600) and `channels` multiplies the independent DDR channels.
 pub fn sapphire_rapids_cxl_upgraded(ddr_speed_factor: f64, channels: u32) -> Machine {
     let base = sapphire_rapids_cxl_machine();
-    let upgraded_device = DeviceSpec::cxl_prototype_ddr4_1333(format!(
-        "CXL DDR x{channels}ch speed x{ddr_speed_factor:.1} (upgraded)"
-    ))
+    let card = base
+        .device(2)
+        .expect("setup #1 backs node 2 with the CXL card");
+    let upgraded_device = DeviceSpec {
+        name: format!("CXL DDR x{channels}ch speed x{ddr_speed_factor:.1} (upgraded)"),
+        ..card.clone()
+    }
     .scaled_bandwidth(ddr_speed_factor)
     .with_channels(channels);
     // A faster card also needs a faster controller ceiling: scale the soft-IP
     // link proportionally but never beyond the PCIe Gen5 limit.
-    let controller_bw = (cal::CXL_PROTOTYPE_CEILING_GBS * ddr_speed_factor * channels as f64)
-        .min(cal::PCIE_GEN5_X16_GBS);
-    let mut controller = LinkSpec::fpga_cxl_controller();
-    controller.bandwidth_gbs = controller_bw;
-    let path = Path::through(vec![LinkSpec::pcie_gen5_x16_cxl(), controller]);
+    let mut path = base
+        .path(0, 2)
+        .expect("setup #1 reaches node 2 from socket 0")
+        .clone();
+    for link in &mut path.links {
+        if link.kind == LinkKind::FpgaCxlController {
+            link.bandwidth_gbs = (link.bandwidth_gbs * ddr_speed_factor * channels as f64)
+                .min(cal::PCIE_GEN5_X16_GBS);
+        }
+    }
     base.with_device(2, upgraded_device)
         .expect("node 2 exists")
         .with_path(0, 2, path.clone())
@@ -279,6 +79,7 @@ pub fn sapphire_rapids_cxl_upgraded(ddr_speed_factor: f64, channels: u32) -> Mac
 mod tests {
     use super::*;
     use crate::access::AccessPattern;
+    use crate::link::LinkSpec;
 
     #[test]
     fn setup1_has_three_nodes_and_cxl_device() {
@@ -336,13 +137,114 @@ mod tests {
 
     #[test]
     fn preset_descriptions_round_trip_through_text() {
-        for d in [
-            sapphire_rapids_cxl_description(),
-            xeon_gold_ddr4_description(),
-            sapphire_rapids_dcpmm_description(),
+        for text in [
+            reference::SPR_FPGA_CXL,
+            reference::XEON_GOLD_DDR4,
+            reference::SPR_DCPMM,
         ] {
+            let d = TopologyDescription::parse(text).unwrap();
             let parsed = TopologyDescription::parse(&d.render()).unwrap();
             assert_eq!(parsed, d, "{} must round-trip", d.name);
+        }
+    }
+
+    fn assert_close(what: &str, actual: f64, expected: f64) {
+        assert!(
+            ((actual - expected) / expected).abs() <= 1e-9,
+            "{what}: text says {actual}, calibration says {expected}"
+        );
+    }
+
+    #[test]
+    fn reference_texts_match_the_calibration_constants() {
+        let ddr5 = (
+            cal::DDR5_LOCAL_CEILING_GBS,
+            cal::DDR5_LOCAL_CEILING_GBS,
+            cal::DDR5_LOCAL_LATENCY_NS,
+            1,
+        );
+        let ddr4_six = 6.0 * cal::DDR4_2666_CHANNEL_PEAK_GBS * cal::DDR_STREAM_EFFICIENCY;
+        let ddr4 = (ddr4_six, ddr4_six, cal::DDR4_LOCAL_LATENCY_NS, 6);
+        // The card's 110 ns on-card latency is not a calibration constant;
+        // `DeviceSpec::cxl_prototype_ddr4_1333` is where the code states it.
+        let card = DeviceSpec::cxl_prototype_ddr4_1333("card");
+        let card = (
+            card.read_bw_gbs,
+            card.write_bw_gbs,
+            card.idle_latency_ns,
+            card.channels,
+        );
+        let dcpmm = (
+            cal::DCPMM_READ_GBS,
+            cal::DCPMM_WRITE_GBS,
+            cal::DCPMM_READ_LATENCY_NS,
+            1,
+        );
+        let upi_spr = (cal::UPI_SPR_EFFECTIVE_GBS, cal::UPI_HOP_LATENCY_NS);
+        let upi_xeon = (
+            cal::UPI_XEON_GOLD_EFFECTIVE_GBS,
+            cal::UPI_HOP_LATENCY_NS + 5.0,
+        );
+        let pcie = LinkSpec::pcie_gen5_x16_cxl();
+        let soft_ip = LinkSpec::fpga_cxl_controller();
+        assert_close(
+            "PCIe + soft-IP latency",
+            pcie.latency_ns + soft_ip.latency_ns,
+            cal::CXL_FABRIC_LATENCY_NS,
+        );
+        let cases = [
+            (
+                reference::SPR_FPGA_CXL,
+                cal::SPR_CORE_MLP,
+                vec![
+                    ("ddr5-socket0", ddr5),
+                    ("ddr5-socket1", ddr5),
+                    ("cxl-fpga", card),
+                ],
+                vec![
+                    ("upi", upi_spr),
+                    ("pcie-gen5-x16", (pcie.bandwidth_gbs, pcie.latency_ns)),
+                    ("cxl-soft-ip", (soft_ip.bandwidth_gbs, soft_ip.latency_ns)),
+                ],
+            ),
+            (
+                reference::XEON_GOLD_DDR4,
+                cal::XEON_GOLD_CORE_MLP,
+                vec![("ddr4-socket0", ddr4), ("ddr4-socket1", ddr4)],
+                vec![("upi", upi_xeon)],
+            ),
+            (
+                reference::SPR_DCPMM,
+                cal::SPR_CORE_MLP,
+                vec![
+                    ("ddr5-socket0", ddr5),
+                    ("ddr5-socket1", ddr5),
+                    ("dcpmm", dcpmm),
+                ],
+                vec![("upi", upi_spr)],
+            ),
+        ];
+        for (text, core_mlp, devices, links) in cases {
+            let d = TopologyDescription::parse(text).unwrap();
+            assert_close(&format!("{} core_mlp", d.name), d.core_mlp, core_mlp);
+            let names: Vec<&str> = d.devices.iter().map(|x| x.name.as_str()).collect();
+            let expected: Vec<&str> = devices.iter().map(|(name, _)| *name).collect();
+            assert_eq!(names, expected, "{} devices", d.name);
+            for (decl, (_, (read, write, latency, channels))) in d.devices.iter().zip(&devices) {
+                let what = format!("{} {}", d.name, decl.name);
+                assert_close(&format!("{what} read"), decl.read_gbs, *read);
+                assert_close(&format!("{what} write"), decl.write_gbs, *write);
+                assert_close(&format!("{what} latency"), decl.latency_ns, *latency);
+                assert_eq!(decl.channels, *channels, "{what} channels");
+            }
+            let names: Vec<&str> = d.links.iter().map(|x| x.name.as_str()).collect();
+            let expected: Vec<&str> = links.iter().map(|(name, _)| *name).collect();
+            assert_eq!(names, expected, "{} links", d.name);
+            for (decl, (_, (gbs, latency))) in d.links.iter().zip(&links) {
+                let what = format!("{} {}", d.name, decl.name);
+                assert_close(&format!("{what} GB/s"), decl.bandwidth_gbs, *gbs);
+                assert_close(&format!("{what} latency"), decl.latency_ns, *latency);
+            }
         }
     }
 

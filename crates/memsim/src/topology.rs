@@ -25,7 +25,8 @@
 //! it back out (round-trip stable), and [`TopologyDescription::compile`]
 //! validates the graph and produces an [`IngestedTopology`] — a ready
 //! [`Machine`] plus the compiled interleave windows. The named reference
-//! machines used by the calibration gate live in [`mod@reference`].
+//! machines live in [`mod@reference`]: the runtime's presets compile them, and
+//! the calibration gate checks them.
 //!
 //! # Example
 //!
@@ -412,20 +413,6 @@ pub struct DeviceDecl {
 }
 
 impl DeviceDecl {
-    /// Builds a declaration from an existing [`DeviceSpec`] (bit-exact).
-    pub fn from_spec(node: Option<usize>, spec: DeviceSpec) -> Self {
-        DeviceDecl {
-            name: spec.name,
-            node,
-            kind: spec.kind,
-            read_gbs: spec.read_bw_gbs,
-            write_gbs: spec.write_bw_gbs,
-            latency_ns: spec.idle_latency_ns,
-            capacity_bytes: spec.capacity_bytes,
-            channels: spec.channels,
-        }
-    }
-
     /// Converts the declaration into the engine's [`DeviceSpec`].
     pub fn to_spec(&self) -> DeviceSpec {
         DeviceSpec {
@@ -454,16 +441,6 @@ pub struct LinkDecl {
 }
 
 impl LinkDecl {
-    /// Builds a declaration from an existing [`LinkSpec`] (bit-exact).
-    pub fn from_spec(spec: LinkSpec) -> Self {
-        LinkDecl {
-            name: spec.name,
-            kind: spec.kind,
-            bandwidth_gbs: spec.bandwidth_gbs,
-            latency_ns: spec.latency_ns,
-        }
-    }
-
     /// Converts the declaration into the engine's [`LinkSpec`].
     pub fn to_spec(&self) -> LinkSpec {
         LinkSpec {
@@ -1527,14 +1504,20 @@ fn link_kind_name(kind: LinkKind) -> &'static str {
     }
 }
 
-/// Named reference topology descriptions used by the calibration gate and the
-/// `streamer scenario topology` sweep.
+/// Named reference topology descriptions: the machines the runtime's presets
+/// compile ([`crate::machines`]), the calibration gate and the `streamer
+/// scenario topology` sweep.
 pub mod reference {
     /// Paper Setup #1: dual Sapphire Rapids + one FPGA CXL expander.
     pub const SPR_FPGA_CXL: &str = include_str!("../topologies/sapphire-rapids-cxl.topo");
 
     /// Paper Setup #2: dual Xeon Gold 5215, six-channel DDR4-2666, no CXL.
     pub const XEON_GOLD_DDR4: &str = include_str!("../topologies/xeon-gold-ddr4.topo");
+
+    /// The DCPMM baseline: Setup #1 with one Optane DCPMM module as node 2.
+    /// It carries published figures, not a calibrated measurement, so it is
+    /// not part of [`all`].
+    pub const SPR_DCPMM: &str = include_str!("../topologies/sapphire-rapids-dcpmm.topo");
 
     /// Dual Sapphire Rapids with two FPGA-class expanders interleaved behind
     /// one CFMWS window.

@@ -280,18 +280,30 @@ impl std::fmt::Debug for CheckpointRegion<'_> {
 impl<'p> CheckpointRegion<'p> {
     // ---------------------------------------------------------------- sizing
 
-    /// Bytes the region occupies inside a pool.
+    /// Bytes the region occupies inside a pool, or `None` when the shape
+    /// does not fit in `u64`.
+    fn checked_region_size(data_len: u64, chunk_len: u64) -> Option<u64> {
+        let chunk_len = chunk_len.max(1);
+        let stride = data_len.div_ceil(chunk_len).checked_mul(chunk_len)?;
+        stride
+            .checked_mul(2)?
+            .checked_add(DESC_SIZE + 2 * SLOT_HEADER_SIZE)
+    }
+
+    /// Bytes the region occupies inside a pool (saturating at `u64::MAX`
+    /// for a shape that does not fit in `u64`).
     pub fn region_size(data_len: u64, chunk_len: u64) -> u64 {
-        let stride = data_len.div_ceil(chunk_len.max(1)) * chunk_len.max(1);
-        DESC_SIZE + 2 * SLOT_HEADER_SIZE + 2 * stride
+        Self::checked_region_size(data_len, chunk_len).unwrap_or(u64::MAX)
     }
 
     /// A pool size comfortably fitting one region of this shape
     /// ([`MIN_POOL_SIZE`] covers the pool header and undo log; the slack
     /// covers heap bookkeeping) — what the runtime's `checkpoint_region`
-    /// helper provisions.
+    /// helper provisions. Saturates at `u64::MAX`, which no pool satisfies.
     pub fn required_pool_size(data_len: u64, chunk_len: u64) -> u64 {
-        MIN_POOL_SIZE + Self::region_size(data_len, chunk_len) + 64 * 1024
+        MIN_POOL_SIZE
+            .saturating_add(Self::region_size(data_len, chunk_len))
+            .saturating_add(64 * 1024)
     }
 
     // ---------------------------------------------------------------- create
@@ -305,7 +317,9 @@ impl<'p> CheckpointRegion<'p> {
             ));
         }
         let chunk_count = data_len.div_ceil(chunk_len);
-        let oid = pool.alloc_bytes(Self::region_size(data_len, chunk_len))?;
+        let region_len =
+            Self::checked_region_size(data_len, chunk_len).ok_or(PmemError::SizeOverflow)?;
+        let oid = pool.alloc_bytes(region_len)?;
         let base = oid.offset;
         // Descriptor: magic, version, data_len, chunk_len, committed_epoch=0.
         let mut desc = [0u8; DESC_SIZE as usize];
@@ -364,6 +378,15 @@ impl<'p> CheckpointRegion<'p> {
         let committed = read(32);
         if data_len == 0 || chunk_len == 0 {
             return Err(PmemError::Checkpoint("corrupt region descriptor"));
+        }
+        // A corrupt shape must not size the hash caches or the slot reads.
+        let fits = Self::checked_region_size(data_len, chunk_len)
+            .and_then(|len| base.checked_add(len))
+            .is_some_and(|end| end <= pool.capacity());
+        if !fits {
+            return Err(PmemError::Checkpoint(
+                "region descriptor shape exceeds the pool",
+            ));
         }
         let chunk_count = data_len.div_ceil(chunk_len) as usize;
         let mut region = CheckpointRegion {
@@ -958,6 +981,49 @@ mod tests {
         // The descriptor was repaired durably: a second open agrees.
         let region2 = CheckpointRegion::open_root(&reopened).unwrap();
         assert_eq!(region2.committed_epoch(), 1);
+    }
+
+    #[test]
+    fn overflowing_shapes_saturate_and_format_refuses_them() {
+        assert_eq!(
+            CheckpointRegion::region_size(DATA, CHUNK),
+            DESC_SIZE + 2 * SLOT_HEADER_SIZE + 2 * DATA
+        );
+        assert_eq!(
+            CheckpointRegion::region_size(u64::MAX - 10, 1 << 20),
+            u64::MAX
+        );
+        assert_eq!(
+            CheckpointRegion::required_pool_size(u64::MAX / 2, 1),
+            u64::MAX
+        );
+        let (_, pool) = pool_pair();
+        assert!(matches!(
+            CheckpointRegion::format(&pool, u64::MAX - 10, 1 << 20),
+            Err(PmemError::SizeOverflow)
+        ));
+    }
+
+    #[test]
+    fn descriptor_shape_beyond_the_pool_is_a_typed_error() {
+        let (backend, pool) = pool_pair();
+        let mut region = CheckpointRegion::format(&pool, DATA, CHUNK).unwrap();
+        pool.set_root(region.oid(), DATA).unwrap();
+        region.checkpoint(&image(1)).unwrap();
+        // Rewrite data_len behind the region's back: 2^50 bytes in 256-byte
+        // chunks would ask the open for a 2^42-entry hash cache.
+        let base = region.oid().offset;
+        drop(region);
+        pool.write(base + 16, &(1u64 << 50).to_le_bytes()).unwrap();
+        pool.persist(base + 16, 8).unwrap();
+        drop(pool);
+
+        let shared: SharedBackend = Arc::new(backend);
+        let reopened = PmemPool::open_with_backend(shared, "ckpt").unwrap();
+        assert!(matches!(
+            CheckpointRegion::open_root(&reopened),
+            Err(PmemError::Checkpoint(_))
+        ));
     }
 
     #[test]

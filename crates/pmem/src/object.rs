@@ -212,18 +212,30 @@ impl std::fmt::Debug for ObjectStore<'_> {
 impl<'p> ObjectStore<'p> {
     // ---------------------------------------------------------------- sizing
 
+    /// `(directory bytes, region bytes)` of a shape, or `None` when the
+    /// region does not fit in `u64`.
+    fn checked_shape(capacity: u64, value_len: u64) -> Option<(u64, u64)> {
+        let dir_len = capacity.checked_mul(ENTRY_SIZE)?;
+        let slots_len = capacity.checked_mul(value_len)?.checked_mul(2)?;
+        let region = DESC_SIZE.checked_add(dir_len)?.checked_add(slots_len)?;
+        Some((dir_len, region))
+    }
+
     /// Bytes the store occupies inside a pool: descriptor + directory + two
-    /// payload slots per object.
+    /// payload slots per object (saturating at `u64::MAX` for a shape that
+    /// does not fit in `u64`).
     pub fn region_size(capacity: u64, value_len: u64) -> u64 {
-        DESC_SIZE + capacity * ENTRY_SIZE + 2 * capacity * value_len
+        Self::checked_shape(capacity, value_len).map_or(u64::MAX, |(_, region)| region)
     }
 
     /// A pool size comfortably fitting one store of this shape
     /// ([`MIN_POOL_SIZE`] covers the pool header and undo log; the slack
     /// covers heap bookkeeping) — what the cluster's `create_store`
-    /// provisions.
+    /// provisions. Saturates at `u64::MAX`, which no pool satisfies.
     pub fn required_pool_size(capacity: u64, value_len: u64) -> u64 {
-        MIN_POOL_SIZE + Self::region_size(capacity, value_len) + 64 * 1024
+        MIN_POOL_SIZE
+            .saturating_add(Self::region_size(capacity, value_len))
+            .saturating_add(64 * 1024)
     }
 
     // ---------------------------------------------------------------- create
@@ -236,16 +248,8 @@ impl<'p> ObjectStore<'p> {
                 "capacity and value_len must be non-zero",
             ));
         }
-        let dir_len = capacity
-            .checked_mul(ENTRY_SIZE)
-            .ok_or(PmemError::SizeOverflow)?;
-        let slots_len = capacity
-            .checked_mul(2 * value_len)
-            .ok_or(PmemError::SizeOverflow)?;
-        let region = DESC_SIZE
-            .checked_add(dir_len)
-            .and_then(|n| n.checked_add(slots_len))
-            .ok_or(PmemError::SizeOverflow)?;
+        let (dir_len, region) =
+            Self::checked_shape(capacity, value_len).ok_or(PmemError::SizeOverflow)?;
         let oid = pool.alloc_bytes(region)?;
         let base = oid.offset;
         let mut desc = [0u8; DESC_SIZE as usize];
@@ -306,6 +310,15 @@ impl<'p> ObjectStore<'p> {
         let value_len = word(24);
         if capacity == 0 || value_len == 0 {
             return Err(PmemError::ObjectStore("corrupt store descriptor"));
+        }
+        // A corrupt shape must not address slots beyond the pool.
+        let fits = Self::checked_shape(capacity, value_len)
+            .and_then(|(_, region)| base.checked_add(region))
+            .is_some_and(|end| end <= pool.capacity());
+        if !fits {
+            return Err(PmemError::ObjectStore(
+                "store descriptor shape exceeds the pool",
+            ));
         }
         Ok(ObjectStore {
             pool,
@@ -836,5 +849,36 @@ mod tests {
             DESC_SIZE + 10 * ENTRY_SIZE + 2 * 10 * 100
         );
         assert!(ObjectStore::required_pool_size(10, 100) > ObjectStore::region_size(10, 100));
+        // Overflowing shapes saturate, and format refuses them.
+        assert_eq!(ObjectStore::region_size(u64::MAX / 8, 64), u64::MAX);
+        assert_eq!(ObjectStore::required_pool_size(1, u64::MAX / 2), u64::MAX);
+        let (pool, _backend) = pool_pair(8, 64);
+        assert!(matches!(
+            ObjectStore::format(&pool, 8, u64::MAX / 2),
+            Err(PmemError::SizeOverflow)
+        ));
+    }
+
+    #[test]
+    fn descriptor_shape_beyond_the_pool_is_a_typed_error() {
+        let (pool, backend) = pool_pair(16, 64);
+        let mut store = ObjectStore::format(&pool, 16, 64).unwrap();
+        store.put_commit(3, &value_for(3, 1, 48)).unwrap();
+        pool.set_root(store.oid(), ObjectStore::region_size(16, 64))
+            .unwrap();
+        // Rewrite value_len behind the store's back: slot offsets computed
+        // from it would overflow `u64`.
+        let base = store.oid().offset;
+        drop(store);
+        pool.write(base + 24, &(u64::MAX / 2).to_le_bytes())
+            .unwrap();
+        pool.persist(base + 24, 8).unwrap();
+        drop(pool);
+
+        let pool = PmemPool::open_with_backend(Arc::new(backend), "objects").unwrap();
+        assert!(matches!(
+            ObjectStore::open_root(&pool),
+            Err(PmemError::ObjectStore(_))
+        ));
     }
 }

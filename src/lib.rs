@@ -76,8 +76,8 @@ pub mod prelude {
     pub use crate::cxl::CoherenceMode;
     pub use crate::cxl_pmem::{
         AccessMode, AdmissionController, ClassConfig, ClusterError, CxlPmemRuntime, Decision,
-        DisaggregatedCluster, HostSegment, HostStore, QosClass, RuntimeBuilder, RuntimePreset,
-        SetupKind, TierPolicy, TieredRegion,
+        DisaggregatedCluster, HostSegment, HostStore, QosClass, RuntimeBuilder, SetupKind,
+        TierPolicy, TieredRegion,
     };
     pub use crate::numa::AffinityPolicy;
     pub use crate::pmem::{
