@@ -8,6 +8,7 @@
 //! device statistics reflect every access the pool makes.
 
 use cxl::Type3Device;
+use pmem::backend::check_bounds;
 use pmem::{PmemError, PoolBackend};
 use std::sync::Arc;
 
@@ -24,7 +25,8 @@ pub struct CxlDeviceBackend {
 impl CxlDeviceBackend {
     /// Creates a backend over `[dpa_base, dpa_base + len)` of `device`.
     pub fn new(device: Arc<Type3Device>, dpa_base: u64, len: u64) -> Result<Self, PmemError> {
-        if dpa_base + len > device.capacity_bytes() {
+        let end = dpa_base.checked_add(len).ok_or(PmemError::SizeOverflow)?;
+        if end > device.capacity_bytes() {
             return Err(PmemError::OutOfBounds {
                 offset: dpa_base,
                 len,
@@ -58,39 +60,21 @@ impl PoolBackend for CxlDeviceBackend {
     }
 
     fn read_at(&self, offset: u64, buf: &mut [u8]) -> Result<(), PmemError> {
-        if offset + buf.len() as u64 > self.len {
-            return Err(PmemError::OutOfBounds {
-                offset,
-                len: buf.len() as u64,
-                pool_size: self.len,
-            });
-        }
+        check_bounds(self.len, offset, buf.len())?;
         self.device
             .read_bulk(self.dpa_base + offset, buf)
             .map_err(|e| PmemError::Io(std::io::Error::other(e.to_string())))
     }
 
     fn write_at(&self, offset: u64, data: &[u8]) -> Result<(), PmemError> {
-        if offset + data.len() as u64 > self.len {
-            return Err(PmemError::OutOfBounds {
-                offset,
-                len: data.len() as u64,
-                pool_size: self.len,
-            });
-        }
+        check_bounds(self.len, offset, data.len())?;
         self.device
             .write_bulk(self.dpa_base + offset, data)
             .map_err(|e| PmemError::Io(std::io::Error::other(e.to_string())))
     }
 
     fn persist(&self, offset: u64, len: u64) -> Result<(), PmemError> {
-        if offset + len > self.len {
-            return Err(PmemError::OutOfBounds {
-                offset,
-                len,
-                pool_size: self.len,
-            });
-        }
+        check_bounds(self.len, offset, len as usize)?;
         // Global Persistent Flush: pushes accepted writes into the persistence
         // domain of the (battery-backed) expander.
         self.device.global_persistent_flush();
@@ -149,6 +133,38 @@ mod tests {
     fn region_must_fit_the_device() {
         let dev = device(MIB);
         assert!(CxlDeviceBackend::new(dev, 0, 2 * MIB).is_err());
+    }
+
+    #[test]
+    fn wrapping_offsets_are_refused_and_leave_the_neighbour_alone() {
+        let dev = device(MIB);
+        let neighbour = [0xA5u8; 4096];
+        dev.write_bulk(0, &neighbour).unwrap();
+        let backend = CxlDeviceBackend::new(Arc::clone(&dev), 4096, 4096).unwrap();
+        // u64::MAX - 7 + 8 wraps to 0: without a checked add the window's
+        // base would turn it into the last 8 bytes of the neighbour below.
+        let mut buf = [0u8; 8];
+        assert!(matches!(
+            backend.read_at(u64::MAX - 7, &mut buf),
+            Err(PmemError::SizeOverflow)
+        ));
+        assert_eq!(buf, [0u8; 8]);
+        assert!(matches!(
+            backend.write_at(u64::MAX - 7, &[0u8; 8]),
+            Err(PmemError::SizeOverflow)
+        ));
+        assert!(matches!(
+            backend.persist(u64::MAX - 7, 8),
+            Err(PmemError::SizeOverflow)
+        ));
+        let mut after = [0u8; 4096];
+        dev.read_bulk(0, &mut after).unwrap();
+        assert_eq!(after, neighbour, "the neighbouring window changed");
+        // A base that wraps past the device end is refused too.
+        assert!(matches!(
+            CxlDeviceBackend::new(dev, u64::MAX - 10, 100),
+            Err(PmemError::SizeOverflow)
+        ));
     }
 
     #[test]

@@ -467,6 +467,10 @@ pub struct HostHandle<P> {
     /// use; dropped by an acquire that advances the view and by any failed
     /// mutation, so the next use reopens the pool and recovers.
     payload: Option<P>,
+    /// The region version `payload` reflects, recorded when it opens and
+    /// after this handle's own mutations. Hardware coherence needs no
+    /// acquire, so this is how the handle notices another host's writes.
+    layout_version: u64,
     /// Optional QoS front door the `*_classed` ops submit through.
     front_door: Option<Arc<AdmissionController>>,
 }
@@ -491,6 +495,7 @@ impl<P> fmt::Debug for HostHandle<P> {
 impl<P: SegmentPayload> HostHandle<P> {
     fn new(host: HostId, segment: Arc<Segment>, payload: Option<P>) -> Self {
         HostHandle {
+            layout_version: segment.region.version(),
             host,
             segment,
             payload,
@@ -524,13 +529,12 @@ impl<P: SegmentPayload> HostHandle<P> {
     /// superseded publication, so the next op reopens the pool and re-reads
     /// it. A staged put discarded this way surfaces as a typed `commit
     /// without a staged put` error; stage it again against the refreshed
-    /// view. Under hardware coherence every view counts as current, so the
-    /// handle cannot tell whether another host's writes superseded its
-    /// layout, and an acquire always drops it.
+    /// view. Under hardware coherence every view counts as current and an
+    /// acquire drops nothing: every op compares the region version with the
+    /// one its layout reflects instead.
     pub fn acquire(&mut self) -> ClusterResult<u64> {
         let region = &self.segment.region;
-        let current =
-            region.mode() == CoherenceMode::SoftwareManaged && region.is_up_to_date(self.host);
+        let current = region.is_up_to_date(self.host);
         let version = region.acquire(self.host)?;
         if !current {
             self.payload = None;
@@ -567,11 +571,23 @@ impl<P: SegmentPayload> HostHandle<P> {
     /// The cached layout, opened on first use. Opening runs pool recovery:
     /// a commit record torn by the previous owner's crash is rolled back
     /// before any op sees the layout.
+    ///
+    /// Under hardware coherence another host's writes arrive without an
+    /// acquire, so a layout whose region version moved is superseded and
+    /// reopened here. Software coherence refused a stale view in
+    /// [`check_view`](Self::check_view) already.
     fn payload(&mut self) -> pmem::Result<&mut P> {
+        let region = &self.segment.region;
+        if region.mode() == CoherenceMode::HardwareBackInvalidate
+            && self.layout_version != region.version()
+        {
+            self.payload = None;
+        }
         match &mut self.payload {
             Some(payload) => Ok(payload),
             slot @ None => {
-                let backend = SharedRegionBackend::new(Arc::clone(&self.segment.region), self.host);
+                self.layout_version = region.version();
+                let backend = SharedRegionBackend::new(Arc::clone(region), self.host);
                 let pool = PmemPool::open_with_backend(Arc::new(backend), &self.segment.name)?;
                 Ok(slot.insert(P::open_payload(Arc::new(pool))?))
             }
@@ -599,8 +615,13 @@ impl<P: SegmentPayload> HostHandle<P> {
         self.check_view(true)?;
         match self.payload().and_then(op) {
             Ok(value) => {
+                // The layout now reflects this handle's own writes, which
+                // hardware coherence publishes one by one.
+                let region = &self.segment.region;
                 if publish {
-                    self.segment.region.publish(self.host)?;
+                    self.layout_version = region.publish(self.host)?;
+                } else if region.mode() == CoherenceMode::HardwareBackInvalidate {
+                    self.layout_version = region.version();
                 }
                 Ok(value)
             }
@@ -962,6 +983,44 @@ mod tests {
     }
 
     #[test]
+    fn hardware_coherent_handle_drops_a_superseded_layout() {
+        let cluster = two_card_cluster(CoherenceMode::HardwareBackInvalidate);
+        let mut a = cluster.host(0).create_segment("hw", DATA, CHUNK).unwrap();
+        let mut b = cluster.host(1).attach_segment("hw").unwrap();
+        let mut out = vec![0u8; DATA as usize];
+        a.checkpoint(&image(1)).unwrap();
+        assert_eq!(b.restore(&mut out).unwrap(), 1);
+        a.checkpoint(&image(2)).unwrap();
+        // No acquire: host 1's layout from epoch 1 is superseded, so it
+        // restores host 0's epoch 2 ...
+        assert_eq!(b.restore(&mut out).unwrap(), 2);
+        assert_eq!(out, image(2));
+        // ... and extends the chain instead of overwriting epoch 2's slot.
+        assert_eq!(b.checkpoint(&image(3)).unwrap().epoch, 3);
+        assert_eq!(a.restore(&mut out).unwrap(), 3);
+        assert_eq!(out, image(3));
+        let mut fresh = cluster.host(0).attach_segment("hw").unwrap();
+        assert_eq!(fresh.restore(&mut out).unwrap(), 3);
+        assert_eq!(out, image(3));
+    }
+
+    #[test]
+    fn stale_hardware_coherent_store_reads_the_new_count() {
+        let cluster = two_card_cluster(CoherenceMode::HardwareBackInvalidate);
+        let mut a = cluster.host(0).create_store("kv", 16, 64).unwrap();
+        a.put_commit(1, b"v1").unwrap();
+        let mut b = cluster.host(1).open_store("kv").unwrap();
+        assert_eq!(b.live().unwrap(), 1);
+        a.put_commit(2, b"v2").unwrap();
+        assert_eq!(b.live().unwrap(), 2);
+        // Reads (and the reopen) write nothing, so the refreshed layout
+        // stays cached until another write moves the version.
+        let version = b.region().version();
+        assert_eq!(b.get(2).unwrap(), b"v2");
+        assert_eq!(b.region().version(), version);
+    }
+
+    #[test]
     fn checkpoint_by_a_stale_host_is_a_typed_error() {
         let cluster = two_card_cluster(CoherenceMode::SoftwareManaged);
         let mut a = cluster.host(0).create_segment("seg", DATA, CHUNK).unwrap();
@@ -1298,7 +1357,8 @@ mod tests {
 
         // Never published: software coherence refuses the read before the
         // pool opens; hardware coherence lets the layout answer (nothing is
-        // committed yet), which caches a layout the acquire below must drop.
+        // committed yet), which caches a layout the creator's write below
+        // supersedes.
         match reader.read() {
             Err(ClusterError::NeverPublished { .. }) if software => {
                 assert!(format!("{reader:?}").contains("pool_open: false"));

@@ -106,7 +106,7 @@ impl ModeProperties {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use memsim::DeviceSpec;
+    use memsim::machines::{sapphire_rapids_cxl_machine, sapphire_rapids_dcpmm_machine};
 
     #[test]
     fn overheads_match_paper() {
@@ -119,10 +119,10 @@ mod tests {
 
     #[test]
     fn table1_shape_for_the_cxl_expander() {
-        let cxl = DeviceSpec::cxl_prototype_ddr4_1333("cxl");
-        let ddr5 = DeviceSpec::ddr5_4800_single_dimm("ddr5");
-        let app_direct = ModeProperties::derive(AccessMode::AppDirect, &cxl, &ddr5);
-        let memory_mode = ModeProperties::derive(AccessMode::MemoryMode, &cxl, &ddr5);
+        let setup1 = sapphire_rapids_cxl_machine();
+        let (ddr5, cxl) = (setup1.device(0).unwrap(), setup1.device(2).unwrap());
+        let app_direct = ModeProperties::derive(AccessMode::AppDirect, cxl, ddr5);
+        let memory_mode = ModeProperties::derive(AccessMode::MemoryMode, cxl, ddr5);
         // Table 1: non-volatile in direct-access mode, volatile as memory extension.
         assert!(!app_direct.volatile);
         assert!(memory_mode.volatile);
@@ -137,17 +137,18 @@ mod tests {
 
     #[test]
     fn dcpmm_is_volatile_never() {
-        let dcpmm = DeviceSpec::dcpmm_single_module("optane");
-        let ddr5 = DeviceSpec::ddr5_4800_single_dimm("ddr5");
-        let props = ModeProperties::derive(AccessMode::AppDirect, &dcpmm, &ddr5);
+        let baseline = sapphire_rapids_dcpmm_machine();
+        let (ddr5, dcpmm) = (baseline.device(0).unwrap(), baseline.device(2).unwrap());
+        let props = ModeProperties::derive(AccessMode::AppDirect, dcpmm, ddr5);
         assert!(!props.volatile);
         assert!(props.fraction_of_main_memory < 0.25);
     }
 
     #[test]
     fn ddr5_memory_mode_is_the_reference() {
-        let ddr5 = DeviceSpec::ddr5_4800_single_dimm("ddr5");
-        let props = ModeProperties::derive(AccessMode::MemoryMode, &ddr5, &ddr5);
+        let setup1 = sapphire_rapids_cxl_machine();
+        let ddr5 = setup1.device(0).unwrap();
+        let props = ModeProperties::derive(AccessMode::MemoryMode, ddr5, ddr5);
         assert!((props.fraction_of_main_memory - 1.0).abs() < 1e-9);
         assert!(props.volatile); // memory-mode DDR5 is volatile
     }

@@ -3,7 +3,6 @@
 use crate::backend::CxlDeviceBackend;
 use crate::modes::AccessMode;
 use crate::placement::TierPolicy;
-use cxl::fpga::{DdrChannelSpec, SoftIpConfig};
 use cxl::{FpgaPrototype, InterleaveSet, LinkConfig, Type3Device};
 use memsim::access::{ThreadTraffic, TrafficPhase};
 use memsim::{Engine, Machine, PhaseReport, SimError};
@@ -381,19 +380,14 @@ impl RuntimeBuilder {
     pub fn build(self) -> CxlPmemRuntime {
         match self.topology {
             BuilderTopology::Setup1 => {
+                // The card stores node 2's bytes; the Setup #1 text alone
+                // says how fast it is. Enumerate it so its HDM is accessible;
+                // the HPA base is arbitrary in the model.
                 let fpga = FpgaPrototype::paper_prototype();
-                // Enumerate the card so its HDM is accessible; the HPA base
-                // is arbitrary in the model.
                 let _ = fpga.enumerate(Self::DEFAULT_HPA_BASE);
-                // Keep the machine description consistent with the card.
-                let machine = memsim::machines::sapphire_rapids_cxl_machine()
-                    .with_device(2, fpga.to_memsim_device())
-                    .expect("node 2 exists")
-                    .with_path(0, 2, fpga.to_memsim_path())
-                    .with_path(1, 2, fpga.to_memsim_path());
                 CxlPmemRuntime::from_parts(
                     SetupKind::SapphireRapidsCxl,
-                    Engine::new(machine),
+                    Engine::new(memsim::machines::sapphire_rapids_cxl_machine()),
                     Some(fpga),
                 )
             }
@@ -422,7 +416,11 @@ impl RuntimeBuilder {
                     let device = machine
                         .device(node)
                         .expect("compiled topologies back every memory node with a device");
-                    let fpga = CxlPmemRuntime::functional_expander(device);
+                    let fpga = FpgaPrototype::custom(
+                        device.name.clone(),
+                        LinkConfig::gen5_x16(),
+                        device.capacity_bytes,
+                    );
                     let _ = fpga.enumerate(hpa_base);
                     fpga
                 });
@@ -461,38 +459,6 @@ impl CxlPmemRuntime {
             interleaves: Vec::new(),
             worker_pools: Mutex::new(HashMap::new()),
         }
-    }
-
-    /// A functional expander mirroring an ingested [`memsim::DeviceSpec`]:
-    /// same name, capacity and channel count; soft-IP bandwidth set to the
-    /// spec's read ceiling; pipeline latency set so link + pipeline add up to
-    /// the spec's idle latency.
-    fn functional_expander(device: &memsim::DeviceSpec) -> FpgaPrototype {
-        let channels = u64::from(device.channels.max(1));
-        let per_channel = device.capacity_bytes / channels;
-        let remainder = device.capacity_bytes - per_channel * channels;
-        // Pick a channel speed whose aggregate sustained bandwidth covers the
-        // spec's ceiling, so the soft-IP slice is the binding limit — as on
-        // the paper's prototype.
-        let per_channel_gbs =
-            device.read_bw_gbs / channels as f64 / memsim::calibration::DDR_STREAM_EFFICIENCY;
-        let speed_mts = ((per_channel_gbs * 1000.0 / 8.0).ceil() as u32).max(1);
-        let specs = (0..channels)
-            .map(|i| DdrChannelSpec {
-                capacity_bytes: per_channel + if i == 0 { remainder } else { 0 },
-                speed_mts,
-            })
-            .collect();
-        FpgaPrototype::custom(
-            device.name.clone(),
-            LinkConfig::gen5_x16(),
-            SoftIpConfig {
-                slices: 1,
-                per_slice_bandwidth_gbs: device.read_bw_gbs,
-                pipeline_latency_ns: (device.idle_latency_ns - 95.0).max(0.0),
-            },
-            specs,
-        )
     }
 
     /// Interleave windows realised from an ingested topology description
@@ -889,11 +855,35 @@ mod tests {
         array.fill(1.5).unwrap();
         array.persist_all().unwrap();
         assert!(rt.fpga().unwrap().endpoint().stats().bytes_written >= 8000);
-        // The functional card mirrors the ingested spec.
+        // The functional card is the ingested device: same name, same size.
         let device = rt.machine().device(2).unwrap();
         let fpga = rt.fpga().unwrap();
         assert_eq!(fpga.capacity_bytes(), device.capacity_bytes);
-        assert!((fpga.effective_bandwidth_gbs() - device.read_bw_gbs).abs() < 1e-6);
+        assert_eq!(fpga.name(), device.name);
+    }
+
+    #[test]
+    fn presets_simulate_their_reference_texts() {
+        use memsim::topology::reference;
+        for (builder, text) in [
+            (RuntimeBuilder::setup1(), reference::SPR_FPGA_CXL),
+            (RuntimeBuilder::setup2(), reference::XEON_GOLD_DDR4),
+            (RuntimeBuilder::dcpmm_baseline(), reference::SPR_DCPMM),
+        ] {
+            let compiled = memsim::TopologyDescription::parse(text)
+                .unwrap()
+                .compile()
+                .unwrap()
+                .machine;
+            // Every device, every socket->node path, the topology and the
+            // core MLP.
+            assert_eq!(
+                builder.build().machine(),
+                &compiled,
+                "{}",
+                compiled.topology().name
+            );
+        }
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! CXL.mem requests. Bulk helpers are provided for the persistent-memory layer,
 //! which moves whole object ranges rather than single lines.
 
-use crate::config::{CxlDeviceType, LinkConfig};
+use crate::config::LinkConfig;
 use crate::error::CxlError;
 use crate::hdm::{HdmDecoder, HdmRange};
 use crate::sparse::SparseMemory;
@@ -156,11 +156,6 @@ impl Type3Device {
     /// The device's name.
     pub fn name(&self) -> &str {
         &self.name
-    }
-
-    /// This is always a Type-3 device.
-    pub fn device_type(&self) -> CxlDeviceType {
-        CxlDeviceType::Type3
     }
 
     /// The negotiated link configuration.

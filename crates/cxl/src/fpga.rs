@@ -1,107 +1,44 @@
-//! The Agilex-7 FPGA CXL prototype (paper §2.2).
+//! The Agilex-7 FPGA CXL prototype (paper §2.2) as a functional card.
 //!
 //! The prototype pairs the **R-Tile hard IP** (PCIe Gen5 x16 PHY + CXL link
 //! layer) with a **soft-IP** pipeline in the FPGA fabric that implements the
 //! CXL.io/CXL.mem transaction layers and drives two on-card DDR4-1333 modules.
-//! [`FpgaPrototype`] models that split, exposes the functional Type-3 endpoint,
-//! and produces the `memsim` device/link specifications the analytical engine
-//! times traffic with — including the upgrade paths the paper lists (faster
-//! DDR, more channels, more IP slices).
+//! [`FpgaPrototype`] is the card's functional side: a named Type-3 endpoint
+//! behind its CXL link, and the HDM enumeration that makes it a CPU-less NUMA
+//! node. The card's bandwidth and latency are not modelled here; they live
+//! in the Setup #1 topology text (`crates/memsim/topologies/
+//! sapphire-rapids-cxl.topo`), which the runtime compiles and simulates.
 
 use crate::config::{CxlSpec, LinkConfig};
 use crate::endpoint::Type3Device;
 use crate::hdm::HdmRange;
 use crate::Result;
-use memsim::device::DeviceSpec;
-use memsim::link::{LinkKind, LinkSpec, Path};
 use std::sync::Arc;
 
-/// Description of one on-card DDR channel.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct DdrChannelSpec {
-    /// Module capacity in bytes.
-    pub capacity_bytes: u64,
-    /// Transfer rate in MT/s (1333 on the prototype).
-    pub speed_mts: u32,
-}
-
-impl DdrChannelSpec {
-    /// Theoretical bandwidth of the channel in GB/s (8 bytes per transfer).
-    pub fn peak_bandwidth_gbs(&self) -> f64 {
-        self.speed_mts as f64 * 8.0 / 1000.0
-    }
-}
-
-/// Configuration of the soft-IP pipeline.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SoftIpConfig {
-    /// Number of parallel CXL IP slices instantiated in the fabric.
-    pub slices: u32,
-    /// Sustained bandwidth one slice can push (GB/s). The prototype's single
-    /// slice is what limits it to ≈ 11-12 GB/s.
-    pub per_slice_bandwidth_gbs: f64,
-    /// Latency added by the transaction-layer pipeline (ns).
-    pub pipeline_latency_ns: f64,
-}
-
-impl Default for SoftIpConfig {
-    fn default() -> Self {
-        SoftIpConfig {
-            slices: 1,
-            per_slice_bandwidth_gbs: memsim::calibration::CXL_PROTOTYPE_CEILING_GBS,
-            pipeline_latency_ns: memsim::calibration::CXL_FABRIC_LATENCY_NS - 95.0,
-        }
-    }
-}
-
-/// The complete FPGA prototype: hard IP + soft IP + DDR channels + endpoint.
+/// The functional FPGA prototype: a named Type-3 endpoint.
 #[derive(Debug)]
 pub struct FpgaPrototype {
     name: String,
-    link: LinkConfig,
-    soft_ip: SoftIpConfig,
-    channels: Vec<DdrChannelSpec>,
     device: Arc<Type3Device>,
 }
 
 impl FpgaPrototype {
-    /// Builds the paper's prototype: CXL 1.1/2.0 over PCIe Gen5 x16, one active
-    /// soft-IP slice, two 8 GB DDR4-1333 modules.
+    /// Builds the paper's prototype: CXL 1.1/2.0 over PCIe Gen5 x16 with two
+    /// 8 GiB DDR4-1333 modules, 16 GiB in all.
     pub fn paper_prototype() -> Self {
-        let channels = vec![
-            DdrChannelSpec {
-                capacity_bytes: 8 * 1024 * 1024 * 1024,
-                speed_mts: 1333,
-            },
-            DdrChannelSpec {
-                capacity_bytes: 8 * 1024 * 1024 * 1024,
-                speed_mts: 1333,
-            },
-        ];
         Self::custom(
             "Agilex-7 CXL prototype",
             LinkConfig::gen5_x16(),
-            SoftIpConfig::default(),
-            channels,
+            16 * 1024 * 1024 * 1024,
         )
     }
 
-    /// Builds a prototype with explicit parameters (used by the upgrade
-    /// ablations: DDR4-3200, DDR5-5600, four channels, more slices).
-    pub fn custom(
-        name: impl Into<String>,
-        link: LinkConfig,
-        soft_ip: SoftIpConfig,
-        channels: Vec<DdrChannelSpec>,
-    ) -> Self {
-        let capacity: u64 = channels.iter().map(|c| c.capacity_bytes).sum();
-        let device = Arc::new(Type3Device::new("type3-endpoint", capacity, link));
+    /// Builds a card named `name` with `capacity_bytes` of device memory
+    /// behind `link`.
+    pub fn custom(name: impl Into<String>, link: LinkConfig, capacity_bytes: u64) -> Self {
         FpgaPrototype {
             name: name.into(),
-            link,
-            soft_ip,
-            channels,
-            device,
+            device: Arc::new(Type3Device::new("type3-endpoint", capacity_bytes, link)),
         }
     }
 
@@ -115,14 +52,14 @@ impl FpgaPrototype {
         Arc::clone(&self.device)
     }
 
-    /// Total capacity across DDR channels (bytes).
+    /// Capacity of the card's device memory (bytes).
     pub fn capacity_bytes(&self) -> u64 {
-        self.channels.iter().map(|c| c.capacity_bytes).sum()
+        self.device.capacity_bytes()
     }
 
     /// The spec revision negotiated on the link.
     pub fn spec(&self) -> CxlSpec {
-        self.link.spec
+        self.device.link().spec
     }
 
     /// "Enumerates" the device as the host BIOS/OS would: programs a linear HDM
@@ -136,103 +73,40 @@ impl FpgaPrototype {
         self.device.set_memory_enable(true);
         Ok((hpa_base, capacity))
     }
-
-    /// Sustained bandwidth the card can deliver: the minimum of the DDR
-    /// channels, the soft-IP pipeline and the link.
-    pub fn effective_bandwidth_gbs(&self) -> f64 {
-        let ddr: f64 = self
-            .channels
-            .iter()
-            .map(|c| c.peak_bandwidth_gbs() * memsim::calibration::DDR_STREAM_EFFICIENCY)
-            .sum();
-        let soft_ip = self.soft_ip.per_slice_bandwidth_gbs * self.soft_ip.slices as f64;
-        ddr.min(soft_ip).min(self.link.effective_bandwidth_gbs())
-    }
-
-    /// End-to-end added latency of the CXL path (link + pipeline), in ns.
-    pub fn fabric_latency_ns(&self) -> f64 {
-        95.0 + self.soft_ip.pipeline_latency_ns
-    }
-
-    /// The `memsim` device specification describing the card's memory
-    /// subsystem as seen through the CXL endpoint.
-    pub fn to_memsim_device(&self) -> DeviceSpec {
-        DeviceSpec {
-            name: self.name.clone(),
-            kind: memsim::DeviceKind::CxlExpanderDram,
-            read_bw_gbs: self.effective_bandwidth_gbs(),
-            write_bw_gbs: self.effective_bandwidth_gbs(),
-            idle_latency_ns: 110.0,
-            capacity_bytes: self.capacity_bytes(),
-            channels: self.channels.len() as u32,
-        }
-    }
-
-    /// The `memsim` path (links) a host socket traverses to reach the card.
-    pub fn to_memsim_path(&self) -> Path {
-        let pcie = LinkSpec {
-            name: format!("{} PCIe link", self.name),
-            kind: if self.link.spec == CxlSpec::V3_0 {
-                LinkKind::PcieGen6x16
-            } else {
-                LinkKind::PcieGen5x16
-            },
-            bandwidth_gbs: self.link.effective_bandwidth_gbs(),
-            latency_ns: 95.0,
-        };
-        let controller = LinkSpec {
-            name: format!("{} soft-IP pipeline", self.name),
-            kind: LinkKind::FpgaCxlController,
-            bandwidth_gbs: self.soft_ip.per_slice_bandwidth_gbs * self.soft_ip.slices as f64,
-            latency_ns: self.soft_ip.pipeline_latency_ns,
-        };
-        Path::through(vec![pcie, controller])
-    }
-
-    /// Returns an upgraded copy per the paper's enhancement list (§2.2):
-    /// `speed_mts` for the DDR modules, `channels` independent channels and
-    /// `slices` CXL IP slices.
-    pub fn upgraded(&self, speed_mts: u32, channels: u32, slices: u32) -> Self {
-        let per_channel_capacity = self
-            .channels
-            .first()
-            .map(|c| c.capacity_bytes)
-            .unwrap_or(8 * 1024 * 1024 * 1024);
-        let new_channels: Vec<DdrChannelSpec> = (0..channels)
-            .map(|_| DdrChannelSpec {
-                capacity_bytes: per_channel_capacity,
-                speed_mts,
-            })
-            .collect();
-        let soft_ip = SoftIpConfig {
-            slices,
-            ..self.soft_ip
-        };
-        Self::custom(
-            format!("{} (DDR-{speed_mts} x{channels}ch x{slices}sl)", self.name),
-            self.link,
-            soft_ip,
-            new_channels,
-        )
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::transaction::MemRequest;
+    use memsim::calibration as cal;
+    use memsim::link::LinkKind;
+    use memsim::machines::{sapphire_rapids_cxl_machine, sapphire_rapids_cxl_upgraded};
+    use memsim::AccessPattern;
+
+    /// Setup #1's sequential ceiling from socket 0 to the card (GB/s).
+    fn card_ceiling_gbs(machine: &memsim::Machine) -> f64 {
+        machine
+            .path_ceiling_gbs(0, 2, 1, 1, AccessPattern::Sequential)
+            .unwrap()
+    }
 
     #[test]
     fn paper_prototype_matches_section_2_2() {
         let fpga = FpgaPrototype::paper_prototype();
         assert_eq!(fpga.capacity_bytes(), 16 * 1024 * 1024 * 1024);
-        assert_eq!(fpga.channels.len(), 2);
         assert_eq!(fpga.spec(), CxlSpec::V2_0);
-        // The prototype ceiling sits around 11-12 GB/s, well below the 64 GB/s link.
-        let bw = fpga.effective_bandwidth_gbs();
+        // The simulated card's ceiling sits around 11-12 GB/s, well below the
+        // 64 GB/s link.
+        let setup1 = sapphire_rapids_cxl_machine();
+        let bw = card_ceiling_gbs(&setup1);
         assert!(bw > 9.0 && bw < 13.0, "prototype bandwidth {bw}");
-        // Fabric latency in the 300-450 ns band.
-        assert!(fpga.fabric_latency_ns() > 250.0 && fpga.fabric_latency_ns() < 450.0);
+        // Fabric latency in the 250-450 ns band.
+        let latency = setup1.path(0, 2).unwrap().added_latency_ns();
+        assert!(
+            latency > 250.0 && latency < 450.0,
+            "fabric latency {latency}"
+        );
     }
 
     #[test]
@@ -253,11 +127,14 @@ mod tests {
 
     #[test]
     fn memsim_views_are_consistent() {
+        // The functional card and the Setup #1 text's node-2 device describe
+        // the same 16 GiB expander.
         let fpga = FpgaPrototype::paper_prototype();
-        let device = fpga.to_memsim_device();
+        let setup1 = sapphire_rapids_cxl_machine();
+        let device = setup1.device(2).unwrap();
         assert_eq!(device.kind, memsim::DeviceKind::CxlExpanderDram);
-        assert!((device.read_bw_gbs - fpga.effective_bandwidth_gbs()).abs() < 1e-9);
-        let path = fpga.to_memsim_path();
+        assert_eq!(device.capacity_bytes, fpga.capacity_bytes());
+        let path = setup1.path(0, 2).unwrap();
         assert!(path.crosses(LinkKind::PcieGen5x16));
         assert!(path.crosses(LinkKind::FpgaCxlController));
         assert!(path.added_latency_ns() > 250.0);
@@ -265,22 +142,21 @@ mod tests {
 
     #[test]
     fn upgrades_increase_bandwidth_up_to_the_link_limit() {
-        let base = FpgaPrototype::paper_prototype();
-        let ddr3200 = base.upgraded(3200, 1, 1);
-        // One DDR4-3200 channel: the DDR itself is ~20 GB/s but the single
-        // soft-IP slice still caps the card.
-        assert!(ddr3200.effective_bandwidth_gbs() <= base.soft_ip.per_slice_bandwidth_gbs + 1e-9);
-        let big = base.upgraded(5600, 4, 4);
-        assert!(big.effective_bandwidth_gbs() > 3.0 * base.effective_bandwidth_gbs());
-        assert!(big.effective_bandwidth_gbs() <= base.link.effective_bandwidth_gbs() + 1e-9);
+        let base = card_ceiling_gbs(&sapphire_rapids_cxl_machine());
+        // DDR5-5600 on four channels: several times the prototype, but
+        // never beyond what PCIe Gen5 x16 carries.
+        let big = card_ceiling_gbs(&sapphire_rapids_cxl_upgraded(5600.0 / 1333.0, 4));
+        assert!(big > 3.0 * base, "upgraded {big} vs base {base}");
+        assert!(big <= cal::PCIE_GEN5_X16_GBS + 1e-9);
     }
 
     #[test]
     fn channel_peak_bandwidth_formula() {
-        let ch = DdrChannelSpec {
-            capacity_bytes: 8 << 30,
-            speed_mts: 1333,
-        };
-        assert!((ch.peak_bandwidth_gbs() - 10.664).abs() < 1e-9);
+        // One DDR4-1333 module: 1333 MT/s x 8 B.
+        assert!((1333.0 * 8.0 / 1000.0 - cal::DDR4_1333_MODULE_PEAK_GBS).abs() < 1e-9);
+        // The card's two modules would stream more than the Setup #1 card
+        // delivers: the soft-IP pipeline, not the DDR, is the ceiling.
+        let ddr = 2.0 * cal::DDR4_1333_MODULE_PEAK_GBS * cal::DDR_STREAM_EFFICIENCY;
+        assert!(card_ceiling_gbs(&sapphire_rapids_cxl_machine()) < ddr);
     }
 }

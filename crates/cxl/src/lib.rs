@@ -8,10 +8,10 @@
 //! two on-card DDR4-1333 modules, and the whole device shows up to Linux as a
 //! CPU-less NUMA node.
 //!
-//! This crate rebuilds that stack in software with a *functional* data path —
-//! requests really read and write bytes in a backing store — plus the
-//! performance parameters (`memsim` device/link specs) that the analytical
-//! engine uses to time the traffic:
+//! This crate rebuilds that stack in software with a *functional* data path:
+//! requests really read and write bytes in a backing store. How fast the card
+//! is lives elsewhere, in the Setup #1 topology text that `memsim` compiles
+//! and its analytical engine simulates:
 //!
 //! * [`config`] — spec revisions, device types, link configuration.
 //! * [`transaction`] — CXL.io and CXL.mem request/response types and opcode
@@ -20,8 +20,8 @@
 //!   support.
 //! * [`endpoint`] — the Type-3 device: transaction layers + HDM decoder +
 //!   backing store + statistics.
-//! * [`fpga`] — the Agilex-7 prototype: R-Tile/soft-IP split, DDR4 channels,
-//!   enumeration, and its `memsim` performance model.
+//! * [`fpga`] — the Agilex-7 prototype as a functional card: a named Type-3
+//!   endpoint behind its CXL link, and its HDM enumeration.
 //! * [`switch`] — a CXL 2.0 switch with memory pooling (device → host binding,
 //!   dynamic capacity).
 //! * [`sharing`] — the multi-headed configuration of §2.2 where the *same*

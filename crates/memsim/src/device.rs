@@ -1,8 +1,6 @@
 //! Memory device models: DDR4/DDR5 DIMMs, the CXL-attached expander's backing
-//! store, Optane DCPMM and HBM.
-
-use crate::calibration as cal;
-use crate::units::GIB;
+//! store, Optane DCPMM and HBM. The reference machines declare their devices
+//! in the committed topology texts ([`crate::topology::reference`]).
 
 /// The technology class of a memory device. Determines default behaviour such
 /// as persistence and read/write asymmetry.
@@ -32,11 +30,6 @@ impl DeviceKind {
         // The paper's argument (§1.4): the CXL expander sits outside the node
         // and can be battery-backed once for all hosts, so it is treated as a
         // persistence-capable device class.
-    }
-
-    /// Whether the device is byte-addressable (all modelled devices are).
-    pub fn is_byte_addressable(&self) -> bool {
-        true
     }
 
     /// Short label used in reports.
@@ -76,76 +69,6 @@ pub struct DeviceSpec {
 }
 
 impl DeviceSpec {
-    /// One DDR5-4800 DIMM as installed per socket in the paper's Setup #1.
-    pub fn ddr5_4800_single_dimm(name: impl Into<String>) -> Self {
-        DeviceSpec {
-            name: name.into(),
-            kind: DeviceKind::Ddr5,
-            read_bw_gbs: cal::DDR5_LOCAL_CEILING_GBS,
-            write_bw_gbs: cal::DDR5_LOCAL_CEILING_GBS,
-            idle_latency_ns: cal::DDR5_LOCAL_LATENCY_NS,
-            capacity_bytes: 64 * GIB,
-            channels: 1,
-        }
-    }
-
-    /// The two DDR4-1333 modules on the Agilex-7 FPGA card, as seen *behind*
-    /// the CXL endpoint (i.e. already constrained by the prototype's soft-IP
-    /// implementation ceiling, §2.2).
-    pub fn cxl_prototype_ddr4_1333(name: impl Into<String>) -> Self {
-        DeviceSpec {
-            name: name.into(),
-            kind: DeviceKind::CxlExpanderDram,
-            read_bw_gbs: cal::CXL_PROTOTYPE_CEILING_GBS,
-            write_bw_gbs: cal::CXL_PROTOTYPE_CEILING_GBS,
-            idle_latency_ns: 110.0,
-            capacity_bytes: 16 * GIB,
-            channels: 1,
-        }
-    }
-
-    /// A single Optane DCPMM module with the published bandwidth figures the
-    /// paper compares against (6.6 GB/s read, 2.3 GB/s write).
-    pub fn dcpmm_single_module(name: impl Into<String>) -> Self {
-        DeviceSpec {
-            name: name.into(),
-            kind: DeviceKind::Dcpmm,
-            read_bw_gbs: cal::DCPMM_READ_GBS,
-            write_bw_gbs: cal::DCPMM_WRITE_GBS,
-            idle_latency_ns: cal::DCPMM_READ_LATENCY_NS,
-            capacity_bytes: 128 * GIB,
-            channels: 1,
-        }
-    }
-
-    /// An HBM2e stack, included for the hybrid-architecture ablations suggested
-    /// in the paper's future-work section.
-    pub fn hbm2e_stack(name: impl Into<String>) -> Self {
-        DeviceSpec {
-            name: name.into(),
-            kind: DeviceKind::Hbm,
-            read_bw_gbs: 400.0,
-            write_bw_gbs: 400.0,
-            idle_latency_ns: 120.0,
-            capacity_bytes: 16 * GIB,
-            channels: 8,
-        }
-    }
-
-    /// A battery-backed DRAM DIMM (the "previous battery-backed DIMMs" the
-    /// paper mentions as the classic PMem realisation).
-    pub fn battery_backed_dimm(name: impl Into<String>, capacity_bytes: u64) -> Self {
-        DeviceSpec {
-            name: name.into(),
-            kind: DeviceKind::BatteryBackedDram,
-            read_bw_gbs: cal::DDR4_2666_CHANNEL_PEAK_GBS * cal::DDR_STREAM_EFFICIENCY,
-            write_bw_gbs: cal::DDR4_2666_CHANNEL_PEAK_GBS * cal::DDR_STREAM_EFFICIENCY,
-            idle_latency_ns: cal::DDR4_LOCAL_LATENCY_NS,
-            capacity_bytes,
-            channels: 1,
-        }
-    }
-
     /// Effective bandwidth for a mix of `read_bytes` and `write_bytes`.
     ///
     /// A device with asymmetric read/write ceilings (DCPMM most prominently)
@@ -194,11 +117,25 @@ impl DeviceSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::calibration as cal;
+    use crate::machines::{sapphire_rapids_cxl_machine, sapphire_rapids_dcpmm_machine};
+    use crate::units::GIB;
     use proptest::prelude::*;
+
+    /// Node 2 of the DCPMM baseline: one Optane module.
+    fn dcpmm() -> DeviceSpec {
+        sapphire_rapids_dcpmm_machine().device(2).unwrap().clone()
+    }
+
+    /// Node 2 of Setup #1: the FPGA card behind the CXL endpoint.
+    fn cxl_card() -> DeviceSpec {
+        sapphire_rapids_cxl_machine().device(2).unwrap().clone()
+    }
 
     #[test]
     fn ddr5_device_matches_calibration() {
-        let d = DeviceSpec::ddr5_4800_single_dimm("ddr5");
+        let m = sapphire_rapids_cxl_machine();
+        let d = m.device(0).unwrap();
         assert_eq!(d.kind, DeviceKind::Ddr5);
         assert!((d.read_bw_gbs - cal::DDR5_LOCAL_CEILING_GBS).abs() < 1e-9);
         assert!(!d.is_persistent());
@@ -207,7 +144,7 @@ mod tests {
 
     #[test]
     fn dcpmm_is_persistent_and_asymmetric() {
-        let d = DeviceSpec::dcpmm_single_module("pmem");
+        let d = dcpmm();
         assert!(d.is_persistent());
         assert!(d.read_bw_gbs > d.write_bw_gbs);
         assert!((d.read_bw_gbs - 6.6).abs() < 1e-9);
@@ -218,14 +155,14 @@ mod tests {
     fn cxl_dram_counts_as_persistence_capable() {
         // The paper's whole premise: the expander sits off-node and can be
         // battery-backed, so it is treated as a PMem-capable device class.
-        let d = DeviceSpec::cxl_prototype_ddr4_1333("cxl");
+        let d = cxl_card();
         assert!(d.is_persistent());
         assert_eq!(d.kind.label(), "CXL-DDR4");
     }
 
     #[test]
     fn mixed_bandwidth_between_read_and_write_ceilings() {
-        let d = DeviceSpec::dcpmm_single_module("pmem");
+        let d = dcpmm();
         let mixed = d.mixed_bandwidth_gbs(1_000_000, 1_000_000);
         assert!(mixed < d.read_bw_gbs);
         assert!(mixed > d.write_bw_gbs);
@@ -236,7 +173,7 @@ mod tests {
 
     #[test]
     fn channel_scaling_is_linear() {
-        let one = DeviceSpec::cxl_prototype_ddr4_1333("cxl");
+        let one = cxl_card();
         let four = one.clone().with_channels(4);
         assert!((four.read_bw_gbs / one.read_bw_gbs - 4.0).abs() < 1e-9);
         assert_eq!(four.channels, 4);
@@ -244,7 +181,7 @@ mod tests {
 
     #[test]
     fn bandwidth_scaling_factor_applies() {
-        let base = DeviceSpec::cxl_prototype_ddr4_1333("cxl");
+        let base = cxl_card();
         let faster = base.clone().scaled_bandwidth(1.5);
         assert!((faster.read_bw_gbs - base.read_bw_gbs * 1.5).abs() < 1e-9);
     }
@@ -252,7 +189,7 @@ mod tests {
     proptest! {
         #[test]
         fn prop_mixed_bandwidth_is_bounded(read in 0u64..1_000_000_000, write in 0u64..1_000_000_000) {
-            let d = DeviceSpec::dcpmm_single_module("pmem");
+            let d = dcpmm();
             let bw = d.mixed_bandwidth_gbs(read, write);
             prop_assert!(bw <= d.read_bw_gbs + 1e-9);
             prop_assert!(bw >= d.write_bw_gbs - 1e-9);
@@ -260,7 +197,7 @@ mod tests {
 
         #[test]
         fn prop_more_write_fraction_never_speeds_up_dcpmm(read in 1u64..1_000_000, extra_write in 0u64..1_000_000) {
-            let d = DeviceSpec::dcpmm_single_module("pmem");
+            let d = dcpmm();
             let base = d.mixed_bandwidth_gbs(read, 0);
             let with_writes = d.mixed_bandwidth_gbs(read, extra_write);
             prop_assert!(with_writes <= base + 1e-9);

@@ -51,27 +51,6 @@ pub struct LinkSpec {
 }
 
 impl LinkSpec {
-    /// UPI between two Sapphire Rapids sockets.
-    pub fn upi_sapphire_rapids() -> Self {
-        LinkSpec {
-            name: "UPI (Sapphire Rapids)".to_string(),
-            kind: LinkKind::Upi,
-            bandwidth_gbs: cal::UPI_SPR_EFFECTIVE_GBS,
-            latency_ns: cal::UPI_HOP_LATENCY_NS,
-        }
-    }
-
-    /// The PCIe Gen5 x16 link carrying CXL to the FPGA card (§2.2: "delivering
-    /// a theoretical bandwidth of up to 64GB/s").
-    pub fn pcie_gen5_x16_cxl() -> Self {
-        LinkSpec {
-            name: "PCIe Gen5 x16 (CXL 1.1/2.0)".to_string(),
-            kind: LinkKind::PcieGen5x16,
-            bandwidth_gbs: cal::PCIE_GEN5_X16_GBS,
-            latency_ns: 95.0,
-        }
-    }
-
     /// PCIe Gen6 x16 as used by CXL 3.0 (128 GB/s bi-directional per §1.3),
     /// available for forward-looking ablations.
     pub fn pcie_gen6_x16_cxl() -> Self {
@@ -80,18 +59,6 @@ impl LinkSpec {
             kind: LinkKind::PcieGen6x16,
             bandwidth_gbs: 2.0 * cal::PCIE_GEN5_X16_GBS,
             latency_ns: 90.0,
-        }
-    }
-
-    /// The FPGA R-Tile + soft-IP controller pipeline between the CXL link and
-    /// the on-card DDR4. Its bandwidth ceiling is what actually constrains the
-    /// prototype; its latency is the bulk of the CXL fabric cost.
-    pub fn fpga_cxl_controller() -> Self {
-        LinkSpec {
-            name: "Agilex-7 R-Tile + CXL soft IP".to_string(),
-            kind: LinkKind::FpgaCxlController,
-            bandwidth_gbs: cal::CXL_PROTOTYPE_CEILING_GBS,
-            latency_ns: cal::CXL_FABRIC_LATENCY_NS - 95.0,
         }
     }
 }
@@ -148,6 +115,12 @@ impl Path {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::machines::sapphire_rapids_cxl_machine;
+
+    /// Setup #1's path from socket 0 to the CXL card.
+    fn cxl_path() -> Path {
+        sapphire_rapids_cxl_machine().path(0, 2).unwrap().clone()
+    }
 
     #[test]
     fn direct_path_adds_nothing() {
@@ -159,10 +132,7 @@ mod tests {
 
     #[test]
     fn cxl_path_is_constrained_by_fpga_controller_not_pcie() {
-        let p = Path::through(vec![
-            LinkSpec::pcie_gen5_x16_cxl(),
-            LinkSpec::fpga_cxl_controller(),
-        ]);
+        let p = cxl_path();
         let min = p.min_bandwidth_gbs().unwrap();
         assert!((min - cal::CXL_PROTOTYPE_CEILING_GBS).abs() < 1e-9);
         assert!(min < cal::PCIE_GEN5_X16_GBS);
@@ -172,35 +142,30 @@ mod tests {
 
     #[test]
     fn cxl_path_latency_matches_calibration() {
-        let p = Path::through(vec![
-            LinkSpec::pcie_gen5_x16_cxl(),
-            LinkSpec::fpga_cxl_controller(),
-        ]);
+        let p = cxl_path();
         assert!((p.added_latency_ns() - cal::CXL_FABRIC_LATENCY_NS).abs() < 1e-9);
     }
 
     #[test]
     fn upi_path_is_cheaper_than_cxl_path() {
-        let upi = Path::through(vec![LinkSpec::upi_sapphire_rapids()]);
-        let cxl = Path::through(vec![
-            LinkSpec::pcie_gen5_x16_cxl(),
-            LinkSpec::fpga_cxl_controller(),
-        ]);
-        assert!(upi.added_latency_ns() < cxl.added_latency_ns());
+        let upi = sapphire_rapids_cxl_machine().path(0, 1).unwrap().clone();
+        assert!(upi.crosses(LinkKind::Upi));
+        assert!(upi.added_latency_ns() < cxl_path().added_latency_ns());
     }
 
     #[test]
     fn render_lists_hops_in_order() {
-        let p = Path::through(vec![
-            LinkSpec::pcie_gen5_x16_cxl(),
-            LinkSpec::fpga_cxl_controller(),
-        ]);
-        assert_eq!(p.render(), "IMC -> PCIe5x16 -> FPGA-CXL-IP");
+        assert_eq!(cxl_path().render(), "IMC -> PCIe5x16 -> FPGA-CXL-IP");
     }
 
     #[test]
     fn gen6_doubles_gen5() {
-        let g5 = LinkSpec::pcie_gen5_x16_cxl();
+        let p = cxl_path();
+        let g5 = p
+            .links
+            .iter()
+            .find(|l| l.kind == LinkKind::PcieGen5x16)
+            .unwrap();
         let g6 = LinkSpec::pcie_gen6_x16_cxl();
         assert!((g6.bandwidth_gbs / g5.bandwidth_gbs - 2.0).abs() < 1e-9);
     }

@@ -11,7 +11,7 @@ use numa::{NodeId, SocketId, Topology};
 use std::collections::HashMap;
 
 /// A complete machine model: topology, per-node devices and socket→node paths.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Machine {
     topology: Topology,
     devices: Vec<DeviceSpec>,
@@ -143,12 +143,6 @@ impl Machine {
         self.paths.insert((socket, node), path);
         self
     }
-
-    /// Sets the per-core MLP (used when modelling a different CPU).
-    pub fn with_core_mlp(mut self, mlp: f64) -> Self {
-        self.core_mlp = mlp.max(1.0);
-        self
-    }
 }
 
 /// Builder for [`Machine`].
@@ -223,10 +217,12 @@ mod tests {
     #[test]
     fn builder_requires_all_paths() {
         let topo = sapphire_rapids_cxl();
+        let setup1 = machines::sapphire_rapids_cxl_machine();
+        let device = |node| setup1.device(node).unwrap().clone();
         let err = Machine::builder(topo)
-            .device(0, DeviceSpec::ddr5_4800_single_dimm("d0"))
-            .device(1, DeviceSpec::ddr5_4800_single_dimm("d1"))
-            .device(2, DeviceSpec::cxl_prototype_ddr4_1333("cxl"))
+            .device(0, device(0))
+            .device(1, device(1))
+            .device(2, device(2))
             .build()
             .unwrap_err();
         assert!(matches!(err, SimError::MissingPath { .. }));
@@ -300,7 +296,7 @@ mod tests {
     #[test]
     fn ablation_hooks_replace_device_and_path() {
         let m = machines::sapphire_rapids_cxl_machine();
-        let faster = DeviceSpec::cxl_prototype_ddr4_1333("cxl-3200").scaled_bandwidth(2.4);
+        let faster = m.device(2).unwrap().clone().scaled_bandwidth(2.4);
         let m2 = m.clone().with_device(2, faster).unwrap();
         assert!(m2.device(2).unwrap().read_bw_gbs > m.device(2).unwrap().read_bw_gbs);
         let m3 = m2.with_path(0, 2, Path::through(vec![LinkSpec::pcie_gen6_x16_cxl()]));
@@ -310,7 +306,7 @@ mod tests {
             .crosses(crate::link::LinkKind::PcieGen6x16));
         assert!(m
             .clone()
-            .with_device(9, DeviceSpec::ddr5_4800_single_dimm("x"))
+            .with_device(9, m.device(0).unwrap().clone())
             .is_err());
     }
 }

@@ -46,7 +46,10 @@ pub trait PoolBackend: Send + Sync {
 /// A cheaply clonable shared handle to a backend.
 pub type SharedBackend = Arc<dyn PoolBackend>;
 
-fn check_bounds(capacity: u64, offset: u64, len: usize) -> Result<()> {
+/// Checks that `[offset, offset + len)` lies inside a backend of `capacity`
+/// bytes. The end is computed with `checked_add`, so an offset near
+/// `u64::MAX` is [`PmemError::SizeOverflow`] instead of wrapping into range.
+pub fn check_bounds(capacity: u64, offset: u64, len: usize) -> Result<()> {
     let end = offset
         .checked_add(len as u64)
         .ok_or(PmemError::SizeOverflow)?;
@@ -102,6 +105,7 @@ impl PoolBackend for VolatileBackend {
     fn read_at(&self, offset: u64, buf: &mut [u8]) -> Result<()> {
         let bytes = self.bytes.read();
         check_bounds(bytes.len() as u64, offset, buf.len())?;
+        // in-bounds: check_bounds proved offset + buf.len() ≤ bytes.len().
         buf.copy_from_slice(&bytes[offset as usize..offset as usize + buf.len()]);
         Ok(())
     }
@@ -109,6 +113,7 @@ impl PoolBackend for VolatileBackend {
     fn write_at(&self, offset: u64, data: &[u8]) -> Result<()> {
         let mut bytes = self.bytes.write();
         check_bounds(bytes.len() as u64, offset, data.len())?;
+        // in-bounds: check_bounds proved offset + data.len() ≤ bytes.len().
         bytes[offset as usize..offset as usize + data.len()].copy_from_slice(data);
         Ok(())
     }

@@ -49,6 +49,10 @@ pub enum PmemError {
     TransactionState(&'static str),
     /// The undo log area is full.
     LogFull,
+    /// An undo-log entry is malformed: its count or length overruns the log
+    /// area, or its range lies outside the pool heap. Recovery refuses to
+    /// replay such a log, and a transaction refuses to log such a range.
+    UndoLog(&'static str),
     /// A crash was injected at the given point (test harness only).
     InjectedCrash(&'static str),
     /// Underlying I/O error (file backend).
@@ -101,6 +105,7 @@ impl fmt::Display for PmemError {
             ),
             PmemError::TransactionState(msg) => write!(f, "transaction state error: {msg}"),
             PmemError::LogFull => write!(f, "transaction undo log is full"),
+            PmemError::UndoLog(msg) => write!(f, "undo log error: {msg}"),
             PmemError::InjectedCrash(point) => write!(f, "injected crash at {point}"),
             PmemError::Io(e) => write!(f, "I/O error: {e}"),
             PmemError::SizeOverflow => write!(f, "requested size overflows the pool address space"),

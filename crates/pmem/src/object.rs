@@ -615,17 +615,6 @@ impl<'p> ObjectStore<'p> {
             max_epoch,
         })
     }
-
-    /// Ids of every object holding a committed version (O(capacity) scan).
-    pub fn live_ids(&self) -> Result<Vec<u64>> {
-        let mut ids = Vec::new();
-        for id in 0..self.capacity {
-            if self.read_entry(id)?.is_some() {
-                ids.push(id);
-            }
-        }
-        Ok(ids)
-    }
 }
 
 #[cfg(test)]

@@ -33,6 +33,9 @@ pub const LOG_SIZE: u64 = 256 * 1024;
 pub const MIN_POOL_SIZE: u64 = HEADER_SIZE + LOG_SIZE + 64 * 1024;
 /// Maximum length of a layout name.
 pub const MAX_LAYOUT: usize = 64;
+/// Checksummed bytes at the start of the header: magic, version, padding,
+/// uuid, size, layout name and six u64 fields.
+const HEADER_BODY_LEN: usize = 8 + 4 + 4 + 8 + 8 + MAX_LAYOUT + 8 * 6;
 
 /// Creation-time configuration of a pool.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -78,8 +81,9 @@ impl Header {
         out.extend_from_slice(&self.pool_size.to_le_bytes());
         let mut layout_bytes = [0u8; MAX_LAYOUT];
         let src = self.layout.as_bytes();
-        layout_bytes[..src.len().min(MAX_LAYOUT)]
-            .copy_from_slice(&src[..src.len().min(MAX_LAYOUT)]);
+        let n = src.len().min(MAX_LAYOUT);
+        // in-bounds: n ≤ src.len() and n ≤ MAX_LAYOUT = layout_bytes.len().
+        layout_bytes[..n].copy_from_slice(&src[..n]);
         out.extend_from_slice(&layout_bytes);
         out.extend_from_slice(&self.root_offset.to_le_bytes());
         out.extend_from_slice(&self.root_len.to_le_bytes());
@@ -92,15 +96,17 @@ impl Header {
         out
     }
 
-    fn from_bytes(bytes: &[u8]) -> Result<Self> {
+    fn from_bytes(bytes: &[u8; HEADER_SIZE as usize]) -> Result<Self> {
         // Fixed offsets matching `to_bytes`.
         let read_u64 = |at: usize| -> u64 {
             let mut buf = [0u8; 8];
+            // in-bounds: at ≤ HEADER_BODY_LEN and HEADER_BODY_LEN + 8 ≤ HEADER_SIZE.
             buf.copy_from_slice(&bytes[at..at + 8]);
             u64::from_le_bytes(buf)
         };
         let read_u32 = |at: usize| -> u32 {
             let mut buf = [0u8; 4];
+            // in-bounds: at = 8 and the header is HEADER_SIZE bytes.
             buf.copy_from_slice(&bytes[at..at + 4]);
             u32::from_le_bytes(buf)
         };
@@ -108,9 +114,8 @@ impl Header {
         if magic != POOL_MAGIC {
             return Err(PmemError::BadMagic);
         }
-        let body_len = 8 + 4 + 4 + 8 + 8 + MAX_LAYOUT + 8 * 6;
-        let stored_checksum = read_u64(body_len);
-        if fnv1a(&bytes[..body_len]) != stored_checksum {
+        let stored_checksum = read_u64(HEADER_BODY_LEN);
+        if fnv1a(&bytes[..HEADER_BODY_LEN]) != stored_checksum {
             return Err(PmemError::BadChecksum);
         }
         let layout_raw = &bytes[32..32 + MAX_LAYOUT];
@@ -118,6 +123,7 @@ impl Header {
             .iter()
             .position(|&b| b == 0)
             .unwrap_or(MAX_LAYOUT);
+        // in-bounds: layout_end ≤ MAX_LAYOUT = layout_raw.len().
         let layout = String::from_utf8_lossy(&layout_raw[..layout_end]).to_string();
         let tail = 32 + MAX_LAYOUT;
         Ok(Header {
@@ -209,6 +215,7 @@ impl PmemPool {
             Arc::clone(&tracker),
             header.log_start,
             header.log_end,
+            header.heap_start..header.heap_end,
         );
         log.format()?;
         let pool = PmemPool {
@@ -227,7 +234,7 @@ impl PmemPool {
     /// Opens an existing pool from a backend, validating the header and
     /// running transaction recovery.
     pub fn open_with_backend(backend: SharedBackend, layout: &str) -> Result<Self> {
-        let mut header_bytes = vec![0u8; HEADER_SIZE as usize];
+        let mut header_bytes = [0u8; HEADER_SIZE as usize];
         backend.read_at(0, &mut header_bytes)?;
         let header = Header::from_bytes(&header_bytes)?;
         if header.layout != layout {
@@ -248,6 +255,7 @@ impl PmemPool {
             Arc::clone(&tracker),
             header.log_start,
             header.log_end,
+            header.heap_start..header.heap_end,
         );
         // Recovery: roll back any transaction that did not commit.
         log.recover()?;

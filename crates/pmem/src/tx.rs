@@ -18,6 +18,7 @@ use crate::backend::SharedBackend;
 use crate::error::PmemError;
 use crate::persist::PersistTracker;
 use crate::Result;
+use std::ops::Range;
 use std::sync::Arc;
 
 /// Where an injected crash fires during a transaction (or during the recovery
@@ -60,16 +61,37 @@ pub struct TxLog {
     tracker: Arc<PersistTracker>,
     start: u64,
     end: u64,
+    /// The pool heap: the only bytes a transaction may log and recovery may
+    /// restore.
+    heap: Range<u64>,
 }
 
 impl TxLog {
-    /// Creates a handle over `[start, end)` of the pool.
-    pub fn new(backend: SharedBackend, tracker: Arc<PersistTracker>, start: u64, end: u64) -> Self {
+    /// Creates a handle over `[start, end)` of the pool, guarding the ranges
+    /// in `heap`.
+    pub fn new(
+        backend: SharedBackend,
+        tracker: Arc<PersistTracker>,
+        start: u64,
+        end: u64,
+        heap: Range<u64>,
+    ) -> Self {
         TxLog {
             backend,
             tracker,
             start,
             end,
+            heap,
+        }
+    }
+
+    /// Refuses an undo range outside the heap. Transactions only modify heap
+    /// objects, so a logged range over the pool header or the log itself is
+    /// corruption, never something to replay.
+    fn check_target(&self, offset: u64, len: u64) -> Result<()> {
+        match offset.checked_add(len) {
+            Some(end) if offset >= self.heap.start && end <= self.heap.end => Ok(()),
+            _ => Err(PmemError::UndoLog("undo range outside the pool heap")),
         }
     }
 
@@ -105,6 +127,7 @@ impl TxLog {
     /// Appends an undo entry containing the *current* contents of
     /// `[offset, offset+len)` and returns the log cursor after the entry.
     fn append(&self, cursor: u64, entry_index: u64, offset: u64, len: u64) -> Result<u64> {
+        self.check_target(offset, len)?;
         let needed = ENTRY_HEADER + len;
         if cursor + needed > self.end {
             return Err(PmemError::LogFull);
@@ -145,14 +168,25 @@ impl TxLog {
             }
             return Ok(false);
         }
-        // Walk the entries forward collecting their positions, then undo in reverse.
+        // Walk the entries forward collecting their positions, then undo in
+        // reverse. The count, lengths and targets come from media, so each
+        // is bounded before anything is allocated or replayed.
+        let fits = self.end.saturating_sub(self.start + LOG_HEADER) / ENTRY_HEADER;
+        if count > fits {
+            return Err(PmemError::UndoLog("entry count exceeds the log area"));
+        }
         let mut entries = Vec::with_capacity(count as usize);
         let mut cursor = self.start + LOG_HEADER;
         for _ in 0..count {
             let offset = self.read_u64(cursor)?;
             let len = self.read_u64(cursor + 8)?;
-            entries.push((cursor + ENTRY_HEADER, offset, len));
-            cursor += ENTRY_HEADER + len;
+            let data_at = cursor + ENTRY_HEADER;
+            cursor = data_at
+                .checked_add(len)
+                .filter(|&next| next <= self.end)
+                .ok_or(PmemError::UndoLog("entry overruns the log area"))?;
+            self.check_target(offset, len)?;
+            entries.push((data_at, offset, len));
         }
         for (replayed, &(data_at, offset, len)) in entries.iter().rev().enumerate() {
             let mut old = vec![0u8; len as usize];
@@ -277,8 +311,8 @@ impl<'a> Transaction<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::{SharedBackend, VolatileBackend};
-    use crate::pool::PmemPool;
+    use crate::backend::{PoolBackend, SharedBackend, VolatileBackend};
+    use crate::pool::{PmemPool, HEADER_SIZE, LOG_SIZE};
     use std::sync::Arc;
 
     const POOL_SIZE: u64 = 2 * 1024 * 1024;
@@ -483,6 +517,63 @@ mod tests {
         assert!(matches!(result.unwrap_err(), PmemError::LogFull));
         // Pool remains usable.
         pool.run_tx(|tx| tx.write(big.offset, b"still ok")).unwrap();
+    }
+
+    /// Creates a 1 MiB pool, overwrites the start of its log area with
+    /// `words` (header: active, count; then entries: offset, len, data), and
+    /// reopens it, which runs recovery over that log.
+    fn reopen_with_log(words: &[u64]) -> (VolatileBackend, Result<PmemPool>) {
+        let backend = VolatileBackend::new_persistent(1024 * 1024);
+        let shared: SharedBackend = Arc::new(backend.clone());
+        drop(PmemPool::create_with_backend(shared, "tx-test").unwrap());
+        let log: Vec<u8> = words.iter().flat_map(|w| w.to_le_bytes()).collect();
+        backend.write_at(HEADER_SIZE, &log).unwrap();
+        let shared: SharedBackend = Arc::new(backend.clone());
+        (backend, PmemPool::open_with_backend(shared, "tx-test"))
+    }
+
+    const HEAP: u64 = HEADER_SIZE + LOG_SIZE;
+
+    #[test]
+    fn recovery_refuses_an_entry_count_beyond_the_log_area() {
+        let (_, opened) = reopen_with_log(&[LOG_ACTIVE, 1 << 40]);
+        assert!(matches!(opened, Err(PmemError::UndoLog(_))));
+    }
+
+    #[test]
+    fn recovery_refuses_an_entry_longer_than_the_log_area() {
+        let (_, opened) = reopen_with_log(&[LOG_ACTIVE, 1, HEAP, 1 << 40]);
+        assert!(matches!(opened, Err(PmemError::UndoLog(_))));
+    }
+
+    #[test]
+    fn recovery_refuses_an_entry_length_that_wraps() {
+        let (_, opened) = reopen_with_log(&[LOG_ACTIVE, 1, HEAP, u64::MAX - 8]);
+        assert!(matches!(opened, Err(PmemError::UndoLog(_))));
+    }
+
+    #[test]
+    fn recovery_refuses_an_entry_outside_the_heap() {
+        // A well-formed entry whose target is the pool header.
+        let (backend, opened) = reopen_with_log(&[LOG_ACTIVE, 1, 0, 8, 0xDEAD_BEEF]);
+        assert!(matches!(opened, Err(PmemError::UndoLog(_))));
+        // Nothing was replayed: the header still carries the pool magic.
+        let mut magic = [0u8; 8];
+        backend.read_at(0, &mut magic).unwrap();
+        assert_eq!(u64::from_le_bytes(magic), crate::pool::POOL_MAGIC);
+    }
+
+    #[test]
+    fn add_range_refuses_targets_outside_the_heap() {
+        let (_, pool) = pool_pair();
+        for (offset, len) in [(0, 8), (HEADER_SIZE, 8), (u64::MAX - 3, 8), (HEAP - 4, 8)] {
+            let result: Result<()> = pool.run_tx(|tx| tx.add_range(offset, len));
+            assert!(matches!(result, Err(PmemError::UndoLog(_))), "{offset:#x}");
+            // Nothing was logged.
+            assert!(!pool.tx_log_active().unwrap());
+        }
+        let a = pool.alloc_bytes(64).unwrap();
+        pool.run_tx(|tx| tx.add_range(a.offset, 64)).unwrap();
     }
 
     #[test]

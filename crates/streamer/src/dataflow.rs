@@ -1,7 +1,8 @@
 //! ASCII renderings of the setup and data-flow diagrams (Figures 1–4 and 9).
 
 use crate::groups::{TestGroup, TrendSetup};
-use cxl_pmem::CxlPmemRuntime;
+use cxl_pmem::{CxlPmemRuntime, TierPolicy};
+use memsim::AccessPattern;
 
 /// Renders the machine topology of a runtime in a `numactl --hardware` style
 /// (the information content of Figures 2 and 3).
@@ -19,12 +20,18 @@ pub fn render_topology(runtime: &CxlPmemRuntime) -> String {
             }
         }
     }
-    if let Some(fpga) = runtime.fpga() {
+    // The card's speed is the simulated path to the memory-only node.
+    let card = runtime.fpga().and_then(|fpga| {
+        let node = TierPolicy::CxlExpander.resolve(machine).ok()?;
+        let gbs = machine
+            .path_ceiling_gbs(0, node, 1, 1, AccessPattern::Sequential)
+            .ok()?;
+        Some((fpga, gbs, machine.path(0, node).ok()?.added_latency_ns()))
+    });
+    if let Some((fpga, gbs, latency_ns)) = card {
         out.push_str(&format!(
-            "\nCXL endpoint: {} ({:.1} GB/s effective, {:.0} ns fabric latency, {} GiB)\n",
+            "\nCXL endpoint: {} ({gbs:.1} GB/s effective, {latency_ns:.0} ns fabric latency, {} GiB)\n",
             fpga.name(),
-            fpga.effective_bandwidth_gbs(),
-            fpga.fabric_latency_ns(),
             fpga.capacity_bytes() >> 30,
         ));
     }

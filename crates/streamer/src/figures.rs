@@ -87,14 +87,6 @@ impl FigureData {
         })
     }
 
-    /// Generates the whole figure (all five sub-figures) for a kernel.
-    pub fn generate_figure(kernel: Kernel) -> RuntimeResult<Vec<FigureData>> {
-        TestGroup::ALL
-            .iter()
-            .map(|&group| Self::generate(kernel, group))
-            .collect()
-    }
-
     /// Emits the sub-figure as CSV (`trend,threads,bandwidth_gbs`).
     pub fn to_csv(&self) -> String {
         let mut out = String::from("trend,threads,bandwidth_gbs\n");

@@ -139,11 +139,6 @@ pub struct ObjectsReport {
 }
 
 impl ObjectsReport {
-    /// Total batched KV ops driven through the admission front door.
-    pub fn total_ops(&self) -> usize {
-        self.classes.iter().map(|c| c.submitted).sum()
-    }
-
     /// Stats of one op class.
     pub fn class(&self, class: QosClass) -> &ClassStats {
         self.classes

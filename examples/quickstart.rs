@@ -3,19 +3,22 @@
 //!
 //! Run with: `cargo run --example quickstart`
 
+use streamer_repro::memsim::AccessPattern;
 use streamer_repro::pmem::PersistentArray;
 use streamer_repro::prelude::*;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 1. Bring up the paper's Setup #1: dual Sapphire Rapids + a CXL-attached
     //    DDR4-1333 expander on an Agilex-7 FPGA, exposed as NUMA node 2.
+    //    The card stores the bytes; the simulated machine says how fast it is.
     let runtime = RuntimeBuilder::setup1().build();
+    let machine = runtime.machine();
     println!("machine: {}", runtime.topology().name);
     println!(
         "CXL endpoint: {} ({:.1} GB/s effective, {:.0} ns fabric latency)",
         runtime.fpga().unwrap().name(),
-        runtime.fpga().unwrap().effective_bandwidth_gbs(),
-        runtime.fpga().unwrap().fabric_latency_ns(),
+        machine.path_ceiling_gbs(0, 2, 1, 1, AccessPattern::Sequential)?,
+        machine.path(0, 2)?.added_latency_ns(),
     );
 
     // 2. Provision a PMDK-style pool on the expander (the paper's /mnt/pmem2).
