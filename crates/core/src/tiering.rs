@@ -52,7 +52,7 @@ use memsim::access::{ThreadTraffic, TrafficPhase};
 use memsim::{Engine, PhaseReport, SimError};
 use numa::NodeId;
 use pmem::pool::MIN_POOL_SIZE;
-use pmem::{ChunkExecutor, CrashPoint, PmemPool, ResidencyMap};
+use pmem::{ChunkExecutor, CrashPoint, PmemError, PmemPool, ResidencyMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -561,15 +561,6 @@ pub struct MigrationCrash {
     pub point: CrashPoint,
 }
 
-fn point_ordinal(point: CrashPoint) -> usize {
-    match point {
-        CrashPoint::AfterLogAppend => 0,
-        CrashPoint::BeforeCommit => 1,
-        CrashPoint::AfterCommit => 2,
-        CrashPoint::DuringRecovery => 3,
-    }
-}
-
 /// Outcome of one migration pass.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MigrationStats {
@@ -643,15 +634,25 @@ impl TieredRegion {
             return Err(RuntimeError::Tiering("at least one tier is required"));
         }
         let chunk_count = data_len.div_ceil(chunk_len) as usize;
-        let slab_bytes = chunk_count as u64 * chunk_len;
+        // Every size is checked before any pool is provisioned.
+        let slab_bytes = data_len
+            .div_ceil(chunk_len)
+            .checked_mul(chunk_len)
+            .ok_or(PmemError::SizeOverflow)?;
+        let tier_size = slab_bytes
+            .checked_add(MIN_POOL_SIZE + 64 * 1024)
+            .ok_or(PmemError::SizeOverflow)?;
+        // The last (spill) tier's pool also holds the residency map.
+        let spill_size = tier_size
+            .checked_add(ResidencyMap::map_size(chunk_count))
+            .ok_or(PmemError::SizeOverflow)?;
         let mut stores = Vec::with_capacity(tiers.len());
         for (i, (policy, capacity)) in tiers.iter().enumerate() {
-            let meta = if i == tiers.len() - 1 {
-                ResidencyMap::map_size(chunk_count)
+            let size = if i == tiers.len() - 1 {
+                spill_size
             } else {
-                0
+                tier_size
             };
-            let size = MIN_POOL_SIZE + slab_bytes + meta + 64 * 1024;
             let managed = runtime.provision_pool(policy, &format!("{layout}-tier{i}"), size)?;
             let (pool, node, mount) = managed.into_parts();
             let pool = Arc::new(pool);
@@ -870,7 +871,7 @@ impl TieredRegion {
 
         // Phase 1: shadow copies, one flush per chunk, drain per dest tier.
         let crash_at_copy = match crash {
-            Some(c) if c.phase == MigrationPhase::Copy => Some(point_ordinal(c.point)),
+            Some(c) if c.phase == MigrationPhase::Copy => Some(c.point.ordinal()),
             _ => None,
         };
         let region = &*self;
@@ -1158,6 +1159,19 @@ mod tests {
         assert!(matches!(
             HotGreedyPolicy.plan(&ctx).unwrap_err(),
             RuntimeError::Tiering(_)
+        ));
+    }
+
+    #[test]
+    fn overflowing_region_shape_is_a_typed_error() {
+        // 2^34 chunks of 1 GiB: the slab size does not fit in u64.
+        let tiers = [
+            (TierPolicy::LocalDram { socket: 0 }, GIB),
+            (TierPolicy::CxlExpander, GIB),
+        ];
+        assert!(matches!(
+            runtime().tiered_region(&tiers, "t", u64::MAX - 10, GIB),
+            Err(RuntimeError::Pmem(PmemError::SizeOverflow))
         ));
     }
 

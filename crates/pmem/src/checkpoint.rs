@@ -73,9 +73,12 @@
 use crate::array::PmemScalar;
 use crate::error::PmemError;
 use crate::oid::PmemOid;
-use crate::pool::{fnv1a, PmemPool, MIN_POOL_SIZE};
+use crate::pool::PmemPool;
 use crate::tx::CrashPoint;
-use crate::versioned::{commit_record, point_ordinal, torn_write, PoolRef, RecordCrash};
+use crate::versioned::{
+    self, commit_record, torn_write, Descriptor, Layout, PoolRef, RecordCrash, COUNTERS_AT,
+    DESC_SIZE,
+};
 use crate::Result;
 use std::sync::Arc;
 
@@ -85,12 +88,10 @@ pub const REGION_MAGIC: u64 = 0x434B_5054_5247_4E31;
 pub const SLOT_MAGIC: u64 = 0x434B_5054_534C_5431;
 /// Region format version.
 pub const REGION_VERSION: u32 = 1;
-/// Bytes reserved for the descriptor.
-const DESC_SIZE: u64 = 64;
 /// Bytes reserved per slot header.
 const SLOT_HEADER_SIZE: u64 = 64;
-/// Offset of `committed_epoch` within the descriptor.
-const COMMITTED_AT: u64 = 32;
+/// Offset of `committed_epoch` (descriptor counter 0) within the descriptor.
+const COMMITTED_AT: u64 = COUNTERS_AT;
 /// Bytes actually written for a slot header (magic, epoch, data_hash, checksum).
 const SLOT_HEADER_LEN: usize = 32;
 
@@ -214,42 +215,6 @@ impl ChunkExecutor for SerialExecutor {
     }
 }
 
-/// One validated slot header.
-#[derive(Debug, Clone, Copy)]
-struct SlotHeader {
-    epoch: u64,
-    data_hash: u64,
-}
-
-impl SlotHeader {
-    fn to_bytes(self) -> [u8; SLOT_HEADER_LEN] {
-        let mut out = [0u8; SLOT_HEADER_LEN];
-        out[0..8].copy_from_slice(&SLOT_MAGIC.to_le_bytes());
-        out[8..16].copy_from_slice(&self.epoch.to_le_bytes());
-        out[16..24].copy_from_slice(&self.data_hash.to_le_bytes());
-        let checksum = fnv1a(&out[..24]);
-        out[24..32].copy_from_slice(&checksum.to_le_bytes());
-        out
-    }
-
-    /// Parses and validates a header; `None` for anything torn or foreign.
-    fn from_bytes(bytes: &[u8]) -> Option<SlotHeader> {
-        let read = |at: usize| {
-            let mut buf = [0u8; 8];
-            // in-bounds: at ∈ {0, 8, 16, 24}; callers pass SLOT_HEADER_LEN bytes.
-            buf.copy_from_slice(&bytes[at..at + 8]);
-            u64::from_le_bytes(buf)
-        };
-        if read(0) != SLOT_MAGIC || fnv1a(&bytes[..24]) != read(24) {
-            return None;
-        }
-        Some(SlotHeader {
-            epoch: read(8),
-            data_hash: read(16),
-        })
-    }
-}
-
 /// A double-buffered, epoch-versioned checkpoint region inside a pool.
 ///
 /// See the [module docs](self) for the layout and the commit protocol.
@@ -277,33 +242,36 @@ impl std::fmt::Debug for CheckpointRegion<'_> {
     }
 }
 
-impl<'p> CheckpointRegion<'p> {
-    // ---------------------------------------------------------------- sizing
+impl Layout for CheckpointRegion<'_> {
+    const MAGIC: u64 = REGION_MAGIC;
+    const VERSION: u32 = REGION_VERSION;
 
-    /// Bytes the region occupies inside a pool, or `None` when the shape
-    /// does not fit in `u64`.
-    fn checked_region_size(data_len: u64, chunk_len: u64) -> Option<u64> {
+    fn error(msg: &'static str) -> PmemError {
+        PmemError::Checkpoint(msg)
+    }
+
+    /// Two slot headers, then two slots of whole chunks.
+    fn body_size(data_len: u64, chunk_len: u64) -> Option<u64> {
         let chunk_len = chunk_len.max(1);
         let stride = data_len.div_ceil(chunk_len).checked_mul(chunk_len)?;
-        stride
-            .checked_mul(2)?
-            .checked_add(DESC_SIZE + 2 * SLOT_HEADER_SIZE)
+        stride.checked_add(SLOT_HEADER_SIZE)?.checked_mul(2)
     }
+}
+
+impl<'p> CheckpointRegion<'p> {
+    // ---------------------------------------------------------------- sizing
 
     /// Bytes the region occupies inside a pool (saturating at `u64::MAX`
     /// for a shape that does not fit in `u64`).
     pub fn region_size(data_len: u64, chunk_len: u64) -> u64 {
-        Self::checked_region_size(data_len, chunk_len).unwrap_or(u64::MAX)
+        versioned::region_size::<Self>(data_len, chunk_len)
     }
 
-    /// A pool size comfortably fitting one region of this shape
-    /// ([`MIN_POOL_SIZE`] covers the pool header and undo log; the slack
-    /// covers heap bookkeeping) — what the runtime's `checkpoint_region`
-    /// helper provisions. Saturates at `u64::MAX`, which no pool satisfies.
+    /// A pool size comfortably fitting one region of this shape — what the
+    /// runtime's `checkpoint_region` helper provisions. Saturates at
+    /// `u64::MAX`, which no pool satisfies.
     pub fn required_pool_size(data_len: u64, chunk_len: u64) -> u64 {
-        MIN_POOL_SIZE
-            .saturating_add(Self::region_size(data_len, chunk_len))
-            .saturating_add(64 * 1024)
+        versioned::required_pool_size::<Self>(data_len, chunk_len)
     }
 
     // ---------------------------------------------------------------- create
@@ -311,43 +279,31 @@ impl<'p> CheckpointRegion<'p> {
     /// Formats a fresh region for snapshots of exactly `data_len` bytes,
     /// persisted at `chunk_len` granularity. Nothing is committed yet.
     pub fn format(pool: &'p PmemPool, data_len: u64, chunk_len: u64) -> Result<Self> {
-        if data_len == 0 || chunk_len == 0 {
-            return Err(PmemError::Checkpoint(
-                "data_len and chunk_len must be non-zero",
-            ));
-        }
-        let chunk_count = data_len.div_ceil(chunk_len);
-        let region_len =
-            Self::checked_region_size(data_len, chunk_len).ok_or(PmemError::SizeOverflow)?;
-        let oid = pool.alloc_bytes(region_len)?;
-        let base = oid.offset;
-        // Descriptor: magic, version, data_len, chunk_len, committed_epoch=0.
-        let mut desc = [0u8; DESC_SIZE as usize];
-        desc[0..8].copy_from_slice(&REGION_MAGIC.to_le_bytes());
-        desc[8..12].copy_from_slice(&REGION_VERSION.to_le_bytes());
-        desc[16..24].copy_from_slice(&data_len.to_le_bytes());
-        desc[24..32].copy_from_slice(&chunk_len.to_le_bytes());
-        desc[32..40].copy_from_slice(&0u64.to_le_bytes());
-        pool.write(base, &desc)?;
+        let desc = versioned::format::<Self>(pool, data_len, chunk_len)?;
         // Slot headers: explicitly invalidated (the heap may hand back a
         // recycled block still carrying an old region's headers).
         let zeros = [0u8; SLOT_HEADER_LEN];
-        pool.write(base + DESC_SIZE, &zeros)?;
-        pool.write(base + DESC_SIZE + SLOT_HEADER_SIZE, &zeros)?;
-        pool.persist(base, DESC_SIZE + 2 * SLOT_HEADER_SIZE)?;
-        Ok(CheckpointRegion {
-            pool: PoolRef::Borrowed(pool),
-            base,
+        pool.write(desc.base + DESC_SIZE, &zeros)?;
+        pool.write(desc.base + DESC_SIZE + SLOT_HEADER_SIZE, &zeros)?;
+        pool.persist(desc.base, DESC_SIZE + 2 * SLOT_HEADER_SIZE)?;
+        Ok(Self::at(PoolRef::Borrowed(pool), desc))
+    }
+
+    /// The region a descriptor describes, with empty hash caches.
+    fn at(pool: PoolRef<'p>, desc: Descriptor) -> Self {
+        let (data_len, chunk_len) = desc.shape;
+        let [committed, _] = desc.counters;
+        let chunk_count = data_len.div_ceil(chunk_len) as usize;
+        CheckpointRegion {
+            pool,
+            base: desc.base,
             data_len,
             chunk_len,
-            chunk_count: chunk_count as usize,
-            committed: 0,
-            hashes: [
-                vec![None; chunk_count as usize],
-                vec![None; chunk_count as usize],
-            ],
+            chunk_count,
+            committed,
+            hashes: [vec![None; chunk_count], vec![None; chunk_count]],
             crash: None,
-        })
+        }
     }
 
     /// Opens an existing region at `oid` (typically after a pool reopen),
@@ -357,53 +313,15 @@ impl<'p> CheckpointRegion<'p> {
     }
 
     fn open_at(pool: PoolRef<'p>, oid: PmemOid) -> Result<Self> {
-        let base = oid.offset;
-        let mut desc = [0u8; DESC_SIZE as usize];
-        pool.read(base, &mut desc)?;
-        let read = |at: usize| {
-            let mut buf = [0u8; 8];
-            // in-bounds: at ∈ {0, 16, 24, 32} and desc is DESC_SIZE = 64 bytes.
-            buf.copy_from_slice(&desc[at..at + 8]);
-            u64::from_le_bytes(buf)
-        };
-        if read(0) != REGION_MAGIC {
-            return Err(PmemError::Checkpoint("region descriptor magic mismatch"));
-        }
-        let version = u32::from_le_bytes([desc[8], desc[9], desc[10], desc[11]]);
-        if version != REGION_VERSION {
-            return Err(PmemError::Checkpoint("unsupported region version"));
-        }
-        let data_len = read(16);
-        let chunk_len = read(24);
-        let committed = read(32);
-        if data_len == 0 || chunk_len == 0 {
-            return Err(PmemError::Checkpoint("corrupt region descriptor"));
-        }
-        // A corrupt shape must not size the hash caches or the slot reads.
-        let fits = Self::checked_region_size(data_len, chunk_len)
-            .and_then(|len| base.checked_add(len))
-            .is_some_and(|end| end <= pool.capacity());
-        if !fits {
-            return Err(PmemError::Checkpoint(
-                "region descriptor shape exceeds the pool",
-            ));
-        }
-        let chunk_count = data_len.div_ceil(chunk_len) as usize;
-        let mut region = CheckpointRegion {
-            pool,
-            base,
-            data_len,
-            chunk_len,
-            chunk_count,
-            committed,
-            hashes: [vec![None; chunk_count], vec![None; chunk_count]],
-            crash: None,
-        };
+        // A shape beyond the pool is refused before it sizes any cache or read.
+        let desc = versioned::open::<Self>(&pool, oid.offset)?;
+        let mut region = Self::at(pool, desc);
+        let (base, committed) = (region.base, region.committed);
         // Validate both slots; a valid slot seeds the incremental hash cache.
         let mut valid_epoch = [None::<u64>; 2];
         for (slot, valid) in valid_epoch.iter_mut().enumerate() {
-            if let Some((header, chunk_hashes)) = region.validate_slot(slot)? {
-                *valid = Some(header.epoch);
+            if let Some((epoch, chunk_hashes)) = region.validate_slot(slot)? {
+                *valid = Some(epoch);
                 // in-bounds: slot enumerates the two-element hashes array.
                 region.hashes[slot] = chunk_hashes.into_iter().map(Some).collect();
             }
@@ -442,36 +360,35 @@ impl<'p> CheckpointRegion<'p> {
     /// to keep one region — and its incremental chunk-hash cache — alive
     /// across checkpoint calls instead of re-validating both slots per call.
     pub fn open_root_shared(pool: Arc<PmemPool>) -> Result<CheckpointRegion<'static>> {
-        let (oid, _) = pool
-            .root()
-            .ok_or(PmemError::Checkpoint("pool has no root region"))?;
+        let oid = versioned::root::<Self>(&pool)?;
         CheckpointRegion::open_at(PoolRef::Shared(pool), oid)
     }
 
     /// Opens the region registered as the pool's root object.
     pub fn open_root(pool: &'p PmemPool) -> Result<Self> {
-        let (oid, _) = pool
-            .root()
-            .ok_or(PmemError::Checkpoint("pool has no root region"))?;
-        Self::open(pool, oid)
+        Self::open(pool, versioned::root::<Self>(pool)?)
     }
 
     /// Reads a slot header and, when it validates, recomputes the slot's
     /// per-chunk hashes and checks them against the header's combined hash.
-    fn validate_slot(&self, slot: usize) -> Result<Option<(SlotHeader, Vec<u64>)>> {
+    /// Returns the slot's epoch and chunk hashes.
+    fn validate_slot(&self, slot: usize) -> Result<Option<(u64, Vec<u64>)>> {
         let mut bytes = [0u8; SLOT_HEADER_LEN];
         self.pool.read(self.header_off(slot), &mut bytes)?;
-        let header = match SlotHeader::from_bytes(&bytes) {
-            Some(h) if h.epoch > 0 && Self::slot_for(h.epoch) == slot => h,
+        // A torn or foreign header fails its seal or its magic.
+        let (epoch, data_hash) = match versioned::unseal(&bytes) {
+            Some([SLOT_MAGIC, epoch, data_hash]) if epoch > 0 && Self::slot_for(epoch) == slot => {
+                (epoch, data_hash)
+            }
             _ => return Ok(None),
         };
         let mut data = vec![0u8; self.data_len as usize];
         self.pool.read(self.data_off(slot, 0), &mut data)?;
         let chunk_hashes = self.chunk_hashes_of(&data);
-        if combine_hashes(&chunk_hashes) != header.data_hash {
+        if combine_hashes(&chunk_hashes) != data_hash {
             return Ok(None);
         }
-        Ok(Some((header, chunk_hashes)))
+        Ok(Some((epoch, chunk_hashes)))
     }
 
     // ---------------------------------------------------------------- info
@@ -506,10 +423,6 @@ impl<'p> CheckpointRegion<'p> {
         Self::slot_for(self.committed + 1)
     }
 
-    fn slot_for(epoch: u64) -> usize {
-        (epoch % 2) as usize
-    }
-
     fn header_off(&self, slot: usize) -> u64 {
         self.base + DESC_SIZE + slot as u64 * SLOT_HEADER_SIZE
     }
@@ -533,7 +446,7 @@ impl<'p> CheckpointRegion<'p> {
     fn chunk_hashes_of(&self, data: &[u8]) -> Vec<u64> {
         (0..self.chunk_count)
             // in-bounds: chunk_range is clamped to data_len == data.len().
-            .map(|i| fnv1a(&data[self.chunk_range(i)]))
+            .map(|i| versioned::digest(&data[self.chunk_range(i)]))
             .collect()
     }
 
@@ -598,7 +511,7 @@ impl<'p> CheckpointRegion<'p> {
 
         // Phase 1: chunk flush (fan-out), then a single drain.
         let crash_at_chunk = match crash {
-            Some(c) if c.phase == CheckpointPhase::ChunkFlush => Some(point_ordinal(c.point)),
+            Some(c) if c.phase == CheckpointPhase::ChunkFlush => Some(c.point.ordinal()),
             _ => None,
         };
         let bytes_written: u64 = dirty
@@ -627,11 +540,8 @@ impl<'p> CheckpointRegion<'p> {
         }
 
         // Phase 2: slot header write + persist.
-        let header = SlotHeader {
-            epoch,
-            data_hash: combine_hashes(&new_hashes),
-        }
-        .to_bytes();
+        let header: [u8; SLOT_HEADER_LEN] =
+            versioned::seal(&[SLOT_MAGIC, epoch, combine_hashes(&new_hashes)]);
         let header_off = self.header_off(slot);
         if let Some(c) = crash.filter(|c| c.phase == CheckpointPhase::HeaderWrite) {
             let site = "checkpoint-header-write";
@@ -693,7 +603,7 @@ fn combine_hashes(chunk_hashes: &[u64]) -> u64 {
     for h in chunk_hashes {
         bytes.extend_from_slice(&h.to_le_bytes());
     }
-    fnv1a(&bytes)
+    versioned::digest(&bytes)
 }
 
 #[cfg(test)]

@@ -29,6 +29,10 @@
 //! * [`residency`] — the durable chunk → tier table the adaptive tiering
 //!   engine commits its migrations through (the undo log is the migration
 //!   record, so a crash mid-migration rolls back to the source tier).
+//! * `versioned` (crate-private) — the one layout engine those three share:
+//!   the descriptor, checked shape sizing, the root lookup, sealed
+//!   (checksummed) word records and the content digest. Each layout keeps
+//!   only its own protocol.
 //! * [`persist`] — flush/drain primitives with instrumentation counters, the
 //!   stand-ins for `CLWB`/`SFENCE` (or the `pmem_persist` libpmem call).
 //! * [`backend`] — where the bytes actually live: a volatile buffer, a file

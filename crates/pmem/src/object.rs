@@ -48,27 +48,22 @@
 
 use crate::error::PmemError;
 use crate::oid::PmemOid;
-use crate::pool::{fnv1a, PmemPool, MIN_POOL_SIZE};
+use crate::pool::PmemPool;
 use crate::tx::CrashPoint;
-use crate::versioned::{commit_record, torn_write, PoolRef, RecordCrash};
+use crate::versioned::{
+    self, commit_record, torn_write, Descriptor, Layout, PoolRef, RecordCrash, COUNTERS_AT,
+    DESC_SIZE,
+};
 use crate::Result;
 use std::collections::HashMap;
 use std::sync::Arc;
 
-/// Magic tag of a store descriptor ("OBJSTOR1").
-const STORE_MAGIC: u64 = 0x4F42_4A53_544F_5231;
-/// On-media format version.
-const STORE_VERSION: u32 = 1;
-/// Bytes reserved for the store descriptor.
-const DESC_SIZE: u64 = 64;
 /// Bytes per directory entry.
 const ENTRY_SIZE: u64 = 40;
-/// Checksummed prefix of a directory entry.
-const ENTRY_BODY: usize = 32;
-/// Descriptor offset of the commit-sequence counter.
-const COMMIT_SEQ_AT: u64 = 32;
-/// Descriptor offset of the live-object counter.
-const LIVE_AT: u64 = 40;
+/// Descriptor offset of the commit-sequence counter (counter 0).
+const COMMIT_SEQ_AT: u64 = COUNTERS_AT;
+/// Descriptor offset of the live-object counter (counter 1).
+const LIVE_AT: u64 = COUNTERS_AT + 8;
 
 /// Pipeline stage an [`ObjectCrash`] fires in.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -116,48 +111,6 @@ struct Entry {
     epoch: u64,
     len: u64,
     value_hash: u64,
-}
-
-impl Entry {
-    /// Serialises the entry for object `id`: tag, epoch, length, payload
-    /// hash, then an FNV-1a checksum of those 32 bytes.
-    fn to_bytes(self, id: u64) -> [u8; ENTRY_SIZE as usize] {
-        let mut bytes = [0u8; ENTRY_SIZE as usize];
-        bytes[0..8].copy_from_slice(&(id + 1).to_le_bytes());
-        bytes[8..16].copy_from_slice(&self.epoch.to_le_bytes());
-        bytes[16..24].copy_from_slice(&self.len.to_le_bytes());
-        bytes[24..32].copy_from_slice(&self.value_hash.to_le_bytes());
-        let checksum = fnv1a(&bytes[..ENTRY_BODY]);
-        bytes[32..40].copy_from_slice(&checksum.to_le_bytes());
-        bytes
-    }
-
-    /// Decodes an entry. `Ok(None)` = free slot; tag or checksum mismatches
-    /// surface as typed errors (the entry is tx-guarded, so a mismatch means
-    /// external corruption, not a protocol tear).
-    fn from_bytes(bytes: &[u8; ENTRY_SIZE as usize], id: u64) -> Result<Option<Entry>> {
-        let word = |at: usize| {
-            let mut buf = [0u8; 8];
-            // in-bounds: at ∈ {0, 8, 16, 24, 32}; the entry is 40 bytes.
-            buf.copy_from_slice(&bytes[at..at + 8]);
-            u64::from_le_bytes(buf)
-        };
-        let tag = word(0);
-        if tag == 0 {
-            return Ok(None);
-        }
-        if word(32) != fnv1a(&bytes[..ENTRY_BODY]) {
-            return Err(PmemError::ObjectStore("directory entry checksum mismatch"));
-        }
-        if tag != id + 1 {
-            return Err(PmemError::ObjectStore("directory entry tag mismatch"));
-        }
-        Ok(Some(Entry {
-            epoch: word(8),
-            len: word(16),
-            value_hash: word(24),
-        }))
-    }
 }
 
 /// A payload staged by [`ObjectStore::put`], waiting for its commit record.
@@ -209,33 +162,37 @@ impl std::fmt::Debug for ObjectStore<'_> {
     }
 }
 
+impl Layout for ObjectStore<'_> {
+    /// "OBJSTOR1".
+    const MAGIC: u64 = 0x4F42_4A53_544F_5231;
+    const VERSION: u32 = 1;
+
+    fn error(msg: &'static str) -> PmemError {
+        PmemError::ObjectStore(msg)
+    }
+
+    /// The directory, then two payload slots per object.
+    fn body_size(capacity: u64, value_len: u64) -> Option<u64> {
+        let slots_len = capacity.checked_mul(value_len)?.checked_mul(2)?;
+        capacity.checked_mul(ENTRY_SIZE)?.checked_add(slots_len)
+    }
+}
+
 impl<'p> ObjectStore<'p> {
     // ---------------------------------------------------------------- sizing
-
-    /// `(directory bytes, region bytes)` of a shape, or `None` when the
-    /// region does not fit in `u64`.
-    fn checked_shape(capacity: u64, value_len: u64) -> Option<(u64, u64)> {
-        let dir_len = capacity.checked_mul(ENTRY_SIZE)?;
-        let slots_len = capacity.checked_mul(value_len)?.checked_mul(2)?;
-        let region = DESC_SIZE.checked_add(dir_len)?.checked_add(slots_len)?;
-        Some((dir_len, region))
-    }
 
     /// Bytes the store occupies inside a pool: descriptor + directory + two
     /// payload slots per object (saturating at `u64::MAX` for a shape that
     /// does not fit in `u64`).
     pub fn region_size(capacity: u64, value_len: u64) -> u64 {
-        Self::checked_shape(capacity, value_len).map_or(u64::MAX, |(_, region)| region)
+        versioned::region_size::<Self>(capacity, value_len)
     }
 
-    /// A pool size comfortably fitting one store of this shape
-    /// ([`MIN_POOL_SIZE`] covers the pool header and undo log; the slack
-    /// covers heap bookkeeping) — what the cluster's `create_store`
-    /// provisions. Saturates at `u64::MAX`, which no pool satisfies.
+    /// A pool size comfortably fitting one store of this shape — what the
+    /// cluster's `create_store` provisions. Saturates at `u64::MAX`, which no
+    /// pool satisfies.
     pub fn required_pool_size(capacity: u64, value_len: u64) -> u64 {
-        MIN_POOL_SIZE
-            .saturating_add(Self::region_size(capacity, value_len))
-            .saturating_add(64 * 1024)
+        versioned::required_pool_size::<Self>(capacity, value_len)
     }
 
     // ---------------------------------------------------------------- create
@@ -243,44 +200,22 @@ impl<'p> ObjectStore<'p> {
     /// Formats a fresh store for up to `capacity` objects of at most
     /// `value_len` bytes each. Every directory entry starts free.
     pub fn format(pool: &'p PmemPool, capacity: u64, value_len: u64) -> Result<Self> {
-        if capacity == 0 || value_len == 0 {
-            return Err(PmemError::ObjectStore(
-                "capacity and value_len must be non-zero",
-            ));
-        }
-        let (dir_len, region) =
-            Self::checked_shape(capacity, value_len).ok_or(PmemError::SizeOverflow)?;
-        let oid = pool.alloc_bytes(region)?;
-        let base = oid.offset;
-        let mut desc = [0u8; DESC_SIZE as usize];
-        desc[0..8].copy_from_slice(&STORE_MAGIC.to_le_bytes());
-        desc[8..12].copy_from_slice(&STORE_VERSION.to_le_bytes());
-        desc[16..24].copy_from_slice(&capacity.to_le_bytes());
-        desc[24..32].copy_from_slice(&value_len.to_le_bytes());
-        // commit_seq and live start at zero (already zeroed above).
-        pool.write(base, &desc)?;
+        let desc = versioned::format::<Self>(pool, capacity, value_len)?;
         // The directory must be explicitly freed: the heap may hand back a
         // recycled block still carrying another store's entries. Payload
         // slots need no scrub — only a committed entry makes one visible.
+        // The engine checked that the whole shape fits in u64.
+        let dir_len = capacity * ENTRY_SIZE;
         let zeros = vec![0u8; 64 * 1024];
         let mut written = 0u64;
         while written < dir_len {
             let step = (dir_len - written).min(zeros.len() as u64);
             // in-bounds: step ≤ zeros.len() by the min above.
-            pool.write(base + DESC_SIZE + written, &zeros[..step as usize])?;
+            pool.write(desc.base + DESC_SIZE + written, &zeros[..step as usize])?;
             written += step;
         }
-        pool.persist(base, DESC_SIZE + dir_len)?;
-        Ok(ObjectStore {
-            pool: PoolRef::Borrowed(pool),
-            base,
-            capacity,
-            value_len,
-            commit_seq: 0,
-            live: 0,
-            staged: HashMap::new(),
-            crash: None,
-        })
+        pool.persist(desc.base, DESC_SIZE + dir_len)?;
+        Ok(Self::at(PoolRef::Borrowed(pool), desc))
     }
 
     /// Opens an existing store at `oid` (typically after a pool reopen),
@@ -290,64 +225,38 @@ impl<'p> ObjectStore<'p> {
     }
 
     fn open_at(pool: PoolRef<'p>, oid: PmemOid) -> Result<Self> {
-        let base = oid.offset;
-        let mut desc = [0u8; DESC_SIZE as usize];
-        pool.read(base, &mut desc)?;
-        let word = |at: usize| {
-            let mut buf = [0u8; 8];
-            // in-bounds: at ∈ {0, 16, 24, 32, 40}; desc is 64 bytes.
-            buf.copy_from_slice(&desc[at..at + 8]);
-            u64::from_le_bytes(buf)
-        };
-        if word(0) != STORE_MAGIC {
-            return Err(PmemError::ObjectStore("store descriptor magic mismatch"));
-        }
-        let version = u32::from_le_bytes([desc[8], desc[9], desc[10], desc[11]]);
-        if version != STORE_VERSION {
-            return Err(PmemError::ObjectStore("unsupported store version"));
-        }
-        let capacity = word(16);
-        let value_len = word(24);
-        if capacity == 0 || value_len == 0 {
-            return Err(PmemError::ObjectStore("corrupt store descriptor"));
-        }
-        // A corrupt shape must not address slots beyond the pool.
-        let fits = Self::checked_shape(capacity, value_len)
-            .and_then(|(_, region)| base.checked_add(region))
-            .is_some_and(|end| end <= pool.capacity());
-        if !fits {
-            return Err(PmemError::ObjectStore(
-                "store descriptor shape exceeds the pool",
-            ));
-        }
-        Ok(ObjectStore {
+        // A shape beyond the pool is refused before it addresses any slot.
+        let desc = versioned::open::<Self>(&pool, oid.offset)?;
+        Ok(Self::at(pool, desc))
+    }
+
+    /// The store a descriptor describes, with nothing staged.
+    fn at(pool: PoolRef<'p>, desc: Descriptor) -> Self {
+        let (capacity, value_len) = desc.shape;
+        let [commit_seq, live] = desc.counters;
+        ObjectStore {
             pool,
-            base,
+            base: desc.base,
             capacity,
             value_len,
-            commit_seq: word(32),
-            live: word(40),
+            commit_seq,
+            live,
             staged: HashMap::new(),
             crash: None,
-        })
+        }
     }
 
     /// Opens the pool's root store with **shared ownership** of the pool, so
     /// the store can outlive the caller's stack frame — the disaggregated
     /// cluster's per-host store handles use this.
     pub fn open_root_shared(pool: Arc<PmemPool>) -> Result<ObjectStore<'static>> {
-        let (oid, _) = pool
-            .root()
-            .ok_or(PmemError::ObjectStore("pool has no root store"))?;
+        let oid = versioned::root::<Self>(&pool)?;
         ObjectStore::open_at(PoolRef::Shared(pool), oid)
     }
 
     /// Opens the store registered as the pool's root object.
     pub fn open_root(pool: &'p PmemPool) -> Result<Self> {
-        let (oid, _) = pool
-            .root()
-            .ok_or(PmemError::ObjectStore("pool has no root store"))?;
-        Self::open(pool, oid)
+        Self::open(pool, versioned::root::<Self>(pool)?)
     }
 
     // ------------------------------------------------------------- accessors
@@ -393,13 +302,8 @@ impl<'p> ObjectStore<'p> {
         self.base + DESC_SIZE + id * ENTRY_SIZE
     }
 
-    fn slot_off(&self, id: u64, slot: u64) -> u64 {
-        self.base + DESC_SIZE + self.capacity * ENTRY_SIZE + (id * 2 + slot) * self.value_len
-    }
-
-    /// Which payload slot holds epoch `e` (for `e ≥ 1`).
-    fn slot_for(epoch: u64) -> u64 {
-        epoch % 2
+    fn slot_off(&self, id: u64, slot: usize) -> u64 {
+        self.base + DESC_SIZE + self.capacity * ENTRY_SIZE + (id * 2 + slot as u64) * self.value_len
     }
 
     fn check_id(&self, id: u64) -> Result<()> {
@@ -409,10 +313,27 @@ impl<'p> ObjectStore<'p> {
         Ok(())
     }
 
+    /// Reads and decodes object `id`'s directory entry. `Ok(None)` = free
+    /// entry; tag or checksum mismatches surface as typed errors (the entry
+    /// is tx-guarded, so a mismatch means external corruption, not a
+    /// protocol tear).
     fn read_entry(&self, id: u64) -> Result<Option<Entry>> {
         let mut bytes = [0u8; ENTRY_SIZE as usize];
         self.pool.read(self.entry_off(id), &mut bytes)?;
-        Entry::from_bytes(&bytes, id)
+        // A free entry is all zeros, so its tag is read before the checksum.
+        if bytes.starts_with(&[0; 8]) {
+            return Ok(None);
+        }
+        let [tag, epoch, len, value_hash] = versioned::unseal(&bytes)
+            .ok_or(PmemError::ObjectStore("directory entry checksum mismatch"))?;
+        if tag != id + 1 {
+            return Err(PmemError::ObjectStore("directory entry tag mismatch"));
+        }
+        Ok(Some(Entry {
+            epoch,
+            len,
+            value_hash,
+        }))
     }
 
     /// Reads a descriptor counter (`COMMIT_SEQ_AT` / `LIVE_AT`) from media.
@@ -449,7 +370,7 @@ impl<'p> ObjectStore<'p> {
             id,
             Staged {
                 len: value.len() as u64,
-                hash: fnv1a(value),
+                hash: versioned::digest(value),
                 basis: epoch,
             },
         );
@@ -496,12 +417,9 @@ impl<'p> ObjectStore<'p> {
         // The staged payload must be durable before any commit record can
         // name it: one drain for the flushes the put fan-out issued.
         self.pool.drain();
-        let entry = Entry {
-            epoch,
-            len: staged.len,
-            value_hash: staged.hash,
-        }
-        .to_bytes(id);
+        // The sealed entry: tag (id + 1), epoch, length, payload hash.
+        let entry: [u8; ENTRY_SIZE as usize] =
+            versioned::seal(&[id + 1, epoch, staged.len, staged.hash]);
         let record_crash = crash.and_then(|c| match c.phase {
             ObjectPhase::EntryCommit => Some(RecordCrash::Commit(c.point)),
             ObjectPhase::Recovery => Some(RecordCrash::Recovery(c.point)),
@@ -581,7 +499,7 @@ impl<'p> ObjectStore<'p> {
         let mut value = vec![0u8; entry.len as usize];
         self.pool
             .read(self.slot_off(id, Self::slot_for(entry.epoch)), &mut value)?;
-        if fnv1a(&value) != entry.value_hash {
+        if versioned::digest(&value) != entry.value_hash {
             return Err(PmemError::ObjectStore(
                 "payload bytes do not match the committed content hash",
             ));

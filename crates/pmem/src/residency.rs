@@ -27,6 +27,7 @@
 use crate::error::PmemError;
 use crate::oid::PmemOid;
 use crate::pool::PmemPool;
+use crate::versioned::{self, Descriptor, Layout};
 use crate::Result;
 use std::sync::Arc;
 
@@ -34,7 +35,7 @@ use std::sync::Arc;
 pub const RESIDENCY_MAGIC: u64 = 0x5449_4552_524D_4150;
 /// Residency-map format version.
 pub const RESIDENCY_VERSION: u32 = 1;
-/// Bytes of the map header (magic, version, chunk_count, tier_count).
+/// Bytes of the map's descriptor (magic, version, chunk_count, tier_count).
 const MAP_HEADER: u64 = 32;
 /// Bytes per chunk entry (a little-endian `u32` tier index).
 const ENTRY: u64 = 4;
@@ -61,82 +62,66 @@ impl std::fmt::Debug for ResidencyMap {
     }
 }
 
+impl Layout for ResidencyMap {
+    const MAGIC: u64 = RESIDENCY_MAGIC;
+    const VERSION: u32 = RESIDENCY_VERSION;
+    const DESC_LEN: u64 = MAP_HEADER;
+
+    fn error(msg: &'static str) -> PmemError {
+        PmemError::Residency(msg)
+    }
+
+    /// One entry per chunk; the tier count does not size the map.
+    fn body_size(chunks: u64, _tier_count: u64) -> Option<u64> {
+        chunks.checked_mul(ENTRY)
+    }
+}
+
 impl ResidencyMap {
-    /// Bytes the map occupies inside a pool for `chunks` entries.
+    /// Bytes the map occupies inside a pool for `chunks` entries (saturating
+    /// at `u64::MAX` for a count whose map does not fit in `u64`).
     pub fn map_size(chunks: usize) -> u64 {
-        MAP_HEADER + chunks as u64 * ENTRY
+        versioned::region_size::<Self>(chunks as u64, 1)
     }
 
     /// Formats a fresh map holding `initial[i]` as chunk `i`'s tier; every
     /// entry must be below `tier_count`.
     pub fn format(pool: Arc<PmemPool>, tier_count: u32, initial: &[u32]) -> Result<Self> {
-        if tier_count == 0 || initial.is_empty() {
-            return Err(PmemError::Residency(
-                "residency map needs at least one tier and one chunk",
-            ));
-        }
         if initial.iter().any(|&t| t >= tier_count) {
             return Err(PmemError::Residency("initial tier index out of range"));
         }
-        let oid = pool.alloc_bytes(Self::map_size(initial.len()))?;
-        let base = oid.offset;
-        let mut header = [0u8; MAP_HEADER as usize];
-        header[0..8].copy_from_slice(&RESIDENCY_MAGIC.to_le_bytes());
-        header[8..12].copy_from_slice(&RESIDENCY_VERSION.to_le_bytes());
-        header[16..24].copy_from_slice(&(initial.len() as u64).to_le_bytes());
-        header[24..28].copy_from_slice(&tier_count.to_le_bytes());
-        pool.write(base, &header)?;
+        let desc = versioned::format::<Self>(&pool, initial.len() as u64, u64::from(tier_count))?;
         let mut entries = vec![0u8; initial.len() * ENTRY as usize];
-        for (i, &tier) in initial.iter().enumerate() {
-            entries[i * 4..i * 4 + 4].copy_from_slice(&tier.to_le_bytes());
+        for (bytes, tier) in entries.chunks_exact_mut(ENTRY as usize).zip(initial) {
+            bytes.copy_from_slice(&tier.to_le_bytes());
         }
-        pool.write(base + MAP_HEADER, &entries)?;
-        pool.persist(base, Self::map_size(initial.len()))?;
-        Ok(ResidencyMap {
-            pool,
-            base,
-            chunks: initial.len(),
-            tier_count,
-        })
+        pool.write(desc.base + MAP_HEADER, &entries)?;
+        pool.persist(desc.base, Self::map_size(initial.len()))?;
+        Self::at(pool, desc)
     }
 
     /// Opens an existing map at `oid` (typically after a pool reopen —
     /// [`PmemPool::open_with_backend`] has already replayed any interrupted
     /// migration record by then).
     pub fn open(pool: Arc<PmemPool>, oid: PmemOid) -> Result<Self> {
-        let base = oid.offset;
-        let mut header = [0u8; MAP_HEADER as usize];
-        pool.read(base, &mut header)?;
-        let read64 = |at: usize| {
-            let mut buf = [0u8; 8];
-            buf.copy_from_slice(&header[at..at + 8]);
-            u64::from_le_bytes(buf)
-        };
-        if read64(0) != RESIDENCY_MAGIC {
-            return Err(PmemError::Residency("residency map magic mismatch"));
-        }
-        let version = u32::from_le_bytes([header[8], header[9], header[10], header[11]]);
-        if version != RESIDENCY_VERSION {
-            return Err(PmemError::Residency("unsupported residency map version"));
-        }
-        let chunks = read64(16) as usize;
-        let tier_count = u32::from_le_bytes([header[24], header[25], header[26], header[27]]);
-        if chunks == 0 || tier_count == 0 {
-            return Err(PmemError::Residency("corrupt residency map header"));
-        }
+        let desc = versioned::open::<Self>(&pool, oid.offset)?;
+        Self::at(pool, desc)
+    }
+
+    /// The map a descriptor describes.
+    fn at(pool: Arc<PmemPool>, desc: Descriptor) -> Result<Self> {
+        let corrupt = |_| PmemError::Residency("corrupt residency map header");
         Ok(ResidencyMap {
             pool,
-            base,
-            chunks,
-            tier_count,
+            base: desc.base,
+            chunks: usize::try_from(desc.shape.0).map_err(corrupt)?,
+            tier_count: u32::try_from(desc.shape.1).map_err(corrupt)?,
         })
     }
 
     /// Opens the map registered as the pool's root object.
     pub fn open_root(pool: Arc<PmemPool>) -> Result<Self> {
-        let (oid, _) = pool
-            .root()
-            .ok_or(PmemError::Residency("pool has no root residency map"))?;
+        let oid = versioned::root::<Self>(&pool)?;
         Self::open(pool, oid)
     }
 
@@ -188,6 +173,7 @@ impl ResidencyMap {
     pub fn counts(&self) -> Result<Vec<usize>> {
         let mut counts = vec![0usize; self.tier_count as usize];
         for tier in self.tiers()? {
+            // in-bounds: tier_of refuses any tier ≥ tier_count = counts.len().
             counts[tier as usize] += 1;
         }
         Ok(counts)
@@ -311,6 +297,27 @@ mod tests {
         let reopened = Arc::new(PmemPool::open_with_backend(shared, "tier").unwrap());
         let map = ResidencyMap::open_root(reopened).unwrap();
         assert_eq!(map.tiers().unwrap(), vec![0, 1, 0]);
+    }
+
+    #[test]
+    fn descriptor_shape_beyond_the_pool_is_a_typed_error() {
+        let (backend, pool) = shared_pool();
+        let map = ResidencyMap::format(Arc::clone(&pool), 2, &[0, 1, 0]).unwrap();
+        pool.set_root(map.oid(), ResidencyMap::map_size(3)).unwrap();
+        // Rewrite chunk_count behind the map's back: 2^40 entries would make
+        // `tiers()` read heap bytes far past the map as entries.
+        let base = map.oid().offset;
+        drop(map);
+        pool.write(base + 16, &(1u64 << 40).to_le_bytes()).unwrap();
+        pool.persist(base + 16, 8).unwrap();
+        drop(pool);
+
+        let shared: SharedBackend = Arc::new(backend);
+        let reopened = Arc::new(PmemPool::open_with_backend(shared, "tier").unwrap());
+        assert!(matches!(
+            ResidencyMap::open_root(reopened),
+            Err(PmemError::Residency(_))
+        ));
     }
 
     proptest! {

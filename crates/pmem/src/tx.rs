@@ -46,6 +46,12 @@ impl CrashPoint {
         CrashPoint::AfterCommit,
         CrashPoint::DuringRecovery,
     ];
+
+    /// The point's position in [`CrashPoint::ALL`]. Write phases use it as a
+    /// deterministic sub-position (chunk ordinal, torn-write step).
+    pub const fn ordinal(self) -> usize {
+        self as usize
+    }
 }
 
 const LOG_ACTIVE: u64 = 1;
@@ -328,6 +334,13 @@ mod tests {
         let mut buf = [0u8; 8];
         pool.read(offset, &mut buf).unwrap();
         buf
+    }
+
+    #[test]
+    fn ordinal_is_the_position_in_all() {
+        for (i, point) in CrashPoint::ALL.into_iter().enumerate() {
+            assert_eq!(point.ordinal(), i, "{point:?}");
+        }
     }
 
     #[test]

@@ -1,24 +1,204 @@
-//! Plumbing shared by the crate's two versioned engines, the
-//! [`CheckpointRegion`](crate::CheckpointRegion) and the
-//! [`ObjectStore`](crate::ObjectStore): how an engine addresses its pool, the
-//! torn write an injected crash leaves behind, and the undo-log commit record
-//! with its crash arming.
+//! The crate's one layout engine. The
+//! [`CheckpointRegion`](crate::CheckpointRegion), the
+//! [`ObjectStore`](crate::ObjectStore) and the
+//! [`ResidencyMap`](crate::ResidencyMap) take every on-media format decision
+//! they share from here: the descriptor, the checked sizing of a shape, the
+//! root lookup, the sealed (checksummed) word records and the one content
+//! [`digest`]. Each [`Layout`] supplies its format constants and keeps its
+//! own protocol (slot validation, directory entries, residency flips).
 //!
-//! Both engines inject crashes the same way. A *write phase* (checkpoint slot
-//! header, object payload slot) is torn at one of four sub-positions picked by
-//! the [`CrashPoint`] ordinal; the *commit record* (descriptor or directory
-//! entry update inside one pool transaction) either fires the point at its
-//! native transaction site or strands the log so the following recovery hits
-//! it. The public `CheckpointPhase` / `ObjectPhase` enums only say which of
-//! these an injection targets.
+//! # Descriptor
+//!
+//! ```text
+//! base +  0  magic      u64  per layout
+//!         8  version    u32  then 4 zero bytes
+//!        16  shape.0    u64  \ the layout's two shape words
+//!        24  shape.1    u64  /
+//!        32  counter 0  u64  \ protocol counters, undo-log guarded
+//!        40  counter 1  u64  /  (64-byte descriptors only)
+//!        48  reserved, zero
+//! ```
+//!
+//! # Pool handles and crash injection
+//!
+//! The checkpoint region and the object store address their pool the same
+//! way ([`PoolRef`]) and inject crashes the same way. A *write phase*
+//! (checkpoint slot header, object payload slot) is torn at one of four
+//! sub-positions picked by the point's [`ordinal`](CrashPoint::ordinal); the
+//! *commit record* (descriptor or directory entry update inside one pool
+//! transaction) either fires the point at its native transaction site or
+//! strands the log so the following recovery hits it. The public
+//! `CheckpointPhase` / `ObjectPhase` enums only say which of these an
+//! injection targets.
 
 use crate::error::PmemError;
-use crate::pool::PmemPool;
+use crate::oid::PmemOid;
+use crate::pool::{fnv1a, PmemPool, MIN_POOL_SIZE};
 use crate::tx::{CrashPoint, Transaction};
 use crate::Result;
 use std::sync::Arc;
 
-/// How an engine addresses its pool: borrowed for the classic in-stack use,
+/// Bytes of a full descriptor (the residency map's is 32).
+pub(crate) const DESC_SIZE: u64 = 64;
+/// Descriptor offset of the first protocol counter.
+pub(crate) const COUNTERS_AT: u64 = 32;
+
+/// The format constants of one on-media layout.
+pub(crate) trait Layout {
+    /// Descriptor magic.
+    const MAGIC: u64;
+    /// Format version; an open refuses any other.
+    const VERSION: u32;
+    /// Bytes of the descriptor.
+    const DESC_LEN: u64 = DESC_SIZE;
+
+    /// The layout's typed error.
+    fn error(msg: &'static str) -> PmemError;
+
+    /// Bytes the layout occupies after its descriptor for the shape
+    /// `(a, b)`, or `None` when they do not fit in `u64`.
+    fn body_size(a: u64, b: u64) -> Option<u64>;
+
+    /// Which slot of a pair holds epoch `epoch`: epochs alternate, so a
+    /// commit of `epoch + 1` never touches the slot holding `epoch`.
+    fn slot_for(epoch: u64) -> usize {
+        (epoch % 2) as usize
+    }
+}
+
+/// A written or validated descriptor.
+#[derive(Debug)]
+pub(crate) struct Descriptor {
+    /// Pool offset of the region, where the descriptor starts.
+    pub(crate) base: u64,
+    /// The layout's two shape words, both non-zero.
+    pub(crate) shape: (u64, u64),
+    /// The two protocol counters (zero for a 32-byte descriptor).
+    pub(crate) counters: [u64; 2],
+}
+
+/// Bytes of a region of shape `(a, b)`, descriptor included, or `None` when
+/// they do not fit in `u64`.
+fn checked_size<L: Layout>(a: u64, b: u64) -> Option<u64> {
+    L::body_size(a, b)?.checked_add(L::DESC_LEN)
+}
+
+/// Bytes a region of shape `(a, b)` occupies inside a pool (saturating at
+/// `u64::MAX` for a shape that does not fit in `u64`).
+pub(crate) fn region_size<L: Layout>(a: u64, b: u64) -> u64 {
+    checked_size::<L>(a, b).unwrap_or(u64::MAX)
+}
+
+/// A pool size comfortably fitting one region of shape `(a, b)`:
+/// [`MIN_POOL_SIZE`] covers the pool header and undo log, 64 KiB of slack
+/// covers heap bookkeeping. Saturates at `u64::MAX`, which no pool satisfies.
+pub(crate) fn required_pool_size<L: Layout>(a: u64, b: u64) -> u64 {
+    MIN_POOL_SIZE
+        .saturating_add(region_size::<L>(a, b))
+        .saturating_add(64 * 1024)
+}
+
+/// Allocates a region of shape `(a, b)` and writes its descriptor with zero
+/// counters. The caller writes the rest of its format and persists it
+/// together with the descriptor.
+pub(crate) fn format<L: Layout>(pool: &PmemPool, a: u64, b: u64) -> Result<Descriptor> {
+    if a == 0 || b == 0 {
+        return Err(L::error("layout shape must be non-zero"));
+    }
+    let len = checked_size::<L>(a, b).ok_or(PmemError::SizeOverflow)?;
+    let base = pool.alloc_bytes(len)?.offset;
+    let mut desc = [0u8; DESC_SIZE as usize];
+    encode(&mut desc, &[L::MAGIC, u64::from(L::VERSION), a, b]);
+    // in-bounds: DESC_LEN ≤ DESC_SIZE for every layout.
+    pool.write(base, &desc[..L::DESC_LEN as usize])?;
+    Ok(Descriptor {
+        base,
+        shape: (a, b),
+        counters: [0, 0],
+    })
+}
+
+/// Reads and validates the descriptor at `base`: magic, version, a non-zero
+/// shape, and a region of that shape that fits in the pool, so a corrupt
+/// shape can neither size a cache nor address bytes beyond the pool.
+pub(crate) fn open<L: Layout>(pool: &PmemPool, base: u64) -> Result<Descriptor> {
+    let mut desc = [0u8; DESC_SIZE as usize];
+    // in-bounds: DESC_LEN ≤ DESC_SIZE for every layout.
+    pool.read(base, &mut desc[..L::DESC_LEN as usize])?;
+    let [magic, version, a, b, counter0, counter1] = decode(&desc);
+    if magic != L::MAGIC {
+        return Err(L::error("descriptor magic mismatch"));
+    }
+    if version != u64::from(L::VERSION) {
+        return Err(L::error("unsupported format version"));
+    }
+    if a == 0 || b == 0 {
+        return Err(L::error("corrupt descriptor shape"));
+    }
+    let fits = checked_size::<L>(a, b)
+        .and_then(|len| base.checked_add(len))
+        .is_some_and(|end| end <= pool.capacity());
+    if !fits {
+        return Err(L::error("descriptor shape exceeds the pool"));
+    }
+    Ok(Descriptor {
+        base,
+        shape: (a, b),
+        counters: [counter0, counter1],
+    })
+}
+
+/// The pool's root object, where a layout is registered to be reopened.
+pub(crate) fn root<L: Layout>(pool: &PmemPool) -> Result<PmemOid> {
+    pool.root()
+        .map(|(oid, _)| oid)
+        .ok_or_else(|| L::error("pool has no root object"))
+}
+
+/// The one content digest of every layout: chunk and value hashes, the
+/// combined slot hash and record checksums. It is FNV-1a, the pool header's
+/// checksum.
+pub(crate) fn digest(bytes: &[u8]) -> u64 {
+    fnv1a(bytes)
+}
+
+/// Seals a record: `words` little-endian, then the [`digest`] of those
+/// bytes. `B` is the record length, `8 × (words.len() + 1)`.
+pub(crate) fn seal<const B: usize>(words: &[u64]) -> [u8; B] {
+    debug_assert_eq!(B, 8 * (words.len() + 1), "sealed record length");
+    let mut record = [0u8; B];
+    if let Some((body, sum)) = record.split_last_chunk_mut::<8>() {
+        encode(body, words);
+        *sum = digest(body).to_le_bytes();
+    }
+    record
+}
+
+/// The `N` words of a sealed record, or `None` when the record is not
+/// `8 × (N + 1)` bytes or its digest does not match (a torn or foreign
+/// record).
+pub(crate) fn unseal<const N: usize>(record: &[u8]) -> Option<[u64; N]> {
+    let (body, sum) = record.split_last_chunk::<8>()?;
+    (body.len() == N * 8 && digest(body) == u64::from_le_bytes(*sum)).then(|| decode(body))
+}
+
+/// Writes `words` little-endian to the front of `out`.
+fn encode(out: &mut [u8], words: &[u64]) {
+    for (bytes, word) in out.chunks_exact_mut(8).zip(words) {
+        bytes.copy_from_slice(&word.to_le_bytes());
+    }
+}
+
+/// The first `N` little-endian words of `bytes`.
+fn decode<const N: usize>(bytes: &[u8]) -> [u64; N] {
+    let mut words = [0u64; N];
+    for (word, chunk) in words.iter_mut().zip(bytes.chunks_exact(8)) {
+        *word = u64::from_le_bytes(chunk.try_into().unwrap_or_default());
+    }
+    words
+}
+
+/// How a layout addresses its pool: borrowed for the classic in-stack use,
 /// or shared ownership for long-lived handles (the disaggregated cluster
 /// keeps one layout per host handle, preserving per-handle caches such as the
 /// checkpoint region's incremental chunk hashes across calls).
@@ -38,17 +218,6 @@ impl std::ops::Deref for PoolRef<'_> {
     }
 }
 
-/// Ordinal of a crash point, used as the deterministic sub-position inside a
-/// write phase (chunk ordinal, torn-write step).
-pub(crate) fn point_ordinal(point: CrashPoint) -> usize {
-    match point {
-        CrashPoint::AfterLogAppend => 0,
-        CrashPoint::BeforeCommit => 1,
-        CrashPoint::AfterCommit => 2,
-        CrashPoint::DuringRecovery => 3,
-    }
-}
-
 /// Leaves `bytes` at `off` the way a crash at `point` would, then fails with
 /// the injected-crash error named `site`. The point's ordinal selects:
 /// 0 = no byte written, 1 = the first half written (a torn write), 2 = every
@@ -60,7 +229,7 @@ pub(crate) fn torn_write<T>(
     point: CrashPoint,
     site: &'static str,
 ) -> Result<T> {
-    match point_ordinal(point) {
+    match point.ordinal() {
         0 => {}
         // in-bounds: bytes.len() / 2 ≤ bytes.len().
         1 => pool.write(off, &bytes[..bytes.len() / 2])?,
@@ -123,6 +292,32 @@ mod tests {
         let mut bytes = [0u8; 8];
         pool.read(off, &mut bytes).unwrap();
         bytes
+    }
+
+    #[test]
+    fn open_refuses_another_layouts_descriptor_and_another_version() {
+        use crate::{CheckpointRegion, ObjectStore};
+        let pool = PmemPool::create_volatile("versioned", 1 << 20).unwrap();
+        let desc = format::<CheckpointRegion<'static>>(&pool, 4096, 1024).unwrap();
+        assert!(matches!(
+            open::<ObjectStore<'static>>(&pool, desc.base),
+            Err(PmemError::ObjectStore("descriptor magic mismatch"))
+        ));
+        pool.write(desc.base + 8, &2u32.to_le_bytes()).unwrap();
+        assert!(matches!(
+            open::<CheckpointRegion<'static>>(&pool, desc.base),
+            Err(PmemError::Checkpoint("unsupported format version"))
+        ));
+    }
+
+    #[test]
+    fn unseal_refuses_a_torn_or_misshapen_record() {
+        let record: [u8; 32] = seal(&[1, 2, 3]);
+        assert_eq!(unseal::<3>(&record), Some([1, 2, 3]));
+        assert_eq!(unseal::<4>(&record), None);
+        let mut torn = record;
+        torn[9] ^= 1;
+        assert_eq!(unseal::<3>(&torn), None);
     }
 
     #[test]
