@@ -22,9 +22,10 @@ fn pmdk_overhead(c: &mut Criterion) {
 
     // Functional comparison: STREAM vs STREAM-PMem over the real object store
     // (small arrays — this measures the software path, not the paper machine).
-    let topo = numa::topology::sapphire_rapids_cxl();
-    let placement = AffinityPolicy::close().place(&topo, 4).expect("placement");
-    let worker_pool = PinnedPool::new(&topo, &placement);
+    let machine = memsim::machines::sapphire_rapids_cxl_machine();
+    let topo = machine.topology();
+    let placement = AffinityPolicy::close().place(topo, 4).expect("placement");
+    let worker_pool = PinnedPool::new(topo, &placement);
     let config = StreamConfig::small(100_000);
     group.bench_function("stream_volatile_functional", |b| {
         b.iter(|| {

@@ -177,11 +177,12 @@ impl LegacyCopyPathStream {
 }
 
 fn worker_pool(threads: usize) -> PinnedPool {
-    let topo = numa::topology::sapphire_rapids_cxl();
+    let machine = memsim::machines::sapphire_rapids_cxl_machine();
+    let topo = machine.topology();
     let placement = AffinityPolicy::close()
-        .place(&topo, threads)
+        .place(topo, threads)
         .expect("placement");
-    PinnedPool::new(&topo, &placement)
+    PinnedPool::new(topo, &placement)
 }
 
 fn placements(runtime: &CxlPmemRuntime, max: usize) -> Vec<ThreadPlacement> {

@@ -40,11 +40,12 @@ const MIG_CHUNKS: usize = 128;
 const MIG_CHUNK_LEN: u64 = 64 * 1024;
 
 fn worker_pool(threads: usize) -> PinnedPool {
-    let topo = numa::topology::sapphire_rapids_cxl();
+    let machine = memsim::machines::sapphire_rapids_cxl_machine();
+    let topo = machine.topology();
     let placement = AffinityPolicy::close()
-        .place(&topo, threads)
+        .place(topo, threads)
         .expect("placement");
-    PinnedPool::new(&topo, &placement)
+    PinnedPool::new(topo, &placement)
 }
 
 /// Seconds for the full `ntimes` × Copy→Scale→Add→Triad sequence.

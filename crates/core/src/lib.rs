@@ -88,6 +88,8 @@ pub mod backend;
 pub mod cluster;
 pub mod modes;
 pub mod placement;
+#[cfg(test)]
+mod policy;
 pub mod runtime;
 pub mod tiering;
 

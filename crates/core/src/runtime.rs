@@ -137,7 +137,8 @@ impl InterleavedWindow {
     fn from_compiled(w: &memsim::topology::CompiledWindow) -> Self {
         // `compile()` enforces CXL-spec geometry (ways ∈ {1,2,4,8,16},
         // power-of-two granularity, uniform aligned way capacity, aligned
-        // HPA base), so realising the window cannot fail.
+        // HPA base, an end inside the HPA space), so realising the window
+        // cannot fail.
         let set = InterleaveSet::new(w.hpa_base, w.total_bytes(), w.granularity, w.ways() as u8)
             .expect("compiled windows carry CXL-spec interleave geometry");
         let endpoints = w
@@ -153,7 +154,6 @@ impl InterleavedWindow {
                             .expect("position is within the interleave set"),
                     )
                     .expect("way range fits the way capacity");
-                device.set_memory_enable(true);
                 Arc::new(device)
             })
             .collect();
@@ -381,8 +381,8 @@ impl RuntimeBuilder {
         match self.topology {
             BuilderTopology::Setup1 => {
                 // The card stores node 2's bytes; the Setup #1 text alone
-                // says how fast it is. Enumerate it so its HDM is accessible;
-                // the HPA base is arbitrary in the model.
+                // says how fast it is. Enumerate it to map its HDM into the
+                // host; the HPA base is arbitrary in the model.
                 let fpga = FpgaPrototype::paper_prototype();
                 let _ = fpga.enumerate(Self::DEFAULT_HPA_BASE);
                 CxlPmemRuntime::from_parts(
@@ -899,7 +899,6 @@ mod tests {
         // Each way's decoder owns exactly its share of the window.
         for endpoint in window.endpoints() {
             assert_eq!(endpoint.mapped_bytes(), window.set().local_bytes());
-            assert!(endpoint.memory_enabled());
         }
         // Consecutive granules rotate across the two endpoints.
         let base = window.set().hpa_base();

@@ -1,44 +1,30 @@
 //! The CXL Type-3 memory-expander endpoint.
 //!
-//! A [`Type3Device`] combines the CXL.io and CXL.mem transaction layers, an
-//! HDM decoder set and a real backing store. It is the software equivalent of
-//! the paper's FPGA endpoint: the host enumerates it, programs an HDM decoder,
-//! sets the memory-enable bit and then reads and writes cache lines through
-//! CXL.mem requests. Bulk helpers are provided for the persistent-memory layer,
-//! which moves whole object ranges rather than single lines.
+//! A [`Type3Device`] combines an HDM decoder set and a real backing store. It
+//! is the software equivalent of the paper's FPGA endpoint: the host
+//! enumerates it by programming an HDM decoder over its capacity, and the
+//! persistent-memory layer moves whole object ranges through the bulk path
+//! ([`Type3Device::read_bulk`], [`Type3Device::write_bulk`]) in device-local
+//! addresses, counting the bytes and 64-byte lines it transfers.
 
 use crate::config::LinkConfig;
 use crate::error::CxlError;
 use crate::hdm::{HdmDecoder, HdmRange};
 use crate::sparse::SparseMemory;
-use crate::transaction::{
-    FlitCounters, IoRequest, IoResponse, MemOpcode, MemRequest, MemResponse, CACHE_LINE_BYTES,
-};
 use crate::Result;
-use parking_lot::{Mutex, RwLock};
+use parking_lot::RwLock;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
-/// Well-known CXL.io register offsets implemented by the model.
-pub mod registers {
-    /// Vendor/device identification (read-only).
-    pub const REG_ID: u32 = 0x00;
-    /// Device capacity in 256 MiB units (read-only).
-    pub const REG_CAPACITY: u32 = 0x08;
-    /// Memory-enable control bit (bit 0) — the HDM is inaccessible until set.
-    pub const REG_MEM_ENABLE: u32 = 0x10;
-    /// Device status: bit 0 = media ready, bit 1 = memory enabled.
-    pub const REG_STATUS: u32 = 0x14;
-    /// Global Persistent Flush doorbell: writing 1 requests a flush of all
-    /// device buffers to the persistence domain.
-    pub const REG_GPF_DOORBELL: u32 = 0x20;
-}
+/// Size of a cache line, the unit the line counters count in.
+const CACHE_LINE_BYTES: usize = 64;
 
 /// Aggregate statistics of a device's activity.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DeviceStats {
-    /// Cache lines read through CXL.mem.
+    /// Cache lines read: each bulk read counts its length in 64-byte lines,
+    /// rounded up.
     pub lines_read: u64,
-    /// Cache lines written through CXL.mem.
+    /// Cache lines written, counted like [`lines_read`](Self::lines_read).
     pub lines_written: u64,
     /// Bytes read (payload).
     pub bytes_read: u64,
@@ -46,8 +32,6 @@ pub struct DeviceStats {
     pub bytes_written: u64,
     /// Global-persistent-flush requests handled.
     pub gpf_flushes: u64,
-    /// Requests rejected (unmapped address, out of bounds, not ready).
-    pub rejected: u64,
 }
 
 /// Shards of the statistics counters; threads are spread over them
@@ -75,7 +59,6 @@ struct StatShard {
     bytes_read: AtomicU64,
     bytes_written: AtomicU64,
     gpf_flushes: AtomicU64,
-    rejected: AtomicU64,
 }
 
 /// [`DeviceStats`], sharded by thread, so that recording an access takes no
@@ -93,6 +76,7 @@ struct StatCounters {
 impl StatCounters {
     /// The calling thread's shard.
     fn local(&self) -> &StatShard {
+        // in-bounds: stat_shard() is taken `% STAT_SHARDS`, the array's length.
         &self.shards[stat_shard()]
     }
 
@@ -113,7 +97,6 @@ impl StatCounters {
             bytes_read: sum(|s| &s.bytes_read),
             bytes_written: sum(|s| &s.bytes_written),
             gpf_flushes: sum(|s| &s.gpf_flushes),
-            rejected: sum(|s| &s.rejected),
         }
     }
 }
@@ -128,12 +111,8 @@ impl StatCounters {
 pub struct Type3Device {
     name: String,
     link: LinkConfig,
-    vendor_id: u16,
-    device_id: u16,
     hdm: RwLock<HdmDecoder>,
     memory: SparseMemory,
-    mem_enabled: RwLock<bool>,
-    counters: Mutex<FlitCounters>,
     stats: StatCounters,
 }
 
@@ -143,12 +122,8 @@ impl Type3Device {
         Type3Device {
             name: name.into(),
             link,
-            vendor_id: 0x8086,
-            device_id: 0x0CF1,
             hdm: RwLock::new(HdmDecoder::new()),
             memory: SparseMemory::new(capacity_bytes),
-            mem_enabled: RwLock::new(false),
-            counters: Mutex::new(FlitCounters::default()),
             stats: StatCounters::default(),
         }
     }
@@ -168,137 +143,24 @@ impl Type3Device {
         self.memory.capacity()
     }
 
-    /// Whether CXL.mem accesses are currently allowed.
-    pub fn memory_enabled(&self) -> bool {
-        *self.mem_enabled.read()
-    }
-
     /// Programs an HDM decoder range.
     pub fn program_hdm(&self, range: HdmRange) -> Result<()> {
-        if range.dpa_base + range.local_bytes() > self.capacity_bytes() {
-            return Err(CxlError::InvalidHdmRange(format!(
+        let capacity = self.capacity_bytes();
+        match range.dpa_base.checked_add(range.local_bytes()) {
+            Some(end) if end <= capacity => self.hdm.write().program(range),
+            Some(end) => Err(CxlError::InvalidHdmRange(format!(
                 "range maps {} bytes beyond device capacity",
-                range.dpa_base + range.local_bytes() - self.capacity_bytes()
-            )));
+                end - capacity
+            ))),
+            None => Err(CxlError::InvalidHdmRange(
+                "range end overflows the device address space".to_string(),
+            )),
         }
-        self.hdm.write().program(range)
     }
 
     /// Total HPA bytes currently mapped.
     pub fn mapped_bytes(&self) -> u64 {
         self.hdm.read().mapped_bytes()
-    }
-
-    /// Enables or disables CXL.mem access (mirrors the DVSEC memory-enable bit).
-    pub fn set_memory_enable(&self, enable: bool) {
-        *self.mem_enabled.write() = enable;
-    }
-
-    /// Handles a CXL.io request (configuration / MMIO register access).
-    pub fn handle_io(&self, request: &IoRequest) -> IoResponse {
-        self.counters.lock().record_io();
-        use registers::*;
-        match request {
-            IoRequest::ConfigRead { offset } | IoRequest::MmioRead { offset } => match *offset {
-                REG_ID => IoResponse {
-                    value: (self.device_id as u32) << 16 | self.vendor_id as u32,
-                    success: true,
-                },
-                REG_CAPACITY => IoResponse {
-                    value: (self.capacity_bytes() / (256 * 1024 * 1024)) as u32,
-                    success: true,
-                },
-                REG_MEM_ENABLE => IoResponse {
-                    value: u32::from(self.memory_enabled()),
-                    success: true,
-                },
-                REG_STATUS => IoResponse {
-                    value: 0b01 | (u32::from(self.memory_enabled()) << 1),
-                    success: true,
-                },
-                _ => IoResponse {
-                    value: 0,
-                    success: false,
-                },
-            },
-            IoRequest::ConfigWrite { offset, value } | IoRequest::MmioWrite { offset, value } => {
-                match *offset {
-                    REG_MEM_ENABLE => {
-                        self.set_memory_enable(*value & 1 == 1);
-                        IoResponse {
-                            value: *value,
-                            success: true,
-                        }
-                    }
-                    REG_GPF_DOORBELL => {
-                        self.global_persistent_flush();
-                        IoResponse {
-                            value: *value,
-                            success: true,
-                        }
-                    }
-                    _ => IoResponse {
-                        value: 0,
-                        success: false,
-                    },
-                }
-            }
-        }
-    }
-
-    /// Handles one CXL.mem request against the backing store.
-    pub fn handle_mem(&self, request: &MemRequest) -> Result<MemResponse> {
-        if !self.memory_enabled() {
-            StatCounters::add(&self.stats.local().rejected, 1);
-            return Err(CxlError::NotReady("memory enable bit is clear"));
-        }
-        let dpa = match self.hdm.read().translate(request.hpa) {
-            Ok(dpa) => dpa,
-            Err(e) => {
-                StatCounters::add(&self.stats.local().rejected, 1);
-                return Err(e);
-            }
-        };
-        let response = match request.opcode {
-            MemOpcode::MemRd => {
-                let data = self.read_line_dpa(dpa)?;
-                StatCounters::add(&self.stats.local().lines_read, 1);
-                StatCounters::add(&self.stats.local().bytes_read, CACHE_LINE_BYTES as u64);
-                MemResponse {
-                    tag: request.tag,
-                    data: Some(data),
-                    success: true,
-                }
-            }
-            MemOpcode::MemInv => MemResponse {
-                tag: request.tag,
-                data: None,
-                success: true,
-            },
-            MemOpcode::MemWr | MemOpcode::MemWrPtl => {
-                let data = request
-                    .data
-                    .ok_or(CxlError::NotReady("write without payload"))?;
-                let enable = if request.opcode == MemOpcode::MemWr {
-                    u64::MAX
-                } else {
-                    request.byte_enable
-                };
-                self.write_line_dpa(dpa, &data, enable)?;
-                StatCounters::add(&self.stats.local().lines_written, 1);
-                StatCounters::add(
-                    &self.stats.local().bytes_written,
-                    enable.count_ones() as u64,
-                );
-                MemResponse {
-                    tag: request.tag,
-                    data: None,
-                    success: true,
-                }
-            }
-        };
-        self.counters.lock().record_mem(request, &response);
-        Ok(response)
     }
 
     /// Rejects `[dpa, dpa + len)` unless it lies inside the backing store.
@@ -312,25 +174,6 @@ impl Type3Device {
                 capacity: self.memory.capacity(),
             })
         }
-    }
-
-    fn read_line_dpa(&self, dpa: u64) -> Result<[u8; CACHE_LINE_BYTES]> {
-        self.check_dpa(dpa, CACHE_LINE_BYTES)?;
-        let mut line = [0u8; CACHE_LINE_BYTES];
-        self.memory.read(dpa, &mut line);
-        Ok(line)
-    }
-
-    fn write_line_dpa(
-        &self,
-        dpa: u64,
-        data: &[u8; CACHE_LINE_BYTES],
-        byte_enable: u64,
-    ) -> Result<()> {
-        self.check_dpa(dpa, CACHE_LINE_BYTES)?;
-        // Merge with the existing line so partial writes honour byte enables.
-        self.memory.write_masked(dpa, data, byte_enable);
-        Ok(())
     }
 
     /// Bulk read of `buf.len()` bytes starting at device-local address `dpa`.
@@ -374,20 +217,14 @@ impl Type3Device {
         self.stats.snapshot()
     }
 
-    /// Link-level flit counters.
-    pub fn flit_counters(&self) -> FlitCounters {
-        *self.counters.lock()
-    }
-
     /// Simulates a power cycle. Persistent devices (the premise of the paper:
     /// the expander is off-node and battery-backed) keep their contents;
-    /// volatile ones lose them. Either way the memory-enable bit is cleared and
-    /// HDM decoders must be reprogrammed, as after a real reboot.
+    /// volatile ones lose them. Either way the HDM decoders are cleared and
+    /// must be reprogrammed, as after a real reboot.
     pub fn power_cycle(&self, persistent: bool) {
         if !persistent {
             self.memory.clear();
         }
-        *self.mem_enabled.write() = false;
         self.hdm.write().clear();
     }
 }
@@ -398,96 +235,100 @@ mod tests {
     use crate::hdm::HdmRange;
 
     const MIB: u64 = 1024 * 1024;
+    const HPA_BASE: u64 = 0x1000_0000;
 
-    fn enabled_device() -> Type3Device {
+    fn mapped_device() -> Type3Device {
         let dev = Type3Device::new("test-cxl", 16 * MIB, LinkConfig::gen5_x16());
-        dev.program_hdm(HdmRange::linear(0x1000_0000, 16 * MIB, 0))
+        dev.program_hdm(HdmRange::linear(HPA_BASE, 16 * MIB, 0))
             .unwrap();
-        dev.set_memory_enable(true);
         dev
     }
 
     #[test]
     fn identification_registers_read_back() {
         let dev = Type3Device::new("id", 256 * MIB, LinkConfig::gen5_x16());
-        let id = dev.handle_io(&IoRequest::ConfigRead {
-            offset: registers::REG_ID,
-        });
-        assert!(id.success);
-        assert_eq!(id.value & 0xFFFF, 0x8086);
-        let cap = dev.handle_io(&IoRequest::ConfigRead {
-            offset: registers::REG_CAPACITY,
-        });
-        assert_eq!(cap.value, 1); // 256 MiB = one capacity unit
-        let bad = dev.handle_io(&IoRequest::ConfigRead { offset: 0xFFFF });
-        assert!(!bad.success);
+        assert_eq!(dev.name(), "id");
+        assert_eq!(dev.capacity_bytes(), 256 * MIB);
+        assert_eq!(dev.link(), LinkConfig::gen5_x16());
     }
 
     #[test]
     fn memory_access_requires_enable_bit() {
-        let dev = Type3Device::new("gated", MIB, LinkConfig::gen5_x16());
-        dev.program_hdm(HdmRange::linear(0, MIB, 0)).unwrap();
-        let err = dev.handle_mem(&MemRequest::read(0, 0)).unwrap_err();
-        assert!(matches!(err, CxlError::NotReady(_)));
-        assert_eq!(dev.stats().rejected, 1);
-        // Enable through the register interface, then it works.
-        dev.handle_io(&IoRequest::MmioWrite {
-            offset: registers::REG_MEM_ENABLE,
-            value: 1,
-        });
-        assert!(dev.memory_enabled());
-        assert!(dev.handle_mem(&MemRequest::read(0, 0)).is_ok());
+        // Enumeration programs the HDM decoder only: the bulk path addresses
+        // the device in DPA space and is gated by its capacity alone.
+        let dev = Type3Device::new("never-enumerated", MIB, LinkConfig::gen5_x16());
+        assert_eq!(dev.mapped_bytes(), 0);
+        dev.write_bulk(0, &[5u8; 64]).unwrap();
+        let mut line = [0u8; 64];
+        dev.read_bulk(0, &mut line).unwrap();
+        assert_eq!(line, [5u8; 64]);
     }
 
     #[test]
     fn write_then_read_round_trips_through_hdm() {
-        let dev = enabled_device();
-        let mut line = [0u8; CACHE_LINE_BYTES];
+        let range = HdmRange::linear(HPA_BASE, 16 * MIB, 0);
+        let dev = Type3Device::new("decoded", 16 * MIB, LinkConfig::gen5_x16());
+        dev.program_hdm(range).unwrap();
+        let mut line = [0u8; 64];
         for (i, b) in line.iter_mut().enumerate() {
             *b = i as u8;
         }
-        let hpa = 0x1000_0000 + 128;
-        dev.handle_mem(&MemRequest::write(hpa, line, 1)).unwrap();
-        let resp = dev.handle_mem(&MemRequest::read(hpa, 2)).unwrap();
-        assert_eq!(resp.data.unwrap(), line);
+        // The host decodes its address, then moves the line at the DPA.
+        let dpa = range.translate(HPA_BASE + 128).unwrap();
+        assert_eq!(dpa, 128);
+        dev.write_bulk(dpa, &line).unwrap();
+        let mut back = [0u8; 64];
+        dev.read_bulk(dpa, &mut back).unwrap();
+        assert_eq!(back, line);
         assert_eq!(dev.stats().lines_written, 1);
         assert_eq!(dev.stats().lines_read, 1);
     }
 
     #[test]
     fn partial_write_honours_byte_enable() {
-        let dev = enabled_device();
-        let hpa = 0x1000_0000;
-        dev.handle_mem(&MemRequest::write(hpa, [0xFF; 64], 0))
-            .unwrap();
-        // Overwrite only the first 4 bytes.
-        dev.handle_mem(&MemRequest::write_partial(hpa, [0x00; 64], 0xF, 1))
-            .unwrap();
-        let data = dev
-            .handle_mem(&MemRequest::read(hpa, 2))
-            .unwrap()
-            .data
-            .unwrap();
+        let dev = mapped_device();
+        dev.write_bulk(0, &[0xFF; 64]).unwrap();
+        // Overwrite only the first 4 bytes of the line.
+        dev.write_bulk(0, &[0x00; 4]).unwrap();
+        let mut data = [0u8; 64];
+        dev.read_bulk(0, &mut data).unwrap();
         assert_eq!(&data[..4], &[0, 0, 0, 0]);
-        assert_eq!(&data[4..8], &[0xFF; 4]);
+        assert_eq!(&data[4..], &[0xFF; 60]);
     }
 
     #[test]
     fn unmapped_address_is_rejected() {
-        let dev = enabled_device();
-        let err = dev.handle_mem(&MemRequest::read(0x10, 0)).unwrap_err();
-        assert!(matches!(err, CxlError::AddressNotMapped(_)));
+        let dev = mapped_device();
+        let mut buf = [0u8; 64];
+        let err = dev.read_bulk(16 * MIB - 10, &mut buf).unwrap_err();
+        assert_eq!(
+            err,
+            CxlError::OutOfBounds {
+                dpa: 16 * MIB - 10,
+                len: 64,
+                capacity: 16 * MIB,
+            }
+        );
+        assert!(dev.write_bulk(u64::MAX - 10, &buf).is_err());
+        // A refused transfer moves and counts nothing.
+        assert_eq!(dev.stats(), DeviceStats::default());
     }
 
     #[test]
     fn hdm_range_beyond_capacity_is_rejected() {
         let dev = Type3Device::new("small", MIB, LinkConfig::gen5_x16());
         assert!(dev.program_hdm(HdmRange::linear(0, 2 * MIB, 0)).is_err());
+        // A DPA base whose end wraps the address space is refused, not summed.
+        assert!(matches!(
+            dev.program_hdm(HdmRange::linear(0, MIB, u64::MAX - 10)),
+            Err(CxlError::InvalidHdmRange(_))
+        ));
+        assert_eq!(dev.mapped_bytes(), 0);
     }
 
     #[test]
     fn bulk_round_trip_and_stats() {
-        let dev = enabled_device();
+        let dev = mapped_device();
         let payload: Vec<u8> = (0..8192u32).map(|i| (i % 251) as u8).collect();
         dev.write_bulk(4096, &payload).unwrap();
         let mut back = vec![0u8; payload.len()];
@@ -502,11 +343,10 @@ mod tests {
 
     #[test]
     fn power_cycle_persistence_semantics() {
-        let dev = enabled_device();
+        let dev = mapped_device();
         dev.write_bulk(0, &[7u8; 64]).unwrap();
         // Persistent power cycle keeps contents but drops configuration.
         dev.power_cycle(true);
-        assert!(!dev.memory_enabled());
         assert_eq!(dev.mapped_bytes(), 0);
         let mut buf = [0u8; 64];
         dev.read_bulk(0, &mut buf).unwrap();
@@ -519,30 +359,33 @@ mod tests {
 
     #[test]
     fn gpf_doorbell_counts_flushes() {
-        let dev = enabled_device();
-        dev.handle_io(&IoRequest::MmioWrite {
-            offset: registers::REG_GPF_DOORBELL,
-            value: 1,
-        });
+        let dev = mapped_device();
+        dev.global_persistent_flush();
         dev.global_persistent_flush();
         assert_eq!(dev.stats().gpf_flushes, 2);
     }
 
     #[test]
     fn flit_counters_track_link_traffic() {
-        let dev = enabled_device();
-        dev.handle_mem(&MemRequest::write(0x1000_0000, [1; 64], 0))
-            .unwrap();
-        dev.handle_mem(&MemRequest::read(0x1000_0000, 1)).unwrap();
-        let counters = dev.flit_counters();
-        assert_eq!(counters.mem_requests, 2);
-        assert!(counters.m2s_bytes > 0);
-        assert!(counters.payload_efficiency() > 0.0);
+        let dev = mapped_device();
+        dev.write_bulk(0, &[1; 64]).unwrap();
+        dev.read_bulk(0, &mut [0; 64]).unwrap();
+        dev.global_persistent_flush();
+        assert_eq!(
+            dev.stats(),
+            DeviceStats {
+                lines_read: 1,
+                lines_written: 1,
+                bytes_read: 64,
+                bytes_written: 64,
+                gpf_flushes: 1,
+            }
+        );
     }
 
     #[test]
     fn concurrent_bulk_writers_do_not_corrupt_disjoint_regions() {
-        let dev = std::sync::Arc::new(enabled_device());
+        let dev = std::sync::Arc::new(mapped_device());
         std::thread::scope(|scope| {
             for t in 0..4u8 {
                 let dev = dev.clone();
@@ -561,7 +404,7 @@ mod tests {
 
     #[test]
     fn concurrent_traffic_is_counted_exactly() {
-        let dev = std::sync::Arc::new(enabled_device());
+        let dev = std::sync::Arc::new(mapped_device());
         // More threads than counter shards, so some threads share one.
         let threads = STAT_SHARDS as u64 + 4;
         std::thread::scope(|scope| {

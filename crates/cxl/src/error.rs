@@ -18,9 +18,6 @@ pub enum CxlError {
     },
     /// An HDM decoder was configured with an invalid range.
     InvalidHdmRange(String),
-    /// The device is not in a state that allows the operation (e.g. memory
-    /// access before the memory-enable bit is set).
-    NotReady(&'static str),
     /// A switch port id was unknown.
     UnknownPort(usize),
     /// A switch port is already bound to another host.
@@ -37,8 +34,6 @@ pub enum CxlError {
         /// Host id.
         host: usize,
     },
-    /// A configuration register offset was invalid.
-    InvalidRegister(u32),
     /// Pooling: the allocation id is not (or no longer) live on this switch.
     UnknownAllocation(u64),
 }
@@ -57,7 +52,6 @@ impl fmt::Display for CxlError {
                 "access of {len} bytes at device address {dpa:#x} exceeds capacity {capacity:#x}"
             ),
             CxlError::InvalidHdmRange(msg) => write!(f, "invalid HDM range: {msg}"),
-            CxlError::NotReady(what) => write!(f, "device not ready: {what}"),
             CxlError::UnknownPort(p) => write!(f, "unknown switch port {p}"),
             CxlError::PortAlreadyBound(p) => write!(f, "switch port {p} already bound"),
             CxlError::InsufficientCapacity {
@@ -70,7 +64,6 @@ impl fmt::Display for CxlError {
             CxlError::NotAttached { host } => {
                 write!(f, "host {host} has not attached the shared region")
             }
-            CxlError::InvalidRegister(offset) => write!(f, "invalid register offset {offset:#x}"),
             CxlError::UnknownAllocation(id) => {
                 write!(f, "pool allocation {id} is not live on this switch")
             }

@@ -63,14 +63,12 @@ impl FpgaPrototype {
     }
 
     /// "Enumerates" the device as the host BIOS/OS would: programs a linear HDM
-    /// decoder covering the whole capacity at `hpa_base` and sets the
-    /// memory-enable bit, after which the device is usable as a CPU-less NUMA
-    /// node. Returns the HPA range exposed.
+    /// decoder covering the whole capacity at `hpa_base`, which maps the card
+    /// into the host as a CPU-less NUMA node. Returns the HPA range exposed.
     pub fn enumerate(&self, hpa_base: u64) -> Result<(u64, u64)> {
         let capacity = self.capacity_bytes();
         self.device
             .program_hdm(HdmRange::linear(hpa_base, capacity, 0))?;
-        self.device.set_memory_enable(true);
         Ok((hpa_base, capacity))
     }
 }
@@ -78,7 +76,6 @@ impl FpgaPrototype {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::transaction::MemRequest;
     use memsim::calibration as cal;
     use memsim::link::LinkKind;
     use memsim::machines::{sapphire_rapids_cxl_machine, sapphire_rapids_cxl_upgraded};
@@ -113,16 +110,11 @@ mod tests {
     fn enumeration_makes_memory_accessible() {
         let fpga = FpgaPrototype::paper_prototype();
         let endpoint = fpga.endpoint();
-        assert!(endpoint
-            .handle_mem(&MemRequest::read(0x2_0000_0000, 0))
-            .is_err());
+        assert_eq!(endpoint.mapped_bytes(), 0);
         let (base, len) = fpga.enumerate(0x2_0000_0000).unwrap();
         assert_eq!(base, 0x2_0000_0000);
         assert_eq!(len, fpga.capacity_bytes());
-        assert!(endpoint.memory_enabled());
-        assert!(endpoint
-            .handle_mem(&MemRequest::read(0x2_0000_0000, 0))
-            .is_ok());
+        assert_eq!(endpoint.mapped_bytes(), fpga.capacity_bytes());
     }
 
     #[test]

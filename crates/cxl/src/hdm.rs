@@ -8,6 +8,23 @@
 use crate::error::CxlError;
 use crate::Result;
 
+/// Refuses a window whose end does not fit in the 64-bit HPA space.
+fn fits_hpa_space(hpa_base: u64, len: u64) -> Result<()> {
+    match hpa_base.checked_add(len) {
+        Some(_) => Ok(()),
+        None => Err(CxlError::InvalidHdmRange(format!(
+            "window at {hpa_base:#x} of {len} bytes ends past the top of the HPA space"
+        ))),
+    }
+}
+
+/// Offset of `hpa` into the window `[base, base + len)`, if it lies there.
+/// Compares offsets, so a window at the top of the HPA space never sums past
+/// it.
+fn offset_in(hpa: u64, base: u64, len: u64) -> Option<u64> {
+    hpa.checked_sub(base).filter(|&offset| offset < len)
+}
+
 /// One programmed HDM decoder range.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HdmRange {
@@ -42,17 +59,14 @@ impl HdmRange {
 
     /// Whether an HPA falls inside this window.
     pub fn contains(&self, hpa: u64) -> bool {
-        hpa >= self.hpa_base && hpa < self.hpa_base + self.len
+        offset_in(hpa, self.hpa_base, self.len).is_some()
     }
 
     /// Translates an HPA to a DPA if this decoder (and interleave way) owns it.
     pub fn translate(&self, hpa: u64) -> Option<u64> {
-        if !self.contains(hpa) {
-            return None;
-        }
-        let offset = hpa - self.hpa_base;
+        let offset = offset_in(hpa, self.hpa_base, self.len)?;
         if self.interleave_ways <= 1 {
-            return Some(self.dpa_base + offset);
+            return self.dpa_base.checked_add(offset);
         }
         let ways = self.interleave_ways as u64;
         let gran = self.interleave_granularity;
@@ -62,7 +76,8 @@ impl HdmRange {
         }
         // Device-local blocks are densely packed.
         let local_block = block / ways;
-        Some(self.dpa_base + local_block * gran + offset % gran)
+        self.dpa_base
+            .checked_add(local_block * gran + offset % gran)
     }
 
     /// Bytes of the HPA window that this decoder actually backs (len / ways).
@@ -84,11 +99,12 @@ impl HdmDecoder {
     }
 
     /// Programs an additional decoder range. Ranges must not overlap in HPA
-    /// space and must be cache-line aligned.
+    /// space, must be cache-line aligned and must end inside the HPA space.
     pub fn program(&mut self, range: HdmRange) -> Result<()> {
         if range.len == 0 {
             return Err(CxlError::InvalidHdmRange("zero-length range".to_string()));
         }
+        fits_hpa_space(range.hpa_base, range.len)?;
         if !range.hpa_base.is_multiple_of(64) || !range.len.is_multiple_of(64) {
             return Err(CxlError::InvalidHdmRange(
                 "range must be 64-byte aligned".to_string(),
@@ -106,8 +122,7 @@ impl HdmDecoder {
             )));
         }
         for existing in &self.ranges {
-            let overlap = range.hpa_base < existing.hpa_base + existing.len
-                && existing.hpa_base < range.hpa_base + range.len;
+            let overlap = existing.contains(range.hpa_base) || range.contains(existing.hpa_base);
             if overlap {
                 return Err(CxlError::InvalidHdmRange(format!(
                     "range at {:#x} overlaps existing range at {:#x}",
@@ -189,6 +204,7 @@ impl InterleaveSet {
                 "window base must be 64-byte aligned".to_string(),
             ));
         }
+        fits_hpa_space(hpa_base, len)?;
         Ok(InterleaveSet {
             hpa_base,
             len,
@@ -224,7 +240,7 @@ impl InterleaveSet {
 
     /// Whether an HPA falls inside the window.
     pub fn contains(&self, hpa: u64) -> bool {
-        hpa >= self.hpa_base && hpa < self.hpa_base + self.len
+        offset_in(hpa, self.hpa_base, self.len).is_some()
     }
 
     /// The [`HdmRange`] the device at `position` must program (DPA base 0).
@@ -252,10 +268,8 @@ impl InterleaveSet {
 
     /// Resolves an HPA to the `(way, dpa)` pair that owns it.
     pub fn translate(&self, hpa: u64) -> Result<(u8, u64)> {
-        if !self.contains(hpa) {
-            return Err(CxlError::AddressNotMapped(hpa));
-        }
-        let offset = hpa - self.hpa_base;
+        let offset =
+            offset_in(hpa, self.hpa_base, self.len).ok_or(CxlError::AddressNotMapped(hpa))?;
         let way = ((offset / self.granularity) % self.ways as u64) as u8;
         // The owning way's range contains `hpa` by construction of `way`;
         // the decode path claims never to panic, so a breach of that
@@ -290,6 +304,17 @@ mod tests {
         assert!(dec.program(HdmRange::linear(0, 0, 0)).is_err());
         assert!(dec.program(HdmRange::linear(32, 128, 0)).is_err());
         assert!(dec.program(HdmRange::linear(0, 100, 0)).is_err());
+        // A range whose end would pass the top of the HPA space is refused,
+        // and deciding whether an address is inside one never overflows.
+        let top = HdmRange::linear(0xFFFF_FFFF_FFFF_0000, 1 << 20, 0);
+        assert!(matches!(
+            dec.program(top),
+            Err(CxlError::InvalidHdmRange(_))
+        ));
+        assert!(top.contains(u64::MAX));
+        assert!(!top.contains(0));
+        assert_eq!(top.translate(u64::MAX), Some(0xFFFF));
+        assert!(dec.ranges().is_empty());
     }
 
     #[test]
@@ -358,6 +383,7 @@ mod tests {
         assert!(InterleaveSet::new(0, 4096, 4096, 2).is_err());
         assert!(InterleaveSet::new(0, 0, 4096, 2).is_err());
         assert!(InterleaveSet::new(32, 8 * 4096, 4096, 2).is_err());
+        assert!(InterleaveSet::new(0xFFFF_FFFF_FFFF_0000, 1 << 20, 4096, 2).is_err());
         assert!(InterleaveSet::new(0, 8 * 4096, 4096, 2).is_ok());
     }
 

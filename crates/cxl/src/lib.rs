@@ -9,17 +9,15 @@
 //! CPU-less NUMA node.
 //!
 //! This crate rebuilds that stack in software with a *functional* data path:
-//! requests really read and write bytes in a backing store. How fast the card
-//! is lives elsewhere, in the Setup #1 topology text that `memsim` compiles
-//! and its analytical engine simulates:
+//! bulk transfers really read and write bytes in a backing store. How fast
+//! the card is lives elsewhere, in the Setup #1 topology text that `memsim`
+//! compiles and its analytical engine simulates:
 //!
-//! * [`config`] — spec revisions, device types, link configuration.
-//! * [`transaction`] — CXL.io and CXL.mem request/response types and opcode
-//!   semantics, with flit-level byte accounting.
+//! * [`config`] — spec revisions and link configuration.
 //! * [`hdm`] — HDM decoders: HPA range → device-local address, with interleave
 //!   support.
-//! * [`endpoint`] — the Type-3 device: transaction layers + HDM decoder +
-//!   backing store + statistics.
+//! * [`endpoint`] — the Type-3 device: HDM decoder + backing store + bulk
+//!   data path + statistics.
 //! * [`fpga`] — the Agilex-7 prototype as a functional card: a named Type-3
 //!   endpoint behind its CXL link, and its HDM enumeration.
 //! * [`switch`] — a CXL 2.0 switch with memory pooling (device → host binding,
@@ -59,9 +57,10 @@ pub mod hdm;
 pub mod sharing;
 pub mod sparse;
 pub mod switch;
-pub mod transaction;
+#[cfg(test)]
+mod transaction;
 
-pub use config::{CxlDeviceType, CxlSpec, LinkConfig};
+pub use config::{CxlSpec, LinkConfig};
 pub use endpoint::{DeviceStats, Type3Device};
 pub use error::CxlError;
 pub use fpga::FpgaPrototype;
@@ -69,7 +68,6 @@ pub use hdm::{HdmDecoder, HdmRange, InterleaveSet};
 pub use sharing::{CoherenceMode, SharedRegion};
 pub use sparse::SparseMemory;
 pub use switch::{CxlSwitch, HostId, PoolAccounting, PoolAllocation, PortId};
-pub use transaction::{IoRequest, IoResponse, MemOpcode, MemRequest, MemResponse};
 
 /// Result alias for CXL operations.
 pub type Result<T> = std::result::Result<T, CxlError>;

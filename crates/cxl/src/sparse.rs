@@ -153,28 +153,6 @@ impl SparseMemory {
         }
     }
 
-    /// Writes only the bytes of `data` whose bit is set in `byte_enable`
-    /// (bit `i` enables `data[i]`, so `data` is at most 64 bytes), leaving the
-    /// others as they are. Each chunk's part is merged under that chunk's
-    /// lock, so concurrent partial writes to one line never lose bytes.
-    /// Panics if out of bounds — callers bound-check first.
-    pub fn write_masked(&self, offset: u64, data: &[u8], byte_enable: u64) {
-        assert!(data.len() <= 64, "byte-enable mask covers 64 bytes");
-        assert!(
-            self.in_bounds(offset, data.len()),
-            "sparse write out of bounds"
-        );
-        for (index, within, done, take) in pieces(offset, data.len()) {
-            self.with_chunk_mut(index, |chunk| {
-                for i in done..done + take {
-                    if byte_enable & (1 << i) != 0 {
-                        chunk[within + i - done] = data[i];
-                    }
-                }
-            });
-        }
-    }
-
     /// Clears every byte back to zero (drops all chunks).
     pub fn clear(&self) {
         for segment in self.segments.iter().filter_map(OnceLock::get) {
@@ -267,12 +245,14 @@ mod tests {
         let mem = SparseMemory::new(1 << 20);
         let offset = CHUNK_BYTES as u64 - 32;
         mem.write(offset, &[0xFF; 64]);
-        // Even bytes only: 16 on each side of the boundary.
-        mem.write_masked(offset, &[0u8; 64], 0x5555_5555_5555_5555);
+        // A sub-line write straddling the boundary replaces only its own
+        // bytes: 8 on each side, the rest of the line keeps its contents.
+        mem.write(offset + 24, &[0u8; 16]);
         let mut back = [0u8; 64];
         mem.read(offset, &mut back);
         for (i, &b) in back.iter().enumerate() {
-            assert_eq!(b, if i % 2 == 0 { 0 } else { 0xFF }, "byte {i}");
+            let written = (24..40).contains(&i);
+            assert_eq!(b, if written { 0 } else { 0xFF }, "byte {i}");
         }
     }
 
@@ -308,7 +288,7 @@ mod tests {
                 // Thread t owns bytes 8t..8t+8 of the line.
                 s.spawn(move || {
                     for _ in 0..200 {
-                        mem.write_masked(0, &[t as u8 + 1; 64], 0xFF << (8 * t));
+                        mem.write(8 * t, &[t as u8 + 1; 8]);
                     }
                 });
             }

@@ -1,267 +1,78 @@
-//! CXL.io and CXL.mem transaction-layer types.
+//! How the bulk data path accounts one transfer.
 //!
-//! The paper's soft IP "adeptly handles incoming CXL.mem requests originating
-//! from the CPU host" and "the CXL.io transaction layer undertakes the
-//! responsibility of processing CXL.io requests … configuration and memory
-//! space inquiries" (§2.2). This module defines those requests and responses
-//! with enough fidelity to account flit bytes and to actually move data.
-
-/// Size of a CXL.mem data transfer: always one 64-byte cache line.
-pub const CACHE_LINE_BYTES: usize = 64;
-/// Size of a CXL 68-byte flit (64 B payload + 4 B header/CRC) used on Gen5.
-pub const FLIT_BYTES: usize = 68;
-
-/// Master-to-Subordinate (host → device) CXL.mem opcodes, following the
-/// M2S Req / M2S RwD message classes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum MemOpcode {
-    /// Read one cache line (M2S Req `MemRd`).
-    MemRd,
-    /// Read without data return, used for cache-coherence management (`MemInv`).
-    MemInv,
-    /// Write a full cache line (M2S RwD `MemWr`).
-    MemWr,
-    /// Partial write with byte enables (M2S RwD `MemWrPtl`).
-    MemWrPtl,
-}
-
-impl MemOpcode {
-    /// Whether the opcode carries a 64-byte payload from host to device.
-    pub fn carries_write_data(&self) -> bool {
-        matches!(self, MemOpcode::MemWr | MemOpcode::MemWrPtl)
-    }
-
-    /// Whether the device must return a 64-byte payload.
-    pub fn returns_data(&self) -> bool {
-        matches!(self, MemOpcode::MemRd)
-    }
-}
-
-/// A host → device CXL.mem request.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct MemRequest {
-    /// Operation.
-    pub opcode: MemOpcode,
-    /// Host physical address (cache-line aligned for full-line operations).
-    pub hpa: u64,
-    /// Payload for write operations (`None` for reads/invalidations).
-    pub data: Option<[u8; CACHE_LINE_BYTES]>,
-    /// Byte-enable mask for `MemWrPtl`; ignored otherwise.
-    pub byte_enable: u64,
-    /// Tag used to match the response.
-    pub tag: u16,
-}
-
-impl MemRequest {
-    /// A full-line read.
-    pub fn read(hpa: u64, tag: u16) -> Self {
-        MemRequest {
-            opcode: MemOpcode::MemRd,
-            hpa,
-            data: None,
-            byte_enable: u64::MAX,
-            tag,
-        }
-    }
-
-    /// A full-line write.
-    pub fn write(hpa: u64, data: [u8; CACHE_LINE_BYTES], tag: u16) -> Self {
-        MemRequest {
-            opcode: MemOpcode::MemWr,
-            hpa,
-            data: Some(data),
-            byte_enable: u64::MAX,
-            tag,
-        }
-    }
-
-    /// A partial write: only bytes whose bit is set in `byte_enable` are stored.
-    pub fn write_partial(
-        hpa: u64,
-        data: [u8; CACHE_LINE_BYTES],
-        byte_enable: u64,
-        tag: u16,
-    ) -> Self {
-        MemRequest {
-            opcode: MemOpcode::MemWrPtl,
-            hpa,
-            data: Some(data),
-            byte_enable,
-            tag,
-        }
-    }
-
-    /// Number of flit bytes this request occupies on the link (request flit
-    /// plus a data flit when carrying a payload).
-    pub fn flit_bytes(&self) -> usize {
-        if self.opcode.carries_write_data() {
-            2 * FLIT_BYTES
-        } else {
-            FLIT_BYTES
-        }
-    }
-}
-
-/// A device → host CXL.mem response (S2M DRS for data, S2M NDR otherwise).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct MemResponse {
-    /// Tag of the matching request.
-    pub tag: u16,
-    /// Data returned for reads.
-    pub data: Option<[u8; CACHE_LINE_BYTES]>,
-    /// Whether the request completed successfully.
-    pub success: bool,
-}
-
-impl MemResponse {
-    /// Number of flit bytes this response occupies on the link.
-    pub fn flit_bytes(&self) -> usize {
-        if self.data.is_some() {
-            2 * FLIT_BYTES
-        } else {
-            FLIT_BYTES
-        }
-    }
-}
-
-/// CXL.io (PCIe-semantics) requests: configuration and MMIO register access.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum IoRequest {
-    /// Configuration-space read of a 32-bit register at `offset`.
-    ConfigRead {
-        /// Register offset in configuration space.
-        offset: u32,
-    },
-    /// Configuration-space write.
-    ConfigWrite {
-        /// Register offset in configuration space.
-        offset: u32,
-        /// Value to write.
-        value: u32,
-    },
-    /// Memory-mapped register read (e.g. mailbox, HDM decoder programming).
-    MmioRead {
-        /// Register offset in the device's MMIO BAR.
-        offset: u32,
-    },
-    /// Memory-mapped register write.
-    MmioWrite {
-        /// Register offset in the device's MMIO BAR.
-        offset: u32,
-        /// Value to write.
-        value: u32,
-    },
-}
-
-/// CXL.io response.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct IoResponse {
-    /// Value returned for reads; echoed value for writes.
-    pub value: u32,
-    /// Whether the access hit a valid register.
-    pub success: bool,
-}
-
-/// Running counters of link traffic, maintained by endpoints.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct FlitCounters {
-    /// Flit bytes sent host → device.
-    pub m2s_bytes: u64,
-    /// Flit bytes sent device → host.
-    pub s2m_bytes: u64,
-    /// Number of CXL.mem requests processed.
-    pub mem_requests: u64,
-    /// Number of CXL.io requests processed.
-    pub io_requests: u64,
-}
-
-impl FlitCounters {
-    /// Records a request/response pair.
-    pub fn record_mem(&mut self, request: &MemRequest, response: &MemResponse) {
-        self.m2s_bytes += request.flit_bytes() as u64;
-        self.s2m_bytes += response.flit_bytes() as u64;
-        self.mem_requests += 1;
-    }
-
-    /// Records a CXL.io access.
-    pub fn record_io(&mut self) {
-        self.io_requests += 1;
-        self.m2s_bytes += FLIT_BYTES as u64;
-        self.s2m_bytes += FLIT_BYTES as u64;
-    }
-
-    /// Link protocol efficiency observed so far: payload bytes over flit bytes.
-    pub fn payload_efficiency(&self) -> f64 {
-        let flits = self.m2s_bytes + self.s2m_bytes;
-        if flits == 0 {
-            return 0.0;
-        }
-        let payload = self.mem_requests * CACHE_LINE_BYTES as u64;
-        payload as f64 / flits as f64
-    }
-}
+//! Every byte that reaches a [`Type3Device`] moves through
+//! [`Type3Device::read_bulk`] or [`Type3Device::write_bulk`]. Each call is one
+//! transaction: it counts its payload bytes and the 64-byte lines its length
+//! spans, rounded up, in the direction it moved them.
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::{DeviceStats, LinkConfig, Type3Device};
+
+    const LINE: usize = 64;
+
+    fn device() -> Type3Device {
+        Type3Device::new("transactions", 1 << 20, LinkConfig::gen5_x16())
+    }
 
     #[test]
     fn read_request_has_no_payload_and_one_flit() {
-        let r = MemRequest::read(0x1000, 7);
-        assert_eq!(r.opcode, MemOpcode::MemRd);
-        assert!(r.data.is_none());
-        assert_eq!(r.flit_bytes(), FLIT_BYTES);
-        assert!(r.opcode.returns_data());
-        assert!(!r.opcode.carries_write_data());
+        let dev = device();
+        let mut line = [0xAAu8; LINE];
+        dev.read_bulk(0x1000, &mut line).unwrap();
+        // Untouched device memory reads as zeros.
+        assert_eq!(line, [0u8; LINE]);
+        let stats = dev.stats();
+        assert_eq!((stats.lines_read, stats.bytes_read), (1, LINE as u64));
+        assert_eq!((stats.lines_written, stats.bytes_written), (0, 0));
     }
 
     #[test]
     fn write_request_occupies_two_flits() {
-        let r = MemRequest::write(0x40, [0xAB; 64], 1);
-        assert_eq!(r.flit_bytes(), 2 * FLIT_BYTES);
-        assert!(r.opcode.carries_write_data());
-        assert!(!r.opcode.returns_data());
+        let dev = device();
+        dev.write_bulk(0x40, &[0xAB; 2 * LINE]).unwrap();
+        let stats = dev.stats();
+        assert_eq!(
+            (stats.lines_written, stats.bytes_written),
+            (2, 2 * LINE as u64)
+        );
+        assert_eq!((stats.lines_read, stats.bytes_read), (0, 0));
     }
 
     #[test]
     fn partial_write_keeps_byte_enable() {
-        let r = MemRequest::write_partial(0x80, [1; 64], 0x00FF, 3);
-        assert_eq!(r.opcode, MemOpcode::MemWrPtl);
-        assert_eq!(r.byte_enable, 0x00FF);
+        let dev = device();
+        // Four bytes of one line: the payload counts four bytes, the line one.
+        dev.write_bulk(0x80, &[1u8; 4]).unwrap();
+        let stats = dev.stats();
+        assert_eq!((stats.lines_written, stats.bytes_written), (1, 4));
     }
 
     #[test]
     fn response_flit_size_depends_on_data() {
-        let with_data = MemResponse {
-            tag: 0,
-            data: Some([0; 64]),
-            success: true,
-        };
-        let without = MemResponse {
-            tag: 0,
-            data: None,
-            success: true,
-        };
-        assert_eq!(with_data.flit_bytes(), 2 * FLIT_BYTES);
-        assert_eq!(without.flit_bytes(), FLIT_BYTES);
+        let dev = device();
+        // A transfer without data counts nothing; one byte counts a whole line.
+        dev.read_bulk(0, &mut []).unwrap();
+        dev.write_bulk(0, &[]).unwrap();
+        assert_eq!(dev.stats(), DeviceStats::default());
+        dev.read_bulk(0, &mut [0u8; 1]).unwrap();
+        dev.write_bulk(0, &[0u8; LINE + 1]).unwrap();
+        assert_eq!(dev.stats().lines_read, 1);
+        assert_eq!(dev.stats().lines_written, 2);
     }
 
     #[test]
     fn counters_accumulate_and_compute_efficiency() {
-        let mut counters = FlitCounters::default();
-        let req = MemRequest::read(0, 0);
-        let resp = MemResponse {
-            tag: 0,
-            data: Some([0; 64]),
-            success: true,
-        };
-        counters.record_mem(&req, &resp);
-        counters.record_io();
-        assert_eq!(counters.mem_requests, 1);
-        assert_eq!(counters.io_requests, 1);
-        assert!(counters.m2s_bytes > 0 && counters.s2m_bytes > 0);
-        let eff = counters.payload_efficiency();
-        assert!(eff > 0.0 && eff < 1.0);
-        assert_eq!(FlitCounters::default().payload_efficiency(), 0.0);
+        let dev = device();
+        dev.write_bulk(0, &[7u8; 100]).unwrap();
+        dev.write_bulk(4096, &[7u8; 28]).unwrap();
+        dev.read_bulk(0, &mut [0u8; 100]).unwrap();
+        let stats = dev.stats();
+        assert_eq!(stats.bytes_written, 128);
+        assert_eq!(stats.lines_written, 3);
+        // Payload efficiency: bytes moved over the line bytes they occupy.
+        let efficiency = stats.bytes_written as f64 / (stats.lines_written * LINE as u64) as f64;
+        assert!(efficiency > 0.0 && efficiency < 1.0);
+        assert_eq!(stats.lines_read, 2);
     }
 }

@@ -205,19 +205,18 @@ mod tests {
     use super::*;
     use crate::link::LinkSpec;
     use crate::machines;
-    use numa::topology::sapphire_rapids_cxl;
 
     #[test]
     fn builder_requires_all_devices() {
-        let topo = sapphire_rapids_cxl();
+        let topo = machines::sapphire_rapids_cxl_machine().topology().clone();
         let err = Machine::builder(topo).build().unwrap_err();
         assert_eq!(err, SimError::MissingDevice(0));
     }
 
     #[test]
     fn builder_requires_all_paths() {
-        let topo = sapphire_rapids_cxl();
         let setup1 = machines::sapphire_rapids_cxl_machine();
+        let topo = setup1.topology().clone();
         let device = |node| setup1.device(node).unwrap().clone();
         let err = Machine::builder(topo)
             .device(0, device(0))

@@ -247,13 +247,46 @@ mod tests {
 
     #[test]
     fn preset_topologies_match_the_numa_presets() {
-        let m = sapphire_rapids_cxl_machine();
-        let reference = numa::topology::sapphire_rapids_cxl();
-        assert_eq!(m.topology().nodes().len(), reference.nodes().len());
-        assert_eq!(m.topology().num_hw_threads(), reference.num_hw_threads());
-        for (a, b) in m.topology().nodes().iter().zip(reference.nodes()) {
-            assert_eq!(a.label, b.label);
-            assert_eq!(a.mem_bytes, b.mem_bytes);
+        // §2.1: both setups are dual-socket, 10 cores per socket with
+        // Hyper-Threading. Setup #1 has 64 GiB of DDR5 per socket plus the
+        // 16 GiB CXL card as CPU-less node 2; Setup #2 has 96 GiB of DDR4 per
+        // socket and no CXL device.
+        use crate::units::GIB;
+        let setups = [
+            (
+                sapphire_rapids_cxl_machine(),
+                vec![
+                    (64 * GIB, "DDR5-4800 socket0"),
+                    (64 * GIB, "DDR5-4800 socket1"),
+                    (16 * GIB, "CXL DDR4-1333 expander (Agilex-7 FPGA)"),
+                ],
+                vec![2],
+            ),
+            (
+                xeon_gold_ddr4_machine(),
+                vec![
+                    (96 * GIB, "DDR4-2666 x6 socket0"),
+                    (96 * GIB, "DDR4-2666 x6 socket1"),
+                ],
+                vec![],
+            ),
+        ];
+        for (machine, nodes, cpuless) in setups {
+            let topo = machine.topology();
+            assert_eq!(topo.sockets().len(), 2, "{}", topo.name);
+            for socket in topo.sockets() {
+                assert_eq!(socket.cores.len(), 10, "{} socket {}", topo.name, socket.id);
+            }
+            assert_eq!(topo.smt(), 2, "{}", topo.name);
+            assert_eq!(topo.num_hw_threads(), 40, "{}", topo.name);
+            let actual: Vec<(u64, &str)> = topo
+                .nodes()
+                .iter()
+                .map(|node| (node.mem_bytes, node.label.as_str()))
+                .collect();
+            assert_eq!(actual, nodes, "{}", topo.name);
+            let memory_only: Vec<usize> = topo.memory_only_nodes().map(|node| node.id).collect();
+            assert_eq!(memory_only, cpuless, "{}", topo.name);
         }
     }
 }

@@ -1120,13 +1120,26 @@ impl TopologyDescription {
                     Some(_) => {}
                 }
             }
+            let way_capacity_bytes = way_capacity.unwrap_or(0);
+            let fits = way_capacity_bytes
+                .checked_mul(ways as u64)
+                .and_then(|total| w.hpa_base.checked_add(total));
+            if fits.is_none() {
+                return Err(TopologyError::InvalidWindow {
+                    window: w.name.clone(),
+                    message: format!(
+                        "{ways} ways of {way_capacity_bytes} bytes from 0x{:x} end past the top of the HPA space",
+                        w.hpa_base
+                    ),
+                });
+            }
             compiled_windows.push(CompiledWindow {
                 name: w.name.clone(),
                 node: w.node,
                 hpa_base: w.hpa_base,
                 granularity: w.granularity,
                 way_names: w.targets.clone(),
-                way_capacity_bytes: way_capacity.unwrap_or(0),
+                way_capacity_bytes,
             });
         }
 
@@ -1822,6 +1835,22 @@ mod tests {
         ));
         let mut d = two_socket_two_expander();
         d.windows[0].hpa_base = 0x2000_0000_0030; // not cacheline-aligned
+        assert!(matches!(
+            d.compile().unwrap_err(),
+            TopologyError::InvalidWindow { .. }
+        ));
+        // Two 16 GiB ways from 64 KiB below the top of the HPA space, and
+        // two ways whose capacities alone overflow it.
+        let mut d = two_socket_two_expander();
+        d.windows[0].hpa_base = 0xFFFF_FFFF_FFFF_0000;
+        assert!(matches!(
+            d.compile().unwrap_err(),
+            TopologyError::InvalidWindow { .. }
+        ));
+        let mut d = two_socket_two_expander();
+        for device in d.devices.iter_mut().filter(|d| d.node.is_none()) {
+            device.capacity_bytes = 1 << 63;
+        }
         assert!(matches!(
             d.compile().unwrap_err(),
             TopologyError::InvalidWindow { .. }

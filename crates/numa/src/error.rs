@@ -29,8 +29,6 @@ pub enum NumaError {
         /// Number of rows provided.
         rows: usize,
     },
-    /// An interleave policy was created with an empty node set.
-    EmptyNodeSet,
 }
 
 impl fmt::Display for NumaError {
@@ -51,7 +49,6 @@ impl fmt::Display for NumaError {
                 f,
                 "distance matrix has {rows} rows but the topology has {nodes} NUMA nodes"
             ),
-            NumaError::EmptyNodeSet => write!(f, "memory policy requires a non-empty node set"),
         }
     }
 }

@@ -1,4 +1,4 @@
-//! NUMA topology modelling, CPU sets, thread affinity and memory-binding policies.
+//! NUMA topology modelling, CPU sets, thread affinity and pinned worker pools.
 //!
 //! The evaluation in *CXL Memory as Persistent Memory for Disaggregated HPC*
 //! (SC'23) is entirely organised around **where threads run** and **where memory
@@ -18,8 +18,6 @@
 //!   `cpu_set_t` / `hwloc` bitmaps.
 //! * [`affinity`] — *close* and *spread* thread-placement policies as described
 //!   in §3.2 of the paper (test group 1.(c)).
-//! * [`policy::MemBindPolicy`] — `membind` / `interleave` / `preferred`
-//!   equivalents of `numactl`.
 //! * [`pool::PinnedPool`] — a **persistent** thread pool whose workers carry a
 //!   logical core binding: spawned once, parked on an epoch barrier between
 //!   kernel invocations, used by the STREAM runner so that each software
@@ -28,7 +26,10 @@
 //!
 //! Nothing in this crate touches the operating system scheduler: bindings are
 //! *logical*. They drive the analytical memory simulator (`memsim`), which is the
-//! substitution this reproduction makes for the paper's physical testbed.
+//! substitution this reproduction makes for the paper's physical testbed. The
+//! `numactl --membind` choice is the node argument the runtime and the STREAM
+//! harness take, and the paper's machines are the `.topo` descriptions that
+//! `memsim` compiles into a [`Topology`].
 //!
 //! The crate denies `unsafe_code` everywhere except [`pool`], whose epoch
 //! barrier needs one audited lifetime erasure (see the safety argument in the
@@ -36,13 +37,24 @@
 //!
 //! # Example
 //!
-//! Place eight threads *close* on the paper's Setup #1 topology — they pack
-//! onto socket 0, next to the local DDR5 and the CXL expander's home port:
+//! Describe a two-socket machine with a CPU-less expander node, then place
+//! eight threads *close* — they pack onto socket 0, next to its local DRAM:
 //!
 //! ```
-//! use numa::{topology, AffinityPolicy};
+//! use numa::{AffinityPolicy, Topology};
 //!
-//! let topo = topology::sapphire_rapids_cxl();
+//! const GIB: u64 = 1 << 30;
+//! let topo = Topology::builder("two-socket-cxl")
+//!     .smt(2)
+//!     .node(64 * GIB, "DDR5 socket0")
+//!     .node(64 * GIB, "DDR5 socket1")
+//!     .node(16 * GIB, "CXL expander")
+//!     .socket("Xeon", 2.1, 10, 0)
+//!     .socket("Xeon", 2.1, 10, 1)
+//!     .build()
+//!     .unwrap();
+//! assert!(topo.node(2).unwrap().is_cpuless());
+//!
 //! let placement = AffinityPolicy::close().place(&topo, 8).unwrap();
 //!
 //! assert_eq!(placement.len(), 8);
@@ -60,7 +72,6 @@ pub mod affinity;
 pub mod cpuset;
 pub mod distance;
 pub mod error;
-pub mod policy;
 pub mod pool;
 pub mod topology;
 
@@ -68,7 +79,6 @@ pub use affinity::{AffinityPolicy, ThreadPlacement};
 pub use cpuset::CpuSet;
 pub use distance::DistanceMatrix;
 pub use error::NumaError;
-pub use policy::MemBindPolicy;
 pub use pool::{chunk_for, PinnedPool, WorkerCtx};
 pub use topology::{Core, CoreId, NodeId, NumaNode, Socket, SocketId, Topology};
 

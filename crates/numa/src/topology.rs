@@ -380,10 +380,13 @@ impl TopologyBuilder {
     }
 }
 
-/// Builds the paper's **Setup #1**: dual Sapphire Rapids (10 cores/socket after
-/// the BIOS limit), Hyper-Threading, 64 GB DDR5-4800 per socket, plus a CPU-less
-/// node 2 backed by the 16 GB CXL-attached DDR4-1333 expander.
-pub fn sapphire_rapids_cxl() -> Topology {
+/// Test fixture shaped like the paper's **Setup #1**: dual Sapphire Rapids
+/// (10 cores/socket after the BIOS limit), Hyper-Threading, 64 GB DDR5-4800
+/// per socket, plus a CPU-less node 2 backed by the 16 GB CXL-attached
+/// DDR4-1333 expander. The machine itself is `memsim`'s compiled Setup #1
+/// description.
+#[cfg(test)]
+pub(crate) fn sapphire_rapids_cxl() -> Topology {
     Topology::builder("sapphire-rapids-cxl")
         .smt(2)
         .node(64 * GIB, "DDR5-4800 socket0")
@@ -395,9 +398,10 @@ pub fn sapphire_rapids_cxl() -> Topology {
         .expect("static topology is valid")
 }
 
-/// Builds the paper's **Setup #2**: dual Xeon Gold 5215, 10 cores/socket,
-/// 96 GB DDR4-2666 in six channels per socket, no CXL device.
-pub fn xeon_gold_ddr4() -> Topology {
+/// Test fixture shaped like the paper's **Setup #2**: dual Xeon Gold 5215,
+/// 10 cores/socket, 96 GB DDR4-2666 in six channels per socket, no CXL device.
+#[cfg(test)]
+pub(crate) fn xeon_gold_ddr4() -> Topology {
     Topology::builder("xeon-gold-ddr4")
         .smt(2)
         .node(96 * GIB, "DDR4-2666 x6 socket0")
@@ -408,6 +412,7 @@ pub fn xeon_gold_ddr4() -> Topology {
         .expect("static topology is valid")
 }
 
+#[cfg(test)]
 const GIB: u64 = 1024 * 1024 * 1024;
 
 #[cfg(test)]

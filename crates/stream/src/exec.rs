@@ -322,13 +322,14 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use numa::topology::sapphire_rapids_cxl;
+    use memsim::machines::sapphire_rapids_cxl_machine;
     use numa::AffinityPolicy;
 
     fn pool(threads: usize) -> PinnedPool {
-        let topo = sapphire_rapids_cxl();
-        let placement = AffinityPolicy::close().place(&topo, threads).unwrap();
-        PinnedPool::new(&topo, &placement)
+        let machine = sapphire_rapids_cxl_machine();
+        let topo = machine.topology();
+        let placement = AffinityPolicy::close().place(topo, threads).unwrap();
+        PinnedPool::new(topo, &placement)
     }
 
     #[test]

@@ -30,12 +30,14 @@
 //! check Triad against its analytic expectation:
 //!
 //! ```
-//! use numa::{topology, AffinityPolicy, PinnedPool};
+//! use memsim::machines::sapphire_rapids_cxl_machine;
+//! use numa::{AffinityPolicy, PinnedPool};
 //! use stream_bench::{Kernel, StreamConfig, VolatileStream};
 //!
-//! let topo = topology::sapphire_rapids_cxl();
-//! let placement = AffinityPolicy::close().place(&topo, 2).unwrap();
-//! let pool = PinnedPool::new(&topo, &placement);
+//! let setup1 = sapphire_rapids_cxl_machine();
+//! let topo = setup1.topology();
+//! let placement = AffinityPolicy::close().place(topo, 2).unwrap();
+//! let pool = PinnedPool::new(topo, &placement);
 //!
 //! let mut stream = VolatileStream::new(StreamConfig {
 //!     elements: 1001,

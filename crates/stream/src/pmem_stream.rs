@@ -333,14 +333,15 @@ impl<'p> PmemStream<'p> {
 mod tests {
     use super::*;
     use crate::test_support::sz;
-    use numa::topology::sapphire_rapids_cxl;
+    use memsim::machines::sapphire_rapids_cxl_machine;
     use numa::AffinityPolicy;
     use pmem::PmemPool;
 
     fn worker_pool(threads: usize) -> PinnedPool {
-        let topo = sapphire_rapids_cxl();
-        let placement = AffinityPolicy::close().place(&topo, threads).unwrap();
-        PinnedPool::new(&topo, &placement)
+        let machine = sapphire_rapids_cxl_machine();
+        let topo = machine.topology();
+        let placement = AffinityPolicy::close().place(topo, threads).unwrap();
+        PinnedPool::new(topo, &placement)
     }
 
     fn pmem_pool(bytes: u64) -> PmemPool {

@@ -61,7 +61,8 @@ fn persistent_power_cycle_keeps_pool_contents_volatile_cycle_loses_them() {
         array.persist_all().unwrap();
         pool.set_root(array.typed_oid().oid(), 256).unwrap();
     }
-    // Battery-backed expander: contents survive, configuration must be redone.
+    // Battery-backed expander: contents survive, and the pool reopens over the
+    // bulk path, which needs no HDM decoder reprogrammed.
     device.power_cycle(true);
     {
         let pool = reopen_on(&device);
@@ -110,9 +111,10 @@ fn checkpoint_region_on_the_expander_survives_torn_commit_and_power_cycle() {
 fn stream_pmem_on_the_expander_validates_and_survives_reattach() {
     let device = expander();
     let config = StreamConfig::small(20_000);
-    let topo = streamer_repro::numa::topology::sapphire_rapids_cxl();
-    let placement = AffinityPolicy::close().place(&topo, 4).unwrap();
-    let workers = PinnedPool::new(&topo, &placement);
+    let machine = streamer_repro::memsim::machines::sapphire_rapids_cxl_machine();
+    let topo = machine.topology();
+    let placement = AffinityPolicy::close().place(topo, 4).unwrap();
+    let workers = PinnedPool::new(topo, &placement);
 
     let root = {
         let pool = pool_on(&device);
