@@ -3,19 +3,17 @@
 //! (App-Direct, block-staged through a pool on the CXL expander) as a
 //! fraction of the same STREAM in place, the spawn-per-run dispatch vs the
 //! persistent epoch-barrier pool at small array sizes (where per-invocation
-//! overhead dominates), plus the naive vs memoised analytical sweep. Results
-//! land in `BENCH_stream.json` at the repository root, with the host they
-//! were measured on, so regressions are diffable.
+//! overhead dominates). Results land in `BENCH_stream.json` at the repository
+//! root, with the host they were measured on, so regressions are diffable.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use cxl_pmem::{AccessMode, CxlPmemRuntime, RuntimeBuilder, TierPolicy};
-use numa::{AffinityPolicy, PinnedPool, ThreadPlacement, WorkerCtx};
+use cxl_pmem::{RuntimeBuilder, TierPolicy};
+use numa::{AffinityPolicy, PinnedPool, WorkerCtx};
 use parking_lot::RwLock;
+use repro_bench::host_fingerprint;
 use std::hint::black_box;
 use std::time::Instant;
-use stream_bench::{
-    ChunkedArrays, Kernel, PmemStream, SimulatedStream, StreamConfig, VolatileStream,
-};
+use stream_bench::{ChunkedArrays, Kernel, PmemStream, StreamConfig, VolatileStream};
 use streamer::tables::json_number;
 
 const ELEMENTS: usize = 1_000_000;
@@ -185,68 +183,6 @@ fn worker_pool(threads: usize) -> PinnedPool {
     PinnedPool::new(topo, &placement)
 }
 
-fn placements(runtime: &CxlPmemRuntime, max: usize) -> Vec<ThreadPlacement> {
-    (1..=max)
-        .map(|t| {
-            AffinityPolicy::SingleSocket(0)
-                .place(runtime.topology(), t)
-                .expect("placement")
-        })
-        .collect()
-}
-
-/// Walks the full figure grid (4 kernels × 10 thread counts × 3 nodes × 2
-/// modes = 240 points) through either the naive per-call engine path or the
-/// memoised one, on a caller-provided (possibly warm) runtime. Returns the
-/// elapsed seconds.
-fn walk_grid(stream: &SimulatedStream<'_>, placements: &[ThreadPlacement], cached: bool) -> f64 {
-    let start = Instant::now();
-    for kernel in Kernel::ALL {
-        for node in 0..3usize {
-            for mode in [AccessMode::AppDirect, AccessMode::MemoryMode] {
-                for placement in placements {
-                    if cached {
-                        let report = stream
-                            .simulate_report_cached(kernel, placement, node, mode)
-                            .expect("simulation");
-                        black_box(report.bandwidth_gbs);
-                    } else {
-                        let report = stream
-                            .simulate_report(kernel, placement, node, mode)
-                            .expect("simulation");
-                        black_box(report.bandwidth_gbs);
-                    }
-                }
-            }
-        }
-    }
-    start.elapsed().as_secs_f64()
-}
-
-/// The measuring host as a JSON object: worker threads available, compiler
-/// and source revision (`"unknown"` where a tool is missing).
-fn host_fingerprint() -> String {
-    let nproc = std::thread::available_parallelism().map_or(0, |n| n.get());
-    let output = |program: &str, args: &[&str]| {
-        std::process::Command::new(program)
-            .args(args)
-            .output()
-            .ok()
-            .filter(|out| out.status.success())
-            .map(|out| {
-                String::from_utf8_lossy(&out.stdout)
-                    .trim()
-                    .replace('"', "'")
-            })
-            .unwrap_or_else(|| "unknown".to_string())
-    };
-    format!(
-        "{{\"nproc\": {nproc}, \"rustc\": \"{}\", \"git_rev\": \"{}\"}}",
-        output("rustc", &["-V"]),
-        output("git", &["rev-parse", "--short", "HEAD"])
-    )
-}
-
 fn stream_hotpath(c: &mut Criterion) {
     let config = StreamConfig {
         elements: ELEMENTS,
@@ -346,47 +282,14 @@ fn stream_hotpath(c: &mut Criterion) {
         ));
     }
 
-    // Grid timings on one long-lived runtime — the shape the harness uses
-    // (figures, tables and analysis all sweep the same engine repeatedly).
-    let runtime = RuntimeBuilder::setup1().build();
-    let stream = SimulatedStream::paper(&runtime);
-    let grid_placements = placements(&runtime, 10);
-    let naive_s = (0..NTIMES)
-        .map(|_| walk_grid(&stream, &grid_placements, false))
-        .fold(f64::INFINITY, f64::min);
-    assert_eq!(
-        runtime.engine().cache_stats(),
-        (0, 0),
-        "naive path must not touch the cache"
-    );
-    let cached_cold_s = walk_grid(&stream, &grid_placements, true);
-    let (cold_hits, cold_misses) = runtime.engine().cache_stats();
-    let cached_warm_s = (0..NTIMES)
-        .map(|_| walk_grid(&stream, &grid_placements, true))
-        .fold(f64::INFINITY, f64::min);
-    println!(
-        "sweep grid (240 points): naive {naive_s:.6}s, cached cold {cached_cold_s:.6}s \
-         ({cold_hits} hits / {cold_misses} misses), cached warm {cached_warm_s:.6}s, \
-         warm speedup {:.2}x",
-        naive_s / cached_warm_s
-    );
-
     let json = format!(
         "{{\n  \"host\": {},\n  \"elements\": {ELEMENTS},\n  \"threads\": {THREADS},\n  \
          \"ntimes\": {NTIMES},\n  \"kernels\": {{\n{}\n  }},\n  \"app_direct\": {{\n{}\n  }},\n  \
-         \"small_array_pool\": {{\n{}\n  }},\n  \
-         \"sweep_grid\": {{\n    \"points\": 240,\n    \
-         \"naive_seconds\": {},\n    \"cached_cold_seconds\": {},\n    \
-         \"cached_warm_seconds\": {},\n    \"warm_speedup\": {},\n    \
-         \"cold_cache_hits\": {cold_hits},\n    \"cold_cache_misses\": {cold_misses}\n  }}\n}}\n",
+         \"small_array_pool\": {{\n{}\n  }}\n}}\n",
         host_fingerprint(),
         kernel_rows.join(",\n"),
         app_direct_rows.join(",\n"),
         small_rows.join(",\n"),
-        json_number(naive_s),
-        json_number(cached_cold_s),
-        json_number(cached_warm_s),
-        json_number(naive_s / cached_warm_s),
     );
     let out = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_stream.json");
     std::fs::write(out, json).expect("write BENCH_stream.json");
@@ -427,12 +330,6 @@ fn stream_hotpath(c: &mut Criterion) {
             b.iter(|| black_box(persistent_sequence(&pool, small_config, &mut arrays)))
         });
     }
-    group.bench_function("sweep_grid_naive", |b| {
-        b.iter(|| black_box(walk_grid(&stream, &grid_placements, false)))
-    });
-    group.bench_function("sweep_grid_cached_warm", |b| {
-        b.iter(|| black_box(walk_grid(&stream, &grid_placements, true)))
-    });
     group.finish();
 }
 

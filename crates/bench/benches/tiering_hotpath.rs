@@ -1,8 +1,8 @@
 //! Tiering hot-path costs: what does the adaptive engine charge the STREAM
 //! kernels, and how fast can it move chunks?
 //!
-//! Two numbers land in `BENCH_tiering.json` at the repository root and are
-//! gated by the CI `bench-smoke` job:
+//! Two numbers land in `BENCH_tiering.json` at the repository root, with the
+//! host they were measured on, and are gated by the CI `bench-smoke` job:
 //!
 //! * **tracking overhead** — the full STREAM sequence with the tiering
 //!   [`AccessTracker`] attached vs detached. The tracker is a handful of
@@ -20,6 +20,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use cxl_pmem::tiering::{AccessTracker, TierAssignment, TieredRegion};
 use cxl_pmem::{CxlPmemRuntime, PooledChunkExecutor, RuntimeBuilder, TierPolicy};
 use numa::{AffinityPolicy, PinnedPool};
+use repro_bench::host_fingerprint;
 use std::hint::black_box;
 use std::sync::Arc;
 use std::time::Instant;
@@ -146,13 +147,14 @@ fn tiering_hotpath(c: &mut Criterion) {
     );
 
     let json = format!(
-        "{{\n  \"elements\": {ELEMENTS},\n  \"threads\": {THREADS},\n  \"ntimes\": {NTIMES},\n  \
+        "{{\n  \"host\": {},\n  \"elements\": {ELEMENTS},\n  \"threads\": {THREADS},\n  \"ntimes\": {NTIMES},\n  \
          \"tracking\": {{\n    \"untracked_seconds\": {},\n    \"tracked_seconds\": {},\n    \
          \"overhead_pct\": {},\n    \"sampled_bytes\": {sampled}\n  }},\n  \
          \"migration\": {{\n    \"chunks\": {MIG_CHUNKS},\n    \"chunk_bytes\": {MIG_CHUNK_LEN},\n    \
          \"swing_seconds\": {},\n    \"throughput_gbs\": {}\n  }},\n  \
          \"simulated_migration\": {{\n    \"bytes\": {},\n    \"seconds\": {},\n    \
          \"payload_gbs\": {}\n  }}\n}}\n",
+        host_fingerprint(),
         json_number(untracked_s),
         json_number(tracked_s),
         json_number(overhead_pct),

@@ -28,6 +28,31 @@ pub fn generate_subfigure(kernel: Kernel, group: TestGroup) -> FigureData {
     FigureData::generate(kernel, group).expect("figure generation")
 }
 
+/// The measuring host as a JSON object: worker threads available, compiler
+/// and source revision (`"unknown"` where a tool is missing). Wall-clock
+/// `BENCH_*.json` documents record it, so a number travels with its host.
+pub fn host_fingerprint() -> String {
+    let nproc = std::thread::available_parallelism().map_or(0, |n| n.get());
+    let output = |program: &str, args: &[&str]| {
+        std::process::Command::new(program)
+            .args(args)
+            .output()
+            .ok()
+            .filter(|out| out.status.success())
+            .map(|out| {
+                String::from_utf8_lossy(&out.stdout)
+                    .trim()
+                    .replace('"', "'")
+            })
+            .unwrap_or_else(|| "unknown".to_string())
+    };
+    format!(
+        "{{\"nproc\": {nproc}, \"rustc\": \"{}\", \"git_rev\": \"{}\"}}",
+        output("rustc", &["-V"]),
+        output("git", &["rev-parse", "--short", "HEAD"])
+    )
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -121,11 +121,11 @@ pub enum SetupKind {
 }
 
 /// A compiled CFMWS interleave window realised functionally: one Type-3
-/// endpoint per interleave way, each programmed — via [`InterleaveSet`] —
-/// with exactly the HDM slice it owns. Consecutive `granularity`-sized
-/// granules of the window's HPA range rotate across the endpoints, so
-/// bandwidth aggregates across ways the same way the `memsim` window device
-/// does analytically.
+/// endpoint per interleave way, sized to the share of the window it owns.
+/// Its [`InterleaveSet`] decodes host addresses: consecutive
+/// `granularity`-sized granules of the window's HPA range rotate across the
+/// endpoints, so bandwidth aggregates across ways the same way the `memsim`
+/// window device does analytically.
 #[derive(Debug)]
 pub struct InterleavedWindow {
     name: String,
@@ -144,17 +144,12 @@ impl InterleavedWindow {
         let endpoints = w
             .way_names
             .iter()
-            .enumerate()
-            .map(|(position, name)| {
-                let device =
-                    Type3Device::new(name.clone(), w.way_capacity_bytes, LinkConfig::gen5_x16());
-                device
-                    .program_hdm(
-                        set.way_range(position as u8)
-                            .expect("position is within the interleave set"),
-                    )
-                    .expect("way range fits the way capacity");
-                Arc::new(device)
+            .map(|name| {
+                Arc::new(Type3Device::new(
+                    name.clone(),
+                    w.way_capacity_bytes,
+                    LinkConfig::gen5_x16(),
+                ))
             })
             .collect();
         InterleavedWindow {
@@ -314,11 +309,6 @@ impl Default for RuntimeBuilder {
 }
 
 impl RuntimeBuilder {
-    /// HPA base the expander's HDM decodes at (arbitrary in the model;
-    /// 128 GiB keeps it clear of the DRAM nodes). An ingested `[window.*]`
-    /// keeps its own base.
-    const DEFAULT_HPA_BASE: u64 = 0x20_0000_0000;
-
     /// A builder for the paper's Setup #1 (same as [`setup1`](Self::setup1)).
     pub fn new() -> Self {
         Self::setup1()
@@ -381,14 +371,11 @@ impl RuntimeBuilder {
         match self.topology {
             BuilderTopology::Setup1 => {
                 // The card stores node 2's bytes; the Setup #1 text alone
-                // says how fast it is. Enumerate it to map its HDM into the
-                // host; the HPA base is arbitrary in the model.
-                let fpga = FpgaPrototype::paper_prototype();
-                let _ = fpga.enumerate(Self::DEFAULT_HPA_BASE);
+                // says how fast it is.
                 CxlPmemRuntime::from_parts(
                     SetupKind::SapphireRapidsCxl,
                     Engine::new(memsim::machines::sapphire_rapids_cxl_machine()),
-                    Some(fpga),
+                    Some(FpgaPrototype::paper_prototype()),
                 )
             }
             BuilderTopology::Setup2 => CxlPmemRuntime::from_parts(
@@ -408,21 +395,14 @@ impl RuntimeBuilder {
                 let memsim::IngestedTopology { machine, windows } = ingested;
                 let node = machine.topology().memory_only_nodes().next().map(|n| n.id);
                 let fpga = node.map(|node| {
-                    let hpa_base = windows
-                        .iter()
-                        .find(|w| w.node == node)
-                        .map(|w| w.hpa_base)
-                        .unwrap_or(Self::DEFAULT_HPA_BASE);
                     let device = machine
                         .device(node)
                         .expect("compiled topologies back every memory node with a device");
-                    let fpga = FpgaPrototype::custom(
+                    FpgaPrototype::custom(
                         device.name.clone(),
                         LinkConfig::gen5_x16(),
                         device.capacity_bytes,
-                    );
-                    let _ = fpga.enumerate(hpa_base);
-                    fpga
+                    )
                 });
                 let mut runtime =
                     CxlPmemRuntime::from_parts(SetupKind::Ingested, Engine::new(machine), fpga);
@@ -711,30 +691,6 @@ impl CxlPmemRuntime {
 
     // -------------------------------------------------------------- accounting
 
-    fn stream_phase(
-        &self,
-        label: &str,
-        placement: &ThreadPlacement,
-        data_node: NodeId,
-        read_bytes_per_thread: u64,
-        write_bytes_per_thread: u64,
-        mode: AccessMode,
-    ) -> TrafficPhase {
-        let overhead = mode.software_overhead();
-        TrafficPhase::from_threads(
-            label,
-            placement.cpus().iter().map(|&cpu| {
-                ThreadTraffic::sequential(
-                    cpu,
-                    data_node,
-                    read_bytes_per_thread,
-                    write_bytes_per_thread,
-                )
-                .with_overhead(overhead)
-            }),
-        )
-    }
-
     /// Simulates one kernel invocation: every placed thread streams
     /// `read_bytes` + `write_bytes` against `data_node` in `mode`.
     pub fn simulate_stream_phase(
@@ -746,40 +702,20 @@ impl CxlPmemRuntime {
         write_bytes_per_thread: u64,
         mode: AccessMode,
     ) -> crate::Result<PhaseReport> {
-        let phase = self.stream_phase(
+        let overhead = mode.software_overhead();
+        let phase = TrafficPhase::from_threads(
             label,
-            placement,
-            data_node,
-            read_bytes_per_thread,
-            write_bytes_per_thread,
-            mode,
+            placement.cpus().iter().map(|&cpu| {
+                ThreadTraffic::sequential(
+                    cpu,
+                    data_node,
+                    read_bytes_per_thread,
+                    write_bytes_per_thread,
+                )
+                .with_overhead(overhead)
+            }),
         );
         self.engine.simulate(&phase).map_err(Into::into)
-    }
-
-    /// Memoised variant of [`simulate_stream_phase`](Self::simulate_stream_phase):
-    /// phases with identical traffic signatures reuse the engine's cached
-    /// verdict (shared via `Arc`, so hits cost a key hash plus a refcount
-    /// bump). Sweeps over figure grids hit this hard — kernels with equal
-    /// byte counts (Copy/Scale, Add/Triad) collapse to one evaluation.
-    pub fn simulate_stream_phase_cached(
-        &self,
-        label: &str,
-        placement: &ThreadPlacement,
-        data_node: NodeId,
-        read_bytes_per_thread: u64,
-        write_bytes_per_thread: u64,
-        mode: AccessMode,
-    ) -> crate::Result<Arc<PhaseReport>> {
-        let phase = self.stream_phase(
-            label,
-            placement,
-            data_node,
-            read_bytes_per_thread,
-            write_bytes_per_thread,
-            mode,
-        );
-        self.engine.simulate_cached(&phase).map_err(Into::into)
     }
 
     /// The saturated (many-thread) bandwidth a socket can extract from a node
@@ -791,13 +727,7 @@ impl CxlPmemRuntime {
         mode: AccessMode,
     ) -> crate::Result<f64> {
         // STREAM-like 2:1 read:write byte mix.
-        let ceiling = self.machine().path_ceiling_gbs(
-            socket,
-            node,
-            2,
-            1,
-            memsim::AccessPattern::Sequential,
-        )?;
+        let ceiling = self.machine().path_ceiling_gbs(socket, node, 2, 1)?;
         Ok(ceiling / mode.software_overhead())
     }
 }
@@ -896,9 +826,9 @@ mod tests {
         assert_eq!(windows.len(), 1);
         let window = &windows[0];
         assert_eq!(window.endpoints().len(), 2);
-        // Each way's decoder owns exactly its share of the window.
+        // Each way's endpoint holds exactly its share of the window.
         for endpoint in window.endpoints() {
-            assert_eq!(endpoint.mapped_bytes(), window.set().local_bytes());
+            assert_eq!(endpoint.capacity_bytes(), window.set().local_bytes());
         }
         // Consecutive granules rotate across the two endpoints.
         let base = window.set().hpa_base();

@@ -464,7 +464,7 @@ impl BandwidthAwarePolicy {
             .iter()
             .map(|t| {
                 machine
-                    .path_ceiling_gbs(socket, t.node, 2, 1, memsim::AccessPattern::Sequential)
+                    .path_ceiling_gbs(socket, t.node, 2, 1)
                     .unwrap_or(0.0)
                     .max(f64::MIN_POSITIVE)
             })

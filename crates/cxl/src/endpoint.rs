@@ -1,18 +1,16 @@
 //! The CXL Type-3 memory-expander endpoint.
 //!
-//! A [`Type3Device`] combines an HDM decoder set and a real backing store. It
-//! is the software equivalent of the paper's FPGA endpoint: the host
-//! enumerates it by programming an HDM decoder over its capacity, and the
-//! persistent-memory layer moves whole object ranges through the bulk path
-//! ([`Type3Device::read_bulk`], [`Type3Device::write_bulk`]) in device-local
-//! addresses, counting the bytes and 64-byte lines it transfers.
+//! A [`Type3Device`] is a real backing store behind a CXL link: the software
+//! equivalent of the paper's FPGA endpoint. The persistent-memory layer moves
+//! whole object ranges through the bulk path ([`Type3Device::read_bulk`],
+//! [`Type3Device::write_bulk`]) in device-local addresses (DPA), counting the
+//! bytes and 64-byte lines it transfers. Host addresses decode to DPAs above
+//! the device, in [`InterleaveSet`](crate::hdm::InterleaveSet).
 
 use crate::config::LinkConfig;
 use crate::error::CxlError;
-use crate::hdm::{HdmDecoder, HdmRange};
 use crate::sparse::SparseMemory;
 use crate::Result;
-use parking_lot::RwLock;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
 /// Size of a cache line, the unit the line counters count in.
@@ -111,7 +109,6 @@ impl StatCounters {
 pub struct Type3Device {
     name: String,
     link: LinkConfig,
-    hdm: RwLock<HdmDecoder>,
     memory: SparseMemory,
     stats: StatCounters,
 }
@@ -122,7 +119,6 @@ impl Type3Device {
         Type3Device {
             name: name.into(),
             link,
-            hdm: RwLock::new(HdmDecoder::new()),
             memory: SparseMemory::new(capacity_bytes),
             stats: StatCounters::default(),
         }
@@ -141,26 +137,6 @@ impl Type3Device {
     /// Capacity of the backing memory in bytes.
     pub fn capacity_bytes(&self) -> u64 {
         self.memory.capacity()
-    }
-
-    /// Programs an HDM decoder range.
-    pub fn program_hdm(&self, range: HdmRange) -> Result<()> {
-        let capacity = self.capacity_bytes();
-        match range.dpa_base.checked_add(range.local_bytes()) {
-            Some(end) if end <= capacity => self.hdm.write().program(range),
-            Some(end) => Err(CxlError::InvalidHdmRange(format!(
-                "range maps {} bytes beyond device capacity",
-                end - capacity
-            ))),
-            None => Err(CxlError::InvalidHdmRange(
-                "range end overflows the device address space".to_string(),
-            )),
-        }
-    }
-
-    /// Total HPA bytes currently mapped.
-    pub fn mapped_bytes(&self) -> u64 {
-        self.hdm.read().mapped_bytes()
     }
 
     /// Rejects `[dpa, dpa + len)` unless it lies inside the backing store.
@@ -219,29 +195,24 @@ impl Type3Device {
 
     /// Simulates a power cycle. Persistent devices (the premise of the paper:
     /// the expander is off-node and battery-backed) keep their contents;
-    /// volatile ones lose them. Either way the HDM decoders are cleared and
-    /// must be reprogrammed, as after a real reboot.
+    /// volatile ones lose them.
     pub fn power_cycle(&self, persistent: bool) {
         if !persistent {
             self.memory.clear();
         }
-        self.hdm.write().clear();
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::hdm::HdmRange;
+    use crate::hdm::InterleaveSet;
 
     const MIB: u64 = 1024 * 1024;
     const HPA_BASE: u64 = 0x1000_0000;
 
-    fn mapped_device() -> Type3Device {
-        let dev = Type3Device::new("test-cxl", 16 * MIB, LinkConfig::gen5_x16());
-        dev.program_hdm(HdmRange::linear(HPA_BASE, 16 * MIB, 0))
-            .unwrap();
-        dev
+    fn device() -> Type3Device {
+        Type3Device::new("test-cxl", 16 * MIB, LinkConfig::gen5_x16())
     }
 
     #[test]
@@ -254,28 +225,26 @@ mod tests {
 
     #[test]
     fn memory_access_requires_enable_bit() {
-        // Enumeration programs the HDM decoder only: the bulk path addresses
-        // the device in DPA space and is gated by its capacity alone.
-        let dev = Type3Device::new("never-enumerated", MIB, LinkConfig::gen5_x16());
-        assert_eq!(dev.mapped_bytes(), 0);
-        dev.write_bulk(0, &[5u8; 64]).unwrap();
+        // The bulk path addresses the device in DPA space and is gated by
+        // its capacity alone: a fresh device serves its last line.
+        let dev = Type3Device::new("fresh", MIB, LinkConfig::gen5_x16());
+        dev.write_bulk(MIB - 64, &[5u8; 64]).unwrap();
         let mut line = [0u8; 64];
-        dev.read_bulk(0, &mut line).unwrap();
+        dev.read_bulk(MIB - 64, &mut line).unwrap();
         assert_eq!(line, [5u8; 64]);
     }
 
     #[test]
     fn write_then_read_round_trips_through_hdm() {
-        let range = HdmRange::linear(HPA_BASE, 16 * MIB, 0);
+        let window = InterleaveSet::new(HPA_BASE, 16 * MIB, 4096, 1).unwrap();
         let dev = Type3Device::new("decoded", 16 * MIB, LinkConfig::gen5_x16());
-        dev.program_hdm(range).unwrap();
         let mut line = [0u8; 64];
         for (i, b) in line.iter_mut().enumerate() {
             *b = i as u8;
         }
         // The host decodes its address, then moves the line at the DPA.
-        let dpa = range.translate(HPA_BASE + 128).unwrap();
-        assert_eq!(dpa, 128);
+        let (way, dpa) = window.translate(HPA_BASE + 128).unwrap();
+        assert_eq!((way, dpa), (0, 128));
         dev.write_bulk(dpa, &line).unwrap();
         let mut back = [0u8; 64];
         dev.read_bulk(dpa, &mut back).unwrap();
@@ -286,7 +255,7 @@ mod tests {
 
     #[test]
     fn partial_write_honours_byte_enable() {
-        let dev = mapped_device();
+        let dev = device();
         dev.write_bulk(0, &[0xFF; 64]).unwrap();
         // Overwrite only the first 4 bytes of the line.
         dev.write_bulk(0, &[0x00; 4]).unwrap();
@@ -298,7 +267,7 @@ mod tests {
 
     #[test]
     fn unmapped_address_is_rejected() {
-        let dev = mapped_device();
+        let dev = device();
         let mut buf = [0u8; 64];
         let err = dev.read_bulk(16 * MIB - 10, &mut buf).unwrap_err();
         assert_eq!(
@@ -317,18 +286,22 @@ mod tests {
     #[test]
     fn hdm_range_beyond_capacity_is_rejected() {
         let dev = Type3Device::new("small", MIB, LinkConfig::gen5_x16());
-        assert!(dev.program_hdm(HdmRange::linear(0, 2 * MIB, 0)).is_err());
-        // A DPA base whose end wraps the address space is refused, not summed.
+        let whole = vec![0u8; 2 * MIB as usize];
         assert!(matches!(
-            dev.program_hdm(HdmRange::linear(0, MIB, u64::MAX - 10)),
-            Err(CxlError::InvalidHdmRange(_))
+            dev.write_bulk(0, &whole),
+            Err(CxlError::OutOfBounds { capacity: MIB, .. })
         ));
-        assert_eq!(dev.mapped_bytes(), 0);
+        // A DPA whose end wraps the address space is refused, not summed.
+        assert!(matches!(
+            dev.write_bulk(u64::MAX - 10, &[0u8; 64]),
+            Err(CxlError::OutOfBounds { .. })
+        ));
+        assert_eq!(dev.stats(), DeviceStats::default());
     }
 
     #[test]
     fn bulk_round_trip_and_stats() {
-        let dev = mapped_device();
+        let dev = device();
         let payload: Vec<u8> = (0..8192u32).map(|i| (i % 251) as u8).collect();
         dev.write_bulk(4096, &payload).unwrap();
         let mut back = vec![0u8; payload.len()];
@@ -343,11 +316,10 @@ mod tests {
 
     #[test]
     fn power_cycle_persistence_semantics() {
-        let dev = mapped_device();
+        let dev = device();
         dev.write_bulk(0, &[7u8; 64]).unwrap();
-        // Persistent power cycle keeps contents but drops configuration.
+        // Persistent power cycle keeps contents.
         dev.power_cycle(true);
-        assert_eq!(dev.mapped_bytes(), 0);
         let mut buf = [0u8; 64];
         dev.read_bulk(0, &mut buf).unwrap();
         assert_eq!(buf, [7u8; 64]);
@@ -359,7 +331,7 @@ mod tests {
 
     #[test]
     fn gpf_doorbell_counts_flushes() {
-        let dev = mapped_device();
+        let dev = device();
         dev.global_persistent_flush();
         dev.global_persistent_flush();
         assert_eq!(dev.stats().gpf_flushes, 2);
@@ -367,7 +339,7 @@ mod tests {
 
     #[test]
     fn flit_counters_track_link_traffic() {
-        let dev = mapped_device();
+        let dev = device();
         dev.write_bulk(0, &[1; 64]).unwrap();
         dev.read_bulk(0, &mut [0; 64]).unwrap();
         dev.global_persistent_flush();
@@ -385,7 +357,7 @@ mod tests {
 
     #[test]
     fn concurrent_bulk_writers_do_not_corrupt_disjoint_regions() {
-        let dev = std::sync::Arc::new(mapped_device());
+        let dev = std::sync::Arc::new(device());
         std::thread::scope(|scope| {
             for t in 0..4u8 {
                 let dev = dev.clone();
@@ -404,7 +376,7 @@ mod tests {
 
     #[test]
     fn concurrent_traffic_is_counted_exactly() {
-        let dev = std::sync::Arc::new(mapped_device());
+        let dev = std::sync::Arc::new(device());
         // More threads than counter shards, so some threads share one.
         let threads = STAT_SHARDS as u64 + 4;
         std::thread::scope(|scope| {

@@ -4,15 +4,13 @@
 //! layer) with a **soft-IP** pipeline in the FPGA fabric that implements the
 //! CXL.io/CXL.mem transaction layers and drives two on-card DDR4-1333 modules.
 //! [`FpgaPrototype`] is the card's functional side: a named Type-3 endpoint
-//! behind its CXL link, and the HDM enumeration that makes it a CPU-less NUMA
-//! node. The card's bandwidth and latency are not modelled here; they live
+//! behind its CXL link, which the host sees as a CPU-less NUMA node. The
+//! card's bandwidth and latency are not modelled here; they live
 //! in the Setup #1 topology text (`crates/memsim/topologies/
 //! sapphire-rapids-cxl.topo`), which the runtime compiles and simulates.
 
 use crate::config::{CxlSpec, LinkConfig};
 use crate::endpoint::Type3Device;
-use crate::hdm::HdmRange;
-use crate::Result;
 use std::sync::Arc;
 
 /// The functional FPGA prototype: a named Type-3 endpoint.
@@ -61,16 +59,6 @@ impl FpgaPrototype {
     pub fn spec(&self) -> CxlSpec {
         self.device.link().spec
     }
-
-    /// "Enumerates" the device as the host BIOS/OS would: programs a linear HDM
-    /// decoder covering the whole capacity at `hpa_base`, which maps the card
-    /// into the host as a CPU-less NUMA node. Returns the HPA range exposed.
-    pub fn enumerate(&self, hpa_base: u64) -> Result<(u64, u64)> {
-        let capacity = self.capacity_bytes();
-        self.device
-            .program_hdm(HdmRange::linear(hpa_base, capacity, 0))?;
-        Ok((hpa_base, capacity))
-    }
 }
 
 #[cfg(test)]
@@ -79,13 +67,10 @@ mod tests {
     use memsim::calibration as cal;
     use memsim::link::LinkKind;
     use memsim::machines::{sapphire_rapids_cxl_machine, sapphire_rapids_cxl_upgraded};
-    use memsim::AccessPattern;
 
     /// Setup #1's sequential ceiling from socket 0 to the card (GB/s).
     fn card_ceiling_gbs(machine: &memsim::Machine) -> f64 {
-        machine
-            .path_ceiling_gbs(0, 2, 1, 1, AccessPattern::Sequential)
-            .unwrap()
+        machine.path_ceiling_gbs(0, 2, 1, 1).unwrap()
     }
 
     #[test]
@@ -108,13 +93,15 @@ mod tests {
 
     #[test]
     fn enumeration_makes_memory_accessible() {
+        // The card's last line round-trips through the bulk path.
         let fpga = FpgaPrototype::paper_prototype();
         let endpoint = fpga.endpoint();
-        assert_eq!(endpoint.mapped_bytes(), 0);
-        let (base, len) = fpga.enumerate(0x2_0000_0000).unwrap();
-        assert_eq!(base, 0x2_0000_0000);
-        assert_eq!(len, fpga.capacity_bytes());
-        assert_eq!(endpoint.mapped_bytes(), fpga.capacity_bytes());
+        let last = fpga.capacity_bytes() - 64;
+        endpoint.write_bulk(last, &[0xA5; 64]).unwrap();
+        let mut line = [0u8; 64];
+        endpoint.read_bulk(last, &mut line).unwrap();
+        assert_eq!(line, [0xA5; 64]);
+        assert!(endpoint.read_bulk(last + 1, &mut line).is_err());
     }
 
     #[test]

@@ -1,9 +1,10 @@
-//! Host-managed Device Memory (HDM) decoders.
+//! Host-managed Device Memory (HDM) decode.
 //!
 //! An HDM decoder maps a contiguous range of host physical addresses (HPA)
-//! onto device-local physical addresses (DPA). CXL 2.0 allows several decoders
-//! per device and interleaving a single HPA range across multiple devices; the
-//! paper's prototype programs one decoder per NUMA-exposed region.
+//! onto device-local physical addresses (DPA). CXL 2.0 allows interleaving a
+//! single HPA range across multiple devices. An [`InterleaveSet`] is such a
+//! window: it resolves any HPA in it to the device that owns it and the DPA
+//! there, through the per-way [`HdmRange`] each device would program.
 
 use crate::error::CxlError;
 use crate::Result;
@@ -25,7 +26,7 @@ fn offset_in(hpa: u64, base: u64, len: u64) -> Option<u64> {
     hpa.checked_sub(base).filter(|&offset| offset < len)
 }
 
-/// One programmed HDM decoder range.
+/// One HDM decoder range: the slice of an HPA window that one device owns.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HdmRange {
     /// First host physical address covered.
@@ -40,28 +41,11 @@ pub struct HdmRange {
     pub interleave_ways: u8,
     /// Which of the interleave ways this device is (0-based).
     pub interleave_position: u8,
-    /// Interleave granularity in bytes (256 B to 16 KiB per spec; 4 KiB here).
+    /// Interleave granularity in bytes (256 B to 16 KiB per spec).
     pub interleave_granularity: u64,
 }
 
 impl HdmRange {
-    /// A simple non-interleaved range.
-    pub fn linear(hpa_base: u64, len: u64, dpa_base: u64) -> Self {
-        HdmRange {
-            hpa_base,
-            len,
-            dpa_base,
-            interleave_ways: 1,
-            interleave_position: 0,
-            interleave_granularity: 4096,
-        }
-    }
-
-    /// Whether an HPA falls inside this window.
-    pub fn contains(&self, hpa: u64) -> bool {
-        offset_in(hpa, self.hpa_base, self.len).is_some()
-    }
-
     /// Translates an HPA to a DPA if this decoder (and interleave way) owns it.
     pub fn translate(&self, hpa: u64) -> Option<u64> {
         let offset = offset_in(hpa, self.hpa_base, self.len)?;
@@ -79,85 +63,6 @@ impl HdmRange {
         self.dpa_base
             .checked_add(local_block * gran + offset % gran)
     }
-
-    /// Bytes of the HPA window that this decoder actually backs (len / ways).
-    pub fn local_bytes(&self) -> u64 {
-        self.len / self.interleave_ways.max(1) as u64
-    }
-}
-
-/// A set of HDM decoders belonging to one device.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct HdmDecoder {
-    ranges: Vec<HdmRange>,
-}
-
-impl HdmDecoder {
-    /// Creates an empty decoder set.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Programs an additional decoder range. Ranges must not overlap in HPA
-    /// space, must be cache-line aligned and must end inside the HPA space.
-    pub fn program(&mut self, range: HdmRange) -> Result<()> {
-        if range.len == 0 {
-            return Err(CxlError::InvalidHdmRange("zero-length range".to_string()));
-        }
-        fits_hpa_space(range.hpa_base, range.len)?;
-        if !range.hpa_base.is_multiple_of(64) || !range.len.is_multiple_of(64) {
-            return Err(CxlError::InvalidHdmRange(
-                "range must be 64-byte aligned".to_string(),
-            ));
-        }
-        if range.interleave_ways == 0 {
-            return Err(CxlError::InvalidHdmRange(
-                "zero interleave ways".to_string(),
-            ));
-        }
-        if range.interleave_position >= range.interleave_ways {
-            return Err(CxlError::InvalidHdmRange(format!(
-                "interleave position {} out of {} ways",
-                range.interleave_position, range.interleave_ways
-            )));
-        }
-        for existing in &self.ranges {
-            let overlap = existing.contains(range.hpa_base) || range.contains(existing.hpa_base);
-            if overlap {
-                return Err(CxlError::InvalidHdmRange(format!(
-                    "range at {:#x} overlaps existing range at {:#x}",
-                    range.hpa_base, existing.hpa_base
-                )));
-            }
-        }
-        self.ranges.push(range);
-        Ok(())
-    }
-
-    /// All programmed ranges.
-    pub fn ranges(&self) -> &[HdmRange] {
-        &self.ranges
-    }
-
-    /// Translates an HPA to a DPA.
-    pub fn translate(&self, hpa: u64) -> Result<u64> {
-        for range in &self.ranges {
-            if let Some(dpa) = range.translate(hpa) {
-                return Ok(dpa);
-            }
-        }
-        Err(CxlError::AddressNotMapped(hpa))
-    }
-
-    /// Total device-local bytes mapped by all decoders.
-    pub fn mapped_bytes(&self) -> u64 {
-        self.ranges.iter().map(|r| r.local_bytes()).sum()
-    }
-
-    /// Removes every programmed range.
-    pub fn clear(&mut self) {
-        self.ranges.clear();
-    }
 }
 
 /// A CEDT CFMWS-style interleave set: one host-physical window rotated across
@@ -166,9 +71,8 @@ impl HdmDecoder {
 /// This is the multi-expander decode the CXL spec expresses as a CXL Fixed
 /// Memory Window Structure: consecutive granularity-sized blocks of the
 /// window belong to devices 0, 1, …, N−1, 0, 1, … in turn. The set hands out
-/// one [`HdmRange`] per way ([`InterleaveSet::way_range`]) so each device's
-/// [`HdmDecoder`] can be programmed consistently, and resolves any HPA to the
-/// `(way, dpa)` pair that owns it ([`InterleaveSet::translate`]).
+/// the [`HdmRange`] each way owns ([`InterleaveSet::way_range`]) and resolves
+/// any HPA to the `(way, dpa)` pair that owns it ([`InterleaveSet::translate`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct InterleaveSet {
     hpa_base: u64,
@@ -261,11 +165,6 @@ impl InterleaveSet {
         })
     }
 
-    /// Programs the way at `position` into a device's decoder.
-    pub fn program_way(&self, decoder: &mut HdmDecoder, position: u8) -> Result<()> {
-        decoder.program(self.way_range(position)?)
-    }
-
     /// Resolves an HPA to the `(way, dpa)` pair that owns it.
     pub fn translate(&self, hpa: u64) -> Result<(u8, u64)> {
         let offset =
@@ -287,44 +186,54 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
+    /// A non-interleaved range.
+    fn linear(hpa_base: u64, len: u64, dpa_base: u64) -> HdmRange {
+        HdmRange {
+            hpa_base,
+            len,
+            dpa_base,
+            interleave_ways: 1,
+            interleave_position: 0,
+            interleave_granularity: 4096,
+        }
+    }
+
     #[test]
     fn linear_translation_is_offset_preserving() {
-        let mut dec = HdmDecoder::new();
-        dec.program(HdmRange::linear(0x1_0000_0000, 1 << 30, 0))
-            .unwrap();
-        assert_eq!(dec.translate(0x1_0000_0000).unwrap(), 0);
-        assert_eq!(dec.translate(0x1_0000_0040).unwrap(), 0x40);
-        assert!(dec.translate(0x0).is_err());
-        assert!(dec.translate(0x1_0000_0000 + (1 << 30)).is_err());
+        // A one-way window maps the HPA offset straight onto the DPA.
+        let base = 0x1_0000_0000;
+        let set = InterleaveSet::new(base, 1 << 30, 4096, 1).unwrap();
+        assert_eq!(set.translate(base).unwrap(), (0, 0));
+        assert_eq!(set.translate(base + 0x40).unwrap(), (0, 0x40));
+        assert_eq!(set.translate(0), Err(CxlError::AddressNotMapped(0)));
+        assert!(set.translate(base + (1 << 30)).is_err());
     }
 
     #[test]
     fn zero_length_and_misaligned_ranges_are_rejected() {
-        let mut dec = HdmDecoder::new();
-        assert!(dec.program(HdmRange::linear(0, 0, 0)).is_err());
-        assert!(dec.program(HdmRange::linear(32, 128, 0)).is_err());
-        assert!(dec.program(HdmRange::linear(0, 100, 0)).is_err());
-        // A range whose end would pass the top of the HPA space is refused,
-        // and deciding whether an address is inside one never overflows.
-        let top = HdmRange::linear(0xFFFF_FFFF_FFFF_0000, 1 << 20, 0);
+        assert!(InterleaveSet::new(0, 0, 4096, 1).is_err());
+        assert!(InterleaveSet::new(32, 4096, 4096, 1).is_err());
+        assert!(InterleaveSet::new(0, 100, 4096, 1).is_err());
+        // A window whose end would pass the top of the HPA space is refused,
+        // and decoding an address near the top never overflows.
         assert!(matches!(
-            dec.program(top),
+            InterleaveSet::new(0xFFFF_FFFF_FFFF_0000, 1 << 20, 4096, 1),
             Err(CxlError::InvalidHdmRange(_))
         ));
-        assert!(top.contains(u64::MAX));
-        assert!(!top.contains(0));
+        let top = linear(0xFFFF_FFFF_FFFF_0000, 1 << 20, 0);
         assert_eq!(top.translate(u64::MAX), Some(0xFFFF));
-        assert!(dec.ranges().is_empty());
+        assert_eq!(top.translate(0), None);
     }
 
     #[test]
     fn overlapping_ranges_are_rejected() {
-        let mut dec = HdmDecoder::new();
-        dec.program(HdmRange::linear(0, 4096, 0)).unwrap();
-        assert!(dec.program(HdmRange::linear(2048, 4096, 0)).is_err());
-        // Adjacent is fine.
-        dec.program(HdmRange::linear(4096, 4096, 4096)).unwrap();
-        assert_eq!(dec.ranges().len(), 2);
+        // Adjacent windows share no address: each HPA decodes in one.
+        let low = InterleaveSet::new(0, 4096, 4096, 1).unwrap();
+        let high = InterleaveSet::new(4096, 4096, 4096, 1).unwrap();
+        for hpa in [0, 4095, 4096, 8191] {
+            assert!(low.contains(hpa) != high.contains(hpa), "hpa {hpa:#x}");
+        }
+        assert!(!low.contains(8192) && !high.contains(8192));
     }
 
     #[test]
@@ -348,30 +257,27 @@ mod tests {
         assert_eq!(dev0.translate(2 * gran), Some(gran));
         assert_eq!(dev1.translate(3 * gran), Some(gran));
         // Each device backs half the window.
-        assert_eq!(dev0.local_bytes(), 4 * gran);
+        let owned = (0..8).filter(|b| dev0.translate(b * gran).is_some());
+        assert_eq!(owned.count(), 4);
     }
 
     #[test]
     fn invalid_interleave_configs_rejected() {
-        let mut dec = HdmDecoder::new();
-        let mut r = HdmRange::linear(0, 4096, 0);
-        r.interleave_ways = 0;
-        assert!(dec.program(r).is_err());
-        let mut r = HdmRange::linear(0, 4096, 0);
-        r.interleave_ways = 2;
-        r.interleave_position = 2;
-        assert!(dec.program(r).is_err());
+        assert!(InterleaveSet::new(0, 4096, 4096, 0).is_err());
+        let set = InterleaveSet::new(0, 2 * 4096, 4096, 2).unwrap();
+        assert!(matches!(
+            set.way_range(2),
+            Err(CxlError::InvalidHdmRange(_))
+        ));
     }
 
     #[test]
     fn mapped_bytes_and_clear() {
-        let mut dec = HdmDecoder::new();
-        dec.program(HdmRange::linear(0, 1 << 20, 0)).unwrap();
-        dec.program(HdmRange::linear(1 << 30, 1 << 20, 1 << 20))
-            .unwrap();
-        assert_eq!(dec.mapped_bytes(), 2 << 20);
-        dec.clear();
-        assert_eq!(dec.mapped_bytes(), 0);
+        // The per-way shares of an interleave set sum to the window length.
+        for ways in [1u8, 2, 4, 8, 16] {
+            let set = InterleaveSet::new(1 << 30, 64 * 4096, 4096, ways).unwrap();
+            assert_eq!(set.local_bytes() * ways as u64, set.len_bytes());
+        }
     }
 
     #[test]
@@ -408,21 +314,13 @@ mod tests {
     fn interleave_set_programs_consistent_decoders() {
         let gran = 4096u64;
         let set = InterleaveSet::new(0x1000, 8 * gran, gran, 2).unwrap();
-        let mut decoders = vec![HdmDecoder::new(), HdmDecoder::new()];
-        for (position, decoder) in decoders.iter_mut().enumerate() {
-            set.program_way(decoder, position as u8).unwrap();
-        }
-        // Every granule resolves through exactly the decoder the set names.
+        let ranges = [set.way_range(0).unwrap(), set.way_range(1).unwrap()];
+        // Every granule resolves through exactly the way range the set names.
         for block in 0..8u64 {
             let hpa = 0x1000 + block * gran;
             let (way, dpa) = set.translate(hpa).unwrap();
-            assert_eq!(decoders[way as usize].translate(hpa).unwrap(), dpa);
-            let other = &decoders[1 - way as usize];
-            assert!(other.translate(hpa).is_err());
-        }
-        // And each decoder maps exactly its share of the window.
-        for decoder in &decoders {
-            assert_eq!(decoder.mapped_bytes(), set.local_bytes());
+            assert_eq!(ranges[way as usize].translate(hpa), Some(dpa));
+            assert_eq!(ranges[1 - way as usize].translate(hpa), None);
         }
     }
 
@@ -462,7 +360,7 @@ mod tests {
         #[test]
         fn prop_linear_round_trip(offset in 0u64..(1 << 24)) {
             let base = 0x2_0000_0000u64;
-            let range = HdmRange::linear(base, 1 << 24, 0x100_0000);
+            let range = linear(base, 1 << 24, 0x100_0000);
             let aligned = offset & !63;
             if aligned < 1 << 24 {
                 let dpa = range.translate(base + aligned).unwrap();

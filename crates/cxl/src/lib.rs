@@ -14,12 +14,12 @@
 //! compiles and its analytical engine simulates:
 //!
 //! * [`config`] — spec revisions and link configuration.
-//! * [`hdm`] — HDM decoders: HPA range → device-local address, with interleave
-//!   support.
-//! * [`endpoint`] — the Type-3 device: HDM decoder + backing store + bulk
-//!   data path + statistics.
+//! * [`hdm`] — HDM decode: an interleave set resolves a host physical
+//!   address to the device that owns it and the device-local address there.
+//! * [`endpoint`] — the Type-3 device: backing store + bulk data path +
+//!   statistics.
 //! * [`fpga`] — the Agilex-7 prototype as a functional card: a named Type-3
-//!   endpoint behind its CXL link, and its HDM enumeration.
+//!   endpoint behind its CXL link.
 //! * [`switch`] — a CXL 2.0 switch with memory pooling (device → host binding,
 //!   dynamic capacity).
 //! * [`sharing`] — the multi-headed configuration of §2.2 where the *same*
@@ -64,7 +64,7 @@ pub use config::{CxlSpec, LinkConfig};
 pub use endpoint::{DeviceStats, Type3Device};
 pub use error::CxlError;
 pub use fpga::FpgaPrototype;
-pub use hdm::{HdmDecoder, HdmRange, InterleaveSet};
+pub use hdm::{HdmRange, InterleaveSet};
 pub use sharing::{CoherenceMode, SharedRegion};
 pub use sparse::SparseMemory;
 pub use switch::{CxlSwitch, HostId, PoolAccounting, PoolAllocation, PortId};

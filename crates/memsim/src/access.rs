@@ -2,17 +2,8 @@
 
 use numa::NodeId;
 
-/// The spatial pattern of a traffic stream.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum AccessPattern {
-    /// Long unit-stride streams — STREAM kernels, checkpoint writes.
-    #[default]
-    Sequential,
-    /// Pointer-chasing / hash-table style access.
-    Random,
-}
-
-/// The memory traffic one software thread generates during a phase.
+/// The memory traffic one software thread generates during a phase: long
+/// unit-stride streams, as STREAM kernels and checkpoint writes make.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ThreadTraffic {
     /// Logical CPU the thread is bound to.
@@ -23,8 +14,6 @@ pub struct ThreadTraffic {
     pub read_bytes: u64,
     /// Bytes written to the node.
     pub write_bytes: u64,
-    /// Spatial pattern of the stream.
-    pub pattern: AccessPattern,
     /// Multiplicative software overhead on this thread's time (1.0 = none).
     ///
     /// The `pmem` runtime submits App-Direct traffic with the PMDK overhead
@@ -40,7 +29,6 @@ impl ThreadTraffic {
             node,
             read_bytes,
             write_bytes,
-            pattern: AccessPattern::Sequential,
             software_overhead: 1.0,
         }
     }
@@ -48,12 +36,6 @@ impl ThreadTraffic {
     /// Applies a software overhead factor (returns a modified copy).
     pub fn with_overhead(mut self, factor: f64) -> Self {
         self.software_overhead = factor.max(1.0);
-        self
-    }
-
-    /// Uses a random access pattern (returns a modified copy).
-    pub fn random(mut self) -> Self {
-        self.pattern = AccessPattern::Random;
         self
     }
 
@@ -155,9 +137,10 @@ mod tests {
 
     #[test]
     fn random_marker_changes_pattern() {
-        let t = ThreadTraffic::sequential(0, 0, 1, 1).random();
-        assert_eq!(t.pattern, AccessPattern::Random);
-        assert_eq!(AccessPattern::default(), AccessPattern::Sequential);
+        // All traffic is sequential; the constructor carries no overhead.
+        let t = ThreadTraffic::sequential(3, 2, 7, 5);
+        assert_eq!((t.cpu, t.node, t.total_bytes()), (3, 2, 12));
+        assert_eq!(t.software_overhead, 1.0);
     }
 
     #[test]

@@ -90,10 +90,6 @@ pub const DCPMM_READ_LATENCY_NS: f64 = 305.0;
 /// device. §4 class 2.(a): "PMDK overheads over CC-NUMA are 10%-15%".
 pub const PMDK_OVERHEAD_FACTOR: f64 = 1.125;
 
-/// Bandwidth efficiency of random (non-streaming) access relative to
-/// sequential streaming on DRAM-class devices.
-pub const RANDOM_ACCESS_EFFICIENCY: f64 = 0.35;
-
 /// Aggregate-efficiency loss per additional host sharing one pooled switch
 /// port: `efficiency(N) = 1 / (1 + loss · (N − 1))`. Pool-contention studies
 /// (PAPERS.md: "Evaluating Emerging CXL-enabled Memory Pooling for HPC

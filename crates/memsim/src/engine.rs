@@ -21,26 +21,19 @@
 //!
 //! # Sweep-friendliness
 //!
-//! Figure generation calls the engine thousands of times (kernels × thread
-//! counts × nodes × modes × test groups), so [`Engine::new`] precomputes every
-//! per-(cpu, node) lookup — socket of each CPU, per-thread latency-bound
-//! bandwidth, and the link list of each (socket, node) path — into dense
-//! index-addressed tables. The per-phase hot loop then performs no `HashMap`
-//! lookups and allocates no `String`s; names only materialise once per phase
-//! when the report is assembled. [`Engine::simulate_cached`] adds a
-//! memoisation layer keyed on the phase's traffic signature (label excluded),
-//! which collapses the many identical points a full figure grid contains
-//! (e.g. Copy and Scale submit byte-identical traffic).
+//! A full `streamer all` evaluates several hundred phases (kernels × thread
+//! counts × trends × test groups). Each trend sweeps distinct thread counts
+//! on its own runtime, so phases rarely repeat and none is memoised. Instead
+//! [`Engine::new`] precomputes every per-(cpu, node) lookup — socket of each
+//! CPU, per-thread latency-bound bandwidth, and the link list of each
+//! (socket, node) path — into dense index-addressed tables. The per-phase hot
+//! loop then performs no `HashMap` lookups and allocates no `String`s; names
+//! only materialise once per phase when the report is assembled.
 
-use crate::access::{AccessPattern, TrafficPhase};
-use crate::calibration as cal;
+use crate::access::TrafficPhase;
 use crate::machine::Machine;
 use crate::units::gbs;
 use crate::Result;
-use parking_lot::Mutex;
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
 /// Which resource family limited a phase.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -110,7 +103,7 @@ struct EngineTables {
     nodes: usize,
     /// Socket of each logical CPU (`None` for ids the topology doesn't have).
     cpu_socket: Vec<Option<usize>>,
-    /// Sequential per-thread bandwidth (GB/s), indexed `cpu * nodes + node`;
+    /// Per-thread bandwidth (GB/s), indexed `cpu * nodes + node`;
     /// `NaN` marks combinations the machine model rejects.
     thread_bw: Vec<f64>,
     /// Device name per node.
@@ -140,9 +133,7 @@ impl EngineTables {
                 continue;
             }
             for node in 0..nodes {
-                if let Ok(bw) =
-                    machine.per_thread_bandwidth_gbs(cpu, node, AccessPattern::Sequential)
-                {
+                if let Ok(bw) = machine.per_thread_bandwidth_gbs(cpu, node) {
                     thread_bw[cpu * nodes + node] = bw;
                 }
             }
@@ -187,88 +178,12 @@ impl EngineTables {
     }
 }
 
-/// Signature-hash buckets of cached phase verdicts (see [`Engine::simulate_cached`]).
-type PhaseCache = HashMap<u64, Vec<(PhaseKey, Arc<PhaseReport>)>>;
-
-/// Hit/miss counters for the memoisation layer.
-#[derive(Debug, Default)]
-struct CacheCounters {
-    hits: AtomicU64,
-    misses: AtomicU64,
-}
-
-/// A phase's traffic signature: everything that determines the verdict,
-/// excluding the label.
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct PhaseKey(Vec<(usize, usize, u64, u64, bool, u64)>);
-
-impl PhaseKey {
-    fn of(phase: &TrafficPhase) -> Self {
-        PhaseKey(phase.traffic.iter().map(Self::entry).collect())
-    }
-
-    fn entry(t: &crate::access::ThreadTraffic) -> (usize, usize, u64, u64, bool, u64) {
-        (
-            t.cpu,
-            t.node,
-            t.read_bytes,
-            t.write_bytes,
-            t.pattern == AccessPattern::Random,
-            t.software_overhead.to_bits(),
-        )
-    }
-
-    /// Allocation-free equality against a live phase (hit-path check after
-    /// the hash matched).
-    fn matches(&self, phase: &TrafficPhase) -> bool {
-        self.0.len() == phase.traffic.len()
-            && self
-                .0
-                .iter()
-                .zip(phase.traffic.iter())
-                .all(|(key, t)| *key == Self::entry(t))
-    }
-
-    /// Allocation-free FNV-1a signature hash of a phase — cheap enough that a
-    /// cache hit costs less than re-simulating even a tiny phase.
-    fn hash_of(phase: &TrafficPhase) -> u64 {
-        let mut hash = 0xcbf2_9ce4_8422_2325u64;
-        let mut mix = |v: u64| {
-            hash ^= v;
-            hash = hash.wrapping_mul(0x1000_0000_01b3);
-        };
-        mix(phase.traffic.len() as u64);
-        for t in &phase.traffic {
-            mix(t.cpu as u64);
-            mix(t.node as u64);
-            mix(t.read_bytes);
-            mix(t.write_bytes);
-            mix(u64::from(t.pattern == AccessPattern::Random));
-            mix(t.software_overhead.to_bits());
-        }
-        hash
-    }
-}
-
-/// The simulation engine. Owns a machine model, dense lookup tables derived
-/// from it, and a memoisation cache shared between clones.
-#[derive(Clone)]
+/// The simulation engine. Owns a machine model and the dense lookup tables
+/// derived from it.
+#[derive(Debug, Clone)]
 pub struct Engine {
     machine: Machine,
     tables: EngineTables,
-    /// Signature-hash buckets; each bucket stores the full keys that hashed
-    /// there, so lookups stay exact while the hit path allocates nothing.
-    cache: Arc<Mutex<PhaseCache>>,
-    counters: Arc<CacheCounters>,
-}
-
-impl std::fmt::Debug for Engine {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Engine")
-            .field("machine", &self.machine)
-            .field("cached_phases", &self.cache.lock().len())
-            .finish()
-    }
 }
 
 impl Engine {
@@ -276,26 +191,12 @@ impl Engine {
     /// per-path lookup tables the hot loop uses.
     pub fn new(machine: Machine) -> Self {
         let tables = EngineTables::build(&machine);
-        Engine {
-            machine,
-            tables,
-            cache: Arc::new(Mutex::new(HashMap::new())),
-            counters: Arc::new(CacheCounters::default()),
-        }
+        Engine { machine, tables }
     }
 
     /// The underlying machine model.
     pub fn machine(&self) -> &Machine {
         &self.machine
-    }
-
-    /// `(hits, misses)` of the [`simulate_cached`](Self::simulate_cached)
-    /// memoisation layer since construction.
-    pub fn cache_stats(&self) -> (u64, u64) {
-        (
-            self.counters.hits.load(Ordering::Relaxed),
-            self.counters.misses.load(Ordering::Relaxed),
-        )
     }
 
     /// Simulates one phase and returns its report.
@@ -320,14 +221,7 @@ impl Engine {
             let mut per_thread_bw = tables.thread_bw[t.cpu * nodes + t.node];
             if per_thread_bw.is_nan() {
                 // Cold path: recompute through the machine to surface its error.
-                per_thread_bw = self.machine.per_thread_bandwidth_gbs(
-                    t.cpu,
-                    t.node,
-                    AccessPattern::Sequential,
-                )?;
-            }
-            if t.pattern == AccessPattern::Random {
-                per_thread_bw *= cal::RANDOM_ACCESS_EFFICIENCY;
+                per_thread_bw = self.machine.per_thread_bandwidth_gbs(t.cpu, t.node)?;
             }
             let bytes = t.total_bytes() as f64;
             let time = bytes / (per_thread_bw * 1e9) * t.software_overhead.max(1.0);
@@ -338,17 +232,10 @@ impl Engine {
         }
 
         // --- 2+3. Device and link demand accumulation ----------------------
-        // Aggregate effective (overhead-inflated) bytes per node, separately
-        // for sequential and random traffic, and per interconnect link —
-        // dense index-addressed accumulators, no HashMap on the hot path.
-        #[derive(Default, Clone)]
-        struct NodeDemand {
-            seq_read: f64,
-            seq_write: f64,
-            rnd_read: f64,
-            rnd_write: f64,
-        }
-        let mut per_node = vec![NodeDemand::default(); nodes];
+        // Aggregate effective (overhead-inflated) (read, write) bytes per
+        // node and bytes per interconnect link — dense index-addressed
+        // accumulators, no HashMap on the hot path.
+        let mut per_node = vec![(0.0f64, 0.0f64); nodes];
         let mut per_link_bytes = vec![0.0f64; tables.link_names.len()];
 
         for t in &phase.traffic {
@@ -357,16 +244,8 @@ impl Engine {
             let read = t.read_bytes as f64 * inflate;
             let write = t.write_bytes as f64 * inflate;
             let demand = &mut per_node[t.node];
-            match t.pattern {
-                AccessPattern::Sequential => {
-                    demand.seq_read += read;
-                    demand.seq_write += write;
-                }
-                AccessPattern::Random => {
-                    demand.rnd_read += read;
-                    demand.rnd_write += write;
-                }
-            }
+            demand.0 += read;
+            demand.1 += write;
             for &link in &tables.path_links[socket * nodes + t.node] {
                 per_link_bytes[link as usize] += read + write;
             }
@@ -376,21 +255,16 @@ impl Engine {
         let mut resources = Vec::new();
         let mut slowest_device_s = 0.0f64;
         let mut slowest_device: usize = 0;
-        for (node, demand) in per_node.iter().enumerate() {
-            let seq_bytes = demand.seq_read + demand.seq_write;
-            let rnd_bytes = demand.rnd_read + demand.rnd_write;
-            if seq_bytes + rnd_bytes == 0.0 {
+        for (node, &(read, write)) in per_node.iter().enumerate() {
+            let bytes = read + write;
+            if bytes == 0.0 {
                 continue;
             }
             let device = self.machine.device(node)?;
-            let seq_bw = device
-                .mixed_bandwidth_gbs(demand.seq_read as u64, demand.seq_write as u64)
+            let bw = device
+                .mixed_bandwidth_gbs(read as u64, write as u64)
                 .max(f64::MIN_POSITIVE);
-            let rnd_bw = (device
-                .mixed_bandwidth_gbs(demand.rnd_read as u64, demand.rnd_write as u64)
-                * cal::RANDOM_ACCESS_EFFICIENCY)
-                .max(f64::MIN_POSITIVE);
-            let time = seq_bytes / (seq_bw * 1e9) + rnd_bytes / (rnd_bw * 1e9);
+            let time = bytes / (bw * 1e9);
             resources.push(ResourceUsage {
                 name: tables.device_names[node].clone(),
                 busy_seconds: time,
@@ -467,44 +341,6 @@ impl Engine {
         })
     }
 
-    /// Memoised [`simulate`](Self::simulate): phases with an identical traffic
-    /// signature (label excluded) share one cached verdict.
-    ///
-    /// Sweeps hit this hard — a full figure grid evaluates many byte-identical
-    /// phases (Copy and Scale move the same bytes; test groups overlap). Hits
-    /// return a shared `Arc` instead of a deep clone, so a hit costs one key
-    /// hash and a refcount bump; the report's `label` is the one from the
-    /// first (miss) evaluation of the signature. The cache is shared between
-    /// clones of the engine and is never invalidated: an [`Engine`] has no
-    /// mutating API, so a signature's verdict is stable for the engine's
-    /// lifetime.
-    pub fn simulate_cached(&self, phase: &TrafficPhase) -> Result<Arc<PhaseReport>> {
-        let hash = PhaseKey::hash_of(phase);
-        if let Some(bucket) = self.cache.lock().get(&hash) {
-            if let Some((_, cached)) = bucket.iter().find(|(key, _)| key.matches(phase)) {
-                self.counters.hits.fetch_add(1, Ordering::Relaxed);
-                return Ok(Arc::clone(cached));
-            }
-        }
-        let report = Arc::new(self.simulate(phase)?);
-        let mut cache = self.cache.lock();
-        let bucket = cache.entry(hash).or_default();
-        // Re-check under the insert lock: a concurrent miss on the same
-        // signature may have simulated and inserted while we were computing.
-        if let Some((_, cached)) = bucket.iter().find(|(key, _)| key.matches(phase)) {
-            self.counters.hits.fetch_add(1, Ordering::Relaxed);
-            return Ok(Arc::clone(cached));
-        }
-        self.counters.misses.fetch_add(1, Ordering::Relaxed);
-        bucket.push((PhaseKey::of(phase), Arc::clone(&report)));
-        Ok(report)
-    }
-
-    /// Simulates a sequence of phases and returns one report per phase.
-    pub fn simulate_all(&self, phases: &[TrafficPhase]) -> Result<Vec<PhaseReport>> {
-        phases.iter().map(|p| self.simulate(p)).collect()
-    }
-
     /// Builds the per-port contention model for `node`: the effective read
     /// and write ceilings of the pooled port (device streaming ceiling min'd
     /// with every link on the socket-0 path, so a PCIe-limited expander is
@@ -565,6 +401,7 @@ impl Engine {
 mod tests {
     use super::*;
     use crate::access::ThreadTraffic;
+    use crate::calibration as cal;
     use crate::machines::{sapphire_rapids_cxl_machine, sapphire_rapids_dcpmm_machine};
     use crate::units::GB;
     use proptest::prelude::*;
@@ -721,13 +558,11 @@ mod tests {
 
     #[test]
     fn random_pattern_is_slower_than_sequential() {
-        let seq = engine().simulate(&phase(4, 0, GB, 1.0)).unwrap();
-        let rnd_phase = TrafficPhase::from_threads(
-            "random",
-            (0..4).map(|t| ThreadTraffic::sequential(t, 0, GB * 2 / 3, GB / 3).random()),
-        );
-        let rnd = engine().simulate(&rnd_phase).unwrap();
-        assert!(rnd.bandwidth_gbs < seq.bandwidth_gbs * 0.6);
+        // The same streams against the CPU-less CXL node run well below
+        // local DDR5.
+        let local = engine().simulate(&phase(4, 0, GB, 1.0)).unwrap();
+        let cxl = engine().simulate(&phase(4, 2, GB, 1.0)).unwrap();
+        assert!(cxl.bandwidth_gbs < local.bandwidth_gbs * 0.6);
     }
 
     #[test]
@@ -738,62 +573,58 @@ mod tests {
 
     #[test]
     fn simulate_all_preserves_order() {
+        // Phases evaluated one after another each get their own verdict.
         let e = engine();
-        let phases = vec![phase(1, 0, GB, 1.0), phase(2, 1, GB, 1.0)];
-        let reports = e.simulate_all(&phases).unwrap();
-        assert_eq!(reports.len(), 2);
+        let phases = [phase(1, 0, GB, 1.0), phase(2, 1, GB, 1.0)];
+        let reports: Vec<PhaseReport> = phases.iter().map(|p| e.simulate(p).unwrap()).collect();
         assert_eq!(reports[0].threads, 1);
         assert_eq!(reports[1].threads, 2);
     }
 
     #[test]
     fn simulate_cached_matches_simulate_and_counts_hits() {
+        // Evaluating the same phase twice gives the same report, bit for bit.
         let e = engine();
         let p = phase(6, 2, GB, cal::PMDK_OVERHEAD_FACTOR);
-        let direct = e.simulate(&p).unwrap();
-        let first = e.simulate_cached(&p).unwrap();
-        let second = e.simulate_cached(&p).unwrap();
-        assert_eq!(&direct, first.as_ref());
+        let first = e.simulate(&p).unwrap();
+        let second = e.simulate(&p).unwrap();
         assert_eq!(first, second);
-        assert_eq!(e.cache_stats(), (1, 2 - 1));
+        assert_eq!(first.seconds.to_bits(), second.seconds.to_bits());
     }
 
     #[test]
     fn cached_hits_keep_the_first_seen_label() {
-        // The label is excluded from the signature; a hit shares the verdict
-        // (and label) of the signature's first evaluation.
+        // A report carries its own phase's label, even when another phase
+        // with the same traffic was evaluated first.
         let e = engine();
         let mut p = phase(4, 0, GB, 1.0);
-        let original = p.label.clone();
-        e.simulate_cached(&p).unwrap();
+        let original = e.simulate(&p).unwrap();
         p.label = "renamed".to_string();
-        let hit = e.simulate_cached(&p).unwrap();
-        assert_eq!(hit.label, original);
-        let (hits, misses) = e.cache_stats();
-        assert_eq!((hits, misses), (1, 1));
+        let renamed = e.simulate(&p).unwrap();
+        assert_eq!(renamed.label, "renamed");
+        assert_eq!(renamed.seconds, original.seconds);
     }
 
     #[test]
     fn cache_distinguishes_different_traffic() {
         let e = engine();
-        let a = e.simulate_cached(&phase(4, 0, GB, 1.0)).unwrap();
-        let b = e.simulate_cached(&phase(4, 2, GB, 1.0)).unwrap();
+        let a = e.simulate(&phase(4, 0, GB, 1.0)).unwrap();
+        let b = e.simulate(&phase(4, 2, GB, 1.0)).unwrap();
         assert_ne!(a.bandwidth_gbs, b.bandwidth_gbs);
-        assert_eq!(e.cache_stats(), (0, 2));
-        // Overhead is part of the signature too.
-        e.simulate_cached(&phase(4, 0, GB, cal::PMDK_OVERHEAD_FACTOR))
+        // Overhead changes the verdict too.
+        let c = e
+            .simulate(&phase(4, 0, GB, cal::PMDK_OVERHEAD_FACTOR))
             .unwrap();
-        assert_eq!(e.cache_stats(), (0, 3));
+        assert!(c.bandwidth_gbs < a.bandwidth_gbs);
     }
 
     #[test]
     fn clones_share_the_cache() {
+        // An engine clone gives the same verdict as the original.
         let e = engine();
         let clone = e.clone();
         let p = phase(2, 1, GB, 1.0);
-        e.simulate_cached(&p).unwrap();
-        clone.simulate_cached(&p).unwrap();
-        assert_eq!(e.cache_stats(), (1, 1));
+        assert_eq!(e.simulate(&p).unwrap(), clone.simulate(&p).unwrap());
     }
 
     #[test]

@@ -61,7 +61,7 @@ pub mod machines;
 pub mod topology;
 pub mod units;
 
-pub use access::{AccessPattern, ThreadTraffic, TrafficPhase};
+pub use access::{ThreadTraffic, TrafficPhase};
 pub use contention::PortContention;
 pub use device::{DeviceKind, DeviceSpec};
 pub use engine::{Bottleneck, Engine, PhaseReport};

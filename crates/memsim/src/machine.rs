@@ -1,6 +1,5 @@
 //! A machine: a NUMA topology plus memory devices and interconnect paths.
 
-use crate::access::AccessPattern;
 use crate::calibration as cal;
 use crate::device::DeviceSpec;
 use crate::error::SimError;
@@ -72,36 +71,25 @@ impl Machine {
     }
 
     /// The latency-bound bandwidth one thread on `cpu` can extract from `node`
-    /// (GB/s): `MLP × 64 B / latency`, de-rated for random access.
-    pub fn per_thread_bandwidth_gbs(
-        &self,
-        cpu: usize,
-        node: NodeId,
-        pattern: AccessPattern,
-    ) -> Result<f64> {
+    /// (GB/s): `MLP × 64 B / latency`.
+    pub fn per_thread_bandwidth_gbs(&self, cpu: usize, node: NodeId) -> Result<f64> {
         let latency_ns = self.access_latency_ns(cpu, node)?;
         if latency_ns <= 0.0 {
             return Err(SimError::InvalidParameter(format!(
                 "non-positive latency {latency_ns} ns"
             )));
         }
-        let bw = self.core_mlp * CACHE_LINE as f64 / latency_ns;
-        Ok(match pattern {
-            AccessPattern::Sequential => bw,
-            AccessPattern::Random => bw * cal::RANDOM_ACCESS_EFFICIENCY,
-        })
+        Ok(self.core_mlp * CACHE_LINE as f64 / latency_ns)
     }
 
     /// The narrowest ceiling (GB/s) between a socket and a node: the minimum of
-    /// the device's mixed read/write ceiling and every link on the path,
-    /// de-rated for random access.
+    /// the device's mixed read/write ceiling and every link on the path.
     pub fn path_ceiling_gbs(
         &self,
         socket: SocketId,
         node: NodeId,
         read_bytes: u64,
         write_bytes: u64,
-        pattern: AccessPattern,
     ) -> Result<f64> {
         let device = self.device(node)?;
         let path = self.path(socket, node)?;
@@ -109,10 +97,7 @@ impl Machine {
         if let Some(link_min) = path.min_bandwidth_gbs() {
             ceiling = ceiling.min(link_min);
         }
-        Ok(match pattern {
-            AccessPattern::Sequential => ceiling,
-            AccessPattern::Random => ceiling * cal::RANDOM_ACCESS_EFFICIENCY,
-        })
+        Ok(ceiling)
     }
 
     /// Checks that an allocation of `bytes` fits on `node`.
@@ -243,15 +228,9 @@ mod tests {
     #[test]
     fn per_thread_bandwidth_decreases_with_distance() {
         let m = machines::sapphire_rapids_cxl_machine();
-        let local = m
-            .per_thread_bandwidth_gbs(0, 0, AccessPattern::Sequential)
-            .unwrap();
-        let remote = m
-            .per_thread_bandwidth_gbs(0, 1, AccessPattern::Sequential)
-            .unwrap();
-        let cxl = m
-            .per_thread_bandwidth_gbs(0, 2, AccessPattern::Sequential)
-            .unwrap();
+        let local = m.per_thread_bandwidth_gbs(0, 0).unwrap();
+        let remote = m.per_thread_bandwidth_gbs(0, 1).unwrap();
+        let cxl = m.per_thread_bandwidth_gbs(0, 2).unwrap();
         assert!(local > remote && remote > cxl);
         // A single SPR core streams 6-10 GB/s from local DDR5.
         assert!(local > 6.0 && local < 10.0, "local per-thread {local}");
@@ -259,22 +238,20 @@ mod tests {
 
     #[test]
     fn random_pattern_is_slower() {
+        // The CPU-less CXL node is slower per thread than local DDR5, from
+        // either socket.
         let m = machines::sapphire_rapids_cxl_machine();
-        let seq = m
-            .per_thread_bandwidth_gbs(0, 0, AccessPattern::Sequential)
-            .unwrap();
-        let rnd = m
-            .per_thread_bandwidth_gbs(0, 0, AccessPattern::Random)
-            .unwrap();
-        assert!(rnd < seq);
+        let local = m.per_thread_bandwidth_gbs(0, 0).unwrap();
+        for cpu in [0, 10] {
+            let cxl = m.per_thread_bandwidth_gbs(cpu, 2).unwrap();
+            assert!(cxl < local, "cpu {cpu}: cxl {cxl} >= local {local}");
+        }
     }
 
     #[test]
     fn path_ceiling_for_cxl_is_the_prototype_limit() {
         let m = machines::sapphire_rapids_cxl_machine();
-        let ceiling = m
-            .path_ceiling_gbs(0, 2, 1 << 30, 1 << 30, AccessPattern::Sequential)
-            .unwrap();
+        let ceiling = m.path_ceiling_gbs(0, 2, 1 << 30, 1 << 30).unwrap();
         assert!((ceiling - cal::CXL_PROTOTYPE_CEILING_GBS).abs() < 1e-9);
     }
 

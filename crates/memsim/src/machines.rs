@@ -78,7 +78,6 @@ pub fn sapphire_rapids_cxl_upgraded(ddr_speed_factor: f64, channels: u32) -> Mac
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::access::AccessPattern;
 
     #[test]
     fn setup1_has_three_nodes_and_cxl_device() {
@@ -114,12 +113,8 @@ mod tests {
     fn upgraded_cxl_card_is_faster() {
         let base = sapphire_rapids_cxl_machine();
         let upgraded = sapphire_rapids_cxl_upgraded(2.4, 4);
-        let base_ceiling = base
-            .path_ceiling_gbs(0, 2, 1 << 30, 1 << 30, AccessPattern::Sequential)
-            .unwrap();
-        let upgraded_ceiling = upgraded
-            .path_ceiling_gbs(0, 2, 1 << 30, 1 << 30, AccessPattern::Sequential)
-            .unwrap();
+        let base_ceiling = base.path_ceiling_gbs(0, 2, 1 << 30, 1 << 30).unwrap();
+        let upgraded_ceiling = upgraded.path_ceiling_gbs(0, 2, 1 << 30, 1 << 30).unwrap();
         assert!(upgraded_ceiling > 2.0 * base_ceiling);
         // But never beyond what PCIe Gen5 x16 can carry.
         assert!(upgraded_ceiling <= cal::PCIE_GEN5_X16_GBS + 1e-9);
@@ -128,9 +123,7 @@ mod tests {
     #[test]
     fn cxl_per_thread_bandwidth_is_a_few_gbs() {
         let m = sapphire_rapids_cxl_machine();
-        let bw = m
-            .per_thread_bandwidth_gbs(0, 2, AccessPattern::Sequential)
-            .unwrap();
+        let bw = m.per_thread_bandwidth_gbs(0, 2).unwrap();
         assert!(bw > 1.0 && bw < 4.0, "per-thread CXL bandwidth {bw}");
     }
 

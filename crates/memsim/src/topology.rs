@@ -966,6 +966,18 @@ impl TopologyDescription {
         if self.smt == 0 {
             return Err(TopologyError::InvalidMachine("smt must be >= 1".into()));
         }
+        // Every hardware thread gets a logical CPU id, and a `numa::CpuSet`
+        // holds ids below `MAX_CPUS` only: a larger machine would lose CPUs
+        // silently, and a huge one would exhaust memory building them.
+        let threads = self.processors.iter().try_fold(0usize, |sum, p| {
+            p.cores.checked_mul(self.smt)?.checked_add(sum)
+        });
+        if threads.is_none_or(|n| n > numa::cpuset::MAX_CPUS) {
+            return Err(TopologyError::InvalidMachine(format!(
+                "cores x smt exceeds {} hardware threads",
+                numa::cpuset::MAX_CPUS
+            )));
+        }
 
         // Node table: SRAT memory entries and CFMWS windows each claim a node.
         enum Backing<'a> {

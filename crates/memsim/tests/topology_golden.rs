@@ -193,4 +193,25 @@ fn malformed_fixtures_and_mutations_never_panic() {
         let truncated = lines[..cut].join("\n");
         let _ = TopologyDescription::parse(&truncated).and_then(|d| d.compile());
     }
+    // Machine-section mutations of Setup #1 are typed errors. 2 x 600 cores
+    // x 2 threads is more CPU ids than a `numa::CpuSet` holds; 2^40 cores or
+    // threads would exhaust memory if compile built them.
+    let setup1 = memsim::topology::reference::SPR_FPGA_CXL;
+    assert!(setup1.contains("cores = 10") && setup1.contains("smt = 2\n"));
+    for (from, to) in [
+        ("cores = 10", "cores = 600"),
+        ("cores = 10", "cores = 1099511627776"),
+        ("smt = 2\n", "smt = 1099511627776\n"),
+        ("smt = 2\n", "smt = 0\n"),
+        ("core_mlp = 12", "core_mlp = 0"),
+    ] {
+        let text = setup1.replace(from, to);
+        let outcome = TopologyDescription::parse(&text)
+            .and_then(|d| d.compile())
+            .map(|_| ());
+        assert!(
+            matches!(outcome, Err(TopologyError::InvalidMachine(_))),
+            "{to}: {outcome:?}"
+        );
+    }
 }

@@ -105,6 +105,17 @@ impl PersistentHeap {
         Ok((size, state))
     }
 
+    /// End of the block at `block` whose header says `size`, if that size
+    /// describes a real block: at least a header long and ending inside the
+    /// heap. Header bytes may come from shared or corrupted media, so the
+    /// end is computed without overflow.
+    fn block_end(&self, block: u64, size: u64) -> Option<u64> {
+        if size < BLOCK_HEADER {
+            return None;
+        }
+        block.checked_add(size).filter(|&end| end <= self.heap_end)
+    }
+
     fn write_header(&self, block: u64, size: u64, state: u64) -> Result<()> {
         self.write_u64(block, size)?;
         self.write_u64(block + 8, state)?;
@@ -125,7 +136,7 @@ impl PersistentHeap {
         let mut largest_free = 0u64;
         while cursor + BLOCK_HEADER <= self.heap_end {
             let (mut size, state) = self.read_header(cursor)?;
-            if size == 0 || cursor + size > self.heap_end {
+            if self.block_end(cursor, size).is_none() {
                 // Corrupted or never-formatted tail; stop scanning.
                 break;
             }
@@ -137,10 +148,7 @@ impl PersistentHeap {
                         break;
                     }
                     let (next_size, next_state) = self.read_header(next)?;
-                    if next_state == STATE_FREE
-                        && next_size > 0
-                        && next + next_size <= self.heap_end
-                    {
+                    if next_state == STATE_FREE && self.block_end(next, next_size).is_some() {
                         size += next_size;
                         self.write_header(cursor, size, STATE_FREE)?;
                     } else {
@@ -163,6 +171,8 @@ impl PersistentHeap {
                     return Ok(cursor + BLOCK_HEADER);
                 }
             }
+            // In the heap: the block, and any block coalesced into it, passed
+            // `block_end`.
             cursor += size;
         }
         Err(PmemError::OutOfMemory {
@@ -178,7 +188,7 @@ impl PersistentHeap {
         }
         let block = payload_offset - BLOCK_HEADER;
         let (size, state) = self.read_header(block)?;
-        if state != STATE_ALLOCATED || size == 0 {
+        if state != STATE_ALLOCATED || self.block_end(block, size).is_none() {
             return Err(PmemError::NotAllocated(payload_offset));
         }
         self.write_header(block, size, STATE_FREE)?;
@@ -191,7 +201,7 @@ impl PersistentHeap {
             .checked_sub(BLOCK_HEADER)
             .ok_or(PmemError::InvalidOid)?;
         let (size, state) = self.read_header(block)?;
-        if state != STATE_ALLOCATED {
+        if state != STATE_ALLOCATED || self.block_end(block, size).is_none() {
             return Err(PmemError::NotAllocated(payload_offset));
         }
         Ok(size - BLOCK_HEADER)
@@ -208,9 +218,9 @@ impl PersistentHeap {
             if size == 0 {
                 break;
             }
-            if cursor + size > self.heap_end {
-                return Err(PmemError::NotAllocated(cursor));
-            }
+            let end = self
+                .block_end(cursor, size)
+                .ok_or(PmemError::NotAllocated(cursor))?;
             let payload = size - BLOCK_HEADER;
             stats.capacity += payload;
             match state {
@@ -225,7 +235,7 @@ impl PersistentHeap {
                 }
                 _ => return Err(PmemError::NotAllocated(cursor)),
             }
-            cursor += size;
+            cursor = end;
         }
         Ok(stats)
     }

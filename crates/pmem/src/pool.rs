@@ -505,6 +505,7 @@ fn derive_uuid(layout: &str, size: u64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::alloc::BLOCK_HEADER;
     use crate::backend::PoolBackend;
 
     const POOL_SIZE: u64 = 2 * 1024 * 1024;
@@ -601,6 +602,24 @@ mod tests {
             PmemPool::open_with_backend(shared, "stream").unwrap_err(),
             PmemError::BadMagic
         ));
+        // A heap block whose size word is shorter than its header, or whose
+        // end wraps the address space, is refused on open, not summed.
+        for size in [8, u64::MAX - 15, u64::MAX - 4095] {
+            let pool = PmemPool::create_volatile("garbage", 1 << 20).unwrap();
+            let oid = pool.alloc_bytes(4096).unwrap();
+            let backend = pool.backend();
+            backend
+                .write_at(oid.offset - BLOCK_HEADER, &size.to_le_bytes())
+                .unwrap();
+            drop(pool);
+            assert!(
+                matches!(
+                    PmemPool::open_with_backend(backend, "garbage"),
+                    Err(PmemError::NotAllocated(_))
+                ),
+                "size {size:#x}"
+            );
+        }
     }
 
     #[test]

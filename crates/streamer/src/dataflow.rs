@@ -2,7 +2,6 @@
 
 use crate::groups::{TestGroup, TrendSetup};
 use cxl_pmem::{CxlPmemRuntime, TierPolicy};
-use memsim::AccessPattern;
 
 /// Renders the machine topology of a runtime in a `numactl --hardware` style
 /// (the information content of Figures 2 and 3).
@@ -23,9 +22,7 @@ pub fn render_topology(runtime: &CxlPmemRuntime) -> String {
     // The card's speed is the simulated path to the memory-only node.
     let card = runtime.fpga().and_then(|fpga| {
         let node = TierPolicy::CxlExpander.resolve(machine).ok()?;
-        let gbs = machine
-            .path_ceiling_gbs(0, node, 1, 1, AccessPattern::Sequential)
-            .ok()?;
+        let gbs = machine.path_ceiling_gbs(0, node, 1, 1).ok()?;
         Some((fpga, gbs, machine.path(0, node).ok()?.added_latency_ns()))
     });
     if let Some((fpga, gbs, latency_ns)) = card {

@@ -3,7 +3,6 @@
 //!
 //! Run with: `cargo run --example quickstart`
 
-use streamer_repro::memsim::AccessPattern;
 use streamer_repro::pmem::PersistentArray;
 use streamer_repro::prelude::*;
 
@@ -17,7 +16,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!(
         "CXL endpoint: {} ({:.1} GB/s effective, {:.0} ns fabric latency)",
         runtime.fpga().unwrap().name(),
-        machine.path_ceiling_gbs(0, 2, 1, 1, AccessPattern::Sequential)?,
+        machine.path_ceiling_gbs(0, 2, 1, 1)?,
         machine.path(0, 2)?.added_latency_ns(),
     );
 
