@@ -34,7 +34,7 @@ pub const LINTS: &[Lint] = &[
     },
     Lint {
         id: "unsafe-audit",
-        description: "unsafe only in audited modules with adjacent SAFETY comments; forbid/deny attributes present",
+        description: "unsafe only in audited modules with adjacent SAFETY comments; no audited module without unsafe; forbid/deny attributes present",
         run: unsafe_audit::run,
     },
     Lint {

@@ -1,6 +1,6 @@
 //! unsafe-audit: the audited-module allowlist, as config instead of CI YAML.
 //!
-//! Three rules:
+//! Four rules:
 //!
 //! 1. Crate roots listed under `unsafe_audit.forbid` / `unsafe_audit.deny`
 //!    must actually carry the `#![forbid(unsafe_code)]` (resp. `deny`)
@@ -15,6 +15,8 @@
 //!    or a `# Safety` rustdoc section within twelve (the convention for
 //!    `unsafe fn`). Test code is exempt from rule 3 (but not rule 2: audited
 //!    means audited).
+//! 4. A file listed in `audited` must contain an `unsafe` token. An entry
+//!    that outlives the `unsafe` it was written for is a stale exemption.
 
 use crate::config::Config;
 use crate::findings::Finding;
@@ -43,10 +45,12 @@ pub(super) fn run(file: &SourceFile, cfg: &Config) -> Vec<Finding> {
     }
 
     // Rules 2 and 3: every `unsafe` keyword token.
+    let mut any_unsafe = false;
     for (i, t) in file.code.iter().enumerate() {
         if t.kind != TokenKind::Ident || t.text != "unsafe" {
             continue;
         }
+        any_unsafe = true;
         // `allow(unsafe_code)`-style attribute mentions lex as `unsafe_code`,
         // a different identifier; reaching here means a real `unsafe` keyword.
         if !audited {
@@ -75,6 +79,17 @@ pub(super) fn run(file: &SourceFile, cfg: &Config) -> Vec<Finding> {
             ));
         }
     }
+
+    // Rule 4: an audited file that no longer needs the exemption.
+    if !any_unsafe && cfg.unsafe_audited.iter().any(|p| p == &file.path) {
+        out.push(finding(
+            "unsafe-audit",
+            file,
+            1,
+            "file is listed in `unsafe_audit.audited` but contains no `unsafe`".to_string(),
+            "drop the entry from `unsafe_audit.audited` in analyzer.toml",
+        ));
+    }
     out
 }
 
@@ -98,5 +113,35 @@ fn describe_site(file: &SourceFile, i: usize) -> &'static str {
         Some("fn") => "`unsafe fn`",
         Some("{") => "`unsafe` block",
         _ => "`unsafe`",
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::config::Config;
+    use crate::engine::analyze_source;
+
+    #[test]
+    fn audited_file_needs_an_unsafe_site() {
+        let audit = |path: &str, text: &str| {
+            let cfg = Config {
+                unsafe_audited: vec![path.to_string()],
+                ..Config::default()
+            };
+            analyze_source(path, text, &cfg)
+        };
+        let stale = audit(
+            "src/safe.rs",
+            "//! No `unsafe` here, only the word.\npub fn peek(b: &[u8]) -> Option<u8> {\n    b.first().copied()\n}\n",
+        );
+        assert_eq!(stale.len(), 1, "{stale:#?}");
+        assert_eq!((stale[0].lint, stale[0].line), ("unsafe-audit", 1));
+        assert!(stale[0].hint.contains("drop the entry"), "{stale:#?}");
+
+        let justified = audit(
+            "src/raw.rs",
+            "pub fn peek(b: &[u8]) -> u8 {\n    assert!(!b.is_empty());\n    // SAFETY: `b` is non-empty, checked above.\n    unsafe { *b.as_ptr() }\n}\n",
+        );
+        assert!(justified.is_empty(), "{justified:#?}");
     }
 }

@@ -173,9 +173,9 @@ struct Segment {
     data_len: u64,
 }
 
-/// State shared by the cluster facade and every host handle. The switch is
-/// internally lock-striped (all methods take `&self`), so only the segment
-/// name table needs a cluster-level lock.
+/// State shared by the cluster facade and every host handle. The switch
+/// locks itself (all methods take `&self`), so only the segment name table
+/// needs a cluster-level lock.
 struct ClusterShared {
     mode: CoherenceMode,
     switch: CxlSwitch,

@@ -1,4 +1,4 @@
-//! CXL 2.0 switching and memory pooling — concurrency-safe.
+//! CXL 2.0 switching and memory pooling.
 //!
 //! CXL 2.0 "expands the specification – among other capabilities – to memory
 //! pools using CXL switches on a device level" (paper §1.3). A [`CxlSwitch`]
@@ -7,37 +7,23 @@
 //! dynamic-capacity semantics, which is the mechanism behind "adaptive memory
 //! provisioning to compute nodes in real time".
 //!
-//! # Concurrency model (lock-striped free lists)
+//! # Concurrency
 //!
-//! A serving fleet multiplexes many hosts onto one switch, so allocation is a
-//! contended hot path. The switch therefore takes `&self` everywhere and
-//! stripes its state per downstream port:
-//!
-//! * each port owns one mutex guarding that device's **free list**
-//!   (bump watermark + released holes) *and* its **live allocations** — so a
-//!   carve moves bytes from free to assigned under a single lock acquisition,
-//!   and no observer can catch a byte in neither column;
-//! * allocation ids encode their port (`id = port << 40 | per-port sequence`),
-//!   so `release` locks exactly the stripe that owns the allocation instead of
-//!   a global registry;
-//! * the port table and the port→host bindings sit behind `RwLock`s —
-//!   `attach_device` is a rare topology change, and a binding read nests
-//!   inside the port lock so a concurrent `bind_port` linearizes either
-//!   before an in-flight carve (which then skips the port) or after it
-//!   (the carve was already granted under the previous binding).
-//!
-//! The conservation invariant — `unassigned + Σ assigned == total` — is
-//! per-port atomic, and capacity never moves between ports, so even a
-//! [`accounting`](CxlSwitch::accounting) snapshot taken *during* a storm of
-//! concurrent allocate/release/bind traffic sums to exactly the pool size.
-//! `tests` pin this with both a random-sequence property and a multi-threaded
-//! stress run with a concurrent auditor.
+//! All operations take `&self` and run under one lock over the whole switch:
+//! every port's free list (bump watermark + released holes), the port→host
+//! bindings and the live allocations. A carve moves bytes from free to
+//! assigned under that lock, so every [`accounting`](CxlSwitch::accounting)
+//! snapshot conserves (`unassigned + Σ assigned == total`), even while other
+//! threads allocate, release and rebind. The switch sits off every hot path:
+//! a pooled segment takes one allocation when it is created and one release
+//! when it goes away. `tests` pin conservation with both a random-sequence
+//! property and a multi-threaded stress run with a concurrent auditor.
 
 use crate::endpoint::Type3Device;
 use crate::error::CxlError;
 use crate::sharing::{CoherenceMode, SharedRegion};
 use crate::Result;
-use parking_lot::{Mutex, RwLock};
+use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -46,8 +32,8 @@ pub type PortId = usize;
 /// Identifier of a host (an upstream port owner).
 pub type HostId = usize;
 
-/// Allocation ids carry their port in the high bits so `release` can address
-/// the owning stripe directly: `id = (port << PORT_SHIFT) | sequence`.
+/// Allocation ids carry their port in the high bits:
+/// `id = (port << PORT_SHIFT) | per-port sequence`.
 const PORT_SHIFT: u32 = 40;
 
 /// A capacity allocation handed to a host from the pool.
@@ -65,27 +51,37 @@ pub struct PoolAllocation {
     pub len: u64,
 }
 
-/// One port's striped allocator state: the free list *and* the live
-/// allocations move together under a single lock, so per-port conservation is
-/// atomic.
+/// A downstream port: the attached device and its free list.
 #[derive(Debug)]
-struct PortAlloc {
+struct Port {
+    device: Arc<Type3Device>,
     /// Next free DPA (bump allocation above the holes).
     watermark: u64,
     /// Released-but-not-yet-coalesced ranges, sorted by offset and kept
     /// merged. Holes are reusable (first-fit) and count as unassigned.
     holes: Vec<(u64, u64)>,
-    /// Live allocations carved from this port, keyed by full allocation id.
-    live: HashMap<u64, PoolAllocation>,
     /// Per-port id sequence (starts at 1; 0 is never a valid id).
     next_seq: u64,
 }
 
-/// A downstream port: the attached device plus its striped allocator.
-#[derive(Debug)]
-struct Port {
-    device: Arc<Type3Device>,
-    alloc: Mutex<PortAlloc>,
+impl Port {
+    /// Bytes of the port assigned to no host: the bump space above the
+    /// watermark plus the released holes below it.
+    fn unassigned(&self) -> u64 {
+        let holes: u64 = self.holes.iter().map(|&(_, len)| len).sum();
+        self.device.capacity_bytes() - self.watermark + holes
+    }
+}
+
+/// Everything the switch's one lock covers.
+#[derive(Debug, Default)]
+struct SwitchState {
+    /// Downstream ports, append-only.
+    ports: Vec<Port>,
+    /// Downstream port -> host binding.
+    bindings: HashMap<PortId, HostId>,
+    /// Live allocations of every port, keyed by allocation id.
+    live: HashMap<u64, PoolAllocation>,
 }
 
 /// A consistent capacity snapshot of the whole pool (see
@@ -113,15 +109,12 @@ impl PoolAccounting {
     }
 }
 
-/// A CXL 2.0 switch with memory pooling. All operations take `&self`; see the
-/// [module docs](self) for the lock-striping design.
+/// A CXL 2.0 switch with memory pooling. All operations take `&self` and run
+/// under one lock; see the [module docs](self).
 #[derive(Debug)]
 pub struct CxlSwitch {
     name: String,
-    /// Downstream ports. Append-only; writers only on `attach_device`.
-    ports: RwLock<Vec<Arc<Port>>>,
-    /// Downstream port -> host binding.
-    bindings: RwLock<HashMap<PortId, HostId>>,
+    state: Mutex<SwitchState>,
 }
 
 impl CxlSwitch {
@@ -129,8 +122,7 @@ impl CxlSwitch {
     pub fn new(name: impl Into<String>) -> Self {
         CxlSwitch {
             name: name.into(),
-            ports: RwLock::new(Vec::new()),
-            bindings: RwLock::new(HashMap::new()),
+            state: Mutex::default(),
         }
     }
 
@@ -141,28 +133,26 @@ impl CxlSwitch {
 
     /// Attaches a Type-3 device to the next downstream port; returns the port id.
     pub fn attach_device(&self, device: Arc<Type3Device>) -> PortId {
-        let mut ports = self.ports.write();
-        ports.push(Arc::new(Port {
+        let mut state = self.state.lock();
+        state.ports.push(Port {
             device,
-            alloc: Mutex::new(PortAlloc {
-                watermark: 0,
-                holes: Vec::new(),
-                live: HashMap::new(),
-                next_seq: 1,
-            }),
-        }));
-        ports.len() - 1
+            watermark: 0,
+            holes: Vec::new(),
+            next_seq: 1,
+        });
+        state.ports.len() - 1
     }
 
     /// Number of downstream ports.
     pub fn ports(&self) -> usize {
-        self.ports.read().len()
+        self.state.lock().ports.len()
     }
 
     /// The device on a port.
     pub fn device(&self, port: PortId) -> Result<Arc<Type3Device>> {
-        self.ports
-            .read()
+        self.state
+            .lock()
+            .ports
             .get(port)
             .map(|p| Arc::clone(&p.device))
             .ok_or(CxlError::UnknownPort(port))
@@ -173,131 +163,97 @@ impl CxlSwitch {
     /// allocations that linearize after it; a carve already granted keeps its
     /// capacity.
     pub fn bind_port(&self, port: PortId, host: HostId) -> Result<()> {
-        if port >= self.ports.read().len() {
+        let mut state = self.state.lock();
+        if port >= state.ports.len() {
             return Err(CxlError::UnknownPort(port));
         }
-        let mut bindings = self.bindings.write();
-        if bindings.contains_key(&port) {
+        if state.bindings.contains_key(&port) {
             return Err(CxlError::PortAlreadyBound(port));
         }
-        bindings.insert(port, host);
+        state.bindings.insert(port, host);
         Ok(())
     }
 
     /// Unbinds a port (e.g. to re-provision it to another host).
     pub fn unbind_port(&self, port: PortId) -> Result<()> {
-        if port >= self.ports.read().len() {
+        let mut state = self.state.lock();
+        if port >= state.ports.len() {
             return Err(CxlError::UnknownPort(port));
         }
-        self.bindings.write().remove(&port);
+        state.bindings.remove(&port);
         Ok(())
     }
 
     /// The host a port is bound to, if any.
     pub fn binding(&self, port: PortId) -> Option<HostId> {
-        self.bindings.read().get(&port).copied()
+        self.state.lock().bindings.get(&port).copied()
     }
 
     /// Total capacity across all downstream devices (bytes).
     pub fn total_capacity(&self) -> u64 {
-        self.ports
-            .read()
-            .iter()
-            .map(|p| p.device.capacity_bytes())
-            .sum()
+        self.accounting().total
     }
 
     /// Capacity not yet assigned to any host (bytes): the bump space above
     /// every port's watermark plus the released holes below it.
     pub fn unassigned_capacity(&self) -> u64 {
-        self.ports
-            .read()
-            .iter()
-            .map(|port| {
-                let alloc = port.alloc.lock();
-                let holes: u64 = alloc.holes.iter().map(|&(_, len)| len).sum();
-                port.device.capacity_bytes() - alloc.watermark + holes
-            })
-            .sum()
+        self.accounting().unassigned
     }
 
     /// A consistent capacity snapshot: total, unassigned and per-host assigned
-    /// bytes, gathered under one lock acquisition per port. Because a carve or
-    /// release mutates exactly one port's columns atomically — and capacity
-    /// never migrates between ports — the snapshot conserves
+    /// bytes, read under the switch lock, so it conserves
     /// (`unassigned + Σ assigned == total`) even while other threads are
     /// allocating and releasing.
     pub fn accounting(&self) -> PoolAccounting {
-        let mut total = 0u64;
-        let mut unassigned = 0u64;
+        let state = self.state.lock();
         let mut assigned: HashMap<HostId, u64> = HashMap::new();
-        for port in self.ports.read().iter() {
-            let capacity = port.device.capacity_bytes();
-            let alloc = port.alloc.lock();
-            let holes: u64 = alloc.holes.iter().map(|&(_, len)| len).sum();
-            total += capacity;
-            unassigned += capacity - alloc.watermark + holes;
-            for a in alloc.live.values() {
-                *assigned.entry(a.host).or_insert(0) += a.len;
-            }
+        for a in state.live.values() {
+            *assigned.entry(a.host).or_insert(0) += a.len;
         }
         PoolAccounting {
-            total,
-            unassigned,
+            total: state.ports.iter().map(|p| p.device.capacity_bytes()).sum(),
+            unassigned: state.ports.iter().map(Port::unassigned).sum(),
             assigned,
         }
     }
 
-    /// Whether `host` may take capacity from `port`: unbound ports serve any
-    /// host (multiple-logical-device pooling); a bound port serves only the
-    /// host it is bound to.
-    fn port_serves(&self, port: PortId, host: HostId) -> bool {
-        self.bindings
-            .read()
-            .get(&port)
-            .is_none_or(|&bound| bound == host)
-    }
-
     /// Allocates `len` bytes from the pool to `host` (dynamic capacity add).
-    /// Ports exclusively bound to a *different* host are skipped; on each
-    /// eligible port a released hole is reused first (first fit), then the
-    /// bump watermark. An allocation never spans devices.
-    ///
-    /// Thread-safe: concurrent callers contend only on the port stripe they
-    /// are carving from, and the carve plus its registration happen under
-    /// that one lock.
+    /// Unbound ports serve any host (multiple-logical-device pooling); ports
+    /// exclusively bound to a *different* host are skipped. On each eligible
+    /// port a released hole is reused first (first fit), then the bump
+    /// watermark. An allocation never spans devices.
     pub fn allocate(&self, host: HostId, len: u64) -> Result<PoolAllocation> {
-        let ports = self.ports.read();
+        let mut guard = self.state.lock();
+        let state = &mut *guard;
         // Accumulated while scanning so the rejection can report the capacity
-        // actually seen, without re-walking (and re-locking) every stripe.
+        // actually seen.
         let mut available = 0u64;
-        for (port_id, port) in ports.iter().enumerate() {
-            let mut alloc = port.alloc.lock();
-            // Binding check inside the stripe lock: a concurrent bind_port
-            // linearizes before this carve (we skip) or after it (the carve
-            // stands under the binding that was current when it was granted).
-            if !self.port_serves(port_id, host) {
+        for (port_id, port) in state.ports.iter_mut().enumerate() {
+            if state
+                .bindings
+                .get(&port_id)
+                .is_some_and(|&bound| bound != host)
+            {
                 continue;
             }
-            let free_above = port.device.capacity_bytes() - alloc.watermark;
-            let free_holes: u64 = alloc.holes.iter().map(|&(_, l)| l).sum();
-            available += free_above + free_holes;
-            let dpa_offset =
-                if let Some(hole) = alloc.holes.iter_mut().find(|&&mut (_, l)| l >= len) {
-                    let offset = hole.0;
-                    hole.0 += len;
-                    hole.1 -= len;
-                    alloc.holes.retain(|&(_, l)| l > 0);
-                    offset
-                } else if free_above >= len {
-                    let offset = alloc.watermark;
-                    alloc.watermark += len;
-                    offset
-                } else {
-                    continue;
-                };
-            let id = ((port_id as u64) << PORT_SHIFT) | alloc.next_seq;
-            alloc.next_seq += 1;
+            let free_above = port.device.capacity_bytes() - port.watermark;
+            available += port.unassigned();
+            let dpa_offset = if let Some(hole) = port.holes.iter_mut().find(|&&mut (_, l)| l >= len)
+            {
+                let offset = hole.0;
+                hole.0 += len;
+                hole.1 -= len;
+                port.holes.retain(|&(_, l)| l > 0);
+                offset
+            } else if free_above >= len {
+                let offset = port.watermark;
+                port.watermark += len;
+                offset
+            } else {
+                continue;
+            };
+            let id = ((port_id as u64) << PORT_SHIFT) | port.next_seq;
+            port.next_seq += 1;
             let allocation = PoolAllocation {
                 id,
                 host,
@@ -305,7 +261,7 @@ impl CxlSwitch {
                 dpa_offset,
                 len,
             };
-            alloc.live.insert(id, allocation.clone());
+            state.live.insert(id, allocation.clone());
             return Ok(allocation);
         }
         Err(CxlError::InsufficientCapacity {
@@ -318,24 +274,20 @@ impl CxlSwitch {
     /// becomes a reusable hole; when the range under the watermark is
     /// entirely free the watermark drops past **all** trailing free space, so
     /// releasing adjacent tail blocks out of order still reclaims the full
-    /// bump range. Only the owning port's stripe is locked.
+    /// bump range.
     pub fn release(&self, allocation_id: u64) -> Result<()> {
-        let port_id = (allocation_id >> PORT_SHIFT) as usize;
-        let ports = self.ports.read();
-        let Some(port) = ports.get(port_id) else {
+        let mut state = self.state.lock();
+        let Some(freed) = state.live.remove(&allocation_id) else {
             return Err(CxlError::UnknownAllocation(allocation_id));
         };
-        let mut alloc = port.alloc.lock();
-        let Some(freed) = alloc.live.remove(&allocation_id) else {
-            return Err(CxlError::UnknownAllocation(allocation_id));
-        };
-        let at = alloc
+        let port = &mut state.ports[freed.port];
+        let at = port
             .holes
             .partition_point(|&(offset, _)| offset < freed.dpa_offset);
-        alloc.holes.insert(at, (freed.dpa_offset, freed.len));
+        port.holes.insert(at, (freed.dpa_offset, freed.len));
         // Merge adjacent holes (releases of neighbouring allocations).
-        let mut merged: Vec<(u64, u64)> = Vec::with_capacity(alloc.holes.len());
-        for &(offset, len) in alloc.holes.iter() {
+        let mut merged: Vec<(u64, u64)> = Vec::with_capacity(port.holes.len());
+        for &(offset, len) in port.holes.iter() {
             match merged.last_mut() {
                 Some(last) if last.0 + last.1 == offset => last.1 += len,
                 _ => merged.push((offset, len)),
@@ -344,12 +296,12 @@ impl CxlSwitch {
         // Coalesce: a merged hole ending at the watermark is trailing free
         // space — fold it back into the bump range.
         if let Some(&(offset, len)) = merged.last() {
-            if offset + len == alloc.watermark {
-                alloc.watermark = offset;
+            if offset + len == port.watermark {
+                port.watermark = offset;
                 merged.pop();
             }
         }
-        alloc.holes = merged;
+        port.holes = merged;
         Ok(())
     }
 
@@ -361,40 +313,26 @@ impl CxlSwitch {
         allocation: &PoolAllocation,
         mode: CoherenceMode,
     ) -> Result<SharedRegion> {
-        let ports = self.ports.read();
-        let port = ports
-            .get(allocation.port)
-            .ok_or(CxlError::UnknownAllocation(allocation.id))?;
-        {
-            let alloc = port.alloc.lock();
-            if alloc.live.get(&allocation.id) != Some(allocation) {
+        let device = {
+            let state = self.state.lock();
+            if state.live.get(&allocation.id) != Some(allocation) {
                 return Err(CxlError::UnknownAllocation(allocation.id));
             }
-        }
-        SharedRegion::new(
-            Arc::clone(&port.device),
-            allocation.dpa_offset,
-            allocation.len,
-            mode,
-        )
+            Arc::clone(&state.ports[allocation.port].device)
+        };
+        SharedRegion::new(device, allocation.dpa_offset, allocation.len, mode)
     }
 
-    /// All live allocations of a host (cloned out of the stripes; the pool
-    /// may change the moment the locks drop).
+    /// All live allocations of a host (cloned out under the lock; the pool
+    /// may change the moment it drops).
     pub fn allocations_of(&self, host: HostId) -> Vec<PoolAllocation> {
         let mut out: Vec<PoolAllocation> = self
-            .ports
-            .read()
-            .iter()
-            .flat_map(|port| {
-                port.alloc
-                    .lock()
-                    .live
-                    .values()
-                    .filter(|a| a.host == host)
-                    .cloned()
-                    .collect::<Vec<_>>()
-            })
+            .state
+            .lock()
+            .live
+            .values()
+            .filter(|a| a.host == host)
+            .cloned()
             .collect();
         out.sort_by_key(|a| a.id);
         out
@@ -402,19 +340,7 @@ impl CxlSwitch {
 
     /// Capacity currently assigned to a host (bytes).
     pub fn assigned_to(&self, host: HostId) -> u64 {
-        self.ports
-            .read()
-            .iter()
-            .map(|port| {
-                port.alloc
-                    .lock()
-                    .live
-                    .values()
-                    .filter(|a| a.host == host)
-                    .map(|a| a.len)
-                    .sum::<u64>()
-            })
-            .sum()
+        self.accounting().assigned.get(&host).copied().unwrap_or(0)
     }
 }
 
@@ -735,8 +661,8 @@ mod tests {
         }
     }
 
-    /// Two threads hammering the *same* stripe must never hand out
-    /// overlapping ranges — the per-port lock covers carve + registration.
+    /// Two threads hammering the *same* port must never hand out
+    /// overlapping ranges — the switch lock covers carve + registration.
     #[test]
     fn concurrent_carves_on_one_port_never_overlap() {
         const KIB: u64 = 1024;

@@ -35,10 +35,6 @@ pub enum AffinityPolicy {
     },
     /// Restrict to a single socket (groups 1.(a), 1.(b), 2.(a)).
     SingleSocket(SocketId),
-    /// Explicit CPU list, used verbatim (trailing threads wrap around).
-    Explicit(Vec<usize>),
-    /// No binding: threads take CPUs 0, 1, 2… in machine order.
-    Unbound,
 }
 
 impl AffinityPolicy {
@@ -62,8 +58,6 @@ impl AffinityPolicy {
             AffinityPolicy::Close { .. } => "close".to_string(),
             AffinityPolicy::Spread { .. } => "spread".to_string(),
             AffinityPolicy::SingleSocket(s) => format!("socket{s}"),
-            AffinityPolicy::Explicit(_) => "explicit".to_string(),
-            AffinityPolicy::Unbound => "unbound".to_string(),
         }
     }
 
@@ -135,12 +129,6 @@ impl AffinityPolicy {
                 sockets: vec![*sid],
             }
             .cpu_order(topo),
-            AffinityPolicy::Explicit(cpus) => Ok(cpus.clone()),
-            AffinityPolicy::Unbound => {
-                let mut cpus: Vec<usize> = topo.machine_cpuset().iter().collect();
-                cpus.sort_unstable();
-                Ok(cpus)
-            }
         }
     }
 }
@@ -273,11 +261,19 @@ mod tests {
 
     #[test]
     fn explicit_placement_is_verbatim() {
+        // Every placement comes from the topology's own cores: a single-socket
+        // placement lists that socket's primary hardware threads in core order.
         let topo = sapphire_rapids_cxl();
-        let p = AffinityPolicy::Explicit(vec![3, 17, 5])
-            .place(&topo, 3)
-            .unwrap();
-        assert_eq!(p.cpus(), &[3, 17, 5]);
+        let primaries: Vec<usize> = topo
+            .socket(1)
+            .unwrap()
+            .cores
+            .iter()
+            .map(|&core| topo.core(core).unwrap().hw_threads[0])
+            .collect();
+        assert_eq!(primaries, (10..20).collect::<Vec<_>>());
+        let p = AffinityPolicy::SingleSocket(1).place(&topo, 10).unwrap();
+        assert_eq!(p.cpus(), primaries.as_slice());
     }
 
     #[test]

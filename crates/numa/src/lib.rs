@@ -31,9 +31,10 @@
 //! harness take, and the paper's machines are the `.topo` descriptions that
 //! `memsim` compiles into a [`Topology`].
 //!
-//! The crate denies `unsafe_code` everywhere except [`pool`], whose epoch
-//! barrier needs one audited lifetime erasure (see the safety argument in the
-//! module docs); that module is covered by the nightly Miri CI job.
+//! The crate denies `unsafe_code` everywhere except [`pool`], whose job
+//! hand-off holds the only `unsafe` in the workspace's library code (see the
+//! safety argument in the module docs); that module is covered by the
+//! nightly Miri CI job.
 //!
 //! # Example
 //!

@@ -33,36 +33,38 @@
 //! # Safety argument
 //!
 //! The job slot stores a raw `*const (dyn Fn(WorkerCtx) + Sync)` whose pointee
-//! lives on the submitting caller's stack, which is the one place `unsafe` is
-//! needed (the crate is otherwise `deny(unsafe_code)`). The erasure is sound
-//! because the pointer's validity window is bracketed by the epoch barrier,
-//! by construction rather than by caller discipline:
+//! lives on the submitting caller's stack. Running a borrowed closure on
+//! resident threads is the one thing safe Rust cannot express
+//! (`std::thread::scope` would spawn threads on every call), so this module
+//! holds the only `unsafe` in the workspace's library code, at three sites:
+//! `JobPtr`'s `Send` impl, the call through it, and the lifetime-erasing
+//! `transmute`. The crate is otherwise `deny(unsafe_code)`, and the other
+//! first-party library crates `forbid` it. The erasure is sound because the
+//! pointer's validity window is bracketed by the epoch barrier, by
+//! construction rather than by caller discipline:
 //!
 //! 1. **Publication happens-before execution** — the pointer is written into
 //!    the slot and the epoch bumped under the state mutex; workers read both
 //!    under the same mutex, so a worker only ever dereferences a pointer for
 //!    the epoch it observed.
 //! 2. **The pointee outlives every dereference** — [`PinnedPool::run`] does
-//!    not return (and therefore the closure and the result slots it points
-//!    into cannot be dropped) until `remaining == 0`, i.e. until every worker
+//!    not return (and therefore the closure and the result slots it writes
+//!    cannot be dropped) until `remaining == 0`, i.e. until every worker
 //!    has finished the call and checked in under the mutex. The slot is
 //!    cleared before the submitter returns, so no stale pointer survives an
 //!    epoch.
 //! 3. **One epoch in flight at a time** — a private submitter mutex is held
 //!    for the whole publish→drain window, so two concurrent `run` calls
 //!    serialise instead of racing on the slot.
-//! 4. **Result writes don't alias** — each worker writes only result slot
-//!    `ctx.thread`, worker indices are dense and distinct, and the submitter
-//!    reads the slots only after the barrier (the state mutex orders the
-//!    writes before the reads).
+//!
+//! Results need no `unsafe`: each worker locks its own result slot once,
+//! after its call returns, so the slot locks are never contended.
 //!
 //! Re-entrant submission (calling `run` from inside a worker closure) would
-//! deadlock on the barrier and is not supported; the sequential fallback
-//! [`PinnedPool::run_sequential`] never takes the barrier at all.
+//! deadlock on the barrier and is not supported.
 //!
 //! The pool and its epoch protocol are exercised under Miri in CI (see the
-//! `miri` workflow job) alongside the raw-pointer partitioning in
-//! `stream-bench`.
+//! `miri` workflow job), directly and through the `stream-bench` kernels.
 //!
 //! [`resume_unwind`]: std::panic::resume_unwind
 
@@ -70,12 +72,9 @@
 
 use crate::affinity::ThreadPlacement;
 use crate::topology::Topology;
-use parking_lot::Mutex as PhaseMutex;
 use std::any::Any;
-use std::cell::UnsafeCell;
 use std::fmt;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 
@@ -304,27 +303,12 @@ impl PinnedPool {
         if n == 0 {
             return Vec::new();
         }
-        // One result slot per worker; worker `t` writes only slot `t`, and the
-        // submitter reads the slots only after the barrier (point 4 of the
-        // module-level safety argument).
-        struct Slots<'s, R>(&'s [UnsafeCell<Option<R>>]);
-        // SAFETY: slot writes are disjoint per worker and ordered against the
-        // submitter's reads by the state mutex.
-        unsafe impl<R: Send> Sync for Slots<'_, R> {}
-        impl<R> Slots<'_, R> {
-            /// # Safety
-            /// The caller must be the sole writer of slot `index` this epoch.
-            unsafe fn put(&self, index: usize, value: R) {
-                *self.0[index].get() = Some(value);
-            }
-        }
-        let results: Vec<UnsafeCell<Option<R>>> = (0..n).map(|_| UnsafeCell::new(None)).collect();
-        let slots = Slots(&results);
-        let call = move |ctx: WorkerCtx| {
+        // One result slot per worker; worker `t` locks only slot `t`.
+        let results: Vec<parking_lot::Mutex<Option<R>>> =
+            (0..n).map(|_| parking_lot::Mutex::new(None)).collect();
+        let call = |ctx: WorkerCtx| {
             let value = f(ctx);
-            // SAFETY: worker `ctx.thread` is the sole writer of this slot for
-            // the epoch (worker indices are dense and distinct).
-            unsafe { slots.put(ctx.thread, value) };
+            *results[ctx.thread].lock() = Some(value);
         };
         // SAFETY (lifetime erasure): the transmute only widens the trait
         // object's lifetime bound to the `'static` default of `JobPtr`'s
@@ -370,16 +354,6 @@ impl PinnedPool {
             .map(|slot| slot.into_inner().expect("worker produced a result"))
             .collect()
     }
-
-    /// Runs `f` once per worker sequentially (deterministic order) on the
-    /// calling thread, without touching the barrier. Useful for tests and for
-    /// driving the analytical simulator where real parallelism adds nothing.
-    pub fn run_sequential<R, F>(&self, mut f: F) -> Vec<R>
-    where
-        F: FnMut(WorkerCtx) -> R,
-    {
-        self.workers.iter().copied().map(&mut f).collect()
-    }
 }
 
 impl Drop for PinnedPool {
@@ -395,65 +369,6 @@ impl Drop for PinnedPool {
             // never double-panics.
             let _ = handle.join();
         }
-    }
-}
-
-/// A reusable barrier + shared accumulator used by multi-phase kernels.
-///
-/// STREAM repeats each kernel `ntimes` times with an implicit barrier between
-/// repetitions; [`PhaseAccumulator`] gives workers a place to publish their
-/// per-phase timings without locking on the hot path (only on phase end).
-#[derive(Debug)]
-pub struct PhaseAccumulator {
-    phases: PhaseMutex<Vec<Vec<f64>>>,
-    completed: AtomicUsize,
-}
-
-impl PhaseAccumulator {
-    /// Creates an accumulator for `nthreads` workers.
-    pub fn new() -> Arc<Self> {
-        Arc::new(PhaseAccumulator {
-            phases: PhaseMutex::new(Vec::new()),
-            completed: AtomicUsize::new(0),
-        })
-    }
-
-    /// Records one worker's measurement for phase `phase`.
-    pub fn record(&self, phase: usize, value: f64) {
-        let mut phases = self.phases.lock();
-        while phases.len() <= phase {
-            phases.push(Vec::new());
-        }
-        phases[phase].push(value);
-        self.completed.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Total number of recorded samples across all phases.
-    pub fn samples(&self) -> usize {
-        self.completed.load(Ordering::Relaxed)
-    }
-
-    /// The maximum recorded value of a phase (e.g. the slowest worker's time),
-    /// if the phase has any samples.
-    pub fn phase_max(&self, phase: usize) -> Option<f64> {
-        let phases = self.phases.lock();
-        phases
-            .get(phase)?
-            .iter()
-            .copied()
-            .fold(None, |acc: Option<f64>, v| {
-                Some(acc.map_or(v, |a| a.max(v)))
-            })
-    }
-
-    /// The mean recorded value of a phase.
-    pub fn phase_mean(&self, phase: usize) -> Option<f64> {
-        let phases = self.phases.lock();
-        let values = phases.get(phase)?;
-        if values.is_empty() {
-            return None;
-        }
-        Some(values.iter().sum::<f64>() / values.len() as f64)
     }
 }
 
@@ -516,7 +431,11 @@ mod tests {
         let (_, pool) = pool(6);
         for round in 1..=5usize {
             let par = pool.run(|ctx| (ctx.cpu + 1) * round);
-            let seq = pool.run_sequential(|ctx| (ctx.cpu + 1) * round);
+            let seq: Vec<usize> = pool
+                .workers()
+                .iter()
+                .map(|ctx| (ctx.cpu + 1) * round)
+                .collect();
             assert_eq!(par, seq, "round {round} diverged");
         }
     }
@@ -586,7 +505,7 @@ mod tests {
     fn run_sequential_matches_parallel_results() {
         let (_, pool) = pool(5);
         let par = pool.run(|ctx| ctx.cpu);
-        let seq = pool.run_sequential(|ctx| ctx.cpu);
+        let seq: Vec<usize> = pool.workers().iter().map(|ctx| ctx.cpu).collect();
         assert_eq!(par, seq);
     }
 
@@ -602,7 +521,7 @@ mod tests {
     fn chunks_cover_range_without_overlap() {
         let (_, pool) = pool(7);
         let len = 1003;
-        let chunks = pool.run_sequential(|ctx| ctx.chunk(len));
+        let chunks = pool.run(|ctx| ctx.chunk(len));
         let mut covered = 0usize;
         for (i, &(start, end)) in chunks.iter().enumerate() {
             assert!(start <= end);
@@ -627,15 +546,14 @@ mod tests {
 
     #[test]
     fn phase_accumulator_tracks_max_and_mean() {
-        let acc = PhaseAccumulator::new();
-        acc.record(0, 1.0);
-        acc.record(0, 3.0);
-        acc.record(1, 5.0);
-        assert_eq!(acc.samples(), 3);
-        assert_eq!(acc.phase_max(0), Some(3.0));
-        assert_eq!(acc.phase_mean(0), Some(2.0));
-        assert_eq!(acc.phase_max(1), Some(5.0));
-        assert_eq!(acc.phase_max(2), None);
+        // A phase's slowest worker and mean time, reduced over `run`'s
+        // thread-ordered results.
+        let (_, pool) = pool(4);
+        let times = pool.run(|ctx| [1.0, 3.0, 2.0, 6.0][ctx.thread]);
+        assert_eq!(times, vec![1.0, 3.0, 2.0, 6.0]);
+        let max = times.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+        let mean = times.iter().sum::<f64>() / times.len() as f64;
+        assert_eq!((max, mean), (6.0, 3.0));
     }
 
     proptest! {

@@ -224,13 +224,23 @@ impl<'p, T: PmemScalar> PersistentArray<'p, T> {
         self.pool.write(offset, bytes)
     }
 
+    /// Byte offset and byte length of the element range `[start, start+len)`,
+    /// which must lie inside the array (`len > 0`).
+    fn byte_range(&self, start: u64, len: u64) -> Result<(u64, u64)> {
+        let offset = self.range_offset(start, len)?;
+        let bytes = len
+            .checked_mul(T::SIZE as u64)
+            .ok_or(PmemError::SizeOverflow)?;
+        Ok((offset, bytes))
+    }
+
     /// Makes the element range `[start, start+len)` durable.
     pub fn persist(&self, start: u64, len: u64) -> Result<()> {
         if len == 0 {
             return Ok(());
         }
-        let offset = self.offset_of(start)?;
-        self.pool.persist(offset, len * T::SIZE as u64)
+        let (offset, bytes) = self.byte_range(start, len)?;
+        self.pool.persist(offset, bytes)
     }
 
     /// Flushes the element range `[start, start+len)` without a fence
@@ -240,8 +250,8 @@ impl<'p, T: PmemScalar> PersistentArray<'p, T> {
         if len == 0 {
             return Ok(());
         }
-        let offset = self.offset_of(start)?;
-        self.pool.flush(offset, len * T::SIZE as u64)
+        let (offset, bytes) = self.byte_range(start, len)?;
+        self.pool.flush(offset, bytes)
     }
 
     /// Makes the whole array durable.
@@ -381,6 +391,35 @@ mod tests {
         array.persist(0, 0).unwrap();
         let after = pool.persist_stats();
         assert!(after.bytes_persisted >= before.bytes_persisted + 64 * 8 + 128 * 8);
+
+        // Ranges are bounded by their last element, like `store_slice`, and
+        // a refused call flushes nothing.
+        let small = PersistentArray::<f64>::allocate(&pool, 4).unwrap();
+        let before = pool.persist_stats();
+        for refused in [small.persist(3, 2), small.store_slice(3, &[1.0, 2.0])] {
+            assert!(
+                matches!(
+                    refused,
+                    Err(PmemError::OutOfBounds {
+                        offset: 4,
+                        len: 8,
+                        pool_size: 4
+                    })
+                ),
+                "{refused:?}"
+            );
+        }
+        for refused in [
+            small.flush(2, 1000),
+            small.flush(0, u64::MAX),
+            small.persist(1, u64::MAX / 4),
+        ] {
+            assert!(
+                matches!(refused, Err(PmemError::OutOfBounds { .. })),
+                "{refused:?}"
+            );
+        }
+        assert_eq!(pool.persist_stats(), before);
     }
 
     #[test]

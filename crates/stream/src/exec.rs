@@ -8,50 +8,17 @@
 //! disjoint `&mut [f64]` window of the three arrays and the kernel runs
 //! directly on the underlying storage.
 //!
-//! # Safety argument
-//!
-//! Handing several threads simultaneous `&mut` access into one allocation is
-//! only sound if no two of those borrows can overlap and no other access to
-//! the buffers can happen while they are live. Both guarantees are enforced
-//! by construction, not by caller discipline:
-//!
-//! 1. **Exclusivity over the whole arrays** — [`ChunkedArrays::new`] takes
-//!    `&'a mut [f64]` for all three arrays, so for the lifetime `'a` the
-//!    borrow checker proves nothing else can read or write them. The struct
-//!    only stores raw pointers derived from those unique borrows.
-//! 2. **Disjointness between workers** — chunk boundaries come from
-//!    [`numa::chunk_for`], whose partition property (every index in
-//!    `[0, len)` belongs to exactly one `(thread, nthreads)` chunk, chunks
-//!    are contiguous and non-overlapping) is property-tested in the `numa`
-//!    crate. Two different thread indices therefore can never alias.
-//! 3. **At-most-once materialisation per chunk** — the same thread index
-//!    claimed twice *would* alias, so [`ChunkedArrays::chunk`] burns a
-//!    one-shot atomic claim flag per index: the second claim of a chunk
-//!    panics before any reference is created. A `ChunkedArrays` is built per
-//!    kernel invocation, so the one-shot flags mirror the one-shot use.
-//!
-//! Under those three invariants the `slice::from_raw_parts_mut` calls below
-//! produce references that are unique for their lifetime, which is exactly
-//! the soundness requirement. The rest of the crate stays `deny(unsafe_code)`;
-//! only this module may use `unsafe`, and only inside these two abstractions.
-//! The invariants are independent of *which* threads execute the chunks: the
-//! persistent [`PinnedPool`] dispatches each invocation to its resident
-//! workers over an epoch barrier, and the barrier (the submitter does not
-//! return until every worker checked in) is what keeps the `ChunkedArrays`
-//! borrow alive for exactly the window the workers use it. This module and
-//! the pool's epoch protocol are exercised under Miri in CI.
-//!
-//! [`PerWorker`] applies the same claim-flag discipline to reusable
-//! per-worker scratch state (the STREAM-PMem staging buffers), but with
-//! releasable claims since scratch is reused across kernel invocations.
-
-#![allow(unsafe_code)]
+//! The module is safe code. [`ChunkedArrays::new`] cuts the three exclusively
+//! borrowed arrays at the [`numa::chunk_for`] boundaries with `split_at_mut`,
+//! so the borrow checker proves the windows disjoint, and parks each window
+//! in a one-shot slot that its worker takes out. [`PerWorker`] keeps reusable
+//! per-worker scratch (the STREAM-PMem staging buffers) behind one lock per
+//! worker. Each worker locks only its own slot, once per kernel invocation,
+//! so no lock is ever contended.
 
 use crate::kernels::Kernel;
 use numa::{chunk_for, PinnedPool, WorkerCtx};
-use std::cell::UnsafeCell;
-use std::marker::PhantomData;
-use std::sync::atomic::{AtomicBool, Ordering};
+use parking_lot::Mutex;
 
 /// Observer of per-worker access windows on the STREAM hot path — the
 /// sampling hook the adaptive tiering engine's `AccessTracker` plugs into.
@@ -106,21 +73,10 @@ pub fn record_kernel_span(sink: &dyn AccessSink, kernel: Kernel, lo: usize, hi: 
 /// arrays; workers call [`chunk`](Self::chunk) with their thread index to
 /// receive their disjoint in-place window.
 pub struct ChunkedArrays<'a> {
-    a: *mut f64,
-    b: *mut f64,
-    c: *mut f64,
     len: usize,
-    nthreads: usize,
-    claimed: Vec<AtomicBool>,
-    _arrays: PhantomData<&'a mut [f64]>,
+    /// Worker `t`'s window until worker `t` takes it.
+    windows: Vec<Mutex<Option<ArrayChunk<'a>>>>,
 }
-
-// SAFETY: the raw pointers originate from `&mut [f64]` borrows held for 'a,
-// and `chunk` only ever hands out disjoint, claim-guarded windows (see the
-// module-level safety argument), so sharing the handle across threads is
-// sound.
-unsafe impl Send for ChunkedArrays<'_> {}
-unsafe impl Sync for ChunkedArrays<'_> {}
 
 /// One worker's in-place window over the three arrays.
 pub struct ArrayChunk<'g> {
@@ -156,25 +112,41 @@ impl ArrayChunk<'_> {
     }
 }
 
+/// Splits the first `n` elements off `rest`, leaving the remainder in it.
+fn split_off<'a>(rest: &mut &'a mut [f64], n: usize) -> &'a mut [f64] {
+    let (head, tail) = std::mem::take(rest).split_at_mut(n);
+    *rest = tail;
+    head
+}
+
 impl<'a> ChunkedArrays<'a> {
     /// Wraps the three arrays for partitioning across `nthreads` workers.
     ///
     /// # Panics
     ///
     /// Panics if the arrays have different lengths.
-    pub fn new(a: &'a mut [f64], b: &'a mut [f64], c: &'a mut [f64], nthreads: usize) -> Self {
+    pub fn new(
+        mut a: &'a mut [f64],
+        mut b: &'a mut [f64],
+        mut c: &'a mut [f64],
+        nthreads: usize,
+    ) -> Self {
         assert_eq!(a.len(), b.len(), "STREAM arrays must have equal lengths");
         assert_eq!(a.len(), c.len(), "STREAM arrays must have equal lengths");
         let len = a.len();
-        ChunkedArrays {
-            a: a.as_mut_ptr(),
-            b: b.as_mut_ptr(),
-            c: c.as_mut_ptr(),
-            len,
-            nthreads,
-            claimed: (0..nthreads).map(|_| AtomicBool::new(false)).collect(),
-            _arrays: PhantomData,
-        }
+        let windows = (0..nthreads)
+            .map(|thread| {
+                let (lo, hi) = chunk_for(thread, nthreads, len);
+                Mutex::new(Some(ArrayChunk {
+                    a: split_off(&mut a, hi - lo),
+                    b: split_off(&mut b, hi - lo),
+                    c: split_off(&mut c, hi - lo),
+                    lo,
+                    hi,
+                }))
+            })
+            .collect();
+        ChunkedArrays { len, windows }
     }
 
     /// Total elements per array.
@@ -189,7 +161,7 @@ impl<'a> ChunkedArrays<'a> {
 
     /// Number of partitions.
     pub fn nthreads(&self) -> usize {
-        self.nthreads
+        self.windows.len()
     }
 
     /// Claims worker `thread`'s windows of the three arrays.
@@ -202,53 +174,33 @@ impl<'a> ChunkedArrays<'a> {
     ///
     /// Panics if `thread >= nthreads` or if this chunk was already claimed —
     /// each chunk is claimable exactly once per `ChunkedArrays`.
-    pub fn chunk(&self, thread: usize) -> ArrayChunk<'_> {
-        assert!(
-            thread < self.nthreads,
-            "thread {thread} out of range for {} partitions",
-            self.nthreads
-        );
-        let already = self.claimed[thread].swap(true, Ordering::AcqRel);
-        assert!(!already, "chunk {thread} claimed twice");
-        let (lo, hi) = chunk_for(thread, self.nthreads, self.len);
-        // SAFETY: `lo..hi` windows for distinct claimed `thread` values are
-        // disjoint (chunk_for partitions [0, len)), the claim flag above
-        // guarantees this window is materialised at most once, and the
-        // underlying arrays are exclusively borrowed for 'a — see the
-        // module-level safety argument.
-        unsafe {
-            ArrayChunk {
-                a: std::slice::from_raw_parts_mut(self.a.add(lo), hi - lo),
-                b: std::slice::from_raw_parts_mut(self.b.add(lo), hi - lo),
-                c: std::slice::from_raw_parts_mut(self.c.add(lo), hi - lo),
-                lo,
-                hi,
-            }
-        }
+    pub fn chunk(&self, thread: usize) -> ArrayChunk<'a> {
+        let Some(slot) = self.windows.get(thread) else {
+            panic!(
+                "thread {thread} out of range for {} partitions",
+                self.windows.len()
+            );
+        };
+        let window = slot.lock().take();
+        window.unwrap_or_else(|| panic!("chunk {thread} claimed twice"))
     }
 }
 
-/// Reusable per-worker mutable state (scratch buffers, counters) shared
-/// across a worker pool without locks on the hot path.
+/// Reusable per-worker mutable state (scratch buffers, counters), one lock
+/// per worker.
 ///
-/// Unlike [`ChunkedArrays`], slots are claim/release: a worker may re-enter
-/// its slot on every kernel invocation, but two concurrent claims of the same
-/// slot panic instead of aliasing.
+/// Unlike [`ChunkedArrays`], slots are reusable: a worker re-enters its slot
+/// on every kernel invocation, but two concurrent claims of the same slot
+/// panic instead of waiting.
 pub struct PerWorker<T> {
-    slots: Vec<UnsafeCell<T>>,
-    claimed: Vec<AtomicBool>,
+    slots: Vec<Mutex<T>>,
 }
-
-// SAFETY: a slot is only ever reachable through `with`, which enforces
-// exclusive access via its claim flag; moving T across threads requires Send.
-unsafe impl<T: Send> Sync for PerWorker<T> {}
 
 impl<T> PerWorker<T> {
     /// Creates `n` slots, initialising slot `i` with `init(i)`.
-    pub fn new(n: usize, mut init: impl FnMut(usize) -> T) -> Self {
+    pub fn new(n: usize, init: impl FnMut(usize) -> T) -> Self {
         PerWorker {
-            slots: (0..n).map(|i| UnsafeCell::new(init(i))).collect(),
-            claimed: (0..n).map(|_| AtomicBool::new(false)).collect(),
+            slots: (0..n).map(init).map(Mutex::new).collect(),
         }
     }
 
@@ -262,34 +214,24 @@ impl<T> PerWorker<T> {
         self.slots.is_empty()
     }
 
-    /// Runs `f` with exclusive access to slot `thread`.
+    /// Runs `f` with exclusive access to slot `thread`. The slot is released
+    /// when `f` returns or unwinds.
     ///
     /// # Panics
     ///
     /// Panics if `thread` is out of range or the slot is currently claimed by
     /// another caller.
     pub fn with<R>(&self, thread: usize, f: impl FnOnce(&mut T) -> R) -> R {
-        let already = self.claimed[thread].swap(true, Ordering::AcqRel);
-        assert!(!already, "per-worker slot {thread} claimed concurrently");
-        // Release the claim even if `f` panics, so a poisoned run does not
-        // wedge later invocations.
-        struct Release<'a>(&'a AtomicBool);
-        impl Drop for Release<'_> {
-            fn drop(&mut self) {
-                self.0.store(false, Ordering::Release);
-            }
-        }
-        let _release = Release(&self.claimed[thread]);
-        // SAFETY: the claim flag gives this call exclusive access to the
-        // slot; the Acquire/Release pair orders it against previous users.
-        let slot = unsafe { &mut *self.slots[thread].get() };
-        f(slot)
+        let Some(mut slot) = self.slots[thread].try_lock() else {
+            panic!("per-worker slot {thread} claimed concurrently");
+        };
+        f(&mut slot)
     }
 
     /// Mutable iteration over all slots (requires exclusive ownership, so no
-    /// claims are needed).
+    /// locking is needed).
     pub fn iter_mut(&mut self) -> impl Iterator<Item = &mut T> {
-        self.slots.iter_mut().map(|cell| cell.get_mut())
+        self.slots.iter_mut().map(Mutex::get_mut)
     }
 }
 
@@ -334,22 +276,41 @@ mod tests {
 
     #[test]
     fn chunks_are_disjoint_and_cover_everything() {
-        let mut a: Vec<f64> = (0..1003).map(|i| i as f64).collect();
-        let mut b = a.clone();
-        let mut c = a.clone();
-        let arrays = ChunkedArrays::new(&mut a, &mut b, &mut c, 7);
-        let mut seen = vec![false; 1003];
-        for t in 0..7 {
-            let chunk = arrays.chunk(t);
-            assert_eq!(chunk.len(), chunk.hi - chunk.lo);
-            for (offset, &value) in chunk.a.iter().enumerate() {
-                let index = chunk.lo + offset;
-                assert_eq!(value, index as f64, "window must map onto the array");
-                assert!(!seen[index], "index {index} handed to two chunks");
-                seen[index] = true;
+        // (elements, threads): uneven split, empty arrays, more threads than
+        // elements, one thread.
+        for (len, nthreads) in [(1003, 7), (0, 4), (3, 8), (17, 1)] {
+            let mut a: Vec<f64> = (0..len).map(|i| i as f64).collect();
+            let mut b: Vec<f64> = a.iter().map(|x| -x).collect();
+            let mut c = vec![f64::NAN; len];
+            let arrays = ChunkedArrays::new(&mut a, &mut b, &mut c, nthreads);
+            assert_eq!((arrays.len(), arrays.nthreads()), (len, nthreads));
+            let mut seen = vec![false; len];
+            for t in 0..nthreads {
+                let chunk = arrays.chunk(t);
+                assert_eq!((chunk.lo, chunk.hi), chunk_for(t, nthreads, len));
+                assert_eq!(chunk.len(), chunk.hi - chunk.lo);
+                assert_eq!((chunk.b.len(), chunk.c.len()), (chunk.len(), chunk.len()));
+                for (offset, (&x, &y)) in chunk.a.iter().zip(chunk.b.iter()).enumerate() {
+                    let index = chunk.lo + offset;
+                    assert_eq!(
+                        (x, y),
+                        (index as f64, -(index as f64)),
+                        "window must map onto the arrays"
+                    );
+                    assert!(!seen[index], "index {index} handed to two chunks");
+                    seen[index] = true;
+                }
+                chunk.c.fill(t as f64);
+            }
+            assert!(seen.iter().all(|&s| s), "every element must be covered");
+            for t in 0..nthreads {
+                let (lo, hi) = chunk_for(t, nthreads, len);
+                assert!(
+                    c[lo..hi].iter().all(|&x| x == t as f64),
+                    "writes land in place"
+                );
             }
         }
-        assert!(seen.iter().all(|&s| s), "every element must be covered");
     }
 
     #[test]

@@ -8,11 +8,11 @@
 //!
 //! * [`kernels`] — the four kernels, their byte/flop accounting and the
 //!   analytic validation values from the reference implementation.
-//! * [`exec`] — the zero-copy parallel execution engine: per-worker disjoint
-//!   `&mut` windows over the three arrays and reusable per-worker scratch,
-//!   with the soundness argument documented at the module level. Its
-//!   [`exec::AccessSink`] hook samples every worker window into the adaptive
-//!   tiering engine's per-chunk heat counters.
+//! * [`exec`] — the zero-copy parallel execution engine, in safe code:
+//!   per-worker disjoint `&mut` windows over the three arrays (split with
+//!   `split_at_mut`) and reusable per-worker scratch behind one lock per
+//!   worker. Its [`exec::AccessSink`] hook samples every worker window into
+//!   the adaptive tiering engine's per-chunk heat counters.
 //! * [`volatile`] — STREAM over ordinary heap arrays, parallelised with the
 //!   affinity-aware [`numa::PinnedPool`].
 //! * [`pmem_stream`] — STREAM-PMem over [`pmem::PersistentArray`]s living in a
@@ -49,9 +49,7 @@
 //! ```
 
 #![warn(missing_docs)]
-// `deny` rather than `forbid`: the `exec` module opts back in for the two
-// audited abstractions that make zero-copy partitioning possible.
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 
 pub mod exec;
 

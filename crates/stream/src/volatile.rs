@@ -12,7 +12,8 @@ use std::time::Instant;
 /// Kernels execute **in place**: every worker of the pinned pool receives a
 /// disjoint `&mut [f64]` window of the three arrays via
 /// [`crate::exec::ChunkedArrays`], so an invocation moves exactly the bytes
-/// STREAM's counting rules say it moves — no copy-out/copy-back, no locks.
+/// STREAM's counting rules say it moves — no copy-out/copy-back, and one
+/// uncontended lock per worker window.
 ///
 /// An optional [`AccessSink`] samples every worker window (reads per input
 /// array, one write for the output array), feeding the adaptive tiering

@@ -10,7 +10,7 @@
 //!    threads at once: each simulated host creates a segment, checkpoints,
 //!    restores and releases, while pool accounting must conserve
 //!    (`unassigned + Σ assigned == total`) in every mid-flight snapshot.
-//!    This leans on the lock-striped `CxlSwitch`.
+//!    The `CxlSwitch` keeps that sum under one lock.
 //! 2. **Performance** — ≥ 200 streams across ≥ 16 hosts sharing a handful
 //!    of expander cards, run through the [`sim`] kernel: every stream passes
 //!    the [`AdmissionController`] front door (token buckets per
