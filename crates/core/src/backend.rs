@@ -5,10 +5,14 @@
 //! memory. Here the pool bytes go straight to the modelled device
 //! ([`cxl::Type3Device::write_bulk`]), so the whole PMDK stack — header,
 //! allocator, undo log, arrays — genuinely resides "on" the expander, and
-//! device statistics reflect every access the pool makes.
+//! device statistics reflect every access the pool makes. Kernels computing
+//! on pool arrays run on the device's own bytes
+//! ([`cxl::Type3Device::apply`]), as loads and stores through a DAX mapping
+//! do.
 
+use cxl::sparse::{ApplyFn, MAX_APPLY_INPUTS};
 use cxl::Type3Device;
-use pmem::backend::check_bounds;
+use pmem::backend::{check_apply, check_bounds};
 use pmem::{PmemError, PoolBackend};
 use std::sync::Arc;
 
@@ -70,6 +74,25 @@ impl PoolBackend for CxlDeviceBackend {
         check_bounds(self.len, offset, data.len())?;
         self.device
             .write_bulk(self.dpa_base + offset, data)
+            .map_err(|e| PmemError::Io(std::io::Error::other(e.to_string())))
+    }
+
+    fn apply_at(
+        &self,
+        inputs: &[u64],
+        output: u64,
+        len: usize,
+        f: &mut ApplyFn<'_>,
+    ) -> Result<(), PmemError> {
+        check_apply(self.len, inputs, output, len)?;
+        let mut dpas = [0u64; MAX_APPLY_INPUTS];
+        for (dpa, &offset) in dpas.iter_mut().zip(inputs) {
+            *dpa = self.dpa_base + offset;
+        }
+        // in-bounds: check_apply proved inputs.len() ≤ MAX_APPLY_INPUTS.
+        let dpas = &dpas[..inputs.len()];
+        self.device
+            .apply(dpas, self.dpa_base + output, len, f)
             .map_err(|e| PmemError::Io(std::io::Error::other(e.to_string())))
     }
 
@@ -195,6 +218,27 @@ mod tests {
         assert!(stats.bytes_written >= 10_000 * 8);
         assert!(stats.gpf_flushes > 0);
         assert!(pool.describe().contains("cxl["));
+
+        // A kernel over pool arrays runs on the device's bytes: the device
+        // counts one read per input and one write, and nothing else.
+        let doubled = PersistentArray::<f64>::allocate(&pool, 10_000).unwrap();
+        let before = dev.stats();
+        doubled
+            .compute_from(0, 10_000, &[&array], &mut |ins, out| {
+                for (o, x) in out.chunks_exact_mut(8).zip(ins[0].chunks_exact(8)) {
+                    let x = f64::from_le_bytes(x.try_into().unwrap());
+                    o.copy_from_slice(&(2.0 * x).to_le_bytes());
+                }
+            })
+            .unwrap();
+        let after = dev.stats();
+        assert_eq!(after.bytes_read - before.bytes_read, 10_000 * 8);
+        assert_eq!(after.bytes_written - before.bytes_written, 10_000 * 8);
+        assert_eq!(doubled.to_vec().unwrap(), vec![3.0; 10_000]);
+        assert!(matches!(
+            doubled.compute_from(0, 10_000, &[&doubled], &mut |_, _| {}),
+            Err(PmemError::Apply(_))
+        ));
     }
 
     #[test]

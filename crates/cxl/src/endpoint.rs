@@ -4,12 +4,15 @@
 //! equivalent of the paper's FPGA endpoint. The persistent-memory layer moves
 //! whole object ranges through the bulk path ([`Type3Device::read_bulk`],
 //! [`Type3Device::write_bulk`]) in device-local addresses (DPA), counting the
-//! bytes and 64-byte lines it transfers. Host addresses decode to DPAs above
-//! the device, in [`InterleaveSet`](crate::hdm::InterleaveSet).
+//! bytes and 64-byte lines it transfers. A kernel that loads and stores
+//! device memory directly, as STREAM-PMem does on a DAX mapping, runs on the
+//! device's own bytes through [`Type3Device::apply`], which counts the same
+//! traffic. Host addresses decode to DPAs above the device, in
+//! [`InterleaveSet`](crate::hdm::InterleaveSet).
 
 use crate::config::LinkConfig;
 use crate::error::CxlError;
-use crate::sparse::SparseMemory;
+use crate::sparse::{ranges_overlap, ApplyFn, SparseMemory, MAX_APPLY_INPUTS};
 use crate::Result;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
@@ -182,6 +185,48 @@ impl Type3Device {
         Ok(())
     }
 
+    /// Runs `f` on the device's own memory: `f` reads `len` bytes at each DPA
+    /// of `inputs`, in the order given, and writes `len` bytes at `output`,
+    /// in place, in the pieces [`SparseMemory::apply`] describes. Each input
+    /// counts as a read of `len` bytes and the output as a write, exactly as
+    /// [`read_bulk`](Self::read_bulk) and [`write_bulk`](Self::write_bulk)
+    /// count them.
+    ///
+    /// Refuses, before touching or counting anything, a range out of bounds
+    /// ([`CxlError::OutOfBounds`]), more than two inputs
+    /// ([`CxlError::TooManyInputs`]) and an input overlapping the output
+    /// ([`CxlError::OverlappingRanges`]).
+    pub fn apply(
+        &self,
+        inputs: &[u64],
+        output: u64,
+        len: usize,
+        f: &mut ApplyFn<'_>,
+    ) -> Result<()> {
+        if inputs.len() > MAX_APPLY_INPUTS {
+            return Err(CxlError::TooManyInputs {
+                inputs: inputs.len(),
+                max: MAX_APPLY_INPUTS,
+            });
+        }
+        self.check_dpa(output, len)?;
+        for &input in inputs {
+            self.check_dpa(input, len)?;
+            if ranges_overlap(input, output, len) {
+                return Err(CxlError::OverlappingRanges { input, output, len });
+            }
+        }
+        self.memory.apply(inputs, output, len, f);
+        let shard = self.stats.local();
+        let (count, len) = (inputs.len() as u64, len as u64);
+        let lines = len.div_ceil(CACHE_LINE_BYTES as u64);
+        StatCounters::add(&shard.bytes_read, count * len);
+        StatCounters::add(&shard.lines_read, count * lines);
+        StatCounters::add(&shard.bytes_written, len);
+        StatCounters::add(&shard.lines_written, lines);
+        Ok(())
+    }
+
     /// Global Persistent Flush: on a battery-backed or persistent device this
     /// guarantees all accepted writes reach the persistence domain.
     pub fn global_persistent_flush(&self) {
@@ -281,6 +326,43 @@ mod tests {
         assert!(dev.write_bulk(u64::MAX - 10, &buf).is_err());
         // A refused transfer moves and counts nothing.
         assert_eq!(dev.stats(), DeviceStats::default());
+
+        // In-place computations are refused the same way, with a typed
+        // error each, before a byte moves or a line is counted.
+        let mut ran = false;
+        let mut mark = |_: &[&[u8]], out: &mut [u8]| {
+            ran = true;
+            out.fill(0xEE);
+        };
+        assert_eq!(
+            dev.apply(&[0], 16 * MIB - 10, 64, &mut mark),
+            Err(CxlError::OutOfBounds {
+                dpa: 16 * MIB - 10,
+                len: 64,
+                capacity: 16 * MIB,
+            })
+        );
+        assert!(matches!(
+            dev.apply(&[u64::MAX - 10], 0, 64, &mut mark),
+            Err(CxlError::OutOfBounds { .. })
+        ));
+        assert_eq!(
+            dev.apply(&[4096, 100], 64, 64, &mut mark),
+            Err(CxlError::OverlappingRanges {
+                input: 100,
+                output: 64,
+                len: 64,
+            })
+        );
+        assert_eq!(
+            dev.apply(&[0, 4096, 8192], 65536, 64, &mut mark),
+            Err(CxlError::TooManyInputs { inputs: 3, max: 2 })
+        );
+        assert!(!ran);
+        assert_eq!(dev.stats(), DeviceStats::default());
+        let mut line = [0u8; 64];
+        dev.read_bulk(64, &mut line).unwrap();
+        assert_eq!(line, [0u8; 64], "a refused computation wrote nothing");
     }
 
     #[test]
@@ -312,6 +394,28 @@ mod tests {
         assert_eq!(stats.bytes_read, 8192);
         assert!(dev.read_bulk(16 * MIB - 10, &mut back).is_err());
         assert!(dev.write_bulk(16 * MIB - 10, &payload).is_err());
+
+        // An in-place computation counts each input as a bulk read of its
+        // length and the output as a bulk write: 2 × 1000 bytes (2 × 16
+        // lines) read, 1000 bytes (16 lines) written.
+        let before = dev.stats();
+        dev.apply(&[4096, 100_000], 200_000, 1000, &mut |ins, out| {
+            for ((o, a), b) in out.iter_mut().zip(ins[0]).zip(ins[1]) {
+                *o = a ^ b;
+            }
+        })
+        .unwrap();
+        let after = dev.stats();
+        assert_eq!(after.bytes_read - before.bytes_read, 2 * 1000);
+        assert_eq!(after.lines_read - before.lines_read, 2 * 16);
+        assert_eq!(after.bytes_written - before.bytes_written, 1000);
+        assert_eq!(after.lines_written - before.lines_written, 16);
+        dev.read_bulk(200_000, &mut back[..1000]).unwrap();
+        assert_eq!(
+            &back[..1000],
+            &payload[..1000],
+            "zeros at 100 000 leave x ^ 0"
+        );
     }
 
     #[test]

@@ -36,6 +36,23 @@ pub enum CxlError {
     },
     /// Pooling: the allocation id is not (or no longer) live on this switch.
     UnknownAllocation(u64),
+    /// An in-place computation named more input ranges than the device reads
+    /// in one call.
+    TooManyInputs {
+        /// Inputs named.
+        inputs: usize,
+        /// Most inputs one call takes.
+        max: usize,
+    },
+    /// An in-place computation's input range overlaps its output range.
+    OverlappingRanges {
+        /// Device-local address of the input.
+        input: u64,
+        /// Device-local address of the output.
+        output: u64,
+        /// Length of each range in bytes.
+        len: usize,
+    },
 }
 
 impl fmt::Display for CxlError {
@@ -67,6 +84,14 @@ impl fmt::Display for CxlError {
             CxlError::UnknownAllocation(id) => {
                 write!(f, "pool allocation {id} is not live on this switch")
             }
+            CxlError::TooManyInputs { inputs, max } => write!(
+                f,
+                "in-place computation names {inputs} inputs, at most {max} are taken"
+            ),
+            CxlError::OverlappingRanges { input, output, len } => write!(
+                f,
+                "in-place input at {input:#x} overlaps output at {output:#x} ({len} bytes each)"
+            ),
         }
     }
 }

@@ -7,24 +7,25 @@
 //! calls.
 //!
 //! Bulk transfers never allocate. Typed slices are staged through a fixed
-//! 4 KiB stack block and decoded block by block. The raw
-//! transfers ([`PersistentArray::load_le_bytes`] /
-//! [`PersistentArray::store_le_bytes`]) move the elements' stored
-//! little-endian bytes in one backend call with no staging at all; they are
-//! what the block-staged STREAM-PMem kernels use.
+//! 4 KiB stack block and decoded block by block. A kernel that computes one
+//! array from others, as STREAM-PMem's do, runs on the arrays' stored
+//! little-endian bytes in place ([`PersistentArray::compute_from`]): on a
+//! pool over the expander or over memory, the bytes it reads and writes are
+//! the backend's own, with no copy in between.
 
 use crate::error::PmemError;
 use crate::oid::TypedOid;
 use crate::pool::PmemPool;
 use crate::Result;
+use cxl::sparse::{ApplyFn, MAX_APPLY_INPUTS};
 
 /// Bytes of the stack block typed slice transfers stage through.
 const STAGE_BYTES: usize = 4096;
 
 /// Scalar element types that can live in a persistent array.
 ///
-/// The trait is deliberately small: fixed size (at most 4096 bytes, one
-/// staging block), little-endian byte conversion.
+/// The trait is deliberately small: fixed size (a power of two, at most
+/// 4096 bytes, one staging block), little-endian byte conversion.
 pub trait PmemScalar: Copy + Default + PartialEq + std::fmt::Debug + Send + Sync + 'static {
     /// Size of the scalar in bytes.
     const SIZE: usize;
@@ -200,28 +201,54 @@ impl<'p, T: PmemScalar> PersistentArray<'p, T> {
         Ok(())
     }
 
-    /// Reads the stored little-endian bytes of the array, starting at
-    /// element `start`, into `out` with one backend call. `out` may end
-    /// inside an element; it must not run past the array.
-    pub fn load_le_bytes(&self, start: u64, out: &mut [u8]) -> Result<()> {
-        if out.is_empty() {
+    /// Computes the elements `[start, start + count)` of this array in place
+    /// from the same elements of each of `inputs` (at most two arrays of the
+    /// same pool, other than this one): `f` reads the inputs' stored
+    /// little-endian bytes, in the order given, and writes this array's.
+    ///
+    /// The range arrives in pieces that hold whole elements, at the same
+    /// element offset into every array (see
+    /// [`PoolBackend::apply_at`](crate::PoolBackend::apply_at)); `f` must
+    /// write every byte of each output piece. Like
+    /// [`store_slice`](Self::store_slice) the write is not persisted. A range
+    /// running past any of the arrays is refused before anything moves.
+    pub fn compute_from(
+        &self,
+        start: u64,
+        count: u64,
+        inputs: &[&PersistentArray<'p, T>],
+        f: &mut ApplyFn<'_>,
+    ) -> Result<()> {
+        if count == 0 {
             return Ok(());
         }
-        let count = (out.len() as u64).div_ceil(T::SIZE as u64);
-        let offset = self.range_offset(start, count)?;
-        self.pool.read(offset, out)
+        let mut offsets = [0u64; MAX_APPLY_INPUTS];
+        if inputs.len() > offsets.len() {
+            return Err(PmemError::Apply("more than two inputs"));
+        }
+        for (offset, input) in offsets.iter_mut().zip(inputs) {
+            if !std::ptr::eq(input.pool, self.pool) {
+                return Err(PmemError::InvalidOid);
+            }
+            *offset = input.element_aligned(input.range_offset(start, count)?)?;
+        }
+        let output = self.element_aligned(self.range_offset(start, count)?)?;
+        let len = count
+            .checked_mul(T::SIZE as u64)
+            .and_then(|len| usize::try_from(len).ok())
+            .ok_or(PmemError::SizeOverflow)?;
+        // in-bounds: inputs.len() ≤ MAX_APPLY_INPUTS, checked above.
+        self.pool.apply(&offsets[..inputs.len()], output, len, f)
     }
 
-    /// Writes `bytes` over the stored little-endian bytes of the array,
-    /// starting at element `start`, with one backend call. `bytes` may end
-    /// inside an element; it must not run past the array.
-    pub fn store_le_bytes(&self, start: u64, bytes: &[u8]) -> Result<()> {
-        if bytes.is_empty() {
-            return Ok(());
+    /// `offset`, if it is a multiple of the element size, which makes every
+    /// piece of an in-place computation hold whole elements.
+    fn element_aligned(&self, offset: u64) -> Result<u64> {
+        if offset.is_multiple_of(T::SIZE as u64) {
+            Ok(offset)
+        } else {
+            Err(PmemError::InvalidOid)
         }
-        let count = (bytes.len() as u64).div_ceil(T::SIZE as u64);
-        let offset = self.range_offset(start, count)?;
-        self.pool.write(offset, bytes)
     }
 
     /// Byte offset and byte length of the element range `[start, start+len)`,
@@ -283,6 +310,7 @@ impl<'p, T: PmemScalar> PersistentArray<'p, T> {
 mod tests {
     use super::*;
     use crate::backend::{SharedBackend, VolatileBackend};
+    use crate::oid::PmemOid;
     use crate::tx::CrashPoint;
     use proptest::prelude::*;
     use std::sync::Arc;
@@ -355,29 +383,86 @@ mod tests {
     #[test]
     fn le_bytes_are_the_stored_encoding() {
         let pool = pool();
-        let array = PersistentArray::<f64>::allocate(&pool, 64).unwrap();
+        let x = PersistentArray::<f64>::allocate(&pool, 64).unwrap();
+        let y = PersistentArray::<f64>::allocate(&pool, 64).unwrap();
+        let out = PersistentArray::<f64>::allocate(&pool, 64).unwrap();
         let values: Vec<f64> = (0..64).map(|i| i as f64 * 1.5).collect();
-        array.store_slice(0, &values).unwrap();
-        let mut raw = vec![0u8; 10 * 8];
-        array.load_le_bytes(4, &mut raw).unwrap();
-        for (i, encoded) in raw.chunks_exact(8).enumerate() {
-            assert_eq!(f64::read_le(encoded), values[4 + i]);
+        x.store_slice(0, &values).unwrap();
+        y.fill(-2.0).unwrap();
+        // `f` reads the inputs' stored encoding in the order given, and what
+        // it writes lands as typed values.
+        let mut add = |ins: &[&[u8]], result: &mut [u8]| {
+            let [a, b] = ins else { panic!("two inputs") };
+            let lanes = a.chunks_exact(8).zip(b.chunks_exact(8));
+            for (r, (a, b)) in result.chunks_exact_mut(8).zip(lanes) {
+                (f64::read_le(a) - 4.0 * f64::read_le(b)).write_le(r);
+            }
+        };
+        out.compute_from(4, 10, &[&x, &y], &mut add).unwrap();
+        for (i, value) in out.to_vec().unwrap().into_iter().enumerate() {
+            let want = if (4..14).contains(&i) {
+                values[i] + 8.0
+            } else {
+                0.0
+            };
+            assert_eq!(value, want, "element {i}");
         }
-        // Raw stores land as typed values.
-        let mut encoded = [0u8; 16];
-        (-2.0f64).write_le(&mut encoded[..8]);
-        (7.25f64).write_le(&mut encoded[8..]);
-        array.store_le_bytes(62, &encoded).unwrap();
-        assert_eq!(array.get(62).unwrap(), -2.0);
-        assert_eq!(array.get(63).unwrap(), 7.25);
-        // A partial trailing element is fine; running past the array is not.
-        let mut partial = [0u8; 12];
-        array.load_le_bytes(62, &mut partial).unwrap();
-        assert_eq!(&partial[..8], &encoded[..8]);
-        assert!(array.load_le_bytes(63, &mut partial).is_err());
-        assert!(array.store_le_bytes(63, &encoded).is_err());
-        assert!(array.store_le_bytes(u64::MAX, &encoded).is_err());
-        array.load_le_bytes(64, &mut []).unwrap();
+        // The input order is the caller's.
+        out.compute_from(0, 1, &[&y, &x], &mut add).unwrap();
+        assert_eq!(out.get(0).unwrap(), -2.0);
+
+        // A range past any of the arrays, the output as its own input, a
+        // third input and another pool's array are refused, and move nothing.
+        let short = PersistentArray::<f64>::allocate(&pool, 8).unwrap();
+        let other_pool = self::pool();
+        let foreign = PersistentArray::<f64>::allocate(&other_pool, 64).unwrap();
+        let before = out.to_vec().unwrap();
+        let mut calls = 0;
+        let mut count = |_: &[&[u8]], _: &mut [u8]| calls += 1;
+        for (refused, what) in [
+            (
+                out.compute_from(60, 5, &[&x], &mut count),
+                "past the output",
+            ),
+            (
+                out.compute_from(6, 4, &[&short], &mut count),
+                "past an input",
+            ),
+            (out.compute_from(u64::MAX, 2, &[&x], &mut count), "wrapping"),
+        ] {
+            assert!(
+                matches!(
+                    refused,
+                    Err(PmemError::OutOfBounds { .. } | PmemError::SizeOverflow)
+                ),
+                "{what}: {refused:?}"
+            );
+        }
+        assert!(matches!(
+            out.compute_from(0, 4, &[&out], &mut count),
+            Err(PmemError::Apply(_))
+        ));
+        assert!(matches!(
+            out.compute_from(0, 4, &[&x, &y, &x], &mut count),
+            Err(PmemError::Apply(_))
+        ));
+        assert!(matches!(
+            out.compute_from(0, 4, &[&foreign], &mut count),
+            Err(PmemError::InvalidOid)
+        ));
+        // An array whose oid is not element-aligned would split elements
+        // across pieces.
+        let shifted = PmemOid::new(pool.uuid(), x.typed_oid().oid().offset + 4);
+        let misaligned = PersistentArray::<f64>::from_oid(&pool, TypedOid::new(shifted, 8));
+        for refused in [
+            out.compute_from(0, 4, &[&misaligned], &mut count),
+            misaligned.compute_from(0, 4, &[&y], &mut count),
+        ] {
+            assert!(matches!(refused, Err(PmemError::InvalidOid)), "{refused:?}");
+        }
+        out.compute_from(64, 0, &[&x], &mut count).unwrap();
+        assert_eq!(calls, 0);
+        assert_eq!(out.to_vec().unwrap(), before);
     }
 
     #[test]

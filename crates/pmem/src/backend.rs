@@ -17,11 +17,22 @@
 //! * Any other implementation supplied by a caller — the `cxl-pmem` crate
 //!   provides one that stores bytes on a whole `cxl::Type3Device`, which is
 //!   the paper's single-host configuration (a pool living on the expander).
+//!
+//! Besides reads and writes, a backend runs computations on its stored bytes
+//! ([`PoolBackend::apply_at`]): a kernel reads up to two ranges and writes a
+//! third, as STREAM-PMem's kernels load and store the arrays of a pool on a
+//! DAX mount. A backend whose bytes live in a `cxl::SparseMemory` — the
+//! expander backend and [`VolatileBackend`] — runs the kernel on those bytes
+//! in place. Every other backend keeps the provided method, which stages
+//! each piece through per-thread buffers with one `read_at` per input and
+//! one `write_at` per output.
 
 use crate::error::PmemError;
 use crate::Result;
-use cxl::SharedRegion;
+use cxl::sparse::{ranges_overlap, ApplyFn, MAX_APPLY_INPUTS};
+use cxl::{SharedRegion, SparseMemory};
 use parking_lot::RwLock;
+use std::cell::Cell;
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
@@ -35,6 +46,35 @@ pub trait PoolBackend: Send + Sync {
     fn read_at(&self, offset: u64, buf: &mut [u8]) -> Result<()>;
     /// Writes `data` at `offset`.
     fn write_at(&self, offset: u64, data: &[u8]) -> Result<()>;
+    /// Runs `f` on the stored bytes: `f` reads `len` bytes at each offset of
+    /// `inputs`, in the order given, and writes `len` bytes at `output`.
+    ///
+    /// The ranges arrive in pieces that start at the same offset into every
+    /// range; for any power of two up to 32 KiB that divides every offset
+    /// and `len`, each piece's start and length are multiples of it too, so
+    /// the pieces of element-aligned ranges hold whole elements. `f` must
+    /// write every byte of its output piece, whose contents on entry are
+    /// unspecified, and must not reach the backend itself: an in-place
+    /// backend holds the piece's locks while `f` runs. A piece is written
+    /// whole or, on error, the call stops.
+    ///
+    /// Refuses, before reading or writing anything, a range out of bounds,
+    /// more than two inputs, or an input overlapping the output
+    /// ([`check_apply`]). The provided body stages each piece of up to
+    /// [`APPLY_PIECE_BYTES`] through buffers the calling thread keeps between
+    /// calls: one `read_at` per input and one `write_at` for the output,
+    /// with no allocation after a thread's first call.
+    fn apply_at(&self, inputs: &[u64], output: u64, len: usize, f: &mut ApplyFn<'_>) -> Result<()> {
+        check_apply(self.capacity(), inputs, output, len)?;
+        // A call nested in one of this call's transfers finds the buffers
+        // taken and stages through buffers of its own.
+        let mut stage = APPLY_STAGE
+            .with(Cell::take)
+            .unwrap_or_else(|| vec![0u8; STAGE_BYTES].into_boxed_slice());
+        let result = staged_apply(self, &mut stage, inputs, output, len, f);
+        APPLY_STAGE.with(|cell| cell.set(Some(stage)));
+        result
+    }
     /// Makes the byte range durable (CLWB+SFENCE / `msync` equivalent).
     fn persist(&self, offset: u64, len: u64) -> Result<()>;
     /// Whether the store survives power loss.
@@ -45,6 +85,55 @@ pub trait PoolBackend: Send + Sync {
 
 /// A cheaply clonable shared handle to a backend.
 pub type SharedBackend = Arc<dyn PoolBackend>;
+
+/// Bytes of each range the provided [`PoolBackend::apply_at`] stages per
+/// piece: one 32 KiB block of a STREAM-PMem worker moves in one call per
+/// range.
+pub const APPLY_PIECE_BYTES: usize = 32 * 1024;
+
+/// The provided `apply_at`'s staging buffers: one piece per input, then one
+/// for the output.
+const STAGE_BYTES: usize = (MAX_APPLY_INPUTS + 1) * APPLY_PIECE_BYTES;
+
+thread_local! {
+    /// This thread's staging buffers, kept between `apply_at` calls so a
+    /// call neither allocates nor zeroes them.
+    static APPLY_STAGE: Cell<Option<Box<[u8]>>> = const { Cell::new(None) };
+}
+
+/// The provided [`PoolBackend::apply_at`] after its checks: stages each piece
+/// through `stage` ([`STAGE_BYTES`] long).
+fn staged_apply<B: PoolBackend + ?Sized>(
+    backend: &B,
+    stage: &mut [u8],
+    inputs: &[u64],
+    output: u64,
+    len: usize,
+    f: &mut ApplyFn<'_>,
+) -> Result<()> {
+    // in-bounds: stage holds STAGE_BYTES, past the inputs' pieces.
+    let (staged, result) = stage.split_at_mut(MAX_APPLY_INPUTS * APPLY_PIECE_BYTES);
+    let mut done = 0usize;
+    while done < len {
+        let take = APPLY_PIECE_BYTES.min(len - done);
+        for (buf, &at) in staged.chunks_exact_mut(APPLY_PIECE_BYTES).zip(inputs) {
+            // in-bounds: take ≤ APPLY_PIECE_BYTES, the piece buffer's length.
+            backend.read_at(at + done as u64, &mut buf[..take])?;
+        }
+        let mut ins: [&[u8]; MAX_APPLY_INPUTS] = [&[]; MAX_APPLY_INPUTS];
+        for (slice, buf) in ins.iter_mut().zip(staged.chunks_exact(APPLY_PIECE_BYTES)) {
+            // in-bounds: take ≤ APPLY_PIECE_BYTES, the piece buffer's length.
+            *slice = &buf[..take];
+        }
+        // in-bounds: take ≤ APPLY_PIECE_BYTES = result.len().
+        let out = &mut result[..take];
+        // in-bounds: check_apply proved inputs.len() ≤ MAX_APPLY_INPUTS.
+        f(&ins[..inputs.len()], out);
+        backend.write_at(output + done as u64, out)?;
+        done += take;
+    }
+    Ok(())
+}
 
 /// Checks that `[offset, offset + len)` lies inside a backend of `capacity`
 /// bytes. The end is computed with `checked_add`, so an offset near
@@ -63,12 +152,34 @@ pub fn check_bounds(capacity: u64, offset: u64, len: usize) -> Result<()> {
     Ok(())
 }
 
+/// Checks the ranges of a [`PoolBackend::apply_at`] call on a backend of
+/// `capacity` bytes: at most two inputs, every range of `len` bytes in bounds
+/// ([`check_bounds`]), and no input overlapping the output.
+pub fn check_apply(capacity: u64, inputs: &[u64], output: u64, len: usize) -> Result<()> {
+    if inputs.len() > MAX_APPLY_INPUTS {
+        return Err(PmemError::Apply("more than two inputs"));
+    }
+    check_bounds(capacity, output, len)?;
+    for &input in inputs {
+        check_bounds(capacity, input, len)?;
+        if ranges_overlap(input, output, len) {
+            return Err(PmemError::Apply("an input overlaps the output"));
+        }
+    }
+    Ok(())
+}
+
 /// An in-memory backend. Clones share the same storage, so a "crashed" pool
 /// can be reopened over the same bytes — emulating a machine whose DRAM-based
 /// PMem (battery-backed or CXL expander) retained its content.
+///
+/// The bytes live in a [`cxl::SparseMemory`], the store the expander model
+/// uses: locked per 64 KiB chunk, so workers on disjoint chunks never
+/// contend, and materialised on first write. A transfer is atomic per chunk,
+/// as on the device.
 #[derive(Clone)]
 pub struct VolatileBackend {
-    bytes: Arc<RwLock<Vec<u8>>>,
+    memory: Arc<SparseMemory>,
     persistent: bool,
 }
 
@@ -77,7 +188,7 @@ impl VolatileBackend {
     /// non-persistent.
     pub fn new(capacity: u64) -> Self {
         VolatileBackend {
-            bytes: Arc::new(RwLock::new(vec![0u8; capacity as usize])),
+            memory: Arc::new(SparseMemory::new(capacity)),
             persistent: false,
         }
     }
@@ -93,28 +204,30 @@ impl VolatileBackend {
 
     /// Number of independent handles to this storage.
     pub fn handle_count(&self) -> usize {
-        Arc::strong_count(&self.bytes)
+        Arc::strong_count(&self.memory)
     }
 }
 
 impl PoolBackend for VolatileBackend {
     fn capacity(&self) -> u64 {
-        self.bytes.read().len() as u64
+        self.memory.capacity()
     }
 
     fn read_at(&self, offset: u64, buf: &mut [u8]) -> Result<()> {
-        let bytes = self.bytes.read();
-        check_bounds(bytes.len() as u64, offset, buf.len())?;
-        // in-bounds: check_bounds proved offset + buf.len() ≤ bytes.len().
-        buf.copy_from_slice(&bytes[offset as usize..offset as usize + buf.len()]);
+        check_bounds(self.capacity(), offset, buf.len())?;
+        self.memory.read(offset, buf);
         Ok(())
     }
 
     fn write_at(&self, offset: u64, data: &[u8]) -> Result<()> {
-        let mut bytes = self.bytes.write();
-        check_bounds(bytes.len() as u64, offset, data.len())?;
-        // in-bounds: check_bounds proved offset + data.len() ≤ bytes.len().
-        bytes[offset as usize..offset as usize + data.len()].copy_from_slice(data);
+        check_bounds(self.capacity(), offset, data.len())?;
+        self.memory.write(offset, data);
+        Ok(())
+    }
+
+    fn apply_at(&self, inputs: &[u64], output: u64, len: usize, f: &mut ApplyFn<'_>) -> Result<()> {
+        check_apply(self.capacity(), inputs, output, len)?;
+        self.memory.apply(inputs, output, len, f);
         Ok(())
     }
 
@@ -390,6 +503,58 @@ mod tests {
         assert!(b.read_at(4 * MIB - 8, &mut big).is_err());
         assert!(a.is_persistent());
         assert!(b.describe().contains("host 1"));
+    }
+
+    #[test]
+    fn in_place_and_staged_apply_agree() {
+        // The volatile backend computes in its store; the file backend takes
+        // the provided staging path. Both see the same bytes and write the
+        // same result, over a range of several chunks and staging pieces.
+        let path = std::env::temp_dir().join(format!("pmem-apply-{}.obj", std::process::id()));
+        let size = 512 * 1024;
+        let volatile = VolatileBackend::new(size);
+        let file = FileBackend::create(&path, size).unwrap();
+        let data: Vec<u8> = (0..200_000u32).map(|i| (i * 7 % 251) as u8).collect();
+        let backends: [&dyn PoolBackend; 2] = [&volatile, &file];
+        for backend in backends {
+            backend.write_at(1000, &data).unwrap();
+            let mut pieces = 0;
+            backend
+                .apply_at(&[1000, 1004], 300_000, 150_000, &mut |ins, out| {
+                    for ((o, a), b) in out.iter_mut().zip(ins[0]).zip(ins[1]) {
+                        *o = a.wrapping_sub(*b);
+                    }
+                    pieces += 1;
+                })
+                .unwrap();
+            assert!(pieces >= 3, "{}: {pieces} pieces", backend.describe());
+            let mut back = vec![0u8; 150_000];
+            backend.read_at(300_000, &mut back).unwrap();
+            for (i, &b) in back.iter().enumerate() {
+                assert_eq!(b, data[i].wrapping_sub(data[i + 4]), "byte {i}");
+            }
+            // Refused: out of bounds, overlapping, three inputs.
+            let mut ran = false;
+            let mut mark = |_: &[&[u8]], _: &mut [u8]| ran = true;
+            assert!(matches!(
+                backend.apply_at(&[0], size - 10, 64, &mut mark),
+                Err(PmemError::OutOfBounds { .. })
+            ));
+            assert!(matches!(
+                backend.apply_at(&[u64::MAX - 10], 0, 64, &mut mark),
+                Err(PmemError::SizeOverflow)
+            ));
+            assert!(matches!(
+                backend.apply_at(&[300_100], 300_000, 150_000, &mut mark),
+                Err(PmemError::Apply(_))
+            ));
+            assert!(matches!(
+                backend.apply_at(&[0, 64, 128], 4096, 64, &mut mark),
+                Err(PmemError::Apply(_))
+            ));
+            assert!(!ran);
+        }
+        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]

@@ -71,6 +71,9 @@ pub enum PmemError {
     /// A lookup named an object id with no committed version in the store's
     /// directory.
     NoSuchObject(u64),
+    /// An in-place computation was refused: more inputs than a backend reads
+    /// in one call, or an input range overlapping the output range.
+    Apply(&'static str),
 }
 
 impl fmt::Display for PmemError {
@@ -115,6 +118,7 @@ impl fmt::Display for PmemError {
             PmemError::NoSuchObject(id) => {
                 write!(f, "object {id} has no committed version in this store")
             }
+            PmemError::Apply(msg) => write!(f, "in-place computation refused: {msg}"),
         }
     }
 }

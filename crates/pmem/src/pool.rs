@@ -17,6 +17,7 @@ use crate::oid::PmemOid;
 use crate::persist::{PersistStats, PersistTracker};
 use crate::tx::{CrashPoint, Transaction, TxLog};
 use crate::Result;
+use cxl::sparse::ApplyFn;
 use parking_lot::Mutex;
 use std::path::Path;
 use std::sync::Arc;
@@ -386,6 +387,21 @@ impl PmemPool {
     /// Writes raw bytes at a pool offset (non-transactional).
     pub fn write(&self, offset: u64, data: &[u8]) -> Result<()> {
         self.backend.write_at(offset, data)
+    }
+
+    /// Runs `f` on the pool's stored bytes in place: reads `len` bytes at
+    /// each offset of `inputs` and writes `len` bytes at `output`
+    /// (non-transactional, like [`write`](Self::write)). See
+    /// [`PoolBackend::apply_at`](crate::PoolBackend::apply_at) for the pieces
+    /// `f` sees and the ranges refused.
+    pub fn apply(
+        &self,
+        inputs: &[u64],
+        output: u64,
+        len: usize,
+        f: &mut ApplyFn<'_>,
+    ) -> Result<()> {
+        self.backend.apply_at(inputs, output, len, f)
     }
 
     /// Makes a byte range durable (`pmem_persist` equivalent).

@@ -11,10 +11,8 @@
 //! The module is safe code. [`ChunkedArrays::new`] cuts the three exclusively
 //! borrowed arrays at the [`numa::chunk_for`] boundaries with `split_at_mut`,
 //! so the borrow checker proves the windows disjoint, and parks each window
-//! in a one-shot slot that its worker takes out. [`PerWorker`] keeps reusable
-//! per-worker scratch (the STREAM-PMem staging buffers) behind one lock per
-//! worker. Each worker locks only its own slot, once per kernel invocation,
-//! so no lock is ever contended.
+//! in a one-shot slot that its worker takes out. Each worker locks only its
+//! own slot, once per kernel invocation, so no lock is ever contended.
 
 use crate::kernels::Kernel;
 use numa::{chunk_for, PinnedPool, WorkerCtx};
@@ -50,8 +48,8 @@ impl AccessSink for cxl_pmem::AccessTracker {
 /// `sink` using STREAM's byte-accounting rules — one read per input array the
 /// kernel consumes, one write for its output array. The single definition
 /// both hot paths share: the in-place engine samples through
-/// [`ArrayChunk::record_access`], the staged STREAM-PMem path calls it with
-/// its worker window directly, so volatile and pmem heat stay comparable.
+/// [`ArrayChunk::record_access`], the STREAM-PMem path calls it with its
+/// worker window directly, so volatile and pmem heat stay comparable.
 pub fn record_kernel_span(sink: &dyn AccessSink, kernel: Kernel, lo: usize, hi: usize) {
     if lo >= hi {
         return;
@@ -183,55 +181,6 @@ impl<'a> ChunkedArrays<'a> {
         };
         let window = slot.lock().take();
         window.unwrap_or_else(|| panic!("chunk {thread} claimed twice"))
-    }
-}
-
-/// Reusable per-worker mutable state (scratch buffers, counters), one lock
-/// per worker.
-///
-/// Unlike [`ChunkedArrays`], slots are reusable: a worker re-enters its slot
-/// on every kernel invocation, but two concurrent claims of the same slot
-/// panic instead of waiting.
-pub struct PerWorker<T> {
-    slots: Vec<Mutex<T>>,
-}
-
-impl<T> PerWorker<T> {
-    /// Creates `n` slots, initialising slot `i` with `init(i)`.
-    pub fn new(n: usize, init: impl FnMut(usize) -> T) -> Self {
-        PerWorker {
-            slots: (0..n).map(init).map(Mutex::new).collect(),
-        }
-    }
-
-    /// Number of slots.
-    pub fn len(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// Whether there are no slots.
-    pub fn is_empty(&self) -> bool {
-        self.slots.is_empty()
-    }
-
-    /// Runs `f` with exclusive access to slot `thread`. The slot is released
-    /// when `f` returns or unwinds.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `thread` is out of range or the slot is currently claimed by
-    /// another caller.
-    pub fn with<R>(&self, thread: usize, f: impl FnOnce(&mut T) -> R) -> R {
-        let Some(mut slot) = self.slots[thread].try_lock() else {
-            panic!("per-worker slot {thread} claimed concurrently");
-        };
-        f(&mut slot)
-    }
-
-    /// Mutable iteration over all slots (requires exclusive ownership, so no
-    /// locking is needed).
-    pub fn iter_mut(&mut self) -> impl Iterator<Item = &mut T> {
-        self.slots.iter_mut().map(Mutex::get_mut)
     }
 }
 
@@ -368,34 +317,56 @@ mod tests {
 
     #[test]
     fn per_worker_slots_are_exclusive_and_reusable() {
+        // Each run builds fresh one-shot slots: every worker claims its own
+        // window exactly once per run, and the next run hands out new ones.
         let pool = pool(6);
-        let scratch: PerWorker<Vec<u64>> = PerWorker::new(6, |_| Vec::new());
-        for round in 0..3u64 {
-            pool.run(|ctx| {
-                scratch.with(ctx.thread, |buf| buf.push(round));
+        let (mut a, mut b, mut c) = (vec![0.0; 100], vec![0.0; 100], vec![0.0; 100]);
+        for round in 0..3 {
+            let claimed = run_partitioned(&pool, &mut a, &mut b, &mut c, |ctx, chunk| {
+                chunk.c.fill(f64::from(round));
+                (ctx.thread, chunk.lo, chunk.hi)
             });
-        }
-        let mut scratch = scratch;
-        for buf in scratch.iter_mut() {
-            assert_eq!(*buf, vec![0, 1, 2], "each slot sees every round once");
+            for (thread, &(claimer, lo, hi)) in claimed.iter().enumerate() {
+                assert_eq!(claimer, thread, "each slot claimed by its own worker");
+                assert_eq!((lo, hi), chunk_for(thread, 6, 100));
+            }
+            assert!(c.iter().all(|&x| x == f64::from(round)), "round {round}");
         }
     }
 
     #[test]
-    #[should_panic(expected = "claimed concurrently")]
+    #[should_panic(expected = "claimed twice")]
     fn per_worker_nested_claim_panics() {
-        let scratch: PerWorker<u32> = PerWorker::new(2, |_| 0);
-        scratch.with(0, |_| scratch.with(0, |v| *v += 1));
+        // A worker that claims its window while holding it panics instead
+        // of receiving a second `&mut` to the same elements; the panic
+        // reaches the submitter.
+        let pool = pool(2);
+        let (mut a, mut b, mut c) = (vec![0.0; 16], vec![0.0; 16], vec![0.0; 16]);
+        let arrays = ChunkedArrays::new(&mut a, &mut b, &mut c, 2);
+        pool.run(|ctx| {
+            let _held = arrays.chunk(ctx.thread);
+            let _again = arrays.chunk(ctx.thread);
+        });
     }
 
     #[test]
     fn per_worker_releases_slot_after_panic() {
-        let scratch: PerWorker<u32> = PerWorker::new(1, |_| 0);
+        let pool = pool(2);
+        let (mut a, mut b, mut c) = (vec![1.0; 64], vec![2.0; 64], vec![0.0; 64]);
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            scratch.with(0, |_| panic!("worker died"));
+            run_partitioned(&pool, &mut a, &mut b, &mut c, |ctx, _chunk| {
+                if ctx.thread == 1 {
+                    panic!("worker died");
+                }
+            });
         }));
-        assert!(result.is_err());
-        // The claim must have been released on unwind.
-        scratch.with(0, |v| *v = 7);
+        let payload = result.expect_err("the worker's panic propagates");
+        assert_eq!(payload.downcast_ref::<&str>(), Some(&"worker died"));
+        // The pool and the arrays stay usable: the next run claims fresh
+        // slots and every window computes.
+        run_partitioned(&pool, &mut a, &mut b, &mut c, |_ctx, chunk| {
+            Kernel::Add.apply(chunk.a, chunk.b, chunk.c, 3.0);
+        });
+        assert!(c.iter().all(|&x| x == 3.0));
     }
 }

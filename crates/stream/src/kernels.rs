@@ -78,8 +78,8 @@ impl Kernel {
 
     /// Which of the three arrays (`a`, `b`, `c`) the kernel reads.
     ///
-    /// The zero-copy STREAM-PMem path uses this to stage only the inputs a
-    /// chunk actually consumes instead of round-tripping all three arrays.
+    /// STREAM-PMem hands its in-place kernels exactly these arrays, in
+    /// `a, b, c` order, and the access tracker counts one read for each.
     pub fn reads(&self) -> (bool, bool, bool) {
         match self {
             Kernel::Copy => (true, false, false),
@@ -131,16 +131,19 @@ impl Kernel {
         }
     }
 
-    /// Applies the kernel to a block of the arrays' stored form: `a`, `b`,
-    /// `c` are same-length byte slices holding little-endian `f64`s, as
-    /// persistent arrays keep them. The App-Direct path computes on its
-    /// staged bytes directly instead of decoding them into `f64` scratch
-    /// and encoding the result back. Results are bit-identical to
-    /// [`apply`](Self::apply).
-    pub(crate) fn apply_le(&self, a: &mut [u8], b: &mut [u8], c: &mut [u8], scalar: f64) {
-        debug_assert_eq!(a.len(), b.len());
-        debug_assert_eq!(a.len(), c.len());
-        debug_assert_eq!(a.len() % 8, 0);
+    /// Applies the kernel to a piece of the arrays' stored form: `ins` are
+    /// the arrays the kernel [`reads`](Self::reads), in `a, b, c` order, and
+    /// `out` the one it writes, all same-length byte slices holding
+    /// little-endian `f64`s as persistent arrays keep them. STREAM-PMem runs
+    /// it on the pool's own bytes, with no decoding into `f64` scratch.
+    /// Results are bit-identical to [`apply`](Self::apply).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `ins` does not hold one slice per array the kernel reads.
+    pub(crate) fn apply_le(&self, ins: &[&[u8]], out: &mut [u8], scalar: f64) {
+        debug_assert!(ins.iter().all(|input| input.len() == out.len()));
+        debug_assert_eq!(out.len() % 8, 0);
         fn lanes(bytes: &[u8]) -> impl Iterator<Item = f64> + '_ {
             bytes
                 .chunks_exact(8)
@@ -149,24 +152,43 @@ impl Kernel {
         fn store(out: &mut [u8], value: f64) {
             out.copy_from_slice(&value.to_le_bytes());
         }
-        match self {
-            Kernel::Copy => c.copy_from_slice(a),
-            Kernel::Scale => {
-                for (b, c) in b.chunks_exact_mut(8).zip(lanes(c)) {
+        match (self, ins) {
+            (Kernel::Copy, [a]) => out.copy_from_slice(a),
+            (Kernel::Scale, [c]) => {
+                for (b, c) in out.chunks_exact_mut(8).zip(lanes(c)) {
                     store(b, scalar * c);
                 }
             }
-            Kernel::Add => {
-                for ((c, a), b) in c.chunks_exact_mut(8).zip(lanes(a)).zip(lanes(b)) {
+            (Kernel::Add, [a, b]) => {
+                for ((c, a), b) in out.chunks_exact_mut(8).zip(lanes(a)).zip(lanes(b)) {
                     store(c, a + b);
                 }
             }
-            Kernel::Triad => {
-                for ((a, b), c) in a.chunks_exact_mut(8).zip(lanes(b)).zip(lanes(c)) {
+            (Kernel::Triad, [b, c]) => {
+                for ((a, b), c) in out.chunks_exact_mut(8).zip(lanes(b)).zip(lanes(c)) {
                     store(a, b + scalar * c);
                 }
             }
+            _ => panic!(
+                "{} takes {} inputs, got {}",
+                self.name(),
+                self.read_bytes_per_element() / 8,
+                ins.len()
+            ),
         }
+    }
+}
+
+/// The relative error of `value` against `expected`, as STREAM's validation
+/// computes it, with a NaN counted as an infinite error. The largest error
+/// over the arrays is then non-finite whenever an element is NaN or
+/// infinite, and fails every `validate() < bound` check.
+pub(crate) fn relative_error(value: f64, expected: f64) -> f64 {
+    let err = ((value - expected) / expected).abs();
+    if err.is_nan() {
+        f64::INFINITY
+    } else {
+        err
     }
 }
 
@@ -332,11 +354,27 @@ mod tests {
             for kernel in Kernel::ALL {
                 let (mut a1, mut b1, mut c1) = (a0.to_vec(), b0.to_vec(), c0.to_vec());
                 kernel.apply(&mut a1, &mut b1, &mut c1, scalar);
-                let (mut a2, mut b2, mut c2) = (encode(a0), encode(b0), encode(c0));
-                kernel.apply_le(&mut a2, &mut b2, &mut c2, scalar);
-                prop_assert_eq!(encode(&a1), a2);
-                prop_assert_eq!(encode(&b1), b2);
-                prop_assert_eq!(encode(&c1), c2);
+                // The stored arrays, the kernel's inputs among them in
+                // `a, b, c` order, and its output.
+                let mut stored = [encode(a0), encode(b0), encode(c0)];
+                let (reads_a, reads_b, reads_c) = kernel.reads();
+                let ins: Vec<&[u8]> = [reads_a, reads_b, reads_c]
+                    .into_iter()
+                    .zip(&stored)
+                    .filter(|(reads, _)| *reads)
+                    .map(|(_, bytes)| &bytes[..])
+                    .collect();
+                let mut out = vec![0u8; 8 * len];
+                kernel.apply_le(&ins, &mut out, scalar);
+                let written = match kernel.output() {
+                    StreamArray::A => 0,
+                    StreamArray::B => 1,
+                    StreamArray::C => 2,
+                };
+                stored[written] = out;
+                prop_assert_eq!(&encode(&a1), &stored[0]);
+                prop_assert_eq!(&encode(&b1), &stored[1]);
+                prop_assert_eq!(&encode(&c1), &stored[2]);
             }
         }
 

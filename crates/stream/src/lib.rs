@@ -10,13 +10,14 @@
 //!   analytic validation values from the reference implementation.
 //! * [`exec`] — the zero-copy parallel execution engine, in safe code:
 //!   per-worker disjoint `&mut` windows over the three arrays (split with
-//!   `split_at_mut`) and reusable per-worker scratch behind one lock per
-//!   worker. Its [`exec::AccessSink`] hook samples every worker window into
-//!   the adaptive tiering engine's per-chunk heat counters.
+//!   `split_at_mut`), each in a one-shot slot its worker claims. Its
+//!   [`exec::AccessSink`] hook samples every worker window into the adaptive
+//!   tiering engine's per-chunk heat counters.
 //! * [`volatile`] — STREAM over ordinary heap arrays, parallelised with the
 //!   affinity-aware [`numa::PinnedPool`].
 //! * [`pmem_stream`] — STREAM-PMem over [`pmem::PersistentArray`]s living in a
-//!   pool (optionally a pool on the CXL expander).
+//!   pool (optionally a pool on the CXL expander), its kernels computing on
+//!   the pool's stored bytes in place.
 //! * [`report`] — per-kernel bandwidth bookkeeping (best-of-N, as STREAM
 //!   reports).
 //! * [`runner`] — the bridge to the analytical machine model: converts a
@@ -76,7 +77,7 @@ pub mod report;
 pub mod runner;
 pub mod volatile;
 
-pub use exec::{AccessSink, ArrayChunk, ChunkedArrays, PerWorker};
+pub use exec::{AccessSink, ArrayChunk, ChunkedArrays};
 pub use kernels::{Kernel, StreamArray, StreamConfig};
 pub use pmem_stream::PmemStream;
 pub use report::{BandwidthReport, KernelMeasurement};

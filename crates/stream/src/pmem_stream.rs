@@ -6,27 +6,24 @@
 //! the CXL expander by `cxl-pmem` — which is exactly the programming-model
 //! portability argument the paper makes.
 //!
-//! The execution core is block-staged. Each worker streams its share of the
-//! arrays through blocks of 4096 elements: it loads the block of each array
-//! its kernel *reads* into a small per-worker staging buffer, computes on the
-//! staged little-endian bytes (`Kernel::apply_le`), and stores the block of
-//! the one array the kernel *writes*. The staging buffers are a few tens of
-//! KiB and stay in the worker's cache, so the only memory traffic is the
-//! device's own — the same bytes STREAM counts — and no invocation
-//! allocates. Workers share their chunks in pairs, claiming blocks from
-//! opposite ends, so one slowed worker does not hold up the invocation
-//! (`claim_blocks`). Each worker then issues one `flush` for the contiguous
-//! range it wrote, and a single `drain` fence per kernel invocation makes
-//! every range durable: the persist-granularity batching that keeps the PMDK
-//! overhead at the paper's 10–15 % instead of a per-range fence storm.
-//!
-//! The staging buffers live **with the stream**, matching the persistent
-//! [`PinnedPool`] worker lifecycle: the resident workers re-claim the same
-//! [`PerWorker`] slots on every `run` (and every epoch within a run) instead
-//! of getting freshly allocated staging buffers per call.
+//! The kernels compute in place, as the paper's load and store the arrays
+//! of a pool on a DAX mount. Each worker walks its share of the arrays in
+//! blocks of 4096 elements and runs the kernel on each block through
+//! [`PersistentArray::compute_from`]: `Kernel::apply_le` reads the stored
+//! little-endian bytes of the arrays the kernel reads and writes those of
+//! the one it writes, straight in the pool's backing store. On a pool over
+//! the expander (`cxl_pmem::CxlDeviceBackend`) or over memory
+//! (`pmem::VolatileBackend`) nothing is copied: the only memory traffic is
+//! the bytes STREAM counts, and no invocation allocates.
+//! Workers share their chunks in pairs, claiming blocks from opposite ends,
+//! so one slowed worker does not hold up the invocation (`claim_blocks`).
+//! Each worker then issues one `flush` for the contiguous range it wrote,
+//! and a single `drain` fence per kernel invocation makes every range
+//! durable: the persist-granularity batching that keeps the PMDK overhead at
+//! the paper's 10–15 % instead of a per-range fence storm.
 
-use crate::exec::{AccessSink, PerWorker};
-use crate::kernels::{Kernel, StreamArray, StreamConfig};
+use crate::exec::AccessSink;
+use crate::kernels::{relative_error, Kernel, StreamArray, StreamConfig};
 use crate::report::{BandwidthReport, KernelMeasurement};
 use numa::{chunk_for, PinnedPool, WorkerCtx};
 use pmem::{PersistentArray, PmemPool, Result as PmemResult, TypedOid};
@@ -34,13 +31,13 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Elements per staged block: 32 KiB of each array, so a worker's three
-/// staging buffers fit its L2 cache while each block still moves through
-/// the backend in one call.
-const STAGE_BLOCK: usize = 4096;
+/// Elements per claimed block: 32 KiB of each array, which the backend's
+/// in-place path covers in a few chunk pieces, and its staging fallback in
+/// one call per array.
+const CLAIM_BLOCK: usize = 4096;
 
-/// Stages worker `ctx`'s share of `elements` through `stage`, one call per
-/// block `[at, end)` of at most [`STAGE_BLOCK`] elements, and returns the
+/// Runs `compute` over worker `ctx`'s share of `elements`, one call per
+/// block `[at, end)` of at most [`CLAIM_BLOCK`] elements, and returns the
 /// contiguous range the worker covered.
 ///
 /// Workers run in pairs (0 and 1, 2 and 3, ...) over the union of the pair's
@@ -58,27 +55,27 @@ fn claim_blocks(
     ctx: &WorkerCtx,
     elements: usize,
     claimed: &AtomicUsize,
-    mut stage: impl FnMut(usize, usize) -> PmemResult<()>,
+    mut compute: impl FnMut(usize, usize) -> PmemResult<()>,
 ) -> PmemResult<(usize, usize)> {
     let even = ctx.thread & !1;
     let (span_lo, _) = chunk_for(even, ctx.nthreads, elements);
     // An unpaired worker's span is its own chunk.
     let (_, span_hi) = chunk_for((even + 1).min(ctx.nthreads - 1), ctx.nthreads, elements);
-    let blocks = (span_hi - span_lo).div_ceil(STAGE_BLOCK);
+    let blocks = (span_hi - span_lo).div_ceil(CLAIM_BLOCK);
     if even + 1 >= ctx.nthreads || blocks < 2 {
         let (lo, hi) = ctx.chunk(elements);
         let mut at = lo;
         while at < hi {
-            let end = hi.min(at + STAGE_BLOCK);
-            stage(at, end)?;
+            let end = hi.min(at + CLAIM_BLOCK);
+            compute(at, end)?;
             at = end;
         }
         return Ok((lo, hi));
     }
     let block = |i: usize| {
         (
-            span_lo + i * STAGE_BLOCK,
-            span_hi.min(span_lo + (i + 1) * STAGE_BLOCK),
+            span_lo + i * CLAIM_BLOCK,
+            span_hi.min(span_lo + (i + 1) * CLAIM_BLOCK),
         )
     };
     let from_back = ctx.thread % 2 == 1;
@@ -87,7 +84,7 @@ fn claim_blocks(
     while taken == 0 || claimed.fetch_add(1, Ordering::Relaxed) + 2 < blocks {
         let i = if from_back { blocks - 1 - taken } else { taken };
         let (at, end) = block(i);
-        stage(at, end)?;
+        compute(at, end)?;
         taken += 1;
     }
     Ok(if from_back {
@@ -97,25 +94,6 @@ fn claim_blocks(
     })
 }
 
-/// One worker's staging buffers: one block of each array's stored bytes,
-/// reused across every kernel invocation of every run of the stream.
-struct Scratch {
-    a: Vec<u8>,
-    b: Vec<u8>,
-    c: Vec<u8>,
-}
-
-impl Scratch {
-    fn new() -> Self {
-        let block = || vec![0u8; STAGE_BLOCK * 8];
-        Scratch {
-            a: block(),
-            b: block(),
-            c: block(),
-        }
-    }
-}
-
 /// STREAM-PMem over three persistent arrays in a pool.
 pub struct PmemStream<'p> {
     config: StreamConfig,
@@ -123,10 +101,6 @@ pub struct PmemStream<'p> {
     a: PersistentArray<'p, f64>,
     b: PersistentArray<'p, f64>,
     c: PersistentArray<'p, f64>,
-    /// Staging buffers owned for the stream's lifetime; slot `t` is re-claimed
-    /// by resident worker `t` on every epoch. Re-sized lazily when a run uses
-    /// a pool with a different worker count.
-    scratch: PerWorker<Scratch>,
     /// Optional access-sampling sink (the tiering engine's heat counters).
     tracker: Option<Arc<dyn AccessSink>>,
 }
@@ -162,7 +136,6 @@ impl<'p> PmemStream<'p> {
             a,
             b,
             c,
-            scratch: PerWorker::new(0, |_| Scratch::new()),
             tracker: None,
         })
     }
@@ -175,13 +148,12 @@ impl<'p> PmemStream<'p> {
             a: PersistentArray::from_oid(pool, root.a),
             b: PersistentArray::from_oid(pool, root.b),
             c: PersistentArray::from_oid(pool, root.c),
-            scratch: PerWorker::new(0, |_| Scratch::new()),
             tracker: None,
         }
     }
 
-    /// Attaches (or detaches) an access-sampling sink — every worker's staged
-    /// window is recorded with the same byte accounting as the in-place path.
+    /// Attaches (or detaches) an access-sampling sink — every worker's window
+    /// is recorded with the same byte accounting as the in-place path.
     pub fn set_tracker(&mut self, tracker: Option<Arc<dyn AccessSink>>) {
         self.tracker = tracker;
     }
@@ -200,66 +172,59 @@ impl<'p> PmemStream<'p> {
         self.config
     }
 
-    /// One kernel invocation: each worker streams its share block by block
-    /// (load inputs, compute, store) and flushes the range it wrote once; one
-    /// drain fence covers the whole invocation.
-    fn run_kernel_once(
-        &self,
-        kernel: Kernel,
-        pool: &PinnedPool,
-        scratch: &PerWorker<Scratch>,
-    ) -> PmemResult<f64> {
-        let scalar = self.config.scalar;
-        let elements = self.config.elements;
-        let (reads_a, reads_b, reads_c) = kernel.reads();
-        let output = match kernel.output() {
+    /// The array `which` names.
+    fn array(&self, which: StreamArray) -> &PersistentArray<'p, f64> {
+        match which {
             StreamArray::A => &self.a,
             StreamArray::B => &self.b,
             StreamArray::C => &self.c,
-        };
+        }
+    }
+
+    /// One kernel invocation: each worker computes its share in place block
+    /// by block and flushes the range it wrote once; one drain fence covers
+    /// the whole invocation.
+    fn run_kernel_once(&self, kernel: Kernel, pool: &PinnedPool) -> PmemResult<f64> {
+        let scalar = self.config.scalar;
+        let elements = self.config.elements;
+        let output = self.array(kernel.output());
+        // The arrays the kernel reads, in `a, b, c` order (`apply_le`'s).
+        let (reads_a, reads_b, reads_c) = kernel.reads();
+        let mut inputs = [output; 2];
+        let mut count = 0;
+        for (reads, which) in [
+            (reads_a, StreamArray::A),
+            (reads_b, StreamArray::B),
+            (reads_c, StreamArray::C),
+        ] {
+            if reads {
+                inputs[count] = self.array(which);
+                count += 1;
+            }
+        }
+        let inputs = &inputs[..count];
         // One claim counter per pair of workers (see `claim_blocks`).
         let claims: Vec<AtomicUsize> = (0..pool.len().div_ceil(2))
             .map(|_| AtomicUsize::new(0))
             .collect();
         let start = Instant::now();
         let results: Vec<PmemResult<()>> = pool.run(|ctx: WorkerCtx| {
-            scratch.with(ctx.thread, |s| {
-                let stage = |at: usize, end: usize| -> PmemResult<()> {
-                    let bytes = (end - at) * 8;
-                    let (a, b, c) = (&mut s.a[..bytes], &mut s.b[..bytes], &mut s.c[..bytes]);
-                    // Stage only the inputs this kernel reads; the unread
-                    // buffers keep stale contents that the kernel never
-                    // looks at.
-                    let index = at as u64;
-                    if reads_a {
-                        self.a.load_le_bytes(index, a)?;
-                    }
-                    if reads_b {
-                        self.b.load_le_bytes(index, b)?;
-                    }
-                    if reads_c {
-                        self.c.load_le_bytes(index, c)?;
-                    }
-                    kernel.apply_le(a, b, c, scalar);
-                    let staged = match kernel.output() {
-                        StreamArray::A => a,
-                        StreamArray::B => b,
-                        StreamArray::C => c,
-                    };
-                    output.store_le_bytes(index, staged)
-                };
-                let (lo, hi) = claim_blocks(&ctx, elements, &claims[ctx.thread / 2], stage)?;
-                if lo == hi {
-                    return Ok(());
-                }
-                // Flush (no fence) the worker's whole written range; the
-                // caller issues a single drain for all chunks.
-                output.flush(lo as u64, (hi - lo) as u64)?;
-                if let Some(sink) = &self.tracker {
-                    crate::exec::record_kernel_span(sink.as_ref(), kernel, lo, hi);
-                }
-                Ok(())
-            })
+            let compute = |at: usize, end: usize| {
+                output.compute_from(at as u64, (end - at) as u64, inputs, &mut |ins, out| {
+                    kernel.apply_le(ins, out, scalar)
+                })
+            };
+            let (lo, hi) = claim_blocks(&ctx, elements, &claims[ctx.thread / 2], compute)?;
+            if lo == hi {
+                return Ok(());
+            }
+            // Flush (no fence) the worker's whole written range; the caller
+            // issues a single drain for all chunks.
+            output.flush(lo as u64, (hi - lo) as u64)?;
+            if let Some(sink) = &self.tracker {
+                crate::exec::record_kernel_span(sink.as_ref(), kernel, lo, hi);
+            }
+            Ok(())
         });
         for result in results {
             result?;
@@ -271,18 +236,11 @@ impl<'p> PmemStream<'p> {
 
     /// Runs the full STREAM-PMem sequence and returns per-kernel best-of-N
     /// bandwidths.
-    ///
-    /// The per-worker staging buffers are owned by the stream and persist
-    /// across calls: a second `run` on the same pool stages through the exact
-    /// same buffers, claimed epoch-by-epoch by the pool's resident workers.
     pub fn run(&mut self, pool: &PinnedPool) -> PmemResult<BandwidthReport> {
-        if self.scratch.len() != pool.len() {
-            self.scratch = PerWorker::new(pool.len(), |_| Scratch::new());
-        }
         let mut report = BandwidthReport::new(pool.len());
         for _ in 0..self.config.ntimes {
             for kernel in Kernel::ALL {
-                let seconds = self.run_kernel_once(kernel, pool, &self.scratch)?;
+                let seconds = self.run_kernel_once(kernel, pool)?;
                 report.record(KernelMeasurement {
                     kernel,
                     threads: pool.len(),
@@ -294,14 +252,9 @@ impl<'p> PmemStream<'p> {
         Ok(report)
     }
 
-    /// Number of per-worker scratch slots currently provisioned (0 before the
-    /// first run; thereafter the worker count of the last pool used).
-    pub fn scratch_slots(&self) -> usize {
-        self.scratch.len()
-    }
-
     /// Validates the persistent arrays against the analytic expected values;
-    /// returns the maximum relative error.
+    /// returns the maximum relative error, infinite if an element is NaN or
+    /// infinite.
     pub fn validate(&self) -> PmemResult<f64> {
         let (ea, eb, ec) = self.config.expected_values();
         let mut max_err = 0.0f64;
@@ -313,10 +266,7 @@ impl<'p> PmemStream<'p> {
                 let n = CHUNK.min((array.len() - index) as usize);
                 array.load_slice(index, &mut buf[..n])?;
                 for &v in &buf[..n] {
-                    let err = ((v - expected) / expected).abs();
-                    if err > max_err {
-                        max_err = err;
-                    }
+                    max_err = max_err.max(relative_error(v, expected));
                 }
                 index += n as u64;
             }
@@ -408,18 +358,14 @@ mod tests {
 
     #[test]
     fn scratch_is_resident_across_runs_and_tracks_pool_size() {
+        // Runs hold no per-worker state: runs on 4, 4 and then 2 workers
+        // continue from the arrays the previous run left.
         let pool = pmem_pool(8 * 1024 * 1024);
         let config = StreamConfig::small(sz(4_096));
         let mut stream = PmemStream::initiate(&pool, config).unwrap();
-        assert_eq!(stream.scratch_slots(), 0, "no scratch before the first run");
-        stream.run(&worker_pool(4)).unwrap();
-        assert_eq!(stream.scratch_slots(), 4);
-        // A second run on the same worker count keeps the same slots (the
-        // resident workers re-claim them); a different count re-provisions.
-        stream.run(&worker_pool(4)).unwrap();
-        assert_eq!(stream.scratch_slots(), 4);
-        stream.run(&worker_pool(2)).unwrap();
-        assert_eq!(stream.scratch_slots(), 2);
+        for threads in [4, 4, 2] {
+            stream.run(&worker_pool(threads)).unwrap();
+        }
         // Three back-to-back runs advance the arrays by 3 × ntimes iterations;
         // validate through a view whose config expects exactly that.
         let accumulated = StreamConfig {
@@ -428,6 +374,7 @@ mod tests {
         };
         let view = PmemStream::reattach(&pool, accumulated, stream.root());
         assert!(view.validate().unwrap() < 1e-12);
+        assert!(stream.validate().unwrap() > 1e-3, "one run's view is stale");
     }
 
     #[test]
@@ -486,13 +433,13 @@ mod tests {
         // Six blocks, the last one ragged. The back worker runs first, as if
         // the front one were stalled: it takes every block but the front
         // worker's own first one.
-        let elements = 5 * STAGE_BLOCK + 100;
+        let elements = 5 * CLAIM_BLOCK + 100;
         let claimed = AtomicUsize::new(0);
         let mut covered = vec![0u8; elements];
         let mut run = |thread| {
             let mut calls = 0;
             let range = claim_blocks(&worker(thread, 2), elements, &claimed, |at, end| {
-                assert!(at < end && end - at <= STAGE_BLOCK);
+                assert!(at < end && end - at <= CLAIM_BLOCK);
                 covered[at..end].iter_mut().for_each(|c| *c += 1);
                 calls += 1;
                 Ok(())
@@ -500,8 +447,8 @@ mod tests {
             .unwrap();
             (range, calls)
         };
-        assert_eq!(run(1), ((STAGE_BLOCK, elements), 5));
-        assert_eq!(run(0), ((0, STAGE_BLOCK), 1));
+        assert_eq!(run(1), ((CLAIM_BLOCK, elements), 5));
+        assert_eq!(run(0), ((0, CLAIM_BLOCK), 1));
         assert!(
             covered.iter().all(|&c| c == 1),
             "every element exactly once"
@@ -512,7 +459,7 @@ mod tests {
     fn small_pairs_and_an_odd_last_worker_run_their_static_chunks() {
         let claimed = AtomicUsize::new(0);
         // One block between the pair: each keeps its own half.
-        let elements = STAGE_BLOCK;
+        let elements = CLAIM_BLOCK;
         for thread in 0..2 {
             let ctx = worker(thread, 2);
             let range = claim_blocks(&ctx, elements, &claimed, |_, _| Ok(())).unwrap();
@@ -520,7 +467,7 @@ mod tests {
         }
         // The third of three workers has no partner.
         let ctx = worker(2, 3);
-        let elements = 9 * STAGE_BLOCK;
+        let elements = 9 * CLAIM_BLOCK;
         let range = claim_blocks(&ctx, elements, &claimed, |_, _| Ok(())).unwrap();
         assert_eq!(range, ctx.chunk(elements));
         assert_eq!(
@@ -532,11 +479,11 @@ mod tests {
 
     #[test]
     // Several 4096-element blocks per worker are too slow to interpret; the
-    // staging loop is safe code, and Miri targets the `unsafe` in `exec`.
+    // block loop is safe code, and Miri targets the `unsafe` in `numa`.
     #[cfg_attr(miri, ignore)]
     fn chunks_spanning_several_stage_blocks_match_the_in_place_stream() {
         // Worker chunks of several blocks plus a ragged tail block each.
-        let elements = 5 * STAGE_BLOCK + 123;
+        let elements = 5 * CLAIM_BLOCK + 123;
         let pool = pmem_pool(8 * 1024 * 1024);
         let config = StreamConfig::small(elements);
         let mut stream = PmemStream::initiate(&pool, config).unwrap();
@@ -546,9 +493,9 @@ mod tests {
         let (a, b, c) = volatile.arrays();
         let root = stream.root();
         for (oid, expected) in [(root.a, a), (root.b, b), (root.c, c)] {
-            let staged = PersistentArray::from_oid(&pool, oid).to_vec().unwrap();
+            let stored = PersistentArray::from_oid(&pool, oid).to_vec().unwrap();
             assert!(
-                staged
+                stored
                     .iter()
                     .zip(expected)
                     .all(|(x, y)| x.to_bits() == y.to_bits()),
@@ -559,13 +506,15 @@ mod tests {
 
     #[test]
     // Several 4096-element blocks per worker are too slow to interpret; the
-    // staging loop is safe code, and Miri targets the `unsafe` in `exec`.
+    // block loop is safe code, and Miri targets the `unsafe` in `numa`.
     #[cfg_attr(miri, ignore)]
     fn staging_moves_each_block_through_the_backend_once() {
+        use pmem::backend::APPLY_PIECE_BYTES;
         use pmem::{PoolBackend, VolatileBackend};
         use std::sync::atomic::{AtomicU64, Ordering};
 
-        /// Counts data calls and the largest transfer.
+        /// Counts data calls and the largest transfer. It does not override
+        /// `apply_at`, so the kernels take the provided staging path.
         struct Counting {
             inner: VolatileBackend,
             calls: AtomicU64,
@@ -601,7 +550,7 @@ mod tests {
         }
 
         // Two workers, two blocks each.
-        let elements = 4 * STAGE_BLOCK;
+        let elements = 4 * CLAIM_BLOCK;
         let backend = Arc::new(Counting {
             inner: VolatileBackend::new_persistent(8 * 1024 * 1024),
             calls: AtomicU64::new(0),
@@ -617,17 +566,30 @@ mod tests {
         backend.largest.store(0, Ordering::Relaxed);
         stream.run(&worker_pool(2)).unwrap();
         // Per block: Copy and Scale read one array, Add and Triad two; every
-        // kernel writes one.
+        // kernel writes one. A block is one staged piece per array.
         let blocks = 4;
         assert_eq!(
             backend.calls.load(Ordering::Relaxed),
             blocks * (2 + 2 + 3 + 3)
         );
+        assert_eq!(CLAIM_BLOCK * 8, APPLY_PIECE_BYTES);
         assert_eq!(
             backend.largest.load(Ordering::Relaxed),
-            STAGE_BLOCK as u64 * 8
+            CLAIM_BLOCK as u64 * 8
         );
         assert!(stream.validate().unwrap() < 1e-12);
+    }
+
+    #[test]
+    fn validation_detects_a_nan_element() {
+        let pool = pmem_pool(4 * 1024 * 1024);
+        let config = StreamConfig::small(sz(1_000));
+        let mut stream = PmemStream::initiate(&pool, config).unwrap();
+        stream.run(&worker_pool(2)).unwrap();
+        assert!(stream.validate().unwrap() < 1e-12);
+        let c = PersistentArray::<f64>::from_oid(&pool, stream.root().c);
+        c.store_slice(500, &[f64::NAN]).unwrap();
+        assert!(!stream.validate().unwrap().is_finite());
     }
 
     #[test]

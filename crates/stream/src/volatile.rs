@@ -1,7 +1,7 @@
 //! STREAM over ordinary heap arrays (the Memory-Mode / CC-NUMA flavour).
 
 use crate::exec::{run_partitioned, AccessSink};
-use crate::kernels::{Kernel, StreamConfig};
+use crate::kernels::{relative_error, Kernel, StreamConfig};
 use crate::report::{BandwidthReport, KernelMeasurement};
 use numa::PinnedPool;
 use std::sync::Arc;
@@ -107,22 +107,13 @@ impl VolatileStream {
 
     /// Validates the arrays against the analytically expected values, as the
     /// reference STREAM does after the timed loops. Returns the maximum
-    /// relative error observed.
+    /// relative error observed; a NaN or infinite element makes it infinite.
     pub fn validate(&self) -> f64 {
         let (ea, eb, ec) = self.config.expected_values();
-        let mut max_err = 0.0f64;
-        let check = |expected: f64, values: &[f64], max_err: &mut f64| {
-            for &v in values {
-                let err = ((v - expected) / expected).abs();
-                if err > *max_err {
-                    *max_err = err;
-                }
-            }
-        };
-        check(ea, &self.a, &mut max_err);
-        check(eb, &self.b, &mut max_err);
-        check(ec, &self.c, &mut max_err);
-        max_err
+        [(ea, &self.a), (eb, &self.b), (ec, &self.c)]
+            .into_iter()
+            .flat_map(|(expected, values)| values.iter().map(move |&v| relative_error(v, expected)))
+            .fold(0.0, f64::max)
     }
 }
 
@@ -192,6 +183,10 @@ mod tests {
         stream.run(&pool(2));
         stream.corrupt_c(elements / 2, -1.0e9);
         assert!(stream.validate() > 1e-3);
+        // A NaN compares false with everything, so it must not hide in the
+        // maximum: it counts as an infinite error.
+        stream.corrupt_c(elements / 2, f64::NAN);
+        assert!(!stream.validate().is_finite());
     }
 
     #[test]
