@@ -15,7 +15,8 @@
 //! * [`oid::PmemOid`] / [`oid::TypedOid`] — pool-relative object identifiers,
 //!   the equivalent of `PMEMoid` / `TOID(type)`.
 //! * [`tx`] — undo-log transactions with crash injection: `tx_begin`,
-//!   `add_range`, `commit`, `abort`, and recovery on pool open.
+//!   `add_range`, batched `write_all`, `commit`, `abort`, and recovery on
+//!   pool open.
 //! * [`array::PersistentArray`] — typed persistent arrays (the STREAM-PMem
 //!   `a`, `b`, `c` vectors).
 //! * [`checkpoint`] — versioned checkpoint/restart: double-buffered,

@@ -34,9 +34,13 @@
 //! 2. **Drain** — [`ObjectStore::commit`] issues one `drain()`, making the
 //!    staged payload durable before any commit record can name it.
 //! 3. **Entry commit** — the new directory entry (epoch + 1, length, payload
-//!    hash, entry checksum) and the descriptor counters are written inside
-//!    one undo-log transaction. A crash before the log commit rolls the
-//!    entry back; a crash after it leaves the new version fully durable.
+//!    hash, entry checksum) and the descriptor counter pair (`commit_seq`,
+//!    `live`: one adjacent 16-byte range, read with one read) are written
+//!    inside one undo-log transaction, logged as one two-range batch
+//!    ([`Transaction::write_all`](crate::tx::Transaction::write_all)). A
+//!    crash before the log commit rolls the entry back; a crash after it
+//!    leaves the new version fully durable. With the put's three calls, a
+//!    `put_commit` makes 18 backend calls.
 //!
 //! Readers validate the entry checksum and the payload hash on every
 //! [`ObjectStore::get`], so external corruption (or a bug in the protocol)
@@ -60,10 +64,6 @@ use std::sync::Arc;
 
 /// Bytes per directory entry.
 const ENTRY_SIZE: u64 = 40;
-/// Descriptor offset of the commit-sequence counter (counter 0).
-const COMMIT_SEQ_AT: u64 = COUNTERS_AT;
-/// Descriptor offset of the live-object counter (counter 1).
-const LIVE_AT: u64 = COUNTERS_AT + 8;
 
 /// Pipeline stage an [`ObjectCrash`] fires in.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -336,15 +336,40 @@ impl<'p> ObjectStore<'p> {
         }))
     }
 
-    /// Reads a descriptor counter (`COMMIT_SEQ_AT` / `LIVE_AT`) from media.
-    /// Mutations base their new counter values on this durable truth, not on
-    /// the handle's volatile snapshot — another handle on the same media
-    /// (e.g. another host of a shared segment) may have committed since this
-    /// one was opened.
-    fn desc_counter(&self, at: u64) -> Result<u64> {
-        let mut buf = [0u8; 8];
-        self.pool.read(self.base + at, &mut buf)?;
-        Ok(u64::from_le_bytes(buf))
+    /// Reads the descriptor counters `[commit_seq, live]` (descriptor offsets
+    /// 32 and 40) from media with one read. Mutations base their new counter
+    /// values on this durable truth, not on the handle's volatile snapshot —
+    /// another handle on the same media (e.g. another host of a shared
+    /// segment) may have committed since this one was opened.
+    fn desc_counters(&self) -> Result<[u64; 2]> {
+        let mut words = [[0u8; 8]; 2];
+        self.pool
+            .read(self.base + COUNTERS_AT, words.as_flattened_mut())?;
+        Ok(words.map(u64::from_le_bytes))
+    }
+
+    /// Writes object `id`'s directory entry and the descriptor counters
+    /// `[commit_seq, live]` as one undo-logged commit record, logged as one
+    /// two-range batch, then takes the new counters and drops any stage of
+    /// `id`.
+    fn commit_entry(
+        &mut self,
+        id: u64,
+        entry: &[u8; ENTRY_SIZE as usize],
+        counters: [u64; 2],
+        crash: Option<RecordCrash>,
+    ) -> Result<()> {
+        let entry_off = self.entry_off(id);
+        let counter_bytes = counters.map(u64::to_le_bytes);
+        commit_record(&self.pool, crash, |tx| {
+            tx.write_all(&[
+                (entry_off, entry),
+                (self.base + COUNTERS_AT, counter_bytes.as_flattened()),
+            ])
+        })?;
+        [self.commit_seq, self.live] = counters;
+        self.staged.remove(&id);
+        Ok(())
     }
 
     // ----------------------------------------------------------------- write
@@ -386,13 +411,13 @@ impl<'p> ObjectStore<'p> {
     ///
     /// Issues one `drain()` (making the staged payload durable), then writes
     /// the object's directory entry and the descriptor counters inside one
-    /// undo-log transaction — the per-object commit record. The new counter
-    /// values are based on the durable descriptor, not this handle's
-    /// snapshot, and a put staged against a committed epoch that another
-    /// handle has since superseded is refused with a typed error. After an
-    /// error the media may hold a stranded transaction; reopen the store
-    /// (running pool recovery) before further writes, as the cluster layer
-    /// does.
+    /// undo-log transaction — the per-object commit record, logged as one
+    /// two-range batch. The new counter values are based on the durable
+    /// descriptor, not this handle's snapshot, and a put staged against a
+    /// committed epoch that another handle has since superseded is refused
+    /// with a typed error. After an error the media may hold a stranded
+    /// transaction; reopen the store (running pool recovery) before further
+    /// writes, as the cluster layer does.
     pub fn commit(&mut self, id: u64) -> Result<u64> {
         self.check_id(id)?;
         let crash = self.crash.take();
@@ -425,17 +450,10 @@ impl<'p> ObjectStore<'p> {
             ObjectPhase::Recovery => Some(RecordCrash::Recovery(c.point)),
             ObjectPhase::SlotWrite => None,
         });
-        let entry_off = self.entry_off(id);
-        let seq = self.desc_counter(COMMIT_SEQ_AT)? + 1;
-        let live = self.desc_counter(LIVE_AT)? + u64::from(previous.is_none());
-        commit_record(&self.pool, record_crash, |tx| {
-            tx.write(entry_off, &entry)?;
-            tx.write(self.base + COMMIT_SEQ_AT, &seq.to_le_bytes())?;
-            tx.write(self.base + LIVE_AT, &live.to_le_bytes())
-        })?;
-        self.commit_seq = seq;
-        self.live = live;
-        self.staged.remove(&id);
+        let [seq, live] = self.desc_counters()?;
+        let seq = seq + 1;
+        let live = live + u64::from(previous.is_none());
+        self.commit_entry(id, &entry, [seq, live], record_crash)?;
         Ok(epoch)
     }
 
@@ -445,30 +463,22 @@ impl<'p> ObjectStore<'p> {
         self.commit(id)
     }
 
-    /// Deletes object `id`: frees its directory entry inside one undo-log
-    /// transaction. Any staged put for the id is discarded.
+    /// Deletes object `id`: frees its directory entry and updates the
+    /// descriptor counters inside one undo-log transaction, the same
+    /// two-range commit record as [`commit`](Self::commit). Any staged put
+    /// for the id is discarded.
     pub fn delete(&mut self, id: u64) -> Result<()> {
         self.check_id(id)?;
         if self.read_entry(id)?.is_none() {
             return Err(PmemError::NoSuchObject(id));
         }
-        let entry_off = self.entry_off(id);
-        let seq = self.desc_counter(COMMIT_SEQ_AT)? + 1;
+        let [seq, live] = self.desc_counters()?;
+        let seq = seq + 1;
         // A desynced counter must surface as a typed error, never wrap.
-        let live = self
-            .desc_counter(LIVE_AT)?
+        let live = live
             .checked_sub(1)
             .ok_or(PmemError::ObjectStore("descriptor live counter desynced"))?;
-        let zeros = [0u8; ENTRY_SIZE as usize];
-        self.pool.run_tx(|tx| {
-            tx.write(entry_off, &zeros)?;
-            tx.write(self.base + COMMIT_SEQ_AT, &seq.to_le_bytes())?;
-            tx.write(self.base + LIVE_AT, &live.to_le_bytes())
-        })?;
-        self.commit_seq = seq;
-        self.live = live;
-        self.staged.remove(&id);
-        Ok(())
+        self.commit_entry(id, &[0u8; ENTRY_SIZE as usize], [seq, live], None)
     }
 
     // ------------------------------------------------------------------ read
@@ -522,7 +532,8 @@ impl<'p> ObjectStore<'p> {
                 max_epoch = max_epoch.max(entry.epoch);
             }
         }
-        if live != self.desc_counter(LIVE_AT)? {
+        let [_, durable_live] = self.desc_counters()?;
+        if live != durable_live {
             return Err(PmemError::ObjectStore(
                 "descriptor live counter disagrees with the directory",
             ));

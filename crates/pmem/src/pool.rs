@@ -459,8 +459,9 @@ impl PmemPool {
 
     /// Runs `body` inside a transaction. All ranges registered with
     /// [`Transaction::add_range`] (and all writes made through
-    /// [`Transaction::write`]) are rolled back if `body` returns an error, if
-    /// it panics, or if the process crashes before commit.
+    /// [`Transaction::write`] or [`Transaction::write_all`]) are rolled back
+    /// if `body` returns an error, if it panics, or if the process crashes
+    /// before commit.
     pub fn run_tx<T>(&self, body: impl FnOnce(&mut Transaction<'_>) -> Result<T>) -> Result<T> {
         let _guard = self.tx_lock.lock();
         let crash = self.crash_point.lock().take();

@@ -11,6 +11,26 @@
 //! 4. on abort — or on pool open after a crash — the log is replayed in
 //!    reverse, restoring the old contents.
 //!
+//! # Device calls
+//!
+//! On a CXL card every device read and every persist waits a round trip, so
+//! a commit record costs a fixed handful of backend calls whatever the number
+//! of ranges it logs. [`Transaction::write_all`] logs its ranges as one
+//! batch, in this order:
+//!
+//! 1. the old bytes of each range are read into one buffer, laid out as the
+//!    log's entries (`offset`, `len`, old bytes, back to back);
+//! 2. the buffer is written to the log with one write;
+//! 3. one persist makes every entry of the batch durable;
+//! 4. the log header `(active, count)` is bumped with one 16-byte write;
+//! 5. one persist makes the header durable, so the count never covers an
+//!    entry that is not;
+//! 6. the new data is written, one write per range.
+//!
+//! Commit then flushes each modified range, drains once, and clears the
+//! header with one write and one persist. A batch leaves the same log bytes
+//! as logging its ranges one at a time, so recovery reads either alike.
+//!
 //! [`CrashPoint`] lets tests "pull the power cord" at the interesting moments
 //! and verify that recovery restores a consistent state.
 
@@ -56,7 +76,8 @@ impl CrashPoint {
 
 const LOG_ACTIVE: u64 = 1;
 const LOG_IDLE: u64 = 0;
-/// Bytes reserved at the start of the log area for the (active, entry_count) header.
+/// Bytes reserved at the start of the log area for the (active, entry_count)
+/// header, read and written as one word pair.
 const LOG_HEADER: u64 = 16;
 /// Per-entry header: target offset + length.
 const ENTRY_HEADER: u64 = 16;
@@ -113,16 +134,16 @@ impl TxLog {
     }
 
     fn write_header(&self, active: u64, count: u64) -> Result<()> {
-        self.backend.write_at(self.start, &active.to_le_bytes())?;
-        self.backend
-            .write_at(self.start + 8, &count.to_le_bytes())?;
-        self.tracker
-            .persist(&self.backend, self.start, LOG_HEADER)?;
-        Ok(())
+        let words = [active.to_le_bytes(), count.to_le_bytes()];
+        self.backend.write_at(self.start, words.as_flattened())?;
+        self.tracker.persist(&self.backend, self.start, LOG_HEADER)
     }
 
     fn header(&self) -> Result<(u64, u64)> {
-        Ok((self.read_u64(self.start)?, self.read_u64(self.start + 8)?))
+        let mut words = [[0u8; 8]; 2];
+        self.backend.read_at(self.start, words.as_flattened_mut())?;
+        let [active, count] = words.map(u64::from_le_bytes);
+        Ok((active, count))
     }
 
     /// Whether an uncommitted transaction's log is present.
@@ -130,24 +151,39 @@ impl TxLog {
         Ok(self.header()?.0 == LOG_ACTIVE)
     }
 
-    /// Appends an undo entry containing the *current* contents of
-    /// `[offset, offset+len)` and returns the log cursor after the entry.
-    fn append(&self, cursor: u64, entry_index: u64, offset: u64, len: u64) -> Result<u64> {
-        self.check_target(offset, len)?;
-        let needed = ENTRY_HEADER + len;
-        if cursor + needed > self.end {
+    /// Appends one undo entry per `(offset, len)` range, each holding the
+    /// range's *current* contents, after the `entries` already logged at
+    /// `cursor`. Returns the log cursor after the batch.
+    ///
+    /// Every target and the batch's size are checked before any byte moves.
+    /// The entries are written with one write and persisted once, and only
+    /// then does the header's count cover them.
+    fn append(&self, cursor: u64, entries: u64, ranges: &[(u64, u64)]) -> Result<u64> {
+        let mut needed = 0u64;
+        for &(offset, len) in ranges {
+            self.check_target(offset, len)?;
+            needed = needed.saturating_add(ENTRY_HEADER.saturating_add(len));
+        }
+        let next = cursor.saturating_add(needed);
+        if next > self.end {
             return Err(PmemError::LogFull);
         }
-        let mut old = vec![0u8; len as usize];
-        self.backend.read_at(offset, &mut old)?;
-        self.backend.write_at(cursor, &offset.to_le_bytes())?;
-        self.backend.write_at(cursor + 8, &len.to_le_bytes())?;
-        self.backend.write_at(cursor + ENTRY_HEADER, &old)?;
+        // The batch fits in the log area, so its length fits in usize.
+        let mut batch = Vec::with_capacity(needed as usize);
+        for &(offset, len) in ranges {
+            batch.extend_from_slice(&offset.to_le_bytes());
+            batch.extend_from_slice(&len.to_le_bytes());
+            let old_at = batch.len();
+            batch.resize(old_at + len as usize, 0);
+            // in-bounds: the resize above appended exactly `len` bytes.
+            self.backend.read_at(offset, &mut batch[old_at..])?;
+        }
+        self.backend.write_at(cursor, &batch)?;
         self.tracker.persist(&self.backend, cursor, needed)?;
-        // Publish the entry: bump the count (and mark active) only after the
-        // entry body is durable, so recovery never replays a torn entry.
-        self.write_header(LOG_ACTIVE, entry_index + 1)?;
-        Ok(cursor + needed)
+        // Publish the batch: bump the count (and mark active) only after the
+        // entries are durable, so recovery never replays a torn entry.
+        self.write_header(LOG_ACTIVE, entries + ranges.len() as u64)?;
+        Ok(next)
     }
 
     /// Replays the log in reverse, restoring pre-transaction contents, then
@@ -221,7 +257,7 @@ pub struct Transaction<'a> {
     log: &'a TxLog,
     crash: Option<CrashPoint>,
     cursor: u64,
-    entries: u64,
+    /// The logged ranges, one undo entry each, in log order.
     modified: Vec<(u64, u64)>,
     finished: bool,
 }
@@ -244,7 +280,6 @@ impl<'a> Transaction<'a> {
             log,
             crash,
             cursor: log.start + LOG_HEADER,
-            entries: 0,
             modified: Vec::new(),
             finished: false,
         })
@@ -263,25 +298,55 @@ impl<'a> Transaction<'a> {
         Ok(())
     }
 
-    /// Registers `[offset, offset+len)` for rollback: its current contents are
-    /// appended to the undo log (the `TX_ADD_RANGE` equivalent).
-    pub fn add_range(&mut self, offset: u64, len: u64) -> Result<()> {
+    /// Logs the current contents of `ranges` as one undo batch, then fires
+    /// an armed [`CrashPoint::AfterLogAppend`]. A refused batch logs nothing.
+    fn log_batch(&mut self, ranges: impl IntoIterator<Item = (u64, u64)>) -> Result<()> {
         if self.finished {
             return Err(PmemError::TransactionState("transaction already finished"));
         }
-        self.cursor = self.log.append(self.cursor, self.entries, offset, len)?;
-        self.entries += 1;
-        self.modified.push((offset, len));
-        self.maybe_crash(CrashPoint::AfterLogAppend)?;
+        let logged = self.modified.len();
+        self.modified.extend(ranges);
+        // in-bounds: `logged` is the length before the extend.
+        let batch = &self.modified[logged..];
+        if batch.is_empty() {
+            return Ok(());
+        }
+        match self.log.append(self.cursor, logged as u64, batch) {
+            Ok(cursor) => self.cursor = cursor,
+            Err(e) => {
+                self.modified.truncate(logged);
+                return Err(e);
+            }
+        }
+        self.maybe_crash(CrashPoint::AfterLogAppend)
+    }
+
+    /// Registers `[offset, offset+len)` for rollback: its current contents are
+    /// appended to the undo log (the `TX_ADD_RANGE` equivalent).
+    pub fn add_range(&mut self, offset: u64, len: u64) -> Result<()> {
+        self.log_batch([(offset, len)])
+    }
+
+    /// Transactionally writes each `(offset, data)`: the old contents of
+    /// every range are logged first, as one batch, then the new data is
+    /// written in place. A range outside the heap, or a batch the log cannot
+    /// hold, is refused before any byte moves.
+    pub fn write_all(&mut self, writes: &[(u64, &[u8])]) -> Result<()> {
+        self.log_batch(
+            writes
+                .iter()
+                .map(|&(offset, data)| (offset, data.len() as u64)),
+        )?;
+        for &(offset, data) in writes {
+            self.backend.write_at(offset, data)?;
+        }
         Ok(())
     }
 
-    /// Transactionally writes `data` at `offset`: the old contents are logged
-    /// first, then the new data is written in place.
+    /// Transactionally writes `data` at `offset`: the one-range
+    /// [`write_all`](Self::write_all).
     pub fn write(&mut self, offset: u64, data: &[u8]) -> Result<()> {
-        self.add_range(offset, data.len() as u64)?;
-        self.backend.write_at(offset, data)?;
-        Ok(())
+        self.write_all(&[(offset, data)])
     }
 
     /// Reads within the transaction (sees its own writes).
@@ -294,11 +359,13 @@ impl<'a> Transaction<'a> {
         self.modified.len()
     }
 
-    /// Commits: flush every modified range, then invalidate the log.
+    /// Commits: flush every modified range, fence once, then invalidate the
+    /// log.
     pub(crate) fn commit(mut self) -> Result<()> {
         for &(offset, len) in &self.modified {
-            self.tracker.persist(self.backend, offset, len)?;
+            self.tracker.flush(self.backend, offset, len)?;
         }
+        self.tracker.drain();
         self.maybe_crash(CrashPoint::BeforeCommit)?;
         self.log.clear()?;
         self.finished = true;
@@ -587,6 +654,144 @@ mod tests {
         }
         let a = pool.alloc_bytes(64).unwrap();
         pool.run_tx(|tx| tx.add_range(a.offset, 64)).unwrap();
+    }
+
+    /// The whole undo-log area: header, then entries.
+    fn log_area(backend: &VolatileBackend) -> Vec<u8> {
+        let mut bytes = vec![0u8; LOG_SIZE as usize];
+        backend.read_at(HEADER_SIZE, &mut bytes).unwrap();
+        bytes
+    }
+
+    /// Reopens the pool over `backend`'s bytes, running recovery.
+    fn reopen(backend: &VolatileBackend) -> PmemPool {
+        let shared: SharedBackend = Arc::new(backend.clone());
+        PmemPool::open_with_backend(shared, "tx-test").unwrap()
+    }
+
+    /// A pool with two persisted 8-byte targets holding "original" and
+    /// "untouchd".
+    fn pool_with_two_targets() -> (VolatileBackend, PmemPool, u64, u64) {
+        let (backend, pool) = pool_pair();
+        let a = pool.alloc_bytes(64).unwrap().offset;
+        let b = pool.alloc_bytes(64).unwrap().offset;
+        pool.write(a, b"original").unwrap();
+        pool.write(b, b"untouchd").unwrap();
+        pool.persist(a, 8).unwrap();
+        pool.persist(b, 8).unwrap();
+        (backend, pool, a, b)
+    }
+
+    #[test]
+    fn batched_write_is_atomic_at_every_transaction_crash_point() {
+        for point in [
+            CrashPoint::AfterLogAppend,
+            CrashPoint::BeforeCommit,
+            CrashPoint::AfterCommit,
+        ] {
+            let (backend, pool, a, b) = pool_with_two_targets();
+            pool.set_crash_point(Some(point));
+            let result: Result<()> =
+                pool.run_tx(|tx| tx.write_all(&[(a, b"mutatedA"), (b, b"mutatedB")]));
+            assert!(result.unwrap_err().is_injected_crash(), "{point:?}");
+            if point == CrashPoint::AfterLogAppend {
+                // The point fires after the batch, before any data write.
+                assert_eq!(&read8(&pool, a), b"original");
+                assert_eq!(&read8(&pool, b), b"untouchd");
+            }
+            drop(pool);
+            let reopened = reopen(&backend);
+            let expected: [&[u8; 8]; 2] = if point == CrashPoint::AfterCommit {
+                [b"mutatedA", b"mutatedB"]
+            } else {
+                [b"original", b"untouchd"]
+            };
+            assert_eq!(&read8(&reopened, a), expected[0], "{point:?}");
+            assert_eq!(&read8(&reopened, b), expected[1], "{point:?}");
+            assert!(!reopened.tx_log_active().unwrap());
+        }
+    }
+
+    #[test]
+    fn crash_during_recovery_of_a_batch_converges() {
+        let (backend, pool, a, b) = pool_with_two_targets();
+        pool.set_crash_point(Some(CrashPoint::BeforeCommit));
+        let result: Result<()> =
+            pool.run_tx(|tx| tx.write_all(&[(a, b"mutatedA"), (b, b"mutatedB")]));
+        assert!(result.unwrap_err().is_injected_crash());
+
+        // The first pass dies after replaying the batch's last entry.
+        pool.set_crash_point(Some(CrashPoint::DuringRecovery));
+        assert!(pool.recover().unwrap_err().is_injected_crash());
+        assert!(pool.tx_log_active().unwrap());
+        assert_eq!(&read8(&pool, a), b"mutatedA");
+        assert_eq!(&read8(&pool, b), b"untouchd");
+
+        // The second pass converges, and so does a reopen after it.
+        assert!(pool.recover().unwrap());
+        assert!(!pool.tx_log_active().unwrap());
+        drop(pool);
+        let reopened = reopen(&backend);
+        assert_eq!(&read8(&reopened, a), b"original");
+        assert_eq!(&read8(&reopened, b), b"untouchd");
+    }
+
+    #[test]
+    fn refused_batch_writes_no_byte() {
+        let (backend, pool, a, _) = pool_with_two_targets();
+        // A block larger than the whole log area.
+        let big = pool.alloc_bytes(LOG_SIZE).unwrap().offset;
+        let big_before = vec![0x5Au8; LOG_SIZE as usize];
+        pool.write(big, &big_before).unwrap();
+        let too_large = vec![0xA5u8; LOG_SIZE as usize];
+        let header_before = {
+            let mut bytes = [0u8; 8];
+            backend.read_at(0, &mut bytes).unwrap();
+            bytes
+        };
+        let log_before = log_area(&backend);
+
+        // The second range targets the pool header, outside the heap.
+        let outside: Result<()> =
+            pool.run_tx(|tx| tx.write_all(&[(a, b"mutatedA"), (0, b"mutated!")]));
+        assert!(matches!(outside, Err(PmemError::UndoLog(_))));
+        // The second range does not fit in the log.
+        let overflow: Result<()> =
+            pool.run_tx(|tx| tx.write_all(&[(a, b"mutatedA"), (big, &too_large)]));
+        assert!(matches!(overflow, Err(PmemError::LogFull)));
+
+        assert_eq!(&read8(&pool, a), b"original");
+        let mut header_after = [0u8; 8];
+        backend.read_at(0, &mut header_after).unwrap();
+        assert_eq!(header_after, header_before);
+        let mut big_after = vec![0u8; LOG_SIZE as usize];
+        pool.read(big, &mut big_after).unwrap();
+        assert!(big_after == big_before, "the large range moved");
+        assert!(log_area(&backend) == log_before, "the log area moved");
+        assert!(!pool.tx_log_active().unwrap());
+    }
+
+    #[test]
+    fn a_batch_leaves_the_log_of_one_range_at_a_time() {
+        let stranded = |batched: bool| {
+            let (backend, pool, a, b) = pool_with_two_targets();
+            pool.set_crash_point(Some(CrashPoint::BeforeCommit));
+            let result: Result<()> = pool.run_tx(|tx| {
+                if batched {
+                    tx.write_all(&[(a, b"mutatedA"), (b, b"mutatedB")])
+                } else {
+                    tx.add_range(a, 8)?;
+                    tx.add_range(b, 8)
+                }
+            });
+            assert!(result.unwrap_err().is_injected_crash());
+            log_area(&backend)
+        };
+        let batched = stranded(true);
+        // The stranded log is active and covers exactly the two entries.
+        assert_eq!(batched[..8], LOG_ACTIVE.to_le_bytes());
+        assert_eq!(batched[8..16], 2u64.to_le_bytes());
+        assert!(batched == stranded(false), "log formats differ");
     }
 
     #[test]

@@ -1,6 +1,7 @@
-//! STREAM-PMem on the CXL expander stages through fixed per-worker blocks:
-//! once its arrays exist, a run allocates the same small, size-independent
-//! amount of memory however large the arrays are.
+//! STREAM-PMem on the CXL expander computes in place on the device's bytes:
+//! once its arrays exist, a run allocates only its per-invocation claim
+//! counters and result slots, the same small amount however large the arrays
+//! are.
 //!
 //! The test counts allocations with a global allocator, so this file holds
 //! a single test: nothing else in the binary allocates while it measures.
@@ -66,7 +67,8 @@ fn app_direct_runs_allocate_independently_of_array_size() {
             )
             .unwrap();
         let mut stream = PmemStream::initiate(pool.pool(), config).unwrap();
-        // The first run provisions the per-worker staging blocks.
+        // An unmeasured first run sets up whatever a run keeps between
+        // invocations; the second run is the one measured.
         stream.run(&workers).unwrap();
         let before = ALLOCATED.load(Ordering::Relaxed);
         stream.run(&workers).unwrap();
@@ -78,8 +80,9 @@ fn app_direct_runs_allocate_independently_of_array_size() {
         let view = PmemStream::reattach(pool.pool(), accumulated, stream.root());
         assert!(view.validate().unwrap() < 1e-12);
     }
-    // One run moves 8 MiB per array pass at the larger size; the staging
-    // path allocates only per-invocation bookkeeping, the same at both sizes.
+    // One run moves 8 MiB per array pass at the larger size; the in-place
+    // path allocates only the per-invocation claim counters and result
+    // slots, the same at both sizes.
     assert_eq!(
         allocated[0], allocated[1],
         "bytes allocated per run must not grow with the arrays: {allocated:?}"
