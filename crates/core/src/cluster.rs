@@ -1050,6 +1050,56 @@ mod tests {
     }
 
     #[test]
+    fn failover_reads_the_committed_slot_twice_and_the_older_slot_once() {
+        // Per image size: the spare's committed_epoch + restore reads beyond
+        // 2 × len, and its first checkpoint's reads beyond len.
+        let mut overheads = Vec::new();
+        for chunks in [16usize, 128] {
+            let len = chunks as u64 * CHUNK;
+            let cluster = two_card_cluster(CoherenceMode::SoftwareManaged);
+            let older: Vec<u8> = (0..len).map(|i| (i % 251) as u8).collect();
+            let mut committed = older.clone();
+            for chunk in committed.chunks_mut(CHUNK as usize).step_by(4) {
+                chunk[0] ^= 0xFF;
+            }
+            {
+                let mut a = cluster.host(0).create_segment("reads", len, CHUNK).unwrap();
+                a.checkpoint(&older).unwrap();
+                a.checkpoint(&committed).unwrap();
+            }
+
+            let mut b = cluster.host(1).attach_segment("reads").unwrap();
+            b.acquire().unwrap();
+            let region = b.region();
+            let bytes_read = || region.stats(1).unwrap().bytes_read;
+            let before = bytes_read();
+            assert_eq!(b.committed_epoch().unwrap(), 2);
+            let mut out = vec![0u8; len as usize];
+            assert_eq!(b.restore(&mut out).unwrap(), 2);
+            assert_eq!(out, committed);
+            let failover = bytes_read() - before;
+
+            // Epoch 3 targets the older slot, which holds `older`: the first
+            // checkpoint validates it, then writes only the chunks that differ.
+            let mut next = older.clone();
+            for chunk in next.chunks_mut(CHUNK as usize).step_by(3) {
+                chunk[1] ^= 0xFF;
+            }
+            let before = bytes_read();
+            let stats = b.checkpoint(&next).unwrap();
+            let first_commit = bytes_read() - before;
+            assert_eq!(stats.chunks_written, chunks.div_ceil(3));
+
+            assert!(failover >= 2 * len && first_commit >= len);
+            overheads.push((failover - 2 * len, first_commit - len));
+        }
+        // The overheads are the pool's and the region's headers and logs:
+        // the same at both sizes, and less than the smaller image.
+        assert_eq!(overheads[0], overheads[1]);
+        assert!(overheads[0].0 < 16 * CHUNK, "{overheads:?}");
+    }
+
+    #[test]
     fn failed_create_releases_the_name_and_the_capacity() {
         let cluster = two_card_cluster(CoherenceMode::SoftwareManaged);
         let host = cluster.host(0);

@@ -10,6 +10,7 @@ use numa::{AffinityPolicy, NodeId, NumaError, PinnedPool, ThreadPlacement, Topol
 use pmem::{CheckpointRegion, ChunkExecutor, PmemError, PmemPool, VolatileBackend};
 use std::collections::HashMap;
 use std::fmt;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 
 /// Errors surfaced by the runtime.
@@ -232,13 +233,16 @@ impl std::ops::Deref for ManagedPool {
     }
 }
 
-/// Adapter fanning checkpoint chunk flushes across a resident [`PinnedPool`].
+/// Adapter fanning checkpoint chunk jobs — the per-chunk hashing, then the
+/// dirty chunks' writes + flushes — across a resident [`PinnedPool`].
 ///
-/// Each worker takes a contiguous share of the dirty-chunk jobs (the same
-/// static schedule as the STREAM kernels) and issues its writes + flushes as
-/// one batch; the [`CheckpointRegion`] then drains once for the whole
-/// invocation — so a checkpoint costs at most `dirty_chunks` flushes + 1
-/// drain, exactly the `PersistStats` discipline of the STREAM-PMem hot path.
+/// Workers claim job indices one at a time from a shared counter, so a
+/// descheduled worker leaves its unclaimed jobs to the others instead of
+/// holding up the whole commit, and a failed job stops further claims. A
+/// write job flushes its chunk without a fence; the [`CheckpointRegion`]
+/// then drains once for the whole invocation — so a checkpoint costs at most
+/// `dirty_chunks` flushes + 1 drain, exactly the `PersistStats` discipline
+/// of the STREAM-PMem hot path.
 ///
 /// Crash injection into the chunk-flush phase is only deterministic under
 /// [`pmem::SerialExecutor`]; this adapter is the production path.
@@ -256,10 +260,20 @@ impl ChunkExecutor for PooledChunkExecutor<'_> {
         if self.0.is_empty() {
             return (0..jobs).try_for_each(job);
         }
+        // The next unclaimed job. Relaxed: the read-modify-write alone
+        // makes each claim unique, and the counter publishes no job data
+        // (the pool's run joins every worker before returning).
+        let next = AtomicUsize::new(0);
         self.0
-            .run(|ctx| {
-                let (start, end) = ctx.chunk(jobs);
-                (start..end).try_for_each(job)
+            .run(|_| loop {
+                let j = next.fetch_add(1, Ordering::Relaxed);
+                if j >= jobs {
+                    return Ok(());
+                }
+                if let Err(e) = job(j) {
+                    next.store(jobs, Ordering::Relaxed);
+                    return Err(e);
+                }
             })
             .into_iter()
             .collect()
@@ -1093,6 +1107,83 @@ mod tests {
         let mut out = vec![0u8; data_len as usize];
         assert_eq!(b.restore(&mut out).unwrap(), 2);
         assert_eq!(out, image);
+    }
+
+    #[test]
+    fn pooled_executor_runs_every_index_exactly_once() {
+        let rt = RuntimeBuilder::setup1().build();
+        let workers = rt.worker_pool_for(&AffinityPolicy::close(), 4).unwrap();
+        let exec = PooledChunkExecutor(&workers);
+        for jobs in [0, 1, 3, 4, 1000] {
+            let runs: Vec<AtomicUsize> = (0..jobs).map(|_| AtomicUsize::new(0)).collect();
+            exec.run_chunks(jobs, &|j| {
+                runs[j].fetch_add(1, Ordering::Relaxed);
+                Ok(())
+            })
+            .unwrap();
+            assert!(
+                runs.iter().all(|r| r.load(Ordering::Relaxed) == 1),
+                "{jobs} jobs"
+            );
+        }
+    }
+
+    #[test]
+    fn pooled_executor_returns_a_failing_jobs_error() {
+        let rt = RuntimeBuilder::setup1().build();
+        let workers = rt.worker_pool_for(&AffinityPolicy::close(), 4).unwrap();
+        let err = PooledChunkExecutor(&workers)
+            .run_chunks(100, &|j| match j {
+                37 => Err(PmemError::Checkpoint("job 37 failed")),
+                _ => Ok(()),
+            })
+            .unwrap_err();
+        assert!(
+            matches!(err, PmemError::Checkpoint("job 37 failed")),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn pooled_checkpoints_match_serial_ones() {
+        let rt = RuntimeBuilder::setup1().build();
+        let workers = rt.worker_pool_for(&AffinityPolicy::close(), 4).unwrap();
+        let (data_len, chunk_len) = (64 * 1024u64, 4096u64);
+        let tier = TierPolicy::LocalDram { socket: 0 };
+        let serial_pool = rt
+            .checkpoint_region(&tier, "serial", data_len, chunk_len)
+            .unwrap();
+        let pooled_pool = rt
+            .checkpoint_region(&tier, "pooled", data_len, chunk_len)
+            .unwrap();
+        let mut serial = CheckpointRegion::open_root(serial_pool.pool()).unwrap();
+        let mut pooled = CheckpointRegion::open_root(pooled_pool.pool()).unwrap();
+        let first: Vec<u8> = (0..data_len).map(|i| (i % 241) as u8).collect();
+        let mut second = first.clone();
+        for chunk in second.chunks_mut(chunk_len as usize).step_by(4) {
+            chunk[7] ^= 0x5A;
+        }
+        // Cold slot 1, cold slot 0, four changed chunks, unchanged.
+        let mut written = Vec::new();
+        for image in [&first, &second, &second, &second] {
+            let s = serial.checkpoint(image).unwrap();
+            let p = pooled
+                .checkpoint_with(image, &PooledChunkExecutor(&workers))
+                .unwrap();
+            assert_eq!(s, p, "stats identical regardless of executor");
+            written.push(p.chunks_written);
+        }
+        assert_eq!(written, [16, 16, 4, 0]);
+        assert_eq!(
+            serial_pool.persist_stats().flushes,
+            pooled_pool.persist_stats().flushes
+        );
+        let mut a = vec![0u8; data_len as usize];
+        let mut b = vec![0u8; data_len as usize];
+        assert_eq!(serial.restore(&mut a).unwrap(), 4);
+        assert_eq!(pooled.restore(&mut b).unwrap(), 4);
+        assert_eq!(a, b);
+        assert_eq!(b, second);
     }
 
     #[test]

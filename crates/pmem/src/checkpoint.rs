@@ -41,7 +41,8 @@
 //!    fence; the phase ends with a **single drain**. Fan-out across workers is
 //!    pluggable via [`ChunkExecutor`]: each lane issues one flush batch, the
 //!    submitter drains once — the `PersistStats` discipline of the STREAM-PMem
-//!    hot path.
+//!    hot path. The per-chunk content hashes that pick the dirty set are
+//!    computed through the same executor, one job per chunk, before it.
 //! 2. **Header write** — the slot header (epoch, combined data hash, header
 //!    checksum) is written and persisted. The slot is now *valid but
 //!    uncommitted*: the descriptor still names epoch `e`.
@@ -53,15 +54,23 @@
 //!
 //! On [`open`](CheckpointRegion::open), the descriptor (post-recovery, hence
 //! never torn) names the committed epoch; the slot holding it is validated
-//! (header checksum + recomputed data hash). A slot torn by a crash mid-phase
-//! either is not the committed one (phases 1–2 crash) or cannot exist (the
-//! drain in phase 1 and the persist in phase 2 order all slot bytes before the
-//! commit record). Defensively, a committed slot that fails validation falls
-//! back to the other valid slot and repairs the descriptor.
+//! (header checksum + recomputed data hash), read chunk by chunk through one
+//! chunk-sized buffer and hashed as each chunk arrives. A slot torn by a
+//! crash mid-phase either is not the committed one (phases 1–2 crash) or
+//! cannot exist (the drain in phase 1 and the persist in phase 2 order all
+//! slot bytes before the commit record). Defensively, a committed slot that
+//! fails validation falls back to the other valid slot and repairs the
+//! descriptor.
 //!
-//! Incremental checkpoints track per-chunk content hashes per slot (recomputed
-//! on open), so an unchanged region performs **zero** chunk flushes and a
-//! one-chunk change flushes exactly one chunk plus the header.
+//! Incremental checkpoints track per-chunk content hashes per slot, so an
+//! unchanged region performs **zero** chunk flushes and a one-chunk change
+//! flushes exactly one chunk plus the header. Validating a slot seeds its
+//! hashes: the committed slot's on open, the other slot's on first need —
+//! the fallback above, or the first checkpoint that targets it, before that
+//! checkpoint takes an armed crash. A spare host that only restores
+//! therefore reads the committed image twice (validation and restore) and,
+//! unless it falls back, never the other slot; every cache still ends up as
+//! if open had validated both slots.
 //!
 //! Crash injection composes [`CrashPoint`] with [`CheckpointPhase`]: the phase
 //! picks the pipeline stage, the point picks the sub-position within it (or
@@ -80,6 +89,7 @@ use crate::versioned::{
     DESC_SIZE,
 };
 use crate::Result;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Region descriptor magic ("CKPTRGN1").
@@ -191,14 +201,16 @@ impl<T: PmemScalar> Checkpointable for Vec<T> {
     }
 }
 
-/// Executes the independent chunk-write jobs of one checkpoint, possibly in
-/// parallel.
+/// Executes the independent chunk jobs of one checkpoint, possibly in
+/// parallel: first hashing every chunk of the image, then writing and
+/// flushing the dirty ones.
 ///
 /// Implementations must invoke `job(i)` exactly once for every `i` in
 /// `0..jobs` (distinct `i` may run concurrently — the jobs touch disjoint
-/// byte ranges) and return the first error, if any. The `cxl-pmem` runtime
-/// adapts the resident `PinnedPool` to this trait so each worker issues one
-/// flush batch; the region then drains once.
+/// byte ranges) and return the first error, if any; after an error the
+/// remaining jobs may be skipped. The `cxl-pmem` runtime adapts the
+/// resident `PinnedPool` to this trait, its workers claiming job indices
+/// from a shared counter; the region drains once after the write jobs.
 pub trait ChunkExecutor {
     /// Runs `job(0) .. job(jobs - 1)`, returning the first error.
     fn run_chunks(&self, jobs: usize, job: &(dyn Fn(usize) -> Result<()> + Sync)) -> Result<()>;
@@ -227,6 +239,9 @@ pub struct CheckpointRegion<'p> {
     committed: u64,
     /// Per-slot content hash of every chunk; `None` = unknown (always dirty).
     hashes: [Vec<Option<u64>>; 2],
+    /// Whether each slot's hashes reflect its media yet: set once the slot
+    /// is validated (the committed slot on open, the other on first need).
+    validated: [bool; 2],
     crash: Option<CheckpointCrash>,
 }
 
@@ -286,10 +301,14 @@ impl<'p> CheckpointRegion<'p> {
         pool.write(desc.base + DESC_SIZE, &zeros)?;
         pool.write(desc.base + DESC_SIZE + SLOT_HEADER_SIZE, &zeros)?;
         pool.persist(desc.base, DESC_SIZE + 2 * SLOT_HEADER_SIZE)?;
-        Ok(Self::at(PoolRef::Borrowed(pool), desc))
+        let mut region = Self::at(PoolRef::Borrowed(pool), desc);
+        // Both headers were just invalidated: the empty caches are exact.
+        region.validated = [true; 2];
+        Ok(region)
     }
 
-    /// The region a descriptor describes, with empty hash caches.
+    /// The region a descriptor describes, with empty hash caches and
+    /// neither slot validated.
     fn at(pool: PoolRef<'p>, desc: Descriptor) -> Self {
         let (data_len, chunk_len) = desc.shape;
         let [committed, _] = desc.counters;
@@ -302,12 +321,14 @@ impl<'p> CheckpointRegion<'p> {
             chunk_count,
             committed,
             hashes: [vec![None; chunk_count], vec![None; chunk_count]],
+            validated: [false; 2],
             crash: None,
         }
     }
 
     /// Opens an existing region at `oid` (typically after a pool reopen),
-    /// validating the committed slot and rebuilding the chunk-hash caches.
+    /// validating the committed slot and seeding its chunk-hash cache. The
+    /// other slot is validated on first need.
     pub fn open(pool: &'p PmemPool, oid: PmemOid) -> Result<Self> {
         Self::open_at(PoolRef::Borrowed(pool), oid)
     }
@@ -316,49 +337,38 @@ impl<'p> CheckpointRegion<'p> {
         // A shape beyond the pool is refused before it sizes any cache or read.
         let desc = versioned::open::<Self>(&pool, oid.offset)?;
         let mut region = Self::at(pool, desc);
-        let (base, committed) = (region.base, region.committed);
-        // Validate both slots; a valid slot seeds the incremental hash cache.
-        let mut valid_epoch = [None::<u64>; 2];
-        for (slot, valid) in valid_epoch.iter_mut().enumerate() {
-            if let Some((epoch, chunk_hashes)) = region.validate_slot(slot)? {
-                *valid = Some(epoch);
-                // in-bounds: slot enumerates the two-element hashes array.
-                region.hashes[slot] = chunk_hashes.into_iter().map(Some).collect();
-            }
+        let committed = region.committed;
+        if committed == 0 {
+            return Ok(region);
         }
-        if committed > 0 {
-            let slot = Self::slot_for(committed);
-            // in-bounds: slot_for returns epoch % 2, valid_epoch has two slots.
-            if valid_epoch[slot] != Some(committed) {
-                // The protocol never lets the committed slot tear (its bytes
-                // are drained before the commit record); this path handles
-                // external corruption by falling back to the other valid slot
-                // and repairing the descriptor.
-                let other = 1 - slot;
-                // in-bounds: other ∈ {0, 1} because slot is.
-                match valid_epoch[other] {
-                    Some(epoch) if epoch < committed => {
-                        region
-                            .pool
-                            .run_tx(|tx| tx.write(base + COMMITTED_AT, &epoch.to_le_bytes()))?;
-                        region.committed = epoch;
-                    }
-                    _ => {
-                        return Err(PmemError::Checkpoint(
-                            "committed slot failed validation and no fallback slot is valid",
-                        ))
-                    }
-                }
-            }
+        let slot = Self::slot_for(committed);
+        if region.seed_slot(slot)? == Some(committed) {
+            return Ok(region);
         }
-        Ok(region)
+        // The protocol never lets the committed slot tear (its bytes are
+        // drained before the commit record); this path handles external
+        // corruption by falling back to the other valid slot and repairing
+        // the descriptor.
+        match region.seed_slot(1 - slot)? {
+            Some(epoch) if epoch < committed => {
+                let committed_at = region.base + COMMITTED_AT;
+                region
+                    .pool
+                    .run_tx(|tx| tx.write(committed_at, &epoch.to_le_bytes()))?;
+                region.committed = epoch;
+                Ok(region)
+            }
+            _ => Err(PmemError::Checkpoint(
+                "committed slot failed validation and no fallback slot is valid",
+            )),
+        }
     }
 
     /// Opens the pool's root region with **shared ownership** of the pool,
     /// so the region can outlive the caller's stack frame. Long-lived
     /// handles (e.g. the disaggregated cluster's per-host segments) use this
     /// to keep one region — and its incremental chunk-hash cache — alive
-    /// across checkpoint calls instead of re-validating both slots per call.
+    /// across checkpoint calls instead of re-validating per call.
     pub fn open_root_shared(pool: Arc<PmemPool>) -> Result<CheckpointRegion<'static>> {
         let oid = versioned::root::<Self>(&pool)?;
         CheckpointRegion::open_at(PoolRef::Shared(pool), oid)
@@ -369,9 +379,24 @@ impl<'p> CheckpointRegion<'p> {
         Self::open(pool, versioned::root::<Self>(pool)?)
     }
 
+    /// Validates `slot` and, when it holds a valid image, seeds the slot's
+    /// chunk-hash cache from it and returns its epoch. Marks the slot
+    /// validated unless a read fails.
+    fn seed_slot(&mut self, slot: usize) -> Result<Option<u64>> {
+        let valid = self.validate_slot(slot)?;
+        // in-bounds: callers pass slot_for(..) or its complement, both < 2.
+        self.validated[slot] = true;
+        Ok(valid.map(|(epoch, chunk_hashes)| {
+            // in-bounds: as above.
+            self.hashes[slot] = chunk_hashes.into_iter().map(Some).collect();
+            epoch
+        }))
+    }
+
     /// Reads a slot header and, when it validates, recomputes the slot's
     /// per-chunk hashes and checks them against the header's combined hash.
-    /// Returns the slot's epoch and chunk hashes.
+    /// The data is read chunk by chunk into one chunk-sized buffer and
+    /// hashed as it arrives. Returns the slot's epoch and chunk hashes.
     fn validate_slot(&self, slot: usize) -> Result<Option<(u64, Vec<u64>)>> {
         let mut bytes = [0u8; SLOT_HEADER_LEN];
         self.pool.read(self.header_off(slot), &mut bytes)?;
@@ -382,9 +407,15 @@ impl<'p> CheckpointRegion<'p> {
             }
             _ => return Ok(None),
         };
-        let mut data = vec![0u8; self.data_len as usize];
-        self.pool.read(self.data_off(slot, 0), &mut data)?;
-        let chunk_hashes = self.chunk_hashes_of(&data);
+        // Chunk 0 is the longest: only the last chunk can be partial.
+        let mut buf = vec![0u8; self.chunk_range(0).len()];
+        let mut chunk_hashes = Vec::with_capacity(self.chunk_count);
+        for i in 0..self.chunk_count {
+            // in-bounds: chunk_range(i) is no longer than chunk_range(0).
+            let chunk = &mut buf[..self.chunk_range(i).len()];
+            self.pool.read(self.data_off(slot, i), chunk)?;
+            chunk_hashes.push(versioned::digest(chunk));
+        }
         if combine_hashes(&chunk_hashes) != data_hash {
             return Ok(None);
         }
@@ -443,11 +474,20 @@ impl<'p> CheckpointRegion<'p> {
         start..end
     }
 
-    fn chunk_hashes_of(&self, data: &[u8]) -> Vec<u64> {
-        (0..self.chunk_count)
-            // in-bounds: chunk_range is clamped to data_len == data.len().
-            .map(|i| versioned::digest(&data[self.chunk_range(i)]))
-            .collect()
+    /// The content hash of every chunk of `data`, one `exec` job per chunk.
+    fn chunk_hashes_of(&self, data: &[u8], exec: &impl ChunkExecutor) -> Result<Vec<u64>> {
+        let hashes: Vec<AtomicU64> = (0..self.chunk_count).map(|_| AtomicU64::new(0)).collect();
+        exec.run_chunks(self.chunk_count, &|i| {
+            // in-bounds: run_chunks invokes i ∈ 0..chunk_count == hashes.len()
+            // by contract, and chunk_range is clamped to data_len == data.len().
+            let hash = versioned::digest(&data[self.chunk_range(i)]);
+            // Relaxed: the hashes are read only after run_chunks returns,
+            // and the executor joins every job before it returns.
+            // in-bounds: as above.
+            hashes[i].store(hash, Ordering::Relaxed);
+            Ok(())
+        })?;
+        Ok(hashes.into_iter().map(AtomicU64::into_inner).collect())
     }
 
     // ---------------------------------------------------------------- crash
@@ -475,9 +515,11 @@ impl<'p> CheckpointRegion<'p> {
         self.checkpoint_with(&obj.snapshot(), exec)
     }
 
-    /// Commits `data` as the next epoch: dirty chunks are written + flushed
-    /// through `exec` (one flush per chunk, one drain total), the slot header
-    /// is persisted, and the descriptor advances inside a pool transaction.
+    /// Commits `data` as the next epoch: the chunks are hashed through
+    /// `exec`, dirty chunks are written + flushed through it (one flush per
+    /// chunk, one drain total), the slot header is persisted, and the
+    /// descriptor advances inside a pool transaction. A target slot not yet
+    /// validated is validated first.
     ///
     /// On an injected crash the region's in-memory caches for the target slot
     /// are pessimised (every touched chunk is re-written next time); the
@@ -492,12 +534,18 @@ impl<'p> CheckpointRegion<'p> {
                 "snapshot length does not match the region's data_len",
             ));
         }
-        let crash = self.crash.take();
         let epoch = self.committed + 1;
         let slot = Self::slot_for(epoch);
+        // First need of the target slot: its hashes must reflect its media
+        // before they pick the dirty set, and before the armed crash is taken.
+        // in-bounds: slot_for keeps slot ∈ {0, 1}.
+        if !self.validated[slot] {
+            self.seed_slot(slot)?;
+        }
+        let crash = self.crash.take();
 
         // Dirty set: chunks whose content differs from what the slot holds.
-        let new_hashes = self.chunk_hashes_of(data);
+        let new_hashes = self.chunk_hashes_of(data, exec)?;
         let dirty: Vec<usize> = (0..self.chunk_count)
             // in-bounds: slot ∈ {0, 1}; both hash vecs hold chunk_count slots.
             .filter(|&i| self.hashes[slot][i] != Some(new_hashes[i]))
@@ -891,6 +939,71 @@ mod tests {
         // The descriptor was repaired durably: a second open agrees.
         let region2 = CheckpointRegion::open_root(&reopened).unwrap();
         assert_eq!(region2.committed_epoch(), 1);
+    }
+
+    #[test]
+    fn corrupt_older_slot_is_rewritten_whole_by_the_first_checkpoint() {
+        let (backend, pool) = pool_pair();
+        let mut region = CheckpointRegion::format(&pool, DATA, CHUNK).unwrap();
+        pool.set_root(region.oid(), DATA).unwrap();
+        region.checkpoint(&image(1)).unwrap();
+        region.checkpoint(&image(2)).unwrap();
+        // Corrupt one byte of epoch 1's slot, the one epoch 3 targets.
+        let off = region.data_off(CheckpointRegion::slot_for(1), 0);
+        drop(region);
+        pool.write(off, &[0xAB]).unwrap();
+        drop(pool);
+
+        let shared: SharedBackend = Arc::new(backend);
+        let reopened = PmemPool::open_with_backend(shared, "ckpt").unwrap();
+        let mut region = CheckpointRegion::open_root(&reopened).unwrap();
+        assert_eq!(region.committed_epoch(), 2);
+        let mut out = vec![0u8; DATA as usize];
+        assert_eq!(region.restore(&mut out).unwrap(), 2);
+        assert_eq!(out, image(2));
+        // The slot still holds image 1 in every chunk but the first, yet a
+        // slot that fails validation seeds no hashes: all chunks rewrite.
+        let stats = region.checkpoint(&image(1)).unwrap();
+        assert_eq!((stats.epoch, stats.chunks_written), (3, CHUNKS));
+        // A reopen validates the rewritten slot as the committed one.
+        let region = CheckpointRegion::open_root(&reopened).unwrap();
+        assert_eq!(region.committed_epoch(), 3);
+        region.restore(&mut out).unwrap();
+        assert_eq!(out, image(1));
+    }
+
+    #[test]
+    fn valid_uncommitted_stage_only_seeds_the_incremental_cache() {
+        let (backend, pool) = pool_pair();
+        let mut region = CheckpointRegion::format(&pool, DATA, CHUNK).unwrap();
+        pool.set_root(region.oid(), DATA).unwrap();
+        region.checkpoint(&image(1)).unwrap();
+        region.checkpoint(&image(2)).unwrap();
+        // Epoch 3 dies after its header persisted: the other slot holds a
+        // valid but uncommitted image 3.
+        region.set_crash(Some(CheckpointCrash {
+            phase: CheckpointPhase::HeaderWrite,
+            point: CrashPoint::DuringRecovery,
+        }));
+        assert!(region
+            .checkpoint(&image(3))
+            .unwrap_err()
+            .is_injected_crash());
+        drop(region);
+        drop(pool);
+
+        let shared: SharedBackend = Arc::new(backend);
+        let reopened = PmemPool::open_with_backend(shared, "ckpt").unwrap();
+        let mut region = CheckpointRegion::open_root(&reopened).unwrap();
+        assert_eq!(region.committed_epoch(), 2, "the stage is not committed");
+        let mut out = vec![0u8; DATA as usize];
+        assert_eq!(region.restore(&mut out).unwrap(), 2);
+        assert_eq!(out, image(2), "nor restored");
+        // Committing the staged image finds every chunk already in place.
+        let stats = region.checkpoint(&image(3)).unwrap();
+        assert_eq!((stats.epoch, stats.chunks_written), (3, 0));
+        assert_eq!(region.restore(&mut out).unwrap(), 3);
+        assert_eq!(out, image(3));
     }
 
     #[test]

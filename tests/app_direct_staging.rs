@@ -6,49 +6,11 @@
 //! The test counts allocations with a global allocator, so this file holds
 //! a single test: nothing else in the binary allocates while it measures.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
 use streamer_repro::cxl_pmem::{RuntimeBuilder, TierPolicy};
 use streamer_repro::numa::AffinityPolicy;
 use streamer_repro::stream::{PmemStream, StreamConfig};
 
-/// Bytes handed out by the allocator so far.
-static ALLOCATED: AtomicU64 = AtomicU64::new(0);
-
-struct Counting;
-
-// SAFETY: every method forwards its arguments unchanged to the system
-// allocator, which upholds the `GlobalAlloc` contract; counting the request
-// size is a side effect that touches no allocated memory.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATED.fetch_add(layout.size() as u64, Ordering::Relaxed);
-        // SAFETY: same layout, forwarded as received.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCATED.fetch_add(layout.size() as u64, Ordering::Relaxed);
-        // SAFETY: same layout, forwarded as received.
-        unsafe { System.alloc_zeroed(layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATED.fetch_add(new_size as u64, Ordering::Relaxed);
-        // SAFETY: `ptr` was allocated by this allocator (hence by `System`)
-        // with `layout`; forwarded as received.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: `ptr` was allocated by this allocator (hence by `System`)
-        // with `layout`.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-}
-
-#[global_allocator]
-static GLOBAL: Counting = Counting;
+mod counting_alloc;
 
 #[test]
 fn app_direct_runs_allocate_independently_of_array_size() {
@@ -70,9 +32,9 @@ fn app_direct_runs_allocate_independently_of_array_size() {
         // An unmeasured first run sets up whatever a run keeps between
         // invocations; the second run is the one measured.
         stream.run(&workers).unwrap();
-        let before = ALLOCATED.load(Ordering::Relaxed);
+        let before = counting_alloc::allocated();
         stream.run(&workers).unwrap();
-        allocated.push(ALLOCATED.load(Ordering::Relaxed) - before);
+        allocated.push(counting_alloc::allocated() - before);
         let accumulated = StreamConfig {
             ntimes: 2 * config.ntimes,
             ..config
