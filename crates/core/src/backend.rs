@@ -246,13 +246,17 @@ mod tests {
         let dev = device(64 * MIB);
         let mk_backend = || CxlDeviceBackend::new(Arc::clone(&dev), 0, 32 * MIB).unwrap();
         let oid = {
-            let pool = PmemPool::create_with_backend(Arc::new(mk_backend()), "stream").unwrap();
+            let crash = pmem::Crash::new();
+            let backend = crash.wrap(Arc::new(mk_backend()));
+            let pool = PmemPool::create_with_backend(backend, "stream").unwrap();
             let array = PersistentArray::<u64>::allocate(&pool, 128).unwrap();
             array.store_slice(0, &[11u64; 128]).unwrap();
             array.persist_all().unwrap();
             let oid = array.typed_oid();
             pool.set_root(oid.oid(), oid.len()).unwrap();
-            pool.set_crash_point(Some(pmem::CrashPoint::BeforeCommit));
+            // The host dies on the clear of the store's undo log, its ninth
+            // backend call.
+            crash.arm(8, false);
             assert!(array.store_slice_tx(0, &[99u64; 128]).is_err());
             oid
         };

@@ -37,21 +37,27 @@
 //!
 //! * a **commit ends in `publish`** — [`HostSegment::checkpoint`] and the
 //!   object store's `commit`/`delete` publish exactly once, after the commit
-//!   record is durable; a mutation that fails (an injected crash or a real
+//!   record is durable; a mutation that fails (a crashed host or a real
 //!   error) publishes nothing and drops the handle's cached layout, so the
 //!   next use reopens the pool and recovers;
 //! * a **read or write on another host requires `acquire`** — using a handle
-//!   whose acquired version is stale is [`ClusterError::NotAcquired`], a
-//!   typed error instead of silently stale data;
+//!   whose host's acquired version is stale is [`ClusterError::NotAcquired`],
+//!   a typed error instead of silently stale data;
 //! * reading a segment whose writer **never published** is
 //!   [`ClusterError::NeverPublished`] — even when bytes already landed on the
 //!   media, the reader has no right to them until the writer signals. Writing
-//!   one is allowed: the creator is the one establishing publication.
+//!   one is allowed: the creator is the one establishing publication;
+//! * a handle uses its **cached layout only while it reflects the region's
+//!   current version** — the view is per host, the layout per handle, so a
+//!   layout opened before another host's publication (or before a write
+//!   under hardware coherence, which publishes implicitly) is reopened,
+//!   whichever handle of the host acquired.
 //!
 //! Media durability is separate: the pool backend's `persist` maps to the
 //! region's Global-Persistent-Flush path, so a torn commit is still
 //! recoverable (the undo log rolls it back on the next open) even though it
-//! was never published.
+//! was never published. A test crashes a host by running its attempt on a
+//! pool of its own over `Crash::wrap(SharedRegionBackend::new(..))`.
 //!
 //! # Object segments
 //!
@@ -64,18 +70,16 @@
 //! through the fleet's QoS admission front door.
 
 // Re-exported so harnesses driving the cluster (the streamer scenarios, the
-// examples) need only a `cxl-pmem` dependency.
+// examples) need only a `cxl-pmem` dependency, crashing hosts included.
 pub use cxl::CoherenceMode;
 pub use pmem::{
-    CheckpointCrash, CheckpointPhase, CheckpointStats, CrashPoint, ObjectCrash, ObjectPhase,
-    SerialExecutor, StoreCheck,
+    CheckpointRegion, CheckpointStats, Crash, ObjectStore, PmemPool, SerialExecutor,
+    SharedRegionBackend, StoreCheck,
 };
 
 use crate::admission::{AdmissionController, QosClass};
 use cxl::{CxlError, CxlSwitch, HostId, PoolAllocation, PortId, SharedRegion, Type3Device};
-use pmem::{
-    CheckpointRegion, ChunkExecutor, ObjectStore, PmemError, PmemOid, PmemPool, SharedRegionBackend,
-};
+use pmem::{ChunkExecutor, PmemError, PmemOid};
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::fmt;
@@ -150,13 +154,6 @@ impl From<PmemError> for ClusterError {
 impl From<crate::admission::AdmissionError> for ClusterError {
     fn from(e: crate::admission::AdmissionError) -> Self {
         ClusterError::Admission(e)
-    }
-}
-
-impl ClusterError {
-    /// Whether this error is the pmem crash-injection sentinel.
-    pub fn is_injected_crash(&self) -> bool {
-        matches!(self, ClusterError::Pmem(e) if e.is_injected_crash())
     }
 }
 
@@ -464,12 +461,12 @@ pub struct HostHandle<P> {
     /// The opened layout (shared ownership of its pool). Kept across calls
     /// so its caches survive — an unchanged checkpoint stays a
     /// zero-chunk-flush no-op on the cluster path too. `None` until first
-    /// use; dropped by an acquire that advances the view and by any failed
-    /// mutation, so the next use reopens the pool and recovers.
+    /// use; dropped once the region's version moves past `layout_version`
+    /// and by any failed mutation, so the next use reopens the pool and
+    /// recovers.
     payload: Option<P>,
     /// The region version `payload` reflects, recorded when it opens and
-    /// after this handle's own mutations. Hardware coherence needs no
-    /// acquire, so this is how the handle notices another host's writes.
+    /// after this handle's own mutations.
     layout_version: u64,
     /// Optional QoS front door the `*_classed` ops submit through.
     front_door: Option<Arc<AdmissionController>>,
@@ -522,24 +519,14 @@ impl<P: SegmentPayload> HostHandle<P> {
     /// the software-coherence protocol, required before a host that did not
     /// write the data may read or extend it.
     ///
-    /// If the acquire advances this host's view (another host published
-    /// since), the cached layout is dropped: its snapshot of the committed
-    /// state — the checkpoint region's epoch and chunk-hash cache, the
-    /// store's descriptor counters and staged puts — described the
-    /// superseded publication, so the next op reopens the pool and re-reads
-    /// it. A staged put discarded this way surfaces as a typed `commit
-    /// without a staged put` error; stage it again against the refreshed
-    /// view. Under hardware coherence every view counts as current and an
-    /// acquire drops nothing: every op compares the region version with the
-    /// one its layout reflects instead.
+    /// The acquire is the host's: every handle of the host sees the new
+    /// publication. A handle whose cached layout described an older version
+    /// — the checkpoint region's epoch and chunk-hash cache, the store's
+    /// descriptor counters and staged puts — reopens it on its next op. A
+    /// staged put discarded this way surfaces as a typed `commit without a
+    /// staged put` error; stage it again against the refreshed view.
     pub fn acquire(&mut self) -> ClusterResult<u64> {
-        let region = &self.segment.region;
-        let current = region.is_up_to_date(self.host);
-        let version = region.acquire(self.host)?;
-        if !current {
-            self.payload = None;
-        }
-        Ok(version)
+        Ok(self.segment.region.acquire(self.host)?)
     }
 
     /// The coherence check. Under software-managed coherence a read needs a
@@ -572,15 +559,12 @@ impl<P: SegmentPayload> HostHandle<P> {
     /// a commit record torn by the previous owner's crash is rolled back
     /// before any op sees the layout.
     ///
-    /// Under hardware coherence another host's writes arrive without an
-    /// acquire, so a layout whose region version moved is superseded and
-    /// reopened here. Software coherence refused a stale view in
-    /// [`check_view`](Self::check_view) already.
+    /// A layout whose region version moved is superseded and reopened here:
+    /// another host published (and this host acquired, through this handle
+    /// or another) or, under hardware coherence, wrote.
     fn payload(&mut self) -> pmem::Result<&mut P> {
         let region = &self.segment.region;
-        if region.mode() == CoherenceMode::HardwareBackInvalidate
-            && self.layout_version != region.version()
-        {
+        if self.layout_version != region.version() {
             self.payload = None;
         }
         match &mut self.payload {
@@ -604,9 +588,9 @@ impl<P: SegmentPayload> HostHandle<P> {
 
     /// Runs `op` as a mutation of the layout. Success publishes when
     /// `publish` is set — a commit ends in a publish, so other hosts become
-    /// entitled to acquire it. Any failure (an injected crash or a real
-    /// error) publishes nothing and drops the cached layout, so the next
-    /// use, on this host or any other, reopens the pool and recovers.
+    /// entitled to acquire it. Any failure publishes nothing and drops the
+    /// cached layout, so the next use, on this host or any other, reopens
+    /// the pool and recovers.
     fn mutate<T>(
         &mut self,
         publish: bool,
@@ -644,7 +628,7 @@ impl HostSegment {
     /// publish. Serial persist path; see
     /// [`checkpoint_with`](Self::checkpoint_with) for the fan-out variant.
     pub fn checkpoint(&mut self, data: &[u8]) -> ClusterResult<CheckpointStats> {
-        self.commit_epoch(data, &SerialExecutor, None)
+        self.checkpoint_with(data, &SerialExecutor)
     }
 
     /// Like [`checkpoint`](Self::checkpoint), with chunk flushes fanned out
@@ -655,33 +639,7 @@ impl HostSegment {
         data: &[u8],
         exec: &impl ChunkExecutor,
     ) -> ClusterResult<CheckpointStats> {
-        self.commit_epoch(data, exec, None)
-    }
-
-    /// A checkpoint attempt with a crash armed at `crash` — the cross-host
-    /// restart tests' injection point. The commit fails with an
-    /// injected-crash error, nothing is published, and the handle forgets its
-    /// pool (the host "died"); the durable state is exactly what the crash
-    /// left on the pooled devices.
-    pub fn checkpoint_crashing(
-        &mut self,
-        data: &[u8],
-        crash: CheckpointCrash,
-        exec: &impl ChunkExecutor,
-    ) -> ClusterResult<CheckpointStats> {
-        self.commit_epoch(data, exec, Some(crash))
-    }
-
-    fn commit_epoch(
-        &mut self,
-        data: &[u8],
-        exec: &impl ChunkExecutor,
-        crash: Option<CheckpointCrash>,
-    ) -> ClusterResult<CheckpointStats> {
-        self.mutate(true, |ckpt| {
-            ckpt.set_crash(crash);
-            ckpt.checkpoint_with(data, exec)
-        })
+        self.mutate(true, |ckpt| ckpt.checkpoint_with(data, exec))
     }
 
     /// Restores the last committed epoch into `out` and returns its number.
@@ -737,37 +695,11 @@ impl HostStore {
         self.mutate(false, |store| store.put(id, value))
     }
 
-    /// A staging write with a crash armed at `crash` — the torn-payload half
-    /// of the object crash matrix. The slot write dies mid-copy, nothing is
-    /// committed or published, and the handle forgets its pool (the host
-    /// "died"); the committed version stays untouched for every other host.
-    pub fn put_crashing(&mut self, id: u64, value: &[u8], crash: ObjectCrash) -> ClusterResult<()> {
-        self.mutate(false, |store| {
-            store.set_crash(Some(crash));
-            store.put(id, value)
-        })
-    }
-
     /// Commits the staged version of object `id`, **publishes** the segment
     /// (the coherence contract: a directory mutation ends in a publish), and
     /// returns the object's new epoch.
     pub fn commit(&mut self, id: u64) -> ClusterResult<u64> {
-        self.commit_armed(id, None)
-    }
-
-    /// A commit attempt with a crash armed at `crash` — the object
-    /// crash-matrix suites' injection point. The commit fails with an
-    /// injected-crash error, nothing is published, and the handle forgets
-    /// its pool (the host "died").
-    pub fn commit_crashing(&mut self, id: u64, crash: ObjectCrash) -> ClusterResult<u64> {
-        self.commit_armed(id, Some(crash))
-    }
-
-    fn commit_armed(&mut self, id: u64, crash: Option<ObjectCrash>) -> ClusterResult<u64> {
-        self.mutate(true, |store| {
-            store.set_crash(crash);
-            store.commit(id)
-        })
+        self.mutate(true, |store| store.commit(id))
     }
 
     /// Stages and commits `value` as the next version of object `id`.
@@ -846,6 +778,22 @@ mod tests {
             .collect()
     }
 
+    /// A pool of the handle's host's own over its segment, every call of
+    /// which `crash` counts: where a crashing attempt runs.
+    fn crashable_pool<P: SegmentPayload>(handle: &HostHandle<P>, crash: &Crash) -> PmemPool {
+        let backend = SharedRegionBackend::new(handle.region(), handle.host());
+        PmemPool::open_with_backend(crash.wrap(Arc::new(backend)), handle.name()).unwrap()
+    }
+
+    /// The call a checkpoint attempt on a freshly opened pool dies at to
+    /// strand its commit record: validating the target slot (its header and
+    /// `validated` chunks), a write and a flush per dirty chunk, the slot
+    /// header's write and persist, then the record's first eight calls, up
+    /// to the clear of its undo log.
+    fn log_clear_call(validated: u64, dirty: u64) -> u64 {
+        1 + validated + 2 * dirty + 2 + 8
+    }
+
     fn two_card_cluster(mode: CoherenceMode) -> DisaggregatedCluster {
         let cluster = DisaggregatedCluster::new("test-rack", mode);
         for i in 0..2 {
@@ -894,17 +842,15 @@ mod tests {
                 .unwrap();
             a.checkpoint(&image(1)).unwrap();
             a.checkpoint(&golden).unwrap();
-            let err = a
-                .checkpoint_crashing(
-                    &image(3),
-                    CheckpointCrash {
-                        phase: CheckpointPhase::Commit,
-                        point: CrashPoint::BeforeCommit,
-                    },
-                    &SerialExecutor,
-                )
-                .unwrap_err();
+            let crash = Crash::new();
+            let pool = crashable_pool(&a, &crash);
+            let mut region = CheckpointRegion::open_root(&pool).unwrap();
+            let chunks = DATA / CHUNK;
+            crash.arm(log_clear_call(chunks, chunks), false);
+            let err = region.checkpoint(&image(3)).unwrap_err();
             assert!(err.is_injected_crash());
+            crash.revive();
+            assert!(pool.tx_log_active().unwrap(), "a stranded commit record");
         } // host A torn down
 
         // Host B attaches, acquires, restores epoch 2 bit-exact.
@@ -942,20 +888,21 @@ mod tests {
     #[test]
     fn unpublished_segment_is_a_typed_error() {
         let cluster = two_card_cluster(CoherenceMode::SoftwareManaged);
-        // Host A dies during its *first* commit: nothing was ever published.
+        // Host A dies during its *first* commit, tearing the slot header:
+        // nothing was ever published.
         {
-            let mut a = cluster
+            let a = cluster
                 .host(0)
                 .create_segment("fresh", DATA, CHUNK)
                 .unwrap();
-            let _ = a.checkpoint_crashing(
-                &image(1),
-                CheckpointCrash {
-                    phase: CheckpointPhase::HeaderWrite,
-                    point: CrashPoint::BeforeCommit,
-                },
-                &SerialExecutor,
-            );
+            let crash = Crash::new();
+            let pool = crashable_pool(&a, &crash);
+            let mut region = CheckpointRegion::open_root(&pool).unwrap();
+            crash.arm(log_clear_call(0, DATA / CHUNK) - 10, true);
+            assert!(region
+                .checkpoint(&image(1))
+                .unwrap_err()
+                .is_injected_crash());
         }
         let mut b = cluster.host(1).attach_segment("fresh").unwrap();
         b.acquire().unwrap();
@@ -1002,6 +949,46 @@ mod tests {
         let mut fresh = cluster.host(0).attach_segment("hw").unwrap();
         assert_eq!(fresh.restore(&mut out).unwrap(), 3);
         assert_eq!(out, image(3));
+    }
+
+    #[test]
+    fn every_handle_of_a_host_drops_a_layout_another_handle_superseded() {
+        let cluster = DisaggregatedCluster::new("one-card", CoherenceMode::SoftwareManaged);
+        cluster.attach_device(Arc::new(Type3Device::new(
+            "card",
+            64 * MIB,
+            LinkConfig::gen5_x16(),
+        )));
+        // Checkpoint segment: host 1's handle b1 restores epoch 1; host 0
+        // commits epoch 2 and b2, host 1's other handle, acquires it.
+        let mut a = cluster.host(0).create_segment("seg", DATA, CHUNK).unwrap();
+        a.checkpoint(&image(1)).unwrap();
+        let mut b1 = cluster.host(1).attach_segment("seg").unwrap();
+        let mut b2 = cluster.host(1).attach_segment("seg").unwrap();
+        b1.acquire().unwrap();
+        let mut out = vec![0u8; DATA as usize];
+        assert_eq!(b1.restore(&mut out).unwrap(), 1);
+        a.checkpoint(&image(2)).unwrap();
+        b2.acquire().unwrap();
+        // Host 1's view is current, so b1 passes the check — and must not
+        // serve the layout it opened at epoch 1.
+        assert_eq!(b1.acquire().unwrap(), 2);
+        assert_eq!(b1.restore(&mut out).unwrap(), 2);
+        assert_eq!(out, image(2));
+
+        // Object store: r1 counts one object; host 0 commits a second and
+        // r2 acquires it.
+        let mut w = cluster.host(0).create_store("kv", 16, 64).unwrap();
+        w.put_commit(0, b"v1").unwrap();
+        let mut r1 = cluster.host(1).open_store("kv").unwrap();
+        let mut r2 = cluster.host(1).open_store("kv").unwrap();
+        r1.acquire().unwrap();
+        assert_eq!(r1.live().unwrap(), 1);
+        w.put_commit(1, b"v2").unwrap();
+        r2.acquire().unwrap();
+        assert_eq!(r1.live().unwrap(), 2);
+        assert_eq!(r1.get(1).unwrap(), b"v2");
+        assert_eq!(r2.live().unwrap(), 2);
     }
 
     #[test]
@@ -1277,34 +1264,47 @@ mod tests {
 
     #[test]
     fn object_commit_crash_recovers_bit_exact_on_the_other_host() {
-        for point in CrashPoint::ALL {
+        let positions = Crash::sweep(|k, torn| {
             let cluster = two_card_cluster(CoherenceMode::SoftwareManaged);
             let mut a = cluster.host(0).create_store("torn", 64, 96).unwrap();
             let committed = vec![0xC3u8; 80];
             a.put_commit(9, &committed).unwrap();
-            a.put(9, &[0x11u8; 80]).unwrap();
-            let outcome = a.commit_crashing(
-                9,
-                ObjectCrash {
-                    phase: ObjectPhase::EntryCommit,
-                    point,
-                },
-            );
+            // Host A's attempt runs on a pool of its own, dying at call k.
+            let crash = Crash::new();
+            let pool = crashable_pool(&a, &crash);
+            let mut store = ObjectStore::open_root(&pool).unwrap();
+            store.put(9, &[0x11u8; 80]).unwrap();
+            crash.arm(k, torn);
+            let outcome = store.commit(9);
+            drop(store);
+            drop(pool);
             drop(a); // host A torn down
 
             let mut b = cluster.host(1).open_store("torn").unwrap();
             b.acquire().unwrap();
             let bytes = b.get(9).unwrap();
-            match outcome {
-                // DuringRecovery never fires inside a transaction.
-                Ok(epoch) => assert_eq!(epoch, 2),
-                Err(e) => assert!(e.is_injected_crash()),
-            }
+            let crashed = match outcome {
+                // The commit ran to its end.
+                Ok(epoch) => {
+                    assert_eq!(epoch, 2);
+                    false
+                }
+                Err(e) => {
+                    assert!(e.is_injected_crash());
+                    true
+                }
+            };
             // Either the old or the new version, never a torn mix — and the
             // full-directory audit must hold after recovery.
-            assert!(bytes == committed || bytes == vec![0x11u8; 80], "{point:?}");
+            assert!(
+                bytes == committed || bytes == vec![0x11u8; 80],
+                "{k}/{torn}"
+            );
             b.verify().unwrap();
-        }
+            crashed
+        });
+        println!("cross-host object commit sweep: {positions} crash positions");
+        assert_eq!(positions, 32);
     }
 
     #[test]

@@ -109,8 +109,8 @@ pub use runtime::{
 };
 pub use tiering::{
     assignment_bandwidth, AccessTracker, BandwidthAwarePolicy, ChunkHeat, HotGreedyPolicy,
-    MigrationCrash, MigrationPhase, MigrationStats, PlanContext, StaticSpillPolicy, TierAssignment,
-    TierPlanner, TierShape, TieredRegion,
+    MigrationStats, PlanContext, StaticSpillPolicy, TierAssignment, TierPlanner, TierPool,
+    TierShape, TieredRegion,
 };
 
 /// Result alias for runtime operations.

@@ -75,15 +75,6 @@ impl fmt::Display for RuntimeError {
 
 impl std::error::Error for RuntimeError {}
 
-impl RuntimeError {
-    /// Whether this error wraps the crash-injection sentinel (the tiering
-    /// migrator and checkpoint pipelines surface injected crashes through
-    /// the persistent store).
-    pub fn is_injected_crash(&self) -> bool {
-        matches!(self, RuntimeError::Pmem(e) if e.is_injected_crash())
-    }
-}
-
 impl From<SimError> for RuntimeError {
     fn from(e: SimError) -> Self {
         RuntimeError::Sim(e)
@@ -243,9 +234,6 @@ impl std::ops::Deref for ManagedPool {
 /// then drains once for the whole invocation — so a checkpoint costs at most
 /// `dirty_chunks` flushes + 1 drain, exactly the `PersistStats` discipline
 /// of the STREAM-PMem hot path.
-///
-/// Crash injection into the chunk-flush phase is only deterministic under
-/// [`pmem::SerialExecutor`]; this adapter is the production path.
 pub struct PooledChunkExecutor<'a>(pub &'a PinnedPool);
 
 impl ChunkExecutor for PooledChunkExecutor<'_> {
@@ -1020,7 +1008,7 @@ mod tests {
 
     #[test]
     fn checkpoint_region_parallel_persist_and_runtime_restore() {
-        use pmem::{CheckpointCrash, CheckpointPhase, CheckpointRegion, CrashPoint};
+        use pmem::{CheckpointRegion, Crash};
 
         let rt = RuntimeBuilder::setup1().build();
         let data_len = 64 * 1024u64;
@@ -1032,7 +1020,12 @@ mod tests {
         let workers = rt.worker_pool_for(&AffinityPolicy::close(), 4).unwrap();
         let exec = PooledChunkExecutor(&workers);
 
-        let mut region = CheckpointRegion::open_root(managed.pool()).unwrap();
+        // The host works through a second pool handle whose backend a crash
+        // wraps.
+        let crash = Crash::new();
+        let host =
+            PmemPool::open_with_backend(crash.wrap(managed.pool().backend()), "ckpt-rt").unwrap();
+        let mut region = CheckpointRegion::open_root(&host).unwrap();
         let image: Vec<u8> = (0..data_len).map(|i| (i % 251) as u8).collect();
         let stats = region.checkpoint_with(&image, &exec).unwrap();
         assert_eq!(stats.chunks_written, 16, "cold slot: every chunk flushes");
@@ -1041,11 +1034,11 @@ mod tests {
         assert_eq!(stats.chunks_written, 0, "warm slot: incremental no-op");
 
         // Crash the commit record, drop every handle, and reattach through
-        // the runtime: the torn commit rolls back to epoch 3.
-        region.set_crash(Some(CheckpointCrash {
-            phase: CheckpointPhase::Commit,
-            point: CrashPoint::BeforeCommit,
-        }));
+        // the runtime: the torn commit rolls back to epoch 3. The host dies
+        // on the clear of the undo log, after the one changed chunk's write
+        // and flush, the slot header's write and persist, and eight calls of
+        // the record.
+        crash.arm(12, false);
         let mut changed = image.clone();
         changed[0] ^= 1;
         assert!(region
@@ -1053,6 +1046,7 @@ mod tests {
             .unwrap_err()
             .is_injected_crash());
         drop(region);
+        drop(host);
         drop(managed);
 
         let reattached = rt
@@ -1069,7 +1063,7 @@ mod tests {
     #[test]
     fn cluster_checkpoints_fan_out_over_the_runtime_worker_pool() {
         use cxl::CoherenceMode;
-        use pmem::{CheckpointCrash, CheckpointPhase, CrashPoint};
+        use pmem::{CheckpointRegion, Crash, SharedRegionBackend};
 
         let rt = RuntimeBuilder::setup1().build();
         let cluster = rt.disaggregated_cluster(2, CoherenceMode::SoftwareManaged);
@@ -1087,20 +1081,24 @@ mod tests {
         assert_eq!(stats.chunks_written, 16, "cold slot flushes every chunk");
         a.checkpoint_with(&image, &exec).unwrap();
 
-        // Die mid-commit on the resident-pool path too, then fail over.
+        // Die mid-commit on the resident-pool path too, then fail over. Host
+        // 0's attempt runs on a pool of its own over a crash-wrapped backend:
+        // it validates the target slot (its header and 16 chunks), writes
+        // and flushes the one changed chunk, writes and persists the slot
+        // header, and dies on the commit record's clear of the undo log.
+        let crash = Crash::new();
+        let backend = Arc::new(SharedRegionBackend::new(a.region(), 0));
+        let pool = PmemPool::open_with_backend(crash.wrap(backend), "fanout").unwrap();
+        let mut region = CheckpointRegion::open_root(&pool).unwrap();
         let mut next = image.clone();
         next[0] ^= 0xFF;
-        assert!(a
-            .checkpoint_crashing(
-                &next,
-                CheckpointCrash {
-                    phase: CheckpointPhase::Commit,
-                    point: CrashPoint::BeforeCommit,
-                },
-                &exec,
-            )
+        crash.arm(17 + 2 + 2 + 8, false);
+        assert!(region
+            .checkpoint_with(&next, &exec)
             .unwrap_err()
             .is_injected_crash());
+        drop(region);
+        drop(pool);
         drop(a);
         let mut b = cluster.host(1).attach_segment("fanout").unwrap();
         b.acquire().unwrap();

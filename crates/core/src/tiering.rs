@@ -40,7 +40,9 @@
 //!   readable from exactly one tier: before the flip the source bytes are
 //!   authoritative (the shadow copy is invisible), after it the destination
 //!   bytes are, and a flip torn mid-transaction is rolled back by undo-log
-//!   recovery.
+//!   recovery. The crash suites check this at every backend call of a
+//!   migration: [`TieredRegion::from_pools`] lays the region over pools
+//!   opened on backends one `pmem::Crash` wraps.
 //!
 //! Entry points on the runtime:
 //! [`CxlPmemRuntime::tiered_region`](crate::CxlPmemRuntime::tiered_region)
@@ -52,7 +54,7 @@ use memsim::access::{ThreadTraffic, TrafficPhase};
 use memsim::{Engine, PhaseReport, SimError};
 use numa::NodeId;
 use pmem::pool::MIN_POOL_SIZE;
-use pmem::{ChunkExecutor, CrashPoint, PmemError, PmemPool, ResidencyMap};
+use pmem::{ChunkExecutor, PmemError, PmemPool, ResidencyMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -528,38 +530,21 @@ impl TierPlanner for BandwidthAwarePolicy {
     }
 }
 
+/// The slab bytes of a region shape: whole chunks covering `data_len`,
+/// checked non-zero and to fit in `u64`.
+fn slab_bytes(data_len: u64, chunk_len: u64) -> crate::Result<u64> {
+    if data_len == 0 || chunk_len == 0 {
+        return Err(RuntimeError::Tiering(
+            "data_len and chunk_len must be non-zero",
+        ));
+    }
+    Ok(data_len
+        .div_ceil(chunk_len)
+        .checked_mul(chunk_len)
+        .ok_or(PmemError::SizeOverflow)?)
+}
+
 // ---------------------------------------------------------------- region
-
-/// Where an injected migration crash fires.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MigrationPhase {
-    /// While chunk bytes are copied + flushed into destination slabs. The
-    /// [`CrashPoint`] ordinal `k` selects "die when copying move `k`"; an
-    /// ordinal past the move set fires after every copy but before any
-    /// residency commit. The "moves `0..k` shadow-copied, `k..` untouched"
-    /// prefix shape holds only under [`pmem::SerialExecutor`] — a parallel
-    /// executor's other lanes may have copied any subset when the crash
-    /// fires. Either way no residency flip has happened, so correctness
-    /// (every chunk readable from its source tier) is executor-independent.
-    Copy,
-    /// Inside the first residency-flip transaction — the [`CrashPoint`] is
-    /// armed on the metadata pool and fires at its native transaction site,
-    /// stranding the migration record for undo-log recovery to roll back.
-    /// [`CrashPoint::DuringRecovery`] never fires inside a transaction (the
-    /// same rule as `CheckpointPhase::Commit`), so that combination commits
-    /// cleanly.
-    Commit,
-}
-
-/// A crash to inject into the *next* migration (taken exactly once).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct MigrationCrash {
-    /// Pipeline stage the crash fires in.
-    pub phase: MigrationPhase,
-    /// Sub-position within the stage (ordinal for the copy phase, native
-    /// transaction site for the commit phase).
-    pub point: CrashPoint,
-}
 
 /// Outcome of one migration pass.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -577,6 +562,19 @@ impl MigrationStats {
     pub fn is_noop(&self) -> bool {
         self.planned == 0
     }
+}
+
+/// One tier's pool before a region is laid over it: what
+/// [`TieredRegion::provision_pools`] returns and [`TieredRegion::from_pools`]
+/// takes.
+pub struct TierPool {
+    /// The pool the tier's chunk slab goes in (and, on the last tier, the
+    /// residency map).
+    pub pool: PmemPool,
+    /// The tier's node and capacity budget.
+    pub shape: TierShape,
+    /// Paper-style mount label of the tier.
+    pub mount: String,
 }
 
 /// One tier's store: its shape, mount label, pool and chunk slab.
@@ -597,7 +595,6 @@ pub struct TieredRegion {
     tiers: Vec<TierStore>,
     residency: ResidencyMap,
     tracker: Arc<AccessTracker>,
-    crash: Option<MigrationCrash>,
 }
 
 impl std::fmt::Debug for TieredRegion {
@@ -612,12 +609,9 @@ impl std::fmt::Debug for TieredRegion {
 }
 
 impl TieredRegion {
-    /// Provisions the region on `runtime` — one pool per `(tier, budget)`
-    /// entry, a slab of `chunk_count × chunk_len` bytes in each (every tier
-    /// can shadow any chunk during a migration, mirroring the checkpoint
-    /// subsystem's two-slot discipline), the access tracker, and the durable
-    /// residency map in the last (spill) tier's pool, registered as that
-    /// pool's root object. Initial placement is static spill.
+    /// Provisions the region on `runtime`: one pool per `(tier, budget)`
+    /// entry ([`provision_pools`](Self::provision_pools)), then the region
+    /// over them ([`from_pools`](Self::from_pools)).
     pub fn provision(
         runtime: &CxlPmemRuntime,
         tiers: &[(TierPolicy, u64)],
@@ -625,48 +619,76 @@ impl TieredRegion {
         data_len: u64,
         chunk_len: u64,
     ) -> crate::Result<Self> {
-        if data_len == 0 || chunk_len == 0 {
-            return Err(RuntimeError::Tiering(
-                "data_len and chunk_len must be non-zero",
-            ));
-        }
+        let pools = Self::provision_pools(runtime, tiers, layout, data_len, chunk_len)?;
+        Self::from_pools(pools, data_len, chunk_len)
+    }
+
+    /// Provisions one pool per `(tier, budget)` entry on `runtime`, each
+    /// sized for a slab of the region's chunks; the last (spill) tier's pool
+    /// also fits the residency map. Every size is checked before any pool is
+    /// provisioned.
+    pub fn provision_pools(
+        runtime: &CxlPmemRuntime,
+        tiers: &[(TierPolicy, u64)],
+        layout: &str,
+        data_len: u64,
+        chunk_len: u64,
+    ) -> crate::Result<Vec<TierPool>> {
+        let slab_bytes = slab_bytes(data_len, chunk_len)?;
         if tiers.is_empty() {
             return Err(RuntimeError::Tiering("at least one tier is required"));
         }
         let chunk_count = data_len.div_ceil(chunk_len) as usize;
-        // Every size is checked before any pool is provisioned.
-        let slab_bytes = data_len
-            .div_ceil(chunk_len)
-            .checked_mul(chunk_len)
-            .ok_or(PmemError::SizeOverflow)?;
         let tier_size = slab_bytes
             .checked_add(MIN_POOL_SIZE + 64 * 1024)
             .ok_or(PmemError::SizeOverflow)?;
-        // The last (spill) tier's pool also holds the residency map.
         let spill_size = tier_size
             .checked_add(ResidencyMap::map_size(chunk_count))
             .ok_or(PmemError::SizeOverflow)?;
-        let mut stores = Vec::with_capacity(tiers.len());
-        for (i, (policy, capacity)) in tiers.iter().enumerate() {
-            let size = if i == tiers.len() - 1 {
-                spill_size
-            } else {
-                tier_size
-            };
-            let managed = runtime.provision_pool(policy, &format!("{layout}-tier{i}"), size)?;
-            let (pool, node, mount) = managed.into_parts();
-            let pool = Arc::new(pool);
-            let slab = pool.alloc_bytes(slab_bytes)?.offset;
-            stores.push(TierStore {
-                shape: TierShape {
+        tiers
+            .iter()
+            .enumerate()
+            .map(|(i, (policy, capacity))| {
+                let size = if i == tiers.len() - 1 {
+                    spill_size
+                } else {
+                    tier_size
+                };
+                let managed = runtime.provision_pool(policy, &format!("{layout}-tier{i}"), size)?;
+                let (pool, node, mount) = managed.into_parts();
+                let shape = TierShape {
                     node,
                     capacity_bytes: *capacity,
-                },
-                mount,
+                };
+                Ok(TierPool { pool, shape, mount })
+            })
+            .collect()
+    }
+
+    /// Lays the region over `pools`, fastest tier first: a slab of
+    /// `chunk_count × chunk_len` bytes in each (every tier can shadow any
+    /// chunk during a migration, mirroring the checkpoint subsystem's
+    /// two-slot discipline), the access tracker, and the durable residency
+    /// map in the last (spill) tier's pool, registered as that pool's root
+    /// object. Initial placement is static spill.
+    pub fn from_pools(pools: Vec<TierPool>, data_len: u64, chunk_len: u64) -> crate::Result<Self> {
+        let slab_bytes = slab_bytes(data_len, chunk_len)?;
+        let chunk_count = data_len.div_ceil(chunk_len) as usize;
+        let mut stores = Vec::with_capacity(pools.len());
+        for tier in pools {
+            let pool = Arc::new(tier.pool);
+            let slab = pool.alloc_bytes(slab_bytes)?.offset;
+            stores.push(TierStore {
+                shape: tier.shape,
+                mount: tier.mount,
                 pool,
                 slab,
             });
         }
+        let meta_pool = stores
+            .last()
+            .map(|spill| Arc::clone(&spill.pool))
+            .ok_or(RuntimeError::Tiering("at least one tier is required"))?;
         // Initial placement: static spill over the budgets — the same
         // fill_by_budget walk StaticSpillPolicy runs, so a fresh region's
         // first static-spill rebalance is a no-op by construction.
@@ -676,7 +698,6 @@ impl TieredRegion {
             .into_iter()
             .map(|t| t as u32)
             .collect();
-        let meta_pool = Arc::clone(&stores.last().expect("non-empty").pool);
         let residency = ResidencyMap::format(meta_pool, stores.len() as u32, &initial)?;
         residency
             .pool()
@@ -688,7 +709,6 @@ impl TieredRegion {
             tiers: stores,
             residency,
             tracker: Arc::new(AccessTracker::new(data_len, chunk_len)),
-            crash: None,
         })
     }
 
@@ -826,14 +846,9 @@ impl TieredRegion {
 
     // ------------------------------------------------------------ migration
 
-    /// Arms a crash to be injected into the *next* migration pass.
-    pub fn set_crash(&mut self, crash: Option<MigrationCrash>) {
-        self.crash = crash;
-    }
-
-    /// Runs undo-log recovery on the metadata pool after an injected commit
-    /// crash (a real crash gets this for free from the pool reopen). Returns
-    /// `true` if a stranded migration record was rolled back.
+    /// Runs undo-log recovery on the metadata pool after a crash mid-commit
+    /// (a reboot gets this for free from the pool reopen). Returns `true` if
+    /// a stranded migration record was rolled back.
     pub fn recover(&self) -> crate::Result<bool> {
         Ok(self.residency.recover()?)
     }
@@ -856,7 +871,6 @@ impl TieredRegion {
     ) -> crate::Result<MigrationStats> {
         assignment.validate(self.data_len, self.chunk_bytes, &self.tier_shapes())?;
         let current = self.residency()?;
-        let crash = self.crash.take();
         let moves: Vec<(usize, usize, usize)> = assignment
             .tier_of
             .iter()
@@ -870,15 +884,8 @@ impl TieredRegion {
             .sum();
 
         // Phase 1: shadow copies, one flush per chunk, drain per dest tier.
-        let crash_at_copy = match crash {
-            Some(c) if c.phase == MigrationPhase::Copy => Some(c.point.ordinal()),
-            _ => None,
-        };
         let region = &*self;
         exec.run_chunks(moves.len(), &|j| {
-            if crash_at_copy == Some(j) {
-                return Err(pmem::PmemError::InjectedCrash("migration-copy"));
-            }
             let (chunk, from, to) = moves[j];
             let len = region.chunk_payload(chunk) as usize;
             let mut buf = vec![0u8; len];
@@ -889,9 +896,6 @@ impl TieredRegion {
             region.tiers[to].pool.write(dst, &buf)?;
             region.tiers[to].pool.flush(dst, len as u64)
         })?;
-        if crash_at_copy.is_some_and(|k| k >= moves.len()) {
-            return Err(pmem::PmemError::InjectedCrash("migration-copy").into());
-        }
         let mut dests: Vec<usize> = moves.iter().map(|&(_, _, to)| to).collect();
         dests.sort_unstable();
         dests.dedup();
@@ -899,26 +903,7 @@ impl TieredRegion {
             self.tiers[tier].pool.drain();
         }
 
-        // Phase 2: per-chunk residency flips through the undo log. A Commit
-        // crash is armed on the pool and fires at its native transaction
-        // site, exactly like CheckpointPhase::Commit — DuringRecovery never
-        // fires inside a transaction, so that cell commits cleanly. With no
-        // moves there is no transaction to arm, so the pass synthesises the
-        // same outcome the transaction would have produced (abort for the
-        // transaction-site points, clean no-op for DuringRecovery) rather
-        // than leaving the point armed to detonate a later, un-instrumented
-        // operation.
-        if let Some(c) = crash {
-            if c.phase == MigrationPhase::Commit {
-                if moves.is_empty() {
-                    if c.point != CrashPoint::DuringRecovery {
-                        return Err(pmem::PmemError::InjectedCrash("migration-commit").into());
-                    }
-                } else {
-                    self.residency.pool().set_crash_point(Some(c.point));
-                }
-            }
-        }
+        // Phase 2: per-chunk residency flips through the undo log.
         let mut committed = 0usize;
         for &(chunk, from, to) in &moves {
             self.residency.commit_move(chunk, from as u32, to as u32)?;
@@ -968,7 +953,7 @@ mod tests {
     use super::*;
     use crate::runtime::RuntimeBuilder;
     use memsim::units::GIB;
-    use pmem::SerialExecutor;
+    use pmem::{Crash, SerialExecutor};
 
     const KIB: u64 = 1024;
 
@@ -987,6 +972,46 @@ mod tests {
         (0..4096usize)
             .map(|i| (i as u8).wrapping_mul(13).wrapping_add(chunk as u8 ^ tag))
             .collect()
+    }
+
+    /// An 8-chunk region over [`two_tiers`] whose pools one [`Crash`] wraps,
+    /// each chunk written with `image(chunk, tag)`.
+    fn crashable_region(rt: &CxlPmemRuntime, layout: &str, tag: u8) -> (Crash, TieredRegion) {
+        let (data, chunk) = (8 * 4 * KIB, 4 * KIB);
+        let crash = Crash::new();
+        let pools = TieredRegion::provision_pools(rt, &two_tiers(), layout, data, chunk)
+            .unwrap()
+            .into_iter()
+            .map(|tier| {
+                let backend = crash.wrap(tier.pool.backend());
+                let pool = PmemPool::open_with_backend(backend, &tier.pool.layout()).unwrap();
+                TierPool { pool, ..tier }
+            })
+            .collect();
+        let region = TieredRegion::from_pools(pools, data, chunk).unwrap();
+        for c in 0..8 {
+            region.write_chunk(c, &image(c, tag)).unwrap();
+        }
+        (crash, region)
+    }
+
+    /// Every chunk reads back `image(chunk, tag)` from the one tier its
+    /// residency names.
+    fn assert_intact(region: &TieredRegion, tag: u8, case: &str) {
+        let mut back = vec![0u8; 4096];
+        for c in 0..8 {
+            region.read_chunk(c, &mut back).unwrap();
+            assert_eq!(back, image(c, tag), "{case}: chunk {c}");
+        }
+    }
+
+    /// Whether a migration failed because the host died.
+    fn died(result: &crate::Result<MigrationStats>) -> bool {
+        match result {
+            Ok(_) => false,
+            Err(RuntimeError::Pmem(e)) if e.is_injected_crash() => true,
+            Err(e) => panic!("not a crash: {e}"),
+        }
     }
 
     #[test]
@@ -1284,68 +1309,58 @@ mod tests {
     #[test]
     fn crash_during_copy_leaves_residency_and_content_untouched() {
         let rt = runtime();
-        let mut region = rt
-            .tiered_region(&two_tiers(), "tier-crash-copy", 8 * 4 * KIB, 4 * KIB)
-            .unwrap();
-        for c in 0..8 {
-            region.write_chunk(c, &image(c, 3)).unwrap();
-        }
-        let before = region.residency().unwrap();
-        let mut tier_of = before.clone();
-        tier_of[0] = 1;
-        tier_of[1] = 1;
-        region.set_crash(Some(MigrationCrash {
-            phase: MigrationPhase::Copy,
-            point: CrashPoint::BeforeCommit, // ordinal 1: dies on move 1
-        }));
-        let err = region
-            .migrate_to(&TierAssignment { tier_of }, &SerialExecutor)
-            .unwrap_err();
-        assert!(err.is_injected_crash());
-        assert_eq!(region.residency().unwrap(), before);
-        for c in 0..8 {
-            let mut back = vec![0u8; 4096];
-            region.read_chunk(c, &mut back).unwrap();
-            assert_eq!(back, image(c, 3), "chunk {c} readable from its tier");
-        }
+        // Two moves: eight residency reads, then a read, a write and a flush
+        // per shadow copy, then a residency flip per move.
+        let copy_calls: u64 = 8 + 2 * 3;
+        let positions = Crash::sweep(|k, torn| {
+            let case = format!("call {k}/{torn}");
+            let (crash, mut region) = crashable_region(&rt, "tier-crash-copy", 3);
+            let before = region.residency().unwrap();
+            let mut tier_of = before.clone();
+            tier_of[0] = 1;
+            tier_of[1] = 1;
+            crash.arm(k, torn);
+            let result = region.migrate_to(&TierAssignment { tier_of }, &SerialExecutor);
+            crash.revive();
+            if k < copy_calls {
+                assert!(died(&result), "{case}");
+                assert_eq!(region.residency().unwrap(), before, "{case}");
+            }
+            // Whatever flipped, every chunk reads from exactly one tier.
+            assert_intact(&region, 3, &case);
+            died(&result)
+        });
+        println!("migration copy sweep: {positions} crash positions");
+        // Each flip is eleven calls: the entry read and a one-range
+        // transaction.
+        assert_eq!(positions as u64, 2 * (copy_calls + 2 * 11 + 1));
     }
 
     #[test]
     fn commit_crash_on_a_noop_migration_fires_without_arming_the_pool() {
         let rt = runtime();
-        let mut region = rt
-            .tiered_region(&two_tiers(), "tier-crash-noop", 8 * 4 * KIB, 4 * KIB)
-            .unwrap();
+        let (crash, mut region) = crashable_region(&rt, "tier-crash-noop", 0);
         let current = region.assignment().unwrap();
-        region.set_crash(Some(MigrationCrash {
-            phase: MigrationPhase::Commit,
-            point: CrashPoint::BeforeCommit,
-        }));
-        // The plan matches residency: no moves, but the armed crash must
-        // still fire — and must NOT stay armed on the metadata pool where a
-        // later, un-instrumented migration would trip it.
-        assert!(region
-            .migrate_to(&current, &SerialExecutor)
-            .unwrap_err()
-            .is_injected_crash());
+        // The plan matches residency: no moves, so the pass only reads the
+        // residency, one call per chunk, and a crash there still fires.
+        crash.arm(0, false);
+        assert!(died(&region.migrate_to(&current, &SerialExecutor)));
+        crash.revive();
         let mut tier_of = current.tier_of.clone();
         tier_of[0] = 1;
         let stats = region
             .migrate_to(&TierAssignment { tier_of }, &SerialExecutor)
             .unwrap();
         assert_eq!(stats.chunks_moved, 1, "no leaked crash point");
-        // DuringRecovery never fires inside a transaction (the checkpoint
-        // matrix rule): the no-move pass commits cleanly instead of erroring,
-        // and nothing stays armed.
-        region.set_crash(Some(MigrationCrash {
-            phase: MigrationPhase::Commit,
-            point: CrashPoint::DuringRecovery,
-        }));
+        // A crash armed past those reads is never reached: the no-move pass
+        // commits cleanly.
         let current = region.assignment().unwrap();
+        crash.arm(8, false);
         assert!(region
             .migrate_to(&current, &SerialExecutor)
             .unwrap()
             .is_noop());
+        crash.revive();
         let mut back = current.tier_of.clone();
         back[0] = 0;
         let stats = region
@@ -1357,34 +1372,37 @@ mod tests {
     #[test]
     fn crash_during_commit_rolls_the_flip_back() {
         let rt = runtime();
-        let mut region = rt
-            .tiered_region(&two_tiers(), "tier-crash-commit", 8 * 4 * KIB, 4 * KIB)
-            .unwrap();
-        for c in 0..8 {
-            region.write_chunk(c, &image(c, 9)).unwrap();
-        }
-        let before = region.residency().unwrap();
-        let mut tier_of = before.clone();
-        tier_of[2] = 1;
-        let assignment = TierAssignment { tier_of };
-        region.set_crash(Some(MigrationCrash {
-            phase: MigrationPhase::Commit,
-            point: CrashPoint::BeforeCommit,
-        }));
-        assert!(region
-            .migrate_to(&assignment, &SerialExecutor)
-            .unwrap_err()
-            .is_injected_crash());
-        // The stranded record rolls back: chunk 2 still lives on tier 0.
-        assert!(region.recover().unwrap());
-        assert_eq!(region.residency().unwrap(), before);
-        let mut back = vec![0u8; 4096];
-        region.read_chunk(2, &mut back).unwrap();
-        assert_eq!(back, image(2, 9));
-        // The region stays usable: the same migration now commits.
-        let stats = region.migrate_to(&assignment, &SerialExecutor).unwrap();
-        assert_eq!(stats.chunks_moved, 1);
-        region.read_chunk(2, &mut back).unwrap();
-        assert_eq!(back, image(2, 9));
+        let (mut stranded, mut rolled_back) = (0, 0);
+        let positions = Crash::sweep(|k, torn| {
+            let case = format!("call {k}/{torn}");
+            let (crash, mut region) = crashable_region(&rt, "tier-crash-commit", 9);
+            let before = region.residency().unwrap();
+            let mut tier_of = before.clone();
+            tier_of[2] = 1;
+            let assignment = TierAssignment { tier_of };
+            crash.arm(k, torn);
+            let crashed = died(&region.migrate_to(&assignment, &SerialExecutor));
+            crash.revive();
+            // A stranded record rolls back: chunk 2 still lives on tier 0.
+            if region.residency_map().pool().tx_log_active().unwrap() {
+                stranded += 1;
+                rolled_back += usize::from(region.recover().unwrap());
+                assert_eq!(region.residency().unwrap(), before, "{case}");
+            }
+            assert_intact(&region, 9, &case);
+            // The region stays usable: the same migration now commits, or
+            // finds it committed already.
+            let stats = region.migrate_to(&assignment, &SerialExecutor).unwrap();
+            assert!(stats.chunks_moved <= 1, "{case}");
+            assert_eq!(region.residency().unwrap(), assignment.tier_of, "{case}");
+            assert_intact(&region, 9, &case);
+            crashed
+        });
+        println!("migration commit sweep: {positions} crash positions, {stranded} stranded");
+        // Eight residency reads, one shadow copy, one flip.
+        assert_eq!(positions, 2 * (8 + 3 + 11 + 1));
+        // A log header torn in before it counted any entry has nothing to
+        // roll back.
+        assert_eq!((stranded, rolled_back), (8, 7));
     }
 }

@@ -18,6 +18,11 @@
 //!   provides one that stores bytes on a whole `cxl::Type3Device`, which is
 //!   the paper's single-host configuration (a pool living on the expander).
 //!
+//! [`Crash`] is the one way to crash a host. It wraps each of the host's
+//! backends, counts their data-path calls in one sequence, and from a chosen
+//! call on lets none of them reach the media: the host died there, whatever
+//! layer it was updating. The crash suites sweep every call of an op.
+//!
 //! Besides reads and writes, a backend runs computations on its stored bytes
 //! ([`PoolBackend::apply_at`]): a kernel reads up to two ranges and writes a
 //! third, as STREAM-PMem's kernels load and store the arrays of a pool on a
@@ -36,6 +41,7 @@ use std::cell::Cell;
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Where a pool's bytes live. All offsets are pool-relative.
@@ -412,6 +418,135 @@ impl PoolBackend for SharedRegionBackend {
     }
 }
 
+/// One host's crash: every backend it [wraps](Crash::wrap) counts its reads,
+/// writes and persists in one sequence, and once [armed](Crash::arm) the
+/// host dies at a chosen call. That call and every later one fail with
+/// [`PmemError::InjectedCrash`] without reaching the media; a torn write
+/// lands its first half first. Clones share the one sequence.
+#[derive(Clone, Default)]
+pub struct Crash(Arc<CrashState>);
+
+#[derive(Default)]
+struct CrashState {
+    /// Calls counted so far, across every wrapped backend.
+    calls: AtomicU64,
+    /// One past the call the host dies at; 0 while it lives.
+    dies_after: AtomicU64,
+    /// Whether the write the host dies at lands its first half.
+    torn: AtomicBool,
+}
+
+impl Crash {
+    /// A live host with no call counted.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Wraps one of the host's backends.
+    pub fn wrap(&self, backend: SharedBackend) -> SharedBackend {
+        Arc::new(Crashing {
+            inner: backend,
+            crash: self.clone(),
+        })
+    }
+
+    /// Calls counted so far, across every wrapped backend.
+    pub fn calls(&self) -> u64 {
+        self.0.calls.load(Ordering::Relaxed)
+    }
+
+    /// Arms the crash at the `k`-th call from now: the next `k` calls pass
+    /// through, and that call and every later one fail. With `torn`, the
+    /// call it lands on, when it is a write, lands its first half first.
+    pub fn arm(&self, k: u64, torn: bool) {
+        self.0.torn.store(torn, Ordering::Relaxed);
+        let dies_after = self.calls().saturating_add(k).saturating_add(1);
+        self.0.dies_after.store(dies_after, Ordering::Relaxed);
+    }
+
+    /// Revives the host: every call passes through again.
+    pub fn revive(&self) {
+        self.0.dies_after.store(0, Ordering::Relaxed);
+    }
+
+    /// Runs `case(k, torn)` at every crash position of an op: `k = 0, 1, ...`
+    /// with whole writes, then with torn ones, each until `case` returns
+    /// `false` because the op ran to its end without reaching call `k`.
+    /// Returns the positions explored, the two uncrashed runs included.
+    pub fn sweep(mut case: impl FnMut(u64, bool) -> bool) -> usize {
+        let mut positions = 0;
+        for torn in [false, true] {
+            for k in 0u64.. {
+                positions += 1;
+                if !case(k, torn) {
+                    break;
+                }
+            }
+        }
+        positions
+    }
+
+    /// Counts a call: `None` while the host lives, else whether the call
+    /// tears (it is the one the host dies at, armed torn).
+    fn fate(&self) -> Option<bool> {
+        let call = self.0.calls.fetch_add(1, Ordering::Relaxed) + 1;
+        let dies_after = self.0.dies_after.load(Ordering::Relaxed);
+        (dies_after != 0 && call >= dies_after)
+            .then(|| call == dies_after && self.0.torn.load(Ordering::Relaxed))
+    }
+}
+
+fn died() -> PmemError {
+    PmemError::InjectedCrash("a backend call")
+}
+
+/// A backend wrapped by a [`Crash`].
+struct Crashing {
+    inner: SharedBackend,
+    crash: Crash,
+}
+
+impl PoolBackend for Crashing {
+    fn capacity(&self) -> u64 {
+        self.inner.capacity()
+    }
+
+    fn read_at(&self, offset: u64, buf: &mut [u8]) -> Result<()> {
+        match self.crash.fate() {
+            None => self.inner.read_at(offset, buf),
+            Some(_) => Err(died()),
+        }
+    }
+
+    fn write_at(&self, offset: u64, data: &[u8]) -> Result<()> {
+        match self.crash.fate() {
+            None => self.inner.write_at(offset, data),
+            Some(torn) => {
+                if torn {
+                    // in-bounds: data.len() / 2 ≤ data.len().
+                    self.inner.write_at(offset, &data[..data.len() / 2])?;
+                }
+                Err(died())
+            }
+        }
+    }
+
+    fn persist(&self, offset: u64, len: u64) -> Result<()> {
+        match self.crash.fate() {
+            None => self.inner.persist(offset, len),
+            Some(_) => Err(died()),
+        }
+    }
+
+    fn is_persistent(&self) -> bool {
+        self.inner.is_persistent()
+    }
+
+    fn describe(&self) -> String {
+        self.inner.describe()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -555,6 +690,147 @@ mod tests {
             assert!(!ran);
         }
         std::fs::remove_file(&path).unwrap();
+    }
+
+    /// A crash-wrapped 4 KiB backend, and the raw store under it.
+    fn crashable() -> (Crash, VolatileBackend, SharedBackend) {
+        let raw = VolatileBackend::new(4096);
+        let crash = Crash::new();
+        let wrapped = crash.wrap(Arc::new(raw.clone()));
+        (crash, raw, wrapped)
+    }
+
+    fn read8(backend: &dyn PoolBackend, offset: u64) -> [u8; 8] {
+        let mut buf = [0u8; 8];
+        backend.read_at(offset, &mut buf).unwrap();
+        buf
+    }
+
+    #[test]
+    fn unarmed_crash_forwards_and_counts_every_call() {
+        let (crash, raw, backend) = crashable();
+        backend.write_at(8, b"forwards").unwrap();
+        backend.persist(8, 8).unwrap();
+        assert_eq!(&read8(backend.as_ref(), 8), b"forwards");
+        assert_eq!(&read8(&raw, 8), b"forwards");
+        assert_eq!(crash.calls(), 3);
+        // Shape queries are not device calls.
+        assert_eq!(backend.capacity(), 4096);
+        assert!(!backend.is_persistent());
+        assert_eq!(backend.describe(), raw.describe());
+        assert_eq!(crash.calls(), 3);
+    }
+
+    #[test]
+    fn armed_crash_fails_its_call_and_a_torn_write_lands_half() {
+        for torn in [false, true] {
+            let (crash, raw, backend) = crashable();
+            crash.arm(2, torn);
+            backend.write_at(0, b"passes-0").unwrap();
+            backend.persist(0, 8).unwrap();
+            let err = backend.write_at(8, b"tornhalf").unwrap_err();
+            assert!(err.is_injected_crash(), "{err}");
+            let want: &[u8; 8] = if torn { b"torn\0\0\0\0" } else { &[0; 8] };
+            assert_eq!(&read8(&raw, 8), want, "torn {torn}");
+            assert_eq!(&read8(&raw, 0), b"passes-0");
+            // Every later call fails too, whole, reads and persists alike.
+            assert!(backend
+                .write_at(16, b"too-late")
+                .unwrap_err()
+                .is_injected_crash());
+            assert_eq!(read8(&raw, 16), [0; 8]);
+            let mut buf = [0u8; 8];
+            assert!(backend
+                .read_at(0, &mut buf)
+                .unwrap_err()
+                .is_injected_crash());
+            assert_eq!(buf, [0; 8]);
+            assert!(backend.persist(0, 8).unwrap_err().is_injected_crash());
+            assert_eq!(crash.calls(), 6);
+        }
+    }
+
+    #[test]
+    fn armed_crash_tears_only_writes() {
+        // A read or a persist the crash lands on fails whole.
+        let (crash, raw, backend) = crashable();
+        raw.write_at(0, b"on-media").unwrap();
+        crash.arm(0, true);
+        let mut buf = [0u8; 8];
+        assert!(backend
+            .read_at(0, &mut buf)
+            .unwrap_err()
+            .is_injected_crash());
+        assert_eq!(buf, [0; 8]);
+        crash.revive();
+        crash.arm(0, true);
+        assert!(backend.persist(0, 8).unwrap_err().is_injected_crash());
+    }
+
+    #[test]
+    fn one_crash_counts_every_wrapped_backend_in_one_sequence() {
+        let (crash, raw, first) = crashable();
+        let other = VolatileBackend::new(4096);
+        let second = crash.wrap(Arc::new(other.clone()));
+        // Calls 0 and 1 pass, call 2 is the first backend's, call 3 the
+        // second's.
+        crash.arm(2, false);
+        first.write_at(0, b"first-01").unwrap();
+        second.write_at(0, b"second-1").unwrap();
+        assert!(first
+            .write_at(8, b"first-02")
+            .unwrap_err()
+            .is_injected_crash());
+        assert!(second
+            .write_at(8, b"second-2")
+            .unwrap_err()
+            .is_injected_crash());
+        assert_eq!(&read8(&raw, 0), b"first-01");
+        assert_eq!(&read8(&other, 0), b"second-1");
+        assert_eq!(read8(&raw, 8), [0; 8]);
+        assert_eq!(read8(&other, 8), [0; 8]);
+        assert_eq!(crash.calls(), 4);
+    }
+
+    #[test]
+    fn revived_host_passes_every_call_through_again() {
+        let (crash, raw, backend) = crashable();
+        crash.arm(0, false);
+        assert!(backend
+            .write_at(0, b"dead-now")
+            .unwrap_err()
+            .is_injected_crash());
+        crash.revive();
+        backend.write_at(0, b"revived!").unwrap();
+        backend.persist(0, 8).unwrap();
+        assert_eq!(&read8(backend.as_ref(), 0), b"revived!");
+        assert_eq!(&read8(&raw, 0), b"revived!");
+        // Arming counts from the revival on.
+        crash.arm(1, false);
+        backend.persist(0, 8).unwrap();
+        assert!(backend.persist(0, 8).unwrap_err().is_injected_crash());
+    }
+
+    #[test]
+    fn sweep_explores_every_position_whole_then_torn() {
+        // An "op" of three calls: positions 0..=3 with whole writes, then
+        // with torn ones; position 3 runs the op to its end.
+        let mut seen = Vec::new();
+        let positions = Crash::sweep(|k, torn| {
+            let (crash, _, backend) = crashable();
+            crash.arm(k, torn);
+            let crashed = (0..3u64)
+                .try_for_each(|i| backend.write_at(i * 8, b"one-call"))
+                .is_err();
+            seen.push((k, torn, crashed));
+            crashed
+        });
+        assert_eq!(positions, 8);
+        let want: Vec<_> = [false, true]
+            .into_iter()
+            .flat_map(|torn| (0..4).map(move |k| (k, torn, k < 3)))
+            .collect();
+        assert_eq!(seen, want);
     }
 
     #[test]

@@ -66,16 +66,14 @@
 //! unchanged region performs **zero** chunk flushes and a one-chunk change
 //! flushes exactly one chunk plus the header. Validating a slot seeds its
 //! hashes: the committed slot's on open, the other slot's on first need —
-//! the fallback above, or the first checkpoint that targets it, before that
-//! checkpoint takes an armed crash. A spare host that only restores
-//! therefore reads the committed image twice (validation and restore) and,
-//! unless it falls back, never the other slot; every cache still ends up as
-//! if open had validated both slots.
+//! the fallback above, or the first checkpoint that targets it. A spare host
+//! that only restores therefore reads the committed image twice (validation
+//! and restore) and, unless it falls back, never the other slot; every cache
+//! still ends up as if open had validated both slots.
 //!
-//! Crash injection composes [`CrashPoint`] with [`CheckpointPhase`]: the phase
-//! picks the pipeline stage, the point picks the sub-position within it (or
-//! the transaction-level site for the commit phase). Injection is
-//! deterministic under [`SerialExecutor`].
+//! A crash is a dead backend ([`Crash`](crate::backend::Crash)): the crash
+//! matrix kills the host at every backend call of a commit, and at every call
+//! of the recovery that follows, under [`SerialExecutor`].
 //!
 //! [`TxLog`]: crate::tx::TxLog
 
@@ -83,11 +81,7 @@ use crate::array::PmemScalar;
 use crate::error::PmemError;
 use crate::oid::PmemOid;
 use crate::pool::PmemPool;
-use crate::tx::CrashPoint;
-use crate::versioned::{
-    self, commit_record, torn_write, Descriptor, Layout, PoolRef, RecordCrash, COUNTERS_AT,
-    DESC_SIZE,
-};
+use crate::versioned::{self, Descriptor, Layout, PoolRef, COUNTERS_AT, DESC_SIZE};
 use crate::Result;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -104,56 +98,6 @@ const SLOT_HEADER_SIZE: u64 = 64;
 const COMMITTED_AT: u64 = COUNTERS_AT;
 /// Bytes actually written for a slot header (magic, epoch, data_hash, checksum).
 const SLOT_HEADER_LEN: usize = 32;
-
-/// Which pipeline stage of a checkpoint an injected crash fires in.
-///
-/// Together with [`CrashPoint`] (the sub-position within the stage) and the
-/// target-slot parity this spans the crash matrix.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CheckpointPhase {
-    /// While dirty chunks are written + flushed into the target slot. The
-    /// [`CrashPoint`] ordinal `k` selects "die when writing dirty chunk `k`"
-    /// (chunks `0..k` already written, `k..` never written). When fewer than
-    /// `k + 1` chunks are dirty the crash fires at the end of the phase,
-    /// after every dirty chunk but before the drain — a `ChunkFlush`
-    /// injection always aborts the checkpoint.
-    ChunkFlush,
-    /// While the slot header is written. The [`CrashPoint`] ordinal selects:
-    /// 0 = before any header byte, 1 = after half the header (torn header,
-    /// caught by the checksum), 2 = after the header bytes but before the
-    /// persist, 3 = after the persist (valid but uncommitted slot).
-    HeaderWrite,
-    /// Inside the descriptor-update transaction — the slot-commit record. The
-    /// [`CrashPoint`] is armed on the pool and fires at its native
-    /// transaction site ([`CrashPoint::DuringRecovery`] never fires inside a
-    /// transaction, so that cell commits cleanly).
-    Commit,
-    /// During the recovery that follows an interrupted commit: the commit
-    /// transaction is crashed at [`CrashPoint::BeforeCommit`] to strand the
-    /// undo log, and the [`CrashPoint`] is left armed on the pool so the next
-    /// [`PmemPool::recover`] call hits it (only
-    /// [`CrashPoint::DuringRecovery`] actually fires there).
-    Recovery,
-}
-
-impl CheckpointPhase {
-    /// Every phase, in pipeline order — the crash matrix iterates this.
-    pub const ALL: [CheckpointPhase; 4] = [
-        CheckpointPhase::ChunkFlush,
-        CheckpointPhase::HeaderWrite,
-        CheckpointPhase::Commit,
-        CheckpointPhase::Recovery,
-    ];
-}
-
-/// A crash to inject into the *next* checkpoint attempt.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CheckpointCrash {
-    /// Pipeline stage the crash fires in.
-    pub phase: CheckpointPhase,
-    /// Sub-position within the stage (see [`CheckpointPhase`]).
-    pub point: CrashPoint,
-}
 
 /// Outcome counters of one committed checkpoint.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -216,8 +160,8 @@ pub trait ChunkExecutor {
     fn run_chunks(&self, jobs: usize, job: &(dyn Fn(usize) -> Result<()> + Sync)) -> Result<()>;
 }
 
-/// Runs the chunk jobs on the calling thread, in index order. Crash injection
-/// is deterministic under this executor (the crash matrix uses it).
+/// Runs the chunk jobs on the calling thread, in index order, so a crash
+/// lands on the same call every run (the crash matrix uses it).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SerialExecutor;
 
@@ -242,7 +186,6 @@ pub struct CheckpointRegion<'p> {
     /// Whether each slot's hashes reflect its media yet: set once the slot
     /// is validated (the committed slot on open, the other on first need).
     validated: [bool; 2],
-    crash: Option<CheckpointCrash>,
 }
 
 impl std::fmt::Debug for CheckpointRegion<'_> {
@@ -322,7 +265,6 @@ impl<'p> CheckpointRegion<'p> {
             committed,
             hashes: [vec![None; chunk_count], vec![None; chunk_count]],
             validated: [false; 2],
-            crash: None,
         }
     }
 
@@ -490,14 +432,6 @@ impl<'p> CheckpointRegion<'p> {
         Ok(hashes.into_iter().map(AtomicU64::into_inner).collect())
     }
 
-    // ---------------------------------------------------------------- crash
-
-    /// Arms a crash to be injected into the *next* checkpoint attempt (taken
-    /// exactly once, like [`PmemPool::set_crash_point`]).
-    pub fn set_crash(&mut self, crash: Option<CheckpointCrash>) {
-        self.crash = crash;
-    }
-
     // ---------------------------------------------------------------- write
 
     /// Serial convenience wrapper around
@@ -521,9 +455,9 @@ impl<'p> CheckpointRegion<'p> {
     /// descriptor advances inside a pool transaction. A target slot not yet
     /// validated is validated first.
     ///
-    /// On an injected crash the region's in-memory caches for the target slot
-    /// are pessimised (every touched chunk is re-written next time); the
-    /// durable state is exactly what the crash left, ready for reopen.
+    /// On an error the region's in-memory caches for the target slot are
+    /// pessimised (every touched chunk is re-written next time); the durable
+    /// state is exactly what the failure left, ready for reopen.
     pub fn checkpoint_with(
         &mut self,
         data: &[u8],
@@ -537,12 +471,11 @@ impl<'p> CheckpointRegion<'p> {
         let epoch = self.committed + 1;
         let slot = Self::slot_for(epoch);
         // First need of the target slot: its hashes must reflect its media
-        // before they pick the dirty set, and before the armed crash is taken.
+        // before they pick the dirty set.
         // in-bounds: slot_for keeps slot ∈ {0, 1}.
         if !self.validated[slot] {
             self.seed_slot(slot)?;
         }
-        let crash = self.crash.take();
 
         // Dirty set: chunks whose content differs from what the slot holds.
         let new_hashes = self.chunk_hashes_of(data, exec)?;
@@ -558,18 +491,11 @@ impl<'p> CheckpointRegion<'p> {
         }
 
         // Phase 1: chunk flush (fan-out), then a single drain.
-        let crash_at_chunk = match crash {
-            Some(c) if c.phase == CheckpointPhase::ChunkFlush => Some(c.point.ordinal()),
-            _ => None,
-        };
         let bytes_written: u64 = dirty
             .iter()
             .map(|&i| self.chunk_range(i).len() as u64)
             .sum();
         exec.run_chunks(dirty.len(), &|j| {
-            if crash_at_chunk == Some(j) {
-                return Err(PmemError::InjectedCrash("checkpoint-chunk-flush"));
-            }
             // in-bounds: run_chunks invokes j ∈ 0..dirty.len() by contract.
             let i = dirty[j];
             let range = self.chunk_range(i);
@@ -578,11 +504,6 @@ impl<'p> CheckpointRegion<'p> {
             self.pool.write(off, &data[range.clone()])?;
             self.pool.flush(off, range.len() as u64)
         })?;
-        // An ordinal past the dirty set still aborts the phase (after every
-        // dirty chunk, before the drain): ChunkFlush injections always fire.
-        if crash_at_chunk.is_some_and(|k| k >= dirty.len()) {
-            return Err(PmemError::InjectedCrash("checkpoint-chunk-flush"));
-        }
         if !dirty.is_empty() {
             self.pool.drain();
         }
@@ -591,23 +512,13 @@ impl<'p> CheckpointRegion<'p> {
         let header: [u8; SLOT_HEADER_LEN] =
             versioned::seal(&[SLOT_MAGIC, epoch, combine_hashes(&new_hashes)]);
         let header_off = self.header_off(slot);
-        if let Some(c) = crash.filter(|c| c.phase == CheckpointPhase::HeaderWrite) {
-            let site = "checkpoint-header-write";
-            return torn_write(&self.pool, header_off, &header, c.point, site);
-        }
         self.pool.write(header_off, &header)?;
         self.pool.persist(header_off, SLOT_HEADER_LEN as u64)?;
 
         // Phase 3: the commit record — descriptor update under the undo log.
-        let record_crash = crash.and_then(|c| match c.phase {
-            CheckpointPhase::Commit => Some(RecordCrash::Commit(c.point)),
-            CheckpointPhase::Recovery => Some(RecordCrash::Recovery(c.point)),
-            CheckpointPhase::ChunkFlush | CheckpointPhase::HeaderWrite => None,
-        });
         let committed_at = self.base + COMMITTED_AT;
-        commit_record(&self.pool, record_crash, |tx| {
-            tx.write(committed_at, &epoch.to_le_bytes())
-        })?;
+        self.pool
+            .run_tx(|tx| tx.write(committed_at, &epoch.to_le_bytes()))?;
         self.committed = epoch;
         // in-bounds: slot_for keeps slot ∈ {0, 1}.
         self.hashes[slot] = new_hashes.into_iter().map(Some).collect();
@@ -657,7 +568,7 @@ fn combine_hashes(chunk_hashes: &[u64]) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::{SharedBackend, VolatileBackend};
+    use crate::backend::{Crash, SharedBackend, VolatileBackend};
     use crate::pool::PmemPool;
     use std::sync::Arc;
 
@@ -671,6 +582,21 @@ mod tests {
         let shared: SharedBackend = Arc::new(backend.clone());
         let pool = PmemPool::create_with_backend(shared, "ckpt").unwrap();
         (backend, pool)
+    }
+
+    /// [`pool_pair`] with the pool over a crash-wrapped backend.
+    fn crashable_pair() -> (VolatileBackend, Crash, PmemPool) {
+        let backend = VolatileBackend::new_persistent(POOL_SIZE);
+        let crash = Crash::new();
+        let pool =
+            PmemPool::create_with_backend(crash.wrap(Arc::new(backend.clone())), "ckpt").unwrap();
+        (backend, crash, pool)
+    }
+
+    /// The first call of a commit record after `dirty` chunk writes: each
+    /// chunk is a write and a flush, the slot header a write and a persist.
+    fn commit_record_call(dirty: usize) -> u64 {
+        2 * dirty as u64 + 2
     }
 
     fn image(tag: u8) -> Vec<u8> {
@@ -880,32 +806,33 @@ mod tests {
 
     #[test]
     fn chunk_flush_injection_fires_even_with_no_dirty_chunks() {
-        let (_, pool) = pool_pair();
+        let (_, crash, pool) = crashable_pair();
         let mut region = CheckpointRegion::format(&pool, DATA, CHUNK).unwrap();
         let data = image(5);
         region.checkpoint(&data).unwrap();
         region.checkpoint(&data).unwrap();
-        // Third checkpoint of the same image has zero dirty chunks; the
-        // ChunkFlush injection (any ordinal) must still abort it.
-        region.set_crash(Some(CheckpointCrash {
-            phase: CheckpointPhase::ChunkFlush,
-            point: CrashPoint::DuringRecovery, // ordinal 3 > 0 dirty chunks
-        }));
+        // Third checkpoint of the same image has zero dirty chunks: its first
+        // call is the slot header's write, and a crash there aborts it.
+        crash.arm(commit_record_call(0) - 2, false);
         assert!(region.checkpoint(&data).unwrap_err().is_injected_crash());
         assert_eq!(region.committed_epoch(), 2, "nothing committed");
-        // The region stays usable.
+        // The revived host's region stays usable.
+        crash.revive();
+        let before = crash.calls();
         region.checkpoint(&data).unwrap();
         assert_eq!(region.committed_epoch(), 3);
+        assert_eq!(crash.calls() - before, commit_record_call(0) + 10);
     }
 
     #[test]
     fn recover_leaves_transaction_crash_points_armed() {
-        let (_, pool) = pool_pair();
+        let (_, crash, pool) = crashable_pair();
         let a = pool.alloc_bytes(64).unwrap();
         pool.write(a.offset, b"original").unwrap();
-        // Arm a transaction-site crash, then run recovery first: the armed
-        // point must survive for the next transaction.
-        pool.set_crash_point(Some(CrashPoint::BeforeCommit));
+        // Arm a crash one call ahead, then run recovery first: an idle log's
+        // recovery reads its header only, so the crash lands on the next
+        // transaction's first call.
+        crash.arm(1, false);
         assert!(!pool.recover().unwrap());
         let result = pool.run_tx(|tx| tx.write(a.offset, b"mutated!"));
         assert!(result.unwrap_err().is_injected_crash());
@@ -974,17 +901,14 @@ mod tests {
 
     #[test]
     fn valid_uncommitted_stage_only_seeds_the_incremental_cache() {
-        let (backend, pool) = pool_pair();
+        let (backend, crash, pool) = crashable_pair();
         let mut region = CheckpointRegion::format(&pool, DATA, CHUNK).unwrap();
         pool.set_root(region.oid(), DATA).unwrap();
         region.checkpoint(&image(1)).unwrap();
         region.checkpoint(&image(2)).unwrap();
-        // Epoch 3 dies after its header persisted: the other slot holds a
-        // valid but uncommitted image 3.
-        region.set_crash(Some(CheckpointCrash {
-            phase: CheckpointPhase::HeaderWrite,
-            point: CrashPoint::DuringRecovery,
-        }));
+        // Epoch 3 dies after its header persisted, at its commit record's
+        // first call: the other slot holds a valid but uncommitted image 3.
+        crash.arm(commit_record_call(CHUNKS), false);
         assert!(region
             .checkpoint(&image(3))
             .unwrap_err()
@@ -1125,17 +1049,20 @@ mod tests {
         // Host 0 formats a pool + region inside the shared window, commits
         // two epochs and crashes with a stranded commit record on the third.
         {
+            let crash = Crash::new();
             let backend = SharedRegionBackend::new(Arc::clone(&window), 0);
-            let pool = PmemPool::create_with_backend(Arc::new(backend), "xhost").unwrap();
+            let pool =
+                PmemPool::create_with_backend(crash.wrap(Arc::new(backend)), "xhost").unwrap();
             let mut region = CheckpointRegion::format(&pool, DATA, CHUNK).unwrap();
             pool.set_root(region.oid(), DATA).unwrap();
             region.checkpoint(&image(1)).unwrap();
             region.checkpoint(&image(2)).unwrap();
             window.publish(0).unwrap();
-            region.set_crash(Some(CheckpointCrash {
-                phase: CheckpointPhase::Commit,
-                point: CrashPoint::BeforeCommit,
-            }));
+            // The crash lands on the clear of the undo log: the record's
+            // header read, the old bytes' read, the entry's write and
+            // persist, the log header's write and persist, the descriptor
+            // write and its flush come first.
+            crash.arm(commit_record_call(CHUNKS) + 8, false);
             assert!(region
                 .checkpoint(&image(3))
                 .unwrap_err()

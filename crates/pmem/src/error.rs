@@ -53,7 +53,7 @@ pub enum PmemError {
     /// area, or its range lies outside the pool heap. Recovery refuses to
     /// replay such a log, and a transaction refuses to log such a range.
     UndoLog(&'static str),
-    /// A crash was injected at the given point (test harness only).
+    /// A call of a backend whose host [`Crash`](crate::backend::Crash) died.
     InjectedCrash(&'static str),
     /// Underlying I/O error (file backend).
     Io(std::io::Error),
@@ -132,7 +132,7 @@ impl From<std::io::Error> for PmemError {
 }
 
 impl PmemError {
-    /// Whether this error is the crash-injection sentinel.
+    /// Whether this error is a dead backend's crash sentinel.
     pub fn is_injected_crash(&self) -> bool {
         matches!(self, PmemError::InjectedCrash(_))
     }

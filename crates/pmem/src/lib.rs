@@ -14,9 +14,8 @@
 //!   scanning.
 //! * [`oid::PmemOid`] / [`oid::TypedOid`] — pool-relative object identifiers,
 //!   the equivalent of `PMEMoid` / `TOID(type)`.
-//! * [`tx`] — undo-log transactions with crash injection: `tx_begin`,
-//!   `add_range`, batched `write_all`, `commit`, `abort`, and recovery on
-//!   pool open.
+//! * [`tx`] — undo-log transactions: `tx_begin`, `add_range`, batched
+//!   `write_all`, `commit`, `abort`, and recovery on pool open.
 //! * [`array::PersistentArray`] — typed persistent arrays (the STREAM-PMem
 //!   `a`, `b`, `c` vectors).
 //! * [`checkpoint`] — versioned checkpoint/restart: double-buffered,
@@ -26,7 +25,7 @@
 //! * [`object`] — a versioned transactional object store: a durable directory
 //!   of millions of small epoch-versioned objects whose per-object commit
 //!   records ride the undo log (double-buffered payload slots, checksummed
-//!   entries, its own crash-injection phases and tear matrix).
+//!   entries, its own tear matrix).
 //! * [`residency`] — the durable chunk → tier table the adaptive tiering
 //!   engine commits its migrations through (the undo log is the migration
 //!   record, so a crash mid-migration rolls back to the source tier).
@@ -41,6 +40,8 @@
 //!   ([`backend::SharedRegionBackend`], the pooled-CXL tier cross-host
 //!   checkpoint/restart runs on), or any caller-provided store such as the
 //!   CXL Type-3 endpoint from the `cxl` crate (wired up in `cxl-pmem`).
+//!   [`backend::Crash`] wraps a host's backends to crash the host at any of
+//!   their calls: the one crash mechanism every crash suite uses.
 //!
 //! The store is **functional**: bytes really are written, checksums really are
 //! validated, transactions really roll back after a simulated crash. What is
@@ -84,18 +85,19 @@ mod versioned;
 
 pub use alloc::AllocStats;
 pub use array::{PersistentArray, PmemScalar};
-pub use backend::{FileBackend, PoolBackend, SharedBackend, SharedRegionBackend, VolatileBackend};
+pub use backend::{
+    Crash, FileBackend, PoolBackend, SharedBackend, SharedRegionBackend, VolatileBackend,
+};
 pub use checkpoint::{
-    CheckpointCrash, CheckpointPhase, CheckpointRegion, CheckpointStats, Checkpointable,
-    ChunkExecutor, SerialExecutor,
+    CheckpointRegion, CheckpointStats, Checkpointable, ChunkExecutor, SerialExecutor,
 };
 pub use error::PmemError;
-pub use object::{ObjectCrash, ObjectPhase, ObjectStore, StoreCheck};
+pub use object::{ObjectStore, StoreCheck};
 pub use oid::{PmemOid, TypedOid};
 pub use persist::PersistStats;
 pub use pool::{PmemPool, PoolConfig};
 pub use residency::ResidencyMap;
-pub use tx::{CrashPoint, Transaction};
+pub use tx::Transaction;
 
 /// Result alias for persistent-memory operations.
 pub type Result<T> = std::result::Result<T, PmemError>;

@@ -46,64 +46,20 @@
 //! [`ObjectStore::get`], so external corruption (or a bug in the protocol)
 //! surfaces as a typed error, never as silently torn bytes.
 //!
-//! Crash injection mirrors the checkpoint pipeline: [`ObjectPhase`] names the
-//! commit stage, [`CrashPoint`] the sub-position, and the exhaustive product
-//! is exercised by the `object_crash_matrix` integration suite.
+//! The `object_crash_matrix` integration suite kills the host at every
+//! backend call of a put, a commit and a delete, and at every call of the
+//! recovery that follows ([`Crash`](crate::backend::Crash)).
 
 use crate::error::PmemError;
 use crate::oid::PmemOid;
 use crate::pool::PmemPool;
-use crate::tx::CrashPoint;
-use crate::versioned::{
-    self, commit_record, torn_write, Descriptor, Layout, PoolRef, RecordCrash, COUNTERS_AT,
-    DESC_SIZE,
-};
+use crate::versioned::{self, Descriptor, Layout, PoolRef, COUNTERS_AT, DESC_SIZE};
 use crate::Result;
 use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Bytes per directory entry.
 const ENTRY_SIZE: u64 = 40;
-
-/// Pipeline stage an [`ObjectCrash`] fires in.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ObjectPhase {
-    /// While the staged payload is written + flushed into the staging slot.
-    /// The [`CrashPoint`] ordinal selects: 0 = before any payload byte,
-    /// 1 = after half the payload (torn slot), 2 = after the payload bytes
-    /// but before the flush, 3 = after the payload is fully persisted (a
-    /// complete but uncommitted version).
-    SlotWrite,
-    /// Inside the directory-entry transaction — the per-object commit
-    /// record. The [`CrashPoint`] is armed on the pool and fires at its
-    /// native transaction site ([`CrashPoint::DuringRecovery`] never fires
-    /// inside a transaction, so that cell commits cleanly).
-    EntryCommit,
-    /// During the recovery that follows an interrupted commit: the commit
-    /// transaction is crashed at [`CrashPoint::BeforeCommit`] to strand the
-    /// undo log, and the [`CrashPoint`] is left armed on the pool so the
-    /// next [`PmemPool::recover`] call hits it (only
-    /// [`CrashPoint::DuringRecovery`] actually fires there).
-    Recovery,
-}
-
-impl ObjectPhase {
-    /// Every phase, in pipeline order — the crash matrix iterates this.
-    pub const ALL: [ObjectPhase; 3] = [
-        ObjectPhase::SlotWrite,
-        ObjectPhase::EntryCommit,
-        ObjectPhase::Recovery,
-    ];
-}
-
-/// A crash to inject into the *next* put/commit attempt.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ObjectCrash {
-    /// Pipeline stage the crash fires in.
-    pub phase: ObjectPhase,
-    /// Sub-position within the stage (see [`ObjectPhase`]).
-    pub point: CrashPoint,
-}
 
 /// A decoded, validated directory entry for a live object.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -147,7 +103,6 @@ pub struct ObjectStore<'p> {
     commit_seq: u64,
     live: u64,
     staged: HashMap<u64, Staged>,
-    crash: Option<ObjectCrash>,
 }
 
 impl std::fmt::Debug for ObjectStore<'_> {
@@ -242,7 +197,6 @@ impl<'p> ObjectStore<'p> {
             commit_seq,
             live,
             staged: HashMap::new(),
-            crash: None,
         }
     }
 
@@ -288,12 +242,6 @@ impl<'p> ObjectStore<'p> {
     /// as observed by this handle's last open or mutation.
     pub fn commit_seq(&self) -> u64 {
         self.commit_seq
-    }
-
-    /// Arms a crash for the next put/commit (consumed by the phase it names,
-    /// exactly once, like [`PmemPool::set_crash_point`]).
-    pub fn set_crash(&mut self, crash: Option<ObjectCrash>) {
-        self.crash = crash;
     }
 
     // --------------------------------------------------------------- offsets
@@ -357,11 +305,10 @@ impl<'p> ObjectStore<'p> {
         id: u64,
         entry: &[u8; ENTRY_SIZE as usize],
         counters: [u64; 2],
-        crash: Option<RecordCrash>,
     ) -> Result<()> {
         let entry_off = self.entry_off(id);
         let counter_bytes = counters.map(u64::to_le_bytes);
-        commit_record(&self.pool, crash, |tx| {
+        self.pool.run_tx(|tx| {
             tx.write_all(&[
                 (entry_off, entry),
                 (self.base + COUNTERS_AT, counter_bytes.as_flattened()),
@@ -386,9 +333,6 @@ impl<'p> ObjectStore<'p> {
         }
         let epoch = self.read_entry(id)?.map_or(0, |e| e.epoch);
         let off = self.slot_off(id, Self::slot_for(epoch + 1));
-        if let Some(c) = self.crash.take_if(|c| c.phase == ObjectPhase::SlotWrite) {
-            return torn_write(&self.pool, off, value, c.point, "object-slot-write");
-        }
         self.pool.write(off, value)?;
         self.pool.flush(off, value.len() as u64)?;
         self.staged.insert(
@@ -420,7 +364,6 @@ impl<'p> ObjectStore<'p> {
     /// writes, as the cluster layer does.
     pub fn commit(&mut self, id: u64) -> Result<u64> {
         self.check_id(id)?;
-        let crash = self.crash.take();
         let staged = self
             .staged
             .get(&id)
@@ -445,15 +388,10 @@ impl<'p> ObjectStore<'p> {
         // The sealed entry: tag (id + 1), epoch, length, payload hash.
         let entry: [u8; ENTRY_SIZE as usize] =
             versioned::seal(&[id + 1, epoch, staged.len, staged.hash]);
-        let record_crash = crash.and_then(|c| match c.phase {
-            ObjectPhase::EntryCommit => Some(RecordCrash::Commit(c.point)),
-            ObjectPhase::Recovery => Some(RecordCrash::Recovery(c.point)),
-            ObjectPhase::SlotWrite => None,
-        });
         let [seq, live] = self.desc_counters()?;
         let seq = seq + 1;
         let live = live + u64::from(previous.is_none());
-        self.commit_entry(id, &entry, [seq, live], record_crash)?;
+        self.commit_entry(id, &entry, [seq, live])?;
         Ok(epoch)
     }
 
@@ -478,7 +416,7 @@ impl<'p> ObjectStore<'p> {
         let live = live
             .checked_sub(1)
             .ok_or(PmemError::ObjectStore("descriptor live counter desynced"))?;
-        self.commit_entry(id, &[0u8; ENTRY_SIZE as usize], [seq, live], None)
+        self.commit_entry(id, &[0u8; ENTRY_SIZE as usize], [seq, live])
     }
 
     // ------------------------------------------------------------------ read
@@ -549,13 +487,23 @@ impl<'p> ObjectStore<'p> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::VolatileBackend;
+    use crate::backend::{Crash, VolatileBackend};
 
     fn pool_pair(capacity: u64, value_len: u64) -> (PmemPool, VolatileBackend) {
         let backend =
             VolatileBackend::new_persistent(ObjectStore::required_pool_size(capacity, value_len));
         let pool = PmemPool::create_with_backend(Arc::new(backend.clone()), "objects").unwrap();
         (pool, backend)
+    }
+
+    /// [`pool_pair`] with the pool over a crash-wrapped backend.
+    fn crashable_pair(capacity: u64, value_len: u64) -> (PmemPool, VolatileBackend, Crash) {
+        let backend =
+            VolatileBackend::new_persistent(ObjectStore::required_pool_size(capacity, value_len));
+        let crash = Crash::new();
+        let wrapped = crash.wrap(Arc::new(backend.clone()));
+        let pool = PmemPool::create_with_backend(wrapped, "objects").unwrap();
+        (pool, backend, crash)
     }
 
     fn value_for(id: u64, epoch: u64, len: usize) -> Vec<u8> {
@@ -704,25 +652,33 @@ mod tests {
 
     #[test]
     fn injected_slot_write_crash_leaves_committed_version_intact() {
-        let (pool, _backend) = pool_pair(8, 64);
+        let (pool, _backend, crash) = crashable_pair(8, 64);
         let mut store = ObjectStore::format(&pool, 8, 64).unwrap();
         let v1 = value_for(2, 1, 64);
         store.put_commit(2, &v1).unwrap();
-        for point in CrashPoint::ALL {
-            store.set_crash(Some(ObjectCrash {
-                phase: ObjectPhase::SlotWrite,
-                point,
-            }));
-            let err = store.put(2, &value_for(2, 9, 64)).unwrap_err();
-            assert!(err.is_injected_crash());
-            assert_eq!(store.get(2).unwrap(), v1, "torn at {point:?}");
-        }
+        // A put is an entry read, the slot write and its flush: a crash at
+        // each of them, whole or torn, leaves the committed version intact.
+        let positions = Crash::sweep(|k, torn| {
+            crash.arm(k, torn);
+            let result = store.put(2, &value_for(2, 9, 64));
+            crash.revive();
+            assert_eq!(store.get(2).unwrap(), v1, "torn at {k}/{torn}");
+            match result {
+                Err(e) => {
+                    assert!(e.is_injected_crash(), "{e}");
+                    true
+                }
+                Ok(()) => false,
+            }
+        });
+        println!("object put sweep: {positions} crash positions");
+        assert_eq!(positions, 8);
     }
 
     #[test]
     fn injected_commit_crash_rolls_back_or_commits_atomically() {
-        for point in CrashPoint::ALL {
-            let (pool, backend) = pool_pair(8, 64);
+        let positions = Crash::sweep(|k, torn| {
+            let (pool, backend, crash) = crashable_pair(8, 64);
             let mut store = ObjectStore::format(&pool, 8, 64).unwrap();
             pool.set_root(store.oid(), ObjectStore::region_size(8, 64))
                 .unwrap();
@@ -730,21 +686,19 @@ mod tests {
             store.put_commit(4, &v1).unwrap();
             let v2 = value_for(4, 2, 64);
             store.put(4, &v2).unwrap();
-            store.set_crash(Some(ObjectCrash {
-                phase: ObjectPhase::EntryCommit,
-                point,
-            }));
+            crash.arm(k, torn);
             let outcome = store.commit(4);
             drop(store);
             drop(pool);
             let pool = PmemPool::open_with_backend(Arc::new(backend.clone()), "objects").unwrap();
             let store = ObjectStore::open_root(&pool).unwrap();
             let bytes = store.get(4).unwrap();
-            match outcome {
-                // DuringRecovery never fires inside a transaction.
+            let crashed = match outcome {
+                // The commit ran to its end.
                 Ok(epoch) => {
                     assert_eq!(epoch, 2);
                     assert_eq!(bytes, v2);
+                    false
                 }
                 Err(e) => {
                     assert!(e.is_injected_crash());
@@ -754,10 +708,15 @@ mod tests {
                     } else {
                         assert_eq!(bytes, v1);
                     }
+                    true
                 }
-            }
+            };
             store.verify().unwrap();
-        }
+            crashed
+        });
+        println!("object commit sweep: {positions} crash positions");
+        // A commit makes fifteen backend calls.
+        assert_eq!(positions, 32);
     }
 
     #[test]

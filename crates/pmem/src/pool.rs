@@ -15,7 +15,7 @@ use crate::backend::{FileBackend, SharedBackend, VolatileBackend};
 use crate::error::PmemError;
 use crate::oid::PmemOid;
 use crate::persist::{PersistStats, PersistTracker};
-use crate::tx::{CrashPoint, Transaction, TxLog};
+use crate::tx::{Transaction, TxLog};
 use crate::Result;
 use cxl::sparse::ApplyFn;
 use parking_lot::Mutex;
@@ -163,7 +163,6 @@ pub struct PmemPool {
     heap: PersistentHeap,
     log: TxLog,
     tx_lock: Mutex<()>,
-    crash_point: Mutex<Option<CrashPoint>>,
 }
 
 impl std::fmt::Debug for PmemPool {
@@ -226,7 +225,6 @@ impl PmemPool {
             heap,
             log,
             tx_lock: Mutex::new(()),
-            crash_point: Mutex::new(None),
         };
         pool.write_header()?;
         Ok(pool)
@@ -268,7 +266,6 @@ impl PmemPool {
             heap,
             log,
             tx_lock: Mutex::new(()),
-            crash_point: Mutex::new(None),
         })
     }
 
@@ -452,11 +449,6 @@ impl PmemPool {
 
     // ------------------------------------------------------------------ tx
 
-    /// Arms a crash-injection point for the *next* transaction (test harness).
-    pub fn set_crash_point(&self, point: Option<CrashPoint>) {
-        *self.crash_point.lock() = point;
-    }
-
     /// Runs `body` inside a transaction. All ranges registered with
     /// [`Transaction::add_range`] (and all writes made through
     /// [`Transaction::write`] or [`Transaction::write_all`]) are rolled back
@@ -464,16 +456,15 @@ impl PmemPool {
     /// before commit.
     pub fn run_tx<T>(&self, body: impl FnOnce(&mut Transaction<'_>) -> Result<T>) -> Result<T> {
         let _guard = self.tx_lock.lock();
-        let crash = self.crash_point.lock().take();
-        let mut tx = Transaction::begin(&self.backend, &self.tracker, &self.log, crash)?;
+        let mut tx = Transaction::begin(&self.backend, &self.tracker, &self.log)?;
         match body(&mut tx) {
             Ok(value) => {
                 tx.commit()?;
                 Ok(value)
             }
             Err(e) => {
-                // An injected crash leaves state exactly as it is — the test
-                // then reopens the pool and relies on recovery.
+                // A host that died mid-transaction rolls nothing back: the
+                // log stays for the recovery that follows.
                 if !e.is_injected_crash() {
                     tx.abort()?;
                 }
@@ -485,22 +476,8 @@ impl PmemPool {
     /// Runs transaction recovery explicitly (normally done by
     /// [`open_with_backend`](Self::open_with_backend)). Returns `true` if an
     /// interrupted transaction was rolled back.
-    ///
-    /// An armed [`CrashPoint::DuringRecovery`] (see
-    /// [`set_crash_point`](Self::set_crash_point)) is consumed here and makes
-    /// the pass die mid-replay with the log still active — the crash matrix
-    /// uses this to prove recovery is idempotent. Crash points targeting
-    /// transaction sites stay armed for the next transaction.
     pub fn recover(&self) -> Result<bool> {
-        let crash = {
-            let mut armed = self.crash_point.lock();
-            if *armed == Some(CrashPoint::DuringRecovery) {
-                armed.take()
-            } else {
-                None
-            }
-        };
-        self.log.recover_with(crash)
+        self.log.recover()
     }
 
     /// Whether an interrupted transaction's undo log is still active (i.e.

@@ -208,8 +208,7 @@ impl ResidencyMap {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::{SharedBackend, VolatileBackend};
-    use crate::tx::CrashPoint;
+    use crate::backend::{Crash, SharedBackend, VolatileBackend};
     use proptest::prelude::*;
 
     const POOL_SIZE: u64 = 2 * 1024 * 1024;
@@ -220,6 +219,19 @@ mod tests {
         let pool = Arc::new(PmemPool::create_with_backend(shared, "tier").unwrap());
         (backend, pool)
     }
+
+    /// [`shared_pool`] over a crash-wrapped backend.
+    fn crashable_pool() -> (VolatileBackend, Crash, Arc<PmemPool>) {
+        let backend = VolatileBackend::new_persistent(POOL_SIZE);
+        let crash = Crash::new();
+        let wrapped = crash.wrap(Arc::new(backend.clone()));
+        let pool = Arc::new(PmemPool::create_with_backend(wrapped, "tier").unwrap());
+        (backend, crash, pool)
+    }
+
+    /// The clear of a move's undo log: a move reads its entry, then runs a
+    /// one-range transaction whose ninth call is the clear.
+    const MOVE_LOG_CLEAR: u64 = 9;
 
     #[test]
     fn format_open_round_trip() {
@@ -265,12 +277,13 @@ mod tests {
 
     #[test]
     fn crash_mid_commit_rolls_the_record_back() {
-        let (_, pool) = shared_pool();
+        let (_, crash, pool) = crashable_pool();
         let map = ResidencyMap::format(Arc::clone(&pool), 2, &[0, 0]).unwrap();
         map.commit_move(0, 0, 1).unwrap();
         // Tear the next migration record before its commit clears the log.
-        pool.set_crash_point(Some(CrashPoint::BeforeCommit));
+        crash.arm(MOVE_LOG_CLEAR, false);
         assert!(map.commit_move(1, 0, 1).unwrap_err().is_injected_crash());
+        crash.revive();
         assert!(pool.tx_log_active().unwrap(), "stranded migration record");
         assert!(map.recover().unwrap());
         // The torn move rolled back; the earlier committed one survives.
@@ -282,11 +295,11 @@ mod tests {
 
     #[test]
     fn committed_move_survives_reopen() {
-        let (backend, pool) = shared_pool();
+        let (backend, crash, pool) = crashable_pool();
         let map = ResidencyMap::format(Arc::clone(&pool), 2, &[0, 0, 0]).unwrap();
         pool.set_root(map.oid(), ResidencyMap::map_size(3)).unwrap();
         map.commit_move(1, 0, 1).unwrap();
-        pool.set_crash_point(Some(CrashPoint::BeforeCommit));
+        crash.arm(MOVE_LOG_CLEAR, false);
         assert!(map.commit_move(2, 0, 1).unwrap_err().is_injected_crash());
         drop(map);
         drop(pool);

@@ -31,8 +31,9 @@
 //! header with one write and one persist. A batch leaves the same log bytes
 //! as logging its ranges one at a time, so recovery reads either alike.
 //!
-//! [`CrashPoint`] lets tests "pull the power cord" at the interesting moments
-//! and verify that recovery restores a consistent state.
+//! A host may die at any of these calls, or at any call of the recovery that
+//! follows: tests crash it at each one with
+//! [`Crash`](crate::backend::Crash), and recovery restores a consistent state.
 
 use crate::backend::SharedBackend;
 use crate::error::PmemError;
@@ -40,39 +41,6 @@ use crate::persist::PersistTracker;
 use crate::Result;
 use std::ops::Range;
 use std::sync::Arc;
-
-/// Where an injected crash fires during a transaction (or during the recovery
-/// that follows one).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CrashPoint {
-    /// After the undo-log entries are durable but before any data is modified.
-    AfterLogAppend,
-    /// After data has been modified but before the commit record clears the log.
-    BeforeCommit,
-    /// After the commit completed (the transaction's effects must survive).
-    AfterCommit,
-    /// Mid-way through [`TxLog`] recovery: after the first undo entry has been
-    /// replayed but before the log header is cleared. Recovery must be
-    /// idempotent, so a second recovery pass finishes the job.
-    DuringRecovery,
-}
-
-impl CrashPoint {
-    /// Every crash point, in a fixed order — the crash matrix iterates this so
-    /// adding a variant automatically grows the matrix.
-    pub const ALL: [CrashPoint; 4] = [
-        CrashPoint::AfterLogAppend,
-        CrashPoint::BeforeCommit,
-        CrashPoint::AfterCommit,
-        CrashPoint::DuringRecovery,
-    ];
-
-    /// The point's position in [`CrashPoint::ALL`]. Write phases use it as a
-    /// deterministic sub-position (chunk ordinal, torn-write step).
-    pub const fn ordinal(self) -> usize {
-        self as usize
-    }
-}
 
 const LOG_ACTIVE: u64 = 1;
 const LOG_IDLE: u64 = 0;
@@ -188,24 +156,14 @@ impl TxLog {
 
     /// Replays the log in reverse, restoring pre-transaction contents, then
     /// clears it. Returns `true` if anything was rolled back.
+    ///
+    /// Undo entries hold absolute old contents and the header is cleared
+    /// last, so a pass cut short by a crash leaves the log active, and the
+    /// next pass replays every entry again and converges.
     pub fn recover(&self) -> Result<bool> {
-        self.recover_with(None)
-    }
-
-    /// [`recover`](Self::recover) with crash injection: if `crash` is
-    /// [`CrashPoint::DuringRecovery`], the pass dies after replaying the first
-    /// undo entry (or, for an entry-less active log, before the header is
-    /// cleared), leaving the log active. Undo entries hold absolute old
-    /// contents, so a subsequent full pass replays them again and converges —
-    /// the idempotency the crash matrix relies on.
-    pub fn recover_with(&self, crash: Option<CrashPoint>) -> Result<bool> {
-        let injected = crash == Some(CrashPoint::DuringRecovery);
         let (active, count) = self.header()?;
         if active != LOG_ACTIVE || count == 0 {
             if active == LOG_ACTIVE {
-                if injected {
-                    return Err(PmemError::InjectedCrash("during-recovery"));
-                }
                 self.write_header(LOG_IDLE, 0)?;
             }
             return Ok(false);
@@ -230,16 +188,11 @@ impl TxLog {
             self.check_target(offset, len)?;
             entries.push((data_at, offset, len));
         }
-        for (replayed, &(data_at, offset, len)) in entries.iter().rev().enumerate() {
+        for &(data_at, offset, len) in entries.iter().rev() {
             let mut old = vec![0u8; len as usize];
             self.backend.read_at(data_at, &mut old)?;
             self.backend.write_at(offset, &old)?;
             self.tracker.persist(&self.backend, offset, len)?;
-            if injected && replayed == 0 {
-                // The header still says ACTIVE with the full entry count, so
-                // the next recovery starts over from entry 0.
-                return Err(PmemError::InjectedCrash("during-recovery"));
-            }
         }
         self.write_header(LOG_IDLE, 0)?;
         Ok(true)
@@ -255,7 +208,6 @@ pub struct Transaction<'a> {
     backend: &'a SharedBackend,
     tracker: &'a Arc<PersistTracker>,
     log: &'a TxLog,
-    crash: Option<CrashPoint>,
     cursor: u64,
     /// The logged ranges, one undo entry each, in log order.
     modified: Vec<(u64, u64)>,
@@ -267,7 +219,6 @@ impl<'a> Transaction<'a> {
         backend: &'a SharedBackend,
         tracker: &'a Arc<PersistTracker>,
         log: &'a TxLog,
-        crash: Option<CrashPoint>,
     ) -> Result<Self> {
         if log.is_active()? {
             return Err(PmemError::TransactionState(
@@ -278,28 +229,14 @@ impl<'a> Transaction<'a> {
             backend,
             tracker,
             log,
-            crash,
             cursor: log.start + LOG_HEADER,
             modified: Vec::new(),
             finished: false,
         })
     }
 
-    fn maybe_crash(&self, point: CrashPoint) -> Result<()> {
-        if self.crash == Some(point) {
-            return Err(PmemError::InjectedCrash(match point {
-                CrashPoint::AfterLogAppend => "after-log-append",
-                CrashPoint::BeforeCommit => "before-commit",
-                CrashPoint::AfterCommit => "after-commit",
-                // Never armed at a transaction site; recovery checks it.
-                CrashPoint::DuringRecovery => "during-recovery",
-            }));
-        }
-        Ok(())
-    }
-
-    /// Logs the current contents of `ranges` as one undo batch, then fires
-    /// an armed [`CrashPoint::AfterLogAppend`]. A refused batch logs nothing.
+    /// Logs the current contents of `ranges` as one undo batch. A refused
+    /// batch logs nothing.
     fn log_batch(&mut self, ranges: impl IntoIterator<Item = (u64, u64)>) -> Result<()> {
         if self.finished {
             return Err(PmemError::TransactionState("transaction already finished"));
@@ -311,14 +248,11 @@ impl<'a> Transaction<'a> {
         if batch.is_empty() {
             return Ok(());
         }
-        match self.log.append(self.cursor, logged as u64, batch) {
-            Ok(cursor) => self.cursor = cursor,
-            Err(e) => {
-                self.modified.truncate(logged);
-                return Err(e);
-            }
-        }
-        self.maybe_crash(CrashPoint::AfterLogAppend)
+        self.cursor = self
+            .log
+            .append(self.cursor, logged as u64, batch)
+            .inspect_err(|_| self.modified.truncate(logged))?;
+        Ok(())
     }
 
     /// Registers `[offset, offset+len)` for rollback: its current contents are
@@ -366,10 +300,8 @@ impl<'a> Transaction<'a> {
             self.tracker.flush(self.backend, offset, len)?;
         }
         self.tracker.drain();
-        self.maybe_crash(CrashPoint::BeforeCommit)?;
         self.log.clear()?;
         self.finished = true;
-        self.maybe_crash(CrashPoint::AfterCommit)?;
         Ok(())
     }
 
@@ -384,7 +316,7 @@ impl<'a> Transaction<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::{PoolBackend, SharedBackend, VolatileBackend};
+    use crate::backend::{Crash, PoolBackend, SharedBackend, VolatileBackend};
     use crate::pool::{PmemPool, HEADER_SIZE, LOG_SIZE};
     use std::sync::Arc;
 
@@ -403,10 +335,38 @@ mod tests {
         buf
     }
 
+    // A one-range transaction makes ten backend calls, in order: the log
+    // header read, the old bytes' read, the entry batch's write and persist,
+    // the header's write and persist, the data write, its flush, and the
+    // clear's write and persist.
+    /// The persist that makes the log header durable: the append's last call.
+    const HEADER_PERSIST: u64 = 5;
+    /// The clear of the log header: the commit's last write.
+    const LOG_CLEAR: u64 = 8;
+    /// The persist of the clear: the record is durable already.
+    const CLEAR_PERSIST: u64 = 9;
+
+    /// The raw store, the host's crash, and a pool over the wrapped store.
+    fn crashable_pair() -> (VolatileBackend, Crash, PmemPool) {
+        let backend = VolatileBackend::new_persistent(POOL_SIZE);
+        let crash = Crash::new();
+        let pool = PmemPool::create_with_backend(crash.wrap(Arc::new(backend.clone())), "tx-test")
+            .unwrap();
+        (backend, crash, pool)
+    }
+
     #[test]
     fn ordinal_is_the_position_in_all() {
-        for (i, point) in CrashPoint::ALL.into_iter().enumerate() {
-            assert_eq!(point.ordinal(), i, "{point:?}");
+        // A crash armed at k lands on the transaction's k-th call: k calls
+        // pass, that one fails, and the dead host makes no further call.
+        for k in 0..=10u64 {
+            let (_, crash, pool) = crashable_pair();
+            let a = pool.alloc_bytes(64).unwrap().offset;
+            crash.arm(k, false);
+            let before = crash.calls();
+            let result = pool.run_tx(|tx| tx.write(a, b"mutated!"));
+            assert_eq!(crash.calls() - before, (k + 1).min(10), "position {k}");
+            assert_eq!(result.is_ok(), k == 10, "position {k}");
         }
     }
 
@@ -459,12 +419,12 @@ mod tests {
 
     #[test]
     fn crash_before_commit_is_rolled_back_on_reopen() {
-        let (backend, pool) = pool_pair();
+        let (backend, crash, pool) = crashable_pair();
         let a = pool.alloc_bytes(64).unwrap();
         pool.write(a.offset, b"checkpnt").unwrap();
         pool.persist(a.offset, 8).unwrap();
 
-        pool.set_crash_point(Some(CrashPoint::BeforeCommit));
+        crash.arm(LOG_CLEAR, false);
         let result: Result<()> = pool.run_tx(|tx| {
             tx.write(a.offset, b"halfdone")?;
             Ok(())
@@ -485,14 +445,14 @@ mod tests {
 
     #[test]
     fn crash_after_log_append_preserves_old_data() {
-        let (backend, pool) = pool_pair();
+        let (backend, crash, pool) = crashable_pair();
         let a = pool.alloc_bytes(64).unwrap();
         pool.write(a.offset, b"original").unwrap();
-        pool.set_crash_point(Some(CrashPoint::AfterLogAppend));
+        crash.arm(HEADER_PERSIST, false);
         let result: Result<()> = pool.run_tx(|tx| {
             tx.add_range(a.offset, 8)?;
             // The crash fires inside add_range, so this write never happens.
-            unreachable!("crash point must fire before this closure continues");
+            unreachable!("the crash must fire before this closure continues");
         });
         assert!(result.unwrap_err().is_injected_crash());
         drop(pool);
@@ -503,10 +463,10 @@ mod tests {
 
     #[test]
     fn crash_after_commit_keeps_new_data() {
-        let (backend, pool) = pool_pair();
+        let (backend, crash, pool) = crashable_pair();
         let a = pool.alloc_bytes(64).unwrap();
         pool.write(a.offset, b"original").unwrap();
-        pool.set_crash_point(Some(CrashPoint::AfterCommit));
+        crash.arm(CLEAR_PERSIST, false);
         let result: Result<()> = pool.run_tx(|tx| tx.write(a.offset, b"durable!"));
         assert!(result.unwrap_err().is_injected_crash());
         drop(pool);
@@ -517,10 +477,10 @@ mod tests {
 
     #[test]
     fn recovery_is_idempotent() {
-        let (backend, pool) = pool_pair();
+        let (backend, crash, pool) = crashable_pair();
         let a = pool.alloc_bytes(64).unwrap();
         pool.write(a.offset, b"original").unwrap();
-        pool.set_crash_point(Some(CrashPoint::BeforeCommit));
+        crash.arm(LOG_CLEAR, false);
         let _ = pool.run_tx(|tx| tx.write(a.offset, b"mutated!"));
         drop(pool);
         let shared: SharedBackend = Arc::new(backend);
@@ -532,7 +492,7 @@ mod tests {
 
     #[test]
     fn crash_during_recovery_then_reopen_converges() {
-        let (backend, pool) = pool_pair();
+        let (backend, crash, pool) = crashable_pair();
         let a = pool.alloc_bytes(64).unwrap();
         let b = pool.alloc_bytes(64).unwrap();
         pool.write(a.offset, b"original").unwrap();
@@ -540,19 +500,25 @@ mod tests {
         pool.persist(a.offset, 8).unwrap();
         pool.persist(b.offset, 8).unwrap();
 
-        // Strand an active log with two undo entries.
-        pool.set_crash_point(Some(CrashPoint::BeforeCommit));
+        // Strand an active log with two undo entries: two one-range appends
+        // (the header read, then six calls each), both flushes, and the
+        // crash lands on the clear.
+        crash.arm(15, false);
         let _ = pool.run_tx(|tx| {
             tx.write(a.offset, b"mutatedA")?;
             tx.write(b.offset, b"mutatedB")?;
             Ok(())
         });
+        crash.revive();
         assert!(pool.tx_log_active().unwrap());
 
-        // First recovery pass dies after replaying one entry: the log stays
-        // active and the pool is mid-rollback (b restored, a still mutated).
-        pool.set_crash_point(Some(CrashPoint::DuringRecovery));
+        // The first recovery pass dies after replaying one entry (the header
+        // read, two reads per entry, then b's read, write and persist): the
+        // log stays active and the pool is mid-rollback (b restored, a still
+        // mutated).
+        crash.arm(8, false);
         assert!(pool.recover().unwrap_err().is_injected_crash());
+        crash.revive();
         assert!(pool.tx_log_active().unwrap());
         assert_eq!(&read8(&pool, b.offset), b"untouchd");
         assert_eq!(&read8(&pool, a.offset), b"mutatedA");
@@ -578,10 +544,14 @@ mod tests {
 
     #[test]
     fn recovery_crash_point_is_inert_when_log_is_idle() {
-        let (_, pool) = pool_pair();
-        pool.set_crash_point(Some(CrashPoint::DuringRecovery));
-        // Nothing to recover: the injection site is never reached.
+        // Nothing to recover: the pass reads the log header and stops, so a
+        // crash armed at its next call is never reached.
+        let (_, crash, pool) = crashable_pair();
+        crash.arm(1, false);
+        let before = crash.calls();
         assert!(!pool.recover().unwrap());
+        assert_eq!(crash.calls() - before, 1);
+        crash.revive();
         assert!(!pool.tx_log_active().unwrap());
     }
 
@@ -671,74 +641,107 @@ mod tests {
 
     /// A pool with two persisted 8-byte targets holding "original" and
     /// "untouchd".
-    fn pool_with_two_targets() -> (VolatileBackend, PmemPool, u64, u64) {
-        let (backend, pool) = pool_pair();
+    fn pool_with_two_targets() -> (VolatileBackend, Crash, PmemPool, u64, u64) {
+        let (backend, crash, pool) = crashable_pair();
         let a = pool.alloc_bytes(64).unwrap().offset;
         let b = pool.alloc_bytes(64).unwrap().offset;
         pool.write(a, b"original").unwrap();
         pool.write(b, b"untouchd").unwrap();
         pool.persist(a, 8).unwrap();
         pool.persist(b, 8).unwrap();
-        (backend, pool, a, b)
+        (backend, crash, pool, a, b)
     }
+
+    /// The two-range batch: one log append for both ranges.
+    fn write_batch(pool: &PmemPool, a: u64, b: u64) -> Result<()> {
+        pool.run_tx(|tx| tx.write_all(&[(a, b"mutatedA"), (b, b"mutatedB")]))
+    }
+
+    // The batch makes thirteen calls: the log header read, both old ranges'
+    // reads, the batch's write and persist, the header's write and persist,
+    // both data writes, both flushes, and the clear's write and persist.
+    /// The batch's first data write: the log append is durable.
+    const BATCH_DATA: u64 = 7;
+    /// The clear of the batch's log header.
+    const BATCH_CLEAR: u64 = 11;
 
     #[test]
     fn batched_write_is_atomic_at_every_transaction_crash_point() {
-        for point in [
-            CrashPoint::AfterLogAppend,
-            CrashPoint::BeforeCommit,
-            CrashPoint::AfterCommit,
-        ] {
-            let (backend, pool, a, b) = pool_with_two_targets();
-            pool.set_crash_point(Some(point));
-            let result: Result<()> =
-                pool.run_tx(|tx| tx.write_all(&[(a, b"mutatedA"), (b, b"mutatedB")]));
-            assert!(result.unwrap_err().is_injected_crash(), "{point:?}");
-            if point == CrashPoint::AfterLogAppend {
-                // The point fires after the batch, before any data write.
-                assert_eq!(&read8(&pool, a), b"original");
-                assert_eq!(&read8(&pool, b), b"untouchd");
+        let (mut committed, mut last) = (0, (false, false));
+        let positions = Crash::sweep(|k, torn| {
+            let (backend, crash, pool, a, b) = pool_with_two_targets();
+            crash.arm(k, torn);
+            let result = write_batch(&pool, a, b);
+            if let Err(e) = &result {
+                assert!(e.is_injected_crash(), "{e}");
+            }
+            crash.revive();
+            if k <= BATCH_DATA && !(k == BATCH_DATA && torn) {
+                // Before the batch's first data write nothing moved.
+                assert_eq!(&read8(&pool, a), b"original", "{k}/{torn}");
+                assert_eq!(&read8(&pool, b), b"untouchd", "{k}/{torn}");
             }
             drop(pool);
             let reopened = reopen(&backend);
-            let expected: [&[u8; 8]; 2] = if point == CrashPoint::AfterCommit {
+            let landed = &read8(&reopened, a) == b"mutatedA";
+            let expected: [&[u8; 8]; 2] = if landed {
                 [b"mutatedA", b"mutatedB"]
             } else {
                 [b"original", b"untouchd"]
             };
-            assert_eq!(&read8(&reopened, a), expected[0], "{point:?}");
-            assert_eq!(&read8(&reopened, b), expected[1], "{point:?}");
+            assert_eq!(&read8(&reopened, a), expected[0], "{k}/{torn}");
+            assert_eq!(&read8(&reopened, b), expected[1], "{k}/{torn}");
             assert!(!reopened.tx_log_active().unwrap());
-        }
+            // Once durable at a position, durable at every later one.
+            assert!(landed || last != (torn, true), "{k}/{torn} rolled back");
+            last = (torn, landed);
+            committed += usize::from(landed);
+            result.is_err()
+        });
+        println!("tx batch: {positions} crash positions, {committed} committed");
+        assert_eq!(positions, 28);
+        // The clear's persist and the uncrashed run; torn, the clear too.
+        assert_eq!(committed, 5);
     }
 
     #[test]
     fn crash_during_recovery_of_a_batch_converges() {
-        let (backend, pool, a, b) = pool_with_two_targets();
-        pool.set_crash_point(Some(CrashPoint::BeforeCommit));
-        let result: Result<()> =
-            pool.run_tx(|tx| tx.write_all(&[(a, b"mutatedA"), (b, b"mutatedB")]));
-        assert!(result.unwrap_err().is_injected_crash());
+        let positions = Crash::sweep(|r, torn| {
+            let (backend, crash, pool, a, b) = pool_with_two_targets();
+            crash.arm(BATCH_CLEAR, false);
+            assert!(write_batch(&pool, a, b).unwrap_err().is_injected_crash());
+            crash.revive();
+            assert!(pool.tx_log_active().unwrap());
 
-        // The first pass dies after replaying the batch's last entry.
-        pool.set_crash_point(Some(CrashPoint::DuringRecovery));
-        assert!(pool.recover().unwrap_err().is_injected_crash());
-        assert!(pool.tx_log_active().unwrap());
-        assert_eq!(&read8(&pool, a), b"mutatedA");
-        assert_eq!(&read8(&pool, b), b"untouchd");
+            // The recovery pass dies at its r-th call.
+            crash.arm(r, torn);
+            let crashed = pool.recover().is_err();
+            crash.revive();
+            if r == 8 && !torn {
+                // The first pass died after replaying the batch's last entry
+                // (the header read, two reads per entry, then b's read,
+                // write and persist).
+                assert!(pool.tx_log_active().unwrap());
+                assert_eq!(&read8(&pool, a), b"mutatedA");
+                assert_eq!(&read8(&pool, b), b"untouchd");
+            }
 
-        // The second pass converges, and so does a reopen after it.
-        assert!(pool.recover().unwrap());
-        assert!(!pool.tx_log_active().unwrap());
-        drop(pool);
-        let reopened = reopen(&backend);
-        assert_eq!(&read8(&reopened, a), b"original");
-        assert_eq!(&read8(&reopened, b), b"untouchd");
+            // The next pass converges, and so does a reopen after it.
+            pool.recover().unwrap();
+            assert!(!pool.tx_log_active().unwrap());
+            drop(pool);
+            let reopened = reopen(&backend);
+            assert_eq!(&read8(&reopened, a), b"original", "{r}/{torn}");
+            assert_eq!(&read8(&reopened, b), b"untouchd", "{r}/{torn}");
+            crashed
+        });
+        println!("tx batch recovery: {positions} crash positions");
+        assert_eq!(positions, 28);
     }
 
     #[test]
     fn refused_batch_writes_no_byte() {
-        let (backend, pool, a, _) = pool_with_two_targets();
+        let (backend, _, pool, a, _) = pool_with_two_targets();
         // A block larger than the whole log area.
         let big = pool.alloc_bytes(LOG_SIZE).unwrap().offset;
         let big_before = vec![0x5Au8; LOG_SIZE as usize];
@@ -774,8 +777,11 @@ mod tests {
     #[test]
     fn a_batch_leaves_the_log_of_one_range_at_a_time() {
         let stranded = |batched: bool| {
-            let (backend, pool, a, b) = pool_with_two_targets();
-            pool.set_crash_point(Some(CrashPoint::BeforeCommit));
+            let (backend, crash, pool, a, b) = pool_with_two_targets();
+            // The crash lands on the clear of the log: call 11 of the batch,
+            // call 13 of two appends (the header read, five calls each, two
+            // flushes).
+            crash.arm(if batched { BATCH_CLEAR } else { 13 }, false);
             let result: Result<()> = pool.run_tx(|tx| {
                 if batched {
                     tx.write_all(&[(a, b"mutatedA"), (b, b"mutatedB")])

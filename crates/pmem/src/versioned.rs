@@ -19,22 +19,12 @@
 //!        48  reserved, zero
 //! ```
 //!
-//! # Pool handles and crash injection
-//!
 //! The checkpoint region and the object store address their pool the same
-//! way ([`PoolRef`]) and inject crashes the same way. A *write phase*
-//! (checkpoint slot header, object payload slot) is torn at one of four
-//! sub-positions picked by the point's [`ordinal`](CrashPoint::ordinal); the
-//! *commit record* (descriptor or directory entry update inside one pool
-//! transaction) either fires the point at its native transaction site or
-//! strands the log so the following recovery hits it. The public
-//! `CheckpointPhase` / `ObjectPhase` enums only say which of these an
-//! injection targets.
+//! way ([`PoolRef`]) and write each commit record with [`PmemPool::run_tx`].
 
 use crate::error::PmemError;
 use crate::oid::PmemOid;
 use crate::pool::{fnv1a, PmemPool, MIN_POOL_SIZE};
-use crate::tx::{CrashPoint, Transaction};
 use crate::Result;
 use std::sync::Arc;
 
@@ -218,74 +208,20 @@ impl std::ops::Deref for PoolRef<'_> {
     }
 }
 
-/// Leaves `bytes` at `off` the way a crash at `point` would, then fails with
-/// the injected-crash error named `site`. The point's ordinal selects:
-/// 0 = no byte written, 1 = the first half written (a torn write), 2 = every
-/// byte written but not persisted, 3 = every byte written and persisted.
-pub(crate) fn torn_write<T>(
-    pool: &PmemPool,
-    off: u64,
-    bytes: &[u8],
-    point: CrashPoint,
-    site: &'static str,
-) -> Result<T> {
-    match point.ordinal() {
-        0 => {}
-        // in-bounds: bytes.len() / 2 ≤ bytes.len().
-        1 => pool.write(off, &bytes[..bytes.len() / 2])?,
-        2 => pool.write(off, bytes)?,
-        _ => {
-            pool.write(off, bytes)?;
-            pool.persist(off, bytes.len() as u64)?;
-        }
-    }
-    Err(PmemError::InjectedCrash(site))
-}
-
-/// A crash injected into a commit record.
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum RecordCrash {
-    /// Fire the point at its native transaction site
-    /// ([`CrashPoint::DuringRecovery`] never fires inside a transaction, so
-    /// that cell commits cleanly).
-    Commit(CrashPoint),
-    /// Strand the undo log at [`CrashPoint::BeforeCommit`], then leave the
-    /// point armed on the pool so the next [`PmemPool::recover`] hits it.
-    Recovery(CrashPoint),
-}
-
-/// Runs `body` as one undo-logged commit record, with `crash` (if any) armed
-/// around it.
-pub(crate) fn commit_record<T>(
-    pool: &PmemPool,
-    crash: Option<RecordCrash>,
-    body: impl FnOnce(&mut Transaction<'_>) -> Result<T>,
-) -> Result<T> {
-    match crash {
-        Some(RecordCrash::Commit(point)) => pool.set_crash_point(Some(point)),
-        Some(RecordCrash::Recovery(_)) => pool.set_crash_point(Some(CrashPoint::BeforeCommit)),
-        None => {}
-    }
-    let result = pool.run_tx(body);
-    if let (Err(e), Some(RecordCrash::Recovery(point))) = (&result, crash) {
-        if e.is_injected_crash() {
-            pool.set_crash_point(Some(point));
-        }
-    }
-    result
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::backend::{Crash, VolatileBackend};
 
     /// A fresh pool with one zeroed 8-byte target.
-    fn pool_with_target() -> (PmemPool, u64) {
-        let pool = PmemPool::create_volatile("versioned", 1 << 20).unwrap();
+    fn pool_with_target() -> (Crash, PmemPool, u64) {
+        let crash = Crash::new();
+        let backend = crash.wrap(Arc::new(VolatileBackend::new_persistent(1 << 20)));
+        let pool = PmemPool::create_with_backend(backend, "versioned").unwrap();
         let off = pool.alloc_bytes(8).unwrap().offset;
         pool.write(off, &[0u8; 8]).unwrap();
         pool.persist(off, 8).unwrap();
-        (pool, off)
+        (crash, pool, off)
     }
 
     fn read8(pool: &PmemPool, off: u64) -> [u8; 8] {
@@ -322,51 +258,86 @@ mod tests {
 
     #[test]
     fn torn_write_leaves_each_sub_position() {
-        let left: [&[u8; 8]; 4] = [&[0; 8], b"torn\0\0\0\0", b"torn-hdr", b"torn-hdr"];
-        for (point, want) in CrashPoint::ALL.into_iter().zip(left) {
-            let (pool, off) = pool_with_target();
+        // A layout's write phase is a write and a persist. A crash at each of
+        // their calls leaves one sub-position: no byte, the first half, every
+        // byte unpersisted, or (the op run to its end) every byte persisted.
+        let mut left = Vec::new();
+        Crash::sweep(|k, torn| {
+            let (crash, pool, off) = pool_with_target();
             let before = pool.persist_stats();
-            let err = torn_write::<()>(&pool, off, b"torn-hdr", point, "test-site").unwrap_err();
-            assert!(matches!(err, PmemError::InjectedCrash("test-site")));
-            assert_eq!(&read8(&pool, off), want, "{point:?}");
-            // Only the last sub-position persists what it wrote.
-            let persisted = (pool.persist_stats() - before).bytes_persisted;
-            assert_eq!(
-                persisted > 0,
-                point == CrashPoint::DuringRecovery,
-                "{point:?}"
-            );
-        }
+            crash.arm(k, torn);
+            let result = pool
+                .write(off, b"torn-hdr")
+                .and_then(|()| pool.persist(off, 8));
+            crash.revive();
+            let persisted = (pool.persist_stats() - before).bytes_persisted > 0;
+            left.push((read8(&pool, off), persisted));
+            match result {
+                Err(e) => {
+                    assert!(e.is_injected_crash(), "{e}");
+                    true
+                }
+                Ok(()) => false,
+            }
+        });
+        let (none, torn, all) = ([0; 8], *b"torn\0\0\0\0", *b"torn-hdr");
+        let want = [
+            (none, false),
+            (all, false),
+            (all, true),
+            (torn, false),
+            (all, false),
+            (all, true),
+        ];
+        assert_eq!(left, want);
     }
 
     #[test]
     fn commit_record_fires_at_its_site_or_strands_the_log_for_recovery() {
-        let write = |off: u64| move |tx: &mut Transaction<'_>| tx.write(off, b"new-val!");
-
-        let (pool, off) = pool_with_target();
-        commit_record(&pool, None, write(off)).unwrap();
-        assert_eq!(&read8(&pool, off), b"new-val!");
-
-        // Commit: the point fires inside the transaction; recovery rolls the
-        // record back.
-        let (pool, off) = pool_with_target();
-        let crash = Some(RecordCrash::Commit(CrashPoint::BeforeCommit));
-        assert!(commit_record(&pool, crash, write(off))
-            .unwrap_err()
-            .is_injected_crash());
-        assert!(pool.recover().unwrap());
-        assert_eq!(read8(&pool, off), [0; 8]);
-
-        // Recovery: the log is stranded and the point stays armed, so the
-        // first recovery pass dies and the second one converges.
-        let (pool, off) = pool_with_target();
-        let crash = Some(RecordCrash::Recovery(CrashPoint::DuringRecovery));
-        assert!(commit_record(&pool, crash, write(off))
-            .unwrap_err()
-            .is_injected_crash());
-        assert!(pool.tx_log_active().unwrap());
-        assert!(pool.recover().unwrap_err().is_injected_crash());
-        assert!(pool.recover().unwrap());
-        assert_eq!(read8(&pool, off), [0; 8]);
+        // A layout's commit record is one `run_tx`. A crash at each of its
+        // calls either strands the undo log, which recovery rolls back, or
+        // leaves the record whole: never committed, or committed durably.
+        let attempt = |k: u64, torn: bool| {
+            let (crash, pool, off) = pool_with_target();
+            crash.arm(k, torn);
+            let result = pool.run_tx(|tx| tx.write(off, b"new-val!"));
+            crash.revive();
+            (crash, pool, off, result)
+        };
+        let (mut stranded, mut committed, mut recoveries) = (0, 0, 0);
+        let positions = Crash::sweep(|k, torn| {
+            let (_, pool, off, result) = attempt(k, torn);
+            if let Err(e) = &result {
+                assert!(e.is_injected_crash(), "{e}");
+            }
+            if !pool.tx_log_active().unwrap() {
+                let value = read8(&pool, off);
+                assert!(value == [0; 8] || &value == b"new-val!", "{k}/{torn}");
+                committed += usize::from(&value == b"new-val!");
+                return result.is_err();
+            }
+            stranded += 1;
+            // The recovery of the stranded record dies at each of its calls
+            // in turn; the next pass converges and rolls the record back.
+            recoveries += Crash::sweep(|r, torn_r| {
+                let (crash, pool, off, _) = attempt(k, torn);
+                crash.arm(r, torn_r);
+                let crashed = pool.recover().is_err();
+                crash.revive();
+                pool.recover().unwrap();
+                assert!(!pool.tx_log_active().unwrap());
+                assert_eq!(read8(&pool, off), [0; 8], "{k}/{torn} then {r}/{torn_r}");
+                crashed
+            });
+            result.is_err()
+        });
+        println!("commit record sweep: {positions} positions, {recoveries} recovery positions");
+        // Ten calls: the log is stranded from the header's write (torn) or
+        // persist to the clear (whole); the record is durable from the
+        // clear's persist (or its torn write) on.
+        assert_eq!(positions, 22);
+        assert_eq!(stranded, 8);
+        assert!(recoveries > stranded, "{recoveries}");
+        assert_eq!(committed, 5);
     }
 }

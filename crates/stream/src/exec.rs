@@ -15,42 +15,23 @@
 //! own slot, once per kernel invocation, so no lock is ever contended.
 
 use crate::kernels::Kernel;
+use cxl_pmem::AccessTracker;
 use numa::{chunk_for, PinnedPool, WorkerCtx};
 use parking_lot::Mutex;
 
-/// Observer of per-worker access windows on the STREAM hot path — the
-/// sampling hook the adaptive tiering engine's `AccessTracker` plugs into.
+/// Records one `kernel` invocation over the element window `[lo, hi)` into
+/// the tiering engine's `tracker` using STREAM's byte-accounting rules — one
+/// read per input array the kernel consumes, one write for its output array.
+/// The single definition both hot paths share: the in-place engine samples
+/// through [`ArrayChunk::record_access`], the STREAM-PMem path calls it with
+/// its worker window directly, so volatile and pmem heat stay comparable.
 ///
 /// Byte spans are element offsets scaled to bytes (`element × 8` for the
 /// `f64` STREAM arrays): the three arrays share one logical index space, so
-/// a tiering chunk covers the same element range of `a`, `b` and `c`.
-/// Implementations must be cheap — they run inside every worker's kernel
-/// window, and `BENCH_tiering.json` holds the whole hook under a 5 % hot-path
-/// overhead budget in CI.
-pub trait AccessSink: Send + Sync {
-    /// Records a read of the byte span `[lo, hi)`.
-    fn record_read(&self, lo: u64, hi: u64);
-    /// Records a write of the byte span `[lo, hi)`.
-    fn record_write(&self, lo: u64, hi: u64);
-}
-
-impl AccessSink for cxl_pmem::AccessTracker {
-    fn record_read(&self, lo: u64, hi: u64) {
-        cxl_pmem::AccessTracker::record_read(self, lo, hi);
-    }
-
-    fn record_write(&self, lo: u64, hi: u64) {
-        cxl_pmem::AccessTracker::record_write(self, lo, hi);
-    }
-}
-
-/// Records one `kernel` invocation over the element window `[lo, hi)` into
-/// `sink` using STREAM's byte-accounting rules — one read per input array the
-/// kernel consumes, one write for its output array. The single definition
-/// both hot paths share: the in-place engine samples through
-/// [`ArrayChunk::record_access`], the STREAM-PMem path calls it with its
-/// worker window directly, so volatile and pmem heat stay comparable.
-pub fn record_kernel_span(sink: &dyn AccessSink, kernel: Kernel, lo: usize, hi: usize) {
+/// a tiering chunk covers the same element range of `a`, `b` and `c`. The
+/// call runs inside every worker's kernel window, and `BENCH_tiering.json`
+/// holds it under a 5 % hot-path overhead budget in CI.
+pub fn record_kernel_span(tracker: &AccessTracker, kernel: Kernel, lo: usize, hi: usize) {
     if lo >= hi {
         return;
     }
@@ -59,10 +40,10 @@ pub fn record_kernel_span(sink: &dyn AccessSink, kernel: Kernel, lo: usize, hi: 
     let (reads_a, reads_b, reads_c) = kernel.reads();
     for reads in [reads_a, reads_b, reads_c] {
         if reads {
-            sink.record_read(byte_lo, byte_hi);
+            tracker.record_read(byte_lo, byte_hi);
         }
     }
-    sink.record_write(byte_lo, byte_hi);
+    tracker.record_write(byte_lo, byte_hi);
 }
 
 /// Three equal-length `f64` arrays partitioned into per-worker windows.
@@ -101,12 +82,12 @@ impl ArrayChunk<'_> {
         self.lo == self.hi
     }
 
-    /// Samples this window's traffic for one `kernel` invocation into `sink`:
-    /// one read record per input array the kernel consumes, one write record
-    /// for its output array — the byte accounting STREAM itself uses, at the
-    /// worker-window granularity the tiering planners want.
-    pub fn record_access(&self, sink: &dyn AccessSink, kernel: Kernel) {
-        record_kernel_span(sink, kernel, self.lo, self.hi);
+    /// Samples this window's traffic for one `kernel` invocation into
+    /// `tracker`: one read record per input array the kernel consumes, one
+    /// write record for its output array — the byte accounting STREAM itself
+    /// uses, at the worker-window granularity the tiering planners want.
+    pub fn record_access(&self, tracker: &AccessTracker, kernel: Kernel) {
+        record_kernel_span(tracker, kernel, self.lo, self.hi);
     }
 }
 

@@ -11,8 +11,8 @@
 //! * [`exec`] — the zero-copy parallel execution engine, in safe code:
 //!   per-worker disjoint `&mut` windows over the three arrays (split with
 //!   `split_at_mut`), each in a one-shot slot its worker claims. Its
-//!   [`exec::AccessSink`] hook samples every worker window into the adaptive
-//!   tiering engine's per-chunk heat counters.
+//!   [`exec::record_kernel_span`] samples every worker window into the
+//!   adaptive tiering engine's `AccessTracker`.
 //! * [`volatile`] — STREAM over ordinary heap arrays, parallelised with the
 //!   affinity-aware [`numa::PinnedPool`].
 //! * [`pmem_stream`] — STREAM-PMem over [`pmem::PersistentArray`]s living in a
@@ -77,7 +77,7 @@ pub mod report;
 pub mod runner;
 pub mod volatile;
 
-pub use exec::{AccessSink, ArrayChunk, ChunkedArrays};
+pub use exec::{ArrayChunk, ChunkedArrays};
 pub use kernels::{Kernel, StreamArray, StreamConfig};
 pub use pmem_stream::PmemStream;
 pub use report::{BandwidthReport, KernelMeasurement};

@@ -22,9 +22,9 @@
 //! durable: the persist-granularity batching that keeps the PMDK overhead at
 //! the paper's 10–15 % instead of a per-range fence storm.
 
-use crate::exec::AccessSink;
 use crate::kernels::{relative_error, Kernel, StreamArray, StreamConfig};
 use crate::report::{BandwidthReport, KernelMeasurement};
+use cxl_pmem::AccessTracker;
 use numa::{chunk_for, PinnedPool, WorkerCtx};
 use pmem::{PersistentArray, PmemPool, Result as PmemResult, TypedOid};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -101,8 +101,8 @@ pub struct PmemStream<'p> {
     a: PersistentArray<'p, f64>,
     b: PersistentArray<'p, f64>,
     c: PersistentArray<'p, f64>,
-    /// Optional access-sampling sink (the tiering engine's heat counters).
-    tracker: Option<Arc<dyn AccessSink>>,
+    /// Optional access tracker (the tiering engine's heat counters).
+    tracker: Option<Arc<AccessTracker>>,
 }
 
 /// The pool-root record STREAM-PMem stores so a restarted run can reattach to
@@ -152,9 +152,10 @@ impl<'p> PmemStream<'p> {
         }
     }
 
-    /// Attaches (or detaches) an access-sampling sink — every worker's window
-    /// is recorded with the same byte accounting as the in-place path.
-    pub fn set_tracker(&mut self, tracker: Option<Arc<dyn AccessSink>>) {
+    /// Attaches (or detaches) the tiering engine's access tracker — every
+    /// worker's window is recorded with the same byte accounting as the
+    /// in-place path.
+    pub fn set_tracker(&mut self, tracker: Option<Arc<AccessTracker>>) {
         self.tracker = tracker;
     }
 
@@ -221,8 +222,8 @@ impl<'p> PmemStream<'p> {
             // Flush (no fence) the worker's whole written range; the caller
             // issues a single drain for all chunks.
             output.flush(lo as u64, (hi - lo) as u64)?;
-            if let Some(sink) = &self.tracker {
-                crate::exec::record_kernel_span(sink.as_ref(), kernel, lo, hi);
+            if let Some(tracker) = &self.tracker {
+                crate::exec::record_kernel_span(tracker, kernel, lo, hi);
             }
             Ok(())
         });

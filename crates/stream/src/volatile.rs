@@ -1,8 +1,9 @@
 //! STREAM over ordinary heap arrays (the Memory-Mode / CC-NUMA flavour).
 
-use crate::exec::{run_partitioned, AccessSink};
+use crate::exec::run_partitioned;
 use crate::kernels::{relative_error, Kernel, StreamConfig};
 use crate::report::{BandwidthReport, KernelMeasurement};
+use cxl_pmem::AccessTracker;
 use numa::PinnedPool;
 use std::sync::Arc;
 use std::time::Instant;
@@ -15,15 +16,15 @@ use std::time::Instant;
 /// STREAM's counting rules say it moves — no copy-out/copy-back, and one
 /// uncontended lock per worker window.
 ///
-/// An optional [`AccessSink`] samples every worker window (reads per input
-/// array, one write for the output array), feeding the adaptive tiering
-/// engine's per-chunk heat counters without changing the data path.
+/// An optional [`AccessTracker`] samples every worker window (reads per
+/// input array, one write for the output array), feeding the adaptive
+/// tiering engine's per-chunk heat counters without changing the data path.
 pub struct VolatileStream {
     config: StreamConfig,
     a: Vec<f64>,
     b: Vec<f64>,
     c: Vec<f64>,
-    tracker: Option<Arc<dyn AccessSink>>,
+    tracker: Option<Arc<AccessTracker>>,
 }
 
 impl VolatileStream {
@@ -44,9 +45,9 @@ impl VolatileStream {
         self.config
     }
 
-    /// Attaches (or detaches) an access-sampling sink — typically the tiering
-    /// engine's `AccessTracker`. Every subsequent worker window is recorded.
-    pub fn set_tracker(&mut self, tracker: Option<Arc<dyn AccessSink>>) {
+    /// Attaches (or detaches) the tiering engine's access tracker. Every
+    /// subsequent worker window is recorded.
+    pub fn set_tracker(&mut self, tracker: Option<Arc<AccessTracker>>) {
         self.tracker = tracker;
     }
 
@@ -63,8 +64,8 @@ impl VolatileStream {
             &mut self.c,
             |_ctx, chunk| {
                 kernel.apply(chunk.a, chunk.b, chunk.c, scalar);
-                if let Some(sink) = &tracker {
-                    chunk.record_access(sink.as_ref(), kernel);
+                if let Some(tracker) = &tracker {
+                    chunk.record_access(tracker, kernel);
                 }
             },
         );

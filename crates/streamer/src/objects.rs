@@ -14,11 +14,11 @@
 //!    writer updates and deletes with reader rounds; the coherence
 //!    discipline is asserted (a stale reader gets a typed
 //!    [`ClusterError::NotAcquired`], never stale or torn bytes). Then the
-//!    crash leg: slot-write and entry-commit tears are injected at every
-//!    [`CrashPoint`], the writer host "dies", and a *different* host runs
-//!    recovery and must read the old-or-new committed version bit-exact,
-//!    with the directory conserving (`live + free == capacity`) in every
-//!    cell.
+//!    crash leg: the writer host dies at eight chosen calls of a put and a
+//!    commit (`CRASH_CELLS`), its attempt running on a pool of its own
+//!    over a crash-wrapped backend, and a *different* host runs recovery and
+//!    must read the old-or-new committed version bit-exact, with the
+//!    directory conserving (`live + free == capacity`) in every cell.
 //! 2. **Performance** — batched KV ops through the [`sim`] kernel and its
 //!    [`AdmissionController`] front door: `put_commit` batches
 //!    spend the write ceiling as [`QosClass::Checkpoint`] traffic, `get`
@@ -35,7 +35,7 @@
 use crate::sim::{self, ClassStats, Load, Shape};
 use crate::tables::{json_number, Table};
 use cxl_pmem::admission::{AdmissionController, ClassConfig, QosClass};
-use cxl_pmem::cluster::{CoherenceMode, CrashPoint, ObjectCrash, ObjectPhase};
+use cxl_pmem::cluster::{CoherenceMode, Crash, ObjectStore, PmemPool, SharedRegionBackend};
 use cxl_pmem::{ClusterError, HostStore, RuntimeBuilder};
 use std::sync::Arc;
 
@@ -51,6 +51,25 @@ const SHAPE: Shape = Shape {
 };
 /// Bytes a commit record spends at admission (directory-entry sized).
 const COMMIT_BYTES: u64 = 64;
+
+/// The crash leg's cells: whether the writer dies in the commit (else in
+/// the put), at which of the op's calls, and whether that write is torn. A
+/// put is the entry read (0), the slot write (1) and its flush (2). A
+/// commit's record writes the directory entry at 9, clears its undo log at
+/// 13 and persists the clear at 14, its last call: from that persist on the
+/// record is durable, and a commit armed at 15 runs to its end.
+const CRASH_CELLS: [(bool, u64, bool); 8] = [
+    (false, 0, false),
+    (false, 1, false),
+    (false, 1, true),
+    (false, 2, false),
+    (true, 9, false),
+    (true, 13, false),
+    (true, 14, false),
+    (true, 15, false),
+];
+/// Backend calls of a commit: a commit armed at this call runs to its end.
+const COMMIT_CALLS: u64 = 15;
 
 /// Shape of one objects-scenario run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -122,7 +141,7 @@ pub struct ObjectsReport {
     pub value_len: u64,
     /// Highest committed epoch the directory audit observed.
     pub committed_versions: u64,
-    /// Tear-injection cells exercised cross-host (phase × crash point).
+    /// Crash cells exercised cross-host (calls of a put and a commit).
     pub crash_cells: usize,
     /// Every cell recovered to an exact old-or-new committed version on a
     /// *different* host, never torn bytes.
@@ -312,78 +331,75 @@ fn functional_leg(cfg: &ObjectsConfig) -> Result<Functional, ClusterError> {
     }
     drop(readers);
 
-    // 5. The cross-host tear matrix: every crash point through both the
-    //    torn-payload (slot write) and torn-directory (entry commit) phases.
-    //    The writer host dies mid-op; a different host opens the store (undo
+    // 5. The cross-host tear matrix: the writer host dies at each of the
+    //    CRASH_CELLS calls, its attempt running on a pool of its own over a
+    //    crash-wrapped backend. A different host opens the store (undo
     //    recovery runs there), and must read an exact old-or-new committed
     //    version while the directory conserves.
-    let mut crash_cells = 0usize;
     let mut crash_survived = true;
     let mut store_conserved = true;
-    for phase in [ObjectPhase::SlotWrite, ObjectPhase::EntryCommit] {
-        for point in CrashPoint::ALL {
-            let id = 1 + crash_cells as u64; // ids not touched by the delete wave
-            let old_epoch = if id.is_multiple_of(cfg.update_every) {
-                2
-            } else {
-                1
-            };
-            let old = value_bytes(id, old_epoch, cfg.value_len);
-            let new = value_bytes(id, 90 + crash_cells as u64, cfg.value_len);
-            let crash = ObjectCrash { phase, point };
-            let committed_anyway = match phase {
-                ObjectPhase::SlotWrite => {
-                    if writer.put_crashing(id, &new, crash).is_ok() {
-                        crash_survived = false; // the injection never fired
-                    }
-                    false
-                }
-                _ => {
-                    writer.put(id, &new)?;
-                    match writer.commit_crashing(id, crash) {
-                        // DuringRecovery cannot fire inside the commit
-                        // transaction — that cell's commit lands; every other
-                        // point must kill the writer mid-commit.
-                        Ok(_) => {
-                            if point != CrashPoint::DuringRecovery {
-                                crash_survived = false;
-                            }
-                            true
-                        }
-                        Err(_) => false,
-                    }
-                }
-            };
-            // The spare host takes over: open (recovery), acquire, audit.
-            let mut spare = cluster.host(cfg.hosts - 1).open_store("objects")?;
-            spare.acquire()?;
-            let got = spare.get(id)?;
-            if got != old && got != new {
-                crash_survived = false;
-            }
-            let check = spare.verify()?;
-            if check.live + check.free != cfg.objects {
-                store_conserved = false;
-            }
-            // A slot-write tear must never surface (the committed version is
-            // untouched by construction), and a landed commit must read back
-            // as exactly the new version.
-            if phase == ObjectPhase::SlotWrite && got != old {
-                crash_survived = false;
-            }
-            if committed_anyway && got != new {
-                crash_survived = false;
-            }
-            drop(spare);
-            // The writer host reboots its handle and repairs determinism:
-            // whatever the cell left behind, recommit the old bytes.
-            writer = cluster.host(0).open_store("objects")?;
-            writer.set_front_door(Arc::clone(&door));
-            writer.put_classed(id, &old, tick())?;
-            writer.commit_classed(id, tick())?;
-            crash_cells += 1;
+    for (cell, &(in_commit, at, torn)) in CRASH_CELLS.iter().enumerate() {
+        let id = 1 + cell as u64; // ids not touched by the delete wave
+        let old_epoch = if id.is_multiple_of(cfg.update_every) {
+            2
+        } else {
+            1
+        };
+        let old = value_bytes(id, old_epoch, cfg.value_len);
+        let new = value_bytes(id, 90 + cell as u64, cfg.value_len);
+        let crash = Crash::new();
+        let backend = Arc::new(SharedRegionBackend::new(writer.region(), writer.host()));
+        let pool = PmemPool::open_with_backend(crash.wrap(backend), writer.name())?;
+        let mut store = ObjectStore::open_root(&pool)?;
+        if in_commit {
+            store.put(id, &new)?;
         }
+        crash.arm(at, torn);
+        let result = if in_commit {
+            store.commit(id).map(drop)
+        } else {
+            store.put(id, &new)
+        };
+        // Only a commit armed past its last call runs to its end, and its
+        // commit ends in a publish; every other cell must kill the writer.
+        let committed_anyway = result.is_ok();
+        if committed_anyway != (in_commit && at == COMMIT_CALLS) {
+            crash_survived = false;
+        }
+        if committed_anyway {
+            writer.region().publish(writer.host())?;
+        }
+        drop(store);
+        drop(pool);
+        // The spare host takes over: open (recovery), acquire, audit.
+        let mut spare = cluster.host(cfg.hosts - 1).open_store("objects")?;
+        spare.acquire()?;
+        let got = spare.get(id)?;
+        if got != old && got != new {
+            crash_survived = false;
+        }
+        let check = spare.verify()?;
+        if check.live + check.free != cfg.objects {
+            store_conserved = false;
+        }
+        // A slot-write tear must never surface (the committed version is
+        // untouched by construction), and a landed commit must read back
+        // as exactly the new version.
+        if !in_commit && got != old {
+            crash_survived = false;
+        }
+        if committed_anyway && got != new {
+            crash_survived = false;
+        }
+        drop(spare);
+        // The writer host reboots its handle and repairs determinism:
+        // whatever the cell left behind, recommit the old bytes.
+        writer = cluster.host(0).open_store("objects")?;
+        writer.set_front_door(Arc::clone(&door));
+        writer.put_classed(id, &old, tick())?;
+        writer.commit_classed(id, tick())?;
     }
+    let crash_cells = CRASH_CELLS.len();
 
     // 6. Final audit on the writer's view.
     let check = writer.verify()?;

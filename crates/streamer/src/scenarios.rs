@@ -9,10 +9,9 @@
 //! bandwidth tables.
 
 use crate::tables::Table;
-use cxl_pmem::cluster::{
-    CheckpointCrash, CheckpointPhase, CoherenceMode, CrashPoint, SerialExecutor,
-};
-use cxl_pmem::{ClusterError, CxlPmemRuntime, DisaggregatedCluster, RuntimeBuilder};
+use cxl_pmem::cluster::{CheckpointRegion, CoherenceMode, Crash, PmemPool, SharedRegionBackend};
+use cxl_pmem::{ClusterError, CxlPmemRuntime, DisaggregatedCluster, HostSegment, RuntimeBuilder};
+use std::sync::Arc;
 
 /// Snapshot payload each scenario checkpoints (bytes).
 const DATA_LEN: u64 = 128 * 1024;
@@ -20,6 +19,8 @@ const DATA_LEN: u64 = 128 * 1024;
 const CHUNK_LEN: u64 = 8 * 1024;
 /// Epochs host A commits before the injected failure.
 const EPOCHS: u64 = 3;
+/// Chunks per image.
+const CHUNKS: u64 = DATA_LEN / CHUNK_LEN;
 
 /// The scenario group: every cross-host restart cell the harness runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -97,24 +98,35 @@ fn cluster(runtime: &CxlPmemRuntime, mode: CoherenceMode) -> DisaggregatedCluste
     runtime.disaggregated_cluster(2, mode)
 }
 
-/// Commits [`EPOCHS`] epochs as host 0, then dies mid-commit of the next one.
+/// Runs host 0's attempt to commit `epoch` on a pool of its own over a
+/// crash-wrapped backend, the host dying at the attempt's call `at` (whole,
+/// or torn when `torn`). The attempt opens the region, so it first
+/// validates the target slot: its header, and its chunks when it holds an
+/// image.
+fn crash_attempt(a: &HostSegment, epoch: u64, at: u64, torn: bool) -> Result<(), ClusterError> {
+    let crash = Crash::new();
+    let backend = Arc::new(SharedRegionBackend::new(a.region(), a.host()));
+    let pool = PmemPool::open_with_backend(crash.wrap(backend), a.name())?;
+    let mut region = CheckpointRegion::open_root(&pool)?;
+    crash.arm(at, torn);
+    let err = region
+        .checkpoint(&image(epoch))
+        .expect_err("the armed crash must fire");
+    assert!(err.is_injected_crash(), "unexpected failure: {err}");
+    Ok(())
+}
+
+/// Commits [`EPOCHS`] epochs as host 0, then dies mid-commit of the next one
+/// with its commit record in flight: after validating the target slot
+/// (its header and every chunk), a write and a flush per chunk, the slot
+/// header's write and persist, and the record's first eight calls, on the
+/// clear of its undo log.
 fn commit_then_crash(cluster: &DisaggregatedCluster, name: &str) -> Result<(), ClusterError> {
     let mut a = cluster.host(0).create_segment(name, DATA_LEN, CHUNK_LEN)?;
     for epoch in 1..=EPOCHS {
         a.checkpoint(&image(epoch))?;
     }
-    let err = a
-        .checkpoint_crashing(
-            &image(EPOCHS + 1),
-            CheckpointCrash {
-                phase: CheckpointPhase::Commit,
-                point: CrashPoint::BeforeCommit,
-            },
-            &SerialExecutor,
-        )
-        .expect_err("the armed crash must fire");
-    assert!(err.is_injected_crash(), "unexpected failure: {err}");
-    Ok(())
+    crash_attempt(&a, EPOCHS + 1, 1 + CHUNKS + 2 * CHUNKS + 2 + 8, false)
 }
 
 fn run_scenario(
@@ -162,17 +174,13 @@ fn run_scenario(
         RestartScenario::UnpublishedReadRefused => {
             let cluster = cluster(runtime, CoherenceMode::SoftwareManaged);
             {
-                let mut a = cluster
+                // Host 0 dies tearing the slot header of its first commit:
+                // after the empty target slot's header read and a write and
+                // a flush per chunk.
+                let a = cluster
                     .host(0)
                     .create_segment("fresh", DATA_LEN, CHUNK_LEN)?;
-                let _ = a.checkpoint_crashing(
-                    &image(1),
-                    CheckpointCrash {
-                        phase: CheckpointPhase::HeaderWrite,
-                        point: CrashPoint::BeforeCommit,
-                    },
-                    &SerialExecutor,
-                );
+                crash_attempt(&a, 1, 1 + 2 * CHUNKS, true)?;
             }
             let mut b = cluster.host(1).attach_segment("fresh")?;
             b.acquire()?;

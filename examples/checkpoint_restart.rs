@@ -126,15 +126,20 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Phase 1: checkpoint at iterations 10 and 20, run on to 30, then "crash"
     // while committing epoch 3 — the commit record is torn mid-transaction,
-    // like a node dying mid-commit.
+    // like a node dying mid-commit. The node works through a second pool
+    // handle whose backend a `Crash` wraps.
     println!("phase 1: run until the failure");
-    let mut region = CheckpointRegion::open_root(pool.pool())?;
+    let crash = Crash::new();
+    let node = PmemPool::open_with_backend(crash.wrap(pool.backend()), "jacobi-cr")?;
+    let mut region = CheckpointRegion::open_root(&node)?;
     let mut state = JacobiState::fresh();
     run_until(&mut state, &mut region, &exec, Some(25))?;
-    region.set_crash(Some(CheckpointCrash {
-        phase: CheckpointPhase::Commit,
-        point: CrashPoint::BeforeCommit,
-    }));
+    // Epoch 3 targets the slot epoch 1 validated and changes all of its
+    // chunks: the node dies on the clear of the commit record's undo log,
+    // after a write and a flush per chunk, the slot header's write and
+    // persist, and the record's first eight backend calls.
+    let chunks = region.chunk_count() as u64;
+    crash.arm(2 * chunks + 2 + 8, false);
     let mut next = vec![0.0f64; N];
     while state.iteration < 30 {
         state.sweep(&mut next);
@@ -146,6 +151,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     println!("  !! simulated node failure during the epoch-3 commit record");
     drop(region);
+    drop(node);
     drop(pool);
 
     // Phase 2: "reboot" — reattach to the expander through the runtime. The

@@ -13,11 +13,13 @@
 //!
 //! Run with: `cargo run --example shared_far_memory`
 
-use streamer_repro::cxl_pmem::cluster::SerialExecutor;
+use std::sync::Arc;
+use streamer_repro::pmem::SharedRegionBackend;
 use streamer_repro::prelude::*;
 
 const DATA_LEN: u64 = 256 * 1024;
 const CHUNK_LEN: u64 = 8 * 1024;
+const CHUNKS: u64 = DATA_LEN / CHUNK_LEN;
 
 fn iteration_state(epoch: u64) -> Vec<u8> {
     (0..DATA_LEN as usize)
@@ -62,18 +64,22 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     // Epoch 4 dies mid-commit: the commit record is torn and — crucially —
-    // never published.
-    let err = node0
-        .checkpoint_crashing(
-            &iteration_state(4),
-            CheckpointCrash {
-                phase: CheckpointPhase::Commit,
-                point: CrashPoint::BeforeCommit,
-            },
-            &SerialExecutor,
-        )
+    // never published. Host 0's attempt runs on a pool of its own whose
+    // backend a `Crash` wraps. The host dies on the clear of the record's
+    // undo log: after it validated the target slot (its header and every
+    // chunk), wrote and flushed every chunk, wrote and persisted the slot
+    // header, and made the record's first eight backend calls.
+    let crash = Crash::new();
+    let backend = Arc::new(SharedRegionBackend::new(node0.region(), node0.host()));
+    let pool = PmemPool::open_with_backend(crash.wrap(backend), node0.name())?;
+    let mut region = CheckpointRegion::open_root(&pool)?;
+    crash.arm(1 + CHUNKS + 2 * CHUNKS + 2 + 8, false);
+    let err = region
+        .checkpoint(&iteration_state(4))
         .expect_err("the injected crash fires");
     println!("host 0 died mid-commit of epoch 4: {err}");
+    drop(region);
+    drop(pool);
     drop(node0); // the compute node is gone; the pooled bytes are not
 
     // Host 1 (the spare node) attaches the same segment. Restoring *without*

@@ -56,8 +56,9 @@ pub use stream_bench as stream;
 /// memory": the [`RuntimeBuilder`](crate::cxl_pmem::RuntimeBuilder) front
 /// door, thread placement, the
 /// disaggregated cluster with its per-host segment/store handles, the
-/// checkpoint and object-store subsystems with their crash-injection
-/// dimensions, adaptive tiering, QoS admission, and the STREAM harness.
+/// checkpoint and object-store subsystems with the one way to crash a host
+/// ([`Crash`](crate::pmem::Crash)), adaptive tiering, QoS admission, and the
+/// STREAM harness.
 /// Everything else stays one hop away behind the per-crate re-exports
 /// ([`cxl_pmem`], [`pmem`], ...).
 ///
@@ -80,10 +81,7 @@ pub mod prelude {
         TierPolicy, TieredRegion,
     };
     pub use crate::numa::AffinityPolicy;
-    pub use crate::pmem::{
-        CheckpointCrash, CheckpointPhase, CheckpointRegion, CrashPoint, ObjectCrash, ObjectPhase,
-        ObjectStore, PmemPool, StoreCheck,
-    };
+    pub use crate::pmem::{CheckpointRegion, Crash, ObjectStore, PmemPool, StoreCheck};
     pub use crate::stream::{Kernel, SimulatedStream, StreamConfig};
 }
 
@@ -96,10 +94,10 @@ mod tests {
         assert_eq!(runtime.topology().nodes().len(), 3);
         assert_eq!(crate::stream::Kernel::Triad.figure_number(), 8);
         assert_eq!(crate::streamer::groups::TestGroup::ALL.len(), 5);
-        // The checkpoint subsystem (and the crash-matrix dimensions) are
-        // reachable through the facade.
-        assert_eq!(crate::pmem::CheckpointPhase::ALL.len(), 4);
-        assert_eq!(crate::pmem::CrashPoint::ALL.len(), 4);
+        // The checkpoint subsystem (and the host crash its matrix sweeps)
+        // are reachable through the facade.
+        assert!(crate::pmem::CheckpointRegion::region_size(4096, 1024) > 4096);
+        assert_eq!(crate::pmem::Crash::new().calls(), 0);
         // So are the disaggregation subsystem and its scenario group.
         let cluster = crate::cxl_pmem::DisaggregatedCluster::new(
             "facade",
@@ -113,9 +111,7 @@ mod tests {
         assert_eq!(tracker.chunk_count(), 4);
         assert_eq!(crate::pmem::ResidencyMap::map_size(4), 32 + 16);
         assert_eq!(crate::streamer::tiering::DATASETS_GIB.len(), 6);
-        // And the versioned object store with its crash-injection dimensions,
-        // plus the QoS admission front door.
-        assert_eq!(crate::pmem::ObjectPhase::ALL.len(), 3);
+        // And the versioned object store, plus the QoS admission front door.
         assert!(crate::pmem::ObjectStore::region_size(64, 256) > 0);
         assert!(crate::cxl_pmem::ClassConfig::closed().queue_depth == 0);
     }
@@ -132,9 +128,7 @@ mod tests {
 
         let runtime = RuntimeBuilder::dcpmm_baseline().build();
         assert_eq!(runtime.setup(), SetupKind::SapphireRapidsDcpmm);
-        assert_eq!(CrashPoint::ALL.len(), 4);
-        assert_eq!(ObjectPhase::ALL.len(), 3);
-        assert_eq!(CheckpointPhase::ALL.len(), 4);
+        assert_eq!(Crash::new().calls(), 0);
         let _ = (
             AccessMode::AppDirect,
             CoherenceMode::SoftwareManaged,

@@ -6,10 +6,7 @@ use std::sync::Arc;
 use streamer_repro::cxl::{FpgaPrototype, Type3Device};
 use streamer_repro::cxl_pmem::CxlDeviceBackend;
 use streamer_repro::numa::{AffinityPolicy, PinnedPool};
-use streamer_repro::pmem::{
-    CheckpointCrash, CheckpointPhase, CheckpointRegion, CrashPoint, PersistentArray, PmemPool,
-    TypedOid,
-};
+use streamer_repro::pmem::{CheckpointRegion, Crash, PersistentArray, PmemPool, TypedOid};
 use streamer_repro::stream::{PmemStream, StreamConfig};
 
 const POOL_BYTES: u64 = 32 * 1024 * 1024;
@@ -37,9 +34,16 @@ fn torn_transaction_on_the_expander_rolls_back_across_reopen() {
         array.store_slice(0, &[1u64; 1024]).unwrap();
         array.persist_all().unwrap();
         pool.set_root(array.typed_oid().oid(), 1024).unwrap();
-        pool.set_crash_point(Some(CrashPoint::BeforeCommit));
+        let oid = array.typed_oid();
+        // The host works through a second pool handle whose backend a crash
+        // wraps, and dies on the clear of the store's undo log (its ninth of
+        // ten backend calls).
+        let crash = Crash::new();
+        let host = PmemPool::open_with_backend(crash.wrap(pool.backend()), "crash-test").unwrap();
+        let array = PersistentArray::<u64>::from_oid(&host, oid);
+        crash.arm(8, false);
         assert!(array.store_slice_tx(0, &[2u64; 1024]).is_err());
-        array.typed_oid()
+        oid
     };
     let pool = reopen_on(&device);
     let array = PersistentArray::<u64>::from_oid(&pool, oid);
@@ -83,15 +87,17 @@ fn checkpoint_region_on_the_expander_survives_torn_commit_and_power_cycle() {
     let device = expander();
     let data: Vec<u8> = (0..8192u32).map(|i| (i % 253) as u8).collect();
     {
-        let pool = pool_on(&device);
+        let crash = Crash::new();
+        let backend = CxlDeviceBackend::new(Arc::clone(&device), 0, POOL_BYTES).unwrap();
+        let pool =
+            PmemPool::create_with_backend(crash.wrap(Arc::new(backend)), "crash-test").unwrap();
         let mut region = CheckpointRegion::format(&pool, data.len() as u64, 1024).unwrap();
         pool.set_root(region.oid(), data.len() as u64).unwrap();
         region.checkpoint(&data).unwrap();
-        // A torn header write on the next slot must be harmless.
-        region.set_crash(Some(CheckpointCrash {
-            phase: CheckpointPhase::HeaderWrite,
-            point: CrashPoint::BeforeCommit,
-        }));
+        // A torn header write on the next slot must be harmless: each of the
+        // 8 chunks is written and flushed into the empty slot, then the
+        // header tears.
+        crash.arm(2 * 8, true);
         let mut mutated = data.clone();
         mutated[0] ^= 0xFF;
         assert!(region.checkpoint(&mutated).unwrap_err().is_injected_crash());

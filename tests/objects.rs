@@ -2,7 +2,8 @@
 //! publish/acquire coherence discipline and the cross-host tear suite,
 //! exercised through the public facade the way an application would use them.
 
-use streamer_repro::pmem::PmemError;
+use std::sync::Arc;
+use streamer_repro::pmem::{PmemError, SharedRegionBackend};
 use streamer_repro::prelude::*;
 use streamer_repro::streamer::objects::{self, ObjectsConfig};
 
@@ -67,12 +68,14 @@ fn kv_lifecycle_spans_hosts_under_the_coherence_discipline() {
 
 #[test]
 fn tear_suite_every_phase_and_point_recovers_on_a_spare_host() {
-    // The full cross-host tear matrix through the facade: both torn-payload
-    // (staging-slot) and torn-directory (commit-record) injections at every
-    // crash point; the spare host must always read a committed version.
+    // The full cross-host tear matrix through the facade: the writer host
+    // dies at every call of a put (torn payload) and of a commit (torn
+    // directory), whole and torn; the spare host must always read a
+    // committed version.
     let mut cells = 0usize;
-    for phase in [ObjectPhase::SlotWrite, ObjectPhase::EntryCommit] {
-        for point in CrashPoint::ALL {
+    for in_commit in [false, true] {
+        cells += Crash::sweep(|k, torn| {
+            let case = format!("commit {in_commit} × call {k}/{torn}");
             let runtime = runtime();
             let pool = runtime.disaggregated_cluster(2, CoherenceMode::SoftwareManaged);
             let mut writer = pool.host(0).create_store("torn", 32, VALUE_LEN).unwrap();
@@ -81,31 +84,35 @@ fn tear_suite_every_phase_and_point_recovers_on_a_spare_host() {
             writer.put(9, &old).unwrap();
             writer.commit(9).unwrap();
 
-            let crash = ObjectCrash { phase, point };
-            let landed = match phase {
-                ObjectPhase::SlotWrite => {
-                    writer
-                        .put_crashing(9, &new, crash)
-                        .expect_err("slot-write injections always fire");
+            // The writer's attempt runs on a pool of its own whose backend
+            // the crash wraps.
+            let crash = Crash::new();
+            let backend = Arc::new(SharedRegionBackend::new(writer.region(), 0));
+            let own = PmemPool::open_with_backend(crash.wrap(backend), "torn").unwrap();
+            let mut store = ObjectStore::open_root(&own).unwrap();
+            if in_commit {
+                store.put(9, &new).unwrap();
+            }
+            crash.arm(k, torn);
+            let result = if in_commit {
+                store.commit(9).map(|epoch| assert_eq!(epoch, 2, "{case}"))
+            } else {
+                store.put(9, &new)
+            };
+            let crashed = match result {
+                Err(e) => {
+                    assert!(e.is_injected_crash(), "{case}: {e}");
+                    true
+                }
+                // The op ran to its end; a commit ends in a publish.
+                Ok(()) => {
+                    writer.region().publish(0).unwrap();
                     false
                 }
-                _ => {
-                    writer.put(9, &new).unwrap();
-                    // DuringRecovery never fires inside the commit
-                    // transaction; every other point kills the writer.
-                    match writer.commit_crashing(9, crash) {
-                        Ok(epoch) => {
-                            assert_eq!(epoch, 2, "{phase:?} × {point:?}");
-                            assert_eq!(point, CrashPoint::DuringRecovery);
-                            true
-                        }
-                        Err(e) => {
-                            assert!(e.is_injected_crash(), "{phase:?} × {point:?}");
-                            false
-                        }
-                    }
-                }
             };
+            let landed = in_commit && !crashed;
+            drop(store);
+            drop(own);
             drop(writer); // the writer host is gone
 
             // The spare host attaches, recovery runs on its open, and the
@@ -113,22 +120,22 @@ fn tear_suite_every_phase_and_point_recovers_on_a_spare_host() {
             let mut spare = pool.host(1).open_store("torn").unwrap();
             spare.acquire().unwrap();
             let got = spare.get(9).unwrap();
-            assert!(
-                got == old || got == new,
-                "{phase:?} × {point:?}: torn bytes surfaced"
-            );
-            if phase == ObjectPhase::SlotWrite {
+            assert!(got == old || got == new, "{case}: torn bytes surfaced");
+            if !in_commit {
                 assert_eq!(got, old, "a torn staging slot must stay invisible");
             }
             if landed {
                 assert_eq!(got, new, "a landed commit must be durable");
             }
             let check = spare.verify().unwrap();
-            assert_eq!(check.live + check.free, 32, "{phase:?} × {point:?}");
-            cells += 1;
-        }
+            assert_eq!(check.live + check.free, 32, "{case}");
+            crashed
+        });
     }
-    assert_eq!(cells, 2 * CrashPoint::ALL.len(), "counted coverage");
+    println!("object tear suite: {cells} crash positions");
+    // A put makes 3 backend calls and a commit 15, each swept whole and
+    // torn, plus the run past its end.
+    assert_eq!(cells, 2 * (3 + 1) + 2 * (15 + 1), "counted coverage");
 }
 
 #[test]

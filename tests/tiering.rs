@@ -9,20 +9,22 @@
 //!   loses or duplicates a chunk: residency always names exactly one
 //!   in-budget tier per chunk and every chunk's content hash matches the
 //!   last write.
-//! * **Crash safety** — injected crashes in both migration phases (mid-copy
-//!   and mid-commit on the pmem spill tier) leave every chunk readable from
-//!   exactly one tier with intact bytes, and undo-log recovery restores a
-//!   rebalanceable region. These are the cells the CI `crash-matrix` job
-//!   runs alongside the checkpoint matrix.
+//! * **Crash safety** — the host dies at every backend call of a migration
+//!   (mid-copy and mid-commit on the pmem spill tier), with whole and torn
+//!   writes, and every chunk stays readable from exactly one tier with
+//!   intact bytes; undo-log recovery on the revived host restores a
+//!   rebalanceable region. The region's tier pools are opened over backends
+//!   one `Crash` wraps. These are the sweeps the CI `crash-matrix` job runs
+//!   alongside the checkpoint matrix.
 
 use proptest::prelude::*;
 use streamer_repro::cxl_pmem::tiering::{
-    BandwidthAwarePolicy, HotGreedyPolicy, MigrationCrash, MigrationPhase, StaticSpillPolicy,
-    TierAssignment, TierPlanner, TieredRegion,
+    BandwidthAwarePolicy, HotGreedyPolicy, MigrationStats, StaticSpillPolicy, TierAssignment,
+    TierPlanner, TierPool, TieredRegion,
 };
-use streamer_repro::cxl_pmem::{CxlPmemRuntime, RuntimeBuilder, TierPolicy};
+use streamer_repro::cxl_pmem::{CxlPmemRuntime, RuntimeBuilder, RuntimeError, TierPolicy};
 use streamer_repro::numa::AffinityPolicy;
-use streamer_repro::pmem::CrashPoint;
+use streamer_repro::pmem::{Crash, PmemPool};
 
 const CHUNK: u64 = 4096;
 const CHUNKS: usize = 12;
@@ -30,18 +32,54 @@ const DATA: u64 = CHUNK * CHUNKS as u64;
 
 /// Two tiers: a "fast" budget that cannot hold everything (8 chunks) and a
 /// spill budget that can (12 chunks), so every policy has real choices.
+const TIERS: [(TierPolicy, u64); 2] = [
+    (TierPolicy::LocalDram { socket: 0 }, 8 * CHUNK),
+    (TierPolicy::CxlExpander, 12 * CHUNK),
+];
+
 fn region(runtime: &CxlPmemRuntime, layout: &str) -> TieredRegion {
     runtime
-        .tiered_region(
-            &[
-                (TierPolicy::LocalDram { socket: 0 }, 8 * CHUNK),
-                (TierPolicy::CxlExpander, 12 * CHUNK),
-            ],
-            layout,
-            DATA,
-            CHUNK,
-        )
+        .tiered_region(&TIERS, layout, DATA, CHUNK)
         .expect("region")
+}
+
+/// The region over pools whose backends one [`Crash`] wraps, each chunk
+/// written with `chunk_image(chunk, tag)`.
+fn crashable_region(runtime: &CxlPmemRuntime, layout: &str, tag: u8) -> (Crash, TieredRegion) {
+    let crash = Crash::new();
+    let pools = TieredRegion::provision_pools(runtime, &TIERS, layout, DATA, CHUNK)
+        .unwrap()
+        .into_iter()
+        .map(|tier| {
+            let backend = crash.wrap(tier.pool.backend());
+            let pool = PmemPool::open_with_backend(backend, &tier.pool.layout()).unwrap();
+            TierPool { pool, ..tier }
+        })
+        .collect();
+    let region = TieredRegion::from_pools(pools, DATA, CHUNK).unwrap();
+    for c in 0..CHUNKS {
+        region.write_chunk(c, &chunk_image(c, tag)).unwrap();
+    }
+    (crash, region)
+}
+
+/// Whether a migration failed because the host died.
+fn died(result: &Result<MigrationStats, RuntimeError>) -> bool {
+    match result {
+        Ok(_) => false,
+        Err(RuntimeError::Pmem(e)) if e.is_injected_crash() => true,
+        Err(e) => panic!("not a crash: {e}"),
+    }
+}
+
+/// Every chunk reads back `chunk_image(chunk, tag)` from the one tier its
+/// residency names.
+fn assert_intact(region: &TieredRegion, tag: u8, case: &str) {
+    let mut buf = vec![0u8; CHUNK as usize];
+    for c in 0..CHUNKS {
+        region.read_chunk(c, &mut buf).unwrap();
+        assert_eq!(buf, chunk_image(c, tag), "{case}: chunk {c}");
+    }
 }
 
 fn chunk_image(chunk: usize, tag: u8) -> Vec<u8> {
@@ -100,81 +138,78 @@ fn runtime_loop_promotes_the_observed_hot_set() {
 #[test]
 fn crash_mid_copy_on_the_pmem_tier_never_tears_a_chunk() {
     let runtime = RuntimeBuilder::setup1().build();
-    let mut region = region(&runtime, "tier-crash-copy");
-    for c in 0..CHUNKS {
-        region.write_chunk(c, &chunk_image(c, 5)).unwrap();
-    }
-    let before = region.residency().unwrap();
-    // Plan: push chunks 0 and 1 onto the expander, die while copying move 1.
-    // Under the parallel executor other lanes may or may not have copied by
-    // then — irrelevant: shadow copies are invisible until a residency flip,
-    // and no flip has happened.
-    let mut tier_of = before.clone();
-    tier_of[0] = 1;
-    tier_of[1] = 1;
-    region.set_crash(Some(MigrationCrash {
-        phase: MigrationPhase::Copy,
-        point: CrashPoint::BeforeCommit,
-    }));
     let workers = runtime
         .worker_pool_for(&AffinityPolicy::close(), 4)
         .unwrap();
-    let err = region
-        .migrate_to(
+    // Plan: push chunks 0 and 1 onto the expander. The pass reads the
+    // residency (one call per chunk), shadow-copies both moves (a read, a
+    // write and a flush each) on the parallel executor, then flips each
+    // move's residency (an entry read and a one-range transaction).
+    let copy_calls = CHUNKS as u64 + 2 * 3;
+    let positions = Crash::sweep(|k, torn| {
+        let case = format!("call {k}/{torn}");
+        let (crash, mut region) = crashable_region(&runtime, "tier-crash-copy", 5);
+        let before = region.residency().unwrap();
+        let mut tier_of = before.clone();
+        tier_of[0] = 1;
+        tier_of[1] = 1;
+        crash.arm(k, torn);
+        let result = region.migrate_to(
             &TierAssignment { tier_of },
             &streamer_repro::cxl_pmem::PooledChunkExecutor(&workers),
-        )
-        .unwrap_err();
-    assert!(err.is_injected_crash());
-    // No residency flip happened: every chunk reads from its original tier,
-    // bit-exact — the shadow copy is invisible.
-    assert_eq!(region.residency().unwrap(), before);
-    let mut buf = vec![0u8; CHUNK as usize];
-    for c in 0..CHUNKS {
-        region.read_chunk(c, &mut buf).unwrap();
-        assert_eq!(buf, chunk_image(c, 5), "chunk {c}");
-    }
+        );
+        crash.revive();
+        if k < copy_calls {
+            // Whichever lanes copied before the host died, no residency flip
+            // happened: every chunk reads from its original tier, bit-exact
+            // — the shadow copy is invisible.
+            assert!(died(&result), "{case}");
+            assert_eq!(region.residency().unwrap(), before, "{case}");
+        }
+        assert_intact(&region, 5, &case);
+        died(&result)
+    });
+    println!("migration copy sweep: {positions} crash positions");
+    assert_eq!(positions as u64, 2 * (copy_calls + 2 * 11 + 1));
 }
 
 #[test]
 fn crash_mid_commit_on_the_pmem_tier_rolls_back_and_recovers() {
     let runtime = RuntimeBuilder::setup1().build();
-    let mut region = region(&runtime, "tier-crash-commit");
-    for c in 0..CHUNKS {
-        region.write_chunk(c, &chunk_image(c, 6)).unwrap();
-    }
-    let before = region.residency().unwrap();
-    let mut tier_of = before.clone();
-    tier_of[3] = 1;
-    let assignment = TierAssignment { tier_of };
-    // Tear the residency flip itself: the copy is durable, the commit record
-    // is stranded in the undo log.
-    region.set_crash(Some(MigrationCrash {
-        phase: MigrationPhase::Commit,
-        point: CrashPoint::BeforeCommit,
-    }));
-    assert!(region
-        .migrate_to(&assignment, &streamer_repro::pmem::SerialExecutor)
-        .unwrap_err()
-        .is_injected_crash());
-    assert!(
-        region.residency_map().pool().tx_log_active().unwrap(),
-        "the migration record is stranded mid-commit"
-    );
-    // Recovery (the same pass a pool reopen runs) rolls the flip back.
-    assert!(region.recover().unwrap());
-    assert_eq!(region.residency().unwrap(), before);
-    let mut buf = vec![0u8; CHUNK as usize];
-    region.read_chunk(3, &mut buf).unwrap();
-    assert_eq!(buf, chunk_image(3, 6), "chunk 3 reads from its source tier");
-    // And the region is live: the same plan now commits and the chunk moves.
-    let stats = region
-        .migrate_to(&assignment, &streamer_repro::pmem::SerialExecutor)
-        .unwrap();
-    assert_eq!(stats.chunks_moved, 1);
-    assert_eq!(region.residency().unwrap()[3], 1);
-    region.read_chunk(3, &mut buf).unwrap();
-    assert_eq!(buf, chunk_image(3, 6));
+    let mut stranded = 0;
+    let positions = Crash::sweep(|k, torn| {
+        let case = format!("call {k}/{torn}");
+        let (crash, mut region) = crashable_region(&runtime, "tier-crash-commit", 6);
+        let before = region.residency().unwrap();
+        let mut tier_of = before.clone();
+        tier_of[3] = 1;
+        let assignment = TierAssignment { tier_of };
+        crash.arm(k, torn);
+        let crashed = died(&region.migrate_to(&assignment, &streamer_repro::pmem::SerialExecutor));
+        crash.revive();
+        if region.residency_map().pool().tx_log_active().unwrap() {
+            // The migration record is stranded mid-commit. Recovery (the
+            // same pass a pool reopen runs) rolls the flip back.
+            stranded += 1;
+            region.recover().unwrap();
+            assert_eq!(region.residency().unwrap(), before, "{case}");
+        }
+        // Chunk 3 reads from whichever one tier its residency names.
+        assert_intact(&region, 6, &case);
+        // And the region is live: the same plan now commits and the chunk
+        // moves (or it moved already).
+        let stats = region
+            .migrate_to(&assignment, &streamer_repro::pmem::SerialExecutor)
+            .unwrap();
+        assert!(stats.chunks_moved <= 1, "{case}");
+        assert_eq!(region.residency().unwrap()[3], 1, "{case}");
+        assert_intact(&region, 6, &case);
+        crashed
+    });
+    println!("migration commit sweep: {positions} crash positions, {stranded} stranded");
+    // One move: the residency reads, one shadow copy, one flip.
+    assert_eq!(positions, 2 * (CHUNKS + 3 + 11 + 1));
+    assert_eq!(stranded, 8);
 }
 
 proptest! {
