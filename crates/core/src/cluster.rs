@@ -78,7 +78,9 @@ pub use pmem::{
 };
 
 use crate::admission::{AdmissionController, QosClass};
+use crate::PooledChunkExecutor;
 use cxl::{CxlError, CxlSwitch, HostId, PoolAllocation, PortId, SharedRegion, Type3Device};
+use numa::PinnedPool;
 use pmem::{ChunkExecutor, PmemError, PmemOid};
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
@@ -161,13 +163,39 @@ impl From<crate::admission::AdmissionError> for ClusterError {
 pub type ClusterResult<T> = std::result::Result<T, ClusterError>;
 
 /// One named shared segment: the allocation it was carved from, the shared
-/// window over it, and the length its pool root records (a checkpoint's
-/// snapshot size, an object store's layout size).
+/// window over it, the length its pool root records (a checkpoint's
+/// snapshot size, an object store's layout size), and the cluster's workers
+/// its opens and restores run on.
 struct Segment {
     name: String,
     allocation: PoolAllocation,
     region: Arc<SharedRegion>,
     data_len: u64,
+    workers: Workers,
+}
+
+/// Where a segment's chunk jobs run: the resident workers of a runtime-built
+/// cluster, or the calling thread.
+#[derive(Clone)]
+struct Workers(Option<Arc<PinnedPool>>);
+
+impl ChunkExecutor for Workers {
+    fn run_chunks(
+        &self,
+        jobs: usize,
+        job: &(dyn Fn(usize) -> pmem::Result<()> + Sync),
+    ) -> pmem::Result<()> {
+        match &self.0 {
+            Some(pool) => PooledChunkExecutor(pool).run_chunks(jobs, job),
+            None => SerialExecutor.run_chunks(jobs, job),
+        }
+    }
+
+    fn lanes(&self) -> usize {
+        self.0
+            .as_deref()
+            .map_or(1, |pool| PooledChunkExecutor(pool).lanes())
+    }
 }
 
 /// State shared by the cluster facade and every host handle. The switch
@@ -177,6 +205,7 @@ struct ClusterShared {
     mode: CoherenceMode,
     switch: CxlSwitch,
     segments: Mutex<HashMap<String, Arc<Segment>>>,
+    workers: Workers,
 }
 
 impl ClusterShared {
@@ -203,13 +232,26 @@ impl fmt::Debug for DisaggregatedCluster {
 }
 impl DisaggregatedCluster {
     /// Creates an empty cluster (no pooled devices yet) whose shared segments
-    /// use `mode` for cross-host coherence.
+    /// use `mode` for cross-host coherence. Its segments open and restore on
+    /// the calling thread, so every backend call comes in the same order on
+    /// every run.
     pub fn new(name: impl Into<String>, mode: CoherenceMode) -> Self {
+        Self::with_workers(name, mode, None)
+    }
+
+    /// [`new`](Self::new), with checkpoint segments opening and restoring on
+    /// `workers` when given.
+    pub(crate) fn with_workers(
+        name: impl Into<String>,
+        mode: CoherenceMode,
+        workers: Option<Arc<PinnedPool>>,
+    ) -> Self {
         DisaggregatedCluster {
             shared: Arc::new(ClusterShared {
                 mode,
                 switch: CxlSwitch::new(name),
                 segments: Mutex::new(HashMap::new()),
+                workers: Workers(workers),
             }),
         }
     }
@@ -386,12 +428,14 @@ impl ClusterHost {
             let backend = SharedRegionBackend::new(Arc::clone(&region), self.host);
             let pool = Arc::new(PmemPool::create_with_backend(Arc::new(backend), &name)?);
             pool.set_root(format(&pool)?, data_len)?;
-            let payload = P::open_payload(pool)?;
+            let workers = self.shared.workers.clone();
+            let payload = P::open_payload(pool, &workers)?;
             let segment = Arc::new(Segment {
                 name: name.clone(),
                 allocation,
                 region,
                 data_len,
+                workers,
             });
             match self.shared.segments().entry(name) {
                 // Another creator raced us to the name while we were
@@ -429,18 +473,20 @@ impl ClusterHost {
 /// [`HostStore`].
 pub trait SegmentPayload: Sized {
     /// Opens the layout registered as the pool's root object, sharing
-    /// ownership of the pool so the layout can live in the handle.
-    fn open_payload(pool: Arc<PmemPool>) -> pmem::Result<Self>;
+    /// ownership of the pool so the layout can live in the handle. Chunked
+    /// validation, where the layout has any, runs through `exec`.
+    fn open_payload(pool: Arc<PmemPool>, exec: &impl ChunkExecutor) -> pmem::Result<Self>;
 }
 
 impl SegmentPayload for CheckpointRegion<'static> {
-    fn open_payload(pool: Arc<PmemPool>) -> pmem::Result<Self> {
-        CheckpointRegion::open_root_shared(pool)
+    fn open_payload(pool: Arc<PmemPool>, exec: &impl ChunkExecutor) -> pmem::Result<Self> {
+        CheckpointRegion::open_root_shared(pool, exec)
     }
 }
 
 impl SegmentPayload for ObjectStore<'static> {
-    fn open_payload(pool: Arc<PmemPool>) -> pmem::Result<Self> {
+    /// The store validates one entry per op, not a slot: `exec` is unused.
+    fn open_payload(pool: Arc<PmemPool>, _exec: &impl ChunkExecutor) -> pmem::Result<Self> {
         ObjectStore::open_root_shared(pool)
     }
 }
@@ -573,7 +619,8 @@ impl<P: SegmentPayload> HostHandle<P> {
                 self.layout_version = region.version();
                 let backend = SharedRegionBackend::new(Arc::clone(region), self.host);
                 let pool = PmemPool::open_with_backend(Arc::new(backend), &self.segment.name)?;
-                Ok(slot.insert(P::open_payload(Arc::new(pool))?))
+                let payload = P::open_payload(Arc::new(pool), &self.segment.workers)?;
+                Ok(slot.insert(payload))
             }
         }
     }
@@ -633,7 +680,7 @@ impl HostSegment {
 
     /// Like [`checkpoint`](Self::checkpoint), with chunk flushes fanned out
     /// through `exec` (e.g. the runtime's resident worker pool via
-    /// [`PooledChunkExecutor`](crate::PooledChunkExecutor)).
+    /// [`PooledChunkExecutor`]).
     pub fn checkpoint_with(
         &mut self,
         data: &[u8],
@@ -648,13 +695,17 @@ impl HostSegment {
     /// [`ClusterError::NeverPublished`] if the writer never published and
     /// [`ClusterError::NotAcquired`] if this host has not acquired the latest
     /// publication. Only then is the pool opened (running crash recovery if
-    /// the writer died mid-commit) and the committed slot read back.
+    /// the writer died mid-commit) and the committed slot read back, one
+    /// chunk per job on the cluster's workers when it has them.
     pub fn restore(&mut self, out: &mut [u8]) -> ClusterResult<u64> {
-        Ok(self.reader()?.restore(out)?)
+        let segment = Arc::clone(&self.segment);
+        Ok(self.reader()?.restore_with(out, &segment.workers)?)
     }
 
     /// The last committed epoch recorded in the segment (0 = none), subject
-    /// to the same coherence discipline as [`restore`](Self::restore).
+    /// to the same coherence discipline as [`restore`](Self::restore). The
+    /// first use opens the region, validating its committed slot one chunk
+    /// per job on the cluster's workers when it has them.
     pub fn committed_epoch(&mut self) -> ClusterResult<u64> {
         Ok(self.reader()?.committed_epoch())
     }
@@ -1038,12 +1089,25 @@ mod tests {
 
     #[test]
     fn failover_reads_the_committed_slot_twice_and_the_older_slot_once() {
-        // Per image size: the spare's committed_epoch + restore reads beyond
-        // 2 × len, and its first checkpoint's reads beyond len.
+        // A serial cluster, and one whose spare validates and restores on
+        // the runtime's resident workers: the same bytes either way.
+        let serial = failover_read_overheads(|| two_card_cluster(CoherenceMode::SoftwareManaged));
+        let pooled = failover_read_overheads(|| {
+            crate::RuntimeBuilder::setup1()
+                .build()
+                .disaggregated_cluster(2, CoherenceMode::SoftwareManaged)
+        });
+        assert_eq!(serial, pooled);
+        assert_eq!(serial, (4240, 56));
+    }
+
+    /// Per image size: the bytes a spare's committed_epoch + restore reads
+    /// beyond 2 × len, and its first checkpoint's reads beyond len.
+    fn failover_read_overheads(cluster: impl Fn() -> DisaggregatedCluster) -> (u64, u64) {
         let mut overheads = Vec::new();
         for chunks in [16usize, 128] {
             let len = chunks as u64 * CHUNK;
-            let cluster = two_card_cluster(CoherenceMode::SoftwareManaged);
+            let cluster = cluster();
             let older: Vec<u8> = (0..len).map(|i| (i % 251) as u8).collect();
             let mut committed = older.clone();
             for chunk in committed.chunks_mut(CHUNK as usize).step_by(4) {
@@ -1084,6 +1148,7 @@ mod tests {
         // the same at both sizes, and less than the smaller image.
         assert_eq!(overheads[0], overheads[1]);
         assert!(overheads[0].0 < 16 * CHUNK, "{overheads:?}");
+        overheads[0]
     }
 
     #[test]

@@ -224,8 +224,9 @@ impl std::ops::Deref for ManagedPool {
     }
 }
 
-/// Adapter fanning checkpoint chunk jobs — the per-chunk hashing, then the
-/// dirty chunks' writes + flushes — across a resident [`PinnedPool`].
+/// Adapter fanning chunk jobs — a checkpoint's per-chunk hashing, then the
+/// dirty chunks' writes + flushes; a slot validation's reads and hashes; a
+/// restore's reads — across a resident [`PinnedPool`].
 ///
 /// Workers claim job indices one at a time from a shared counter, so a
 /// descheduled worker leaves its unclaimed jobs to the others instead of
@@ -233,8 +234,18 @@ impl std::ops::Deref for ManagedPool {
 /// write job flushes its chunk without a fence; the [`CheckpointRegion`]
 /// then drains once for the whole invocation — so a checkpoint costs at most
 /// `dirty_chunks` flushes + 1 drain, exactly the `PersistStats` discipline
-/// of the STREAM-PMem hot path.
+/// of the STREAM-PMem hot path. Called on one of the pool's own workers,
+/// where the pool's barrier would wait on the calling thread, it runs the
+/// jobs there instead.
 pub struct PooledChunkExecutor<'a>(pub &'a PinnedPool);
+
+impl PooledChunkExecutor<'_> {
+    /// Whether the jobs run on the calling thread: the pool has no workers,
+    /// or the caller is one of them.
+    fn inline(&self) -> bool {
+        self.0.is_empty() || self.0.is_worker_thread()
+    }
+}
 
 impl ChunkExecutor for PooledChunkExecutor<'_> {
     fn run_chunks(
@@ -245,7 +256,7 @@ impl ChunkExecutor for PooledChunkExecutor<'_> {
         if jobs == 0 {
             return Ok(());
         }
-        if self.0.is_empty() {
+        if self.inline() {
             return (0..jobs).try_for_each(job);
         }
         // The next unclaimed job. Relaxed: the read-modify-write alone
@@ -265,6 +276,14 @@ impl ChunkExecutor for PooledChunkExecutor<'_> {
             })
             .into_iter()
             .collect()
+    }
+
+    fn lanes(&self) -> usize {
+        if self.inline() {
+            1
+        } else {
+            self.0.len()
+        }
     }
 }
 
@@ -643,16 +662,41 @@ impl CxlPmemRuntime {
     /// runtime's resident workers by passing
     /// [`PooledChunkExecutor`] to
     /// [`HostSegment::checkpoint_with`](crate::HostSegment::checkpoint_with).
+    ///
+    /// The cluster holds this runtime's resident
+    /// [`worker_pool`](Self::worker_pool) for [`AffinityPolicy::close`] over
+    /// as many threads as the host has CPUs (at most the topology's), the
+    /// pool a caller asking for that placement shares. A checkpoint segment
+    /// opens — validating its committed slot — and restores on those
+    /// workers, one chunk per job. The cluster keeps the pool alive past
+    /// [`release_worker_pools`](Self::release_worker_pools); when the
+    /// placement fails it runs serially, like
+    /// [`DisaggregatedCluster::new`](crate::DisaggregatedCluster::new).
     pub fn disaggregated_cluster(
         &self,
         cards: usize,
         mode: cxl::CoherenceMode,
     ) -> crate::DisaggregatedCluster {
-        let cluster = crate::DisaggregatedCluster::new(format!("{:?}-rack", self.kind), mode);
+        let workers = self
+            .worker_pool_for(&AffinityPolicy::close(), self.cluster_threads())
+            .ok();
+        let cluster = crate::DisaggregatedCluster::with_workers(
+            format!("{:?}-rack", self.kind),
+            mode,
+            workers,
+        );
         for _ in 0..cards {
             cluster.attach_device(FpgaPrototype::paper_prototype().endpoint());
         }
         cluster
+    }
+
+    /// Workers of the pool a runtime-built cluster holds: one per host CPU,
+    /// at most the topology's.
+    fn cluster_threads(&self) -> usize {
+        std::thread::available_parallelism()
+            .map_or(1, |n| n.get())
+            .min(self.topology().num_hw_threads())
     }
 
     // -------------------------------------------------------------- tiering
@@ -1105,6 +1149,129 @@ mod tests {
         let mut out = vec![0u8; data_len as usize];
         assert_eq!(b.restore(&mut out).unwrap(), 2);
         assert_eq!(out, image);
+    }
+
+    fn ckpt_image(len: u64, tag: u8) -> Vec<u8> {
+        (0..len)
+            .map(|i| (i as u8).wrapping_mul(13).wrapping_add(tag))
+            .collect()
+    }
+
+    #[test]
+    fn a_restore_issued_on_a_cluster_worker_runs_inline() {
+        use crate::HostSegment;
+        use cxl::CoherenceMode;
+        use std::sync::mpsc;
+        use std::time::Duration;
+
+        let rt = RuntimeBuilder::setup1().build();
+        let cluster = rt.disaggregated_cluster(1, CoherenceMode::SoftwareManaged);
+        // The caller's pool for the cluster's placement is the cluster's own.
+        let workers = rt
+            .worker_pool_for(&AffinityPolicy::close(), rt.cluster_threads())
+            .unwrap();
+        assert_eq!(rt.worker_pool_count(), 1);
+        // The cluster keeps its pool: the runtime's cache may let it go.
+        rt.release_worker_pools();
+
+        let len = 64 * 1024u64;
+        let image = ckpt_image(len, 3);
+        let mut writer = cluster.host(0).create_segment("inline", len, 4096).unwrap();
+        writer.checkpoint(&image).unwrap();
+        // One spare handle per worker: each opens and restores from inside
+        // the pool's own run, where a fan-out onto the pool would wait on
+        // its own thread.
+        let spares: Vec<Mutex<HostSegment>> = (0..workers.len())
+            .map(|_| {
+                let mut spare = cluster.host(1).attach_segment("inline").unwrap();
+                spare.acquire().unwrap();
+                Mutex::new(spare)
+            })
+            .collect();
+        let (done, finished) = mpsc::channel();
+        std::thread::spawn(move || {
+            let restored = workers.run(|ctx| {
+                let mut out = vec![0u8; len as usize];
+                let mut spare = spares[ctx.thread]
+                    .lock()
+                    .unwrap_or_else(PoisonError::into_inner);
+                (spare.restore(&mut out).map_err(|e| e.to_string()), out)
+            });
+            let _ = done.send(restored);
+        });
+        let restored = finished
+            .recv_timeout(Duration::from_secs(60))
+            .expect("a restore issued on a cluster worker never returned");
+        assert!(!restored.is_empty());
+        for (epoch, out) in restored {
+            assert_eq!(epoch, Ok(1));
+            assert!(
+                out == image,
+                "restored bytes differ from the committed image"
+            );
+        }
+    }
+
+    #[test]
+    fn pooled_takeover_dies_typed_at_every_call() {
+        use crate::HostSegment;
+        use cxl::CoherenceMode;
+        use pmem::{Crash, SharedRegionBackend};
+
+        let rt = RuntimeBuilder::setup1().build();
+        let workers = rt.worker_pool_for(&AffinityPolicy::close(), 2).unwrap();
+        let exec = PooledChunkExecutor(&workers);
+        let (len, chunk) = (64 * 1024u64, 4096u64);
+        let cluster = crate::DisaggregatedCluster::new("takeover", CoherenceMode::SoftwareManaged);
+        cluster.attach_device(FpgaPrototype::paper_prototype().endpoint());
+        let mut writer = cluster.host(0).create_segment("seg", len, chunk).unwrap();
+        writer.checkpoint(&ckpt_image(len, 1)).unwrap();
+        writer.checkpoint(&ckpt_image(len, 2)).unwrap();
+        let mut spare: HostSegment = cluster.host(1).attach_segment("seg").unwrap();
+        spare.acquire().unwrap();
+
+        // The spare host's takeover on a pool of its own: the pool open,
+        // the region open validating the committed slot on the workers, and
+        // the restore, both one chunk per job.
+        let take_over = |crash: &Crash| -> pmem::Result<(u64, Vec<u8>)> {
+            let backend = Arc::new(SharedRegionBackend::new(spare.region(), 1));
+            let pool = PmemPool::open_with_backend(crash.wrap(backend), "seg")?;
+            let region = CheckpointRegion::open_root_shared(Arc::new(pool), &exec)?;
+            let mut out = vec![0u8; len as usize];
+            let epoch = region.restore_with(&mut out, &exec)?;
+            Ok((epoch, out))
+        };
+        let clean = Crash::new();
+        assert_eq!(take_over(&clean).unwrap(), (2, ckpt_image(len, 2)));
+        let calls = clean.calls();
+
+        let positions = Crash::sweep(|k, torn| {
+            let crash = Crash::new();
+            crash.arm(k, torn);
+            let crashed = match take_over(&crash) {
+                Ok(restored) => {
+                    assert_eq!(restored, (2, ckpt_image(len, 2)), "{k}/{torn}");
+                    false
+                }
+                Err(e) => {
+                    assert!(e.is_injected_crash(), "{k}/{torn}: {e}");
+                    true
+                }
+            };
+            assert_eq!(crashed, k < calls, "{k}/{torn}");
+            // A clean reopen restores the committed epoch bit-exact.
+            assert_eq!(
+                take_over(&Crash::new()).unwrap(),
+                (2, ckpt_image(len, 2)),
+                "{k}/{torn}"
+            );
+            crashed
+        });
+        println!("pooled takeover sweep: {positions} crash positions ({calls} calls per takeover)");
+        // Seven calls open the pool and read the region's descriptor; then
+        // the slot header and 16 chunks to validate, and 16 to restore.
+        assert_eq!(calls, 7 + 1 + 2 * 16);
+        assert_eq!(positions as u64, 2 * (calls + 1));
     }
 
     #[test]

@@ -1309,9 +1309,9 @@ mod tests {
     #[test]
     fn crash_during_copy_leaves_residency_and_content_untouched() {
         let rt = runtime();
-        // Two moves: eight residency reads, then a read, a write and a flush
-        // per shadow copy, then a residency flip per move.
-        let copy_calls: u64 = 8 + 2 * 3;
+        // Two moves: one read of the residency map, then a read, a write and
+        // a flush per shadow copy, then a residency flip per move.
+        let copy_calls: u64 = 1 + 2 * 3;
         let positions = Crash::sweep(|k, torn| {
             let case = format!("call {k}/{torn}");
             let (crash, mut region) = crashable_region(&rt, "tier-crash-copy", 3);
@@ -1342,7 +1342,7 @@ mod tests {
         let (crash, mut region) = crashable_region(&rt, "tier-crash-noop", 0);
         let current = region.assignment().unwrap();
         // The plan matches residency: no moves, so the pass only reads the
-        // residency, one call per chunk, and a crash there still fires.
+        // residency map, in one call, and a crash there still fires.
         crash.arm(0, false);
         assert!(died(&region.migrate_to(&current, &SerialExecutor)));
         crash.revive();
@@ -1352,10 +1352,10 @@ mod tests {
             .migrate_to(&TierAssignment { tier_of }, &SerialExecutor)
             .unwrap();
         assert_eq!(stats.chunks_moved, 1, "no leaked crash point");
-        // A crash armed past those reads is never reached: the no-move pass
+        // A crash armed past that read is never reached: the no-move pass
         // commits cleanly.
         let current = region.assignment().unwrap();
-        crash.arm(8, false);
+        crash.arm(1, false);
         assert!(region
             .migrate_to(&current, &SerialExecutor)
             .unwrap()
@@ -1399,8 +1399,8 @@ mod tests {
             crashed
         });
         println!("migration commit sweep: {positions} crash positions, {stranded} stranded");
-        // Eight residency reads, one shadow copy, one flip.
-        assert_eq!(positions, 2 * (8 + 3 + 11 + 1));
+        // One residency read, one shadow copy, one flip.
+        assert_eq!(positions, 2 * (1 + 3 + 11 + 1));
         // A log header torn in before it counted any entry has nothing to
         // roll back.
         assert_eq!((stranded, rolled_back), (8, 7));

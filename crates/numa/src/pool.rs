@@ -61,7 +61,9 @@
 //! after its call returns, so the slot locks are never contended.
 //!
 //! Re-entrant submission (calling `run` from inside a worker closure) would
-//! deadlock on the barrier and is not supported.
+//! deadlock on the barrier and is not supported. Every worker marks its
+//! thread with its pool's identity, so a caller that may be running on one
+//! asks [`PinnedPool::is_worker_thread`] and runs its jobs inline instead.
 //!
 //! The pool and its epoch protocol are exercised under Miri in CI (see the
 //! `miri` workflow job), directly and through the `stream-bench` kernels.
@@ -73,10 +75,21 @@
 use crate::affinity::ThreadPlacement;
 use crate::topology::Topology;
 use std::any::Any;
+use std::cell::Cell;
 use std::fmt;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
+
+/// The next pool identity; 0 is no pool's.
+static NEXT_POOL_ID: AtomicU64 = AtomicU64::new(1);
+
+thread_local! {
+    /// The identity of the pool this thread works for (0 on every thread
+    /// that is no pool's worker).
+    static WORKER_OF: Cell<u64> = const { Cell::new(0) };
+}
 
 /// Context handed to every worker closure.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -159,7 +172,8 @@ impl PoolShared {
     }
 }
 
-fn worker_loop(ctx: WorkerCtx, shared: Arc<PoolShared>) {
+fn worker_loop(ctx: WorkerCtx, shared: Arc<PoolShared>, pool_id: u64) {
+    WORKER_OF.with(|id| id.set(pool_id));
     let mut last_epoch = 0u64;
     loop {
         let job = {
@@ -203,6 +217,8 @@ fn worker_loop(ctx: WorkerCtx, shared: Arc<PoolShared>) {
 /// docs for the lifecycle and the safety argument.
 pub struct PinnedPool {
     workers: Vec<WorkerCtx>,
+    /// This pool's identity, which its workers carry in `WORKER_OF`.
+    id: u64,
     shared: Arc<PoolShared>,
     handles: Vec<JoinHandle<()>>,
     /// Serialises submitters: at most one epoch is in flight at a time.
@@ -246,6 +262,8 @@ impl PinnedPool {
             work: Condvar::new(),
             done: Condvar::new(),
         });
+        // Relaxed: the read-modify-write alone makes each identity unique.
+        let id = NEXT_POOL_ID.fetch_add(1, Ordering::Relaxed);
         let handles = workers
             .iter()
             .copied()
@@ -253,12 +271,13 @@ impl PinnedPool {
                 let shared = Arc::clone(&shared);
                 std::thread::Builder::new()
                     .name(format!("pinned-{}-cpu{}", ctx.thread, ctx.cpu))
-                    .spawn(move || worker_loop(ctx, shared))
+                    .spawn(move || worker_loop(ctx, shared, id))
                     .expect("spawn pinned worker")
             })
             .collect();
         PinnedPool {
             workers,
+            id,
             shared,
             handles,
             submit: Mutex::new(()),
@@ -280,13 +299,20 @@ impl PinnedPool {
         &self.workers
     }
 
+    /// Whether the calling thread is one of this pool's workers, on which a
+    /// [`run`](Self::run) would deadlock.
+    pub fn is_worker_thread(&self) -> bool {
+        WORKER_OF.with(Cell::get) == self.id
+    }
+
     /// Runs `f` once per worker **in parallel** on the resident worker threads
     /// and collects the return values in thread order.
     ///
     /// No threads are spawned: the call publishes one epoch on the barrier,
     /// wakes the parked workers and blocks until all of them check back in.
     /// Concurrent `run` calls from different threads serialise; calling `run`
-    /// from inside a worker closure deadlocks and is not supported.
+    /// from inside a worker closure deadlocks and is not supported (check
+    /// [`is_worker_thread`](Self::is_worker_thread) first).
     ///
     /// `f` must be `Sync` because all workers borrow it concurrently.
     ///
@@ -486,6 +512,16 @@ mod tests {
                 });
             }
         });
+    }
+
+    #[test]
+    fn workers_know_their_own_pool() {
+        let (_, other) = pool(2);
+        let (_, pool) = pool(3);
+        assert!(!pool.is_worker_thread(), "the submitter is no worker");
+        assert_eq!(pool.run(|_| pool.is_worker_thread()), vec![true; 3]);
+        assert_eq!(pool.run(|_| other.is_worker_thread()), vec![false; 3]);
+        assert_eq!(other.run(|_| pool.is_worker_thread()), vec![false; 2]);
     }
 
     #[test]

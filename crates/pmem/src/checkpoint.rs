@@ -54,22 +54,29 @@
 //!
 //! On [`open`](CheckpointRegion::open), the descriptor (post-recovery, hence
 //! never torn) names the committed epoch; the slot holding it is validated
-//! (header checksum + recomputed data hash), read chunk by chunk through one
-//! chunk-sized buffer and hashed as each chunk arrives. A slot torn by a
-//! crash mid-phase either is not the committed one (phases 1–2 crash) or
-//! cannot exist (the drain in phase 1 and the persist in phase 2 order all
-//! slot bytes before the commit record). Defensively, a committed slot that
-//! fails validation falls back to the other valid slot and repairs the
-//! descriptor.
+//! (header checksum + recomputed data hash). Validation is one
+//! [`ChunkExecutor`] job per chunk — [`open`](CheckpointRegion::open) runs
+//! them serially, [`open_root_shared`](CheckpointRegion::open_root_shared)
+//! on the caller's executor, the cluster's resident workers for a spare
+//! host — and each job reads its chunk into a buffer from a free list of
+//! one chunk-sized buffer per executor lane, hashes it and hands the buffer
+//! back. [`restore_with`](CheckpointRegion::restore_with) fans out the same
+//! way, each job reading one chunk straight into its piece of the caller's
+//! buffer. A slot torn by a crash mid-phase either is not the committed one
+//! (phases 1–2 crash) or cannot exist (the drain in phase 1 and the persist
+//! in phase 2 order all slot bytes before the commit record). Defensively,
+//! a committed slot that fails validation falls back to the other valid
+//! slot and repairs the descriptor.
 //!
 //! Incremental checkpoints track per-chunk content hashes per slot, so an
 //! unchanged region performs **zero** chunk flushes and a one-chunk change
 //! flushes exactly one chunk plus the header. Validating a slot seeds its
 //! hashes: the committed slot's on open, the other slot's on first need —
-//! the fallback above, or the first checkpoint that targets it. A spare host
-//! that only restores therefore reads the committed image twice (validation
-//! and restore) and, unless it falls back, never the other slot; every cache
-//! still ends up as if open had validated both slots.
+//! the fallback above, or the first checkpoint that targets it (on that
+//! checkpoint's executor). A spare host that only restores therefore reads
+//! the committed image twice (validation and restore), however many workers
+//! share the reads, and, unless it falls back, never the other slot; every
+//! cache still ends up as if open had validated both slots.
 //!
 //! A crash is a dead backend ([`Crash`](crate::backend::Crash)): the crash
 //! matrix kills the host at every backend call of a commit, and at every call
@@ -84,7 +91,7 @@ use crate::pool::PmemPool;
 use crate::versioned::{self, Descriptor, Layout, PoolRef, COUNTERS_AT, DESC_SIZE};
 use crate::Result;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// Region descriptor magic ("CKPTRGN1").
 pub const REGION_MAGIC: u64 = 0x434B_5054_5247_4E31;
@@ -145,9 +152,10 @@ impl<T: PmemScalar> Checkpointable for Vec<T> {
     }
 }
 
-/// Executes the independent chunk jobs of one checkpoint, possibly in
-/// parallel: first hashing every chunk of the image, then writing and
-/// flushing the dirty ones.
+/// Executes the independent chunk jobs of one region operation, possibly
+/// in parallel: a checkpoint's hashing of every chunk of the image, then
+/// its writes and flushes of the dirty ones; a slot validation's reads and
+/// hashes; a restore's reads.
 ///
 /// Implementations must invoke `job(i)` exactly once for every `i` in
 /// `0..jobs` (distinct `i` may run concurrently — the jobs touch disjoint
@@ -158,6 +166,14 @@ impl<T: PmemScalar> Checkpointable for Vec<T> {
 pub trait ChunkExecutor {
     /// Runs `job(0) .. job(jobs - 1)`, returning the first error.
     fn run_chunks(&self, jobs: usize, job: &(dyn Fn(usize) -> Result<()> + Sync)) -> Result<()>;
+
+    /// The most jobs one [`run_chunks`](Self::run_chunks) call runs at
+    /// once. A slot validation provisions one chunk buffer per lane; an
+    /// executor that runs more jobs at once stays correct, its extra jobs
+    /// allocating their own.
+    fn lanes(&self) -> usize {
+        1
+    }
 }
 
 /// Runs the chunk jobs on the calling thread, in index order, so a crash
@@ -272,10 +288,10 @@ impl<'p> CheckpointRegion<'p> {
     /// validating the committed slot and seeding its chunk-hash cache. The
     /// other slot is validated on first need.
     pub fn open(pool: &'p PmemPool, oid: PmemOid) -> Result<Self> {
-        Self::open_at(PoolRef::Borrowed(pool), oid)
+        Self::open_at(PoolRef::Borrowed(pool), oid, &SerialExecutor)
     }
 
-    fn open_at(pool: PoolRef<'p>, oid: PmemOid) -> Result<Self> {
+    fn open_at(pool: PoolRef<'p>, oid: PmemOid, exec: &impl ChunkExecutor) -> Result<Self> {
         // A shape beyond the pool is refused before it sizes any cache or read.
         let desc = versioned::open::<Self>(&pool, oid.offset)?;
         let mut region = Self::at(pool, desc);
@@ -284,14 +300,14 @@ impl<'p> CheckpointRegion<'p> {
             return Ok(region);
         }
         let slot = Self::slot_for(committed);
-        if region.seed_slot(slot)? == Some(committed) {
+        if region.seed_slot(slot, exec)? == Some(committed) {
             return Ok(region);
         }
         // The protocol never lets the committed slot tear (its bytes are
         // drained before the commit record); this path handles external
         // corruption by falling back to the other valid slot and repairing
         // the descriptor.
-        match region.seed_slot(1 - slot)? {
+        match region.seed_slot(1 - slot, exec)? {
             Some(epoch) if epoch < committed => {
                 let committed_at = region.base + COMMITTED_AT;
                 region
@@ -307,13 +323,17 @@ impl<'p> CheckpointRegion<'p> {
     }
 
     /// Opens the pool's root region with **shared ownership** of the pool,
-    /// so the region can outlive the caller's stack frame. Long-lived
-    /// handles (e.g. the disaggregated cluster's per-host segments) use this
-    /// to keep one region — and its incremental chunk-hash cache — alive
-    /// across checkpoint calls instead of re-validating per call.
-    pub fn open_root_shared(pool: Arc<PmemPool>) -> Result<CheckpointRegion<'static>> {
+    /// so the region can outlive the caller's stack frame, validating the
+    /// committed slot through `exec`, one chunk per job. Long-lived handles
+    /// (e.g. the disaggregated cluster's per-host segments) use this to keep
+    /// one region — and its incremental chunk-hash cache — alive across
+    /// checkpoint calls instead of re-validating per call.
+    pub fn open_root_shared(
+        pool: Arc<PmemPool>,
+        exec: &impl ChunkExecutor,
+    ) -> Result<CheckpointRegion<'static>> {
         let oid = versioned::root::<Self>(&pool)?;
-        CheckpointRegion::open_at(PoolRef::Shared(pool), oid)
+        CheckpointRegion::open_at(PoolRef::Shared(pool), oid, exec)
     }
 
     /// Opens the region registered as the pool's root object.
@@ -321,11 +341,11 @@ impl<'p> CheckpointRegion<'p> {
         Self::open(pool, versioned::root::<Self>(pool)?)
     }
 
-    /// Validates `slot` and, when it holds a valid image, seeds the slot's
-    /// chunk-hash cache from it and returns its epoch. Marks the slot
-    /// validated unless a read fails.
-    fn seed_slot(&mut self, slot: usize) -> Result<Option<u64>> {
-        let valid = self.validate_slot(slot)?;
+    /// Validates `slot` through `exec` and, when it holds a valid image,
+    /// seeds the slot's chunk-hash cache from it and returns its epoch.
+    /// Marks the slot validated unless a read fails.
+    fn seed_slot(&mut self, slot: usize, exec: &impl ChunkExecutor) -> Result<Option<u64>> {
+        let valid = self.validate_slot(slot, exec)?;
         // in-bounds: callers pass slot_for(..) or its complement, both < 2.
         self.validated[slot] = true;
         Ok(valid.map(|(epoch, chunk_hashes)| {
@@ -337,9 +357,15 @@ impl<'p> CheckpointRegion<'p> {
 
     /// Reads a slot header and, when it validates, recomputes the slot's
     /// per-chunk hashes and checks them against the header's combined hash.
-    /// The data is read chunk by chunk into one chunk-sized buffer and
-    /// hashed as it arrives. Returns the slot's epoch and chunk hashes.
-    fn validate_slot(&self, slot: usize) -> Result<Option<(u64, Vec<u64>)>> {
+    /// Each chunk is one `exec` job: it reads the chunk into a buffer taken
+    /// from a free list, hashes it and puts the buffer back, so the slot is
+    /// read through one chunk-sized buffer per job in flight. Returns the
+    /// slot's epoch and chunk hashes.
+    fn validate_slot(
+        &self,
+        slot: usize,
+        exec: &impl ChunkExecutor,
+    ) -> Result<Option<(u64, Vec<u64>)>> {
         let mut bytes = [0u8; SLOT_HEADER_LEN];
         self.pool.read(self.header_off(slot), &mut bytes)?;
         // A torn or foreign header fails its seal or its magic.
@@ -350,14 +376,18 @@ impl<'p> CheckpointRegion<'p> {
             _ => return Ok(None),
         };
         // Chunk 0 is the longest: only the last chunk can be partial.
-        let mut buf = vec![0u8; self.chunk_range(0).len()];
-        let mut chunk_hashes = Vec::with_capacity(self.chunk_count);
-        for i in 0..self.chunk_count {
-            // in-bounds: chunk_range(i) is no longer than chunk_range(0).
-            let chunk = &mut buf[..self.chunk_range(i).len()];
-            self.pool.read(self.data_off(slot, i), chunk)?;
-            chunk_hashes.push(versioned::digest(chunk));
-        }
+        let buffers = ChunkBuffers::new(
+            self.chunk_range(0).len(),
+            exec.lanes().min(self.chunk_count),
+        );
+        let chunk_hashes = self.hash_chunks(exec, |i| {
+            buffers.with(|buf| {
+                // in-bounds: chunk_range(i) is no longer than chunk_range(0).
+                let chunk = &mut buf[..self.chunk_range(i).len()];
+                self.pool.read(self.data_off(slot, i), chunk)?;
+                Ok(versioned::digest(chunk))
+            })
+        })?;
         if combine_hashes(&chunk_hashes) != data_hash {
             return Ok(None);
         }
@@ -416,20 +446,31 @@ impl<'p> CheckpointRegion<'p> {
         start..end
     }
 
-    /// The content hash of every chunk of `data`, one `exec` job per chunk.
-    fn chunk_hashes_of(&self, data: &[u8], exec: &impl ChunkExecutor) -> Result<Vec<u64>> {
+    /// `hash(i)` for every chunk `i`, one `exec` job per chunk.
+    fn hash_chunks(
+        &self,
+        exec: &impl ChunkExecutor,
+        hash: impl Fn(usize) -> Result<u64> + Sync,
+    ) -> Result<Vec<u64>> {
         let hashes: Vec<AtomicU64> = (0..self.chunk_count).map(|_| AtomicU64::new(0)).collect();
         exec.run_chunks(self.chunk_count, &|i| {
-            // in-bounds: run_chunks invokes i ∈ 0..chunk_count == hashes.len()
-            // by contract, and chunk_range is clamped to data_len == data.len().
-            let hash = versioned::digest(&data[self.chunk_range(i)]);
+            let value = hash(i)?;
             // Relaxed: the hashes are read only after run_chunks returns,
             // and the executor joins every job before it returns.
-            // in-bounds: as above.
-            hashes[i].store(hash, Ordering::Relaxed);
+            // in-bounds: run_chunks invokes i ∈ 0..chunk_count == hashes.len()
+            // by contract.
+            hashes[i].store(value, Ordering::Relaxed);
             Ok(())
         })?;
         Ok(hashes.into_iter().map(AtomicU64::into_inner).collect())
+    }
+
+    /// The content hash of every chunk of `data`, one `exec` job per chunk.
+    fn chunk_hashes_of(&self, data: &[u8], exec: &impl ChunkExecutor) -> Result<Vec<u64>> {
+        self.hash_chunks(exec, |i| {
+            // in-bounds: chunk_range is clamped to data_len == data.len().
+            Ok(versioned::digest(&data[self.chunk_range(i)]))
+        })
     }
 
     // ---------------------------------------------------------------- write
@@ -474,7 +515,7 @@ impl<'p> CheckpointRegion<'p> {
         // before they pick the dirty set.
         // in-bounds: slot_for keeps slot ∈ {0, 1}.
         if !self.validated[slot] {
-            self.seed_slot(slot)?;
+            self.seed_slot(slot, exec)?;
         }
 
         // Dirty set: chunks whose content differs from what the slot holds.
@@ -532,8 +573,14 @@ impl<'p> CheckpointRegion<'p> {
 
     // ---------------------------------------------------------------- read
 
-    /// Reads the committed snapshot into `out` and returns its epoch.
+    /// Serial convenience wrapper around [`restore_with`](Self::restore_with).
     pub fn restore(&self, out: &mut [u8]) -> Result<u64> {
+        self.restore_with(out, &SerialExecutor)
+    }
+
+    /// Reads the committed snapshot into `out` and returns its epoch: each
+    /// chunk is one `exec` job reading into its own piece of `out`.
+    pub fn restore_with(&self, out: &mut [u8], exec: &impl ChunkExecutor) -> Result<u64> {
         if self.committed == 0 {
             return Err(PmemError::Checkpoint("no committed checkpoint to restore"));
         }
@@ -543,7 +590,16 @@ impl<'p> CheckpointRegion<'p> {
             ));
         }
         let slot = Self::slot_for(self.committed);
-        self.pool.read(self.data_off(slot, 0), out)?;
+        // One piece per chunk, in chunk order; job i alone locks piece i.
+        let pieces: Vec<Mutex<&mut [u8]>> = out
+            .chunks_mut(self.chunk_len as usize)
+            .map(Mutex::new)
+            .collect();
+        exec.run_chunks(pieces.len(), &|i| {
+            // in-bounds: run_chunks invokes i ∈ 0..jobs == pieces.len().
+            let mut piece = pieces[i].lock().unwrap_or_else(PoisonError::into_inner);
+            self.pool.read(self.data_off(slot, i), &mut piece)
+        })?;
         Ok(self.committed)
     }
 
@@ -553,6 +609,36 @@ impl<'p> CheckpointRegion<'p> {
         let epoch = self.restore(&mut bytes)?;
         obj.restore(&bytes)?;
         Ok(epoch)
+    }
+}
+
+/// The chunk-sized read buffers of one slot validation: a free list that
+/// starts with one buffer per executor lane. A job takes a buffer (making
+/// one only when every buffer is out) and puts it back when it is done.
+struct ChunkBuffers {
+    len: usize,
+    free: Mutex<Vec<Vec<u8>>>,
+}
+
+impl ChunkBuffers {
+    fn new(len: usize, lanes: usize) -> Self {
+        ChunkBuffers {
+            len,
+            free: Mutex::new((0..lanes).map(|_| vec![0u8; len]).collect()),
+        }
+    }
+
+    /// Runs `f` on a buffer of the list.
+    fn with<T>(&self, f: impl FnOnce(&mut [u8]) -> T) -> T {
+        let taken = self.free_list().pop();
+        let mut buf = taken.unwrap_or_else(|| vec![0u8; self.len]);
+        let out = f(&mut buf);
+        self.free_list().push(buf);
+        out
+    }
+
+    fn free_list(&self) -> MutexGuard<'_, Vec<Vec<u8>>> {
+        self.free.lock().unwrap_or_else(PoisonError::into_inner)
     }
 }
 
@@ -656,7 +742,8 @@ mod tests {
         drop(pool);
         let shared: SharedBackend = Arc::new(backend);
         let reopened = Arc::new(PmemPool::open_with_backend(shared, "ckpt").unwrap());
-        let mut region = CheckpointRegion::open_root_shared(Arc::clone(&reopened)).unwrap();
+        let mut region =
+            CheckpointRegion::open_root_shared(Arc::clone(&reopened), &SerialExecutor).unwrap();
         // The region co-owns the pool: dropping the caller's Arc is fine.
         drop(reopened);
         assert_eq!(region.committed_epoch(), 2);
@@ -753,33 +840,36 @@ mod tests {
         assert_eq!(out, changed);
     }
 
-    #[test]
-    fn parallel_executor_matches_serial() {
-        // A scoped-thread executor standing in for the runtime's PinnedPool
-        // adapter: every job must run exactly once, on any thread.
-        struct Threaded(usize);
-        impl ChunkExecutor for Threaded {
-            fn run_chunks(
-                &self,
-                jobs: usize,
-                job: &(dyn Fn(usize) -> crate::Result<()> + Sync),
-            ) -> crate::Result<()> {
-                let lanes = self.0.max(1);
-                let results = std::thread::scope(|scope| {
-                    let handles: Vec<_> = (0..lanes)
-                        .map(|lane| {
-                            scope.spawn(move || (lane..jobs).step_by(lanes).try_for_each(job))
-                        })
-                        .collect();
-                    handles
-                        .into_iter()
-                        .map(|h| h.join().expect("executor lane panicked"))
-                        .collect::<Vec<_>>()
-                });
-                results.into_iter().collect()
-            }
+    /// A scoped-thread executor standing in for the runtime's PinnedPool
+    /// adapter: every job must run exactly once, on any thread.
+    struct Threaded(usize);
+
+    impl ChunkExecutor for Threaded {
+        fn run_chunks(
+            &self,
+            jobs: usize,
+            job: &(dyn Fn(usize) -> crate::Result<()> + Sync),
+        ) -> crate::Result<()> {
+            let lanes = self.lanes();
+            let results = std::thread::scope(|scope| {
+                let handles: Vec<_> = (0..lanes)
+                    .map(|lane| scope.spawn(move || (lane..jobs).step_by(lanes).try_for_each(job)))
+                    .collect();
+                handles
+                    .into_iter()
+                    .map(|h| h.join().expect("executor lane panicked"))
+                    .collect::<Vec<_>>()
+            });
+            results.into_iter().collect()
         }
 
+        fn lanes(&self) -> usize {
+            self.0.max(1)
+        }
+    }
+
+    #[test]
+    fn parallel_executor_matches_serial() {
         let (_, serial_pool) = pool_pair();
         let mut serial = CheckpointRegion::format(&serial_pool, DATA, CHUNK).unwrap();
         let (_, parallel_pool) = pool_pair();
@@ -802,6 +892,48 @@ mod tests {
             serial_pool.persist_stats().flushes,
             parallel_pool.persist_stats().flushes
         );
+    }
+
+    /// A reopened pool whose root region committed images 1 and 2, one
+    /// byte of the committed slot's last chunk flipped first when `flip`.
+    fn reopened_after_two_epochs(flip: bool) -> Arc<PmemPool> {
+        let (backend, pool) = pool_pair();
+        let mut region = CheckpointRegion::format(&pool, DATA, CHUNK).unwrap();
+        pool.set_root(region.oid(), DATA).unwrap();
+        region.checkpoint(&image(1)).unwrap();
+        region.checkpoint(&image(2)).unwrap();
+        let last = region.data_off(CheckpointRegion::slot_for(2), CHUNKS - 1);
+        drop(region);
+        if flip {
+            let mut byte = [0u8];
+            pool.read(last, &mut byte).unwrap();
+            pool.write(last, &[!byte[0]]).unwrap();
+        }
+        drop(pool);
+        let shared: SharedBackend = Arc::new(backend);
+        Arc::new(PmemPool::open_with_backend(shared, "ckpt").unwrap())
+    }
+
+    /// Opens the pool's root region and restores it, both through `exec`.
+    fn open_and_restore(pool: Arc<PmemPool>, exec: &impl ChunkExecutor) -> (u64, Vec<u8>) {
+        let region = CheckpointRegion::open_root_shared(pool, exec).unwrap();
+        let mut out = vec![0u8; DATA as usize];
+        let epoch = region.restore_with(&mut out, exec).unwrap();
+        assert_eq!(epoch, region.committed_epoch());
+        (epoch, out)
+    }
+
+    #[test]
+    fn threaded_and_serial_opens_restore_and_fall_back_alike() {
+        // Intact, both open epoch 2; with the committed slot corrupted, both
+        // fall back to epoch 1. Each run opens its own copy of the media,
+        // since a fallback repairs the descriptor.
+        for (flip, epoch) in [(false, 2u8), (true, 1)] {
+            let threaded = open_and_restore(reopened_after_two_epochs(flip), &Threaded(3));
+            let serial = open_and_restore(reopened_after_two_epochs(flip), &SerialExecutor);
+            assert!(threaded == serial, "flip {flip}");
+            assert!(serial == (u64::from(epoch), image(epoch)), "flip {flip}");
+        }
     }
 
     #[test]

@@ -155,18 +155,32 @@ impl ResidencyMap {
     /// The tier currently holding `chunk`.
     pub fn tier_of(&self, chunk: usize) -> Result<u32> {
         let off = self.entry_off(chunk)?;
-        let mut buf = [0u8; 4];
+        let mut buf = [0u8; ENTRY as usize];
         self.pool.read(off, &mut buf)?;
-        let tier = u32::from_le_bytes(buf);
+        self.decode(buf)
+    }
+
+    /// Every chunk's tier, in chunk order, from one read of the entry array.
+    pub fn tiers(&self) -> Result<Vec<u32>> {
+        let mut entries = vec![0u8; self.chunks * ENTRY as usize];
+        self.pool.read(self.base + MAP_HEADER, &mut entries)?;
+        entries
+            .chunks_exact(ENTRY as usize)
+            .map(|entry| {
+                let mut buf = [0u8; ENTRY as usize];
+                buf.copy_from_slice(entry);
+                self.decode(buf)
+            })
+            .collect()
+    }
+
+    /// An entry's tier, refused when it names no tier of the map.
+    fn decode(&self, entry: [u8; ENTRY as usize]) -> Result<u32> {
+        let tier = u32::from_le_bytes(entry);
         if tier >= self.tier_count {
             return Err(PmemError::Residency("residency entry out of range"));
         }
         Ok(tier)
-    }
-
-    /// Every chunk's tier, in chunk order.
-    pub fn tiers(&self) -> Result<Vec<u32>> {
-        (0..self.chunks).map(|c| self.tier_of(c)).collect()
     }
 
     /// Chunks resident on each tier (index = tier).
@@ -273,6 +287,27 @@ mod tests {
         // A plan computed against stale residency is refused.
         assert!(map.commit_move(2, 0, 2).is_err());
         assert_eq!(map.tier_of(2).unwrap(), 1);
+    }
+
+    #[test]
+    fn tiers_reads_every_entry_in_one_call_and_refuses_a_bad_one() {
+        let (_, crash, pool) = crashable_pool();
+        let initial = [1u32, 0, 2, 2, 1, 0, 0];
+        let map = ResidencyMap::format(Arc::clone(&pool), 3, &initial).unwrap();
+        let before = crash.calls();
+        assert_eq!(map.tiers().unwrap(), initial);
+        assert_eq!(map.counts().unwrap(), vec![3, 2, 2]);
+        assert_eq!(crash.calls() - before, 2, "one read per call");
+        // An entry naming no tier is refused by the array read as by the
+        // entry read.
+        pool.write(map.base + MAP_HEADER + 4 * ENTRY, &7u32.to_le_bytes())
+            .unwrap();
+        for refused in [map.tiers().map(drop), map.tier_of(4).map(drop)] {
+            assert!(matches!(
+                refused,
+                Err(PmemError::Residency("residency entry out of range"))
+            ));
+        }
     }
 
     #[test]

@@ -142,10 +142,10 @@ fn crash_mid_copy_on_the_pmem_tier_never_tears_a_chunk() {
         .worker_pool_for(&AffinityPolicy::close(), 4)
         .unwrap();
     // Plan: push chunks 0 and 1 onto the expander. The pass reads the
-    // residency (one call per chunk), shadow-copies both moves (a read, a
-    // write and a flush each) on the parallel executor, then flips each
-    // move's residency (an entry read and a one-range transaction).
-    let copy_calls = CHUNKS as u64 + 2 * 3;
+    // residency map (one call), shadow-copies both moves (a read, a write
+    // and a flush each) on the parallel executor, then flips each move's
+    // residency (an entry read and a one-range transaction).
+    let copy_calls = 1 + 2 * 3;
     let positions = Crash::sweep(|k, torn| {
         let case = format!("call {k}/{torn}");
         let (crash, mut region) = crashable_region(&runtime, "tier-crash-copy", 5);
@@ -207,8 +207,8 @@ fn crash_mid_commit_on_the_pmem_tier_rolls_back_and_recovers() {
         crashed
     });
     println!("migration commit sweep: {positions} crash positions, {stranded} stranded");
-    // One move: the residency reads, one shadow copy, one flip.
-    assert_eq!(positions, 2 * (CHUNKS + 3 + 11 + 1));
+    // One move: the residency read, one shadow copy, one flip.
+    assert_eq!(positions, 2 * (1 + 3 + 11 + 1));
     assert_eq!(stranded, 8);
 }
 
