@@ -65,16 +65,12 @@ impl PoolBackend for CxlDeviceBackend {
 
     fn read_at(&self, offset: u64, buf: &mut [u8]) -> Result<(), PmemError> {
         check_bounds(self.len, offset, buf.len())?;
-        self.device
-            .read_bulk(self.dpa_base + offset, buf)
-            .map_err(|e| PmemError::Io(std::io::Error::other(e.to_string())))
+        Ok(self.device.read_bulk(self.dpa_base + offset, buf)?)
     }
 
     fn write_at(&self, offset: u64, data: &[u8]) -> Result<(), PmemError> {
         check_bounds(self.len, offset, data.len())?;
-        self.device
-            .write_bulk(self.dpa_base + offset, data)
-            .map_err(|e| PmemError::Io(std::io::Error::other(e.to_string())))
+        Ok(self.device.write_bulk(self.dpa_base + offset, data)?)
     }
 
     fn apply_at(
@@ -91,9 +87,7 @@ impl PoolBackend for CxlDeviceBackend {
         }
         // in-bounds: check_apply proved inputs.len() ≤ MAX_APPLY_INPUTS.
         let dpas = &dpas[..inputs.len()];
-        self.device
-            .apply(dpas, self.dpa_base + output, len, f)
-            .map_err(|e| PmemError::Io(std::io::Error::other(e.to_string())))
+        Ok(self.device.apply(dpas, self.dpa_base + output, len, f)?)
     }
 
     fn persist(&self, offset: u64, len: u64) -> Result<(), PmemError> {

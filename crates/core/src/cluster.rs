@@ -723,12 +723,17 @@ impl HostStore {
         self.front_door.as_ref()
     }
 
-    /// Submits `bytes` of `class` traffic to the front door (when one is
-    /// attached) at virtual time `now`. Refusals surface as
+    /// Submits `bytes` of `class` traffic to the front door `door` (when one
+    /// is attached) at virtual time `now`. Refusals surface as
     /// [`ClusterError::Admission`]; queued work proceeds (its latency is the
     /// scenario harness's accounting), and due grants are drained.
-    fn admit(&self, class: QosClass, bytes: u64, now: f64) -> ClusterResult<()> {
-        if let Some(door) = &self.front_door {
+    fn admit(
+        door: Option<&AdmissionController>,
+        class: QosClass,
+        bytes: u64,
+        now: f64,
+    ) -> ClusterResult<()> {
+        if let Some(door) = door {
             door.submit(class, bytes.max(1), now)?;
             // Drain grants whose time has come; permits are admission-side
             // bookkeeping, the op itself executes below either way.
@@ -794,23 +799,36 @@ impl HostStore {
     /// [`put`](Self::put) through the QoS front door: `value.len()` bytes of
     /// [`QosClass::Checkpoint`] (write-class) traffic at virtual time `now`.
     pub fn put_classed(&mut self, id: u64, value: &[u8], now: f64) -> ClusterResult<()> {
-        self.admit(QosClass::Checkpoint, value.len() as u64, now)?;
+        Self::admit(
+            self.front_door.as_deref(),
+            QosClass::Checkpoint,
+            value.len() as u64,
+            now,
+        )?;
         self.put(id, value)
     }
 
     /// [`commit`](Self::commit) through the QoS front door: the commit
     /// record itself is directory-entry sized.
     pub fn commit_classed(&mut self, id: u64, now: f64) -> ClusterResult<u64> {
-        self.admit(QosClass::Checkpoint, 64, now)?;
+        Self::admit(self.front_door.as_deref(), QosClass::Checkpoint, 64, now)?;
         self.commit(id)
     }
 
     /// [`get`](Self::get) through the QoS front door: one slot's worth of
-    /// [`QosClass::Restore`] (read-class) traffic at virtual time `now`.
+    /// [`QosClass::Restore`] (read-class) traffic at virtual time `now`. One
+    /// view check and one layout serve both the charge and the read.
     pub fn get_classed(&mut self, id: u64, now: f64) -> ClusterResult<Vec<u8>> {
-        let bytes = self.reader()?.value_len();
-        self.admit(QosClass::Restore, bytes, now)?;
-        self.get(id)
+        // The layout borrows the whole handle, so the door steps out of it
+        // for the op (a clone of the shared door would bounce its count
+        // between the hosts' threads on every get).
+        let door = self.front_door.take();
+        let got = self.reader().and_then(|store| {
+            Self::admit(door.as_deref(), QosClass::Restore, store.value_len(), now)?;
+            Ok(store.get(id)?)
+        });
+        self.front_door = door;
+        got
     }
 }
 

@@ -104,8 +104,7 @@ pub use cluster::{
 pub use modes::{AccessMode, ModeProperties};
 pub use placement::TierPolicy;
 pub use runtime::{
-    CxlPmemRuntime, InterleavedWindow, ManagedPool, PooledChunkExecutor, RuntimeBuilder,
-    RuntimeError, SetupKind,
+    CxlPmemRuntime, ManagedPool, PooledChunkExecutor, RuntimeBuilder, RuntimeError, SetupKind,
 };
 pub use tiering::{
     assignment_bandwidth, AccessTracker, BandwidthAwarePolicy, ChunkHeat, HotGreedyPolicy,

@@ -3,7 +3,7 @@
 use crate::backend::CxlDeviceBackend;
 use crate::modes::AccessMode;
 use crate::placement::TierPolicy;
-use cxl::{FpgaPrototype, InterleaveSet, LinkConfig, Type3Device};
+use cxl::{FpgaPrototype, LinkConfig};
 use memsim::access::{ThreadTraffic, TrafficPhase};
 use memsim::{Engine, Machine, PhaseReport, SimError};
 use numa::{AffinityPolicy, NodeId, NumaError, PinnedPool, ThreadPlacement, Topology};
@@ -11,7 +11,7 @@ use pmem::{CheckpointRegion, ChunkExecutor, PmemError, PmemPool, VolatileBackend
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Arc, Mutex, PoisonError, Weak};
 
 /// Errors surfaced by the runtime.
 #[derive(Debug)]
@@ -46,6 +46,11 @@ pub enum RuntimeError {
     Tiering(&'static str),
     /// A plain-text topology description failed to parse or compile.
     Topology(memsim::TopologyError),
+    /// The expander's one pool window is still in use: a backend handed out
+    /// by an earlier provision or reattach is alive, and a second pool
+    /// would format or reopen over its bytes. Drop every handle of the
+    /// first pool before provisioning or reattaching another.
+    ExpanderInUse,
 }
 
 impl fmt::Display for RuntimeError {
@@ -69,6 +74,10 @@ impl fmt::Display for RuntimeError {
             ),
             RuntimeError::Tiering(msg) => write!(f, "tiering error: {msg}"),
             RuntimeError::Topology(e) => write!(f, "topology ingest error: {e}"),
+            RuntimeError::ExpanderInUse => write!(
+                f,
+                "the expander's pool window is held by a live pool; drop it first"
+            ),
         }
     }
 }
@@ -110,68 +119,6 @@ pub enum SetupKind {
     /// A machine compiled from a plain-text topology description
     /// (CEDT/SRAT-shaped ingest, see [`memsim::topology`]).
     Ingested,
-}
-
-/// A compiled CFMWS interleave window realised functionally: one Type-3
-/// endpoint per interleave way, sized to the share of the window it owns.
-/// Its [`InterleaveSet`] decodes host addresses: consecutive
-/// `granularity`-sized granules of the window's HPA range rotate across the
-/// endpoints, so bandwidth aggregates across ways the same way the `memsim`
-/// window device does analytically.
-#[derive(Debug)]
-pub struct InterleavedWindow {
-    name: String,
-    set: InterleaveSet,
-    endpoints: Vec<Arc<Type3Device>>,
-}
-
-impl InterleavedWindow {
-    fn from_compiled(w: &memsim::topology::CompiledWindow) -> Self {
-        // `compile()` enforces CXL-spec geometry (ways ∈ {1,2,4,8,16},
-        // power-of-two granularity, uniform aligned way capacity, aligned
-        // HPA base, an end inside the HPA space), so realising the window
-        // cannot fail.
-        let set = InterleaveSet::new(w.hpa_base, w.total_bytes(), w.granularity, w.ways() as u8)
-            .expect("compiled windows carry CXL-spec interleave geometry");
-        let endpoints = w
-            .way_names
-            .iter()
-            .map(|name| {
-                Arc::new(Type3Device::new(
-                    name.clone(),
-                    w.way_capacity_bytes,
-                    LinkConfig::gen5_x16(),
-                ))
-            })
-            .collect();
-        InterleavedWindow {
-            name: w.name.clone(),
-            set,
-            endpoints,
-        }
-    }
-
-    /// Window name (from the `[window.NAME]` section of the description).
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
-    /// The interleave geometry (HPA base, length, granularity, ways).
-    pub fn set(&self) -> &InterleaveSet {
-        &self.set
-    }
-
-    /// Per-way endpoints in interleave-position order.
-    pub fn endpoints(&self) -> &[Arc<Type3Device>] {
-        &self.endpoints
-    }
-
-    /// Routes a host-physical address to the endpoint that owns it and the
-    /// device-local address it decodes to. Returns `None` outside the window.
-    pub fn route(&self, hpa: u64) -> Option<(&Arc<Type3Device>, u64)> {
-        let (way, dpa) = self.set.translate(hpa).ok()?;
-        Some((&self.endpoints[way as usize], dpa))
-    }
 }
 
 /// A pool managed by the runtime: the PMDK-style pool plus where it lives.
@@ -370,9 +317,11 @@ impl RuntimeBuilder {
     /// the CEDT/SRAT-shaped ingest format of [`memsim::topology`]. If the
     /// machine has a CPU-less memory node, a functional Type-3 expander sized
     /// from the ingested device specification backs it (so pools on the CXL
-    /// tier really store bytes), and every declared `[window.*]` becomes an
-    /// [`InterleavedWindow`] with one endpoint per interleave way. Malformed
-    /// descriptions surface as [`RuntimeError::Topology`] *here*, keeping
+    /// tier really store bytes). A node a `[window.*]` interleaves is one
+    /// such card, with the window's whole capacity; the window's ways exist
+    /// only in the machine model, as the aggregate device whose bandwidth
+    /// `memsim` computes. Malformed descriptions, bad interleave geometry
+    /// included, surface as [`RuntimeError::Topology`] *here*, keeping
     /// [`build`](Self::build) infallible.
     pub fn from_description(text: &str) -> crate::Result<Self> {
         let description = memsim::TopologyDescription::parse(text)?;
@@ -412,8 +361,7 @@ impl RuntimeBuilder {
             BuilderTopology::Machine(machine) => {
                 CxlPmemRuntime::from_parts(SetupKind::Custom, Engine::new(machine), None)
             }
-            BuilderTopology::Ingested(ingested) => {
-                let memsim::IngestedTopology { machine, windows } = ingested;
+            BuilderTopology::Ingested(memsim::IngestedTopology { machine, .. }) => {
                 let node = machine.topology().memory_only_nodes().next().map(|n| n.id);
                 let fpga = node.map(|node| {
                     let device = machine
@@ -425,13 +373,7 @@ impl RuntimeBuilder {
                         device.capacity_bytes,
                     )
                 });
-                let mut runtime =
-                    CxlPmemRuntime::from_parts(SetupKind::Ingested, Engine::new(machine), fpga);
-                runtime.interleaves = windows
-                    .iter()
-                    .map(InterleavedWindow::from_compiled)
-                    .collect();
-                runtime
+                CxlPmemRuntime::from_parts(SetupKind::Ingested, Engine::new(machine), fpga)
             }
         }
     }
@@ -442,9 +384,9 @@ pub struct CxlPmemRuntime {
     kind: SetupKind,
     engine: Engine,
     fpga: Option<FpgaPrototype>,
-    /// Interleave windows realised from an ingested description (empty for
-    /// the hand-built presets).
-    interleaves: Vec<InterleavedWindow>,
+    /// The last backend handed out over the expander's pool window: while it
+    /// lives, the window holds a pool.
+    expander: Mutex<Weak<CxlDeviceBackend>>,
     /// Resident worker pools keyed by placement (CPU list). Every STREAM
     /// invocation with the same placement reuses the same parked OS threads —
     /// the runtime, not each stream, owns the worker lifecycle.
@@ -457,16 +399,9 @@ impl CxlPmemRuntime {
             kind,
             engine,
             fpga,
-            interleaves: Vec::new(),
+            expander: Mutex::new(Weak::new()),
             worker_pools: Mutex::new(HashMap::new()),
         }
-    }
-
-    /// Interleave windows realised from an ingested topology description
-    /// (empty for the hand-built presets and a caller-provided
-    /// [`machine`](RuntimeBuilder::machine)).
-    pub fn interleaved_windows(&self) -> &[InterleavedWindow] {
-        &self.interleaves
     }
 
     /// Which setup this runtime models.
@@ -576,8 +511,7 @@ impl CxlPmemRuntime {
             });
         }
         let pool = if self.is_expander_node(node) {
-            let backend = self.expander_backend(Some(size))?;
-            PmemPool::create_with_backend(Arc::new(backend), layout)?
+            PmemPool::create_with_backend(self.expander_backend(Some(size))?, layout)?
         } else {
             PmemPool::create_with_backend(Arc::new(VolatileBackend::new_persistent(size)), layout)?
         };
@@ -594,12 +528,20 @@ impl CxlPmemRuntime {
 
     /// A backend over the expander's device memory — the one window (DPA 0)
     /// both pool provisioning and crash-restart reattachment must agree on.
-    /// `len` defaults to the whole device.
-    fn expander_backend(&self, len: Option<u64>) -> crate::Result<CxlDeviceBackend> {
+    /// `len` defaults to the whole device. The window holds one pool: while
+    /// a backend handed out earlier lives, this one would format or reopen
+    /// over its bytes, so it is refused with [`RuntimeError::ExpanderInUse`].
+    fn expander_backend(&self, len: Option<u64>) -> crate::Result<Arc<CxlDeviceBackend>> {
         let fpga = self.fpga.as_ref().ok_or(RuntimeError::NoCxlDevice)?;
+        let mut handed_out = self.expander.lock().unwrap_or_else(PoisonError::into_inner);
+        if handed_out.strong_count() > 0 {
+            return Err(RuntimeError::ExpanderInUse);
+        }
         let device = fpga.endpoint();
         let len = len.unwrap_or_else(|| device.capacity_bytes());
-        CxlDeviceBackend::new(device, 0, len).map_err(Into::into)
+        let backend = Arc::new(CxlDeviceBackend::new(device, 0, len)?);
+        *handed_out = Arc::downgrade(&backend);
+        Ok(backend)
     }
 
     /// Wraps a pool with its node and paper-style mount label.
@@ -645,8 +587,7 @@ impl CxlPmemRuntime {
         if !self.is_expander_node(node) {
             return Err(RuntimeError::VolatileTier { node });
         }
-        let backend = self.expander_backend(None)?;
-        let pool = PmemPool::open_with_backend(Arc::new(backend), layout)?;
+        let pool = PmemPool::open_with_backend(self.expander_backend(None)?, layout)?;
         Ok(Self::managed(pool, node))
     }
 
@@ -817,25 +758,32 @@ mod tests {
 
     #[test]
     fn ingested_runtime_provisions_pools_from_the_description() {
-        let rt = RuntimeBuilder::from_description(memsim::topology::reference::SPR_FPGA_CXL)
-            .expect("reference description ingests")
-            .build();
-        assert_eq!(rt.setup(), SetupKind::Ingested);
-        assert!(rt.fpga().is_some());
-        assert!(rt.interleaved_windows().is_empty());
-        let pool = rt
-            .provision_pool(&TierPolicy::CxlExpander, "stream", 8 * 1024 * 1024)
-            .unwrap();
-        assert_eq!(pool.mount(), "/mnt/pmem2");
-        let array = PersistentArray::<f64>::allocate(pool.pool(), 1000).unwrap();
-        array.fill(1.5).unwrap();
-        array.persist_all().unwrap();
-        assert!(rt.fpga().unwrap().endpoint().stats().bytes_written >= 8000);
-        // The functional card is the ingested device: same name, same size.
-        let device = rt.machine().device(2).unwrap();
-        let fpga = rt.fpga().unwrap();
-        assert_eq!(fpga.capacity_bytes(), device.capacity_bytes);
-        assert_eq!(fpga.name(), device.name);
+        use memsim::topology::reference;
+        // The 2-way window's node is one derived card with the window's
+        // whole capacity: two 16 GiB ways.
+        for (text, card_bytes) in [
+            (reference::SPR_FPGA_CXL, 16 * GIB),
+            (reference::SPR_DUAL_CXL_INTERLEAVE, 32 * GIB),
+        ] {
+            let rt = RuntimeBuilder::from_description(text)
+                .expect("reference description ingests")
+                .build();
+            assert_eq!(rt.setup(), SetupKind::Ingested);
+            let pool = rt
+                .provision_pool(&TierPolicy::CxlExpander, "stream", 8 * 1024 * 1024)
+                .unwrap();
+            assert_eq!(pool.mount(), "/mnt/pmem2");
+            let array = PersistentArray::<f64>::allocate(pool.pool(), 1000).unwrap();
+            array.fill(1.5).unwrap();
+            array.persist_all().unwrap();
+            let fpga = rt.fpga().expect("the CPU-less node gets a card");
+            assert!(fpga.endpoint().stats().bytes_written >= 8000);
+            // The functional card is the ingested device: same name, same size.
+            let device = rt.machine().device(2).unwrap();
+            assert_eq!(fpga.capacity_bytes(), device.capacity_bytes);
+            assert_eq!(fpga.capacity_bytes(), card_bytes);
+            assert_eq!(fpga.name(), device.name);
+        }
     }
 
     #[test]
@@ -863,35 +811,6 @@ mod tests {
     }
 
     #[test]
-    fn ingested_interleave_window_partitions_the_hpa_space() {
-        let rt =
-            RuntimeBuilder::from_description(memsim::topology::reference::SPR_DUAL_CXL_INTERLEAVE)
-                .expect("reference description ingests")
-                .build();
-        let windows = rt.interleaved_windows();
-        assert_eq!(windows.len(), 1);
-        let window = &windows[0];
-        assert_eq!(window.endpoints().len(), 2);
-        // Each way's endpoint holds exactly its share of the window.
-        for endpoint in window.endpoints() {
-            assert_eq!(endpoint.capacity_bytes(), window.set().local_bytes());
-        }
-        // Consecutive granules rotate across the two endpoints.
-        let base = window.set().hpa_base();
-        let gran = window.set().granularity();
-        let (first, dpa0) = window.route(base).unwrap();
-        let (second, dpa1) = window.route(base + gran).unwrap();
-        assert_eq!(first.name(), window.endpoints()[0].name());
-        assert_eq!(second.name(), window.endpoints()[1].name());
-        assert_eq!(dpa0, 0);
-        assert_eq!(dpa1, 0); // device-local blocks are densely packed
-        let (wrap, dpa2) = window.route(base + 2 * gran).unwrap();
-        assert_eq!(wrap.name(), window.endpoints()[0].name());
-        assert_eq!(dpa2, gran);
-        assert!(window.route(base + window.set().len_bytes()).is_none());
-    }
-
-    #[test]
     fn malformed_description_is_a_typed_runtime_error() {
         let err = match RuntimeBuilder::from_description("[machine]\nname = \"empty\"\n") {
             Err(e) => e,
@@ -915,6 +834,44 @@ mod tests {
         array.fill(3.25).unwrap();
         array.persist_all().unwrap();
         assert!(rt.fpga().unwrap().endpoint().stats().bytes_written >= 8000);
+    }
+
+    #[test]
+    fn a_second_expander_pool_waits_for_the_first_to_drop() {
+        let rt = RuntimeBuilder::setup1().build();
+        let card = rt.fpga().unwrap().endpoint();
+        let a = rt
+            .provision_pool(&TierPolicy::CxlExpander, "a", 8 * 1024 * 1024)
+            .unwrap();
+        let array = PersistentArray::<f64>::allocate(a.pool(), 1000).unwrap();
+        array.fill(7.0).unwrap();
+        array.persist_all().unwrap();
+
+        // While `a` lives, every way onto the expander's one window is
+        // refused before a byte moves.
+        let before = card.stats();
+        for refused in [
+            rt.provision_pool(&TierPolicy::CxlExpander, "b", 8 * 1024 * 1024),
+            rt.provision_pool(&TierPolicy::Node(2), "b", 8 * 1024 * 1024),
+            rt.checkpoint_region(&TierPolicy::CxlExpander, "b", 64 * 1024, 4096),
+            rt.restore_region(&TierPolicy::CxlExpander, "a"),
+        ] {
+            assert!(matches!(refused, Err(RuntimeError::ExpanderInUse)));
+        }
+        assert_eq!(card.stats(), before, "a refused pool touched the card");
+        assert_eq!(array.to_vec().unwrap(), vec![7.0; 1000]);
+        assert_eq!(a.alloc_stats().unwrap().allocated_blocks, 1);
+
+        // Once every handle is gone, `a` reattaches with its bytes, and
+        // after that a new pool is provisioned over it.
+        drop(a);
+        let reattached = rt.restore_region(&TierPolicy::CxlExpander, "a").unwrap();
+        assert_eq!(reattached.alloc_stats().unwrap().allocated_blocks, 1);
+        drop(reattached);
+        let b = rt
+            .provision_pool(&TierPolicy::CxlExpander, "b", 8 * 1024 * 1024)
+            .unwrap();
+        assert_eq!(b.mount(), "/mnt/pmem2");
     }
 
     #[test]

@@ -7,8 +7,9 @@
 //! bytes and 64-byte lines it transfers. A kernel that loads and stores
 //! device memory directly, as STREAM-PMem does on a DAX mapping, runs on the
 //! device's own bytes through [`Type3Device::apply`], which counts the same
-//! traffic. Host addresses decode to DPAs above the device, in
-//! [`InterleaveSet`](crate::hdm::InterleaveSet).
+//! traffic. Every functional path addresses the device by DPA; a multi-card
+//! interleave exists only in the machine model, as `memsim`'s aggregate
+//! window device.
 
 use crate::config::LinkConfig;
 use crate::error::CxlError;
@@ -251,10 +252,8 @@ impl Type3Device {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::hdm::InterleaveSet;
 
     const MIB: u64 = 1024 * 1024;
-    const HPA_BASE: u64 = 0x1000_0000;
 
     fn device() -> Type3Device {
         Type3Device::new("test-cxl", 16 * MIB, LinkConfig::gen5_x16())
@@ -281,18 +280,14 @@ mod tests {
 
     #[test]
     fn write_then_read_round_trips_through_hdm() {
-        let window = InterleaveSet::new(HPA_BASE, 16 * MIB, 4096, 1).unwrap();
         let dev = Type3Device::new("decoded", 16 * MIB, LinkConfig::gen5_x16());
         let mut line = [0u8; 64];
         for (i, b) in line.iter_mut().enumerate() {
             *b = i as u8;
         }
-        // The host decodes its address, then moves the line at the DPA.
-        let (way, dpa) = window.translate(HPA_BASE + 128).unwrap();
-        assert_eq!((way, dpa), (0, 128));
-        dev.write_bulk(dpa, &line).unwrap();
+        dev.write_bulk(128, &line).unwrap();
         let mut back = [0u8; 64];
-        dev.read_bulk(dpa, &mut back).unwrap();
+        dev.read_bulk(128, &mut back).unwrap();
         assert_eq!(back, line);
         assert_eq!(dev.stats().lines_written, 1);
         assert_eq!(dev.stats().lines_read, 1);

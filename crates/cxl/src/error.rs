@@ -5,8 +5,6 @@ use std::fmt;
 /// Errors produced by the CXL device model.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CxlError {
-    /// A host physical address did not match any HDM decoder range.
-    AddressNotMapped(u64),
     /// An access crossed the end of the device's backing memory.
     OutOfBounds {
         /// Device-local address of the access.
@@ -16,8 +14,6 @@ pub enum CxlError {
         /// Size of the device memory.
         capacity: u64,
     },
-    /// An HDM decoder was configured with an invalid range.
-    InvalidHdmRange(String),
     /// A switch port id was unknown.
     UnknownPort(usize),
     /// A switch port is already bound to another host.
@@ -58,17 +54,10 @@ pub enum CxlError {
 impl fmt::Display for CxlError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            CxlError::AddressNotMapped(hpa) => {
-                write!(
-                    f,
-                    "host physical address {hpa:#x} is not mapped by any HDM decoder"
-                )
-            }
             CxlError::OutOfBounds { dpa, len, capacity } => write!(
                 f,
                 "access of {len} bytes at device address {dpa:#x} exceeds capacity {capacity:#x}"
             ),
-            CxlError::InvalidHdmRange(msg) => write!(f, "invalid HDM range: {msg}"),
             CxlError::UnknownPort(p) => write!(f, "unknown switch port {p}"),
             CxlError::PortAlreadyBound(p) => write!(f, "switch port {p} already bound"),
             CxlError::InsufficientCapacity {
@@ -104,8 +93,6 @@ mod tests {
 
     #[test]
     fn messages_contain_addresses_in_hex() {
-        let e = CxlError::AddressNotMapped(0x1000);
-        assert!(e.to_string().contains("0x1000"));
         let e = CxlError::OutOfBounds {
             dpa: 0x20,
             len: 64,

@@ -9,13 +9,13 @@
 //! CPU-less NUMA node.
 //!
 //! This crate rebuilds that stack in software with a *functional* data path:
-//! bulk transfers really read and write bytes in a backing store. How fast
-//! the card is lives elsewhere, in the Setup #1 topology text that `memsim`
-//! compiles and its analytical engine simulates:
+//! bulk transfers really read and write bytes in a backing store, addressed
+//! by device-local address (DPA). How fast the card is lives elsewhere, in
+//! the Setup #1 topology text that `memsim` compiles and its analytical
+//! engine simulates; so does interleaving, since a CFMWS window of several
+//! cards is the aggregate device `memsim` compiles from its ways:
 //!
 //! * [`config`] — spec revisions and link configuration.
-//! * [`hdm`] — HDM decode: an interleave set resolves a host physical
-//!   address to the device that owns it and the device-local address there.
 //! * [`endpoint`] — the Type-3 device: backing store + bulk data path +
 //!   statistics.
 //! * [`fpga`] — the Agilex-7 prototype as a functional card: a named Type-3
@@ -53,7 +53,6 @@ pub mod config;
 pub mod endpoint;
 pub mod error;
 pub mod fpga;
-pub mod hdm;
 pub mod sharing;
 pub mod sparse;
 pub mod switch;
@@ -64,7 +63,6 @@ pub use config::{CxlSpec, LinkConfig};
 pub use endpoint::{DeviceStats, Type3Device};
 pub use error::CxlError;
 pub use fpga::FpgaPrototype;
-pub use hdm::{HdmRange, InterleaveSet};
 pub use sharing::{CoherenceMode, SharedRegion};
 pub use sparse::SparseMemory;
 pub use switch::{CxlSwitch, HostId, PoolAccounting, PoolAllocation, PortId};

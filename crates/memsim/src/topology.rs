@@ -509,8 +509,8 @@ pub struct TopologyDescription {
     pub windows: Vec<WindowDecl>,
 }
 
-/// One compiled CFMWS window: geometry plus per-way capacity, ready to hand
-/// to an HDM decoder layer.
+/// One compiled CFMWS window: validated geometry plus per-way capacity, from
+/// which the compiler derives the window node's aggregate device.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CompiledWindow {
     /// Window name.

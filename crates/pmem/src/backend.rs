@@ -378,10 +378,6 @@ impl SharedRegionBackend {
     }
 }
 
-fn cxl_io(e: cxl::CxlError) -> PmemError {
-    PmemError::Io(std::io::Error::other(e.to_string()))
-}
-
 impl PoolBackend for SharedRegionBackend {
     fn capacity(&self) -> u64 {
         self.region.len()
@@ -389,17 +385,17 @@ impl PoolBackend for SharedRegionBackend {
 
     fn read_at(&self, offset: u64, buf: &mut [u8]) -> Result<()> {
         check_bounds(self.region.len(), offset, buf.len())?;
-        self.region.read(self.host, offset, buf).map_err(cxl_io)
+        Ok(self.region.read(self.host, offset, buf)?)
     }
 
     fn write_at(&self, offset: u64, data: &[u8]) -> Result<()> {
         check_bounds(self.region.len(), offset, data.len())?;
-        self.region.write(self.host, offset, data).map_err(cxl_io)
+        Ok(self.region.write(self.host, offset, data)?)
     }
 
     fn persist(&self, offset: u64, len: u64) -> Result<()> {
         check_bounds(self.region.len(), offset, len as usize)?;
-        self.region.persist(self.host).map_err(cxl_io)
+        Ok(self.region.persist(self.host)?)
     }
 
     fn is_persistent(&self) -> bool {

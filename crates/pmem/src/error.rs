@@ -131,6 +131,14 @@ impl From<std::io::Error> for PmemError {
     }
 }
 
+/// A device error under a pool backend surfaces as the backend's I/O error,
+/// carrying the device's message.
+impl From<cxl::CxlError> for PmemError {
+    fn from(e: cxl::CxlError) -> Self {
+        PmemError::Io(std::io::Error::other(e.to_string()))
+    }
+}
+
 impl PmemError {
     /// Whether this error is a dead backend's crash sentinel.
     pub fn is_injected_crash(&self) -> bool {
@@ -160,5 +168,18 @@ mod tests {
         let e: PmemError = io.into();
         assert!(matches!(e, PmemError::Io(_)));
         assert!(e.to_string().contains("missing"));
+    }
+
+    #[test]
+    fn device_errors_convert_with_their_message() {
+        let device = cxl::CxlError::OutOfBounds {
+            dpa: 0x20,
+            len: 64,
+            capacity: 0x40,
+        };
+        let message = device.to_string();
+        let e: PmemError = device.into();
+        assert!(matches!(e, PmemError::Io(_)));
+        assert_eq!(e.to_string(), format!("I/O error: {message}"));
     }
 }
