@@ -5,7 +5,7 @@ use std::path::{Path, PathBuf};
 
 use crate::config::Config;
 use crate::findings::{Finding, Report};
-use crate::lints::LINTS;
+use crate::lints::{zone_matches, LINTS};
 use crate::source::SourceFile;
 use crate::AnalyzerError;
 
@@ -41,7 +41,9 @@ pub fn analyze_snippet(path: &str, text: &str) -> Vec<Finding> {
 
 /// Walks the configured scan roots, analyzes every `.rs` file under a `src`
 /// tree and applies the `[[allow]]` waivers. Paths in the report are
-/// `/`-separated and relative to `root`.
+/// `/`-separated and relative to `root`. A policy path (zone, crate root,
+/// audited module or pinned file) that matches no scanned file is reported
+/// as stale, like a waiver that matches nothing.
 pub fn analyze_workspace(root: &Path, cfg: &Config) -> Result<Report, AnalyzerError> {
     let mut files = Vec::new();
     for scan in &cfg.scan {
@@ -51,6 +53,10 @@ pub fn analyze_workspace(root: &Path, cfg: &Config) -> Result<Report, AnalyzerEr
 
     let mut report = Report {
         files_scanned: files.len(),
+        stale_paths: policy_paths(cfg)
+            .filter(|(_, path)| !files.iter().any(|f| zone_matches(f, path)))
+            .map(|(key, path)| (key.to_string(), path.to_string()))
+            .collect(),
         ..Report::default()
     };
     let mut allow_hits = vec![0usize; cfg.allows.len()];
@@ -80,6 +86,24 @@ pub fn analyze_workspace(root: &Path, cfg: &Config) -> Result<Report, AnalyzerEr
         }
     }
     Ok(report)
+}
+
+/// Every file or directory path the policy names, with the key naming it.
+fn policy_paths(cfg: &Config) -> impl Iterator<Item = (&'static str, &str)> {
+    [
+        ("persist_ordering.zones", &cfg.persist_zones),
+        ("panic_free.zones", &cfg.panic_free_zones),
+        ("unsafe_audit.forbid", &cfg.unsafe_forbid),
+        ("unsafe_audit.deny", &cfg.unsafe_deny),
+        ("unsafe_audit.audited", &cfg.unsafe_audited),
+    ]
+    .into_iter()
+    .flat_map(|(key, paths)| paths.iter().map(move |p| (key, p.as_str())))
+    .chain(
+        cfg.pinned_atomics
+            .iter()
+            .map(|p| ("atomic_ordering.pinned", p.file.as_str())),
+    )
 }
 
 /// Recursively collects `.rs` files under `dir` that live in a `src` tree and

@@ -44,12 +44,17 @@ pub struct Report {
     /// in their own right (they hide future regressions), reported as
     /// `(lint, file, contains)` triples.
     pub stale_allows: Vec<(String, String, String)>,
+    /// Policy paths that match no scanned file, reported as `(key, path)`
+    /// pairs: a zone, crate root, audited module or pinned file left behind
+    /// by a move or a deletion would otherwise check nothing.
+    pub stale_paths: Vec<(String, String)>,
 }
 
 impl Report {
-    /// Whether the tree is clean (no active findings, no stale waivers).
+    /// Whether the tree is clean (no active findings, no stale waivers or
+    /// policy paths).
     pub fn is_clean(&self) -> bool {
-        self.findings.is_empty() && self.stale_allows.is_empty()
+        self.findings.is_empty() && self.stale_allows.is_empty() && self.stale_paths.is_empty()
     }
 
     /// Renders the machine-readable `ANALYSIS.json` document.
@@ -79,6 +84,15 @@ impl Report {
                 json_str(file),
                 json_str(contains),
                 comma(i, self.stale_allows.len())
+            ));
+        }
+        out.push_str("  ],\n  \"stale_paths\": [\n");
+        for (i, (key, path)) in self.stale_paths.iter().enumerate() {
+            out.push_str(&format!(
+                "    {{\"key\": {}, \"path\": {}}}{}\n",
+                json_str(key),
+                json_str(path),
+                comma(i, self.stale_paths.len())
             ));
         }
         out.push_str("  ]\n}\n");
@@ -153,10 +167,12 @@ mod tests {
             waived: Vec::new(),
             files_scanned: 1,
             stale_allows: Vec::new(),
+            stale_paths: vec![("panic_free.zones".to_string(), "gone.rs".to_string())],
         };
         let json = report.to_json(&[("panic-free", "d")]);
         assert!(json.contains("\"a\\\\b.rs\""));
         assert!(json.contains("say \\\"no\\\""));
         assert!(json.contains("\"clean\": false"));
+        assert!(json.contains("{\"key\": \"panic_free.zones\", \"path\": \"gone.rs\"}"));
     }
 }

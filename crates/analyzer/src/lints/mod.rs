@@ -81,7 +81,10 @@ pub(crate) fn finding(
 /// Shared helper: does `path` match a zone entry? Zones are repo-relative
 /// file paths; a trailing `/` entry matches a whole directory.
 pub(crate) fn in_zone(path: &str, zones: &[String]) -> bool {
-    zones
-        .iter()
-        .any(|z| path == z || (z.ends_with('/') && path.starts_with(z.as_str())))
+    zones.iter().any(|z| zone_matches(path, z))
+}
+
+/// Does `path` match the one policy entry `zone`?
+pub(crate) fn zone_matches(path: &str, zone: &str) -> bool {
+    path == zone || (zone.ends_with('/') && path.starts_with(zone))
 }

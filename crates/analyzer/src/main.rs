@@ -9,8 +9,8 @@
 //! with the policy in `--config` (default: `<root>/analyzer.toml`), prints
 //! `file:line` diagnostics with fix hints, writes the machine-readable report
 //! to `--json` (default: `<root>/ANALYSIS.json`) and exits 0 only when the
-//! tree is clean. Exit codes: 0 clean, 1 findings (or stale waivers), 2
-//! usage/config/io error.
+//! tree is clean. Exit codes: 0 clean, 1 findings (or stale waivers or
+//! policy paths), 2 usage/config/io error.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -94,11 +94,18 @@ fn check(args: &[String]) -> Result<bool, AnalyzerError> {
                  finding it covered is gone) or update `contains`"
             );
         }
+        for (key, path) in &report.stale_paths {
+            println!(
+                "analyzer.toml: stale policy path: `{key}` names `{path}`, which matches no \
+                 scanned file\n    fix: remove the entry (the module is gone) or correct the path"
+            );
+        }
         println!(
-            "repro-analyze: {} finding(s), {} waived, {} stale waiver(s) across {} files ({} lints)",
+            "repro-analyze: {} finding(s), {} waived, {} stale waiver(s), {} stale path(s) across {} files ({} lints)",
             report.findings.len(),
             report.waived.len(),
             report.stale_allows.len(),
+            report.stale_paths.len(),
             report.files_scanned,
             LINTS.len(),
         );

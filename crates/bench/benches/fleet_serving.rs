@@ -1,12 +1,9 @@
-//! Fleet serving: the QoS admission front door and the tail-latency report.
+//! Fleet serving: the QoS admission front door.
 //!
-//! Two things happen here. First, the full fleet scenario
-//! ([`streamer::fleet::run_fleet`]) is executed once and its per-class
-//! p50/p99/p999 distribution is written to `BENCH_fleet.json` at the
-//! repository root, where the CI `bench-smoke` job gates the checkpoint
-//! p99-over-uncontended ratio and the typed Background rejections. Second,
-//! criterion times the two hot paths a serving front door actually has: the
-//! admission `submit` fast path and a full scenario run.
+//! Criterion times the two hot paths a serving front door has: the admission
+//! `submit` fast path and a full scenario run
+//! ([`streamer::fleet::run_fleet`]). The gated per-class report and
+//! `BENCH_fleet.json` come from `streamer scenario fleet`.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use cxl_pmem::admission::{AdmissionController, ClassConfig, QosClass};
@@ -16,55 +13,16 @@ use streamer::fleet;
 const MIB: u64 = 1024 * 1024;
 
 fn fleet_serving(c: &mut Criterion) {
-    // --- the gated report --------------------------------------------------
-    let report = fleet::run_fleet().expect("fleet scenario");
-    for class in &report.classes {
-        println!(
-            "{:<10} {:>4} submitted  {:>4} served  {:>4} rejected  \
-             p50 {:8.2} ms  p99 {:8.2} ms  p999 {:8.2} ms  (solo {:6.2} ms)",
-            class.class.to_string(),
-            class.submitted,
-            class.served,
-            class.rejected,
-            class.p50_ms,
-            class.p99_ms,
-            class.p999_ms,
-            class.uncontended_ms,
-        );
-    }
-    println!(
-        "checkpoint p99 over uncontended: {:.2}x (budget 2.0x)  pool conserved: {}",
-        report.checkpoint_p99_ratio, report.pool_conserved
-    );
-    assert!(
-        report.all_hold(),
-        "the fleet acceptance gates failed — see the table above"
-    );
-    let out = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_fleet.json");
-    std::fs::write(out, fleet::report_json(&report)).expect("write BENCH_fleet.json");
-    println!("wrote {out}");
-
-    // --- criterion timing --------------------------------------------------
     let mut group = c.benchmark_group("fleet_serving");
     group.sample_size(10);
     group.bench_function("admission_submit", |b| {
-        let controller = AdmissionController::new([
-            ClassConfig {
+        let controller = AdmissionController::new(
+            [ClassConfig {
                 rate_bytes_per_sec: 1e12,
                 burst_bytes: u64::MAX / 2,
                 queue_depth: 64,
-            },
-            ClassConfig {
-                rate_bytes_per_sec: 1e12,
-                burst_bytes: u64::MAX / 2,
-                queue_depth: 64,
-            },
-            ClassConfig {
-                rate_bytes_per_sec: 1e12,
-                burst_bytes: u64::MAX / 2,
-                queue_depth: 64,
-            },
-        ]);
+            }; 3],
+        );
         let mut now = 0.0f64;
         b.iter(|| {
             now += 1e-6;

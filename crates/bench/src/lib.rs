@@ -1,32 +1,13 @@
 //! Shared helpers for the benchmark harness.
 //!
-//! Every Criterion target regenerates one of the paper's tables or figures:
-//! it prints the series/rows (so the numbers are inspectable in the bench log
-//! captured into `bench_output.txt`) and then times the generation itself so
-//! `cargo bench` gives the usual statistical output.
+//! The Criterion targets time the code itself: the STREAM hot path
+//! (`stream_hotpath`, which writes `BENCH_stream.json`), the tiering tracker
+//! and migrator (`tiering_hotpath`, `BENCH_tiering.json`), admission and the
+//! fleet scenario (`fleet_serving`), the object store (`object_store`) and
+//! topology ingest (`calibration`). None prints a paper figure or table or
+//! writes a virtual-time BENCH document: `streamer` emits those.
 
 #![forbid(unsafe_code)]
-
-use stream_bench::Kernel;
-use streamer::figures::FigureData;
-use streamer::groups::TestGroup;
-
-/// Generates and prints every sub-figure of a paper figure (5–8) for `kernel`,
-/// returning the data so callers can also benchmark or assert on it.
-pub fn print_figure(kernel: Kernel) -> Vec<FigureData> {
-    let mut figures = Vec::new();
-    for group in TestGroup::ALL {
-        let figure = FigureData::generate(kernel, group).expect("figure generation");
-        println!("{}", figure.to_markdown());
-        figures.push(figure);
-    }
-    figures
-}
-
-/// Generates one sub-figure without printing (the timed body of the benches).
-pub fn generate_subfigure(kernel: Kernel, group: TestGroup) -> FigureData {
-    FigureData::generate(kernel, group).expect("figure generation")
-}
 
 /// The measuring host as a JSON object: worker threads available, compiler
 /// and source revision (`"unknown"` where a tool is missing). Wall-clock
@@ -51,17 +32,4 @@ pub fn host_fingerprint() -> String {
         output("rustc", &["-V"]),
         output("git", &["rev-parse", "--short", "HEAD"])
     )
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn subfigure_generation_works_for_every_kernel_and_group() {
-        // Smoke test with the small config path exercised through the public API.
-        let figure = generate_subfigure(Kernel::Scale, TestGroup::Class1bRemotePmem);
-        assert_eq!(figure.figure, 5);
-        assert!(!figure.trends.is_empty());
-    }
 }

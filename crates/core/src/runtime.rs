@@ -498,11 +498,7 @@ impl CxlPmemRuntime {
         size: u64,
     ) -> crate::Result<ManagedPool> {
         let node = tier.resolve(self.machine())?;
-        let capacity = self
-            .topology()
-            .node(node)
-            .map_err(NumaError::from_self)?
-            .mem_bytes;
+        let capacity = self.topology().node(node)?.mem_bytes;
         if size > capacity {
             return Err(RuntimeError::PoolTooLarge {
                 node,
@@ -716,17 +712,6 @@ impl CxlPmemRuntime {
         // STREAM-like 2:1 read:write byte mix.
         let ceiling = self.machine().path_ceiling_gbs(socket, node, 2, 1)?;
         Ok(ceiling / mode.software_overhead())
-    }
-}
-
-/// Helper: `numa::NumaError` already converts into `SimError`; this gives us a
-/// direct conversion point for readability above.
-trait FromSelf {
-    fn from_self(e: numa::NumaError) -> RuntimeError;
-}
-impl FromSelf for NumaError {
-    fn from_self(e: numa::NumaError) -> RuntimeError {
-        RuntimeError::Numa(e)
     }
 }
 

@@ -95,7 +95,7 @@ pub use error::PmemError;
 pub use object::{ObjectStore, StoreCheck};
 pub use oid::{PmemOid, TypedOid};
 pub use persist::PersistStats;
-pub use pool::{PmemPool, PoolConfig};
+pub use pool::PmemPool;
 pub use residency::ResidencyMap;
 pub use tx::Transaction;
 

@@ -38,25 +38,6 @@ pub const MAX_LAYOUT: usize = 64;
 /// uuid, size, layout name and six u64 fields.
 const HEADER_BODY_LEN: usize = 8 + 4 + 4 + 8 + 8 + MAX_LAYOUT + 8 * 6;
 
-/// Creation-time configuration of a pool.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PoolConfig {
-    /// Layout name — must match on open, exactly like PMDK's `LAYOUT_NAME`.
-    pub layout: String,
-    /// Total pool size in bytes (only used when the backend is created by us).
-    pub size: u64,
-}
-
-impl PoolConfig {
-    /// A config with the given layout and size.
-    pub fn new(layout: impl Into<String>, size: u64) -> Self {
-        PoolConfig {
-            layout: layout.into(),
-            size,
-        }
-    }
-}
-
 #[derive(Debug, Clone, PartialEq)]
 struct Header {
     magic: u64,

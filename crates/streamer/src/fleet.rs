@@ -331,11 +331,6 @@ pub fn render_table(report: &FleetReport) -> Table {
     }
 }
 
-/// Runs the scenario and renders its table (the `streamer table fleet` path).
-pub fn fleet_table() -> Result<Table, ClusterError> {
-    Ok(render_table(&run_fleet()?))
-}
-
 /// Serialises a report as the `BENCH_fleet.json` document the CI perf gate
 /// reads: per-class latency distributions plus the gated ratio.
 pub fn report_json(report: &FleetReport) -> String {

@@ -10,8 +10,9 @@
 //!   targeted, in which mode, under which affinity.
 //! * [`figures`] — Figures 5–8 (Scale, Add, Copy, Triad): one series per
 //!   trend, bandwidth vs thread count, emitted as CSV/Markdown.
-//! * [`tables`] — Table 1 (PMem modes), Table 2 (CXL vs NVRAM), and the
-//!   headline peak-bandwidth comparison against published DCPMM numbers.
+//! * [`tables`] — Table 1 (PMem modes), Table 2 (CXL vs NVRAM), the
+//!   headline peak-bandwidth comparison against published DCPMM numbers, and
+//!   the §6 card-upgrade ablation.
 //! * [`analysis`] — the §4 derived claims (remote −30 %, CXL −50 %, 2–3 GB/s
 //!   fabric cost, 10–15 % PMDK overhead) recomputed from the model.
 //! * [`scenarios`] — the disaggregated-restart scenario group: cross-host
@@ -39,6 +40,9 @@
 //!   `BENCH_calibration.json`.
 //! * [`dataflow`] — ASCII renderings of the setup/data-flow diagrams
 //!   (Figures 1–4 and 9).
+//! * [`artifacts`] — the one list of every table, scenario gate and BENCH
+//!   document the `streamer` CLI emits; `table`, `scenario`, `analysis` and
+//!   `all` read it.
 //!
 //! # Example
 //!
@@ -59,6 +63,7 @@
 #![forbid(unsafe_code)]
 
 pub mod analysis;
+pub mod artifacts;
 pub mod dataflow;
 pub mod figures;
 pub mod fleet;
@@ -72,11 +77,11 @@ pub mod topo;
 
 pub use analysis::Analysis;
 pub use figures::{FigureData, TrendSeries};
-pub use fleet::{fleet_table, FleetReport};
+pub use fleet::FleetReport;
 pub use groups::{TestGroup, Trend};
-pub use objects::{objects_table, ObjectsConfig, ObjectsReport};
-pub use scenarios::{disaggregation_table, RestartReport, RestartScenario};
+pub use objects::{ObjectsConfig, ObjectsReport};
+pub use scenarios::{RestartReport, RestartScenario};
 pub use sim::ClassStats;
 pub use tables::{headline_table, table1, table2};
-pub use tiering::{tiering_table, TieringPoint, TieringReport};
-pub use topo::{topology_table, TopologyPoint, TopologyReport};
+pub use tiering::{TieringPoint, TieringReport};
+pub use topo::{TopologyPoint, TopologyReport};

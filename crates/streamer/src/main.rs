@@ -3,8 +3,8 @@
 //! ```text
 //! streamer figure --kernel scale [--group 1b] [--csv] [--out DIR]
 //! streamer group  1a|1b|1c|2a|2b [--kernel triad]
-//! streamer table  1|2|headline|disaggregation|tiering|fleet|objects|topology
-//! streamer scenario restart|tiering|fleet|objects|topology
+//! streamer table  NAME      (a table of `streamer::artifacts::ARTIFACTS`)
+//! streamer scenario NAME    (a gated entry of the same list)
 //! streamer analysis
 //! streamer topology [--setup 1|2|dcpmm]
 //! streamer all --out DIR
@@ -14,11 +14,10 @@ use std::collections::HashMap;
 use std::path::PathBuf;
 use std::process::ExitCode;
 use stream_bench::Kernel;
+use streamer::artifacts::{Artifact, ARTIFACTS};
+use streamer::dataflow;
 use streamer::figures::FigureData;
 use streamer::groups::TestGroup;
-use streamer::{
-    analysis::Analysis, dataflow, disaggregation_table, headline_table, table1, table2,
-};
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -33,8 +32,20 @@ fn main() -> ExitCode {
     }
 }
 
-fn usage() -> &'static str {
-    "usage:\n  streamer figure --kernel <copy|scale|add|triad> [--group <1a|1b|1c|2a|2b>] [--csv] [--out DIR]\n  streamer group <1a|1b|1c|2a|2b> [--kernel <name>]\n  streamer table <1|2|headline|disaggregation|tiering|fleet|objects|topology>\n  streamer scenario <restart|tiering|fleet|objects|topology>\n  streamer analysis\n  streamer topology [--setup <1|2|dcpmm>]\n  streamer all --out DIR"
+/// Picks the name one command knows an artifact by, if it knows it.
+type Pick = fn(&Artifact) -> Option<&'static str>;
+
+/// The names `pick` gives the artifacts that have one, in list order.
+fn names(pick: Pick) -> Vec<&'static str> {
+    ARTIFACTS.iter().filter_map(pick).collect()
+}
+
+fn usage() -> String {
+    format!(
+        "usage:\n  streamer figure --kernel <copy|scale|add|triad> [--group <1a|1b|1c|2a|2b>] [--csv] [--out DIR]\n  streamer group <1a|1b|1c|2a|2b> [--kernel <name>]\n  streamer table <{}>\n  streamer scenario <{}>\n  streamer analysis\n  streamer topology [--setup <1|2|dcpmm>]\n  streamer all --out DIR",
+        names(|a| a.table).join("|"),
+        names(|a| a.scenario).join("|"),
+    )
 }
 
 /// Parses `--key value` and `--flag` style options.
@@ -70,16 +81,58 @@ fn run(args: &[String]) -> Result<(), String> {
     };
     let rest = &args[1..];
     let (positional, options) = parse_options(rest);
+    let name = |default| positional.first().map_or(default, String::as_str);
     match command.as_str() {
         "figure" => cmd_figure(&options),
         "group" => cmd_group(&positional, &options),
-        "table" => cmd_table(&positional),
-        "scenario" => cmd_scenario(&positional),
-        "analysis" => cmd_analysis(),
+        "table" => {
+            let artifact = find("table", name("headline"), |a| a.table)?;
+            let output = artifact.build().map_err(|e| e.to_string())?;
+            println!("{}", output.markdown);
+            Ok(())
+        }
+        "scenario" => gated(find("scenario", name("restart"), |a| a.scenario)?),
+        "analysis" => gated(find("artifact", "analysis", |a| Some(a.name))?),
         "topology" => cmd_topology(&options),
         "all" => cmd_all(&options),
         other => Err(format!("unknown command '{other}'")),
     }
+}
+
+/// The artifact `pick` names `name`.
+fn find(kind: &str, name: &str, pick: Pick) -> Result<&'static Artifact, String> {
+    ARTIFACTS
+        .iter()
+        .find(|a| pick(a) == Some(name))
+        .ok_or_else(|| {
+            let valid = names(pick);
+            let (last, rest) = valid.split_last().unwrap_or((&"", &[]));
+            format!(
+                "unknown {kind} '{name}' (use {} or {last})",
+                rest.join(", ")
+            )
+        })
+}
+
+/// Prints an artifact, writes its BENCH document into the current directory
+/// and fails when its gate does.
+fn gated(artifact: &Artifact) -> Result<(), String> {
+    let output = artifact.build().map_err(|e| e.to_string())?;
+    println!("{}", output.markdown);
+    if let Some(extra) = &output.extra {
+        println!("{extra}");
+    }
+    if let Some((file, bytes)) = &output.document {
+        std::fs::write(file, bytes).map_err(|e| e.to_string())?;
+        println!("wrote {file}");
+    }
+    if let Some(gate) = output.gate {
+        if !gate.holds {
+            return Err(gate.verdict);
+        }
+        println!("{}", gate.verdict);
+    }
+    Ok(())
 }
 
 fn kernel_from(options: &HashMap<String, String>) -> Result<Kernel, String> {
@@ -88,52 +141,42 @@ fn kernel_from(options: &HashMap<String, String>) -> Result<Kernel, String> {
 }
 
 fn emit(path: Option<&PathBuf>, name: &str, content: &str) -> Result<(), String> {
-    match path {
-        Some(dir) => {
-            std::fs::create_dir_all(dir).map_err(|e| e.to_string())?;
-            let file = dir.join(name);
-            std::fs::write(&file, content).map_err(|e| e.to_string())?;
-            println!("wrote {}", file.display());
-            Ok(())
-        }
-        None => {
-            println!("{content}");
-            Ok(())
-        }
+    let Some(dir) = path else {
+        println!("{content}");
+        return Ok(());
+    };
+    std::fs::create_dir_all(dir).map_err(|e| e.to_string())?;
+    let file = dir.join(name);
+    std::fs::write(&file, content).map_err(|e| e.to_string())?;
+    println!("wrote {}", file.display());
+    Ok(())
+}
+
+/// A sub-figure's file name and content, as CSV or as Markdown.
+fn figure_file(figure: &FigureData, csv: bool) -> (String, String) {
+    let stem = format!(
+        "figure{}{}_{}",
+        figure.figure,
+        figure.subfigure,
+        figure.kernel.name().to_lowercase()
+    );
+    if csv {
+        (format!("{stem}.csv"), figure.to_csv())
+    } else {
+        (format!("{stem}.md"), figure.to_markdown())
     }
 }
 
 fn cmd_figure(options: &HashMap<String, String>) -> Result<(), String> {
     let kernel = kernel_from(options)?;
     let out = options.get("out").map(PathBuf::from);
-    let csv = options.contains_key("csv");
     let groups: Vec<TestGroup> = match options.get("group") {
         Some(g) => vec![TestGroup::parse(g).ok_or_else(|| format!("unknown group '{g}'"))?],
         None => TestGroup::ALL.to_vec(),
     };
     for group in groups {
         let figure = FigureData::generate(kernel, group).map_err(|e| e.to_string())?;
-        let (name, content) = if csv {
-            (
-                format!(
-                    "figure{}{}_{}.csv",
-                    figure.figure,
-                    figure.subfigure,
-                    kernel.name().to_lowercase()
-                ),
-                figure.to_csv(),
-            )
-        } else {
-            (
-                format!(
-                    "figure{}{}_{}.md",
-                    figure.figure,
-                    figure.subfigure,
-                    kernel.name().to_lowercase()
-                ),
-                figure.to_markdown(),
-            )
-        };
+        let (name, content) = figure_file(&figure, options.contains_key("csv"));
         emit(out.as_ref(), &name, &content)?;
     }
     Ok(())
@@ -152,125 +195,6 @@ fn cmd_group(positional: &[String], options: &HashMap<String, String>) -> Result
     Ok(())
 }
 
-fn cmd_table(positional: &[String]) -> Result<(), String> {
-    let which = positional.first().map(String::as_str).unwrap_or("headline");
-    let table = match which {
-        "1" => {
-            let runtime = cxl_pmem::RuntimeBuilder::setup1().build();
-            table1(&runtime).map_err(|e| e.to_string())?
-        }
-        "2" => table2().map_err(|e| e.to_string())?,
-        "headline" => headline_table().map_err(|e| e.to_string())?,
-        "disaggregation" => disaggregation_table().map_err(|e| e.to_string())?,
-        "tiering" => streamer::tiering_table().map_err(|e| e.to_string())?,
-        "fleet" => streamer::fleet_table().map_err(|e| e.to_string())?,
-        "objects" => streamer::objects_table().map_err(|e| e.to_string())?,
-        "topology" => streamer::topology_table().map_err(|e| e.to_string())?,
-        other => {
-            return Err(format!(
-                "unknown table '{other}' (use 1, 2, headline, disaggregation, tiering, fleet, objects or topology)"
-            ))
-        }
-    };
-    println!("{}", table.to_markdown());
-    Ok(())
-}
-
-fn cmd_scenario(positional: &[String]) -> Result<(), String> {
-    let which = positional.first().map(String::as_str).unwrap_or("restart");
-    match which {
-        "restart" => {
-            let report = streamer::scenarios::run_all().map_err(|e| e.to_string())?;
-            println!(
-                "{}",
-                streamer::scenarios::render_table(&report).to_markdown()
-            );
-            if report.all_hold() {
-                println!("all disaggregated-restart scenarios hold");
-                Ok(())
-            } else {
-                Err("a disaggregated-restart scenario failed — see the table above".to_string())
-            }
-        }
-        "tiering" => {
-            let report = streamer::tiering::run_sweep().map_err(|e| e.to_string())?;
-            println!("{}", streamer::tiering::render_table(&report).to_markdown());
-            if report.all_hold() {
-                println!("adaptive tiering matches or beats static spill at every dataset size");
-                Ok(())
-            } else {
-                Err(
-                    "the adaptive policy lost to static spill at a dataset size — see the table"
-                        .to_string(),
-                )
-            }
-        }
-        "fleet" => {
-            let report = streamer::fleet::run_fleet().map_err(|e| e.to_string())?;
-            println!("{}", streamer::fleet::render_table(&report).to_markdown());
-            let json = streamer::fleet::report_json(&report);
-            std::fs::write("BENCH_fleet.json", &json).map_err(|e| e.to_string())?;
-            println!("wrote BENCH_fleet.json");
-            if report.all_hold() {
-                println!("fleet serving holds: checkpoint tail protected, overload rejected");
-                Ok(())
-            } else {
-                Err("the fleet-serving gate failed — see the table above".to_string())
-            }
-        }
-        "objects" => {
-            let report = streamer::objects::run_objects(&streamer::objects::ObjectsConfig::full())
-                .map_err(|e| e.to_string())?;
-            println!("{}", streamer::objects::render_table(&report).to_markdown());
-            let json = streamer::objects::report_json(&report);
-            std::fs::write("BENCH_objects.json", &json).map_err(|e| e.to_string())?;
-            println!("wrote BENCH_objects.json");
-            if report.all_hold() {
-                println!(
-                    "object store holds: {} objects on {} hosts, {} tear cells recovered bit-exact, scan overload rejected",
-                    report.objects, report.hosts, report.crash_cells
-                );
-                Ok(())
-            } else {
-                Err("the object-store gate failed — see the table above".to_string())
-            }
-        }
-        "topology" => {
-            let report = streamer::topo::run_topologies().map_err(|e| e.to_string())?;
-            println!("{}", streamer::topo::render_table(&report).to_markdown());
-            println!("{}", report.calibration.render());
-            let json = streamer::topo::report_json(&report);
-            std::fs::write("BENCH_calibration.json", &json).map_err(|e| e.to_string())?;
-            println!("wrote BENCH_calibration.json");
-            if report.all_hold() {
-                println!(
-                    "topology ingestion holds: {} descriptions compiled, calibration max rel. error {:.1}% (bound {:.0}%)",
-                    report.points.len(),
-                    report.calibration.max_rel_error() * 100.0,
-                    memsim::calibration::CALIBRATION_ERROR_BOUND * 100.0
-                );
-                Ok(())
-            } else {
-                Err("the topology-ingestion gate failed — see the tables above".to_string())
-            }
-        }
-        other => Err(format!(
-            "unknown scenario '{other}' (use restart, tiering, fleet, objects or topology)"
-        )),
-    }
-}
-
-fn cmd_analysis() -> Result<(), String> {
-    let analysis = Analysis::compute().map_err(|e| e.to_string())?;
-    println!("{}", analysis.to_markdown());
-    if analysis.all_hold() {
-        println!("all paper claims hold in the reproduction");
-        Ok(())
-    } else {
-        Err("some paper claims do not hold — see the table above".to_string())
-    }
-}
-
 fn cmd_topology(options: &HashMap<String, String>) -> Result<(), String> {
     let runtime = match options.get("setup").map(String::as_str) {
         None | Some("1") => cxl_pmem::RuntimeBuilder::setup1().build(),
@@ -283,94 +207,41 @@ fn cmd_topology(options: &HashMap<String, String>) -> Result<(), String> {
     Ok(())
 }
 
+/// Writes every sub-figure (CSV and Markdown) and every artifact's markdown
+/// into `--out`, then fails naming each gate that does not hold.
 fn cmd_all(options: &HashMap<String, String>) -> Result<(), String> {
     let out = options
         .get("out")
         .map(PathBuf::from)
         .ok_or("'all' requires --out DIR")?;
-    // Figures 5-8, all sub-figures, CSV + Markdown.
     for kernel in Kernel::ALL {
         for group in TestGroup::ALL {
             let figure = FigureData::generate(kernel, group).map_err(|e| e.to_string())?;
-            emit(
-                Some(&out),
-                &format!(
-                    "figure{}{}_{}.csv",
-                    figure.figure,
-                    figure.subfigure,
-                    kernel.name().to_lowercase()
-                ),
-                &figure.to_csv(),
-            )?;
-            emit(
-                Some(&out),
-                &format!(
-                    "figure{}{}_{}.md",
-                    figure.figure,
-                    figure.subfigure,
-                    kernel.name().to_lowercase()
-                ),
-                &figure.to_markdown(),
-            )?;
+            for csv in [true, false] {
+                let (name, content) = figure_file(&figure, csv);
+                emit(Some(&out), &name, &content)?;
+            }
         }
     }
-    let runtime = cxl_pmem::RuntimeBuilder::setup1().build();
-    emit(
-        Some(&out),
-        "table1.md",
-        &table1(&runtime).map_err(|e| e.to_string())?.to_markdown(),
-    )?;
-    emit(
-        Some(&out),
-        "table2.md",
-        &table2().map_err(|e| e.to_string())?.to_markdown(),
-    )?;
-    emit(
-        Some(&out),
-        "headline.md",
-        &headline_table().map_err(|e| e.to_string())?.to_markdown(),
-    )?;
-    emit(
-        Some(&out),
-        "disaggregation.md",
-        &disaggregation_table()
-            .map_err(|e| e.to_string())?
-            .to_markdown(),
-    )?;
-    emit(
-        Some(&out),
-        "tiering.md",
-        &streamer::tiering_table()
-            .map_err(|e| e.to_string())?
-            .to_markdown(),
-    )?;
-    emit(
-        Some(&out),
-        "fleet.md",
-        &streamer::fleet_table()
-            .map_err(|e| e.to_string())?
-            .to_markdown(),
-    )?;
-    emit(
-        Some(&out),
-        "objects.md",
-        &streamer::objects_table()
-            .map_err(|e| e.to_string())?
-            .to_markdown(),
-    )?;
-    emit(
-        Some(&out),
-        "topology.md",
-        &streamer::topology_table()
-            .map_err(|e| e.to_string())?
-            .to_markdown(),
-    )?;
-    emit(
-        Some(&out),
-        "analysis.md",
-        &Analysis::compute()
-            .map_err(|e| e.to_string())?
-            .to_markdown(),
-    )?;
-    Ok(())
+    let mut failed = Vec::new();
+    for artifact in &ARTIFACTS {
+        let output = artifact.build().map_err(|e| e.to_string())?;
+        emit(
+            Some(&out),
+            &format!("{}.md", artifact.name),
+            &output.markdown,
+        )?;
+        if output.gate.is_some_and(|gate| !gate.holds) {
+            failed.push(artifact.name);
+        }
+    }
+    if failed.is_empty() {
+        Ok(())
+    } else {
+        Err(format!(
+            "gate failed: {} — see the tables in {}",
+            failed.join(", "),
+            out.display()
+        ))
+    }
 }

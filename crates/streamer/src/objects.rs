@@ -551,12 +551,6 @@ pub fn render_table(report: &ObjectsReport) -> Table {
     }
 }
 
-/// Runs the full-scale scenario and renders its table (the
-/// `streamer table objects` path).
-pub fn objects_table() -> Result<Table, ClusterError> {
-    Ok(render_table(&run_objects(&ObjectsConfig::full())?))
-}
-
 /// Serialises a report as the `BENCH_objects.json` document the CI perf gate
 /// reads: the functional verdicts plus per-op-class p50/p99.
 pub fn report_json(report: &ObjectsReport) -> String {

@@ -4,9 +4,8 @@
 //! claim of §1.3/§2.2 — a compute node checkpoints into switch-pooled CXL far
 //! memory, fails mid-commit, and a different node attaches, acquires and
 //! restores the last committed epoch. Each [`RestartScenario`] is one cell of
-//! that story; [`run_all`] drives every cell and
-//! [`disaggregation_table`] renders the result as a table next to the paper's
-//! bandwidth tables.
+//! that story; [`run_all`] drives every cell and [`render_table`] renders the
+//! result as a table next to the paper's bandwidth tables.
 
 use crate::tables::Table;
 use cxl_pmem::cluster::{CheckpointRegion, CoherenceMode, Crash, PmemPool, SharedRegionBackend};
@@ -226,15 +225,8 @@ pub fn run_all() -> Result<RestartReport, ClusterError> {
     })
 }
 
-/// The disaggregated-restart table: one row per scenario plus the pool shape,
-/// rendered alongside the paper's bandwidth tables.
-pub fn disaggregation_table() -> Result<Table, ClusterError> {
-    Ok(render_table(&run_all()?))
-}
-
-/// Renders an already-computed report as the disaggregated-restart table —
-/// callers that just ran the scenario group render this instead of paying
-/// for a second full run.
+/// Renders a computed report as the disaggregated-restart table: one row per
+/// scenario plus the pool shape, next to the paper's bandwidth tables.
 pub fn render_table(report: &RestartReport) -> Table {
     let mut rows = vec![vec![
         "Pooled far memory".to_string(),
@@ -286,7 +278,7 @@ mod tests {
 
     #[test]
     fn table_renders_all_scenarios() {
-        let table = disaggregation_table().unwrap();
+        let table = render_table(&run_all().unwrap());
         assert_eq!(table.rows.len(), 1 + RestartScenario::ALL.len());
         let md = table.to_markdown();
         assert!(md.contains("Disaggregated restart"));

@@ -1,8 +1,12 @@
-//! Table generation: Table 1, Table 2 and the headline DCPMM comparison.
+//! Table generation: Table 1, Table 2, the headline DCPMM comparison and the
+//! §6 card-upgrade ablation.
 
 use cxl_pmem::{
     AccessMode, CxlPmemRuntime, ModeProperties, Result as RuntimeResult, RuntimeBuilder,
 };
+use memsim::machines::sapphire_rapids_cxl_upgraded;
+use numa::AffinityPolicy;
+use stream_bench::{Kernel, SimulatedStream, StreamConfig};
 
 /// A rendered table: a title, column headers and string rows.
 #[derive(Debug, Clone, PartialEq)]
@@ -215,6 +219,40 @@ pub fn headline_table() -> RuntimeResult<Table> {
     })
 }
 
+/// The §2.2 / §6 enhancement list as what-ifs: saturated CXL Memory-Mode
+/// Triad bandwidth (20 threads, close affinity) on Setup #1 with faster DDR
+/// behind the FPGA, more DDR channels, and a controller ceiling scaled to
+/// match.
+pub fn ablation_table() -> RuntimeResult<Table> {
+    let upgraded = |speed, channels| {
+        RuntimeBuilder::new().machine(sapphire_rapids_cxl_upgraded(speed, channels))
+    };
+    let variants = [
+        ("baseline_ddr4_1333_x1", RuntimeBuilder::setup1()),
+        ("ddr4_3200_x1", upgraded(2.4, 1)),
+        ("ddr4_3200_x4", upgraded(2.4, 4)),
+        ("ddr5_5600_x4", upgraded(4.2, 4)),
+    ];
+    let rows = variants
+        .into_iter()
+        .map(|(name, builder)| {
+            let runtime = builder.build();
+            let placement = runtime.place(&AffinityPolicy::close(), 20)?;
+            let stream = SimulatedStream::new(&runtime, StreamConfig::paper());
+            let point = stream.simulate(Kernel::Triad, &placement, 2, AccessMode::MemoryMode)?;
+            Ok(vec![
+                name.to_string(),
+                format!("{:.1}", point.bandwidth_gbs),
+            ])
+        })
+        .collect::<RuntimeResult<_>>()?;
+    Ok(Table {
+        title: "Ablation: saturated CXL Memory-Mode Triad bandwidth (GB/s)".to_string(),
+        headers: vec!["Variant".to_string(), "Bandwidth (GB/s)".to_string()],
+        rows,
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -276,5 +314,16 @@ mod tests {
         assert!((cxl_memmode - ddr4_remote).abs() < 6.0);
         // Local DDR5 App-Direct in the 20-22 GB/s band (window 18-28).
         assert!(local_ddr5 > 18.0 && local_ddr5 < 28.0);
+    }
+
+    #[test]
+    fn ablation_gains_from_faster_and_wider_ddr_until_the_link_caps_it() {
+        let table = ablation_table().unwrap();
+        let value = |i: usize| -> f64 { table.rows[i][1].parse().unwrap() };
+        assert_eq!(table.rows.len(), 4);
+        assert!(value(0) < value(1), "faster DDR gained nothing");
+        assert!(value(1) < value(2), "more channels gained nothing");
+        // DDR5-5600 behind the same PCIe Gen5 ceiling: capped, never slower.
+        assert!(value(2) <= value(3));
     }
 }

@@ -218,11 +218,6 @@ pub fn render_table(report: &TieringReport) -> Table {
     }
 }
 
-/// Runs the sweep and renders its table in one call.
-pub fn tiering_table() -> RuntimeResult<Table> {
-    Ok(render_table(&run_sweep()?))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -271,7 +266,7 @@ mod tests {
 
     #[test]
     fn table_renders_every_row_and_the_verdict() {
-        let table = tiering_table().unwrap();
+        let table = render_table(&run_sweep().unwrap());
         assert_eq!(table.rows.len(), DATASETS_GIB.len());
         let md = table.to_markdown();
         assert!(md.contains("Adaptive tiering"));

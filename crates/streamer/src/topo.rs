@@ -231,11 +231,6 @@ pub fn render_table(report: &TopologyReport) -> Table {
     }
 }
 
-/// Runs the sweep and renders its table in one call.
-pub fn topology_table() -> RuntimeResult<Table> {
-    Ok(render_table(&run_topologies()?))
-}
-
 /// The `BENCH_calibration.json` document for an already-computed report.
 pub fn report_json(report: &TopologyReport) -> String {
     calibration_json(&report.calibration)
