@@ -247,22 +247,6 @@ impl AdmissionController {
         }
     }
 
-    /// A config tuned for checkpoint-first serving of a pool with
-    /// `pool_write_gbs` of aggregate write bandwidth: Checkpoint gets 60 % of
-    /// it, Restore 30 %, Background 10 %, each with a one-second burst and a
-    /// queue depth of `depth`.
-    pub fn checkpoint_first(pool_write_gbs: f64, depth: usize) -> Self {
-        let share = |fraction: f64| {
-            let rate = pool_write_gbs * 1e9 * fraction;
-            ClassConfig {
-                rate_bytes_per_sec: rate,
-                burst_bytes: rate as u64,
-                queue_depth: depth,
-            }
-        };
-        AdmissionController::new([share(0.6), share(0.3), share(0.1)])
-    }
-
     fn lock(&self) -> std::sync::MutexGuard<'_, Inner> {
         self.inner.lock().unwrap_or_else(PoisonError::into_inner)
     }
@@ -561,19 +545,6 @@ mod tests {
         }
         let permits = c.poll(1.0);
         assert_eq!(permits.first().map(|p| p.grant), Some(big.grant));
-    }
-
-    #[test]
-    fn checkpoint_first_splits_the_pool_rate() {
-        let c = AdmissionController::checkpoint_first(10.0, 8);
-        let ckpt = c.config(QosClass::Checkpoint);
-        let rest = c.config(QosClass::Restore);
-        let bg = c.config(QosClass::Background);
-        assert!(ckpt.rate_bytes_per_sec > rest.rate_bytes_per_sec);
-        assert!(rest.rate_bytes_per_sec > bg.rate_bytes_per_sec);
-        let total = ckpt.rate_bytes_per_sec + rest.rate_bytes_per_sec + bg.rate_bytes_per_sec;
-        assert!((total - 10.0 * 1e9).abs() < 1.0);
-        assert_eq!(ckpt.queue_depth, 8);
     }
 
     mod properties {

@@ -9,7 +9,7 @@
 //! in the Setup #1 topology text (`crates/memsim/topologies/
 //! sapphire-rapids-cxl.topo`), which the runtime compiles and simulates.
 
-use crate::config::{CxlSpec, LinkConfig};
+use crate::config::LinkConfig;
 use crate::endpoint::Type3Device;
 use std::sync::Arc;
 
@@ -54,11 +54,6 @@ impl FpgaPrototype {
     pub fn capacity_bytes(&self) -> u64 {
         self.device.capacity_bytes()
     }
-
-    /// The spec revision negotiated on the link.
-    pub fn spec(&self) -> CxlSpec {
-        self.device.link().spec
-    }
 }
 
 #[cfg(test)]
@@ -77,7 +72,7 @@ mod tests {
     fn paper_prototype_matches_section_2_2() {
         let fpga = FpgaPrototype::paper_prototype();
         assert_eq!(fpga.capacity_bytes(), 16 * 1024 * 1024 * 1024);
-        assert_eq!(fpga.spec(), CxlSpec::V2_0);
+        assert_eq!(fpga.endpoint().link().spec, crate::config::CxlSpec::V2_0);
         // The simulated card's ceiling sits around 11-12 GB/s, well below the
         // 64 GB/s link.
         let setup1 = sapphire_rapids_cxl_machine();

@@ -10,12 +10,12 @@
 //!
 //! This crate rebuilds that stack in software with a *functional* data path:
 //! bulk transfers really read and write bytes in a backing store, addressed
-//! by device-local address (DPA). How fast the card is lives elsewhere, in
-//! the Setup #1 topology text that `memsim` compiles and its analytical
-//! engine simulates; so does interleaving, since a CFMWS window of several
-//! cards is the aggregate device `memsim` compiles from its ways:
+//! by device-local address (DPA). How fast the card and its link are lives
+//! elsewhere, in the Setup #1 topology text that `memsim` compiles and its
+//! analytical engine simulates; so does interleaving, since a CFMWS window of
+//! several cards is the aggregate device `memsim` compiles from its ways:
 //!
-//! * [`config`] — spec revisions and link configuration.
+//! * [`config`] — spec revisions and the link's negotiated width (no speed).
 //! * [`endpoint`] — the Type-3 device: backing store + bulk data path +
 //!   statistics.
 //! * [`fpga`] — the Agilex-7 prototype as a functional card: a named Type-3

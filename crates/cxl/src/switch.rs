@@ -323,21 +323,6 @@ impl CxlSwitch {
         SharedRegion::new(device, allocation.dpa_offset, allocation.len, mode)
     }
 
-    /// All live allocations of a host (cloned out under the lock; the pool
-    /// may change the moment it drops).
-    pub fn allocations_of(&self, host: HostId) -> Vec<PoolAllocation> {
-        let mut out: Vec<PoolAllocation> = self
-            .state
-            .lock()
-            .live
-            .values()
-            .filter(|a| a.host == host)
-            .cloned()
-            .collect();
-        out.sort_by_key(|a| a.id);
-        out
-    }
-
     /// Capacity currently assigned to a host (bytes).
     pub fn assigned_to(&self, host: HostId) -> u64 {
         self.accounting().assigned.get(&host).copied().unwrap_or(0)
@@ -524,17 +509,6 @@ mod tests {
                 .unwrap_err(),
             CxlError::UnknownAllocation(stale.id)
         );
-    }
-
-    #[test]
-    fn allocations_of_lists_per_host() {
-        let sw = switch_with_two_devices();
-        sw.allocate(1, GIB).unwrap();
-        sw.allocate(2, GIB).unwrap();
-        sw.allocate(1, GIB).unwrap();
-        assert_eq!(sw.allocations_of(1).len(), 2);
-        assert_eq!(sw.allocations_of(2).len(), 1);
-        assert_eq!(sw.allocations_of(3).len(), 0);
     }
 
     #[test]

@@ -121,7 +121,12 @@ impl EngineTables {
         let topology = machine.topology();
         let nodes = topology.nodes().len();
         let sockets = topology.sockets().len();
-        let max_cpu = topology.machine_cpuset().last().map_or(0, |c| c + 1);
+        let max_cpu = topology
+            .cores()
+            .iter()
+            .flat_map(|core| core.hw_threads.iter().map(|&cpu| cpu + 1))
+            .max()
+            .unwrap_or(0);
 
         let cpu_socket: Vec<Option<usize>> = (0..max_cpu)
             .map(|cpu| topology.socket_of_cpu(cpu))

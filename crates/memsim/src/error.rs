@@ -18,15 +18,6 @@ pub enum SimError {
     UnknownCpu(usize),
     /// Traffic referenced a NUMA node that does not exist.
     UnknownNode(usize),
-    /// A capacity check failed (allocation larger than the node's memory).
-    CapacityExceeded {
-        /// Target node.
-        node: usize,
-        /// Requested bytes.
-        requested: u64,
-        /// Available bytes.
-        available: u64,
-    },
     /// A parameter was out of range (negative bandwidth, zero latency...).
     InvalidParameter(String),
     /// Wrapped topology error.
@@ -38,18 +29,13 @@ impl fmt::Display for SimError {
         match self {
             SimError::MissingDevice(node) => write!(f, "NUMA node {node} has no memory device"),
             SimError::MissingPath { socket, node } => {
-                write!(f, "no interconnect path from socket {socket} to node {node}")
+                write!(
+                    f,
+                    "no interconnect path from socket {socket} to node {node}"
+                )
             }
             SimError::UnknownCpu(cpu) => write!(f, "unknown CPU {cpu}"),
             SimError::UnknownNode(node) => write!(f, "unknown NUMA node {node}"),
-            SimError::CapacityExceeded {
-                node,
-                requested,
-                available,
-            } => write!(
-                f,
-                "allocation of {requested} bytes exceeds the {available} bytes available on node {node}"
-            ),
             SimError::InvalidParameter(msg) => write!(f, "invalid parameter: {msg}"),
             SimError::Numa(e) => write!(f, "topology error: {e}"),
         }

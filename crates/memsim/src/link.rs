@@ -7,8 +7,6 @@
 //! * socket → CXL expander: the **PCIe Gen5 x16 / CXL** link plus the FPGA
 //!   controller pipeline.
 
-use crate::calibration as cal;
-
 /// The kind of interconnect a link models.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum LinkKind {
@@ -16,7 +14,8 @@ pub enum LinkKind {
     Upi,
     /// PCIe Gen5 x16 physical layer carrying CXL.io/CXL.mem.
     PcieGen5x16,
-    /// PCIe Gen6 x16 (CXL 3.0) — used by forward-looking ablations.
+    /// PCIe Gen6 x16 (CXL 3.0), for descriptions of newer machines
+    /// (`kind = "pcie6"`).
     PcieGen6x16,
     /// The FPGA CXL controller pipeline (R-Tile hard IP + soft IP).
     FpgaCxlController,
@@ -48,19 +47,6 @@ pub struct LinkSpec {
     pub bandwidth_gbs: f64,
     /// Latency added by traversing the link once (ns).
     pub latency_ns: f64,
-}
-
-impl LinkSpec {
-    /// PCIe Gen6 x16 as used by CXL 3.0 (128 GB/s bi-directional per §1.3),
-    /// available for forward-looking ablations.
-    pub fn pcie_gen6_x16_cxl() -> Self {
-        LinkSpec {
-            name: "PCIe Gen6 x16 (CXL 3.0)".to_string(),
-            kind: LinkKind::PcieGen6x16,
-            bandwidth_gbs: 2.0 * cal::PCIE_GEN5_X16_GBS,
-            latency_ns: 90.0,
-        }
-    }
 }
 
 /// A path from a socket to a memory device: an ordered list of links.
@@ -115,6 +101,7 @@ impl Path {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::calibration as cal;
     use crate::machines::sapphire_rapids_cxl_machine;
 
     /// Setup #1's path from socket 0 to the CXL card.
@@ -156,17 +143,5 @@ mod tests {
     #[test]
     fn render_lists_hops_in_order() {
         assert_eq!(cxl_path().render(), "IMC -> PCIe5x16 -> FPGA-CXL-IP");
-    }
-
-    #[test]
-    fn gen6_doubles_gen5() {
-        let p = cxl_path();
-        let g5 = p
-            .links
-            .iter()
-            .find(|l| l.kind == LinkKind::PcieGen5x16)
-            .unwrap();
-        let g6 = LinkSpec::pcie_gen6_x16_cxl();
-        assert!((g6.bandwidth_gbs / g5.bandwidth_gbs - 2.0).abs() < 1e-9);
     }
 }

@@ -100,19 +100,6 @@ impl Machine {
         Ok(ceiling)
     }
 
-    /// Checks that an allocation of `bytes` fits on `node`.
-    pub fn check_capacity(&self, node: NodeId, bytes: u64) -> Result<()> {
-        let available = self.topology.node(node).map_err(SimError::from)?.mem_bytes;
-        if bytes > available {
-            return Err(SimError::CapacityExceeded {
-                node,
-                requested: bytes,
-                available,
-            });
-        }
-        Ok(())
-    }
-
     /// Replaces the device of a node (used by ablations — e.g. swapping the
     /// CXL expander's DDR4-1333 for DDR4-3200 or DDR5-5600 as §2.2 suggests).
     pub fn with_device(mut self, node: NodeId, device: DeviceSpec) -> Result<Self> {
@@ -188,7 +175,7 @@ impl MachineBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::link::LinkSpec;
+    use crate::link::{LinkKind, LinkSpec};
     use crate::machines;
 
     #[test]
@@ -256,13 +243,6 @@ mod tests {
     }
 
     #[test]
-    fn capacity_check() {
-        let m = machines::sapphire_rapids_cxl_machine();
-        assert!(m.check_capacity(2, 1 << 30).is_ok());
-        assert!(m.check_capacity(2, 1 << 60).is_err());
-    }
-
-    #[test]
     fn unknown_cpu_and_node_are_rejected() {
         let m = machines::sapphire_rapids_cxl_machine();
         assert!(m.access_latency_ns(400, 0).is_err());
@@ -275,11 +255,14 @@ mod tests {
         let faster = m.device(2).unwrap().clone().scaled_bandwidth(2.4);
         let m2 = m.clone().with_device(2, faster).unwrap();
         assert!(m2.device(2).unwrap().read_bw_gbs > m.device(2).unwrap().read_bw_gbs);
-        let m3 = m2.with_path(0, 2, Path::through(vec![LinkSpec::pcie_gen6_x16_cxl()]));
-        assert!(m3
-            .path(0, 2)
-            .unwrap()
-            .crosses(crate::link::LinkKind::PcieGen6x16));
+        let gen6 = LinkSpec {
+            name: "PCIe Gen6 x16 (CXL 3.0)".to_string(),
+            kind: LinkKind::PcieGen6x16,
+            bandwidth_gbs: 2.0 * cal::PCIE_GEN5_X16_GBS,
+            latency_ns: 90.0,
+        };
+        let m3 = m2.with_path(0, 2, Path::through(vec![gen6]));
+        assert!(m3.path(0, 2).unwrap().crosses(LinkKind::PcieGen6x16));
         assert!(m
             .clone()
             .with_device(9, m.device(0).unwrap().clone())

@@ -8,7 +8,6 @@
 //! calibration gate checks, and a test pins every bandwidth, latency, channel
 //! count and MLP in them to the [`crate::calibration`] constants.
 
-use crate::calibration as cal;
 use crate::device::DeviceSpec;
 use crate::link::LinkKind;
 use crate::machine::Machine;
@@ -58,15 +57,21 @@ pub fn sapphire_rapids_cxl_upgraded(ddr_speed_factor: f64, channels: u32) -> Mac
     .scaled_bandwidth(ddr_speed_factor)
     .with_channels(channels);
     // A faster card also needs a faster controller ceiling: scale the soft-IP
-    // link proportionally but never beyond the PCIe Gen5 limit.
+    // link proportionally but never beyond the PCIe Gen5 link in front of it.
     let mut path = base
         .path(0, 2)
         .expect("setup #1 reaches node 2 from socket 0")
         .clone();
+    let pcie_gbs = path
+        .links
+        .iter()
+        .filter(|link| link.kind == LinkKind::PcieGen5x16)
+        .map(|link| link.bandwidth_gbs)
+        .fold(f64::INFINITY, f64::min);
     for link in &mut path.links {
         if link.kind == LinkKind::FpgaCxlController {
-            link.bandwidth_gbs = (link.bandwidth_gbs * ddr_speed_factor * channels as f64)
-                .min(cal::PCIE_GEN5_X16_GBS);
+            link.bandwidth_gbs =
+                (link.bandwidth_gbs * ddr_speed_factor * channels as f64).min(pcie_gbs);
         }
     }
     base.with_device(2, upgraded_device)
@@ -78,6 +83,7 @@ pub fn sapphire_rapids_cxl_upgraded(ddr_speed_factor: f64, channels: u32) -> Mac
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::calibration as cal;
 
     #[test]
     fn setup1_has_three_nodes_and_cxl_device() {

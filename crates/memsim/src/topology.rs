@@ -148,6 +148,10 @@ pub const MIN_INTERLEAVE_GRANULARITY: u64 = 256;
 /// Largest CFMWS interleave granularity the CXL spec allows (16 KiB).
 pub const MAX_INTERLEAVE_GRANULARITY: u64 = 16 * 1024;
 
+/// Most hardware threads (cores × SMT) a machine may declare. 1024 matches
+/// glibc's `CPU_SETSIZE` and bounds the memory of the engine's per-CPU tables.
+const MAX_HW_THREADS: usize = 1024;
+
 /// Typed errors from parsing or compiling a topology description.
 ///
 /// Malformed input is always reported through one of these variants — the
@@ -966,16 +970,15 @@ impl TopologyDescription {
         if self.smt == 0 {
             return Err(TopologyError::InvalidMachine("smt must be >= 1".into()));
         }
-        // Every hardware thread gets a logical CPU id, and a `numa::CpuSet`
-        // holds ids below `MAX_CPUS` only: a larger machine would lose CPUs
-        // silently, and a huge one would exhaust memory building them.
+        // Every hardware thread gets a logical CPU id, and the engine keeps a
+        // per-CPU × per-node table: a huge machine would exhaust memory
+        // building them.
         let threads = self.processors.iter().try_fold(0usize, |sum, p| {
             p.cores.checked_mul(self.smt)?.checked_add(sum)
         });
-        if threads.is_none_or(|n| n > numa::cpuset::MAX_CPUS) {
+        if threads.is_none_or(|n| n > MAX_HW_THREADS) {
             return Err(TopologyError::InvalidMachine(format!(
-                "cores x smt exceeds {} hardware threads",
-                numa::cpuset::MAX_CPUS
+                "cores x smt exceeds {MAX_HW_THREADS} hardware threads"
             )));
         }
 

@@ -22,34 +22,6 @@ pub fn gbs(bytes: u64, seconds: f64) -> f64 {
     bytes as f64 / GB as f64 / seconds
 }
 
-/// Converts a bandwidth in GB/s into bytes per nanosecond.
-pub fn gbs_to_bytes_per_ns(gbs: f64) -> f64 {
-    gbs
-}
-
-/// Converts nanoseconds into seconds.
-pub fn ns_to_s(ns: f64) -> f64 {
-    ns * 1e-9
-}
-
-/// Converts seconds into nanoseconds.
-pub fn s_to_ns(s: f64) -> f64 {
-    s * 1e9
-}
-
-/// Pretty-prints a byte count with a binary suffix.
-pub fn human_bytes(bytes: u64) -> String {
-    if bytes >= GIB {
-        format!("{:.1} GiB", bytes as f64 / GIB as f64)
-    } else if bytes >= MIB {
-        format!("{:.1} MiB", bytes as f64 / MIB as f64)
-    } else if bytes >= KIB {
-        format!("{:.1} KiB", bytes as f64 / KIB as f64)
-    } else {
-        format!("{bytes} B")
-    }
-}
-
 #[cfg(test)]
 // The whole point of these tests is sanity-checking calibration constants.
 #[allow(clippy::assertions_on_constants)]
@@ -69,25 +41,5 @@ mod tests {
     fn gb_and_gib_differ() {
         assert!(GIB > GB);
         assert_eq!(GIB, 1_073_741_824);
-    }
-
-    #[test]
-    fn ns_round_trip() {
-        let s = 0.25;
-        assert!((ns_to_s(s_to_ns(s)) - s).abs() < 1e-15);
-    }
-
-    #[test]
-    fn human_bytes_selects_suffix() {
-        assert_eq!(human_bytes(512), "512 B");
-        assert_eq!(human_bytes(2 * KIB), "2.0 KiB");
-        assert_eq!(human_bytes(3 * MIB), "3.0 MiB");
-        assert_eq!(human_bytes(4 * GIB), "4.0 GiB");
-    }
-
-    #[test]
-    fn gbs_equals_bytes_per_ns() {
-        // 1 GB/s is 1 byte per nanosecond by definition of decimal units.
-        assert!((gbs_to_bytes_per_ns(5.0) - 5.0).abs() < 1e-12);
     }
 }

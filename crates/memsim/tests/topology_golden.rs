@@ -194,7 +194,7 @@ fn malformed_fixtures_and_mutations_never_panic() {
         let _ = TopologyDescription::parse(&truncated).and_then(|d| d.compile());
     }
     // Machine-section mutations of Setup #1 are typed errors. 2 x 600 cores
-    // x 2 threads is more CPU ids than a `numa::CpuSet` holds; 2^40 cores or
+    // x 2 threads is over compile's 1024 hardware-thread bound; 2^40 cores or
     // threads would exhaust memory if compile built them.
     let setup1 = memsim::topology::reference::SPR_FPGA_CXL;
     assert!(setup1.contains("cores = 10") && setup1.contains("smt = 2\n"));

@@ -14,7 +14,6 @@
 //! count from 1 to 20 and each added thread lands on the next CPU of the
 //! placement.
 
-use crate::cpuset::CpuSet;
 use crate::error::NumaError;
 use crate::topology::{SocketId, Topology};
 use crate::Result;
@@ -151,11 +150,6 @@ impl ThreadPlacement {
         self.cpus.is_empty()
     }
 
-    /// The logical CPU of thread `i`.
-    pub fn cpu_of(&self, thread: usize) -> Option<usize> {
-        self.cpus.get(thread).copied()
-    }
-
     /// All CPUs in thread order.
     pub fn cpus(&self) -> &[usize] {
         &self.cpus
@@ -164,11 +158,6 @@ impl ThreadPlacement {
     /// The policy this placement was derived from.
     pub fn policy(&self) -> &AffinityPolicy {
         &self.policy
-    }
-
-    /// The set of distinct CPUs used.
-    pub fn cpuset(&self) -> CpuSet {
-        self.cpus.iter().copied().collect()
     }
 
     /// Number of threads that landed on each socket of `topo`.
@@ -188,6 +177,7 @@ mod tests {
     use super::*;
     use crate::topology::sapphire_rapids_cxl;
     use proptest::prelude::*;
+    use std::collections::BTreeSet;
 
     #[test]
     fn close_fills_socket0_first() {
@@ -195,9 +185,9 @@ mod tests {
         let p = AffinityPolicy::close().place(&topo, 12).unwrap();
         let per_socket = p.threads_per_socket(&topo);
         assert_eq!(per_socket, vec![10, 2]);
-        assert_eq!(p.cpu_of(0), Some(0));
-        assert_eq!(p.cpu_of(9), Some(9));
-        assert_eq!(p.cpu_of(10), Some(10));
+        assert_eq!(p.cpus()[0], 0);
+        assert_eq!(p.cpus()[9], 9);
+        assert_eq!(p.cpus()[10], 10);
     }
 
     #[test]
@@ -206,9 +196,9 @@ mod tests {
         let p = AffinityPolicy::spread().place(&topo, 6).unwrap();
         let per_socket = p.threads_per_socket(&topo);
         assert_eq!(per_socket, vec![3, 3]);
-        assert_eq!(topo.socket_of_cpu(p.cpu_of(0).unwrap()), Some(0));
-        assert_eq!(topo.socket_of_cpu(p.cpu_of(1).unwrap()), Some(1));
-        assert_eq!(topo.socket_of_cpu(p.cpu_of(2).unwrap()), Some(0));
+        assert_eq!(topo.socket_of_cpu(p.cpus()[0]), Some(0));
+        assert_eq!(topo.socket_of_cpu(p.cpus()[1]), Some(1));
+        assert_eq!(topo.socket_of_cpu(p.cpus()[2]), Some(0));
     }
 
     #[test]
@@ -241,7 +231,7 @@ mod tests {
         let topo = sapphire_rapids_cxl();
         let p = AffinityPolicy::close().place(&topo, 25).unwrap();
         assert_eq!(p.len(), 25);
-        let distinct: CpuSet = p.cpus().iter().copied().collect();
+        let distinct: BTreeSet<usize> = p.cpus().iter().copied().collect();
         assert_eq!(distinct.len(), 25);
     }
 
@@ -297,7 +287,8 @@ mod tests {
             let topo = sapphire_rapids_cxl();
             let policy = if spread { AffinityPolicy::spread() } else { AffinityPolicy::close() };
             let p = policy.place(&topo, threads).unwrap();
-            prop_assert_eq!(p.cpuset().len(), threads);
+            let distinct: BTreeSet<usize> = p.cpus().iter().copied().collect();
+            prop_assert_eq!(distinct.len(), threads);
         }
 
         #[test]

@@ -64,16 +64,6 @@ impl DistanceMatrix {
         self.rows.get(from)?.get(to).copied()
     }
 
-    /// Returns the nearest node to `from` among `candidates` (ties broken by id).
-    pub fn nearest(&self, from: NodeId, candidates: &[NodeId]) -> Option<NodeId> {
-        candidates
-            .iter()
-            .copied()
-            .filter_map(|c| self.get(from, c).map(|d| (d, c)))
-            .min()
-            .map(|(_, c)| c)
-    }
-
     /// Renders the matrix like `numactl --hardware` does.
     pub fn render(&self) -> String {
         let n = self.len();
@@ -140,15 +130,6 @@ mod tests {
     #[test]
     fn from_rows_rejects_non_square() {
         assert!(DistanceMatrix::from_rows(vec![vec![10, 20], vec![20]]).is_err());
-    }
-
-    #[test]
-    fn nearest_prefers_local() {
-        let m = DistanceMatrix::default_for(&nodes(2, 1));
-        assert_eq!(m.nearest(0, &[0, 1, 2]), Some(0));
-        assert_eq!(m.nearest(0, &[1, 2]), Some(1));
-        assert_eq!(m.nearest(0, &[2]), Some(2));
-        assert_eq!(m.nearest(0, &[]), None);
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! NUMA topology modelling, CPU sets, thread affinity and pinned worker pools.
+//! NUMA topology modelling, thread affinity and pinned worker pools.
 //!
 //! The evaluation in *CXL Memory as Persistent Memory for Disaggregated HPC*
 //! (SC'23) is entirely organised around **where threads run** and **where memory
@@ -13,9 +13,9 @@
 //!
 //! * [`topology::Topology`] — sockets, cores, hardware threads and NUMA nodes,
 //!   including CPU-less memory-only nodes (the CXL expander appears exactly like
-//!   that on real Sapphire Rapids + CXL systems).
-//! * [`cpuset::CpuSet`] — a compact bit-set of logical CPUs, mirroring
-//!   `cpu_set_t` / `hwloc` bitmaps.
+//!   that on real Sapphire Rapids + CXL systems). Each core's hardware threads
+//!   are the one list of logical CPU ids; placements, renderings and the
+//!   simulator's per-CPU tables all read them.
 //! * [`affinity`] — *close* and *spread* thread-placement policies as described
 //!   in §3.2 of the paper (test group 1.(c)).
 //! * [`pool::PinnedPool`] — a **persistent** thread pool whose workers carry a
@@ -70,14 +70,12 @@
 #![warn(missing_docs)]
 
 pub mod affinity;
-pub mod cpuset;
 pub mod distance;
 pub mod error;
 pub mod pool;
 pub mod topology;
 
 pub use affinity::{AffinityPolicy, ThreadPlacement};
-pub use cpuset::CpuSet;
 pub use distance::DistanceMatrix;
 pub use error::NumaError;
 pub use pool::{chunk_for, PinnedPool, WorkerCtx};

@@ -10,7 +10,6 @@
 //! * **Setup #2** — 2× Xeon Gold 5215 sockets, 10 cores each, 6× DDR4-2666
 //!   channels per socket, no CXL device.
 
-use crate::cpuset::CpuSet;
 use crate::distance::DistanceMatrix;
 use crate::error::NumaError;
 use crate::Result;
@@ -144,49 +143,9 @@ impl Topology {
         self.cores.iter().map(|c| c.hw_threads.len()).sum()
     }
 
-    /// NUMA nodes that have at least one core.
-    pub fn compute_nodes(&self) -> impl Iterator<Item = &NumaNode> {
-        self.nodes.iter().filter(|n| !n.is_cpuless())
-    }
-
     /// NUMA nodes that are memory-only (CXL expanders, PMem regions...).
     pub fn memory_only_nodes(&self) -> impl Iterator<Item = &NumaNode> {
         self.nodes.iter().filter(|n| n.is_cpuless())
-    }
-
-    /// The CPU set of a whole socket (all hardware threads of all its cores).
-    pub fn socket_cpuset(&self, id: SocketId) -> Result<CpuSet> {
-        let socket = self.socket(id)?;
-        let mut set = CpuSet::new();
-        for &core_id in &socket.cores {
-            for &hw in &self.core(core_id)?.hw_threads {
-                set.insert(hw);
-            }
-        }
-        Ok(set)
-    }
-
-    /// The CPU set of a NUMA node (empty for memory-only nodes).
-    pub fn node_cpuset(&self, id: NodeId) -> Result<CpuSet> {
-        let node = self.node(id)?;
-        let mut set = CpuSet::new();
-        for &core_id in &node.cores {
-            for &hw in &self.core(core_id)?.hw_threads {
-                set.insert(hw);
-            }
-        }
-        Ok(set)
-    }
-
-    /// The CPU set of the whole machine.
-    pub fn machine_cpuset(&self) -> CpuSet {
-        let mut set = CpuSet::new();
-        for core in &self.cores {
-            for &hw in &core.hw_threads {
-                set.insert(hw);
-            }
-        }
-        set
     }
 
     /// Maps a logical CPU id back to its core.
@@ -204,32 +163,20 @@ impl Topology {
         self.core_of_cpu(cpu).map(|c| c.socket)
     }
 
-    /// Distance (SLIT units, 10 = local) between the node of `cpu` and `node`.
-    pub fn cpu_to_node_distance(&self, cpu: usize, node: NodeId) -> Option<u32> {
-        let from = self.node_of_cpu(cpu)?;
-        self.distances.get(from, node)
-    }
-
     /// Renders the topology in a `numactl --hardware`-like format.
     pub fn render(&self) -> String {
         let mut out = String::new();
         out.push_str(&format!("machine: {}\n", self.name));
         out.push_str(&format!("available: {} nodes\n", self.nodes.len()));
         for node in &self.nodes {
-            let cpus: CpuSet = node
+            let mut cpus: Vec<usize> = node
                 .cores
                 .iter()
                 .flat_map(|&c| self.cores[c].hw_threads.iter().copied())
                 .collect();
-            out.push_str(&format!(
-                "node {} cpus: {}\n",
-                node.id,
-                if cpus.is_empty() {
-                    "(memory-only)".to_string()
-                } else {
-                    cpus.to_list_string()
-                }
-            ));
+            cpus.sort_unstable();
+            cpus.dedup();
+            out.push_str(&format!("node {} cpus: {}\n", node.id, cpu_list(&cpus)));
             out.push_str(&format!(
                 "node {} size: {} MB ({})\n",
                 node.id,
@@ -241,6 +188,22 @@ impl Topology {
         out.push_str(&self.distances.render());
         out
     }
+}
+
+/// Renders sorted, distinct CPU ids in `numactl` list syntax (`0-9,20-29`),
+/// or `(memory-only)` when there are none.
+fn cpu_list(cpus: &[usize]) -> String {
+    if cpus.is_empty() {
+        return "(memory-only)".to_string();
+    }
+    let runs: Vec<String> = cpus
+        .chunk_by(|a, b| a + 1 == *b)
+        .map(|run| match (run[0], run[run.len() - 1]) {
+            (first, last) if first == last => first.to_string(),
+            (first, last) => format!("{first}-{last}"),
+        })
+        .collect();
+    runs.join(",")
 }
 
 /// Incremental builder for [`Topology`].
@@ -428,7 +391,7 @@ mod tests {
         assert_eq!(topo.num_hw_threads(), 40);
         assert!(topo.node(2).unwrap().is_cpuless());
         assert_eq!(topo.memory_only_nodes().count(), 1);
-        assert_eq!(topo.compute_nodes().count(), 2);
+        assert_eq!(topo.nodes().iter().filter(|n| !n.is_cpuless()).count(), 2);
     }
 
     #[test]
@@ -450,22 +413,6 @@ mod tests {
         // SMT siblings 20-39.
         assert_eq!(topo.socket_of_cpu(20), Some(0));
         assert_eq!(topo.socket_of_cpu(30), Some(1));
-    }
-
-    #[test]
-    fn socket_cpuset_contains_smt_siblings() {
-        let topo = sapphire_rapids_cxl();
-        let set = topo.socket_cpuset(0).unwrap();
-        assert_eq!(set.len(), 20);
-        assert!(set.contains(0));
-        assert!(set.contains(20));
-        assert!(!set.contains(10));
-    }
-
-    #[test]
-    fn node_cpuset_of_cxl_node_is_empty() {
-        let topo = sapphire_rapids_cxl();
-        assert!(topo.node_cpuset(2).unwrap().is_empty());
     }
 
     #[test]
@@ -511,7 +458,8 @@ mod tests {
     fn render_mentions_all_nodes() {
         let topo = sapphire_rapids_cxl();
         let text = topo.render();
-        assert!(text.contains("node 0 cpus"));
+        assert!(text.contains("node 0 cpus: 0-9,20-29\n"));
+        assert!(text.contains("node 1 cpus: 10-19,30-39\n"));
         assert!(text.contains("node 2 cpus: (memory-only)"));
         assert!(text.contains("CXL DDR4-1333"));
     }
@@ -519,9 +467,10 @@ mod tests {
     #[test]
     fn distance_to_cxl_node_is_largest() {
         let topo = sapphire_rapids_cxl();
-        let local = topo.cpu_to_node_distance(0, 0).unwrap();
-        let remote = topo.cpu_to_node_distance(0, 1).unwrap();
-        let cxl = topo.cpu_to_node_distance(0, 2).unwrap();
+        let from = topo.node_of_cpu(0).unwrap();
+        let local = topo.distances().get(from, 0).unwrap();
+        let remote = topo.distances().get(from, 1).unwrap();
+        let cxl = topo.distances().get(from, 2).unwrap();
         assert!(local < remote);
         assert!(remote < cxl);
     }

@@ -95,11 +95,6 @@ impl<'p, T: PmemScalar> PersistentArray<'p, T> {
         self.oid.is_empty()
     }
 
-    /// Total payload size in bytes.
-    pub fn byte_len(&self) -> u64 {
-        self.len() * T::SIZE as u64
-    }
-
     fn offset_of(&self, index: u64) -> Result<u64> {
         self.oid
             .element_offset(index, T::SIZE as u64)
@@ -325,7 +320,6 @@ mod tests {
         let pool = pool();
         let array = PersistentArray::<f64>::allocate(&pool, 1000).unwrap();
         assert_eq!(array.len(), 1000);
-        assert_eq!(array.byte_len(), 8000);
         assert_eq!(array.get(0).unwrap(), 0.0);
         array.set(500, 3.5).unwrap();
         assert_eq!(array.get(500).unwrap(), 3.5);

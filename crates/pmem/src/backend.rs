@@ -207,11 +207,6 @@ impl VolatileBackend {
             ..Self::new(capacity)
         }
     }
-
-    /// Number of independent handles to this storage.
-    pub fn handle_count(&self) -> usize {
-        Arc::strong_count(&self.memory)
-    }
 }
 
 impl PoolBackend for VolatileBackend {
@@ -570,7 +565,6 @@ mod tests {
         let mut buf = [0u8; 6];
         b.read_at(0, &mut buf).unwrap();
         assert_eq!(&buf, b"shared");
-        assert_eq!(a.handle_count(), 2);
     }
 
     #[test]

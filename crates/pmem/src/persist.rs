@@ -96,14 +96,6 @@ impl PersistTracker {
             bytes_persisted: self.bytes_persisted.load(Ordering::Relaxed),
         }
     }
-
-    /// Resets all counters to zero.
-    pub fn reset(&self) {
-        self.flushes.store(0, Ordering::Relaxed);
-        self.lines_flushed.store(0, Ordering::Relaxed);
-        self.drains.store(0, Ordering::Relaxed);
-        self.bytes_persisted.store(0, Ordering::Relaxed);
-    }
 }
 
 #[cfg(test)]
@@ -192,14 +184,5 @@ mod tests {
         assert_eq!(delta.bytes_persisted, 128);
         // Saturating: subtracting a later snapshot from an earlier one is zero.
         assert_eq!(before - tracker.stats(), PersistStats::default());
-    }
-
-    #[test]
-    fn reset_clears_counters() {
-        let tracker = PersistTracker::new();
-        let backend = backend();
-        tracker.persist(&backend, 0, 4096).unwrap();
-        tracker.reset();
-        assert_eq!(tracker.stats(), PersistStats::default());
     }
 }

@@ -55,16 +55,6 @@ impl Kernel {
         self.read_bytes_per_element() + self.write_bytes_per_element()
     }
 
-    /// Floating-point operations per element.
-    pub fn flops_per_element(&self) -> u64 {
-        match self {
-            Kernel::Copy => 0,
-            Kernel::Scale => 1,
-            Kernel::Add => 1,
-            Kernel::Triad => 2,
-        }
-    }
-
     /// Parses a kernel name (case-insensitive).
     pub fn parse(name: &str) -> Option<Kernel> {
         match name.to_ascii_lowercase().as_str() {
@@ -289,8 +279,6 @@ mod tests {
         assert_eq!(Kernel::Scale.bytes_per_element(), 16);
         assert_eq!(Kernel::Add.bytes_per_element(), 24);
         assert_eq!(Kernel::Triad.bytes_per_element(), 24);
-        assert_eq!(Kernel::Triad.flops_per_element(), 2);
-        assert_eq!(Kernel::Copy.flops_per_element(), 0);
         let config = StreamConfig::small(1000);
         assert_eq!(config.bytes_per_invocation(Kernel::Add), 24_000);
     }

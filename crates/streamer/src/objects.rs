@@ -634,16 +634,6 @@ mod tests {
         assert_eq!(json.matches("\"classes\"").count(), 1);
     }
 
-    /// The CI-gated full-scale run (≥ 100k objects, 4 hosts). Ignored in
-    /// debug test runs — the release crash-matrix job exercises it.
-    #[test]
-    #[cfg_attr(debug_assertions, ignore)]
-    fn full_scale_meets_the_ci_gate() {
-        let report = run_objects(&ObjectsConfig::full()).unwrap();
-        assert!(report.objects >= 100_000);
-        assert!(report.all_hold());
-    }
-
     #[test]
     fn percentile_is_nearest_rank() {
         let data = [1.0, 2.0, 3.0, 4.0, 5.0];

@@ -5,6 +5,7 @@ use cxl_pmem::{
     AccessMode, CxlPmemRuntime, ModeProperties, Result as RuntimeResult, RuntimeBuilder,
 };
 use memsim::machines::sapphire_rapids_cxl_upgraded;
+use memsim::LinkKind;
 use numa::AffinityPolicy;
 use stream_bench::{Kernel, SimulatedStream, StreamConfig};
 
@@ -121,9 +122,12 @@ pub fn table2() -> RuntimeResult<Table> {
     let cxl_bw = cxl_rt.peak_bandwidth_gbs(0, 2, AccessMode::MemoryMode)?;
     let dcpmm_bw = dcpmm_rt.peak_bandwidth_gbs(0, 2, AccessMode::MemoryMode)?;
     let cxl_link = cxl_rt
-        .fpga()
-        .map(|f| f.endpoint().link().effective_bandwidth_gbs())
-        .unwrap_or(0.0);
+        .machine()
+        .path(0, 2)?
+        .links
+        .iter()
+        .find(|link| link.kind == LinkKind::PcieGen5x16)
+        .map_or(0.0, |link| link.bandwidth_gbs);
     let row = |aspect: &str, cxl: String, nvram: String| vec![aspect.to_string(), cxl, nvram];
     Ok(Table {
         title: "Table 2: CXL memory vs NVRAM (Optane DCPMM) for disaggregated HPC".to_string(),

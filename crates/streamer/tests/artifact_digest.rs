@@ -67,7 +67,7 @@ fn modelled_artifacts_are_pinned() {
         digest = fnv1a(digest, content.as_bytes());
     }
     assert_eq!(
-        digest, 0xd6f5_00f8_2862_e58d,
+        digest, 0x1d4b_c227_7534_29c1,
         "modelled artifacts moved: {digest:#018x}"
     );
 }

@@ -2,7 +2,7 @@
 //!
 //! Generates the Triad sub-figures (Figure 8a–8e), the headline bandwidth
 //! table and the §4 analysis, printing everything as Markdown. This is the
-//! same machinery the `streamer` CLI and the Criterion benches drive.
+//! same machinery the `streamer` CLI drives.
 //!
 //! Run with: `cargo run --example stream_sweep --release`
 
