@@ -266,9 +266,49 @@ impl AdmissionController {
         bytes: u64,
         now: f64,
     ) -> Result<Decision, AdmissionError> {
+        self.lock().submit(class, bytes, now)
+    }
+
+    /// Advances virtual time to `now`, refills every bucket, and grants
+    /// queued requests — classes drained highest-priority-first, FIFO within
+    /// a class, each grant spending its own class's tokens. Returns the
+    /// permits granted by this poll (each queued grant id is returned at most
+    /// once across the controller's lifetime).
+    pub fn poll(&self, now: f64) -> Vec<Permit> {
+        self.lock().poll(now)
+    }
+
+    /// [`submit`](Self::submit), then — unless the submit was refused —
+    /// [`poll`](Self::poll) at the same `now`, under one lock: the two calls
+    /// a served op makes, taking the lock every host's ops share once. The
+    /// result is what the two calls would return one after the other.
+    pub fn submit_and_poll(
+        &self,
+        class: QosClass,
+        bytes: u64,
+        now: f64,
+    ) -> Result<(Decision, Vec<Permit>), AdmissionError> {
         let mut inner = self.lock();
-        let grant = inner.next_grant;
-        let state = &mut inner.classes[class.index()];
+        let decision = inner.submit(class, bytes, now)?;
+        Ok((decision, inner.poll(now)))
+    }
+
+    /// Number of requests currently queued in `class`.
+    pub fn queued(&self, class: QosClass) -> usize {
+        self.lock().classes[class.index()].queue.len()
+    }
+}
+
+impl Inner {
+    /// The body of [`AdmissionController::submit`].
+    fn submit(
+        &mut self,
+        class: QosClass,
+        bytes: u64,
+        now: f64,
+    ) -> Result<Decision, AdmissionError> {
+        let grant = self.next_grant;
+        let state = &mut self.classes[class.index()];
         if state.config.rate_bytes_per_sec <= 0.0 {
             return Err(AdmissionError::ClassClosed { class });
         }
@@ -285,7 +325,7 @@ impl AdmissionController {
         // it would let a stream of small requests starve a big queued one).
         if state.queue.is_empty() && state.tokens >= bytes as f64 {
             state.tokens -= bytes as f64;
-            inner.next_grant += 1;
+            self.next_grant += 1;
             return Ok(Decision::Admitted(Permit {
                 grant,
                 class,
@@ -299,20 +339,15 @@ impl AdmissionController {
             });
         }
         state.queue.push_back((grant, bytes));
-        inner.next_grant += 1;
+        self.next_grant += 1;
         Ok(Decision::Queued(Ticket { grant, class }))
     }
 
-    /// Advances virtual time to `now`, refills every bucket, and grants
-    /// queued requests — classes drained highest-priority-first, FIFO within
-    /// a class, each grant spending its own class's tokens. Returns the
-    /// permits granted by this poll (each queued grant id is returned at most
-    /// once across the controller's lifetime).
-    pub fn poll(&self, now: f64) -> Vec<Permit> {
+    /// The body of [`AdmissionController::poll`].
+    fn poll(&mut self, now: f64) -> Vec<Permit> {
         let mut granted = Vec::new();
-        let mut inner = self.lock();
         for class in QosClass::ALL {
-            let state = &mut inner.classes[class.index()];
+            let state = &mut self.classes[class.index()];
             state.refill(now);
             while let Some(&(grant, bytes)) = state.queue.front() {
                 if state.tokens < bytes as f64 {
@@ -328,11 +363,6 @@ impl AdmissionController {
             }
         }
         granted
-    }
-
-    /// Number of requests currently queued in `class`.
-    pub fn queued(&self, class: QosClass) -> usize {
-        self.lock().classes[class.index()].queue.len()
     }
 }
 
@@ -545,6 +575,66 @@ mod tests {
         }
         let permits = c.poll(1.0);
         assert_eq!(permits.first().map(|p| p.grant), Some(big.grant));
+    }
+
+    #[test]
+    fn submit_and_poll_is_a_submit_then_a_poll_and_a_refusal_skips_the_poll() {
+        // Two controllers take the same requests: one through submit and
+        // then (when it admitted or queued) poll, one through
+        // submit_and_poll. Every decision, permit and queue length agrees.
+        let tight = ClassConfig {
+            rate_bytes_per_sec: 10.0 * MIB as f64,
+            burst_bytes: 20 * MIB,
+            queue_depth: 3,
+        };
+        let configs = [tight, tight, ClassConfig::closed()];
+        let (apart, together) = (
+            AdmissionController::new(configs),
+            AdmissionController::new(configs),
+        );
+        let mut seed = 0x5eed_u64;
+        let (mut refused, mut granted) = (0, 0);
+        for step in 0..400u32 {
+            seed = seed
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            let class = QosClass::ALL[(seed >> 33) as usize % 3];
+            let bytes = (seed >> 40) % (24 * MIB);
+            let now = f64::from(step) * 0.05;
+            let one = apart
+                .submit(class, bytes, now)
+                .map(|d| (d, apart.poll(now)));
+            let both = together.submit_and_poll(class, bytes, now);
+            assert_eq!(one, both, "step {step}");
+            refused += usize::from(one.is_err());
+            granted += one.map_or(0, |(_, permits)| permits.len());
+            for class in QosClass::ALL {
+                assert_eq!(apart.queued(class), together.queued(class));
+            }
+        }
+        assert!(
+            refused > 0 && granted > 0,
+            "{refused} refused, {granted} granted"
+        );
+        assert_eq!(apart.poll(1e3), together.poll(1e3));
+
+        // A refused submit polls nothing: the queued request it would have
+        // granted waits for the next poll.
+        let c = AdmissionController::new([tight; 3]);
+        c.submit(QosClass::Checkpoint, 20 * MIB, 0.0).unwrap();
+        let queued = match c.submit(QosClass::Checkpoint, MIB, 0.0).unwrap() {
+            Decision::Queued(t) => t,
+            other => panic!("expected queue, got {other:?}"),
+        };
+        assert!(c
+            .submit_and_poll(QosClass::Checkpoint, 21 * MIB, 1.0)
+            .is_err());
+        assert_eq!(c.queued(QosClass::Checkpoint), 1);
+        let permits = c.poll(1.0);
+        assert_eq!(
+            permits.iter().map(|p| p.grant).collect::<Vec<_>>(),
+            vec![queued.grant]
+        );
     }
 
     mod properties {

@@ -79,7 +79,9 @@ pub use pmem::{
 
 use crate::admission::{AdmissionController, QosClass};
 use crate::PooledChunkExecutor;
-use cxl::{CxlError, CxlSwitch, HostId, PoolAllocation, PortId, SharedRegion, Type3Device};
+use cxl::{
+    Attachment, CxlError, CxlSwitch, HostId, PoolAllocation, PortId, SharedRegion, Type3Device,
+};
 use numa::PinnedPool;
 use pmem::{ChunkExecutor, PmemError, PmemOid};
 use std::collections::hash_map::Entry;
@@ -425,6 +427,7 @@ impl ClusterHost {
         let allocation_id = allocation.id;
         let created = (|| {
             let region = Arc::new(switch.shared_region(&allocation, self.shared.mode)?);
+            let attachment = region.attach(self.host);
             let backend = SharedRegionBackend::new(Arc::clone(&region), self.host);
             let pool = Arc::new(PmemPool::create_with_backend(Arc::new(backend), &name)?);
             pool.set_root(format(&pool)?, data_len)?;
@@ -443,7 +446,7 @@ impl ClusterHost {
                 Entry::Occupied(taken) => Err(ClusterError::SegmentExists(taken.key().clone())),
                 Entry::Vacant(slot) => {
                     slot.insert(Arc::clone(&segment));
-                    Ok(HostHandle::new(self.host, segment, Some(payload)))
+                    Ok(HostHandle::new(attachment, segment, Some(payload)))
                 }
             }
         })();
@@ -463,8 +466,8 @@ impl ClusterHost {
             .get(name)
             .cloned()
             .ok_or_else(|| ClusterError::UnknownSegment(name.to_string()))?;
-        segment.region.attach(self.host);
-        Ok(HostHandle::new(self.host, segment, None))
+        let attachment = segment.region.attach(self.host);
+        Ok(HostHandle::new(attachment, segment, None))
     }
 }
 
@@ -502,7 +505,9 @@ impl SegmentPayload for ObjectStore<'static> {
 /// attach and take over (undo-log recovery rolls back a commit the dead host
 /// tore).
 pub struct HostHandle<P> {
-    host: HostId,
+    /// The host's attachment to the segment's region: every protocol call
+    /// and view check goes through it, with no host-table lookup.
+    attachment: Attachment,
     segment: Arc<Segment>,
     /// The opened layout (shared ownership of its pool). Kept across calls
     /// so its caches survive — an unchanged checkpoint stays a
@@ -527,7 +532,7 @@ pub type HostStore = HostHandle<ObjectStore<'static>>;
 impl<P> fmt::Debug for HostHandle<P> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("HostHandle")
-            .field("host", &self.host)
+            .field("host", &self.attachment.host())
             .field("segment", &self.segment.name)
             .field("pool_open", &self.payload.is_some())
             .field("front_door", &self.front_door.is_some())
@@ -536,10 +541,10 @@ impl<P> fmt::Debug for HostHandle<P> {
 }
 
 impl<P: SegmentPayload> HostHandle<P> {
-    fn new(host: HostId, segment: Arc<Segment>, payload: Option<P>) -> Self {
+    fn new(attachment: Attachment, segment: Arc<Segment>, payload: Option<P>) -> Self {
         HostHandle {
-            layout_version: segment.region.version(),
-            host,
+            layout_version: attachment.region_version(),
+            attachment,
             segment,
             payload,
             front_door: None,
@@ -553,7 +558,7 @@ impl<P: SegmentPayload> HostHandle<P> {
 
     /// The host this handle acts as.
     pub fn host(&self) -> HostId {
-        self.host
+        self.attachment.host()
     }
 
     /// The shared window the segment lives in (stats, protocol state).
@@ -572,19 +577,23 @@ impl<P: SegmentPayload> HostHandle<P> {
     /// staged put discarded this way surfaces as a typed `commit without a
     /// staged put` error; stage it again against the refreshed view.
     pub fn acquire(&mut self) -> ClusterResult<u64> {
-        Ok(self.segment.region.acquire(self.host)?)
+        Ok(self.attachment.acquire())
     }
 
     /// The coherence check. Under software-managed coherence a read needs a
     /// published segment and a current view; a write needs a current view
     /// only once the segment was published, because the creator is the one
     /// establishing publication. Hardware coherence refuses nothing.
+    ///
+    /// The region version is loaded once: a view is current when the host's
+    /// acquired version equals it.
     fn check_view(&self, write: bool) -> ClusterResult<()> {
-        let region = &self.segment.region;
-        if region.mode() != CoherenceMode::SoftwareManaged {
+        let attachment = &self.attachment;
+        if attachment.mode() != CoherenceMode::SoftwareManaged {
             return Ok(());
         }
-        if region.version() == 0 {
+        let version = attachment.region_version();
+        if version == 0 {
             if write {
                 return Ok(());
             }
@@ -592,9 +601,9 @@ impl<P: SegmentPayload> HostHandle<P> {
                 segment: self.segment.name.clone(),
             });
         }
-        if !region.is_up_to_date(self.host) {
+        if attachment.acquired_version() != version {
             return Err(ClusterError::NotAcquired {
-                host: self.host,
+                host: attachment.host(),
                 segment: self.segment.name.clone(),
             });
         }
@@ -609,15 +618,16 @@ impl<P: SegmentPayload> HostHandle<P> {
     /// another host published (and this host acquired, through this handle
     /// or another) or, under hardware coherence, wrote.
     fn payload(&mut self) -> pmem::Result<&mut P> {
-        let region = &self.segment.region;
-        if self.layout_version != region.version() {
+        let version = self.attachment.region_version();
+        if self.layout_version != version {
             self.payload = None;
         }
         match &mut self.payload {
             Some(payload) => Ok(payload),
             slot @ None => {
-                self.layout_version = region.version();
-                let backend = SharedRegionBackend::new(Arc::clone(region), self.host);
+                self.layout_version = version;
+                let region = Arc::clone(&self.segment.region);
+                let backend = SharedRegionBackend::new(region, self.attachment.host());
                 let pool = PmemPool::open_with_backend(Arc::new(backend), &self.segment.name)?;
                 let payload = P::open_payload(Arc::new(pool), &self.segment.workers)?;
                 Ok(slot.insert(payload))
@@ -648,11 +658,11 @@ impl<P: SegmentPayload> HostHandle<P> {
             Ok(value) => {
                 // The layout now reflects this handle's own writes, which
                 // hardware coherence publishes one by one.
-                let region = &self.segment.region;
+                let attachment = &self.attachment;
                 if publish {
-                    self.layout_version = region.publish(self.host)?;
-                } else if region.mode() == CoherenceMode::HardwareBackInvalidate {
-                    self.layout_version = region.version();
+                    self.layout_version = attachment.publish();
+                } else if attachment.mode() == CoherenceMode::HardwareBackInvalidate {
+                    self.layout_version = attachment.region_version();
                 }
                 Ok(value)
             }
@@ -726,7 +736,8 @@ impl HostStore {
     /// Submits `bytes` of `class` traffic to the front door `door` (when one
     /// is attached) at virtual time `now`. Refusals surface as
     /// [`ClusterError::Admission`]; queued work proceeds (its latency is the
-    /// scenario harness's accounting), and due grants are drained.
+    /// scenario harness's accounting), and due grants are drained by the
+    /// poll the submit runs under the same lock.
     fn admit(
         door: Option<&AdmissionController>,
         class: QosClass,
@@ -734,10 +745,9 @@ impl HostStore {
         now: f64,
     ) -> ClusterResult<()> {
         if let Some(door) = door {
-            door.submit(class, bytes.max(1), now)?;
-            // Drain grants whose time has come; permits are admission-side
-            // bookkeeping, the op itself executes below either way.
-            let _ = door.poll(now);
+            // Permits are admission-side bookkeeping; the op itself
+            // executes below either way.
+            door.submit_and_poll(class, bytes.max(1), now)?;
         }
         Ok(())
     }
@@ -1387,7 +1397,8 @@ mod tests {
             crashed
         });
         println!("cross-host object commit sweep: {positions} crash positions");
-        assert_eq!(positions, 32);
+        // A commit makes thirteen backend calls.
+        assert_eq!(positions, 28);
     }
 
     #[test]
@@ -1612,6 +1623,15 @@ mod tests {
         assert_eq!(cluster.assigned_to(0), 0, "carved capacity leaked");
         assert!(cluster.segment_names().is_empty(), "name leaked");
         host.create_store("x", 16, 64).unwrap();
+    }
+
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    fn a_store_handle_is_as_large_as_with_a_host_id() {
+        // The attachment is one pointer, the size of the host id it
+        // replaced, so a `Vec<HostStore>` keeps its layout.
+        assert_eq!(std::mem::size_of::<Attachment>(), 8);
+        assert_eq!(std::mem::size_of::<HostStore>(), 136);
     }
 
     #[test]

@@ -1331,9 +1331,9 @@ mod tests {
             died(&result)
         });
         println!("migration copy sweep: {positions} crash positions");
-        // Each flip is eleven calls: the entry read and a one-range
-        // transaction.
-        assert_eq!(positions as u64, 2 * (copy_calls + 2 * 11 + 1));
+        // Each flip is ten calls: a one-range transaction that reads its
+        // entry through the transaction.
+        assert_eq!(positions as u64, 2 * (copy_calls + 2 * 10 + 1));
     }
 
     #[test]
@@ -1400,7 +1400,7 @@ mod tests {
         });
         println!("migration commit sweep: {positions} crash positions, {stranded} stranded");
         // One residency read, one shadow copy, one flip.
-        assert_eq!(positions, 2 * (1 + 3 + 11 + 1));
+        assert_eq!(positions, 2 * (1 + 3 + 10 + 1));
         // A log header torn in before it counted any entry has nothing to
         // roll back.
         assert_eq!((stranded, rolled_back), (8, 7));

@@ -63,7 +63,7 @@ pub use config::{CxlSpec, LinkConfig};
 pub use endpoint::{DeviceStats, Type3Device};
 pub use error::CxlError;
 pub use fpga::FpgaPrototype;
-pub use sharing::{CoherenceMode, SharedRegion};
+pub use sharing::{Attachment, CoherenceMode, SharedRegion};
 pub use sparse::SparseMemory;
 pub use switch::{CxlSwitch, HostId, PoolAccounting, PoolAllocation, PortId};
 

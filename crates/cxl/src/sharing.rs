@@ -14,6 +14,10 @@
 //! the writer and invalidate on the reader) and can detect unsafe access
 //! sequences, which is exactly the discipline the paper expects applications
 //! to follow.
+//!
+//! A host attaches once and keeps the [`Attachment`] it gets back: every
+//! read, write, persist and protocol call through it reaches the host's
+//! state directly, with no lock or table lookup on the data path.
 
 use crate::endpoint::Type3Device;
 use crate::error::CxlError;
@@ -46,11 +50,48 @@ pub struct HostShareStats {
     pub acquires: u64,
 }
 
+/// The part of a region every attachment shares: the device window and the
+/// publication version.
+#[derive(Debug)]
+struct Window {
+    device: Arc<Type3Device>,
+    dpa_base: u64,
+    len: u64,
+    mode: CoherenceMode,
+    /// Monotonic version, bumped by every publish.
+    version: AtomicU64,
+}
+
+impl Window {
+    /// Bumps the region version and returns the new one.
+    fn bump_version(&self) -> u64 {
+        self.version.fetch_add(1, Ordering::AcqRel) + 1
+    }
+
+    /// Validates `[offset, offset + len)` against the window, with overflow-
+    /// safe arithmetic: `offset + len` on adversarial inputs must not wrap
+    /// below `self.len` and pass.
+    fn check(&self, offset: u64, len: usize) -> Result<()> {
+        let out_of_bounds = || CxlError::OutOfBounds {
+            dpa: self.dpa_base.saturating_add(offset),
+            len,
+            capacity: self.dpa_base + self.len,
+        };
+        let end = offset.checked_add(len as u64).ok_or_else(out_of_bounds)?;
+        if end > self.len {
+            return Err(out_of_bounds());
+        }
+        Ok(())
+    }
+}
+
 /// One attached host's protocol state and traffic counters. Every field is
-/// an atomic, so data accesses update it under the host table's shared
-/// lock; the counters are relaxed, the protocol fields acquire/release.
-#[derive(Debug, Default)]
+/// an atomic, so every clone of the host's [`Attachment`] updates it without
+/// a lock; the counters are relaxed, the protocol fields acquire/release.
+#[derive(Debug)]
 struct HostState {
+    window: Arc<Window>,
+    host: usize,
     bytes_written: AtomicU64,
     bytes_read: AtomicU64,
     publishes: AtomicU64,
@@ -61,20 +102,147 @@ struct HostState {
     dirty: AtomicBool,
 }
 
+/// One host's attachment to a [`SharedRegion`]: the handle its data path
+/// and its protocol calls go through, with no lock and no host-table lookup.
+///
+/// [`SharedRegion::attach`] returns it. Clones share the host's one state,
+/// and so does every later `attach` of the same host: an acquire through any
+/// of them is the host's acquire. The region's by-id methods look the handle
+/// up and delegate to it.
+#[derive(Debug, Clone)]
+pub struct Attachment(Arc<HostState>);
+
+impl Attachment {
+    /// The host this handle acts as.
+    pub fn host(&self) -> usize {
+        self.0.host
+    }
+
+    /// Length of the shared window in bytes.
+    pub fn len(&self) -> u64 {
+        self.0.window.len
+    }
+
+    /// Returns `true` for an empty window.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The region's coherence mode.
+    pub fn mode(&self) -> CoherenceMode {
+        self.0.window.mode
+    }
+
+    /// The region's current publication version (see
+    /// [`SharedRegion::version`]).
+    pub fn region_version(&self) -> u64 {
+        self.0.window.version.load(Ordering::Acquire)
+    }
+
+    /// The region version this host last acquired, published, or (under
+    /// hardware coherence) wrote.
+    pub fn acquired_version(&self) -> u64 {
+        self.0.acquired_version.load(Ordering::Acquire)
+    }
+
+    /// Writes `data` at `offset` within the region on behalf of the host.
+    pub fn write(&self, offset: u64, data: &[u8]) -> Result<()> {
+        let (state, window) = (&self.0, &self.0.window);
+        window.check(offset, data.len())?;
+        window.device.write_bulk(window.dpa_base + offset, data)?;
+        state
+            .bytes_written
+            .fetch_add(data.len() as u64, Ordering::Relaxed);
+        // Hardware coherence publishes implicitly.
+        if window.mode == CoherenceMode::HardwareBackInvalidate {
+            state
+                .acquired_version
+                .store(window.bump_version(), Ordering::Release);
+        } else {
+            state.dirty.store(true, Ordering::Release);
+        }
+        Ok(())
+    }
+
+    /// Reads `buf.len()` bytes at `offset` on behalf of the host.
+    pub fn read(&self, offset: u64, buf: &mut [u8]) -> Result<()> {
+        let window = &self.0.window;
+        window.check(offset, buf.len())?;
+        window.device.read_bulk(window.dpa_base + offset, buf)?;
+        self.0
+            .bytes_read
+            .fetch_add(buf.len() as u64, Ordering::Relaxed);
+        Ok(())
+    }
+
+    /// Publishes the host's writes: flush its caches to the device and bump
+    /// the region version so other hosts can acquire it.
+    pub fn publish(&self) -> u64 {
+        let (state, window) = (&self.0, &self.0.window);
+        window.device.global_persistent_flush();
+        let version = window.bump_version();
+        state.dirty.store(false, Ordering::Release);
+        state.publishes.fetch_add(1, Ordering::Relaxed);
+        state.acquired_version.store(version, Ordering::Release);
+        version
+    }
+
+    /// Flushes the host's accepted writes into the device's persistence
+    /// domain **without** publishing them: media durability (the GPF path a
+    /// pool backend's `persist` maps to) is a weaker guarantee than
+    /// cross-host visibility, which still requires [`publish`](Self::publish)
+    /// under [`CoherenceMode::SoftwareManaged`].
+    pub fn persist(&self) {
+        self.0.window.device.global_persistent_flush();
+    }
+
+    /// Acquires the latest published version: invalidate the host's stale
+    /// cached copies so subsequent reads observe other hosts' publications.
+    pub fn acquire(&self) -> u64 {
+        let version = self.region_version();
+        self.0.acquired_version.store(version, Ordering::Release);
+        self.0.acquires.fetch_add(1, Ordering::Relaxed);
+        version
+    }
+
+    /// Whether the host is guaranteed (under the software protocol) to
+    /// observe every publication made so far. With hardware coherence this
+    /// is always `true`.
+    pub fn is_up_to_date(&self) -> bool {
+        match self.mode() {
+            CoherenceMode::HardwareBackInvalidate => true,
+            CoherenceMode::SoftwareManaged => self.acquired_version() == self.region_version(),
+        }
+    }
+
+    /// Whether the host has written data it has not yet published.
+    pub fn has_unpublished_writes(&self) -> bool {
+        self.0.dirty.load(Ordering::Acquire)
+    }
+
+    /// The host's traffic and protocol counters.
+    pub fn stats(&self) -> HostShareStats {
+        let load = |counter: &AtomicU64| counter.load(Ordering::Relaxed);
+        HostShareStats {
+            bytes_written: load(&self.0.bytes_written),
+            bytes_read: load(&self.0.bytes_read),
+            publishes: load(&self.0.publishes),
+            acquires: load(&self.0.acquires),
+        }
+    }
+}
+
 /// A window of a Type-3 device shared by multiple hosts.
 ///
-/// Reads and writes take no exclusive lock: the host table is only locked
-/// exclusively to attach a host, and the device store is lock-striped per
-/// chunk, so hosts (and one host's parallel workers) transfer concurrently.
+/// Each host's calls go through its [`Attachment`], which takes no lock: the
+/// host table is only locked exclusively to attach a host, and the device
+/// store is lock-striped per chunk, so hosts (and one host's parallel
+/// workers) transfer concurrently. The methods that take a host id look its
+/// attachment up under the table's shared lock and delegate to it.
 #[derive(Debug)]
 pub struct SharedRegion {
-    device: Arc<Type3Device>,
-    dpa_base: u64,
-    len: u64,
-    mode: CoherenceMode,
-    hosts: RwLock<HashMap<usize, HostState>>,
-    /// Monotonic version, bumped by every publish.
-    version: AtomicU64,
+    window: Arc<Window>,
+    hosts: RwLock<HashMap<usize, Attachment>>,
 }
 
 impl SharedRegion {
@@ -100,116 +268,81 @@ impl SharedRegion {
             });
         }
         Ok(SharedRegion {
-            device,
-            dpa_base,
-            len,
-            mode,
+            window: Arc::new(Window {
+                device,
+                dpa_base,
+                len,
+                mode,
+                version: AtomicU64::new(0),
+            }),
             hosts: RwLock::new(HashMap::new()),
-            version: AtomicU64::new(0),
         })
     }
 
     /// Length of the shared window in bytes.
     pub fn len(&self) -> u64 {
-        self.len
+        self.window.len
     }
 
     /// Returns `true` for an empty window.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.window.len == 0
     }
 
     /// The coherence mode.
     pub fn mode(&self) -> CoherenceMode {
-        self.mode
+        self.window.mode
     }
 
-    /// Attaches a host (maps the region into its address space).
-    pub fn attach(&self, host: usize) {
-        self.hosts.write().entry(host).or_default();
+    /// Attaches a host (maps the region into its address space) and returns
+    /// its [`Attachment`]. Attaching an attached host returns a handle on its
+    /// existing state.
+    pub fn attach(&self, host: usize) -> Attachment {
+        let mut hosts = self.hosts.write();
+        let attachment = hosts.entry(host).or_insert_with(|| {
+            Attachment(Arc::new(HostState {
+                window: Arc::clone(&self.window),
+                host,
+                bytes_written: AtomicU64::new(0),
+                bytes_read: AtomicU64::new(0),
+                publishes: AtomicU64::new(0),
+                acquires: AtomicU64::new(0),
+                acquired_version: AtomicU64::new(0),
+                dirty: AtomicBool::new(false),
+            }))
+        });
+        attachment.clone()
     }
 
-    /// Runs `f` on `host`'s state, or fails if the host is not attached.
-    fn with_host<R>(&self, host: usize, f: impl FnOnce(&HostState) -> Result<R>) -> Result<R> {
+    /// Runs `f` on `host`'s attachment, or fails if the host is not attached.
+    fn with_host<R>(&self, host: usize, f: impl FnOnce(&Attachment) -> Result<R>) -> Result<R> {
         let hosts = self.hosts.read();
-        let state = hosts.get(&host).ok_or(CxlError::NotAttached { host })?;
-        f(state)
+        let attachment = hosts.get(&host).ok_or(CxlError::NotAttached { host })?;
+        f(attachment)
     }
 
-    /// Bumps the region version and returns the new one.
-    fn bump_version(&self) -> u64 {
-        self.version.fetch_add(1, Ordering::AcqRel) + 1
-    }
-
-    /// Validates `[offset, offset + len)` against the window, with overflow-
-    /// safe arithmetic: `offset + len` on adversarial inputs must not wrap
-    /// below `self.len` and pass.
-    fn check_window(&self, offset: u64, len: usize) -> Result<()> {
-        let out_of_bounds = || CxlError::OutOfBounds {
-            dpa: self.dpa_base.saturating_add(offset),
-            len,
-            capacity: self.dpa_base + self.len,
-        };
-        let end = offset.checked_add(len as u64).ok_or_else(out_of_bounds)?;
-        if end > self.len {
-            return Err(out_of_bounds());
-        }
-        Ok(())
-    }
-
-    /// Writes `data` at `offset` within the region on behalf of `host`.
+    /// Writes `data` at `offset` within the region on behalf of `host`
+    /// ([`Attachment::write`]).
     pub fn write(&self, host: usize, offset: u64, data: &[u8]) -> Result<()> {
-        self.with_host(host, |state| {
-            self.check_window(offset, data.len())?;
-            self.device.write_bulk(self.dpa_base + offset, data)?;
-            state
-                .bytes_written
-                .fetch_add(data.len() as u64, Ordering::Relaxed);
-            // Hardware coherence publishes implicitly.
-            if self.mode == CoherenceMode::HardwareBackInvalidate {
-                state
-                    .acquired_version
-                    .store(self.bump_version(), Ordering::Release);
-            } else {
-                state.dirty.store(true, Ordering::Release);
-            }
-            Ok(())
-        })
+        self.with_host(host, |a| a.write(offset, data))
     }
 
-    /// Reads `buf.len()` bytes at `offset` on behalf of `host`.
+    /// Reads `buf.len()` bytes at `offset` on behalf of `host`
+    /// ([`Attachment::read`]).
     pub fn read(&self, host: usize, offset: u64, buf: &mut [u8]) -> Result<()> {
-        self.with_host(host, |state| {
-            self.check_window(offset, buf.len())?;
-            self.device.read_bulk(self.dpa_base + offset, buf)?;
-            state
-                .bytes_read
-                .fetch_add(buf.len() as u64, Ordering::Relaxed);
-            Ok(())
-        })
+        self.with_host(host, |a| a.read(offset, buf))
     }
 
-    /// Publishes the host's writes: flush its caches to the device and bump the
-    /// region version so other hosts can acquire it.
+    /// Publishes `host`'s writes ([`Attachment::publish`]).
     pub fn publish(&self, host: usize) -> Result<u64> {
-        self.with_host(host, |state| {
-            self.device.global_persistent_flush();
-            let version = self.bump_version();
-            state.dirty.store(false, Ordering::Release);
-            state.publishes.fetch_add(1, Ordering::Relaxed);
-            state.acquired_version.store(version, Ordering::Release);
-            Ok(version)
-        })
+        self.with_host(host, |a| Ok(a.publish()))
     }
 
-    /// Flushes the host's accepted writes into the device's persistence
-    /// domain **without** publishing them: media durability (the GPF path a
-    /// pool backend's `persist` maps to) is a weaker guarantee than
-    /// cross-host visibility, which still requires [`publish`](Self::publish)
-    /// under [`CoherenceMode::SoftwareManaged`].
+    /// Flushes `host`'s accepted writes without publishing them
+    /// ([`Attachment::persist`]).
     pub fn persist(&self, host: usize) -> Result<()> {
-        self.with_host(host, |_| {
-            self.device.global_persistent_flush();
+        self.with_host(host, |a| {
+            a.persist();
             Ok(())
         })
     }
@@ -218,53 +351,31 @@ impl SharedRegion {
     /// [`publish`](Self::publish) — and, under hardware coherence, every
     /// write — bumps it.
     pub fn version(&self) -> u64 {
-        self.version.load(Ordering::Acquire)
+        self.window.version.load(Ordering::Acquire)
     }
 
-    /// Acquires the latest published version: invalidate the host's stale
-    /// cached copies so subsequent reads observe other hosts' publications.
+    /// Acquires the latest published version for `host`
+    /// ([`Attachment::acquire`]).
     pub fn acquire(&self, host: usize) -> Result<u64> {
-        self.with_host(host, |state| {
-            let version = self.version();
-            state.acquired_version.store(version, Ordering::Release);
-            state.acquires.fetch_add(1, Ordering::Relaxed);
-            Ok(version)
-        })
+        self.with_host(host, |a| Ok(a.acquire()))
     }
 
-    /// Whether `host` is guaranteed (under the software protocol) to observe
-    /// every publication made so far. With hardware coherence this is always
-    /// `true` once attached.
+    /// Whether `host` is guaranteed to observe every publication made so far
+    /// ([`Attachment::is_up_to_date`]); `false` for a host never attached.
     pub fn is_up_to_date(&self, host: usize) -> bool {
-        self.with_host(host, |state| {
-            Ok(match self.mode {
-                CoherenceMode::HardwareBackInvalidate => true,
-                CoherenceMode::SoftwareManaged => {
-                    state.acquired_version.load(Ordering::Acquire) == self.version()
-                }
-            })
-        })
-        .unwrap_or(false)
+        self.with_host(host, |a| Ok(a.is_up_to_date()))
+            .unwrap_or(false)
     }
 
     /// Whether `host` has written data it has not yet published.
     pub fn has_unpublished_writes(&self, host: usize) -> bool {
-        self.with_host(host, |state| Ok(state.dirty.load(Ordering::Acquire)))
+        self.with_host(host, |a| Ok(a.has_unpublished_writes()))
             .unwrap_or(false)
     }
 
-    /// Per-host statistics.
+    /// Per-host statistics; `None` for a host never attached.
     pub fn stats(&self, host: usize) -> Option<HostShareStats> {
-        self.with_host(host, |state| {
-            let load = |counter: &AtomicU64| counter.load(Ordering::Relaxed);
-            Ok(HostShareStats {
-                bytes_written: load(&state.bytes_written),
-                bytes_read: load(&state.bytes_read),
-                publishes: load(&state.publishes),
-                acquires: load(&state.acquires),
-            })
-        })
-        .ok()
+        self.with_host(host, |a| Ok(a.stats())).ok()
     }
 }
 
@@ -441,6 +552,96 @@ mod tests {
         r.acquire(2).unwrap();
         assert!(r.is_up_to_date(2));
         assert!(!r.is_up_to_date(9), "unattached hosts are never up to date");
+    }
+
+    #[test]
+    fn traffic_through_a_handle_counts_in_the_hosts_stats() {
+        let r = region(CoherenceMode::SoftwareManaged);
+        let handle = r.attach(3);
+        assert_eq!(handle.host(), 3);
+        assert_eq!(handle.len(), r.len());
+        handle.write(100, &[5; 300]).unwrap();
+        let mut buf = [0u8; 120];
+        handle.read(150, &mut buf).unwrap();
+        assert!(buf.iter().all(|&b| b == 5));
+        // By id and through the handle, the same bytes count in one place.
+        r.write(3, 0, &[1; 7]).unwrap();
+        handle.persist();
+        assert!(handle.has_unpublished_writes());
+        let version = handle.publish();
+        assert_eq!(version, r.version());
+        let stats = r.stats(3).unwrap();
+        assert_eq!(stats, handle.stats());
+        assert_eq!(
+            stats,
+            HostShareStats {
+                bytes_written: 307,
+                bytes_read: 120,
+                publishes: 1,
+                acquires: 0,
+            }
+        );
+        // A refused access counts nothing.
+        assert!(handle.write(8 * MIB - 1, &[0; 2]).is_err());
+        assert_eq!(r.stats(3).unwrap(), stats);
+    }
+
+    #[test]
+    fn two_handles_of_one_host_share_one_state() {
+        let r = region(CoherenceMode::SoftwareManaged);
+        let (first, writer) = (r.attach(1), r.attach(0));
+        let second = r.attach(1);
+        let clone = first.clone();
+        writer.write(0, b"v1").unwrap();
+        let v1 = writer.publish();
+        assert!(!first.is_up_to_date() && !second.is_up_to_date());
+        // An acquire through either handle is the host's acquire.
+        assert_eq!(second.acquire(), v1);
+        assert!(first.is_up_to_date() && clone.is_up_to_date());
+        assert_eq!(first.acquired_version(), v1);
+        assert!(r.is_up_to_date(1));
+        writer.publish();
+        assert!(!first.is_up_to_date() && !r.is_up_to_date(1));
+        clone.acquire();
+        assert!(second.is_up_to_date());
+        assert_eq!(r.stats(1).unwrap().acquires, 2);
+    }
+
+    #[test]
+    fn a_write_through_a_handle_bumps_the_version_under_hardware_coherence() {
+        let r = region(CoherenceMode::HardwareBackInvalidate);
+        let (writer, reader) = (r.attach(0), r.attach(1));
+        assert_eq!(writer.region_version(), 0);
+        writer.write(0, &[1; 64]).unwrap();
+        assert_eq!(r.version(), 1);
+        assert_eq!(writer.acquired_version(), 1);
+        assert!(!writer.has_unpublished_writes());
+        // The reader never acquired and is up to date all the same.
+        assert_eq!(reader.acquired_version(), 0);
+        assert!(reader.is_up_to_date());
+        writer.write(64, &[2; 64]).unwrap();
+        assert_eq!(reader.region_version(), 2);
+    }
+
+    #[test]
+    fn a_call_by_id_for_a_host_never_attached_is_refused() {
+        let r = region(CoherenceMode::SoftwareManaged);
+        let attached = r.attach(0);
+        attached.write(0, &[3; 8]).unwrap();
+        let mut buf = [0u8; 8];
+        for result in [
+            r.write(1, 0, &[1; 8]),
+            r.read(1, 0, &mut buf),
+            r.persist(1),
+            r.publish(1).map(drop),
+            r.acquire(1).map(drop),
+        ] {
+            assert!(matches!(result, Err(CxlError::NotAttached { host: 1 })));
+        }
+        assert!(r.stats(1).is_none());
+        assert!(!r.is_up_to_date(1) && !r.has_unpublished_writes(1));
+        assert_eq!(buf, [0; 8]);
+        assert_eq!(r.version(), 0, "a refused publish bumps nothing");
     }
 
     #[test]

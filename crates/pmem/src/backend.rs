@@ -35,7 +35,7 @@
 use crate::error::PmemError;
 use crate::Result;
 use cxl::sparse::{ranges_overlap, ApplyFn, MAX_APPLY_INPUTS};
-use cxl::{SharedRegion, SparseMemory};
+use cxl::{Attachment, SharedRegion, SparseMemory};
 use parking_lot::RwLock;
 use std::cell::Cell;
 use std::fs::{File, OpenOptions};
@@ -344,53 +344,50 @@ impl PoolBackend for FileBackend {
 /// bytes sit in a `cxl::SharedRegion` carved out of a switch-managed memory
 /// pool, and *which host* is doing the access matters — the region tracks
 /// per-host traffic and the publish/acquire coherence protocol. The backend
-/// attaches its host on construction; every read/write goes through the
-/// region under that host id, and `persist` maps to the region's
+/// attaches its host on construction and keeps the host's
+/// [`cxl::Attachment`], so every read/write goes straight to the host's state
+/// without a host-table lookup, and `persist` maps to the region's
 /// media-durability flush (GPF), **not** to `publish` — a checkpoint becomes
 /// visible to other hosts only when the owning layer publishes explicitly
 /// after the commit record is durable.
 pub struct SharedRegionBackend {
-    region: Arc<SharedRegion>,
-    host: usize,
+    attachment: Attachment,
 }
 
 impl SharedRegionBackend {
     /// Creates a backend over `region` acting as `host` (attaching the host
     /// to the region if it is not attached yet).
     pub fn new(region: Arc<SharedRegion>, host: usize) -> Self {
-        region.attach(host);
-        SharedRegionBackend { region, host }
-    }
-
-    /// The shared region the pool bytes live in.
-    pub fn region(&self) -> Arc<SharedRegion> {
-        Arc::clone(&self.region)
+        SharedRegionBackend {
+            attachment: region.attach(host),
+        }
     }
 
     /// The host this backend accesses the region as.
     pub fn host(&self) -> usize {
-        self.host
+        self.attachment.host()
     }
 }
 
 impl PoolBackend for SharedRegionBackend {
     fn capacity(&self) -> u64 {
-        self.region.len()
+        self.attachment.len()
     }
 
     fn read_at(&self, offset: u64, buf: &mut [u8]) -> Result<()> {
-        check_bounds(self.region.len(), offset, buf.len())?;
-        Ok(self.region.read(self.host, offset, buf)?)
+        check_bounds(self.capacity(), offset, buf.len())?;
+        Ok(self.attachment.read(offset, buf)?)
     }
 
     fn write_at(&self, offset: u64, data: &[u8]) -> Result<()> {
-        check_bounds(self.region.len(), offset, data.len())?;
-        Ok(self.region.write(self.host, offset, data)?)
+        check_bounds(self.capacity(), offset, data.len())?;
+        Ok(self.attachment.write(offset, data)?)
     }
 
     fn persist(&self, offset: u64, len: u64) -> Result<()> {
-        check_bounds(self.region.len(), offset, len as usize)?;
-        Ok(self.region.persist(self.host)?)
+        check_bounds(self.capacity(), offset, len as usize)?;
+        self.attachment.persist();
+        Ok(())
     }
 
     fn is_persistent(&self) -> bool {
@@ -402,9 +399,9 @@ impl PoolBackend for SharedRegionBackend {
     fn describe(&self) -> String {
         format!(
             "shared-cxl[host {}, {} bytes, {:?}]",
-            self.host,
-            self.region.len(),
-            self.region.mode()
+            self.host(),
+            self.capacity(),
+            self.attachment.mode()
         )
     }
 }

@@ -33,14 +33,17 @@
 //!    committed slot is never touched.
 //! 2. **Drain** — [`ObjectStore::commit`] issues one `drain()`, making the
 //!    staged payload durable before any commit record can name it.
-//! 3. **Entry commit** — the new directory entry (epoch + 1, length, payload
-//!    hash, entry checksum) and the descriptor counter pair (`commit_seq`,
-//!    `live`: one adjacent 16-byte range, read with one read) are written
-//!    inside one undo-log transaction, logged as one two-range batch
-//!    ([`Transaction::write_all`](crate::tx::Transaction::write_all)). A
-//!    crash before the log commit rolls the entry back; a crash after it
-//!    leaves the new version fully durable. With the put's three calls, a
-//!    `put_commit` makes 18 backend calls.
+//! 3. **Entry commit** — one undo-log transaction reads the directory entry
+//!    and the descriptor counter pair (`commit_seq`, `live`: one adjacent
+//!    16-byte range, read with one read) through the transaction, then
+//!    writes the new entry (epoch + 1, length, payload hash, entry checksum)
+//!    and counters as one two-range batch
+//!    ([`Transaction::write_all`](crate::tx::Transaction::write_all)) whose
+//!    undo entries are the bytes those reads returned. A crash before the
+//!    log commit rolls the entry back; a crash after it leaves the new
+//!    version fully durable. A commit makes 13 backend calls (the log
+//!    header, entry and counter reads; five writes; five persists), so with
+//!    the put's three a `put_commit` makes 16.
 //!
 //! Readers validate the entry checksum and the payload hash on every
 //! [`ObjectStore::get`], so external corruption (or a bug in the protocol)
@@ -261,34 +264,15 @@ impl<'p> ObjectStore<'p> {
         Ok(())
     }
 
-    /// Reads and decodes object `id`'s directory entry. `Ok(None)` = free
-    /// entry; tag or checksum mismatches surface as typed errors (the entry
-    /// is tx-guarded, so a mismatch means external corruption, not a
-    /// protocol tear).
+    /// Reads and decodes object `id`'s directory entry.
     fn read_entry(&self, id: u64) -> Result<Option<Entry>> {
         let mut bytes = [0u8; ENTRY_SIZE as usize];
         self.pool.read(self.entry_off(id), &mut bytes)?;
-        // A free entry is all zeros, so its tag is read before the checksum.
-        if bytes.starts_with(&[0; 8]) {
-            return Ok(None);
-        }
-        let [tag, epoch, len, value_hash] = versioned::unseal(&bytes)
-            .ok_or(PmemError::ObjectStore("directory entry checksum mismatch"))?;
-        if tag != id + 1 {
-            return Err(PmemError::ObjectStore("directory entry tag mismatch"));
-        }
-        Ok(Some(Entry {
-            epoch,
-            len,
-            value_hash,
-        }))
+        decode_entry(id, &bytes)
     }
 
     /// Reads the descriptor counters `[commit_seq, live]` (descriptor offsets
-    /// 32 and 40) from media with one read. Mutations base their new counter
-    /// values on this durable truth, not on the handle's volatile snapshot —
-    /// another handle on the same media (e.g. another host of a shared
-    /// segment) may have committed since this one was opened.
+    /// 32 and 40) from media with one read.
     fn desc_counters(&self) -> Result<[u64; 2]> {
         let mut words = [[0u8; 8]; 2];
         self.pool
@@ -296,27 +280,17 @@ impl<'p> ObjectStore<'p> {
         Ok(words.map(u64::from_le_bytes))
     }
 
-    /// Writes object `id`'s directory entry and the descriptor counters
-    /// `[commit_seq, live]` as one undo-logged commit record, logged as one
-    /// two-range batch, then takes the new counters and drops any stage of
-    /// `id`.
-    fn commit_entry(
-        &mut self,
-        id: u64,
-        entry: &[u8; ENTRY_SIZE as usize],
-        counters: [u64; 2],
-    ) -> Result<()> {
-        let entry_off = self.entry_off(id);
-        let counter_bytes = counters.map(u64::to_le_bytes);
-        self.pool.run_tx(|tx| {
-            tx.write_all(&[
-                (entry_off, entry),
-                (self.base + COUNTERS_AT, counter_bytes.as_flattened()),
-            ])
-        })?;
+    /// Where object `id`'s commit record reads and writes: its directory
+    /// entry and the descriptor counters.
+    fn record_at(&self, id: u64) -> (u64, u64) {
+        (self.entry_off(id), self.base + COUNTERS_AT)
+    }
+
+    /// Takes the counters a commit record of object `id` wrote and drops
+    /// any stage of `id`.
+    fn committed(&mut self, id: u64, counters: [u64; 2]) {
         [self.commit_seq, self.live] = counters;
         self.staged.remove(&id);
-        Ok(())
     }
 
     // ----------------------------------------------------------------- write
@@ -353,15 +327,16 @@ impl<'p> ObjectStore<'p> {
 
     /// Commits the staged version of object `id` and returns its new epoch.
     ///
-    /// Issues one `drain()` (making the staged payload durable), then writes
-    /// the object's directory entry and the descriptor counters inside one
-    /// undo-log transaction — the per-object commit record, logged as one
-    /// two-range batch. The new counter values are based on the durable
-    /// descriptor, not this handle's snapshot, and a put staged against a
-    /// committed epoch that another handle has since superseded is refused
-    /// with a typed error. After an error the media may hold a stranded
-    /// transaction; reopen the store (running pool recovery) before further
-    /// writes, as the cluster layer does.
+    /// One undo-log transaction is the per-object commit record: it reads
+    /// the object's directory entry and the descriptor counters, issues one
+    /// `drain()` (making the staged payload durable), and writes the new
+    /// entry and counters as one two-range batch logged from the bytes it
+    /// read. The new counter values are based on the durable descriptor, not
+    /// this handle's snapshot, and a put staged against a committed epoch
+    /// that another handle has since superseded is refused with a typed
+    /// error. After an error the media may hold a stranded transaction;
+    /// reopen the store (running pool recovery) before further writes, as
+    /// the cluster layer does.
     pub fn commit(&mut self, id: u64) -> Result<u64> {
         self.check_id(id)?;
         let staged = self
@@ -369,29 +344,33 @@ impl<'p> ObjectStore<'p> {
             .get(&id)
             .copied()
             .ok_or(PmemError::ObjectStore("commit without a staged put"))?;
-        let previous = self.read_entry(id)?;
-        let current = previous.map_or(0, |e| e.epoch);
-        if staged.basis != current {
-            // Another handle committed this object after the put: the staged
-            // payload sits in what is now the *committed* slot's twin for a
-            // different epoch parity, so a commit record naming it would
-            // point at stale bytes. The stage can never become valid.
-            self.staged.remove(&id);
-            return Err(PmemError::ObjectStore(
-                "staged put superseded by a newer commit",
-            ));
-        }
-        let epoch = current + 1;
-        // The staged payload must be durable before any commit record can
-        // name it: one drain for the flushes the put fan-out issued.
-        self.pool.drain();
-        // The sealed entry: tag (id + 1), epoch, length, payload hash.
-        let entry: [u8; ENTRY_SIZE as usize] =
-            versioned::seal(&[id + 1, epoch, staged.len, staged.hash]);
-        let [seq, live] = self.desc_counters()?;
-        let seq = seq + 1;
-        let live = live + u64::from(previous.is_none());
-        self.commit_entry(id, &entry, [seq, live])?;
+        let at = self.record_at(id);
+        let (pool, stages) = (&self.pool, &mut self.staged);
+        let (epoch, counters) = commit_record(pool, id, at, |previous, [seq, live]| {
+            let current = previous.map_or(0, |e| e.epoch);
+            if staged.basis != current {
+                // Another handle committed this object after the put: the
+                // staged payload sits in what is now the *committed* slot's
+                // twin for a different epoch parity, so a commit record
+                // naming it would point at stale bytes. The stage can never
+                // become valid.
+                stages.remove(&id);
+                return Err(PmemError::ObjectStore(
+                    "staged put superseded by a newer commit",
+                ));
+            }
+            let epoch = current + 1;
+            // The staged payload must be durable before any commit record
+            // can name it: one drain for the flushes the put fan-out issued.
+            pool.drain();
+            Ok(Next {
+                value: epoch,
+                // The sealed entry: tag (id + 1), epoch, length, payload hash.
+                entry: versioned::seal(&[id + 1, epoch, staged.len, staged.hash]),
+                counters: [seq + 1, live + u64::from(previous.is_none())],
+            })
+        })?;
+        self.committed(id, counters);
         Ok(epoch)
     }
 
@@ -407,16 +386,23 @@ impl<'p> ObjectStore<'p> {
     /// for the id is discarded.
     pub fn delete(&mut self, id: u64) -> Result<()> {
         self.check_id(id)?;
-        if self.read_entry(id)?.is_none() {
-            return Err(PmemError::NoSuchObject(id));
-        }
-        let [seq, live] = self.desc_counters()?;
-        let seq = seq + 1;
-        // A desynced counter must surface as a typed error, never wrap.
-        let live = live
-            .checked_sub(1)
-            .ok_or(PmemError::ObjectStore("descriptor live counter desynced"))?;
-        self.commit_entry(id, &[0u8; ENTRY_SIZE as usize], [seq, live])
+        let at = self.record_at(id);
+        let ((), counters) = commit_record(&self.pool, id, at, |previous, [seq, live]| {
+            if previous.is_none() {
+                return Err(PmemError::NoSuchObject(id));
+            }
+            // A desynced counter must surface as a typed error, never wrap.
+            let live = live
+                .checked_sub(1)
+                .ok_or(PmemError::ObjectStore("descriptor live counter desynced"))?;
+            Ok(Next {
+                value: (),
+                entry: [0u8; ENTRY_SIZE as usize],
+                counters: [seq + 1, live],
+            })
+        })?;
+        self.committed(id, counters);
+        Ok(())
     }
 
     // ------------------------------------------------------------------ read
@@ -482,6 +468,64 @@ impl<'p> ObjectStore<'p> {
             max_epoch,
         })
     }
+}
+
+/// What a commit record writes: the new directory entry and descriptor
+/// counters, and the value the op returns.
+struct Next<T> {
+    value: T,
+    entry: [u8; ENTRY_SIZE as usize],
+    counters: [u64; 2],
+}
+
+/// Decodes object `id`'s directory entry. `Ok(None)` = free entry; tag or
+/// checksum mismatches surface as typed errors (the entry is tx-guarded, so
+/// a mismatch means external corruption, not a protocol tear).
+fn decode_entry(id: u64, bytes: &[u8; ENTRY_SIZE as usize]) -> Result<Option<Entry>> {
+    // A free entry is all zeros, so its tag is read before the checksum.
+    if bytes.starts_with(&[0; 8]) {
+        return Ok(None);
+    }
+    let [tag, epoch, len, value_hash] = versioned::unseal(bytes)
+        .ok_or(PmemError::ObjectStore("directory entry checksum mismatch"))?;
+    if tag != id + 1 {
+        return Err(PmemError::ObjectStore("directory entry tag mismatch"));
+    }
+    Ok(Some(Entry {
+        epoch,
+        len,
+        value_hash,
+    }))
+}
+
+/// Object `id`'s commit record, one undo-log transaction: reads the
+/// directory entry and the descriptor counters `[commit_seq, live]` at
+/// `(entry_off, counters_off)` through the transaction, lets `next` derive
+/// the new entry and counters from them, and writes both as one two-range
+/// batch. The batch's undo entries are the bytes the two reads returned, so
+/// neither range is read twice. The counters come from media, not from a
+/// handle's snapshot: another handle on the same media (e.g. another host
+/// of a shared segment) may have committed since this one was opened.
+/// Returns `next`'s value and the new counters.
+fn commit_record<T>(
+    pool: &PmemPool,
+    id: u64,
+    (entry_off, counters_off): (u64, u64),
+    next: impl FnOnce(Option<Entry>, [u64; 2]) -> Result<Next<T>>,
+) -> Result<(T, [u64; 2])> {
+    pool.run_tx(|tx| {
+        let mut entry = [0u8; ENTRY_SIZE as usize];
+        tx.read(entry_off, &mut entry)?;
+        let mut words = [[0u8; 8]; 2];
+        tx.read(counters_off, words.as_flattened_mut())?;
+        let record = next(decode_entry(id, &entry)?, words.map(u64::from_le_bytes))?;
+        let counter_bytes = record.counters.map(u64::to_le_bytes);
+        tx.write_all(&[
+            (entry_off, &record.entry),
+            (counters_off, counter_bytes.as_flattened()),
+        ])?;
+        Ok((record.value, record.counters))
+    })
 }
 
 #[cfg(test)]
@@ -715,8 +759,8 @@ mod tests {
             crashed
         });
         println!("object commit sweep: {positions} crash positions");
-        // A commit makes fifteen backend calls.
-        assert_eq!(positions, 32);
+        // A commit makes thirteen backend calls.
+        assert_eq!(positions, 28);
     }
 
     #[test]

@@ -197,18 +197,23 @@ impl ResidencyMap {
     /// update runs inside a pool transaction, so a crash mid-commit is rolled
     /// back to `from` by recovery — the chunk is never resident on zero or
     /// two tiers. Fails if the entry no longer names `from` (a stale plan).
+    /// The entry is read through the transaction, which logs those bytes as
+    /// the undo entry instead of reading them again.
     pub fn commit_move(&self, chunk: usize, from: u32, to: u32) -> Result<()> {
         if to >= self.tier_count {
             return Err(PmemError::Residency("destination tier out of range"));
         }
-        let current = self.tier_of(chunk)?;
-        if current != from {
-            return Err(PmemError::Residency(
-                "migration source does not match current residency",
-            ));
-        }
         let off = self.entry_off(chunk)?;
-        self.pool.run_tx(|tx| tx.write(off, &to.to_le_bytes()))
+        self.pool.run_tx(|tx| {
+            let mut entry = [0u8; ENTRY as usize];
+            tx.read(off, &mut entry)?;
+            if self.decode(entry)? != from {
+                return Err(PmemError::Residency(
+                    "migration source does not match current residency",
+                ));
+            }
+            tx.write(off, &to.to_le_bytes())
+        })
     }
 
     /// Runs undo-log recovery on the underlying pool (normally done by pool
@@ -243,9 +248,10 @@ mod tests {
         (backend, crash, pool)
     }
 
-    /// The clear of a move's undo log: a move reads its entry, then runs a
-    /// one-range transaction whose ninth call is the clear.
-    const MOVE_LOG_CLEAR: u64 = 9;
+    /// The clear of a move's undo log: a move is one one-range transaction
+    /// that reads its entry through the transaction, and the clear is its
+    /// ninth call.
+    const MOVE_LOG_CLEAR: u64 = 8;
 
     #[test]
     fn format_open_round_trip() {

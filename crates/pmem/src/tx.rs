@@ -31,6 +31,12 @@
 //! header with one write and one persist. A batch leaves the same log bytes
 //! as logging its ranges one at a time, so recovery reads either alike.
 //!
+//! A range the transaction body has already read through
+//! [`Transaction::read`], before any write of the transaction touched it,
+//! skips step 1's read: its old bytes are the ones that read returned. A
+//! commit record that reads its fields, derives their new values and writes
+//! them back reads each field once.
+//!
 //! A host may die at any of these calls, or at any call of the recovery that
 //! follows: tests crash it at each one with
 //! [`Crash`](crate::backend::Crash), and recovery restores a consistent state.
@@ -121,12 +127,20 @@ impl TxLog {
 
     /// Appends one undo entry per `(offset, len)` range, each holding the
     /// range's *current* contents, after the `entries` already logged at
-    /// `cursor`. Returns the log cursor after the batch.
+    /// `cursor`. Returns the log cursor after the batch. A range `known`
+    /// holds the current contents of takes them from there; any other range
+    /// is read from the backend.
     ///
     /// Every target and the batch's size are checked before any byte moves.
     /// The entries are written with one write and persisted once, and only
     /// then does the header's count cover them.
-    fn append(&self, cursor: u64, entries: u64, ranges: &[(u64, u64)]) -> Result<u64> {
+    fn append(
+        &self,
+        cursor: u64,
+        entries: u64,
+        ranges: &[(u64, u64)],
+        known: &ReadBytes,
+    ) -> Result<u64> {
         let mut needed = 0u64;
         for &(offset, len) in ranges {
             self.check_target(offset, len)?;
@@ -141,10 +155,15 @@ impl TxLog {
         for &(offset, len) in ranges {
             batch.extend_from_slice(&offset.to_le_bytes());
             batch.extend_from_slice(&len.to_le_bytes());
-            let old_at = batch.len();
-            batch.resize(old_at + len as usize, 0);
-            // in-bounds: the resize above appended exactly `len` bytes.
-            self.backend.read_at(offset, &mut batch[old_at..])?;
+            match known.get(offset, len) {
+                Some(old) => batch.extend_from_slice(old),
+                None => {
+                    let old_at = batch.len();
+                    batch.resize(old_at + len as usize, 0);
+                    // in-bounds: the resize above appended exactly `len` bytes.
+                    self.backend.read_at(offset, &mut batch[old_at..])?;
+                }
+            }
         }
         self.backend.write_at(cursor, &batch)?;
         self.tracker.persist(&self.backend, cursor, needed)?;
@@ -201,6 +220,44 @@ impl TxLog {
     fn clear(&self) -> Result<()> {
         self.write_header(LOG_IDLE, 0)
     }
+
+    /// Whether an undo entry could hold `[offset, offset + len)`: the range
+    /// lies in the heap and fits in the log area with its entry header.
+    fn could_log(&self, offset: u64, len: u64) -> bool {
+        let room = self
+            .end
+            .saturating_sub(self.start + LOG_HEADER + ENTRY_HEADER);
+        len <= room && self.check_target(offset, len).is_ok()
+    }
+}
+
+/// Whether `[a, a + a_len)` and `[b, b + b_len)` share a byte.
+fn overlaps(a: u64, a_len: u64, b: u64, b_len: u64) -> bool {
+    a < b.saturating_add(b_len) && b < a.saturating_add(a_len)
+}
+
+/// The bytes a transaction read through [`Transaction::read`] from ranges
+/// none of its writes had touched yet: each one is the range's contents
+/// before the transaction, until a write of the transaction overlaps it.
+#[derive(Default)]
+struct ReadBytes(Vec<(u64, Vec<u8>)>);
+
+impl ReadBytes {
+    /// The contents of `[offset, offset + len)`, when one read covered it.
+    fn get(&self, offset: u64, len: u64) -> Option<&[u8]> {
+        self.0.iter().rev().find_map(|(at, bytes)| {
+            let start = usize::try_from(offset.checked_sub(*at)?).ok()?;
+            let end = start.checked_add(usize::try_from(len).ok()?)?;
+            bytes.get(start..end)
+        })
+    }
+
+    /// Forgets every read `[offset, offset + len)` overlaps: a write there
+    /// made its bytes stale.
+    fn forget(&mut self, offset: u64, len: u64) {
+        self.0
+            .retain(|(at, bytes)| !overlaps(*at, bytes.len() as u64, offset, len));
+    }
 }
 
 /// An in-flight transaction (obtained from [`crate::PmemPool::run_tx`]).
@@ -211,6 +268,9 @@ pub struct Transaction<'a> {
     cursor: u64,
     /// The logged ranges, one undo entry each, in log order.
     modified: Vec<(u64, u64)>,
+    /// What `read` returned from ranges no write had touched yet: the old
+    /// bytes the log takes for them instead of reading them again.
+    read: ReadBytes,
     finished: bool,
 }
 
@@ -231,6 +291,7 @@ impl<'a> Transaction<'a> {
             log,
             cursor: log.start + LOG_HEADER,
             modified: Vec::new(),
+            read: ReadBytes::default(),
             finished: false,
         })
     }
@@ -250,7 +311,7 @@ impl<'a> Transaction<'a> {
         }
         self.cursor = self
             .log
-            .append(self.cursor, logged as u64, batch)
+            .append(self.cursor, logged as u64, batch, &self.read)
             .inspect_err(|_| self.modified.truncate(logged))?;
         Ok(())
     }
@@ -264,7 +325,9 @@ impl<'a> Transaction<'a> {
     /// Transactionally writes each `(offset, data)`: the old contents of
     /// every range are logged first, as one batch, then the new data is
     /// written in place. A range outside the heap, or a batch the log cannot
-    /// hold, is refused before any byte moves.
+    /// hold, is refused before any byte moves. A range this transaction has
+    /// [`read`](Self::read) and not yet written is logged from the bytes
+    /// that read returned, without reading it again.
     pub fn write_all(&mut self, writes: &[(u64, &[u8])]) -> Result<()> {
         self.log_batch(
             writes
@@ -272,6 +335,7 @@ impl<'a> Transaction<'a> {
                 .map(|&(offset, data)| (offset, data.len() as u64)),
         )?;
         for &(offset, data) in writes {
+            self.read.forget(offset, data.len() as u64);
             self.backend.write_at(offset, data)?;
         }
         Ok(())
@@ -284,8 +348,22 @@ impl<'a> Transaction<'a> {
     }
 
     /// Reads within the transaction (sees its own writes).
-    pub fn read(&self, offset: u64, buf: &mut [u8]) -> Result<()> {
-        self.backend.read_at(offset, buf)
+    ///
+    /// When no range this transaction logged overlaps the read, and an undo
+    /// entry could hold it, the transaction keeps the bytes: a later write
+    /// of a range inside it logs them as its old contents. A write of the
+    /// transaction that overlaps the read forgets them.
+    pub fn read(&mut self, offset: u64, buf: &mut [u8]) -> Result<()> {
+        self.backend.read_at(offset, buf)?;
+        let len = buf.len() as u64;
+        let untouched = !self
+            .modified
+            .iter()
+            .any(|&(at, logged)| overlaps(at, logged, offset, len));
+        if untouched && self.log.could_log(offset, len) {
+            self.read.0.push((offset, buf.to_vec()));
+        }
+        Ok(())
     }
 
     /// Number of ranges registered so far.
@@ -798,6 +876,55 @@ mod tests {
         assert_eq!(batched[..8], LOG_ACTIVE.to_le_bytes());
         assert_eq!(batched[8..16], 2u64.to_le_bytes());
         assert!(batched == stranded(false), "log formats differ");
+    }
+
+    #[test]
+    fn a_range_read_before_its_first_write_is_logged_from_that_read() {
+        // Each body writes `a` twice and aborts. Reading it first, or reading
+        // it between the writes, leaves the same log bytes as not reading it
+        // at all, and the abort restores the same bytes. Only a read before
+        // the first write spares a backend read: the one between the writes
+        // sees the transaction's own write, which the log must not take as
+        // old contents.
+        let run = |read_first: bool, read_between: bool| {
+            let (backend, crash, pool, a, b) = pool_with_two_targets();
+            let before = crash.calls();
+            let result: Result<()> = pool.run_tx(|tx| {
+                let mut wide = [0u8; 16];
+                if read_first {
+                    // A wider read than the write covers it too.
+                    tx.read(a, &mut wide)?;
+                    assert_eq!(&wide[..8], b"original");
+                }
+                tx.write(a, b"mutated1")?;
+                if read_between {
+                    tx.read(a, &mut wide)?;
+                    assert_eq!(&wide[..8], b"mutated1");
+                }
+                tx.write(a, b"mutated2")?;
+                // A read of another range serves no write of `a`.
+                tx.read(b, &mut wide[..8])?;
+                Err(PmemError::TransactionState("abort"))
+            });
+            assert!(matches!(result, Err(PmemError::TransactionState(_))));
+            assert_eq!(&read8(&pool, a), b"original");
+            (crash.calls() - before, log_area(&backend))
+        };
+        let (plain_calls, plain_log) = run(false, false);
+        let (first_calls, first_log) = run(true, false);
+        let (between_calls, between_log) = run(false, true);
+        assert!(
+            first_log == plain_log,
+            "a read before the write moved the log"
+        );
+        assert!(
+            between_log == plain_log,
+            "a read after the write moved the log"
+        );
+        // The read before the first write costs no call; the one after it
+        // costs its own.
+        assert_eq!(first_calls, plain_calls);
+        assert_eq!(between_calls, plain_calls + 1);
     }
 
     #[test]

@@ -102,7 +102,7 @@ fn store_pool() -> (Arc<Counting>, PmemPool) {
 }
 
 #[test]
-fn put_commit_makes_eighteen_calls() {
+fn put_commit_makes_sixteen_calls() {
     let (backend, pool) = store_pool();
     let mut store = ObjectStore::format(&pool, CAPACITY, VALUE_LEN).unwrap();
     store.put_commit(7, &[1; VALUE_LEN as usize]).unwrap();
@@ -118,24 +118,24 @@ fn put_commit_makes_eighteen_calls() {
             persists: 1
         }
     );
-    // The entry and counter reads, the log header read, then one two-range
-    // undo batch: the old bytes, one entries write and persist, one header
-    // write and persist, the two data writes; then a flush per range and
-    // the header clear.
+    // The log header read, the entry and counter reads through the
+    // transaction, then one two-range undo batch logged from those bytes:
+    // one entries write and persist, one header write and persist, the two
+    // data writes; then a flush per range and the header clear.
     let commit = backend.count(|| store.commit(7).unwrap());
     assert_eq!(
         commit,
         Calls {
-            reads: 5,
+            reads: 3,
             writes: 5,
             persists: 5
         }
     );
-    assert_eq!(put.total() + commit.total(), 18);
+    assert_eq!(put.total() + commit.total(), 16);
 
     // A first commit of an object costs the same as an update.
     let first = backend.count(|| store.put_commit(8, &value).unwrap());
-    assert_eq!(first.total(), 18);
+    assert_eq!(first.total(), 16);
 }
 
 #[test]
@@ -156,7 +156,7 @@ fn get_makes_two_calls() {
 }
 
 #[test]
-fn delete_makes_fifteen_calls() {
+fn delete_makes_thirteen_calls() {
     let (backend, pool) = store_pool();
     let mut store = ObjectStore::format(&pool, CAPACITY, VALUE_LEN).unwrap();
     store.put_commit(5, &[4; VALUE_LEN as usize]).unwrap();
@@ -165,7 +165,7 @@ fn delete_makes_fifteen_calls() {
     assert_eq!(
         delete,
         Calls {
-            reads: 5,
+            reads: 3,
             writes: 5,
             persists: 5
         }

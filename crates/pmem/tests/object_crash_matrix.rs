@@ -17,8 +17,9 @@
 //! Never a torn mixture, on any host.
 //!
 //! A put makes 3 calls (the entry read, the slot write, its flush); a
-//! commit 15 and a delete 15 (the entry read, the counter read, then the
-//! two-range commit record; see the `object` module docs).
+//! commit 13 and a delete 13 (the two-range commit record, which reads the
+//! entry and the counters through its transaction; see the `object` module
+//! docs).
 
 use pmem::{Crash, ObjectStore, PmemPool, SharedRegionBackend};
 use std::sync::Arc;
@@ -200,7 +201,7 @@ fn object_crash_matrix_is_exhaustive_and_never_restores_torn_state() {
             // the clear's persist (or the clear itself, torn) on.
             let (calls, landing) = match op {
                 Op::Put => (3, 0),
-                Op::Commit | Op::Delete => (15, 5),
+                Op::Commit | Op::Delete => (13, 5),
             };
             assert_eq!(swept, 2 * (calls + 1), "{op:?} × host{host}");
             assert_eq!(landed, landing, "{op:?} × host{host}");
@@ -208,7 +209,7 @@ fn object_crash_matrix_is_exhaustive_and_never_restores_torn_state() {
         }
     }
     println!("object crash matrix: {positions} op positions, {reboots} reboot positions");
-    assert_eq!(positions, 2 * (8 + 32 + 32));
+    assert_eq!(positions, 2 * (8 + 28 + 28));
     assert!(reboots >= 24, "{reboots} reboot positions");
 }
 

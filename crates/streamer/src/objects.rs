@@ -55,21 +55,21 @@ const COMMIT_BYTES: u64 = 64;
 /// The crash leg's cells: whether the writer dies in the commit (else in
 /// the put), at which of the op's calls, and whether that write is torn. A
 /// put is the entry read (0), the slot write (1) and its flush (2). A
-/// commit's record writes the directory entry at 9, clears its undo log at
-/// 13 and persists the clear at 14, its last call: from that persist on the
-/// record is durable, and a commit armed at 15 runs to its end.
+/// commit's record writes the directory entry at 7, clears its undo log at
+/// 11 and persists the clear at 12, its last call: from that persist on the
+/// record is durable, and a commit armed at 13 runs to its end.
 const CRASH_CELLS: [(bool, u64, bool); 8] = [
     (false, 0, false),
     (false, 1, false),
     (false, 1, true),
     (false, 2, false),
-    (true, 9, false),
+    (true, 7, false),
+    (true, 11, false),
+    (true, 12, false),
     (true, 13, false),
-    (true, 14, false),
-    (true, 15, false),
 ];
 /// Backend calls of a commit: a commit armed at this call runs to its end.
-const COMMIT_CALLS: u64 = 15;
+const COMMIT_CALLS: u64 = 13;
 
 /// Shape of one objects-scenario run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -133,9 +133,9 @@ fn tear_suite_every_phase_and_point_recovers_on_a_spare_host() {
         });
     }
     println!("object tear suite: {cells} crash positions");
-    // A put makes 3 backend calls and a commit 15, each swept whole and
+    // A put makes 3 backend calls and a commit 13, each swept whole and
     // torn, plus the run past its end.
-    assert_eq!(cells, 2 * (3 + 1) + 2 * (15 + 1), "counted coverage");
+    assert_eq!(cells, 2 * (3 + 1) + 2 * (13 + 1), "counted coverage");
 }
 
 #[test]

@@ -170,7 +170,7 @@ fn crash_mid_copy_on_the_pmem_tier_never_tears_a_chunk() {
         died(&result)
     });
     println!("migration copy sweep: {positions} crash positions");
-    assert_eq!(positions as u64, 2 * (copy_calls + 2 * 11 + 1));
+    assert_eq!(positions as u64, 2 * (copy_calls + 2 * 10 + 1));
 }
 
 #[test]
@@ -208,7 +208,7 @@ fn crash_mid_commit_on_the_pmem_tier_rolls_back_and_recovers() {
     });
     println!("migration commit sweep: {positions} crash positions, {stranded} stranded");
     // One move: the residency read, one shadow copy, one flip.
-    assert_eq!(positions, 2 * (1 + 3 + 11 + 1));
+    assert_eq!(positions, 2 * (1 + 3 + 10 + 1));
     assert_eq!(stranded, 8);
 }
 
