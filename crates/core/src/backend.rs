@@ -16,14 +16,13 @@ use pmem::backend::{check_apply, check_bounds};
 use pmem::{PmemError, PoolBackend};
 use std::sync::Arc;
 
-/// A pool backend mapping a pool onto a region of a CXL Type-3 device.
+/// A pool backend mapping a pool onto a region of a CXL Type-3 device. The
+/// device is persistence-capable: off-node and battery-backed, the paper's
+/// §1.4 argument.
 pub struct CxlDeviceBackend {
     device: Arc<Type3Device>,
     dpa_base: u64,
     len: u64,
-    /// Whether the device is treated as persistence-capable (off-node,
-    /// battery-backed — the paper's §1.4 argument).
-    persistent: bool,
 }
 
 impl CxlDeviceBackend {
@@ -41,15 +40,7 @@ impl CxlDeviceBackend {
             device,
             dpa_base,
             len,
-            persistent: true,
         })
-    }
-
-    /// Marks the region as volatile (no battery backing) — used to show what
-    /// happens to a pool when the premise of persistence is dropped.
-    pub fn volatile(mut self) -> Self {
-        self.persistent = false;
-        self
     }
 
     /// The underlying device handle.
@@ -99,20 +90,15 @@ impl PoolBackend for CxlDeviceBackend {
     }
 
     fn is_persistent(&self) -> bool {
-        self.persistent
+        true
     }
 
     fn describe(&self) -> String {
         format!(
-            "cxl[{} dpa {:#x}+{} bytes, {}]",
+            "cxl[{} dpa {:#x}+{} bytes, battery-backed]",
             self.device.name(),
             self.dpa_base,
             self.len,
-            if self.persistent {
-                "battery-backed"
-            } else {
-                "volatile"
-            }
         )
     }
 }
@@ -192,10 +178,6 @@ mod tests {
         assert!(backend.persist(16 * MIB - 10, 100).is_err());
         assert_eq!(dev.stats().gpf_flushes, 1);
         assert!(backend.is_persistent());
-        assert!(!CxlDeviceBackend::new(dev, 0, MIB)
-            .unwrap()
-            .volatile()
-            .is_persistent());
     }
 
     #[test]

@@ -794,9 +794,10 @@ impl HostStore {
         Ok(self.reader()?.committed_version(id)?)
     }
 
-    /// Number of objects currently holding a committed version.
+    /// Number of objects currently holding a committed version, read from
+    /// the segment's media (discipline enforced).
     pub fn live(&mut self) -> ClusterResult<u64> {
-        Ok(self.reader()?.live())
+        Ok(self.reader()?.live()?)
     }
 
     /// Full-directory audit (see [`pmem::ObjectStore::verify`]).
@@ -1629,9 +1630,9 @@ mod tests {
     #[cfg(target_pointer_width = "64")]
     fn a_store_handle_is_as_large_as_with_a_host_id() {
         // The attachment is one pointer, the size of the host id it
-        // replaced, so a `Vec<HostStore>` keeps its layout.
+        // replaced, and the store keeps no copy of its descriptor counters.
         assert_eq!(std::mem::size_of::<Attachment>(), 8);
-        assert_eq!(std::mem::size_of::<HostStore>(), 136);
+        assert_eq!(std::mem::size_of::<HostStore>(), 120);
     }
 
     #[test]

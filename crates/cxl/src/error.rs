@@ -25,11 +25,6 @@ pub enum CxlError {
         /// Bytes still unassigned.
         available: u64,
     },
-    /// A shared region was accessed by a host that has not attached it.
-    NotAttached {
-        /// Host id.
-        host: usize,
-    },
     /// Pooling: the allocation id is not (or no longer) live on this switch.
     UnknownAllocation(u64),
     /// An in-place computation named more input ranges than the device reads
@@ -67,9 +62,6 @@ impl fmt::Display for CxlError {
                 f,
                 "pool cannot satisfy {requested} bytes, only {available} unassigned"
             ),
-            CxlError::NotAttached { host } => {
-                write!(f, "host {host} has not attached the shared region")
-            }
             CxlError::UnknownAllocation(id) => {
                 write!(f, "pool allocation {id} is not live on this switch")
             }

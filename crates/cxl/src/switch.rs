@@ -492,8 +492,7 @@ mod tests {
             .shared_region(&alloc, CoherenceMode::SoftwareManaged)
             .unwrap();
         assert_eq!(region.len(), GIB);
-        region.attach(0);
-        region.write(0, 0, b"pooled").unwrap();
+        region.attach(0).write(0, b"pooled").unwrap();
         // The bytes landed inside the allocation's device window.
         let mut raw = [0u8; 6];
         sw.device(alloc.port)

@@ -5,18 +5,17 @@
 //!
 //! * [`VolatileBackend`] — an in-memory buffer; shared clones survive a
 //!   simulated process crash, which is what the crash-injection tests use.
-//! * [`FileBackend`] — a real file (the `/mnt/pmemN/pool.obj` stand-in);
-//!   `persist` maps to `File::sync_data`, giving genuine durability across
-//!   process restarts.
 //! * [`SharedRegionBackend`] — a window of switch-pooled CXL memory shared by
 //!   several hosts (`cxl::SharedRegion`): the pool lives in the far-memory
-//!   segment one host checkpoints into and another restores from. `persist`
-//!   is media durability (Global Persistent Flush); cross-host *visibility*
+//!   segment one host checkpoints into and another restores from. It reaches
+//!   the window only through its host's `cxl::Attachment`. `persist` is
+//!   media durability (Global Persistent Flush); cross-host *visibility*
 //!   stays with the region's software-managed `publish`/`acquire` protocol,
 //!   which the disaggregated-cluster layer drives explicitly.
 //! * Any other implementation supplied by a caller — the `cxl-pmem` crate
 //!   provides one that stores bytes on a whole `cxl::Type3Device`, which is
-//!   the paper's single-host configuration (a pool living on the expander).
+//!   the paper's App-Direct configuration (a pool living on the expander,
+//!   the `/mnt/pmem2` DAX mount of §1.4).
 //!
 //! [`Crash`] is the one way to crash a host. It wraps each of the host's
 //! backends, counts their data-path calls in one sequence, and from a chosen
@@ -36,11 +35,7 @@ use crate::error::PmemError;
 use crate::Result;
 use cxl::sparse::{ranges_overlap, ApplyFn, MAX_APPLY_INPUTS};
 use cxl::{Attachment, SharedRegion, SparseMemory};
-use parking_lot::RwLock;
 use std::cell::Cell;
-use std::fs::{File, OpenOptions};
-use std::io::{Read, Seek, SeekFrom, Write};
-use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -85,7 +80,7 @@ pub trait PoolBackend: Send + Sync {
     fn persist(&self, offset: u64, len: u64) -> Result<()>;
     /// Whether the store survives power loss.
     fn is_persistent(&self) -> bool;
-    /// Human-readable description (path, device name...).
+    /// Human-readable description (device name, window, host...).
     fn describe(&self) -> String;
 }
 
@@ -251,89 +246,6 @@ impl PoolBackend for VolatileBackend {
                 "dram"
             }
         )
-    }
-}
-
-/// A file-backed pool, the stand-in for a pool file on a DAX filesystem.
-///
-/// Every read and write goes to the file through a shared handle;
-/// [`PoolBackend::persist`] issues `sync_data`, so data really survives
-/// process restarts.
-pub struct FileBackend {
-    file: RwLock<File>,
-    path: PathBuf,
-    capacity: u64,
-}
-
-impl FileBackend {
-    /// Creates (or truncates) a pool file of `capacity` bytes.
-    pub fn create(path: impl AsRef<Path>, capacity: u64) -> Result<Self> {
-        let path = path.as_ref().to_path_buf();
-        let file = OpenOptions::new()
-            .read(true)
-            .write(true)
-            .create(true)
-            .truncate(true)
-            .open(&path)?;
-        file.set_len(capacity)?;
-        Ok(FileBackend {
-            file: RwLock::new(file),
-            path,
-            capacity,
-        })
-    }
-
-    /// Opens an existing pool file.
-    pub fn open(path: impl AsRef<Path>) -> Result<Self> {
-        let path = path.as_ref().to_path_buf();
-        let file = OpenOptions::new().read(true).write(true).open(&path)?;
-        let capacity = file.metadata()?.len();
-        Ok(FileBackend {
-            file: RwLock::new(file),
-            path,
-            capacity,
-        })
-    }
-
-    /// The file path.
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
-}
-
-impl PoolBackend for FileBackend {
-    fn capacity(&self) -> u64 {
-        self.capacity
-    }
-
-    fn read_at(&self, offset: u64, buf: &mut [u8]) -> Result<()> {
-        check_bounds(self.capacity, offset, buf.len())?;
-        let mut file = self.file.write();
-        file.seek(SeekFrom::Start(offset))?;
-        file.read_exact(buf)?;
-        Ok(())
-    }
-
-    fn write_at(&self, offset: u64, data: &[u8]) -> Result<()> {
-        check_bounds(self.capacity, offset, data.len())?;
-        let mut file = self.file.write();
-        file.seek(SeekFrom::Start(offset))?;
-        file.write_all(data)?;
-        Ok(())
-    }
-
-    fn persist(&self, offset: u64, len: u64) -> Result<()> {
-        check_bounds(self.capacity, offset, len as usize)?;
-        self.file.read().sync_data()?;
-        Ok(())
-    }
-
-    fn is_persistent(&self) -> bool {
-        true
-    }
-
-    fn describe(&self) -> String {
-        format!("file[{} , {} bytes]", self.path.display(), self.capacity)
     }
 }
 
@@ -565,39 +477,6 @@ mod tests {
     }
 
     #[test]
-    fn file_backend_survives_reopen() {
-        let dir = std::env::temp_dir().join(format!("pmem-test-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("pool-backend.obj");
-        {
-            let backend = FileBackend::create(&path, 8192).unwrap();
-            backend.write_at(1000, b"durable bytes").unwrap();
-            backend.persist(1000, 13).unwrap();
-            assert_eq!(backend.capacity(), 8192);
-            assert!(backend.is_persistent());
-            assert!(backend.describe().contains("pool-backend.obj"));
-        }
-        {
-            let backend = FileBackend::open(&path).unwrap();
-            let mut buf = [0u8; 13];
-            backend.read_at(1000, &mut buf).unwrap();
-            assert_eq!(&buf, b"durable bytes");
-        }
-        std::fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
-    fn file_backend_bounds_check() {
-        let dir = std::env::temp_dir();
-        let path = dir.join(format!("pmem-bounds-{}.obj", std::process::id()));
-        let backend = FileBackend::create(&path, 128).unwrap();
-        assert!(backend.write_at(120, &[0u8; 16]).is_err());
-        let mut buf = [0u8; 16];
-        assert!(backend.read_at(120, &mut buf).is_err());
-        std::fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
     fn shared_region_backend_round_trips_between_hosts() {
         use cxl::{CoherenceMode, LinkConfig, SharedRegion, Type3Device};
         const MIB: u64 = 1024 * 1024;
@@ -613,9 +492,9 @@ mod tests {
         // `persist` is media durability, not publication: host 1 still needs
         // the software-coherence handshake to be entitled to the bytes.
         assert_eq!(region.version(), 0);
-        region.publish(0).unwrap();
+        region.attach(0).publish();
         let b = SharedRegionBackend::new(Arc::clone(&region), 1);
-        region.acquire(1).unwrap();
+        region.attach(1).acquire();
         let mut buf = [0u8; 10];
         b.read_at(64, &mut buf).unwrap();
         assert_eq!(&buf, b"far memory");
@@ -629,18 +508,20 @@ mod tests {
 
     #[test]
     fn in_place_and_staged_apply_agree() {
-        // The volatile backend computes in its store; the file backend takes
-        // the provided staging path. Both see the same bytes and write the
-        // same result, over a range of several chunks and staging pieces.
-        let path = std::env::temp_dir().join(format!("pmem-apply-{}.obj", std::process::id()));
+        // The volatile backend computes in its store; wrapped by a crash,
+        // which does not forward `apply_at`, it takes the provided staging
+        // path. Both see the same bytes and write the same result, over a
+        // range of several chunks and staging pieces.
         let size = 512 * 1024;
         let volatile = VolatileBackend::new(size);
-        let file = FileBackend::create(&path, size).unwrap();
+        let crash = Crash::new();
+        let staged = crash.wrap(Arc::new(VolatileBackend::new(size)));
         let data: Vec<u8> = (0..200_000u32).map(|i| (i * 7 % 251) as u8).collect();
-        let backends: [&dyn PoolBackend; 2] = [&volatile, &file];
-        for backend in backends {
+        let backends: [(&str, &dyn PoolBackend); 2] =
+            [("in place", &volatile), ("staged", staged.as_ref())];
+        for (name, backend) in backends {
             backend.write_at(1000, &data).unwrap();
-            let mut pieces = 0;
+            let (mut pieces, calls) = (0, crash.calls());
             backend
                 .apply_at(&[1000, 1004], 300_000, 150_000, &mut |ins, out| {
                     for ((o, a), b) in out.iter_mut().zip(ins[0]).zip(ins[1]) {
@@ -649,7 +530,11 @@ mod tests {
                     pieces += 1;
                 })
                 .unwrap();
-            assert!(pieces >= 3, "{}: {pieces} pieces", backend.describe());
+            assert!(pieces >= 3, "{name}: {pieces} pieces");
+            if name == "staged" {
+                // Five 32 KiB pieces, each a read per input and one write.
+                assert_eq!((pieces, crash.calls() - calls), (5, 15));
+            }
             let mut back = vec![0u8; 150_000];
             backend.read_at(300_000, &mut back).unwrap();
             for (i, &b) in back.iter().enumerate() {
@@ -676,7 +561,6 @@ mod tests {
             ));
             assert!(!ran);
         }
-        std::fs::remove_file(&path).unwrap();
     }
 
     /// A crash-wrapped 4 KiB backend, and the raw store under it.

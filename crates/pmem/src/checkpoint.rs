@@ -66,7 +66,12 @@
 //! (phases 1–2 crash) or cannot exist (the drain in phase 1 and the persist
 //! in phase 2 order all slot bytes before the commit record). Defensively,
 //! a committed slot that fails validation falls back to the other valid
-//! slot and repairs the descriptor.
+//! slot. The fallback lives only in the opened region: an open makes reads
+//! only, on any host, so a reader never writes the shared media. The
+//! descriptor keeps naming the bad slot's epoch. The next checkpoint targets
+//! that slot (its epoch follows the fallback's, so it is the descriptor's
+//! own when the fallback is one epoch back), rewrites every chunk of it, and
+//! its commit record moves the descriptor.
 //!
 //! Incremental checkpoints track per-chunk content hashes per slot, so an
 //! unchanged region performs **zero** chunk flushes and a one-chunk change
@@ -286,7 +291,8 @@ impl<'p> CheckpointRegion<'p> {
 
     /// Opens an existing region at `oid` (typically after a pool reopen),
     /// validating the committed slot and seeding its chunk-hash cache. The
-    /// other slot is validated on first need.
+    /// other slot is validated on first need. An open only reads, even when
+    /// it falls back (see the [module docs](self)).
     pub fn open(pool: &'p PmemPool, oid: PmemOid) -> Result<Self> {
         Self::open_at(PoolRef::Borrowed(pool), oid, &SerialExecutor)
     }
@@ -305,14 +311,11 @@ impl<'p> CheckpointRegion<'p> {
         }
         // The protocol never lets the committed slot tear (its bytes are
         // drained before the commit record); this path handles external
-        // corruption by falling back to the other valid slot and repairing
-        // the descriptor.
+        // corruption by falling back to the other valid slot. Only the
+        // opened region falls back: the next checkpoint targets the bad
+        // slot, and its commit record moves the descriptor.
         match region.seed_slot(1 - slot, exec)? {
             Some(epoch) if epoch < committed => {
-                let committed_at = region.base + COMMITTED_AT;
-                region
-                    .pool
-                    .run_tx(|tx| tx.write(committed_at, &epoch.to_le_bytes()))?;
                 region.committed = epoch;
                 Ok(region)
             }
@@ -926,8 +929,7 @@ mod tests {
     #[test]
     fn threaded_and_serial_opens_restore_and_fall_back_alike() {
         // Intact, both open epoch 2; with the committed slot corrupted, both
-        // fall back to epoch 1. Each run opens its own copy of the media,
-        // since a fallback repairs the descriptor.
+        // fall back to epoch 1. Each run opens its own copy of the media.
         for (flip, epoch) in [(false, 2u8), (true, 1)] {
             let threaded = open_and_restore(reopened_after_two_epochs(flip), &Threaded(3));
             let serial = open_and_restore(reopened_after_two_epochs(flip), &SerialExecutor);
@@ -995,7 +997,8 @@ mod tests {
         let mut out = vec![0u8; DATA as usize];
         region.restore(&mut out).unwrap();
         assert_eq!(out, image(1));
-        // The descriptor was repaired durably: a second open agrees.
+        // The fallback is not a repair: the descriptor still names epoch 2,
+        // and a second open falls back the same way.
         let region2 = CheckpointRegion::open_root(&reopened).unwrap();
         assert_eq!(region2.committed_epoch(), 1);
     }
@@ -1189,7 +1192,7 @@ mod tests {
             pool.set_root(region.oid(), DATA).unwrap();
             region.checkpoint(&image(1)).unwrap();
             region.checkpoint(&image(2)).unwrap();
-            window.publish(0).unwrap();
+            window.attach(0).publish();
             // The crash lands on the clear of the undo log: the record's
             // header read, the old bytes' read, the entry's write and
             // persist, the log header's write and persist, the descriptor
@@ -1205,7 +1208,7 @@ mod tests {
         // recovery rolls the torn epoch-3 commit back and epoch 2 restores
         // bit-exact.
         let backend = SharedRegionBackend::new(Arc::clone(&window), 1);
-        window.acquire(1).unwrap();
+        window.attach(1).acquire();
         let pool = PmemPool::open_with_backend(Arc::new(backend), "xhost").unwrap();
         let region = CheckpointRegion::open_root(&pool).unwrap();
         assert_eq!(region.committed_epoch(), 2);
@@ -1215,6 +1218,61 @@ mod tests {
         // Both hosts' traffic went through the one shared window.
         assert!(window.stats(0).unwrap().bytes_written > 0);
         assert!(window.stats(1).unwrap().bytes_read > 0);
+    }
+
+    #[test]
+    fn a_fallback_open_on_any_host_writes_nothing_to_the_shared_window() {
+        use crate::backend::SharedRegionBackend;
+        use cxl::{CoherenceMode, LinkConfig, SharedRegion, Type3Device};
+
+        let device = Arc::new(Type3Device::new(
+            "pooled-expander",
+            4 * 1024 * 1024,
+            LinkConfig::gen5_x16(),
+        ));
+        let window = Arc::new(
+            SharedRegion::new(
+                Arc::clone(&device),
+                0,
+                POOL_SIZE,
+                CoherenceMode::SoftwareManaged,
+            )
+            .unwrap(),
+        );
+        let pool_of = |host| {
+            let backend = SharedRegionBackend::new(Arc::clone(&window), host);
+            PmemPool::open_with_backend(Arc::new(backend), "fallback").unwrap()
+        };
+        // Host 0 commits epochs 1 and 2, a byte of epoch 2's slot rots, and
+        // host 0 publishes.
+        {
+            let backend = SharedRegionBackend::new(Arc::clone(&window), 0);
+            let pool = PmemPool::create_with_backend(Arc::new(backend), "fallback").unwrap();
+            let mut region = CheckpointRegion::format(&pool, DATA, CHUNK).unwrap();
+            pool.set_root(region.oid(), DATA).unwrap();
+            region.checkpoint(&image(1)).unwrap();
+            region.checkpoint(&image(2)).unwrap();
+            let off = region.data_off(CheckpointRegion::slot_for(2), 0);
+            pool.write(off, &[0xAB]).unwrap();
+            window.attach(0).publish();
+        }
+        let written = window.stats(0).unwrap().bytes_written;
+        let flushes = device.stats().gpf_flushes;
+        // A spare host acquires, then opens and restores serially and on
+        // threads; host 0 reopens too. Every open falls back to epoch 1.
+        window.attach(1).acquire();
+        let spare = open_and_restore(Arc::new(pool_of(1)), &SerialExecutor);
+        assert!(spare == (1, image(1)));
+        let spare = open_and_restore(Arc::new(pool_of(1)), &Threaded(3));
+        assert!(spare == (1, image(1)));
+        let same = open_and_restore(Arc::new(pool_of(0)), &SerialExecutor);
+        assert!(same == (1, image(1)));
+        // No open wrote a byte or persisted anything.
+        let stats = window.stats(1).unwrap();
+        assert_eq!(stats.bytes_written, 0);
+        assert!(stats.bytes_read > 0);
+        assert_eq!(window.stats(0).unwrap().bytes_written, written);
+        assert_eq!(device.stats().gpf_flushes, flushes);
     }
 
     #[test]

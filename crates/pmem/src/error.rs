@@ -55,7 +55,7 @@ pub enum PmemError {
     UndoLog(&'static str),
     /// A call of a backend whose host [`Crash`](crate::backend::Crash) died.
     InjectedCrash(&'static str),
-    /// Underlying I/O error (file backend).
+    /// Underlying I/O error: a failed transfer of the device under a backend.
     Io(std::io::Error),
     /// The requested element count would overflow the addressable range.
     SizeOverflow,

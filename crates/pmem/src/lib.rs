@@ -20,7 +20,8 @@
 //!   `a`, `b`, `c` vectors).
 //! * [`checkpoint`] — versioned checkpoint/restart: double-buffered,
 //!   epoch-versioned snapshot slots with incremental dirty-chunk persists and
-//!   a transactional commit record; validated by an exhaustive crash matrix
+//!   a transactional commit record; an open only reads, even when it falls
+//!   back to the older slot; validated by an exhaustive crash matrix
 //!   (`tests/crash_matrix.rs`).
 //! * [`object`] — a versioned transactional object store: a durable directory
 //!   of millions of small epoch-versioned objects whose per-object commit
@@ -35,11 +36,13 @@
 //!   only its own protocol.
 //! * [`persist`] — flush/drain primitives with instrumentation counters, the
 //!   stand-ins for `CLWB`/`SFENCE` (or the `pmem_persist` libpmem call).
-//! * [`backend`] — where the bytes actually live: a volatile buffer, a file
-//!   (the DAX-filesystem stand-in), a multi-headed shared far-memory window
-//!   ([`backend::SharedRegionBackend`], the pooled-CXL tier cross-host
-//!   checkpoint/restart runs on), or any caller-provided store such as the
-//!   CXL Type-3 endpoint from the `cxl` crate (wired up in `cxl-pmem`).
+//! * [`backend`] — where the bytes actually live: a volatile buffer, a
+//!   multi-headed shared far-memory window reached through one host's
+//!   attachment ([`backend::SharedRegionBackend`], the pooled-CXL tier
+//!   cross-host checkpoint/restart runs on), or any caller-provided store
+//!   such as the CXL Type-3 endpoint from the `cxl` crate (wired up in
+//!   `cxl-pmem`: the App-Direct pool on the expander, which stands in for
+//!   the paper's pool file on a DAX mount).
 //!   [`backend::Crash`] wraps a host's backends to crash the host at any of
 //!   their calls: the one crash mechanism every crash suite uses.
 //!
@@ -85,9 +88,7 @@ mod versioned;
 
 pub use alloc::AllocStats;
 pub use array::{PersistentArray, PmemScalar};
-pub use backend::{
-    Crash, FileBackend, PoolBackend, SharedBackend, SharedRegionBackend, VolatileBackend,
-};
+pub use backend::{Crash, PoolBackend, SharedBackend, SharedRegionBackend, VolatileBackend};
 pub use checkpoint::{
     CheckpointRegion, CheckpointStats, Checkpointable, ChunkExecutor, SerialExecutor,
 };

@@ -47,7 +47,10 @@
 //!
 //! Readers validate the entry checksum and the payload hash on every
 //! [`ObjectStore::get`], so external corruption (or a bug in the protocol)
-//! surfaces as a typed error, never as silently torn bytes.
+//! surfaces as a typed error, never as silently torn bytes. A store keeps no
+//! copy of the descriptor counters: commit records and
+//! [`ObjectStore::live`] read them from the media, so every handle on the
+//! same media, on any host, counts the same objects.
 //!
 //! The `object_crash_matrix` integration suite kills the host at every
 //! backend call of a put, a commit and a delete, and at every call of the
@@ -63,6 +66,8 @@ use std::sync::Arc;
 
 /// Bytes per directory entry.
 const ENTRY_SIZE: u64 = 40;
+/// Offset of `live` (descriptor counter 1) within the descriptor.
+const LIVE_AT: u64 = COUNTERS_AT + 8;
 
 /// A decoded, validated directory entry for a live object.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -103,8 +108,6 @@ pub struct ObjectStore<'p> {
     base: u64,
     capacity: u64,
     value_len: u64,
-    commit_seq: u64,
-    live: u64,
     staged: HashMap<u64, Staged>,
 }
 
@@ -114,8 +117,6 @@ impl std::fmt::Debug for ObjectStore<'_> {
             .field("base", &self.base)
             .field("capacity", &self.capacity)
             .field("value_len", &self.value_len)
-            .field("commit_seq", &self.commit_seq)
-            .field("live", &self.live)
             .finish()
     }
 }
@@ -191,14 +192,11 @@ impl<'p> ObjectStore<'p> {
     /// The store a descriptor describes, with nothing staged.
     fn at(pool: PoolRef<'p>, desc: Descriptor) -> Self {
         let (capacity, value_len) = desc.shape;
-        let [commit_seq, live] = desc.counters;
         ObjectStore {
             pool,
             base: desc.base,
             capacity,
             value_len,
-            commit_seq,
-            live,
             staged: HashMap::new(),
         }
     }
@@ -234,17 +232,13 @@ impl<'p> ObjectStore<'p> {
         self.value_len
     }
 
-    /// Number of objects holding a committed version, as observed by this
-    /// handle's last open or mutation (another handle on the same media may
-    /// have committed since; mutations always re-read the durable counter).
-    pub fn live(&self) -> u64 {
-        self.live
-    }
-
-    /// Monotone count of committed directory mutations (commits + deletes),
-    /// as observed by this handle's last open or mutation.
-    pub fn commit_seq(&self) -> u64 {
-        self.commit_seq
+    /// Number of objects holding a committed version, read from the
+    /// descriptor on the media: it counts every handle's commits, this
+    /// one's and any other's on the same media.
+    pub fn live(&self) -> Result<u64> {
+        let mut live = [0u8; 8];
+        self.pool.read(self.base + LIVE_AT, &mut live)?;
+        Ok(u64::from_le_bytes(live))
     }
 
     // --------------------------------------------------------------- offsets
@@ -271,26 +265,10 @@ impl<'p> ObjectStore<'p> {
         decode_entry(id, &bytes)
     }
 
-    /// Reads the descriptor counters `[commit_seq, live]` (descriptor offsets
-    /// 32 and 40) from media with one read.
-    fn desc_counters(&self) -> Result<[u64; 2]> {
-        let mut words = [[0u8; 8]; 2];
-        self.pool
-            .read(self.base + COUNTERS_AT, words.as_flattened_mut())?;
-        Ok(words.map(u64::from_le_bytes))
-    }
-
     /// Where object `id`'s commit record reads and writes: its directory
     /// entry and the descriptor counters.
     fn record_at(&self, id: u64) -> (u64, u64) {
         (self.entry_off(id), self.base + COUNTERS_AT)
-    }
-
-    /// Takes the counters a commit record of object `id` wrote and drops
-    /// any stage of `id`.
-    fn committed(&mut self, id: u64, counters: [u64; 2]) {
-        [self.commit_seq, self.live] = counters;
-        self.staged.remove(&id);
     }
 
     // ----------------------------------------------------------------- write
@@ -331,8 +309,8 @@ impl<'p> ObjectStore<'p> {
     /// the object's directory entry and the descriptor counters, issues one
     /// `drain()` (making the staged payload durable), and writes the new
     /// entry and counters as one two-range batch logged from the bytes it
-    /// read. The new counter values are based on the durable descriptor, not
-    /// this handle's snapshot, and a put staged against a committed epoch
+    /// read. The new counter values are based on the durable descriptor (a
+    /// store keeps no copy of it), and a put staged against a committed epoch
     /// that another handle has since superseded is refused with a typed
     /// error. After an error the media may hold a stranded transaction;
     /// reopen the store (running pool recovery) before further writes, as
@@ -346,7 +324,7 @@ impl<'p> ObjectStore<'p> {
             .ok_or(PmemError::ObjectStore("commit without a staged put"))?;
         let at = self.record_at(id);
         let (pool, stages) = (&self.pool, &mut self.staged);
-        let (epoch, counters) = commit_record(pool, id, at, |previous, [seq, live]| {
+        let epoch = commit_record(pool, id, at, |previous, [seq, live]| {
             let current = previous.map_or(0, |e| e.epoch);
             if staged.basis != current {
                 // Another handle committed this object after the put: the
@@ -370,7 +348,7 @@ impl<'p> ObjectStore<'p> {
                 counters: [seq + 1, live + u64::from(previous.is_none())],
             })
         })?;
-        self.committed(id, counters);
+        self.staged.remove(&id);
         Ok(epoch)
     }
 
@@ -387,7 +365,7 @@ impl<'p> ObjectStore<'p> {
     pub fn delete(&mut self, id: u64) -> Result<()> {
         self.check_id(id)?;
         let at = self.record_at(id);
-        let ((), counters) = commit_record(&self.pool, id, at, |previous, [seq, live]| {
+        commit_record(&self.pool, id, at, |previous, [seq, live]| {
             if previous.is_none() {
                 return Err(PmemError::NoSuchObject(id));
             }
@@ -401,7 +379,7 @@ impl<'p> ObjectStore<'p> {
                 counters: [seq + 1, live],
             })
         })?;
-        self.committed(id, counters);
+        self.staged.remove(&id);
         Ok(())
     }
 
@@ -456,8 +434,7 @@ impl<'p> ObjectStore<'p> {
                 max_epoch = max_epoch.max(entry.epoch);
             }
         }
-        let [_, durable_live] = self.desc_counters()?;
-        if live != durable_live {
+        if live != self.live()? {
             return Err(PmemError::ObjectStore(
                 "descriptor live counter disagrees with the directory",
             ));
@@ -503,16 +480,16 @@ fn decode_entry(id: u64, bytes: &[u8; ENTRY_SIZE as usize]) -> Result<Option<Ent
 /// `(entry_off, counters_off)` through the transaction, lets `next` derive
 /// the new entry and counters from them, and writes both as one two-range
 /// batch. The batch's undo entries are the bytes the two reads returned, so
-/// neither range is read twice. The counters come from media, not from a
-/// handle's snapshot: another handle on the same media (e.g. another host
-/// of a shared segment) may have committed since this one was opened.
-/// Returns `next`'s value and the new counters.
+/// neither range is read twice. The counters come from media: another
+/// handle on the same media (e.g. another host of a shared segment) may have
+/// committed since this one was opened.
+/// Returns `next`'s value.
 fn commit_record<T>(
     pool: &PmemPool,
     id: u64,
     (entry_off, counters_off): (u64, u64),
     next: impl FnOnce(Option<Entry>, [u64; 2]) -> Result<Next<T>>,
-) -> Result<(T, [u64; 2])> {
+) -> Result<T> {
     pool.run_tx(|tx| {
         let mut entry = [0u8; ENTRY_SIZE as usize];
         tx.read(entry_off, &mut entry)?;
@@ -524,7 +501,7 @@ fn commit_record<T>(
             (entry_off, &record.entry),
             (counters_off, counter_bytes.as_flattened()),
         ])?;
-        Ok((record.value, record.counters))
+        Ok(record.value)
     })
 }
 
@@ -560,14 +537,14 @@ mod tests {
     fn put_commit_get_roundtrip_and_versioning() {
         let (pool, _backend) = pool_pair(64, 128);
         let mut store = ObjectStore::format(&pool, 64, 128).unwrap();
-        assert_eq!(store.live(), 0);
+        assert_eq!(store.live().unwrap(), 0);
         assert!(matches!(store.get(3), Err(PmemError::NoSuchObject(3))));
 
         let v1 = value_for(3, 1, 100);
         assert_eq!(store.put_commit(3, &v1).unwrap(), 1);
         assert_eq!(store.get(3).unwrap(), v1);
         assert_eq!(store.committed_version(3).unwrap(), 1);
-        assert_eq!(store.live(), 1);
+        assert_eq!(store.live().unwrap(), 1);
 
         // A staged put is invisible until commit.
         let v2 = value_for(3, 2, 80);
@@ -576,7 +553,7 @@ mod tests {
         assert_eq!(store.get(3).unwrap(), v1);
         assert_eq!(store.commit(3).unwrap(), 2);
         assert_eq!(store.get(3).unwrap(), v2);
-        assert_eq!(store.commit_seq(), 2);
+        assert_eq!(store.live().unwrap(), 1, "an update adds no object");
     }
 
     #[test]
@@ -606,7 +583,7 @@ mod tests {
         store.put_commit(5, b"beta").unwrap();
         assert_eq!(store.committed_version(5).unwrap(), 2);
         store.delete(5).unwrap();
-        assert_eq!(store.live(), 0);
+        assert_eq!(store.live().unwrap(), 0);
         assert!(matches!(store.get(5), Err(PmemError::NoSuchObject(5))));
         // Re-creating the object starts a fresh version history.
         assert_eq!(store.put_commit(5, b"gamma").unwrap(), 1);
@@ -674,6 +651,19 @@ mod tests {
     }
 
     #[test]
+    fn live_counts_another_handles_commits() {
+        // The count comes from the media, not from what this handle saw at
+        // its open or its last mutation.
+        let (pool, _backend) = pool_pair(8, 64);
+        let a = ObjectStore::format(&pool, 8, 64).unwrap();
+        let mut b = ObjectStore::open(&pool, a.oid()).unwrap();
+        b.put_commit(6, b"b-6").unwrap();
+        assert_eq!(a.live().unwrap(), 1);
+        b.delete(6).unwrap();
+        assert_eq!(a.live().unwrap(), 0);
+    }
+
+    #[test]
     fn survives_reopen_with_recovery() {
         let (pool, backend) = pool_pair(16, 64);
         let mut store = ObjectStore::format(&pool, 16, 64).unwrap();
@@ -687,7 +677,7 @@ mod tests {
 
         let pool = PmemPool::open_with_backend(Arc::new(backend.clone()), "objects").unwrap();
         let store = ObjectStore::open_root(&pool).unwrap();
-        assert_eq!(store.live(), 10);
+        assert_eq!(store.live().unwrap(), 10);
         for id in 0..10u64 {
             assert_eq!(store.get(id).unwrap(), value_for(id, 1, 48));
         }

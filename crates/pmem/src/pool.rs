@@ -1,7 +1,7 @@
 //! Persistent memory pools — the `pmemobj_create` / `pmemobj_open` equivalent.
 //!
-//! A pool is a fixed-size region (a file on a DAX filesystem, a battery-backed
-//! buffer, or a CXL expander region) with:
+//! A pool is a fixed-size region (a battery-backed buffer, a CXL expander
+//! region, or a window of shared far memory) with:
 //!
 //! * a checksummed **header** carrying a magic number, a UUID and the layout
 //!   name (Listing 2 of the paper opens the pool with `LAYOUT_NAME` and falls
@@ -11,7 +11,7 @@
 //! * a **persistent heap** serving `POBJ_ALLOC`-style allocations.
 
 use crate::alloc::{AllocStats, PersistentHeap};
-use crate::backend::{FileBackend, SharedBackend, VolatileBackend};
+use crate::backend::{SharedBackend, VolatileBackend};
 use crate::error::PmemError;
 use crate::oid::PmemOid;
 use crate::persist::{PersistStats, PersistTracker};
@@ -19,7 +19,6 @@ use crate::tx::{Transaction, TxLog};
 use crate::Result;
 use cxl::sparse::ApplyFn;
 use parking_lot::Mutex;
-use std::path::Path;
 use std::sync::Arc;
 
 /// Pool format magic number ("CXLPMEM1").
@@ -248,29 +247,6 @@ impl PmemPool {
             log,
             tx_lock: Mutex::new(()),
         })
-    }
-
-    /// Creates a pool backed by a file (the `/mnt/pmemN/pool.obj` case).
-    pub fn create_file(path: impl AsRef<Path>, layout: &str, size: u64) -> Result<Self> {
-        let backend: SharedBackend = Arc::new(FileBackend::create(path, size)?);
-        Self::create_with_backend(backend, layout)
-    }
-
-    /// Opens a pool from an existing file.
-    pub fn open_file(path: impl AsRef<Path>, layout: &str) -> Result<Self> {
-        let backend: SharedBackend = Arc::new(FileBackend::open(path)?);
-        Self::open_with_backend(backend, layout)
-    }
-
-    /// Creates (or opens if it already exists and is a valid pool) a file pool —
-    /// the exact fallback sequence of Listing 2 in the paper.
-    pub fn create_or_open_file(path: impl AsRef<Path>, layout: &str, size: u64) -> Result<Self> {
-        let path = path.as_ref();
-        if path.exists() {
-            Self::open_file(path, layout)
-        } else {
-            Self::create_file(path, layout, size)
-        }
     }
 
     /// Creates an in-memory pool (useful for tests and volatile Memory-Mode
@@ -608,30 +584,6 @@ mod tests {
             PmemPool::open_with_backend(shared, "stream").unwrap_err(),
             PmemError::BadChecksum
         ));
-    }
-
-    #[test]
-    fn file_pool_create_or_open_round_trip() {
-        let dir = std::env::temp_dir().join(format!("pmem-pool-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("pool.obj");
-        let _ = std::fs::remove_file(&path);
-        {
-            let pool = PmemPool::create_or_open_file(&path, "array", POOL_SIZE).unwrap();
-            let oid = pool.alloc_bytes(128).unwrap();
-            pool.write(oid.offset, b"on disk").unwrap();
-            pool.persist(oid.offset, 7).unwrap();
-            pool.set_root(oid, 128).unwrap();
-        }
-        {
-            // Second call takes the `pmemobj_open` branch of Listing 2.
-            let pool = PmemPool::create_or_open_file(&path, "array", POOL_SIZE).unwrap();
-            let (root, _) = pool.root().unwrap();
-            let mut buf = [0u8; 7];
-            pool.read(root.offset, &mut buf).unwrap();
-            assert_eq!(&buf, b"on disk");
-        }
-        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! Pins the exact backend calls of each object-store operation and of a
-//! one-range transaction.
+//! one-range transaction, and that opening a checkpoint region only reads.
 //!
 //! On a CXL card every read and every persist waits a device round trip, so
 //! an operation's latency there is set by how many calls it makes, not by
@@ -10,7 +10,10 @@
 //! one of these operations fails here; one that removes a call updates the
 //! count in the same change.
 
-use pmem::{ObjectStore, PmemPool, PoolBackend, Result as PmemResult, VolatileBackend};
+use pmem::{
+    CheckpointRegion, ObjectStore, PmemPool, PoolBackend, Result as PmemResult, SerialExecutor,
+    VolatileBackend,
+};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -190,4 +193,53 @@ fn one_range_transaction_makes_ten_calls() {
             persists: 4
         }
     );
+}
+
+#[test]
+fn a_fallback_open_only_reads_and_the_next_checkpoint_repairs_the_slot() {
+    const DATA: u64 = 4 * 1024;
+    const CHUNK: u64 = 1024;
+    // Epoch 2 lives in slot 0, whose data follows the 64-byte descriptor
+    // and the two 64-byte slot headers.
+    const SLOT0_DATA_AT: u64 = 3 * 64;
+    let image = |tag: u8| -> Vec<u8> {
+        (0..DATA as usize)
+            .map(|i| (i as u8).wrapping_mul(13).wrapping_add(tag))
+            .collect()
+    };
+    let backend = Counting::new(CheckpointRegion::required_pool_size(DATA, CHUNK));
+    {
+        let pool = PmemPool::create_with_backend(backend.clone(), "backend-calls").unwrap();
+        let mut region = CheckpointRegion::format(&pool, DATA, CHUNK).unwrap();
+        pool.set_root(region.oid(), DATA).unwrap();
+        region.checkpoint(&image(1)).unwrap();
+        region.checkpoint(&image(2)).unwrap();
+        // The committed slot rots: its first byte flips.
+        let at = region.oid().offset + SLOT0_DATA_AT;
+        pool.write(at, &[!image(2)[0]]).unwrap();
+    }
+
+    // Opening the pool and the region falls back to epoch 1 with reads only.
+    let mut opened = None;
+    let open = backend.count(|| {
+        let pool = PmemPool::open_with_backend(backend.clone(), "backend-calls").unwrap();
+        opened = Some(CheckpointRegion::open_root_shared(Arc::new(pool), &SerialExecutor).unwrap());
+    });
+    assert_eq!((open.writes, open.persists), (0, 0), "{open:?}");
+    assert!(open.reads > 0);
+    let mut region = opened.unwrap();
+    assert_eq!(region.committed_epoch(), 1);
+    let mut out = vec![0u8; DATA as usize];
+    assert_eq!(region.restore(&mut out).unwrap(), 1);
+    assert_eq!(out, image(1));
+
+    // The next checkpoint targets the bad slot, rewrites every chunk of it
+    // and commits epoch 2, the epoch the descriptor already names.
+    let stats = region.checkpoint(&image(3)).unwrap();
+    assert_eq!((stats.epoch, stats.chunks_written), (2, 4));
+    drop(region);
+    let pool = PmemPool::open_with_backend(backend.clone(), "backend-calls").unwrap();
+    let region = CheckpointRegion::open_root(&pool).unwrap();
+    assert_eq!(region.restore(&mut out).unwrap(), 2);
+    assert_eq!(out, image(3));
 }

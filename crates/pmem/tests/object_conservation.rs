@@ -86,7 +86,7 @@ proptest! {
                 }
             }
             // After every prefix: no object lost, none duplicated.
-            prop_assert_eq!(store.live(), committed.len() as u64);
+            prop_assert_eq!(store.live().unwrap(), committed.len() as u64);
         }
 
         let check = store.verify().unwrap();

@@ -92,7 +92,7 @@ fn run_case(op: Op, at: (u64, bool), host: usize, reboot: Option<(u64, bool)>) -
         store
             .put_commit(TARGET, &value_for(TARGET, BASELINE))
             .unwrap();
-        window.publish(0).unwrap();
+        window.attach(0).publish();
 
         // The crashing op on the target object.
         let attempt = value_for(TARGET, BASELINE + 1);
@@ -117,7 +117,7 @@ fn run_case(op: Op, at: (u64, bool), host: usize, reboot: Option<(u64, bool)>) -
     // first open may die at its own call `r`.
     let host_backend = backend(host);
     if host != 0 {
-        window.acquire(host).unwrap();
+        window.attach(host).acquire();
     }
     let mut reboot_crashed = false;
     if let (true, Some((r, torn))) = (stranded, reboot) {

@@ -367,7 +367,7 @@ fn functional_leg(cfg: &ObjectsConfig) -> Result<Functional, ClusterError> {
             crash_survived = false;
         }
         if committed_anyway {
-            writer.region().publish(writer.host())?;
+            writer.region().attach(writer.host()).publish();
         }
         drop(store);
         drop(pool);

@@ -101,26 +101,38 @@ fn cluster(runtime: &CxlPmemRuntime, mode: CoherenceMode) -> DisaggregatedCluste
 /// crash-wrapped backend, the host dying at the attempt's call `at` (whole,
 /// or torn when `torn`). The attempt opens the region, so it first
 /// validates the target slot: its header, and its chunks when it holds an
-/// image.
-fn crash_attempt(a: &HostSegment, epoch: u64, at: u64, torn: bool) -> Result<(), ClusterError> {
+/// image. Returns why the crash missed, if it did: the attempt ran to its
+/// end before call `at`, or failed for another reason.
+fn crash_attempt(
+    a: &HostSegment,
+    epoch: u64,
+    at: u64,
+    torn: bool,
+) -> Result<Option<String>, ClusterError> {
     let crash = Crash::new();
     let backend = Arc::new(SharedRegionBackend::new(a.region(), a.host()));
     let pool = PmemPool::open_with_backend(crash.wrap(backend), a.name())?;
     let mut region = CheckpointRegion::open_root(&pool)?;
     crash.arm(at, torn);
-    let err = region
-        .checkpoint(&image(epoch))
-        .expect_err("the armed crash must fire");
-    assert!(err.is_injected_crash(), "unexpected failure: {err}");
-    Ok(())
+    Ok(match region.checkpoint(&image(epoch)) {
+        Err(e) if e.is_injected_crash() => None,
+        Err(e) => Some(format!("host 0 failed before its crash at call {at}: {e}")),
+        Ok(stats) => Some(format!(
+            "host 0 committed epoch {} before its crash at call {at}",
+            stats.epoch
+        )),
+    })
 }
 
 /// Commits [`EPOCHS`] epochs as host 0, then dies mid-commit of the next one
 /// with its commit record in flight: after validating the target slot
 /// (its header and every chunk), a write and a flush per chunk, the slot
 /// header's write and persist, and the record's first eight calls, on the
-/// clear of its undo log.
-fn commit_then_crash(cluster: &DisaggregatedCluster, name: &str) -> Result<(), ClusterError> {
+/// clear of its undo log. Returns why the crash missed, if it did.
+fn commit_then_crash(
+    cluster: &DisaggregatedCluster,
+    name: &str,
+) -> Result<Option<String>, ClusterError> {
     let mut a = cluster.host(0).create_segment(name, DATA_LEN, CHUNK_LEN)?;
     for epoch in 1..=EPOCHS {
         a.checkpoint(&image(epoch))?;
@@ -142,7 +154,9 @@ fn run_scenario(
     match scenario {
         RestartScenario::FailoverMidCommit => {
             let cluster = cluster(runtime, CoherenceMode::SoftwareManaged);
-            commit_then_crash(&cluster, "stencil")?;
+            if let Some(missed) = commit_then_crash(&cluster, "stencil")? {
+                return outcome(false, missed);
+            }
             let mut b = cluster.host(1).attach_segment("stencil")?;
             b.acquire()?;
             let mut out = vec![0u8; DATA_LEN as usize];
@@ -158,7 +172,9 @@ fn run_scenario(
         }
         RestartScenario::StaleReadRefused => {
             let cluster = cluster(runtime, CoherenceMode::SoftwareManaged);
-            commit_then_crash(&cluster, "stencil")?;
+            if let Some(missed) = commit_then_crash(&cluster, "stencil")? {
+                return outcome(false, missed);
+            }
             let mut b = cluster.host(1).attach_segment("stencil")?;
             let mut out = vec![0u8; DATA_LEN as usize];
             match b.restore(&mut out) {
@@ -179,7 +195,9 @@ fn run_scenario(
                 let a = cluster
                     .host(0)
                     .create_segment("fresh", DATA_LEN, CHUNK_LEN)?;
-                crash_attempt(&a, 1, 1 + 2 * CHUNKS, true)?;
+                if let Some(missed) = crash_attempt(&a, 1, 1 + 2 * CHUNKS, true)? {
+                    return outcome(false, missed);
+                }
             }
             let mut b = cluster.host(1).attach_segment("fresh")?;
             b.acquire()?;
@@ -195,7 +213,9 @@ fn run_scenario(
         }
         RestartScenario::HardwareCoherenceFailover => {
             let cluster = cluster(runtime, CoherenceMode::HardwareBackInvalidate);
-            commit_then_crash(&cluster, "stencil")?;
+            if let Some(missed) = commit_then_crash(&cluster, "stencil")? {
+                return outcome(false, missed);
+            }
             let mut b = cluster.host(1).attach_segment("stencil")?;
             let mut out = vec![0u8; DATA_LEN as usize];
             let epoch = b.restore(&mut out)?;
@@ -274,6 +294,23 @@ mod tests {
         assert!(report.all_hold());
         assert_eq!(report.devices, 2);
         assert!(report.pooled_capacity_gib > 0.0);
+    }
+
+    #[test]
+    fn a_crash_armed_past_the_commit_is_reported_not_panicked() {
+        let runtime = RuntimeBuilder::setup1().build();
+        let cluster = cluster(&runtime, CoherenceMode::SoftwareManaged);
+        let mut a = cluster
+            .host(0)
+            .create_segment("late", DATA_LEN, CHUNK_LEN)
+            .unwrap();
+        a.checkpoint(&image(1)).unwrap();
+        // The attempt makes far fewer calls than this: it runs to its end.
+        let missed = crash_attempt(&a, 2, 10_000, false).unwrap();
+        let missed = missed.expect("a crash past the commit's end misses");
+        assert!(missed.contains("committed epoch 2"), "{missed}");
+        // Armed inside the commit, the crash fires.
+        assert_eq!(crash_attempt(&a, 3, 0, false).unwrap(), None);
     }
 
     #[test]

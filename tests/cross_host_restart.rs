@@ -86,7 +86,7 @@ fn run_case(pre: u64, at: (u64, bool), reboot: Option<(u64, bool)>) -> Outcome {
             Ok(stats) => {
                 // The attempt ran to its end; a commit ends in a publish.
                 assert_eq!(stats.epoch, pre + 1, "{label}");
-                a.region().publish(0).unwrap();
+                a.region().attach(0).publish();
                 false
             }
             Err(e) => {

@@ -2,7 +2,6 @@
 //! sharing of the far-memory segment, the federated cluster layer, and
 //! Memory-Mode capacity expansion.
 
-use std::sync::Arc;
 use streamer_repro::cxl::{CoherenceMode, CxlSwitch, FpgaPrototype, SharedRegion};
 use streamer_repro::cxl_pmem::{
     assignment_bandwidth, ChunkHeat, PlanContext, RuntimeBuilder, StaticSpillPolicy, TierPlanner,
@@ -90,30 +89,26 @@ fn cluster_federates_checkpoint_restart_over_the_pool() {
 #[test]
 fn two_hosts_coordinate_through_the_shared_far_memory_segment() {
     let card = FpgaPrototype::paper_prototype();
-    let region = Arc::new(
-        SharedRegion::new(card.endpoint(), 0, GIB, CoherenceMode::SoftwareManaged).unwrap(),
-    );
-    region.attach(0);
-    region.attach(1);
+    let region =
+        SharedRegion::new(card.endpoint(), 0, GIB, CoherenceMode::SoftwareManaged).unwrap();
+    let (writer, reader) = (region.attach(0), region.attach(1));
 
     // Host 0 and host 1 ping-pong a counter through the far memory, following
     // the publish/acquire discipline, from two real threads.
     let rounds = 16u64;
     std::thread::scope(|scope| {
-        let writer = Arc::clone(&region);
         scope.spawn(move || {
             for round in 1..=rounds {
-                writer.write(0, 0, &round.to_le_bytes()).unwrap();
-                writer.publish(0).unwrap();
+                writer.write(0, &round.to_le_bytes()).unwrap();
+                writer.publish();
             }
         });
-        let reader = Arc::clone(&region);
         scope.spawn(move || {
             let mut last_seen = 0u64;
             while last_seen < rounds {
-                reader.acquire(1).unwrap();
+                reader.acquire();
                 let mut buf = [0u8; 8];
-                reader.read(1, 0, &mut buf).unwrap();
+                reader.read(0, &mut buf).unwrap();
                 let value = u64::from_le_bytes(buf);
                 assert!(value >= last_seen, "counter must never move backwards");
                 last_seen = last_seen.max(value);

@@ -106,7 +106,7 @@ fn tear_suite_every_phase_and_point_recovers_on_a_spare_host() {
                 }
                 // The op ran to its end; a commit ends in a publish.
                 Ok(()) => {
-                    writer.region().publish(0).unwrap();
+                    writer.region().attach(0).publish();
                     false
                 }
             };
