@@ -1885,6 +1885,133 @@ mod tests {
     }
 
     #[test]
+    fn unknown_and_missing_keys_are_parse_errors_at_their_lines() {
+        // Each keyed section, minimal and valid, after a two-line [machine]:
+        // its header is line 3 and its keys follow one per line.
+        const MACHINE: &str = "[machine]\nname = \"m\"\n";
+        const PROCESSOR: &str =
+            "[processor.0]\nmodel = \"x\"\nbase_ghz = 2.1\ncores = 1\nnode = 0\n";
+        const MEMORY: &str = "[memory.0]\nbytes = \"1GiB\"\n";
+        const DEVICE: &str =
+            "[device.d]\nkind = \"ddr5\"\nread_gbs = 1\nlatency_ns = 1\ncapacity = \"1GiB\"\n";
+        const LINK: &str = "[link.l]\nkind = \"upi\"\ngbs = 1\nlatency_ns = 1\n";
+        const PATH: &str = "[path.0.0]\nlinks = [\"l\"]\n";
+        const WINDOW: &str = "[window.w]\nnode = 0\n";
+        let sections = [PROCESSOR, MEMORY, DEVICE, LINK, PATH, WINDOW];
+        for section in sections {
+            let text = format!("{MACHINE}{section}");
+            assert!(TopologyDescription::parse(&text).is_ok(), "{text}");
+        }
+        let with_unknown = |section: &str| format!("{MACHINE}{section}bogus = 1\n");
+        let without = |section: &str, key: &str| {
+            let kept: String = section
+                .lines()
+                .filter(|line| !line.starts_with(&format!("{key} =")))
+                .map(|line| format!("{line}\n"))
+                .collect();
+            assert_ne!(kept, section, "{key} is one of the section's keys");
+            format!("{MACHINE}{kept}")
+        };
+        let cases = [
+            (
+                format!("{MACHINE}bogus = 1\n"),
+                3,
+                r#"unknown [machine] key "bogus""#,
+            ),
+            (
+                "[machine]\nsmt = 1\n".to_string(),
+                1,
+                "[machine] requires a name",
+            ),
+            (
+                with_unknown(PROCESSOR),
+                8,
+                r#"unknown [processor] key "bogus""#,
+            ),
+            (
+                without(PROCESSOR, "model"),
+                3,
+                r#"[processor] section is missing key "model""#,
+            ),
+            (
+                without(PROCESSOR, "base_ghz"),
+                3,
+                r#"[processor] section is missing key "base_ghz""#,
+            ),
+            (
+                without(PROCESSOR, "cores"),
+                3,
+                r#"[processor] section is missing key "cores""#,
+            ),
+            (
+                without(PROCESSOR, "node"),
+                3,
+                r#"[processor] section is missing key "node""#,
+            ),
+            (with_unknown(MEMORY), 5, r#"unknown [memory] key "bogus""#),
+            (
+                without(MEMORY, "bytes"),
+                3,
+                r#"[memory] section is missing key "bytes""#,
+            ),
+            (with_unknown(DEVICE), 8, r#"unknown [device] key "bogus""#),
+            (
+                without(DEVICE, "kind"),
+                3,
+                r#"[device] section is missing key "kind""#,
+            ),
+            (
+                without(DEVICE, "read_gbs"),
+                3,
+                r#"[device] section is missing key "read_gbs""#,
+            ),
+            (
+                without(DEVICE, "latency_ns"),
+                3,
+                r#"[device] section is missing key "latency_ns""#,
+            ),
+            (
+                without(DEVICE, "capacity"),
+                3,
+                r#"[device] section is missing key "capacity""#,
+            ),
+            (with_unknown(LINK), 7, r#"unknown [link] key "bogus""#),
+            (
+                without(LINK, "kind"),
+                3,
+                r#"[link] section is missing key "kind""#,
+            ),
+            (
+                without(LINK, "gbs"),
+                3,
+                r#"[link] section is missing key "gbs""#,
+            ),
+            (
+                without(LINK, "latency_ns"),
+                3,
+                r#"[link] section is missing key "latency_ns""#,
+            ),
+            (with_unknown(PATH), 5, r#"unknown [path] key "bogus""#),
+            (with_unknown(WINDOW), 5, r#"unknown [window] key "bogus""#),
+            (
+                without(WINDOW, "node"),
+                3,
+                r#"[window] section is missing key "node""#,
+            ),
+        ];
+        for (text, line, message) in cases {
+            assert_eq!(
+                TopologyDescription::parse(&text),
+                Err(TopologyError::Parse {
+                    line,
+                    message: message.to_string()
+                }),
+                "{text}"
+            );
+        }
+    }
+
+    #[test]
     fn comments_and_blank_lines_are_ignored() {
         let text = "# a machine\n[machine]\nname = \"m\" # trailing\n\nsmt = 1\n";
         let d = TopologyDescription::parse(text).unwrap();
