@@ -20,9 +20,9 @@
 //! * [`runtime::CxlPmemRuntime`] — construct through [`runtime::RuntimeBuilder`]:
 //!   `RuntimeBuilder::setup1().build()` (the paper's Sapphire Rapids + CXL
 //!   machine), `setup2` (Xeon Gold DDR4), `dcpmm_baseline` (the
-//!   published-Optane comparison machine), or the `machine`/`from_description`/
-//!   `from_ingested` topology knobs. The runtime
-//!   also provisions and owns the resident [`numa::PinnedPool`] worker pools
+//!   published-Optane comparison machine), or the `machine`/`from_description`
+//!   topology knobs. The runtime also provisions and owns the resident
+//!   [`numa::PinnedPool`] worker pools
 //!   ([`runtime::CxlPmemRuntime::worker_pool`]), so repeated STREAM
 //!   invocations share parked, logically pinned OS threads instead of
 //!   respawning them.
@@ -88,8 +88,6 @@ pub mod backend;
 pub mod cluster;
 pub mod modes;
 pub mod placement;
-#[cfg(test)]
-mod policy;
 pub mod runtime;
 pub mod tiering;
 

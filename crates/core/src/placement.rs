@@ -1,6 +1,12 @@
 //! Data placement across memory tiers: which tier does a pool live on —
 //! local DDR5 (`/mnt/pmem0`), the remote socket's DDR5 (`/mnt/pmem1`), or
-//! the CXL expander (`/mnt/pmem2`)? [`TierPolicy`] captures that decision.
+//! the CXL expander (`/mnt/pmem2`)? [`TierPolicy`] captures that decision,
+//! and with it the paper's `numactl` policies: `--membind=N` and first-touch
+//! local allocation each resolve to one NUMA node, whose pool the runtime
+//! mounts as `/mnt/pmemN`; the node is the argument the runtime's simulated
+//! STREAM phases take. Interleaving across expanders is a CFMWS window: in
+//! the machine model an aggregate device whose bandwidth sums its ways, and
+//! at the runtime one functional card for the window's node.
 //!
 //! How a data set larger than local DRAM spreads across tiers — the
 //! memory-expansion use case — is the tiering engine's job
@@ -57,23 +63,22 @@ impl TierPolicy {
                 .ok_or(SimError::UnknownNode(usize::MAX)),
         }
     }
-
-    /// The paper's mount-point style label (`/mnt/pmemN`).
-    pub fn mount_label(&self, machine: &Machine) -> String {
-        match self.resolve(machine) {
-            Ok(node) => format!("/mnt/pmem{node}"),
-            Err(_) => "/mnt/pmem?".to_string(),
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runtime::RuntimeBuilder;
+    use crate::runtime::{RuntimeBuilder, RuntimeError};
     use crate::tiering::{ChunkHeat, PlanContext, StaticSpillPolicy, TierPlanner, TierShape};
+    use crate::AccessMode;
     use memsim::machines::{sapphire_rapids_cxl_machine, xeon_gold_ddr4_machine};
+    use memsim::topology::reference;
     use memsim::units::GIB;
+    use memsim::TopologyError;
+    use numa::AffinityPolicy;
+    use proptest::prelude::*;
+
+    const MIB: u64 = 1 << 20;
 
     /// The memory-expansion placement of a `gib` GiB data set: a static
     /// spill over the local DIMM (node 0), then the expander (node 2), each
@@ -115,14 +120,12 @@ mod tests {
         assert_eq!(TierPolicy::CxlExpander.resolve(&m).unwrap(), 2);
         assert_eq!(TierPolicy::Node(1).resolve(&m).unwrap(), 1);
         assert!(TierPolicy::Node(9).resolve(&m).is_err());
-        assert_eq!(TierPolicy::CxlExpander.mount_label(&m), "/mnt/pmem2");
     }
 
     #[test]
     fn no_expander_means_no_cxl_tier() {
         let m = xeon_gold_ddr4_machine();
         assert!(TierPolicy::CxlExpander.resolve(&m).is_err());
-        assert_eq!(TierPolicy::CxlExpander.mount_label(&m), "/mnt/pmem?");
     }
 
     #[test]
@@ -152,5 +155,111 @@ mod tests {
         let (on_expander, parts) = expansion(0).unwrap();
         assert_eq!(parts, vec![(0, 0), (2, 0)]);
         assert_eq!(on_expander, 0.0);
+    }
+
+    #[test]
+    fn local_alloc_follows_cpu() {
+        // First touch lands on the local node of the touching CPU's socket.
+        let rt = RuntimeBuilder::setup1().build();
+        let topo = rt.topology();
+        for cpu in 0..topo.num_hw_threads() {
+            let socket = topo.socket_of_cpu(cpu).unwrap();
+            let local = TierPolicy::LocalDram { socket }.resolve(rt.machine());
+            assert_eq!(local.ok(), topo.node_of_cpu(cpu), "cpu {cpu}");
+        }
+    }
+
+    #[test]
+    fn bind_ignores_cpu() {
+        // `--membind=2`: threads on either socket stream from the expander
+        // and from no DIMM.
+        let rt = RuntimeBuilder::setup1().build();
+        for socket in 0..2 {
+            let placement = rt.place(&AffinityPolicy::SingleSocket(socket), 4).unwrap();
+            let report = rt
+                .simulate_stream_phase("membind=2", &placement, 2, MIB, MIB, AccessMode::MemoryMode)
+                .unwrap();
+            let busy: Vec<&str> = report
+                .resources
+                .iter()
+                .filter(|r| r.busy_seconds > 0.0)
+                .map(|r| r.name.as_str())
+                .collect();
+            assert!(busy.contains(&"cxl-fpga"), "socket {socket}: {busy:?}");
+            assert!(
+                !busy.iter().any(|name| name.starts_with("ddr5")),
+                "socket {socket}: {busy:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn bind_to_missing_node_fails() {
+        let rt = RuntimeBuilder::setup1().build();
+        assert!(TierPolicy::Node(9).resolve(rt.machine()).is_err());
+        assert!(rt
+            .provision_pool(&TierPolicy::Node(9), "missing", MIB)
+            .is_err());
+    }
+
+    #[test]
+    fn empty_interleave_rejected() {
+        let text = reference::SPR_DUAL_CXL_INTERLEAVE
+            .replace(r#"targets = ["cxl-card-a", "cxl-card-b"]"#, "targets = []");
+        assert_ne!(text, reference::SPR_DUAL_CXL_INTERLEAVE);
+        assert!(matches!(
+            RuntimeBuilder::from_description(&text),
+            Err(RuntimeError::Topology(TopologyError::EmptyWindow(_)))
+        ));
+    }
+
+    #[test]
+    fn distribution_of_bound_policy_is_single_node() {
+        // A pool bound to a DIMM puts no byte on the card; one bound to the
+        // expander puts its bytes there.
+        let rt = RuntimeBuilder::setup1().build();
+        let card = rt.fpga().unwrap().endpoint();
+        let local = rt
+            .provision_pool(&TierPolicy::LocalDram { socket: 0 }, "local", MIB)
+            .unwrap();
+        assert_eq!((local.node(), card.stats().bytes_written), (0, 0));
+        let bound = rt
+            .provision_pool(&TierPolicy::Node(2), "bound", MIB)
+            .unwrap();
+        assert_eq!(bound.node(), 2);
+        assert!(card.stats().bytes_written > 0);
+    }
+
+    #[test]
+    fn labels_match_numactl_syntax() {
+        // `numactl --membind=N` pairs with the paper's `/mnt/pmemN` mount.
+        let rt = RuntimeBuilder::setup1().build();
+        for (policy, mount) in [
+            (TierPolicy::LocalDram { socket: 0 }, "/mnt/pmem0"),
+            (TierPolicy::RemoteDram { socket: 0 }, "/mnt/pmem1"),
+            (TierPolicy::Node(2), "/mnt/pmem2"),
+            (TierPolicy::CxlExpander, "/mnt/pmem2"),
+        ] {
+            let pool = rt.provision_pool(&policy, "label", MIB).unwrap();
+            assert_eq!(pool.mount(), mount);
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn prop_resolve_always_returns_valid_node(socket in 0usize..2, node in 0usize..3) {
+            let rt = RuntimeBuilder::setup1().build();
+            let machine = rt.machine();
+            prop_assert_eq!(TierPolicy::Node(node).resolve(machine).unwrap(), node);
+            for policy in [
+                TierPolicy::LocalDram { socket },
+                TierPolicy::RemoteDram { socket },
+                TierPolicy::Node(node),
+                TierPolicy::CxlExpander,
+            ] {
+                let resolved = policy.resolve(machine).unwrap();
+                prop_assert!(machine.topology().node(resolved).is_ok());
+            }
+        }
     }
 }

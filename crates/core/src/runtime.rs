@@ -114,11 +114,9 @@ pub enum SetupKind {
     XeonGoldDdr4,
     /// The DCPMM baseline machine used for the headline comparison.
     SapphireRapidsDcpmm,
-    /// A caller-provided machine.
+    /// A caller-provided machine, or one compiled from a plain-text topology
+    /// description (CEDT/SRAT-shaped ingest, see [`memsim::topology`]).
     Custom,
-    /// A machine compiled from a plain-text topology description
-    /// (CEDT/SRAT-shaped ingest, see [`memsim::topology`]).
-    Ingested,
 }
 
 /// A pool managed by the runtime: the PMDK-style pool plus where it lives.
@@ -239,8 +237,7 @@ enum BuilderTopology {
     Setup1,
     Setup2,
     DcpmmBaseline,
-    Machine(Machine),
-    Ingested(memsim::IngestedTopology),
+    Machine(Box<Machine>),
 }
 
 /// The one front door for constructing a [`CxlPmemRuntime`]. The topology is
@@ -250,15 +247,12 @@ enum BuilderTopology {
 ///   and [`dcpmm_baseline`](Self::dcpmm_baseline) compile the committed
 ///   reference descriptions of [`memsim::machines`]; Setup #1's CXL node is
 ///   backed by the paper's functional FPGA prototype;
-/// * **caller machines** — [`machine`](Self::machine) wraps a caller-built
-///   machine model (no functional card);
-/// * **ingested descriptions** — [`from_description`](Self::from_description)
-///   parses + compiles a CEDT/SRAT-shaped plain-text description (validated
-///   *in the constructor*, so [`build`](Self::build) stays infallible), and
-///   [`from_ingested`](Self::from_ingested) takes an already-compiled
-///   [`memsim::IngestedTopology`]. A CPU-less memory node gets a functional
-///   card derived from its device spec, so pools on that tier really store
-///   bytes.
+/// * **any other machine** — [`machine`](Self::machine) takes a machine
+///   model, and [`from_description`](Self::from_description) parses and
+///   compiles a CEDT/SRAT-shaped plain-text description into one (validated
+///   *in the constructor*, so [`build`](Self::build) stays infallible). The
+///   first CPU-less memory node gets a functional card derived from its
+///   device spec, so pools on that tier really store bytes.
 ///
 /// ```
 /// use cxl_pmem::RuntimeBuilder;
@@ -306,33 +300,26 @@ impl RuntimeBuilder {
         }
     }
 
-    /// Topology knob: wraps a caller-provided machine model (ablations,
-    /// upgraded prototypes, ...).
+    /// Topology knob: a machine model (ablations, upgraded prototypes,
+    /// compiled descriptions, ...). If the machine has a CPU-less memory
+    /// node, a functional Type-3 expander named and sized after the first
+    /// one's device backs it (so pools on the CXL tier really store bytes).
     pub fn machine(mut self, machine: Machine) -> Self {
-        self.topology = BuilderTopology::Machine(machine);
+        self.topology = BuilderTopology::Machine(Box::new(machine));
         self
     }
 
-    /// Topology knob: parses + compiles a plain-text topology description —
-    /// the CEDT/SRAT-shaped ingest format of [`memsim::topology`]. If the
-    /// machine has a CPU-less memory node, a functional Type-3 expander sized
-    /// from the ingested device specification backs it (so pools on the CXL
-    /// tier really store bytes). A node a `[window.*]` interleaves is one
-    /// such card, with the window's whole capacity; the window's ways exist
+    /// Topology knob: parses and compiles a plain-text topology description
+    /// — the CEDT/SRAT-shaped ingest format of [`memsim::topology`] — into
+    /// the [`machine`](Self::machine). A node a `[window.*]` interleaves is
+    /// one card with the window's whole capacity; the window's ways exist
     /// only in the machine model, as the aggregate device whose bandwidth
     /// `memsim` computes. Malformed descriptions, bad interleave geometry
     /// included, surface as [`RuntimeError::Topology`] *here*, keeping
     /// [`build`](Self::build) infallible.
     pub fn from_description(text: &str) -> crate::Result<Self> {
         let description = memsim::TopologyDescription::parse(text)?;
-        Ok(Self::from_ingested(description.compile()?))
-    }
-
-    /// Topology knob: an already-compiled [`memsim::IngestedTopology`].
-    pub fn from_ingested(ingested: memsim::IngestedTopology) -> Self {
-        RuntimeBuilder {
-            topology: BuilderTopology::Ingested(ingested),
-        }
+        Ok(Self::new().machine(description.compile()?))
     }
 
     /// Realises the runtime. Infallible: every fallible input was validated
@@ -359,21 +346,20 @@ impl RuntimeBuilder {
                 None,
             ),
             BuilderTopology::Machine(machine) => {
-                CxlPmemRuntime::from_parts(SetupKind::Custom, Engine::new(machine), None)
-            }
-            BuilderTopology::Ingested(memsim::IngestedTopology { machine, .. }) => {
-                let node = machine.topology().memory_only_nodes().next().map(|n| n.id);
-                let fpga = node.map(|node| {
-                    let device = machine
-                        .device(node)
-                        .expect("compiled topologies back every memory node with a device");
-                    FpgaPrototype::custom(
-                        device.name.clone(),
-                        LinkConfig::gen5_x16(),
-                        device.capacity_bytes,
-                    )
-                });
-                CxlPmemRuntime::from_parts(SetupKind::Ingested, Engine::new(machine), fpga)
+                // A machine backs every node with a device.
+                let fpga = machine
+                    .topology()
+                    .memory_only_nodes()
+                    .next()
+                    .and_then(|node| machine.device(node.id).ok())
+                    .map(|device| {
+                        FpgaPrototype::custom(
+                            device.name.clone(),
+                            LinkConfig::gen5_x16(),
+                            device.capacity_bytes,
+                        )
+                    });
+                CxlPmemRuntime::from_parts(SetupKind::Custom, Engine::new(*machine), fpga)
             }
         }
     }
@@ -753,7 +739,7 @@ mod tests {
             let rt = RuntimeBuilder::from_description(text)
                 .expect("reference description ingests")
                 .build();
-            assert_eq!(rt.setup(), SetupKind::Ingested);
+            assert_eq!(rt.setup(), SetupKind::Custom);
             let pool = rt
                 .provision_pool(&TierPolicy::CxlExpander, "stream", 8 * 1024 * 1024)
                 .unwrap();
@@ -782,8 +768,7 @@ mod tests {
             let compiled = memsim::TopologyDescription::parse(text)
                 .unwrap()
                 .compile()
-                .unwrap()
-                .machine;
+                .unwrap();
             // Every device, every socket->node path, the topology and the
             // core MLP.
             assert_eq!(

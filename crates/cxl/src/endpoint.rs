@@ -254,6 +254,7 @@ mod tests {
     use super::*;
 
     const MIB: u64 = 1024 * 1024;
+    const LINE: usize = 64;
 
     fn device() -> Type3Device {
         Type3Device::new("test-cxl", 16 * MIB, LinkConfig::gen5_x16())
@@ -279,7 +280,7 @@ mod tests {
     }
 
     #[test]
-    fn write_then_read_round_trips_through_hdm() {
+    fn write_then_read_round_trips_by_dpa() {
         let dev = Type3Device::new("decoded", 16 * MIB, LinkConfig::gen5_x16());
         let mut line = [0u8; 64];
         for (i, b) in line.iter_mut().enumerate() {
@@ -361,7 +362,7 @@ mod tests {
     }
 
     #[test]
-    fn hdm_range_beyond_capacity_is_rejected() {
+    fn range_beyond_capacity_is_rejected() {
         let dev = Type3Device::new("small", MIB, LinkConfig::gen5_x16());
         let whole = vec![0u8; 2 * MIB as usize];
         assert!(matches!(
@@ -437,7 +438,7 @@ mod tests {
     }
 
     #[test]
-    fn flit_counters_track_link_traffic() {
+    fn counters_track_bulk_traffic_and_flushes() {
         let dev = device();
         dev.write_bulk(0, &[1; 64]).unwrap();
         dev.read_bulk(0, &mut [0; 64]).unwrap();
@@ -498,5 +499,66 @@ mod tests {
         assert_eq!(stats.bytes_read, threads * 100 * 1000);
         assert_eq!(stats.lines_written, threads * 100 * 16);
         assert_eq!(stats.gpf_flushes, threads * 100);
+    }
+
+    #[test]
+    fn a_line_read_returns_zeros_and_counts_one_line() {
+        let dev = device();
+        let mut line = [0xAAu8; LINE];
+        dev.read_bulk(0x1000, &mut line).unwrap();
+        // Untouched device memory reads as zeros.
+        assert_eq!(line, [0u8; LINE]);
+        let stats = dev.stats();
+        assert_eq!((stats.lines_read, stats.bytes_read), (1, LINE as u64));
+        assert_eq!((stats.lines_written, stats.bytes_written), (0, 0));
+    }
+
+    #[test]
+    fn a_two_line_write_counts_two_lines() {
+        let dev = device();
+        dev.write_bulk(0x40, &[0xAB; 2 * LINE]).unwrap();
+        let stats = dev.stats();
+        assert_eq!(
+            (stats.lines_written, stats.bytes_written),
+            (2, 2 * LINE as u64)
+        );
+        assert_eq!((stats.lines_read, stats.bytes_read), (0, 0));
+    }
+
+    #[test]
+    fn partial_write_keeps_byte_enable() {
+        let dev = device();
+        // Four bytes of one line: the payload counts four bytes, the line one.
+        dev.write_bulk(0x80, &[1u8; 4]).unwrap();
+        let stats = dev.stats();
+        assert_eq!((stats.lines_written, stats.bytes_written), (1, 4));
+    }
+
+    #[test]
+    fn empty_transfers_count_nothing_and_partial_lines_round_up() {
+        let dev = device();
+        // A transfer without data counts nothing; one byte counts a whole line.
+        dev.read_bulk(0, &mut []).unwrap();
+        dev.write_bulk(0, &[]).unwrap();
+        assert_eq!(dev.stats(), DeviceStats::default());
+        dev.read_bulk(0, &mut [0u8; 1]).unwrap();
+        dev.write_bulk(0, &[0u8; LINE + 1]).unwrap();
+        assert_eq!(dev.stats().lines_read, 1);
+        assert_eq!(dev.stats().lines_written, 2);
+    }
+
+    #[test]
+    fn counters_accumulate_and_compute_efficiency() {
+        let dev = device();
+        dev.write_bulk(0, &[7u8; 100]).unwrap();
+        dev.write_bulk(4096, &[7u8; 28]).unwrap();
+        dev.read_bulk(0, &mut [0u8; 100]).unwrap();
+        let stats = dev.stats();
+        assert_eq!(stats.bytes_written, 128);
+        assert_eq!(stats.lines_written, 3);
+        // Payload efficiency: bytes moved over the line bytes they occupy.
+        let efficiency = stats.bytes_written as f64 / (stats.lines_written * LINE as u64) as f64;
+        assert!(efficiency > 0.0 && efficiency < 1.0);
+        assert_eq!(stats.lines_read, 2);
     }
 }

@@ -10,16 +10,12 @@
 //!
 //! This crate rebuilds that stack in software with a *functional* data path:
 //! bulk transfers really read and write bytes in a backing store, addressed
-//! by device-local address (DPA). How fast the card and its link are lives
-//! elsewhere, in the Setup #1 topology text that `memsim` compiles and its
-//! analytical engine simulates; so does interleaving, since a CFMWS window of
-//! several cards is the aggregate device `memsim` compiles from its ways:
+//! by device-local address (DPA). How fast the card and its link are, and how
+//! a CFMWS window interleaves cards, is `memsim`'s compiled machine model:
 //!
 //! * [`config`] — spec revisions and the link's negotiated width (no speed).
-//! * [`endpoint`] — the Type-3 device: backing store + bulk data path +
-//!   statistics.
-//! * [`fpga`] — the Agilex-7 prototype as a functional card: a named Type-3
-//!   endpoint behind its CXL link.
+//! * [`endpoint`] — the Type-3 device: backing store, bulk data path, stats.
+//! * [`fpga`] — the Agilex-7 prototype: a named Type-3 endpoint behind its link.
 //! * [`switch`] — a CXL 2.0 switch with memory pooling (device → host binding,
 //!   dynamic capacity).
 //! * [`sharing`] — the multi-headed configuration of §2.2 where the *same*
@@ -56,8 +52,6 @@ pub mod fpga;
 pub mod sharing;
 pub mod sparse;
 pub mod switch;
-#[cfg(test)]
-mod transaction;
 
 pub use config::{CxlSpec, LinkConfig};
 pub use endpoint::{DeviceStats, Type3Device};

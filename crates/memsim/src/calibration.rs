@@ -220,11 +220,13 @@ fn saturated_read_gbs(engine: &Engine, node: usize, threads: usize) -> f64 {
         .bandwidth_gbs
 }
 
-fn ingest(text: &str) -> (String, Engine, crate::machine::Machine) {
-    let description = TopologyDescription::parse(text).expect("reference topology parses");
-    let ingested = description.compile().expect("reference topology compiles");
-    let machine = ingested.machine.clone();
-    (description.name, Engine::new(ingested.machine), machine)
+/// Compiles a reference description: its machine's name and an engine over
+/// the machine.
+fn ingest(text: &str) -> (String, Engine) {
+    let machine = TopologyDescription::parse(text)
+        .and_then(|description| description.compile())
+        .expect("reference topology parses and compiles");
+    (machine.topology().name.clone(), Engine::new(machine))
 }
 
 /// Runs the full calibration table: ingest every reference topology, compute
@@ -236,14 +238,14 @@ pub fn run_calibration() -> CalibrationReport {
     let mut rows = Vec::new();
 
     // Paper Setup #1: DDR5 + FPGA CXL expander.
-    let (setup1, engine1, machine1) = ingest(reference::SPR_FPGA_CXL);
+    let (setup1, engine1) = ingest(reference::SPR_FPGA_CXL);
     rows.push(CalibrationRow {
         name: "ddr5-local-latency".into(),
         topology: setup1.clone(),
         metric: "idle load-to-use latency, CPU0 -> local DDR5 (ns)".into(),
         source: "CXL-DMSim (PAPERS.md) host-DRAM baseline, Intel MLC-class".into(),
         expected: 98.0,
-        predicted: machine1.access_latency_ns(0, 0).unwrap(),
+        predicted: engine1.machine().access_latency_ns(0, 0).unwrap(),
     });
     rows.push(CalibrationRow {
         name: "ddr5-local-stream".into(),
@@ -267,7 +269,7 @@ pub fn run_calibration() -> CalibrationReport {
         metric: "idle load-to-use latency, CPU0 -> FPGA expander (ns)".into(),
         source: "CXL-DMSim (PAPERS.md) FPGA-card measurement, ~2.2x DRAM".into(),
         expected: 410.0,
-        predicted: machine1.access_latency_ns(0, 2).unwrap(),
+        predicted: engine1.machine().access_latency_ns(0, 2).unwrap(),
     });
     rows.push(CalibrationRow {
         name: "cxl-fpga-stream".into(),
@@ -290,7 +292,7 @@ pub fn run_calibration() -> CalibrationReport {
     });
 
     // Paper Setup #2: six-channel DDR4, thread-concurrency-bound.
-    let (setup2, engine2, _machine2) = ingest(reference::XEON_GOLD_DDR4);
+    let (setup2, engine2) = ingest(reference::XEON_GOLD_DDR4);
     rows.push(CalibrationRow {
         name: "ddr4-6ch-stream".into(),
         topology: setup2,
@@ -301,14 +303,14 @@ pub fn run_calibration() -> CalibrationReport {
     });
 
     // ASIC-class expander: the device class CXL-DMSim validates against.
-    let (asic, engine_asic, machine_asic) = ingest(reference::SPR_ASIC_CXL);
+    let (asic, engine_asic) = ingest(reference::SPR_ASIC_CXL);
     rows.push(CalibrationRow {
         name: "cxl-asic-latency".into(),
         topology: asic.clone(),
         metric: "idle load-to-use latency, CPU0 -> ASIC expander (ns)".into(),
         source: "CXL-DMSim (PAPERS.md) ASIC-card measurement".into(),
         expected: 250.0,
-        predicted: machine_asic.access_latency_ns(0, 2).unwrap(),
+        predicted: engine_asic.machine().access_latency_ns(0, 2).unwrap(),
     });
     rows.push(CalibrationRow {
         name: "cxl-asic-stream".into(),
@@ -320,7 +322,7 @@ pub fn run_calibration() -> CalibrationReport {
     });
 
     // Two expanders interleaved behind one CFMWS window.
-    let (dual, engine_dual, _machine_dual) = ingest(reference::SPR_DUAL_CXL_INTERLEAVE);
+    let (dual, engine_dual) = ingest(reference::SPR_DUAL_CXL_INTERLEAVE);
     let single_card = saturated_read_gbs(&engine1, 2, 10);
     rows.push(CalibrationRow {
         name: "interleave-2way-scaling".into(),

@@ -587,7 +587,7 @@ mod tests {
     }
 
     #[test]
-    fn simulate_cached_matches_simulate_and_counts_hits() {
+    fn simulating_a_phase_twice_gives_the_same_report() {
         // Evaluating the same phase twice gives the same report, bit for bit.
         let e = engine();
         let p = phase(6, 2, GB, cal::PMDK_OVERHEAD_FACTOR);
@@ -598,7 +598,7 @@ mod tests {
     }
 
     #[test]
-    fn cached_hits_keep_the_first_seen_label() {
+    fn a_report_keeps_its_own_phase_label() {
         // A report carries its own phase's label, even when another phase
         // with the same traffic was evaluated first.
         let e = engine();
@@ -611,7 +611,7 @@ mod tests {
     }
 
     #[test]
-    fn cache_distinguishes_different_traffic() {
+    fn different_traffic_gives_different_reports() {
         let e = engine();
         let a = e.simulate(&phase(4, 0, GB, 1.0)).unwrap();
         let b = e.simulate(&phase(4, 2, GB, 1.0)).unwrap();

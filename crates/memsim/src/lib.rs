@@ -68,7 +68,7 @@ pub use engine::{Bottleneck, Engine, PhaseReport};
 pub use error::SimError;
 pub use link::{LinkKind, LinkSpec, Path};
 pub use machine::{Machine, MachineBuilder};
-pub use topology::{IngestedTopology, TopologyDescription, TopologyError};
+pub use topology::{TopologyDescription, TopologyError};
 
 /// Result alias for simulator operations.
 pub type Result<T> = std::result::Result<T, SimError>;

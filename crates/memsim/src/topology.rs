@@ -21,12 +21,11 @@
 //!   across ≥1 unattached CXL devices, exposed as one CPU-less node.
 //!
 //! [`TopologyDescription::parse`] reads the format (typed
-//! [`TopologyError`]s, never panics), [`TopologyDescription::render`] writes
-//! it back out (round-trip stable), and [`TopologyDescription::compile`]
-//! validates the graph and produces an [`IngestedTopology`] — a ready
-//! [`Machine`] plus the compiled interleave windows. The named reference
-//! machines live in [`mod@reference`]: the runtime's presets compile them, and
-//! the calibration gate checks them.
+//! [`TopologyError`]s, never panics), and [`TopologyDescription::compile`]
+//! validates the graph and returns the [`Machine`] it describes, in which
+//! each window is its node's aggregate device. The named reference machines
+//! live in [`mod@reference`]: the runtime's presets compile them, and the
+//! calibration gate checks them.
 //!
 //! # Example
 //!
@@ -117,13 +116,13 @@
 //! targets = ["cxl-a", "cxl-b"]
 //! "#;
 //!
-//! let ingested = TopologyDescription::parse(text).unwrap().compile().unwrap();
-//! assert_eq!(ingested.windows.len(), 1);
-//! assert_eq!(ingested.windows[0].ways(), 2);
+//! let description = TopologyDescription::parse(text).unwrap();
+//! assert_eq!(description.windows.len(), 1);
+//! assert_eq!(description.windows[0].targets.len(), 2);
 //!
 //! // The window aggregates both expanders behind node 2: the engine sees
 //! // ~23 GB/s where a single card would cap at 11.5.
-//! let engine = Engine::new(ingested.machine);
+//! let engine = Engine::new(description.compile().unwrap());
 //! let phase = TrafficPhase::from_threads(
 //!     "interleaved stream",
 //!     (0..16).map(|t| ThreadTraffic::sequential(t, 2, 1 << 30, 0)),
@@ -134,7 +133,6 @@
 
 use crate::calibration as cal;
 use crate::device::{DeviceKind, DeviceSpec};
-use crate::engine::Engine;
 use crate::error::SimError;
 use crate::link::{LinkKind, LinkSpec, Path};
 use crate::machine::Machine;
@@ -398,62 +396,11 @@ pub struct MemoryDecl {
 /// unattached as a window target.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DeviceDecl {
-    /// Unique device name (doubles as the engine's resource name).
-    pub name: String,
     /// Node the device backs; `None` leaves it available to a window.
     pub node: Option<usize>,
-    /// Device technology.
-    pub kind: DeviceKind,
-    /// Sustainable read bandwidth (GB/s).
-    pub read_gbs: f64,
-    /// Sustainable write bandwidth (GB/s).
-    pub write_gbs: f64,
-    /// Idle load-to-use latency contributed by the device itself (ns).
-    pub latency_ns: f64,
-    /// Capacity in bytes.
-    pub capacity_bytes: u64,
-    /// Independent channels.
-    pub channels: u32,
-}
-
-impl DeviceDecl {
-    /// Converts the declaration into the engine's [`DeviceSpec`].
-    pub fn to_spec(&self) -> DeviceSpec {
-        DeviceSpec {
-            name: self.name.clone(),
-            kind: self.kind,
-            read_bw_gbs: self.read_gbs,
-            write_bw_gbs: self.write_gbs,
-            idle_latency_ns: self.latency_ns,
-            capacity_bytes: self.capacity_bytes,
-            channels: self.channels,
-        }
-    }
-}
-
-/// An interconnect link. Paths that name the same link share its bandwidth.
-#[derive(Debug, Clone, PartialEq)]
-pub struct LinkDecl {
-    /// Unique link name (sharing is by name, as in [`crate::engine`]).
-    pub name: String,
-    /// Link technology.
-    pub kind: LinkKind,
-    /// Per-direction bandwidth ceiling (GB/s).
-    pub bandwidth_gbs: f64,
-    /// Added load-to-use latency (ns).
-    pub latency_ns: f64,
-}
-
-impl LinkDecl {
-    /// Converts the declaration into the engine's [`LinkSpec`].
-    pub fn to_spec(&self) -> LinkSpec {
-        LinkSpec {
-            name: self.name.clone(),
-            kind: self.kind,
-            bandwidth_gbs: self.bandwidth_gbs,
-            latency_ns: self.latency_ns,
-        }
-    }
+    /// The device as the engine models it. Its name is the section's and
+    /// doubles as the engine's resource name.
+    pub spec: DeviceSpec,
 }
 
 /// The ordered links a socket crosses to reach a node.
@@ -487,8 +434,7 @@ pub struct WindowDecl {
 
 /// A parsed (or programmatically built) machine description.
 ///
-/// See the [module docs](self) for the text format. Descriptions round-trip:
-/// `parse(render(d)) == d`.
+/// See the [module docs](self) for the text format.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TopologyDescription {
     /// Machine name.
@@ -505,59 +451,13 @@ pub struct TopologyDescription {
     pub distances: Option<Vec<Vec<u32>>>,
     /// Device declarations.
     pub devices: Vec<DeviceDecl>,
-    /// Link declarations.
-    pub links: Vec<LinkDecl>,
+    /// Link declarations. Paths name links, and paths that name the same
+    /// link share its bandwidth in the engine.
+    pub links: Vec<LinkSpec>,
     /// Path declarations.
     pub paths: Vec<PathDecl>,
     /// Interleave-window declarations.
     pub windows: Vec<WindowDecl>,
-}
-
-/// One compiled CFMWS window: validated geometry plus per-way capacity, from
-/// which the compiler derives the window node's aggregate device.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CompiledWindow {
-    /// Window name.
-    pub name: String,
-    /// The CPU-less node the window surfaces as.
-    pub node: usize,
-    /// Host-physical base address.
-    pub hpa_base: u64,
-    /// Interleave granularity (bytes).
-    pub granularity: u64,
-    /// Target device names in interleave-position order.
-    pub way_names: Vec<String>,
-    /// Capacity contributed by each way (bytes; uniform across ways).
-    pub way_capacity_bytes: u64,
-}
-
-impl CompiledWindow {
-    /// Number of interleave ways.
-    pub fn ways(&self) -> usize {
-        self.way_names.len()
-    }
-
-    /// Total window length in bytes.
-    pub fn total_bytes(&self) -> u64 {
-        self.way_capacity_bytes * self.way_names.len() as u64
-    }
-}
-
-/// The result of compiling a description: a ready [`Machine`] plus the
-/// compiled interleave windows.
-#[derive(Debug, Clone)]
-pub struct IngestedTopology {
-    /// The compiled machine model.
-    pub machine: Machine,
-    /// Compiled CFMWS windows (empty when no `[window.*]` was declared).
-    pub windows: Vec<CompiledWindow>,
-}
-
-impl IngestedTopology {
-    /// Convenience: a simulation engine over a clone of the compiled machine.
-    pub fn engine(&self) -> Engine {
-        Engine::new(self.machine.clone())
-    }
 }
 
 impl TopologyDescription {
@@ -603,80 +503,51 @@ impl TopologyDescription {
                     if description.is_some() {
                         return Err(parse_err(header_line, "duplicate [machine] section"));
                     }
-                    let mut d = TopologyDescription::new("");
-                    for (line, key, value) in &section.entries {
-                        match key.as_str() {
-                            "name" => d.name = unquote(value),
-                            "smt" => d.smt = parse_usize(value, *line, "smt")?,
-                            "core_mlp" => d.core_mlp = parse_f64(value, *line, "core_mlp")?,
-                            other => {
-                                return Err(parse_err(
-                                    *line,
-                                    format!("unknown [machine] key {other:?}"),
-                                ))
-                            }
-                        }
-                    }
-                    if d.name.is_empty() {
+                    let mut keys = Keys::read(section, "machine", &["name", "smt", "core_mlp"]);
+                    let name = keys.get("name", parse_text);
+                    let smt = keys.get("smt", parse_usize);
+                    let core_mlp = keys.get("core_mlp", parse_f64);
+                    keys.check()?;
+                    let defaults = TopologyDescription::new(name?.unwrap_or_default());
+                    if defaults.name.is_empty() {
                         return Err(parse_err(header_line, "[machine] requires a name"));
                     }
-                    description = Some(d);
+                    description = Some(TopologyDescription {
+                        smt: smt?.unwrap_or(defaults.smt),
+                        core_mlp: core_mlp?.unwrap_or(defaults.core_mlp),
+                        ..defaults
+                    });
                 }
                 "processor" => {
                     let index = parse_section_index(rest, header_line, "processor")?;
-                    let mut model = None;
-                    let mut base_ghz = None;
-                    let mut cores = None;
-                    let mut node = None;
-                    for (line, key, value) in &section.entries {
-                        match key.as_str() {
-                            "model" => model = Some(unquote(value)),
-                            "base_ghz" => base_ghz = Some(parse_f64(value, *line, "base_ghz")?),
-                            "cores" => cores = Some(parse_usize(value, *line, "cores")?),
-                            "node" => node = Some(parse_usize(value, *line, "node")?),
-                            other => {
-                                return Err(parse_err(
-                                    *line,
-                                    format!("unknown [processor] key {other:?}"),
-                                ))
-                            }
-                        }
-                    }
-                    processors.push((
-                        index,
-                        header_line,
-                        ProcessorDecl {
-                            model: model
-                                .ok_or_else(|| missing_key(header_line, "processor", "model"))?,
-                            base_ghz: base_ghz
-                                .ok_or_else(|| missing_key(header_line, "processor", "base_ghz"))?,
-                            cores: cores
-                                .ok_or_else(|| missing_key(header_line, "processor", "cores"))?,
-                            node: node
-                                .ok_or_else(|| missing_key(header_line, "processor", "node"))?,
-                        },
-                    ));
+                    let mut keys = Keys::read(
+                        section,
+                        "processor",
+                        &["model", "base_ghz", "cores", "node"],
+                    );
+                    let model = keys.require("model", parse_text);
+                    let base_ghz = keys.require("base_ghz", parse_f64);
+                    let cores = keys.require("cores", parse_usize);
+                    let node = keys.require("node", parse_usize);
+                    keys.check()?;
+                    let processor = ProcessorDecl {
+                        model: model?,
+                        base_ghz: base_ghz?,
+                        cores: cores?,
+                        node: node?,
+                    };
+                    processors.push((index, header_line, processor));
                 }
                 "memory" => {
                     let node = parse_section_index(rest, header_line, "memory")?;
-                    let mut bytes = None;
-                    let mut label = None;
-                    for (line, key, value) in &section.entries {
-                        match key.as_str() {
-                            "bytes" => bytes = Some(parse_bytes(value, *line, "bytes")?),
-                            "label" => label = Some(unquote(value)),
-                            other => {
-                                return Err(parse_err(
-                                    *line,
-                                    format!("unknown [memory] key {other:?}"),
-                                ))
-                            }
-                        }
-                    }
+                    let mut keys = Keys::read(section, "memory", &["bytes", "label"]);
+                    let bytes = keys.require("bytes", parse_bytes);
+                    let label = keys.get("label", parse_text);
+                    keys.check()?;
                     memories.push(MemoryDecl {
                         node,
-                        bytes: bytes.ok_or_else(|| missing_key(header_line, "memory", "bytes"))?,
-                        label: label.unwrap_or_else(|| format!("node{node}")),
+                        bytes: bytes?,
+                        label: label?.unwrap_or_else(|| format!("node{node}")),
                     });
                 }
                 "slit" => {
@@ -687,7 +558,7 @@ impl TopologyDescription {
                         let row: usize = row.parse().map_err(|_| {
                             parse_err(*line, format!("bad [slit] row index {row:?}"))
                         })?;
-                        let cells = parse_list(value, *line)?
+                        let cells = parse_list(value, *line, key)?
                             .iter()
                             .map(|c| {
                                 c.parse::<u32>().map_err(|_| {
@@ -700,74 +571,53 @@ impl TopologyDescription {
                 }
                 "device" => {
                     let name = parse_section_name(rest, header_line, "device")?;
-                    let mut node = None;
-                    let mut kind = None;
-                    let mut read_gbs = None;
-                    let mut write_gbs = None;
-                    let mut latency_ns = None;
-                    let mut capacity = None;
-                    let mut channels = 1u32;
-                    for (line, key, value) in &section.entries {
-                        match key.as_str() {
-                            "node" => node = Some(parse_usize(value, *line, "node")?),
-                            "kind" => kind = Some(parse_device_kind(value, *line)?),
-                            "read_gbs" => read_gbs = Some(parse_f64(value, *line, "read_gbs")?),
-                            "write_gbs" => write_gbs = Some(parse_f64(value, *line, "write_gbs")?),
-                            "latency_ns" => {
-                                latency_ns = Some(parse_f64(value, *line, "latency_ns")?)
-                            }
-                            "capacity" => capacity = Some(parse_bytes(value, *line, "capacity")?),
-                            "channels" => channels = parse_usize(value, *line, "channels")? as u32,
-                            other => {
-                                return Err(parse_err(
-                                    *line,
-                                    format!("unknown [device] key {other:?}"),
-                                ))
-                            }
-                        }
-                    }
-                    let read_gbs =
-                        read_gbs.ok_or_else(|| missing_key(header_line, "device", "read_gbs"))?;
+                    let mut keys = Keys::read(
+                        section,
+                        "device",
+                        &[
+                            "node",
+                            "kind",
+                            "read_gbs",
+                            "write_gbs",
+                            "latency_ns",
+                            "capacity",
+                            "channels",
+                        ],
+                    );
+                    let node = keys.get("node", parse_usize);
+                    let read_bw_gbs = keys.require("read_gbs", parse_f64);
+                    let kind = keys.require("kind", parse_device_kind);
+                    let write_bw_gbs = keys.get("write_gbs", parse_f64);
+                    let idle_latency_ns = keys.require("latency_ns", parse_f64);
+                    let capacity_bytes = keys.require("capacity", parse_bytes);
+                    let channels = keys.get("channels", parse_usize);
+                    keys.check()?;
+                    let read_bw_gbs = read_bw_gbs?;
                     devices.push(DeviceDecl {
-                        name,
-                        node,
-                        kind: kind.ok_or_else(|| missing_key(header_line, "device", "kind"))?,
-                        read_gbs,
-                        write_gbs: write_gbs.unwrap_or(read_gbs),
-                        latency_ns: latency_ns
-                            .ok_or_else(|| missing_key(header_line, "device", "latency_ns"))?,
-                        capacity_bytes: capacity
-                            .ok_or_else(|| missing_key(header_line, "device", "capacity"))?,
-                        channels,
+                        node: node?,
+                        spec: DeviceSpec {
+                            name,
+                            kind: kind?,
+                            read_bw_gbs,
+                            write_bw_gbs: write_bw_gbs?.unwrap_or(read_bw_gbs),
+                            idle_latency_ns: idle_latency_ns?,
+                            capacity_bytes: capacity_bytes?,
+                            channels: channels?.map_or(1, |c| c as u32),
+                        },
                     });
                 }
                 "link" => {
                     let name = parse_section_name(rest, header_line, "link")?;
-                    let mut kind = None;
-                    let mut gbs = None;
-                    let mut latency_ns = None;
-                    for (line, key, value) in &section.entries {
-                        match key.as_str() {
-                            "kind" => kind = Some(parse_link_kind(value, *line)?),
-                            "gbs" => gbs = Some(parse_f64(value, *line, "gbs")?),
-                            "latency_ns" => {
-                                latency_ns = Some(parse_f64(value, *line, "latency_ns")?)
-                            }
-                            other => {
-                                return Err(parse_err(
-                                    *line,
-                                    format!("unknown [link] key {other:?}"),
-                                ))
-                            }
-                        }
-                    }
-                    links.push(LinkDecl {
+                    let mut keys = Keys::read(section, "link", &["kind", "gbs", "latency_ns"]);
+                    let kind = keys.require("kind", parse_link_kind);
+                    let bandwidth_gbs = keys.require("gbs", parse_f64);
+                    let latency_ns = keys.require("latency_ns", parse_f64);
+                    keys.check()?;
+                    links.push(LinkSpec {
                         name,
-                        kind: kind.ok_or_else(|| missing_key(header_line, "link", "kind"))?,
-                        bandwidth_gbs: gbs
-                            .ok_or_else(|| missing_key(header_line, "link", "gbs"))?,
-                        latency_ns: latency_ns
-                            .ok_or_else(|| missing_key(header_line, "link", "latency_ns"))?,
+                        kind: kind?,
+                        bandwidth_gbs: bandwidth_gbs?,
+                        latency_ns: latency_ns?,
                     });
                 }
                 "path" => {
@@ -778,55 +628,35 @@ impl TopologyDescription {
                         .ok_or_else(|| {
                             parse_err(header_line, "path sections are [path.SOCKET.NODE]")
                         })?;
-                    let mut link_names = Vec::new();
-                    for (line, key, value) in &section.entries {
-                        match key.as_str() {
-                            "links" => link_names = parse_list(value, *line)?,
-                            other => {
-                                return Err(parse_err(
-                                    *line,
-                                    format!("unknown [path] key {other:?}"),
-                                ))
-                            }
-                        }
-                    }
+                    let mut keys = Keys::read(section, "path", &["links"]);
+                    let links = keys.get("links", parse_list);
+                    keys.check()?;
                     paths.push(PathDecl {
                         socket,
                         node,
-                        links: link_names,
+                        links: links?.unwrap_or_default(),
                     });
                 }
                 "window" => {
                     let name = parse_section_name(rest, header_line, "window")?;
-                    let mut node = None;
-                    let mut label = None;
-                    let mut hpa_base = 0x20_0000_0000u64;
-                    let mut granularity = 4096u64;
-                    let mut targets = Vec::new();
-                    for (line, key, value) in &section.entries {
-                        match key.as_str() {
-                            "node" => node = Some(parse_usize(value, *line, "node")?),
-                            "label" => label = Some(unquote(value)),
-                            "hpa_base" => hpa_base = parse_u64(value, *line, "hpa_base")?,
-                            "granularity" => {
-                                granularity = parse_bytes(value, *line, "granularity")?
-                            }
-                            "targets" => targets = parse_list(value, *line)?,
-                            other => {
-                                return Err(parse_err(
-                                    *line,
-                                    format!("unknown [window] key {other:?}"),
-                                ))
-                            }
-                        }
-                    }
+                    let mut keys = Keys::read(
+                        section,
+                        "window",
+                        &["node", "label", "hpa_base", "granularity", "targets"],
+                    );
+                    let node = keys.require("node", parse_usize);
+                    let label = keys.get("label", parse_text);
+                    let hpa_base = keys.get("hpa_base", parse_u64);
+                    let granularity = keys.get("granularity", parse_bytes);
+                    let targets = keys.get("targets", parse_list);
+                    keys.check()?;
                     windows.push(WindowDecl {
-                        node: node.ok_or_else(|| missing_key(header_line, "window", "node"))?,
-                        label: label.unwrap_or_else(|| name.clone()),
+                        node: node?,
+                        label: label?.unwrap_or_else(|| name.clone()),
                         name,
-                        hpa_base,
-                        granularity,
-                        targets,
+                        hpa_base: hpa_base?.unwrap_or(0x20_0000_0000),
+                        granularity: granularity?.unwrap_or(4096),
+                        targets: targets?.unwrap_or_default(),
                     });
                 }
                 other => return Err(parse_err(header_line, format!("unknown section [{other}]"))),
@@ -873,88 +703,15 @@ impl TopologyDescription {
         Ok(description)
     }
 
-    /// Renders the description back into the text format.
-    ///
-    /// Stable round trip: `parse(render(d)) == d` for any valid description.
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        out.push_str("[machine]\n");
-        out.push_str(&format!("name = \"{}\"\n", self.name));
-        out.push_str(&format!("smt = {}\n", self.smt));
-        out.push_str(&format!("core_mlp = {}\n", self.core_mlp));
-        for (index, p) in self.processors.iter().enumerate() {
-            out.push_str(&format!(
-                "\n[processor.{index}]\nmodel = \"{}\"\nbase_ghz = {}\ncores = {}\nnode = {}\n",
-                p.model, p.base_ghz, p.cores, p.node
-            ));
-        }
-        for m in &self.memories {
-            out.push_str(&format!(
-                "\n[memory.{}]\nbytes = {}\nlabel = \"{}\"\n",
-                m.node, m.bytes, m.label
-            ));
-        }
-        if let Some(rows) = &self.distances {
-            out.push_str("\n[slit]\n");
-            for (index, row) in rows.iter().enumerate() {
-                let cells: Vec<String> = row.iter().map(|c| c.to_string()).collect();
-                out.push_str(&format!("node.{index} = [{}]\n", cells.join(", ")));
-            }
-        }
-        for d in &self.devices {
-            out.push_str(&format!("\n[device.{}]\n", d.name));
-            if let Some(node) = d.node {
-                out.push_str(&format!("node = {node}\n"));
-            }
-            out.push_str(&format!(
-                "kind = \"{}\"\nread_gbs = {}\nwrite_gbs = {}\nlatency_ns = {}\ncapacity = {}\nchannels = {}\n",
-                device_kind_name(d.kind),
-                d.read_gbs,
-                d.write_gbs,
-                d.latency_ns,
-                d.capacity_bytes,
-                d.channels
-            ));
-        }
-        for l in &self.links {
-            out.push_str(&format!(
-                "\n[link.{}]\nkind = \"{}\"\ngbs = {}\nlatency_ns = {}\n",
-                l.name,
-                link_kind_name(l.kind),
-                l.bandwidth_gbs,
-                l.latency_ns
-            ));
-        }
-        for p in &self.paths {
-            let links: Vec<String> = p.links.iter().map(|l| format!("\"{l}\"")).collect();
-            out.push_str(&format!(
-                "\n[path.{}.{}]\nlinks = [{}]\n",
-                p.socket,
-                p.node,
-                links.join(", ")
-            ));
-        }
-        for w in &self.windows {
-            let targets: Vec<String> = w.targets.iter().map(|t| format!("\"{t}\"")).collect();
-            out.push_str(&format!(
-                "\n[window.{}]\nnode = {}\nlabel = \"{}\"\nhpa_base = 0x{:x}\ngranularity = {}\ntargets = [{}]\n",
-                w.name,
-                w.node,
-                w.label,
-                w.hpa_base,
-                w.granularity,
-                targets.join(", ")
-            ));
-        }
-        out
-    }
-
-    /// Validates the description and compiles it into the device graph.
+    /// Validates the description and compiles it into the machine it
+    /// describes.
     ///
     /// All graph defects — duplicate node ids, dangling link or window-target
-    /// references, zero-bandwidth ports, unreachable nodes — surface as typed
-    /// [`TopologyError`]s.
-    pub fn compile(&self) -> TopologyResult<IngestedTopology> {
+    /// references, zero-bandwidth ports, unreachable nodes, bad interleave
+    /// geometry — surface as typed [`TopologyError`]s. A window's node is
+    /// backed by the aggregate of its ways: their summed bandwidth, capacity
+    /// and channels at the slowest way's idle latency.
+    pub fn compile(&self) -> TopologyResult<Machine> {
         if self.processors.is_empty() {
             return Err(TopologyError::NoProcessors);
         }
@@ -1013,17 +770,17 @@ impl TopologyDescription {
         let mut device_by_name: HashMap<&str, &DeviceDecl> = HashMap::new();
         for d in &self.devices {
             let positive = |gbs: f64| gbs.is_finite() && gbs > 0.0;
-            if !positive(d.read_gbs) || !positive(d.write_gbs) {
+            if !positive(d.spec.read_bw_gbs) || !positive(d.spec.write_bw_gbs) {
                 return Err(TopologyError::ZeroBandwidth {
                     what: "device",
-                    name: d.name.clone(),
+                    name: d.spec.name.clone(),
                 });
             }
-            if device_by_name.insert(d.name.as_str(), d).is_some() {
-                return Err(TopologyError::DuplicateDevice(d.name.clone()));
+            if device_by_name.insert(d.spec.name.as_str(), d).is_some() {
+                return Err(TopologyError::DuplicateDevice(d.spec.name.clone()));
             }
         }
-        let mut link_by_name: HashMap<&str, &LinkDecl> = HashMap::new();
+        let mut link_by_name: HashMap<&str, &LinkSpec> = HashMap::new();
         for l in &self.links {
             if !(l.bandwidth_gbs.is_finite() && l.bandwidth_gbs > 0.0) {
                 return Err(TopologyError::ZeroBandwidth {
@@ -1036,14 +793,15 @@ impl TopologyDescription {
             }
         }
 
-        // Attach devices to memory nodes.
-        let mut node_device: HashMap<usize, &DeviceDecl> = HashMap::new();
+        // The device of every node: memory nodes' attached devices here,
+        // window nodes' aggregates below.
+        let mut node_device: HashMap<usize, DeviceSpec> = HashMap::new();
         for d in &self.devices {
             if let Some(node) = d.node {
                 match node_backing.get(&node) {
                     None => {
                         return Err(TopologyError::UnknownNode {
-                            referrer: format!("device {:?}", d.name),
+                            referrer: format!("device {:?}", d.spec.name),
                             node,
                         })
                     }
@@ -1052,7 +810,7 @@ impl TopologyDescription {
                     }
                     Some(Backing::Memory(_)) => {}
                 }
-                if node_device.insert(node, d).is_some() {
+                if node_device.insert(node, d.spec.clone()).is_some() {
                     return Err(TopologyError::NodeAlreadyBacked { node });
                 }
             }
@@ -1066,36 +824,44 @@ impl TopologyDescription {
         // Compile windows: CXL-only targets, each consumed exactly once,
         // CXL-spec interleave geometry.
         let mut consumed: HashSet<&str> = HashSet::new();
-        let mut compiled_windows = Vec::new();
         for w in &self.windows {
             if w.targets.is_empty() {
                 return Err(TopologyError::EmptyWindow(w.name.clone()));
             }
+            let invalid = |message: String| TopologyError::InvalidWindow {
+                window: w.name.clone(),
+                message,
+            };
             let ways = w.targets.len();
             if !matches!(ways, 1 | 2 | 4 | 8 | 16) {
-                return Err(TopologyError::InvalidWindow {
-                    window: w.name.clone(),
-                    message: format!("interleave ways must be 1, 2, 4, 8 or 16, got {ways}"),
-                });
+                return Err(invalid(format!(
+                    "interleave ways must be 1, 2, 4, 8 or 16, got {ways}"
+                )));
             }
             if !w.hpa_base.is_multiple_of(64) {
-                return Err(TopologyError::InvalidWindow {
-                    window: w.name.clone(),
-                    message: format!("hpa_base must be 64-byte aligned, got 0x{:x}", w.hpa_base),
-                });
+                return Err(invalid(format!(
+                    "hpa_base must be 64-byte aligned, got 0x{:x}",
+                    w.hpa_base
+                )));
             }
             if !w.granularity.is_power_of_two()
                 || !(MIN_INTERLEAVE_GRANULARITY..=MAX_INTERLEAVE_GRANULARITY)
                     .contains(&w.granularity)
             {
-                return Err(TopologyError::InvalidWindow {
-                    window: w.name.clone(),
-                    message: format!(
-                        "granularity must be a power of two in {MIN_INTERLEAVE_GRANULARITY}..={MAX_INTERLEAVE_GRANULARITY}, got {}",
-                        w.granularity
-                    ),
-                });
+                return Err(invalid(format!(
+                    "granularity must be a power of two in {MIN_INTERLEAVE_GRANULARITY}..={MAX_INTERLEAVE_GRANULARITY}, got {}",
+                    w.granularity
+                )));
             }
+            let mut aggregate = DeviceSpec {
+                name: format!("{} ({ways}-way interleave)", w.name),
+                kind: DeviceKind::CxlExpanderDram,
+                read_bw_gbs: 0.0,
+                write_bw_gbs: 0.0,
+                idle_latency_ns: 0.0,
+                capacity_bytes: 0,
+                channels: 0,
+            };
             let mut way_capacity = None;
             for target in &w.targets {
                 let device = device_by_name.get(target.as_str()).ok_or_else(|| {
@@ -1110,52 +876,44 @@ impl TopologyDescription {
                         target: target.clone(),
                     });
                 }
-                if device.kind != DeviceKind::CxlExpanderDram {
+                let way = &device.spec;
+                if way.kind != DeviceKind::CxlExpanderDram {
                     return Err(TopologyError::WindowTargetNotCxl {
                         window: w.name.clone(),
                         target: target.clone(),
                     });
                 }
-                if !device.capacity_bytes.is_multiple_of(w.granularity) {
-                    return Err(TopologyError::InvalidWindow {
-                        window: w.name.clone(),
-                        message: format!(
-                            "target {target:?} capacity is not a multiple of the granularity"
-                        ),
-                    });
+                if !way.capacity_bytes.is_multiple_of(w.granularity) {
+                    return Err(invalid(format!(
+                        "target {target:?} capacity is not a multiple of the granularity"
+                    )));
                 }
                 match way_capacity {
-                    None => way_capacity = Some(device.capacity_bytes),
-                    Some(capacity) if capacity != device.capacity_bytes => {
-                        return Err(TopologyError::InvalidWindow {
-                            window: w.name.clone(),
-                            message: "interleave targets must have uniform capacity".into(),
-                        })
+                    None => way_capacity = Some(way.capacity_bytes),
+                    Some(capacity) if capacity != way.capacity_bytes => {
+                        return Err(invalid(
+                            "interleave targets must have uniform capacity".into(),
+                        ))
                     }
                     Some(_) => {}
                 }
+                aggregate.read_bw_gbs += way.read_bw_gbs;
+                aggregate.write_bw_gbs += way.write_bw_gbs;
+                aggregate.idle_latency_ns = aggregate.idle_latency_ns.max(way.idle_latency_ns);
+                aggregate.channels = aggregate.channels.saturating_add(way.channels);
             }
             let way_capacity_bytes = way_capacity.unwrap_or(0);
-            let fits = way_capacity_bytes
+            aggregate.capacity_bytes = way_capacity_bytes
                 .checked_mul(ways as u64)
-                .and_then(|total| w.hpa_base.checked_add(total));
-            if fits.is_none() {
-                return Err(TopologyError::InvalidWindow {
-                    window: w.name.clone(),
-                    message: format!(
+                .filter(|total| w.hpa_base.checked_add(*total).is_some())
+                .ok_or_else(|| {
+                    invalid(format!(
                         "{ways} ways of {way_capacity_bytes} bytes from 0x{:x} end past the top of the HPA space",
                         w.hpa_base
-                    ),
-                });
-            }
-            compiled_windows.push(CompiledWindow {
-                name: w.name.clone(),
-                node: w.node,
-                hpa_base: w.hpa_base,
-                granularity: w.granularity,
-                way_names: w.targets.clone(),
-                way_capacity_bytes,
-            });
+                    ))
+                })?;
+            aggregate.channels = aggregate.channels.max(1);
+            node_device.insert(w.node, aggregate);
         }
 
         // SRAT processor entries must reference declared nodes.
@@ -1169,28 +927,22 @@ impl TopologyDescription {
         }
 
         // Build the NUMA topology (nodes in id order, then sockets, then SLIT).
-        // Node ids were validated dense above, and every window declaration
-        // was compiled above, so both lookups are infallible by construction;
-        // the compile path claims never to panic, so the claims are typed
-        // errors, not `expect`s.
-        let backing_of = |node: usize| {
-            node_backing
-                .get(&node)
-                .ok_or(TopologyError::Internal("node ids validated dense above"))
-        };
-        let window_of = |w: &WindowDecl| {
-            compiled_windows
-                .iter()
-                .find(|c| c.node == w.node)
-                .ok_or(TopologyError::Internal("window was compiled above"))
-        };
+        // Node ids were validated dense above, and every node got a device
+        // above, so both lookups are infallible by construction; the compile
+        // path claims never to panic, so the claims are typed errors, not
+        // `expect`s.
         let mut builder = Topology::builder(&self.name).smt(self.smt);
         for node in 0..node_count {
-            builder = match backing_of(node)? {
+            let backing = node_backing
+                .get(&node)
+                .ok_or(TopologyError::Internal("node ids validated dense above"))?;
+            builder = match backing {
                 Backing::Memory(m) => builder.node(m.bytes, &m.label),
                 Backing::Window(w) => {
-                    let compiled = window_of(w)?;
-                    builder.node(compiled.total_bytes(), &w.label)
+                    let aggregate = node_device
+                        .get(&node)
+                        .ok_or(TopologyError::Internal("windows compiled above"))?;
+                    builder.node(aggregate.capacity_bytes, &w.label)
                 }
             };
         }
@@ -1236,20 +988,10 @@ impl TopologyDescription {
         }
 
         // Assemble the machine: one device per node, one path per
-        // (socket, node) pair. Windows synthesise an aggregate device.
+        // (socket, node) pair.
         let mut machine = Machine::builder(topology).core_mlp(self.core_mlp);
-        for node in 0..node_count {
-            let spec = match backing_of(node)? {
-                Backing::Memory(_) => node_device
-                    .get(&node)
-                    .ok_or(TopologyError::Internal("memory nodes have devices above"))?
-                    .to_spec(),
-                Backing::Window(w) => {
-                    let compiled = window_of(w)?;
-                    aggregate_window_device(w, compiled, &device_by_name)?
-                }
-            };
-            machine = machine.device(node, spec);
+        for (node, device) in node_device {
+            machine = machine.device(node, device);
         }
         for (socket, p) in self.processors.iter().enumerate() {
             let local_node = p.node;
@@ -1262,7 +1004,7 @@ impl TopologyDescription {
                             .map(|name| {
                                 link_by_name
                                     .get(name.as_str())
-                                    .map(|link| link.to_spec())
+                                    .map(|&link| link.clone())
                                     .ok_or(TopologyError::Internal("path links validated above"))
                             })
                             .collect::<Result<Vec<_>, _>>()?;
@@ -1274,47 +1016,8 @@ impl TopologyDescription {
                 machine = machine.path(socket, node, path);
             }
         }
-        let machine = machine.build()?;
-
-        Ok(IngestedTopology {
-            machine,
-            windows: compiled_windows,
-        })
+        Ok(machine.build()?)
     }
-}
-
-/// Synthesises the aggregate [`DeviceSpec`] a CFMWS window surfaces: summed
-/// bandwidth/capacity/channels across the ways, worst-case idle latency.
-/// Every way name was resolved during window compilation, so the lookup only
-/// fails on an internal invariant breach — typed, because this is the
-/// never-panics compile path.
-fn aggregate_window_device(
-    window: &WindowDecl,
-    compiled: &CompiledWindow,
-    devices: &HashMap<&str, &DeviceDecl>,
-) -> Result<DeviceSpec, TopologyError> {
-    let mut read = 0.0f64;
-    let mut write = 0.0f64;
-    let mut latency = 0.0f64;
-    let mut channels = 0u32;
-    for name in &compiled.way_names {
-        let d = devices
-            .get(name.as_str())
-            .ok_or(TopologyError::Internal("window ways resolved above"))?;
-        read += d.read_gbs;
-        write += d.write_gbs;
-        latency = latency.max(d.latency_ns);
-        channels += d.channels;
-    }
-    Ok(DeviceSpec {
-        name: format!("{} ({}-way interleave)", window.name, compiled.ways()),
-        kind: DeviceKind::CxlExpanderDram,
-        read_bw_gbs: read,
-        write_bw_gbs: write,
-        idle_latency_ns: latency,
-        capacity_bytes: compiled.total_bytes(),
-        channels: channels.max(1),
-    })
 }
 
 // ---------------------------------------------------------------------------
@@ -1386,8 +1089,85 @@ fn parse_err(line: usize, message: impl Into<String>) -> TopologyError {
     }
 }
 
-fn missing_key(line: usize, section: &str, key: &str) -> TopologyError {
-    parse_err(line, format!("[{section}] section is missing key {key:?}"))
+/// A value parser: the raw value, its line and its key.
+type Parser<T> = fn(&str, usize, &str) -> TopologyResult<T>;
+
+/// One section's `key = value` entries, read key by key. A defect does not
+/// stop the reading; [`Keys::check`] then reports the one a line-by-line
+/// reading finds first: the earliest unknown key or unparsable value, else
+/// the first missing key asked for.
+struct Keys<'a> {
+    section: &'a str,
+    header_line: usize,
+    entries: &'a [(usize, String, String)],
+    /// The earliest unknown key or unparsable value, with its line.
+    bad_entry: Option<(usize, TopologyError)>,
+    /// The first required key found missing.
+    missing: Option<TopologyError>,
+}
+
+impl<'a> Keys<'a> {
+    /// Reads `raw` as a `[section]` whose keys are `known`.
+    fn read(raw: &'a RawSection, section: &'a str, known: &[&str]) -> Self {
+        let bad_entry = raw
+            .entries
+            .iter()
+            .find(|(_, key, _)| !known.contains(&key.as_str()))
+            .map(|(line, key, _)| {
+                let unknown = parse_err(*line, format!("unknown [{section}] key {key:?}"));
+                (*line, unknown)
+            });
+        Keys {
+            section,
+            header_line: raw.line,
+            entries: &raw.entries,
+            bad_entry,
+            missing: None,
+        }
+    }
+
+    /// The value of `key`, `None` when the section omits it. Every value of a
+    /// repeated key must parse, and the last one wins.
+    fn get<T>(&mut self, key: &str, parse: Parser<T>) -> TopologyResult<Option<T>> {
+        let mut value = None;
+        let entries = self.entries;
+        for (line, _, raw) in entries.iter().filter(|(_, k, _)| k == key) {
+            match parse(raw, *line, key) {
+                Ok(parsed) => value = Some(parsed),
+                Err(e) => {
+                    if self
+                        .bad_entry
+                        .as_ref()
+                        .is_none_or(|(first, _)| line < first)
+                    {
+                        self.bad_entry = Some((*line, e.clone()));
+                    }
+                    return Err(e);
+                }
+            }
+        }
+        Ok(value)
+    }
+
+    /// The value of `key`, which the section must give.
+    fn require<T>(&mut self, key: &str, parse: Parser<T>) -> TopologyResult<T> {
+        self.get(key, parse)?.ok_or_else(|| {
+            let missing = parse_err(
+                self.header_line,
+                format!("[{}] section is missing key {key:?}", self.section),
+            );
+            self.missing.get_or_insert_with(|| missing.clone());
+            missing
+        })
+    }
+
+    /// The section's first defect, if it has one.
+    fn check(self) -> TopologyResult<()> {
+        match self.bad_entry.map(|(_, e)| e).or(self.missing) {
+            Some(e) => Err(e),
+            None => Ok(()),
+        }
+    }
 }
 
 fn parse_section_index(rest: Option<&str>, line: usize, section: &str) -> TopologyResult<usize> {
@@ -1411,6 +1191,10 @@ fn unquote(raw: &str) -> String {
         .and_then(|r| r.strip_suffix('"'))
         .unwrap_or(raw)
         .to_string()
+}
+
+fn parse_text(raw: &str, _line: usize, _key: &str) -> TopologyResult<String> {
+    Ok(unquote(raw))
 }
 
 fn parse_f64(raw: &str, line: usize, key: &str) -> TopologyResult<f64> {
@@ -1469,7 +1253,7 @@ fn parse_bytes(raw: &str, line: usize, key: &str) -> TopologyResult<u64> {
         .ok_or_else(|| parse_err(line, format!("{key} overflows u64")))
 }
 
-fn parse_list(raw: &str, line: usize) -> TopologyResult<Vec<String>> {
+fn parse_list(raw: &str, line: usize, _key: &str) -> TopologyResult<Vec<String>> {
     let raw = raw.trim();
     let inner = raw
         .strip_prefix('[')
@@ -1482,7 +1266,7 @@ fn parse_list(raw: &str, line: usize) -> TopologyResult<Vec<String>> {
         .collect())
 }
 
-fn parse_device_kind(raw: &str, line: usize) -> TopologyResult<DeviceKind> {
+fn parse_device_kind(raw: &str, line: usize, _key: &str) -> TopologyResult<DeviceKind> {
     match unquote(raw).as_str() {
         "ddr4" => Ok(DeviceKind::Ddr4),
         "ddr5" => Ok(DeviceKind::Ddr5),
@@ -1497,18 +1281,7 @@ fn parse_device_kind(raw: &str, line: usize) -> TopologyResult<DeviceKind> {
     }
 }
 
-fn device_kind_name(kind: DeviceKind) -> &'static str {
-    match kind {
-        DeviceKind::Ddr4 => "ddr4",
-        DeviceKind::Ddr5 => "ddr5",
-        DeviceKind::CxlExpanderDram => "cxl",
-        DeviceKind::Dcpmm => "dcpmm",
-        DeviceKind::Hbm => "hbm",
-        DeviceKind::BatteryBackedDram => "bbu",
-    }
-}
-
-fn parse_link_kind(raw: &str, line: usize) -> TopologyResult<LinkKind> {
+fn parse_link_kind(raw: &str, line: usize, _key: &str) -> TopologyResult<LinkKind> {
     match unquote(raw).as_str() {
         "upi" => Ok(LinkKind::Upi),
         "pcie5" => Ok(LinkKind::PcieGen5x16),
@@ -1519,16 +1292,6 @@ fn parse_link_kind(raw: &str, line: usize) -> TopologyResult<LinkKind> {
             line,
             format!("unknown link kind {other:?} (want upi|pcie5|pcie6|cxl-controller|fabric)"),
         )),
-    }
-}
-
-fn link_kind_name(kind: LinkKind) -> &'static str {
-    match kind {
-        LinkKind::Upi => "upi",
-        LinkKind::PcieGen5x16 => "pcie5",
-        LinkKind::PcieGen6x16 => "pcie6",
-        LinkKind::FpgaCxlController => "cxl-controller",
-        LinkKind::Fabric => "fabric",
     }
 }
 
@@ -1571,12 +1334,13 @@ pub mod reference {
 mod tests {
     use super::*;
     use crate::access::{ThreadTraffic, TrafficPhase};
+    use crate::engine::Engine;
     use crate::units::GIB;
 
     fn two_socket_two_expander() -> TopologyDescription {
         let mut d = TopologyDescription::new("2s2e");
         d.smt = 2;
-        d.core_mlp = 12.0;
+        d.core_mlp = 10.0;
         d.processors = vec![
             ProcessorDecl {
                 model: "Xeon".into(),
@@ -1603,56 +1367,44 @@ mod tests {
                 label: "DDR5 socket1".into(),
             },
         ];
+        let ddr5 = |name: &str, node| DeviceDecl {
+            node: Some(node),
+            spec: DeviceSpec {
+                name: name.into(),
+                kind: DeviceKind::Ddr5,
+                read_bw_gbs: 30.0,
+                write_bw_gbs: 28.0,
+                idle_latency_ns: 95.0,
+                capacity_bytes: 64 * GIB,
+                channels: 2,
+            },
+        };
+        let cxl = |name: &str| DeviceDecl {
+            node: None,
+            spec: DeviceSpec {
+                name: name.into(),
+                kind: DeviceKind::CxlExpanderDram,
+                read_bw_gbs: 11.5,
+                write_bw_gbs: 11.5,
+                idle_latency_ns: 305.0,
+                capacity_bytes: 16 * GIB,
+                channels: 1,
+            },
+        };
         d.devices = vec![
-            DeviceDecl {
-                name: "ddr5-0".into(),
-                node: Some(0),
-                kind: DeviceKind::Ddr5,
-                read_gbs: 30.0,
-                write_gbs: 30.0,
-                latency_ns: 95.0,
-                capacity_bytes: 64 * GIB,
-                channels: 1,
-            },
-            DeviceDecl {
-                name: "ddr5-1".into(),
-                node: Some(1),
-                kind: DeviceKind::Ddr5,
-                read_gbs: 30.0,
-                write_gbs: 30.0,
-                latency_ns: 95.0,
-                capacity_bytes: 64 * GIB,
-                channels: 1,
-            },
-            DeviceDecl {
-                name: "cxl-a".into(),
-                node: None,
-                kind: DeviceKind::CxlExpanderDram,
-                read_gbs: 11.5,
-                write_gbs: 11.5,
-                latency_ns: 305.0,
-                capacity_bytes: 16 * GIB,
-                channels: 1,
-            },
-            DeviceDecl {
-                name: "cxl-b".into(),
-                node: None,
-                kind: DeviceKind::CxlExpanderDram,
-                read_gbs: 11.5,
-                write_gbs: 11.5,
-                latency_ns: 305.0,
-                capacity_bytes: 16 * GIB,
-                channels: 1,
-            },
+            ddr5("ddr5-0", 0),
+            ddr5("ddr5-1", 1),
+            cxl("cxl-a"),
+            cxl("cxl-b"),
         ];
         d.links = vec![
-            LinkDecl {
+            LinkSpec {
                 name: "upi".into(),
                 kind: LinkKind::Upi,
                 bandwidth_gbs: 18.0,
                 latency_ns: 70.0,
             },
-            LinkDecl {
+            LinkSpec {
                 name: "pcie".into(),
                 kind: LinkKind::PcieGen5x16,
                 bandwidth_gbs: 64.0,
@@ -1685,27 +1437,117 @@ mod tests {
             name: "ilv0".into(),
             node: 2,
             label: "2x CXL expander interleave".into(),
-            hpa_base: 0x20_0000_0000,
-            granularity: 4096,
+            hpa_base: 0x40_0000_0000,
+            granularity: 256,
             targets: vec!["cxl-a".into(), "cxl-b".into()],
         }];
         d
     }
 
+    /// [`two_socket_two_expander`] as text, each section with every key it
+    /// takes, optional ones included, each set off its default.
+    const TWO_SOCKET_TWO_EXPANDER: &str = r#"
+[machine]
+name = "2s2e"
+smt = 2
+core_mlp = 10
+
+[processor.0]
+model = "Xeon"
+base_ghz = 2.1
+cores = 8
+node = 0
+
+[processor.1]
+model = "Xeon"
+base_ghz = 2.1
+cores = 8
+node = 1
+
+[memory.0]
+bytes = "64GiB"
+label = "DDR5 socket0"
+
+[memory.1]
+bytes = "64GiB"
+label = "DDR5 socket1"
+
+[device.ddr5-0]
+node = 0
+kind = "ddr5"
+read_gbs = 30
+write_gbs = 28
+latency_ns = 95
+capacity = "64GiB"
+channels = 2
+
+[device.ddr5-1]
+node = 1
+kind = "ddr5"
+read_gbs = 30
+write_gbs = 28
+latency_ns = 95
+capacity = "64GiB"
+channels = 2
+
+[device.cxl-a]
+kind = "cxl"
+read_gbs = 11.5
+write_gbs = 11.5
+latency_ns = 305
+capacity = "16GiB"
+channels = 1
+
+[device.cxl-b]
+kind = "cxl"
+read_gbs = 11.5
+write_gbs = 11.5
+latency_ns = 305
+capacity = "16GiB"
+channels = 1
+
+[link.upi]
+kind = "upi"
+gbs = 18
+latency_ns = 70
+
+[link.pcie]
+kind = "pcie5"
+gbs = 64
+latency_ns = 95
+
+[path.0.1]
+links = ["upi"]
+
+[path.1.0]
+links = ["upi"]
+
+[path.0.2]
+links = ["pcie"]
+
+[path.1.2]
+links = ["pcie"]
+
+[window.ilv0]
+node = 2
+label = "2x CXL expander interleave"
+hpa_base = 0x40_0000_0000
+granularity = "256B"
+targets = ["cxl-a", "cxl-b"]
+"#;
+
     #[test]
     fn description_round_trips_through_text() {
-        let d = two_socket_two_expander();
-        let text = d.render();
-        let parsed = TopologyDescription::parse(&text).unwrap();
-        assert_eq!(parsed, d);
-        // Render is stable, not just parse-equivalent.
-        assert_eq!(parsed.render(), text);
+        assert_eq!(
+            TopologyDescription::parse(TWO_SOCKET_TWO_EXPANDER).unwrap(),
+            two_socket_two_expander()
+        );
     }
 
     #[test]
     fn compile_builds_the_expected_device_graph() {
-        let ingested = two_socket_two_expander().compile().unwrap();
-        let m = &ingested.machine;
+        let d = two_socket_two_expander();
+        let m = d.compile().unwrap();
         assert_eq!(m.topology().nodes().len(), 3);
         assert_eq!(m.topology().sockets().len(), 2);
         assert!(m.topology().node(2).unwrap().is_cpuless());
@@ -1719,16 +1561,15 @@ mod tests {
         assert!(m.path(0, 0).unwrap().links.is_empty());
         assert_eq!(m.path(0, 1).unwrap().links.len(), 1);
         assert_eq!(m.path(0, 2).unwrap().links[0].name, "pcie");
-        // Windows compiled with CXL geometry.
-        assert_eq!(ingested.windows.len(), 1);
-        assert_eq!(ingested.windows[0].ways(), 2);
-        assert_eq!(ingested.windows[0].way_capacity_bytes, 16 * GIB);
+        // One 2-way window of two 16 GiB ways.
+        assert_eq!(d.windows.len(), 1);
+        assert_eq!(d.windows[0].targets.len(), 2);
+        assert_eq!(window_device.capacity_bytes, 2 * 16 * GIB);
     }
 
     #[test]
     fn both_sockets_share_the_upi_link_by_name() {
-        let ingested = two_socket_two_expander().compile().unwrap();
-        let engine = ingested.engine();
+        let engine = Engine::new(two_socket_two_expander().compile().unwrap());
         // Cross traffic from both sockets rides the same named link: the
         // aggregate is bounded by one 18 GB/s UPI ceiling, not two.
         let phase = TrafficPhase::from_threads(
@@ -1776,7 +1617,7 @@ mod tests {
     #[test]
     fn zero_bandwidth_port_is_a_typed_error() {
         let mut d = two_socket_two_expander();
-        d.devices[0].read_gbs = 0.0;
+        d.devices[0].spec.read_bw_gbs = 0.0;
         assert_eq!(
             d.compile().unwrap_err(),
             TopologyError::ZeroBandwidth {
@@ -1864,12 +1705,21 @@ mod tests {
         ));
         let mut d = two_socket_two_expander();
         for device in d.devices.iter_mut().filter(|d| d.node.is_none()) {
-            device.capacity_bytes = 1 << 63;
+            device.spec.capacity_bytes = 1 << 63;
         }
         assert!(matches!(
             d.compile().unwrap_err(),
             TopologyError::InvalidWindow { .. }
         ));
+    }
+
+    #[test]
+    fn way_channels_past_u32_saturate_instead_of_overflowing() {
+        let mut d = two_socket_two_expander();
+        for device in d.devices.iter_mut().filter(|d| d.node.is_none()) {
+            device.spec.channels = 3_000_000_000;
+        }
+        assert_eq!(d.compile().unwrap().device(2).unwrap().channels, u32::MAX);
     }
 
     #[test]
@@ -2025,13 +1875,10 @@ mod tests {
             let description = TopologyDescription::parse(text)
                 .unwrap_or_else(|e| panic!("{name} must parse: {e}"));
             assert_eq!(description.name, name);
-            let ingested = description
+            let machine = description
                 .compile()
                 .unwrap_or_else(|e| panic!("{name} must compile: {e}"));
-            assert!(!ingested.machine.devices().is_empty());
-            // Round trip through render.
-            let again = TopologyDescription::parse(&description.render()).unwrap();
-            assert_eq!(again, description);
+            assert!(!machine.devices().is_empty());
         }
     }
 
@@ -2041,13 +1888,10 @@ mod tests {
             .unwrap()
             .compile()
             .unwrap();
-        let dual = TopologyDescription::parse(reference::SPR_DUAL_CXL_INTERLEAVE)
-            .unwrap()
-            .compile()
-            .unwrap();
-        let single_bw = single.machine.device(2).unwrap().read_bw_gbs;
-        let dual_bw = dual.machine.device(2).unwrap().read_bw_gbs;
+        let dual = TopologyDescription::parse(reference::SPR_DUAL_CXL_INTERLEAVE).unwrap();
+        let single_bw = single.device(2).unwrap().read_bw_gbs;
+        let dual_bw = dual.compile().unwrap().device(2).unwrap().read_bw_gbs;
         assert!((dual_bw - 2.0 * single_bw).abs() < 1e-9);
-        assert_eq!(dual.windows[0].ways(), 2);
+        assert_eq!(dual.windows[0].targets.len(), 2);
     }
 }

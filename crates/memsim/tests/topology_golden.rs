@@ -1,8 +1,7 @@
 //! Golden-file tests for the topology ingest path: the fixture descriptions
-//! under `tests/golden/` must keep compiling into exactly the device graph
-//! pinned here, round-trip losslessly through the canonical text renderer,
-//! and the malformed fixtures must keep failing with their *typed* errors —
-//! never a panic.
+//! under `tests/golden/` must keep parsing into the declarations and
+//! compiling into exactly the machine pinned here, and the malformed fixtures
+//! must keep failing with their *typed* errors — never a panic.
 
 use memsim::topology::TopologyError;
 use memsim::{DeviceKind, TopologyDescription};
@@ -28,9 +27,9 @@ fn asymmetric_fixture_compiles_into_the_expected_device_graph() {
         Some(vec![vec![10, 21], vec![21, 10]])
     );
 
-    let ingested = description.compile().unwrap();
-    assert!(ingested.windows.is_empty());
-    let machine = &ingested.machine;
+    assert!(description.windows.is_empty());
+
+    let machine = description.compile().unwrap();
     assert_eq!(machine.topology().nodes().len(), 2);
     assert_eq!(machine.topology().sockets().len(), 2);
 
@@ -58,26 +57,26 @@ fn asymmetric_fixture_compiles_into_the_expected_device_graph() {
 
 #[test]
 fn four_way_fixture_compiles_the_window_and_aggregate_device() {
-    let ingested = TopologyDescription::parse(FOUR_WAY_INTERLEAVE)
-        .unwrap()
-        .compile()
-        .unwrap();
-    assert_eq!(ingested.windows.len(), 1);
-    let window = &ingested.windows[0];
+    let description = TopologyDescription::parse(FOUR_WAY_INTERLEAVE).unwrap();
+    assert_eq!(description.windows.len(), 1);
+    let window = &description.windows[0];
     assert_eq!(window.name, "cfmws0");
     assert_eq!(window.node, 2);
-    assert_eq!(window.ways(), 4);
     assert_eq!(window.granularity, 256);
     assert_eq!(window.hpa_base, 0x40_0000_0000);
-    assert_eq!(window.way_capacity_bytes, 8 * GIB);
-    assert_eq!(window.total_bytes(), 32 * GIB);
-    assert_eq!(
-        window.way_names,
-        vec!["card-0", "card-1", "card-2", "card-3"]
-    );
+    assert_eq!(window.targets, vec!["card-0", "card-1", "card-2", "card-3"]);
+    // Four ways of 8 GiB each.
+    for target in &window.targets {
+        let way = description
+            .devices
+            .iter()
+            .find(|d| &d.spec.name == target)
+            .unwrap();
+        assert_eq!(way.spec.capacity_bytes, 8 * GIB, "{target}");
+    }
 
     // The window surfaces as one CPU-less node backed by the aggregate device.
-    let machine = &ingested.machine;
+    let machine = description.compile().unwrap();
     let node = machine.topology().node(2).unwrap();
     assert!(node.is_cpuless());
     assert_eq!(node.mem_bytes, 32 * GIB);
@@ -90,18 +89,6 @@ fn four_way_fixture_compiles_the_window_and_aggregate_device() {
     assert_eq!(aggregate.idle_latency_ns, 300.0);
     // Both sockets reach it through the declared PCIe port.
     assert_eq!(machine.access_latency_ns(0, 2).unwrap(), 395.0);
-}
-
-#[test]
-fn valid_fixtures_round_trip_through_the_canonical_renderer() {
-    for text in [TWO_SOCKET_ASYMMETRIC, FOUR_WAY_INTERLEAVE] {
-        let description = TopologyDescription::parse(text).unwrap();
-        let rendered = description.render();
-        let reparsed = TopologyDescription::parse(&rendered).unwrap();
-        assert_eq!(description, reparsed);
-        // And the round-tripped text is a fixpoint of the renderer.
-        assert_eq!(rendered, reparsed.render());
-    }
 }
 
 #[test]

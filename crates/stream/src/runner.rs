@@ -166,7 +166,7 @@ mod tests {
     }
 
     #[test]
-    fn full_grid_sweep_hits_the_phase_cache_and_matches_uncached() {
+    fn full_grid_sweep_matches_direct_simulation() {
         // The acceptance grid: 4 kernels × 10 thread counts × 3 nodes × 2
         // modes. Every swept point matches `simulate_report` bit for bit,
         // and Copy/Scale and Add/Triad, which move the same bytes, read the

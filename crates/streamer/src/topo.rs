@@ -1,10 +1,9 @@
 //! The topology-ingestion scenario group: every reference machine description
 //! is ingested end-to-end — text → compiled device graph → runtime → traffic.
 //!
-//! The sweep compiles each `.topo` description shipped with `memsim`
-//! ([`memsim::topology::reference`]) once: the widest compiled window gives
-//! the row's interleave ways, and [`RuntimeBuilder::from_ingested`] builds the
-//! runtime the row measures. The near tier is measured with the paper's
+//! The sweep parses each [`memsim::topology::reference`] description once:
+//! the window with the most targets gives the row's interleave ways, and
+//! [`RuntimeBuilder::machine`] builds the row's runtime on the compiled machine. The near tier is measured with the paper's
 //! single-socket affinity, the far tier with threads spread across every
 //! socket (interleave windows aggregate cards, so saturating them takes both
 //! sockets' root ports), and machines exposing a CPU-less node also provision
@@ -85,9 +84,10 @@ impl TopologyReport {
 
 /// Ingests and measures one reference description.
 fn run_point(name: &str, text: &str) -> RuntimeResult<TopologyPoint> {
-    let ingested = memsim::TopologyDescription::parse(text)?.compile()?;
-    let interleave_ways = ingested.windows.iter().map(|w| w.ways()).max().unwrap_or(0);
-    let runtime = RuntimeBuilder::from_ingested(ingested).build();
+    let description = memsim::TopologyDescription::parse(text)?;
+    let ways = description.windows.iter().map(|w| w.targets.len()).max();
+    let compiled = description.compile()?;
+    let runtime = RuntimeBuilder::new().machine(compiled).build();
     let machine = runtime.machine();
     let nodes = runtime.topology().nodes().len();
     let sockets = runtime.topology().sockets().len();
@@ -152,7 +152,7 @@ fn run_point(name: &str, text: &str) -> RuntimeResult<TopologyPoint> {
         machine: machine.topology().name.clone(),
         nodes,
         sockets,
-        interleave_ways,
+        interleave_ways: ways.unwrap_or(0),
         local_gbs: local.bandwidth_gbs,
         far_node,
         far_gbs: far.bandwidth_gbs,
