@@ -38,8 +38,8 @@
 //! * a **commit ends in `publish`** — [`HostSegment::checkpoint`] and the
 //!   object store's `commit`/`delete` publish exactly once, after the commit
 //!   record is durable; a mutation that fails (a crashed host or a real
-//!   error) publishes nothing and drops the handle's cached layout, so the
-//!   next use reopens the pool and recovers;
+//!   error) publishes nothing and drops the handle's cached layout with its
+//!   pool, so the next use opens the pool afresh and recovers;
 //! * a **read or write on another host requires `acquire`** — using a handle
 //!   whose host's acquired version is stale is [`ClusterError::NotAcquired`],
 //!   a typed error instead of silently stale data;
@@ -50,14 +50,18 @@
 //! * a handle uses its **cached layout only while it reflects the region's
 //!   current version** — the view is per host, the layout per handle, so a
 //!   layout opened before another host's publication (or before a write
-//!   under hardware coherence, which publishes implicitly) is reopened,
-//!   whichever handle of the host acquired.
+//!   under hardware coherence, which publishes implicitly) is refreshed,
+//!   whichever handle of the host acquired. A refresh keeps the pool the
+//!   handle opened: it runs that pool's undo-log recovery, as the first
+//!   open does, and reads the layout again, but not the pool header or the
+//!   heap, which only the segment's creation writes.
 //!
 //! Media durability is separate: the pool backend's `persist` maps to the
 //! region's Global-Persistent-Flush path, so a torn commit is still
-//! recoverable (the undo log rolls it back on the next open) even though it
-//! was never published. A test crashes a host by running its attempt on a
-//! pool of its own over `Crash::wrap(SharedRegionBackend::new(..))`.
+//! recoverable (the undo log rolls it back on the next open or refresh)
+//! even though it was never published. A test crashes a host by running
+//! its attempt on a pool of its own over
+//! `Crash::wrap(SharedRegionBackend::new(..))`.
 //!
 //! # Object segments
 //!
@@ -479,11 +483,26 @@ pub trait SegmentPayload: Sized {
     /// ownership of the pool so the layout can live in the handle. Chunked
     /// validation, where the layout has any, runs through `exec`.
     fn open_payload(pool: Arc<PmemPool>, exec: &impl ChunkExecutor) -> pmem::Result<Self>;
+
+    /// The pool the layout holds.
+    fn pool(&self) -> &PmemPool;
+
+    /// Opens the layout again on the pool it holds, as
+    /// [`open_payload`](Self::open_payload) would on a reopened pool.
+    fn reopen(&self, exec: &impl ChunkExecutor) -> pmem::Result<Self>;
 }
 
 impl SegmentPayload for CheckpointRegion<'static> {
     fn open_payload(pool: Arc<PmemPool>, exec: &impl ChunkExecutor) -> pmem::Result<Self> {
         CheckpointRegion::open_root_shared(pool, exec)
+    }
+
+    fn pool(&self) -> &PmemPool {
+        CheckpointRegion::pool(self)
+    }
+
+    fn reopen(&self, exec: &impl ChunkExecutor) -> pmem::Result<Self> {
+        CheckpointRegion::reopen(self, exec)
     }
 }
 
@@ -491,6 +510,15 @@ impl SegmentPayload for ObjectStore<'static> {
     /// The store validates one entry per op, not a slot: `exec` is unused.
     fn open_payload(pool: Arc<PmemPool>, _exec: &impl ChunkExecutor) -> pmem::Result<Self> {
         ObjectStore::open_root_shared(pool)
+    }
+
+    fn pool(&self) -> &PmemPool {
+        ObjectStore::pool(self)
+    }
+
+    /// As [`open_payload`](SegmentPayload::open_payload), `exec` is unused.
+    fn reopen(&self, _exec: &impl ChunkExecutor) -> pmem::Result<Self> {
+        ObjectStore::reopen(self)
     }
 }
 
@@ -512,9 +540,10 @@ pub struct HostHandle<P> {
     /// The opened layout (shared ownership of its pool). Kept across calls
     /// so its caches survive — an unchanged checkpoint stays a
     /// zero-chunk-flush no-op on the cluster path too. `None` until first
-    /// use; dropped once the region's version moves past `layout_version`
-    /// and by any failed mutation, so the next use reopens the pool and
-    /// recovers.
+    /// use. Once the region's version moves past `layout_version` it is
+    /// refreshed on the pool it holds, after that pool's recovery. A failed
+    /// mutation or refresh drops it with its pool, so the next use opens
+    /// the pool afresh and recovers.
     payload: Option<P>,
     /// The region version `payload` reflects, recorded when it opens and
     /// after this handle's own mutations.
@@ -573,9 +602,10 @@ impl<P: SegmentPayload> HostHandle<P> {
     /// The acquire is the host's: every handle of the host sees the new
     /// publication. A handle whose cached layout described an older version
     /// — the checkpoint region's epoch and chunk-hash cache, the store's
-    /// descriptor counters and staged puts — reopens it on its next op. A
-    /// staged put discarded this way surfaces as a typed `commit without a
-    /// staged put` error; stage it again against the refreshed view.
+    /// staged puts — refreshes it on its next op, on the pool it holds,
+    /// after that pool's undo-log recovery. A staged put discarded this way
+    /// surfaces as a typed `commit without a staged put` error; stage it
+    /// again against the refreshed view.
     pub fn acquire(&mut self) -> ClusterResult<u64> {
         Ok(self.attachment.acquire())
     }
@@ -610,17 +640,26 @@ impl<P: SegmentPayload> HostHandle<P> {
         Ok(())
     }
 
-    /// The cached layout, opened on first use. Opening runs pool recovery:
-    /// a commit record torn by the previous owner's crash is rolled back
-    /// before any op sees the layout.
+    /// The cached layout, opened on first use. Opening the pool runs its
+    /// recovery: a commit record torn by the previous owner's crash is
+    /// rolled back before any op sees the layout.
     ///
-    /// A layout whose region version moved is superseded and reopened here:
-    /// another host published (and this host acquired, through this handle
-    /// or another) or, under hardware coherence, wrote.
+    /// A layout whose region version moved is superseded and refreshed
+    /// here: another host published (and this host acquired, through this
+    /// handle or another) or, under hardware coherence, wrote. The refresh
+    /// keeps the layout's pool. It runs that pool's recovery, as the first
+    /// open does, then opens the layout again on it. The pool's header and
+    /// heap are not read again: only the segment's creation writes them. A
+    /// refresh that fails drops the layout and its pool, so the next use
+    /// opens the pool afresh.
     fn payload(&mut self) -> pmem::Result<&mut P> {
         let version = self.attachment.region_version();
         if self.layout_version != version {
-            self.payload = None;
+            self.layout_version = version;
+            if let Some(stale) = self.payload.take() {
+                stale.pool().recover()?;
+                self.payload = Some(stale.reopen(&self.segment.workers)?);
+            }
         }
         match &mut self.payload {
             Some(payload) => Ok(payload),
@@ -636,8 +675,8 @@ impl<P: SegmentPayload> HostHandle<P> {
     }
 
     /// The layout for a read. Discipline first: a stale or never-published
-    /// view is refused before the pool opens, so such a host never runs
-    /// recovery on shared state.
+    /// view is refused before the pool opens or the layout refreshes, so
+    /// such a host never runs recovery on shared state.
     fn reader(&mut self) -> ClusterResult<&mut P> {
         self.check_view(false)?;
         Ok(self.payload()?)
@@ -646,8 +685,8 @@ impl<P: SegmentPayload> HostHandle<P> {
     /// Runs `op` as a mutation of the layout. Success publishes when
     /// `publish` is set — a commit ends in a publish, so other hosts become
     /// entitled to acquire it. Any failure publishes nothing and drops the
-    /// cached layout, so the next use, on this host or any other, reopens
-    /// the pool and recovers.
+    /// cached layout with its pool, so this handle's next use opens the
+    /// pool afresh and recovers.
     fn mutate<T>(
         &mut self,
         publish: bool,
@@ -704,9 +743,10 @@ impl HostSegment {
     /// Discipline first: under software-managed coherence this fails with
     /// [`ClusterError::NeverPublished`] if the writer never published and
     /// [`ClusterError::NotAcquired`] if this host has not acquired the latest
-    /// publication. Only then is the pool opened (running crash recovery if
-    /// the writer died mid-commit) and the committed slot read back, one
-    /// chunk per job on the cluster's workers when it has them.
+    /// publication. Only then is the pool opened, or the layout refreshed
+    /// on it (either runs crash recovery if the writer died mid-commit), and
+    /// the committed slot read back, one chunk per job on the cluster's
+    /// workers when it has them.
     pub fn restore(&mut self, out: &mut [u8]) -> ClusterResult<u64> {
         let segment = Arc::clone(&self.segment);
         Ok(self.reader()?.restore_with(out, &segment.workers)?)
@@ -1080,11 +1120,62 @@ mod tests {
         assert_eq!(b.live().unwrap(), 1);
         a.put_commit(2, b"v2").unwrap();
         assert_eq!(b.live().unwrap(), 2);
-        // Reads (and the reopen) write nothing, so the refreshed layout
-        // stays cached until another write moves the version.
+        // Reads write nothing, and neither does the refresh's recovery of an
+        // idle log, so the refreshed layout stays cached until another write
+        // moves the version.
         let version = b.region().version();
         assert_eq!(b.get(2).unwrap(), b"v2");
         assert_eq!(b.region().version(), version);
+    }
+
+    #[test]
+    fn a_refresh_reads_the_log_header_and_the_layout_not_the_pool() {
+        let cluster = two_card_cluster(CoherenceMode::SoftwareManaged);
+        // Store: host 1 reads one of 64 objects of 256 B, then host 0
+        // publishes one more commit.
+        let mut w = cluster.host(0).create_store("kv", 64, 256).unwrap();
+        for id in 0..64 {
+            w.put_commit(id, &[id as u8; 256]).unwrap();
+        }
+        let mut r = cluster.host(1).open_store("kv").unwrap();
+        let region = r.region();
+        let bytes_read = || region.stats(1).unwrap().bytes_read;
+        r.acquire().unwrap();
+        assert_eq!(r.get(7).unwrap(), [7; 256]);
+        // An unchanged view: the entry (40 B) and the value (256 B).
+        let before = bytes_read();
+        r.acquire().unwrap();
+        assert_eq!(r.get(7).unwrap(), [7; 256]);
+        assert_eq!(bytes_read() - before, 296);
+        // A moved view adds the log header (16 B) and the descriptor (64 B),
+        // not the 4 KiB pool header and the heap walk.
+        w.put_commit(8, &[0xEE; 256]).unwrap();
+        let before = bytes_read();
+        r.acquire().unwrap();
+        assert_eq!(r.get(7).unwrap(), [7; 256]);
+        assert_eq!(bytes_read() - before, 376);
+
+        // Checkpoint: a first open reads the pool header (4 KiB) and the
+        // heap walk (32 B) once; a refresh after a publish reads the log
+        // header, the descriptor, the slot header and the slot twice.
+        let mut a = cluster.host(0).create_segment("seg", DATA, CHUNK).unwrap();
+        a.checkpoint(&image(1)).unwrap();
+        let mut b = cluster.host(1).attach_segment("seg").unwrap();
+        let region = b.region();
+        let bytes_read = || region.stats(1).unwrap().bytes_read;
+        let mut out = vec![0u8; DATA as usize];
+        b.acquire().unwrap();
+        let before = bytes_read();
+        assert_eq!(b.restore(&mut out).unwrap(), 1);
+        let first_open = bytes_read() - before;
+        a.checkpoint(&image(2)).unwrap();
+        b.acquire().unwrap();
+        let before = bytes_read();
+        assert_eq!(b.restore(&mut out).unwrap(), 2);
+        assert_eq!(out, image(2));
+        let refresh = bytes_read() - before;
+        assert_eq!((first_open, refresh), (135_312, 131_184));
+        assert_eq!(first_open - refresh, 4096 + 32);
     }
 
     #[test]
@@ -1398,6 +1489,64 @@ mod tests {
             crashed
         });
         println!("cross-host object commit sweep: {positions} crash positions");
+        // A commit makes thirteen backend calls.
+        assert_eq!(positions, 28);
+    }
+
+    #[test]
+    fn object_commit_crash_recovers_on_the_other_hosts_refresh() {
+        // As above, but host B opened and read the store before host A's
+        // crash, so B's get after it refreshes the layout on the pool B
+        // holds, and that refresh must recover like a first open.
+        let positions = Crash::sweep(|k, torn| {
+            let cluster = two_card_cluster(CoherenceMode::SoftwareManaged);
+            let mut a = cluster.host(0).create_store("torn", 64, 96).unwrap();
+            let committed = vec![0xC3u8; 80];
+            a.put_commit(9, &committed).unwrap();
+            let mut b = cluster.host(1).open_store("torn").unwrap();
+            b.acquire().unwrap();
+            assert_eq!(b.get(9).unwrap(), committed);
+            // Another publication moves B's view.
+            a.put_commit(3, &[0x33u8; 80]).unwrap();
+            // Host A's attempt runs on a pool of its own, dying at call k.
+            let crash = Crash::new();
+            let pool = crashable_pool(&a, &crash);
+            let mut store = ObjectStore::open_root(&pool).unwrap();
+            store.put(9, &[0x11u8; 80]).unwrap();
+            crash.arm(k, torn);
+            let outcome = store.commit(9);
+            drop(store);
+            drop(a); // host A torn down
+            crash.revive();
+
+            b.acquire().unwrap();
+            let bytes = b.get(9).unwrap();
+            let log_active = pool.tx_log_active().unwrap();
+            let crashed = match outcome {
+                // The commit ran to its end.
+                Ok(epoch) => {
+                    assert_eq!(epoch, 2);
+                    false
+                }
+                Err(e) => {
+                    assert!(e.is_injected_crash());
+                    true
+                }
+            };
+            // What the refresh returned is what a fresh open reads, and
+            // the full-directory audit holds on both handles.
+            let mut fresh = cluster.host(1).open_store("torn").unwrap();
+            assert_eq!(fresh.get(9).unwrap(), bytes, "{k}/{torn}");
+            assert!(
+                bytes == committed || bytes == vec![0x11u8; 80],
+                "{k}/{torn}"
+            );
+            assert!(!log_active, "{k}/{torn}: the refresh left the log active");
+            b.verify().unwrap();
+            fresh.verify().unwrap();
+            crashed
+        });
+        println!("cross-host object commit sweep, refreshed reader: {positions} crash positions");
         // A commit makes thirteen backend calls.
         assert_eq!(positions, 28);
     }

@@ -590,7 +590,7 @@ impl TopologyDescription {
                     let write_bw_gbs = keys.get("write_gbs", parse_f64);
                     let idle_latency_ns = keys.require("latency_ns", parse_f64);
                     let capacity_bytes = keys.require("capacity", parse_bytes);
-                    let channels = keys.get("channels", parse_usize);
+                    let channels = keys.get("channels", parse_u32);
                     keys.check()?;
                     let read_bw_gbs = read_bw_gbs?;
                     devices.push(DeviceDecl {
@@ -602,7 +602,7 @@ impl TopologyDescription {
                             write_bw_gbs: write_bw_gbs?.unwrap_or(read_bw_gbs),
                             idle_latency_ns: idle_latency_ns?,
                             capacity_bytes: capacity_bytes?,
-                            channels: channels?.map_or(1, |c| c as u32),
+                            channels: channels?.unwrap_or(1),
                         },
                     });
                 }
@@ -1209,6 +1209,12 @@ fn parse_usize(raw: &str, line: usize, key: &str) -> TopologyResult<usize> {
         .map_err(|_| parse_err(line, format!("{key} expects an integer, got {raw:?}")))
 }
 
+fn parse_u32(raw: &str, line: usize, key: &str) -> TopologyResult<u32> {
+    unquote(raw)
+        .parse()
+        .map_err(|_| parse_err(line, format!("{key} expects an integer, got {raw:?}")))
+}
+
 fn parse_u64(raw: &str, line: usize, key: &str) -> TopologyResult<u64> {
     let cleaned = unquote(raw).replace('_', "");
     let parsed = if let Some(hex) = cleaned.strip_prefix("0x") {
@@ -1720,6 +1726,30 @@ targets = ["cxl-a", "cxl-b"]
             device.spec.channels = 3_000_000_000;
         }
         assert_eq!(d.compile().unwrap().device(2).unwrap().channels, u32::MAX);
+    }
+
+    #[test]
+    fn channels_past_u32_are_a_parse_error_at_their_line() {
+        // Setup #1's card with one more key: 2^32 + 1 channels.
+        let card = "capacity = \"16GiB\"\n\n[link.upi]";
+        assert!(reference::SPR_FPGA_CXL.contains(card));
+        let text = reference::SPR_FPGA_CXL.replacen(
+            card,
+            "capacity = \"16GiB\"\nchannels = 4294967297\n\n[link.upi]",
+            1,
+        );
+        let line = 1 + text
+            .lines()
+            .position(|l| l == "channels = 4294967297")
+            .unwrap();
+        let err = TopologyDescription::parse(&text).unwrap_err();
+        assert_eq!(
+            err,
+            TopologyError::Parse {
+                line,
+                message: r#"channels expects an integer, got "4294967297""#.to_string(),
+            }
+        );
     }
 
     #[test]

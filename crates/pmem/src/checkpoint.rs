@@ -344,6 +344,16 @@ impl<'p> CheckpointRegion<'p> {
         Self::open(pool, versioned::root::<Self>(pool)?)
     }
 
+    /// Opens this region again on the pool it holds, as
+    /// [`open_root_shared`](Self::open_root_shared) would: the descriptor is
+    /// read afresh and the committed slot validated through `exec`, one
+    /// chunk per job, and every hash cache starts over. The pool's header
+    /// and heap are not read again. Run [`PmemPool::recover`] on
+    /// [`pool`](Self::pool) first, as a pool open would.
+    pub fn reopen(&self, exec: &impl ChunkExecutor) -> Result<Self> {
+        Self::open_at(self.pool.clone(), self.oid(), exec)
+    }
+
     /// Validates `slot` through `exec` and, when it holds a valid image,
     /// seeds the slot's chunk-hash cache from it and returns its epoch.
     /// Marks the slot validated unless a read fails.
@@ -402,6 +412,11 @@ impl<'p> CheckpointRegion<'p> {
     /// The region's object id (store it in the pool root to reopen later).
     pub fn oid(&self) -> PmemOid {
         PmemOid::new(self.pool.uuid(), self.base)
+    }
+
+    /// The pool holding the region.
+    pub fn pool(&self) -> &PmemPool {
+        &self.pool
     }
 
     /// Snapshot payload size in bytes.

@@ -214,12 +214,25 @@ impl<'p> ObjectStore<'p> {
         Self::open(pool, versioned::root::<Self>(pool)?)
     }
 
+    /// Opens this store again on the pool it holds: the descriptor is read
+    /// and validated afresh, and nothing is staged. The pool's header and
+    /// heap are not read again. Run [`PmemPool::recover`] on
+    /// [`pool`](Self::pool) first, as a pool open would.
+    pub fn reopen(&self) -> Result<Self> {
+        Self::open_at(self.pool.clone(), self.oid())
+    }
+
     // ------------------------------------------------------------- accessors
 
     /// This store's object id — hand it to [`PmemPool::set_root`] so the
     /// store survives a pool reopen.
     pub fn oid(&self) -> PmemOid {
         PmemOid::new(self.pool.uuid(), self.base)
+    }
+
+    /// The pool holding the store.
+    pub fn pool(&self) -> &PmemPool {
+        &self.pool
     }
 
     /// Maximum number of objects the store can hold.

@@ -191,8 +191,10 @@ fn decode<const N: usize>(bytes: &[u8]) -> [u64; N] {
 /// How a layout addresses its pool: borrowed for the classic in-stack use,
 /// or shared ownership for long-lived handles (the disaggregated cluster
 /// keeps one layout per host handle, preserving per-handle caches such as the
-/// checkpoint region's incremental chunk hashes across calls).
-#[derive(Debug)]
+/// checkpoint region's incremental chunk hashes across calls). A clone
+/// addresses the same pool, which is how a layout reopens on the pool it
+/// holds.
+#[derive(Debug, Clone)]
 pub(crate) enum PoolRef<'p> {
     Borrowed(&'p PmemPool),
     Shared(Arc<PmemPool>),

@@ -9,13 +9,14 @@
 //! write and caught by the entry checksum or the payload hash). Never other
 //! bytes, never a panic. It prints how often each outcome happened.
 //!
-//! A reader whose view moved reopens the segment's pool, and the open runs
-//! undo-log recovery over whatever log the live writer has in flight. That
-//! can roll a landed commit back, or restore one record's old bytes over
-//! another object's entry, which every later op on that object refuses with
-//! a typed error. The writer's epochs that fall behind its rounds and its
-//! typed failures are counted and printed, not refused, until a reader's
-//! open stops recovering a live writer's log.
+//! A reader whose view moved refreshes its layout on the pool it holds, and
+//! the refresh first runs that pool's undo-log recovery, as a pool open
+//! does, over whatever log the live writer has in flight. That can roll a
+//! landed commit back, or restore one record's old bytes over another
+//! object's entry, which every later op on that object refuses with a typed
+//! error. The writer's epochs that fall behind its rounds and its typed
+//! failures are counted and printed, not refused, until a reader's refresh
+//! stops recovering a live writer's log.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Barrier};
