@@ -6,12 +6,10 @@
 //! overhead dominates). Results land in `BENCH_stream.json` at the repository
 //! root, with the host they were measured on, so regressions are diffable.
 
-use criterion::{criterion_group, criterion_main, Criterion};
 use cxl_pmem::{RuntimeBuilder, TierPolicy};
 use numa::{AffinityPolicy, PinnedPool, WorkerCtx};
 use parking_lot::RwLock;
 use repro_bench::host_fingerprint;
-use std::hint::black_box;
 use std::time::Instant;
 use stream_bench::{
     BandwidthReport, ChunkedArrays, Kernel, PmemStream, StreamConfig, VolatileStream,
@@ -158,15 +156,6 @@ impl LegacyCopyPathStream {
         start.elapsed().as_secs_f64()
     }
 
-    /// Runs the full `ntimes` × Copy→Scale→Add→Triad sequence.
-    fn run_sequence(&self, pool: &PinnedPool) {
-        for _ in 0..self.config.ntimes {
-            for kernel in Kernel::ALL {
-                self.run_kernel_once(kernel, pool);
-            }
-        }
-    }
-
     /// Best-of-N bandwidth (GB/s) for one kernel.
     fn best_bandwidth_gbs(&self, kernel: Kernel, pool: &PinnedPool) -> f64 {
         let bytes = self.config.bytes_per_invocation(kernel) as f64;
@@ -185,7 +174,7 @@ fn worker_pool(threads: usize) -> PinnedPool {
     PinnedPool::new(topo, &placement)
 }
 
-fn stream_hotpath(c: &mut Criterion) {
+fn main() {
     let config = StreamConfig {
         elements: ELEMENTS,
         ntimes: NTIMES,
@@ -247,7 +236,7 @@ fn stream_hotpath(c: &mut Criterion) {
             );
         }
     }
-    let mut app_direct = PmemStream::reattach(pmem_pool.pool(), config, app_direct.root());
+    let app_direct = PmemStream::reattach(pmem_pool.pool(), config, app_direct.root());
     assert!(app_direct.validate().expect("validate") < 1e-12);
     let mut app_direct_rows = Vec::new();
     for (kernel, (in_place, pmem)) in Kernel::ALL.into_iter().zip(best) {
@@ -311,44 +300,4 @@ fn stream_hotpath(c: &mut Criterion) {
     let out = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_stream.json");
     std::fs::write(out, json).expect("write BENCH_stream.json");
     println!("wrote {out}");
-
-    // --- criterion timing output -------------------------------------------
-    let mut group = c.benchmark_group("stream_hotpath");
-    group.sample_size(10);
-    group.bench_function("copy_path_sequence", |b| {
-        let stream = LegacyCopyPathStream::new(config);
-        b.iter(|| stream.run_sequence(&pool))
-    });
-    group.bench_function("zero_copy_sequence", |b| {
-        let mut stream = VolatileStream::new(config);
-        b.iter(|| black_box(stream.run(&pool)))
-    });
-    group.bench_function("app_direct_sequence", |b| {
-        b.iter(|| black_box(app_direct.run(&pool).expect("App-Direct run")))
-    });
-    for kernel in [Kernel::Copy, Kernel::Triad] {
-        group.bench_function(format!("copy_path_{}", kernel.name()), |b| {
-            let stream = LegacyCopyPathStream::new(config);
-            b.iter(|| black_box(stream.run_kernel_once(kernel, &pool)))
-        });
-    }
-    for elements in [4_096usize, 65_536] {
-        let small_config = StreamConfig {
-            elements,
-            ntimes: SMALL_NTIMES,
-            scalar: 3.0,
-        };
-        group.bench_function(format!("spawn_per_run_{elements}e"), |b| {
-            let mut arrays = SmallArrays::new(elements);
-            b.iter(|| black_box(spawn_dispatch.run_sequence(small_config, &mut arrays)))
-        });
-        group.bench_function(format!("persistent_pool_{elements}e"), |b| {
-            let mut arrays = SmallArrays::new(elements);
-            b.iter(|| black_box(persistent_sequence(&pool, small_config, &mut arrays)))
-        });
-    }
-    group.finish();
 }
-
-criterion_group!(benches, stream_hotpath);
-criterion_main!(benches);

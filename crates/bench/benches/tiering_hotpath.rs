@@ -16,7 +16,6 @@
 //! paper-scale 16 GiB rebalance (`Engine::migration_cost`), tying the
 //! functional migrator to the simulated sweep in `streamer scenario tiering`.
 
-use criterion::{criterion_group, criterion_main, Criterion};
 use cxl_pmem::tiering::{AccessTracker, TierAssignment, TieredRegion};
 use cxl_pmem::{CxlPmemRuntime, PooledChunkExecutor, RuntimeBuilder, TierPolicy};
 use numa::{AffinityPolicy, PinnedPool};
@@ -74,7 +73,7 @@ fn migration_region(runtime: &CxlPmemRuntime) -> TieredRegion {
         .expect("region")
 }
 
-fn tiering_hotpath(c: &mut Criterion) {
+fn main() {
     let config = StreamConfig {
         elements: ELEMENTS,
         ntimes: NTIMES,
@@ -167,28 +166,4 @@ fn tiering_hotpath(c: &mut Criterion) {
     let out = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_tiering.json");
     std::fs::write(out, json).expect("write BENCH_tiering.json");
     println!("wrote {out}");
-
-    // --- criterion timing output -------------------------------------------
-    let mut group = c.benchmark_group("tiering_hotpath");
-    group.sample_size(10);
-    group.bench_function("stream_untracked", |b| {
-        b.iter(|| black_box(sequence_seconds(&mut untracked, &pool)))
-    });
-    group.bench_function("stream_tracked", |b| {
-        b.iter(|| black_box(sequence_seconds(&mut tracked, &pool)))
-    });
-    group.bench_function("migrate_full_swing", |b| {
-        let mut target = 1usize;
-        b.iter(|| {
-            let stats = region
-                .migrate_to(&all_on(target), &PooledChunkExecutor(&workers))
-                .expect("migration");
-            target = 1 - target;
-            black_box(stats)
-        })
-    });
-    group.finish();
 }
-
-criterion_group!(benches, tiering_hotpath);
-criterion_main!(benches);

@@ -1,11 +1,12 @@
-//! Shared helpers for the benchmark harness.
+//! Shared helpers for the wall-clock benches.
 //!
-//! The Criterion targets time the code itself: the STREAM hot path
-//! (`stream_hotpath`, which writes `BENCH_stream.json`), the tiering tracker
-//! and migrator (`tiering_hotpath`, `BENCH_tiering.json`), admission and the
-//! fleet scenario (`fleet_serving`), the object store (`object_store`) and
-//! topology ingest (`calibration`). None prints a paper figure or table or
-//! writes a virtual-time BENCH document: `streamer` emits those.
+//! Two `harness = false` benches time the functional code and write the
+//! documents CI floors: the STREAM hot path (`stream_hotpath`, which writes
+//! `BENCH_stream.json`) and the tiering tracker and migrator
+//! (`tiering_hotpath`, `BENCH_tiering.json`). Run one with
+//! `cargo bench -p repro-bench --bench NAME`. Neither prints a paper figure
+//! or table or writes a virtual-time BENCH document: `streamer` emits those.
+//! Every other wall-clock number comes from `perfbench`.
 
 #![forbid(unsafe_code)]
 

@@ -549,8 +549,6 @@ fn slab_bytes(data_len: u64, chunk_len: u64) -> crate::Result<u64> {
 /// Outcome of one migration pass.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MigrationStats {
-    /// Chunks the plan wanted to move.
-    pub planned: usize,
     /// Chunks whose residency flip committed.
     pub chunks_moved: usize,
     /// Payload bytes copied between tiers.
@@ -560,7 +558,7 @@ pub struct MigrationStats {
 impl MigrationStats {
     /// Whether the pass moved nothing (the plan matched residency).
     pub fn is_noop(&self) -> bool {
-        self.planned == 0
+        self.chunks_moved == 0
     }
 }
 
@@ -904,14 +902,11 @@ impl TieredRegion {
         }
 
         // Phase 2: per-chunk residency flips through the undo log.
-        let mut committed = 0usize;
         for &(chunk, from, to) in &moves {
             self.residency.commit_move(chunk, from as u32, to as u32)?;
-            committed += 1;
         }
         Ok(MigrationStats {
-            planned: moves.len(),
-            chunks_moved: committed,
+            chunks_moved: moves.len(),
             bytes_moved,
         })
     }
@@ -1250,7 +1245,6 @@ mod tests {
         }
         let assignment = TierAssignment { tier_of };
         let stats = region.migrate_to(&assignment, &SerialExecutor).unwrap();
-        assert_eq!(stats.planned, 8);
         assert_eq!(stats.chunks_moved, 8);
         assert_eq!(stats.bytes_moved, 8 * 4 * KIB);
         assert_eq!(region.residency().unwrap(), assignment.tier_of);

@@ -261,7 +261,7 @@ mod tests {
     }
 
     #[test]
-    fn identification_registers_read_back() {
+    fn a_device_reports_its_name_capacity_and_link() {
         let dev = Type3Device::new("id", 256 * MIB, LinkConfig::gen5_x16());
         assert_eq!(dev.name(), "id");
         assert_eq!(dev.capacity_bytes(), 256 * MIB);
@@ -269,7 +269,7 @@ mod tests {
     }
 
     #[test]
-    fn memory_access_requires_enable_bit() {
+    fn a_fresh_device_serves_its_last_line() {
         // The bulk path addresses the device in DPA space and is gated by
         // its capacity alone: a fresh device serves its last line.
         let dev = Type3Device::new("fresh", MIB, LinkConfig::gen5_x16());
@@ -295,7 +295,7 @@ mod tests {
     }
 
     #[test]
-    fn partial_write_honours_byte_enable() {
+    fn a_short_write_changes_only_its_bytes() {
         let dev = device();
         dev.write_bulk(0, &[0xFF; 64]).unwrap();
         // Overwrite only the first 4 bytes of the line.
@@ -307,7 +307,7 @@ mod tests {
     }
 
     #[test]
-    fn unmapped_address_is_rejected() {
+    fn out_of_bounds_transfers_are_refused_and_count_nothing() {
         let dev = device();
         let mut buf = [0u8; 64];
         let err = dev.read_bulk(16 * MIB - 10, &mut buf).unwrap_err();

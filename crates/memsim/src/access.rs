@@ -136,7 +136,7 @@ mod tests {
     }
 
     #[test]
-    fn random_marker_changes_pattern() {
+    fn the_sequential_constructor_carries_no_overhead() {
         // All traffic is sequential; the constructor carries no overhead.
         let t = ThreadTraffic::sequential(3, 2, 7, 5);
         assert_eq!((t.cpu, t.node, t.total_bytes()), (3, 2, 12));

@@ -562,7 +562,7 @@ mod tests {
     }
 
     #[test]
-    fn random_pattern_is_slower_than_sequential() {
+    fn streams_to_the_cxl_node_run_well_below_local_ddr5() {
         // The same streams against the CPU-less CXL node run well below
         // local DDR5.
         let local = engine().simulate(&phase(4, 0, GB, 1.0)).unwrap();
@@ -577,7 +577,7 @@ mod tests {
     }
 
     #[test]
-    fn simulate_all_preserves_order() {
+    fn phases_simulated_in_turn_keep_their_own_verdicts() {
         // Phases evaluated one after another each get their own verdict.
         let e = engine();
         let phases = [phase(1, 0, GB, 1.0), phase(2, 1, GB, 1.0)];
@@ -624,7 +624,7 @@ mod tests {
     }
 
     #[test]
-    fn clones_share_the_cache() {
+    fn a_clone_gives_the_same_verdict() {
         // An engine clone gives the same verdict as the original.
         let e = engine();
         let clone = e.clone();

@@ -224,7 +224,7 @@ mod tests {
     }
 
     #[test]
-    fn random_pattern_is_slower() {
+    fn cxl_per_thread_bandwidth_is_below_local_from_either_socket() {
         // The CPU-less CXL node is slower per thread than local DDR5, from
         // either socket.
         let m = machines::sapphire_rapids_cxl_machine();

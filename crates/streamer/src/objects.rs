@@ -51,6 +51,14 @@ const SHAPE: Shape = Shape {
 };
 /// Bytes a commit record spends at admission (directory-entry sized).
 const COMMIT_BYTES: u64 = 64;
+/// Payload bytes per object version.
+const VALUE_LEN: u64 = 64;
+/// The mixed phase updates (and the delete wave deletes) every k-th id.
+const UPDATE_EVERY: u64 = 8;
+/// Objects per simulated put/get batch.
+const BATCH: u64 = 256;
+/// Objects per simulated scan.
+const SCAN_BATCH: u64 = 4_096;
 
 /// The crash leg's cells: whether the writer dies in the commit (else in
 /// the put), at which of the op's calls, and whether that write is torn. A
@@ -78,22 +86,14 @@ pub struct ObjectsConfig {
     pub hosts: usize,
     /// Objects the store is created for — and fully populated with.
     pub objects: u64,
-    /// Payload bytes per object version.
-    pub value_len: u64,
     /// Committed-byte spot checks per reader host in the functional leg.
     pub read_samples: u64,
-    /// The mixed phase updates (and the delete wave deletes) every k-th id.
-    pub update_every: u64,
     /// Simulated `put_commit` batch ops ([`QosClass::Checkpoint`]).
     pub writer_ops: usize,
     /// Simulated `get` batch ops ([`QosClass::Restore`]).
     pub reader_ops: usize,
     /// Simulated whole-store `scan` ops ([`QosClass::Background`] overload).
     pub scan_ops: usize,
-    /// Objects per simulated put/get batch.
-    pub batch: u64,
-    /// Objects per simulated scan.
-    pub scan_batch: u64,
 }
 
 impl ObjectsConfig {
@@ -102,14 +102,10 @@ impl ObjectsConfig {
         ObjectsConfig {
             hosts: 4,
             objects: 120_000,
-            value_len: 64,
             read_samples: 2_048,
-            update_every: 8,
             writer_ops: 600,
             reader_ops: 900,
             scan_ops: 300,
-            batch: 256,
-            scan_batch: 4_096,
         }
     }
 
@@ -118,14 +114,10 @@ impl ObjectsConfig {
         ObjectsConfig {
             hosts: 2,
             objects: 2_048,
-            value_len: 64,
             read_samples: 256,
-            update_every: 8,
             writer_ops: 120,
             reader_ops: 180,
             scan_ops: 60,
-            batch: 256,
-            scan_batch: 4_096,
         }
     }
 }
@@ -205,11 +197,11 @@ impl ObjectsReport {
 }
 
 /// Deterministic bytes of object `id` at committed epoch `epoch`.
-fn value_bytes(id: u64, epoch: u64, len: u64) -> Vec<u8> {
+fn value_bytes(id: u64, epoch: u64) -> Vec<u8> {
     let seed = id
         .wrapping_mul(0x9E37_79B9_7F4A_7C15)
         .wrapping_add(epoch.wrapping_mul(0xD1B5_4A32_D192_ED03));
-    (0..len)
+    (0..VALUE_LEN)
         .map(|i| (seed.wrapping_add(i.wrapping_mul(0xFF51_AFD7_ED55_8CCD)) >> 32) as u8)
         .collect()
 }
@@ -257,12 +249,12 @@ fn functional_leg(cfg: &ObjectsConfig) -> Result<Functional, ClusterError> {
 
     let mut writer = cluster
         .host(0)
-        .create_store("objects", cfg.objects, cfg.value_len)?;
+        .create_store("objects", cfg.objects, VALUE_LEN)?;
     writer.set_front_door(Arc::clone(&door));
 
     // 1. Populate every object at epoch 1 through the admission-classed ops.
     for id in 0..cfg.objects {
-        writer.put_classed(id, &value_bytes(id, 1, cfg.value_len), tick())?;
+        writer.put_classed(id, &value_bytes(id, 1), tick())?;
         writer.commit_classed(id, tick())?;
     }
 
@@ -275,7 +267,7 @@ fn functional_leg(cfg: &ObjectsConfig) -> Result<Functional, ClusterError> {
         let stride = (cfg.objects / cfg.read_samples).max(1);
         let mut id = (host as u64) % stride;
         while id < cfg.objects {
-            if reader.get_classed(id, tick())? != value_bytes(id, 1, cfg.value_len) {
+            if reader.get_classed(id, tick())? != value_bytes(id, 1) {
                 reads_exact = false;
             }
             id += stride;
@@ -286,28 +278,28 @@ fn functional_leg(cfg: &ObjectsConfig) -> Result<Functional, ClusterError> {
     // 3. Coherence discipline: the writer republishes; a reader still on the
     //    old acquisition must get the typed refusal, then sees the new
     //    version after re-acquiring.
-    writer.put_classed(0, &value_bytes(0, 2, cfg.value_len), tick())?;
+    writer.put_classed(0, &value_bytes(0, 2), tick())?;
     writer.commit_classed(0, tick())?;
     let stale = &mut readers[0];
     let coherence_enforced = matches!(stale.get(0), Err(ClusterError::NotAcquired { .. }));
     stale.acquire()?;
-    if stale.get(0)? != value_bytes(0, 2, cfg.value_len) {
+    if stale.get(0)? != value_bytes(0, 2) {
         reads_exact = false;
     }
 
     // 4. Mixed phase: update every k-th object (epoch 2), delete + reinsert
     //    every 2k-th (epoch restarts at 1 after a delete), readers re-acquire
     //    and verify the exact post-round bytes.
-    for id in (0..cfg.objects).step_by(cfg.update_every as usize) {
+    for id in (0..cfg.objects).step_by(UPDATE_EVERY as usize) {
         if id == 0 {
             continue; // already at epoch 2 from the coherence probe
         }
-        writer.put_classed(id, &value_bytes(id, 2, cfg.value_len), tick())?;
+        writer.put_classed(id, &value_bytes(id, 2), tick())?;
         writer.commit_classed(id, tick())?;
     }
-    for id in (0..cfg.objects).step_by(2 * cfg.update_every as usize) {
+    for id in (0..cfg.objects).step_by(2 * UPDATE_EVERY as usize) {
         writer.delete(id)?;
-        writer.put_classed(id, &value_bytes(id, 3, cfg.value_len), tick())?;
+        writer.put_classed(id, &value_bytes(id, 3), tick())?;
         writer.commit_classed(id, tick())?;
     }
     for (slot, reader) in readers.iter_mut().enumerate() {
@@ -316,14 +308,14 @@ fn functional_leg(cfg: &ObjectsConfig) -> Result<Functional, ClusterError> {
         let stride = (cfg.objects / cfg.read_samples).max(1);
         let mut id = (host as u64) % stride;
         while id < cfg.objects {
-            let epoch = if id.is_multiple_of(2 * cfg.update_every) {
+            let epoch = if id.is_multiple_of(2 * UPDATE_EVERY) {
                 3
-            } else if id.is_multiple_of(cfg.update_every) {
+            } else if id.is_multiple_of(UPDATE_EVERY) {
                 2
             } else {
                 1
             };
-            if reader.get_classed(id, tick())? != value_bytes(id, epoch, cfg.value_len) {
+            if reader.get_classed(id, tick())? != value_bytes(id, epoch) {
                 reads_exact = false;
             }
             id += stride;
@@ -340,13 +332,13 @@ fn functional_leg(cfg: &ObjectsConfig) -> Result<Functional, ClusterError> {
     let mut store_conserved = true;
     for (cell, &(in_commit, at, torn)) in CRASH_CELLS.iter().enumerate() {
         let id = 1 + cell as u64; // ids not touched by the delete wave
-        let old_epoch = if id.is_multiple_of(cfg.update_every) {
+        let old_epoch = if id.is_multiple_of(UPDATE_EVERY) {
             2
         } else {
             1
         };
-        let old = value_bytes(id, old_epoch, cfg.value_len);
-        let new = value_bytes(id, 90 + cell as u64, cfg.value_len);
+        let old = value_bytes(id, old_epoch);
+        let new = value_bytes(id, 90 + cell as u64);
         let crash = Crash::new();
         let backend = Arc::new(SharedRegionBackend::new(writer.region(), writer.host()));
         let pool = PmemPool::open_with_backend(crash.wrap(backend), writer.name())?;
@@ -453,19 +445,19 @@ fn loads(cfg: &ObjectsConfig) -> [Load; 3] {
             name: "put_commit",
             class: QosClass::Checkpoint,
             count: cfg.writer_ops,
-            bytes: cfg.batch * (cfg.value_len + COMMIT_BYTES),
+            bytes: BATCH * (VALUE_LEN + COMMIT_BYTES),
         },
         Load {
             name: "get",
             class: QosClass::Restore,
             count: cfg.reader_ops,
-            bytes: cfg.batch * cfg.value_len,
+            bytes: BATCH * VALUE_LEN,
         },
         Load {
             name: "scan",
             class: QosClass::Background,
             count: cfg.scan_ops,
-            bytes: cfg.scan_batch * cfg.value_len,
+            bytes: SCAN_BATCH * VALUE_LEN,
         },
     ]
 }
@@ -480,7 +472,7 @@ pub fn run_objects(cfg: &ObjectsConfig) -> Result<ObjectsReport, ClusterError> {
     Ok(ObjectsReport {
         hosts: cfg.hosts,
         objects: cfg.objects,
-        value_len: cfg.value_len,
+        value_len: VALUE_LEN,
         committed_versions: functional.committed_versions,
         crash_cells: functional.crash_cells,
         crash_survived: functional.crash_survived,
